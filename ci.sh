@@ -33,7 +33,7 @@ if [ "${1:-}" = "bench-compare" ]; then
     # benchjson's default advisory mode is used — a regression past the
     # threshold prints a loud warning instead of failing the build; run
     # `./ci.sh bench` for a statistically sound baseline before acting on
-    # one, and `./ci.sh bench-gate` for the hard-gated epoch-kernel check.
+    # one, and `./ci.sh bench-gate` for the hard-gated check.
     base="${BENCH_BASELINE:-results/bench.json}"
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
@@ -50,16 +50,15 @@ if [ "${1:-}" = "bench-compare" ]; then
 fi
 
 if [ "${1:-}" = "bench-gate" ]; then
-    # Hard performance gate for the epoch-kernel transmission hot path: the
-    # fig6b and fig7 benchmarks run through the compiled window kernel, and
-    # losing that speedup (falling back to the general engine, or a kernel
-    # slowdown) shows up as a multi-x regression that no noise excuse
-    # covers. The generous threshold tolerates smoke-run noise while still
-    # catching a lost 2x.
+    # Hard performance gate for the transmission hot path: losing the
+    # collapsed timer wait (polling every read through the scheduler) or a
+    # slower actor switch shows up in the fig6b and fig7 benchmarks as a
+    # multi-x regression that no noise excuse covers. The generous
+    # threshold tolerates smoke-run noise while still catching a lost 2x.
     base="${BENCH_BASELINE:-results/bench.json}"
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
-    echo "== bench-gate: epoch-kernel fig6b/fig7 vs $base (hard) =="
+    echo "== bench-gate: fig6b/fig7 vs $base (hard) =="
     go test -run '^$' -bench 'Fig6bCovertChannel$|Fig7WindowSweep$' -benchmem \
         -benchtime 1x -count "${BENCH_COUNT:-3}" . > "$tmp/new.txt"
     go run ./cmd/benchjson -o "$tmp/new.json" < "$tmp/new.txt"
@@ -98,18 +97,22 @@ echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs
 # instruments hammered by writers while /metrics renders concurrently.
 go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops
 
-echo "== go test -race: fig6b/fig7 on both engines (1 iteration) =="
-# One race-instrumented pass over the transmission hot path per engine: the
-# epoch kernel (default) and the general DES engine (forced via env), so a
-# data race in either execution mode fails the build.
+echo "== go test -race: fig6b/fig7 (1 iteration) =="
+# One race-instrumented pass over the transmission hot path: every actor
+# switch and collapsed timer wait of a full channel run goes through the
+# one engine, so a data race there fails the build.
 go test -race -run '^$' -bench 'Fig6bCovertChannel$|Fig7WindowSweep$' -benchtime 1x .
-MEECC_FORCE_GENERAL_ENGINE=1 \
-    go test -race -run '^$' -bench 'Fig6bCovertChannel$|Fig7WindowSweep$' -benchtime 1x .
 
 echo "== bench smoke (1 iteration per benchmark) =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
 # without paying for statistically meaningful timings (that's `ci.sh bench`).
 go test -run '^$' -bench . -benchtime 1x ./...
+
+echo "== fuzz smoke: internal/platform =="
+# The timer-wait collapse commits a whole poll loop in one scheduling step;
+# for any clock, deadline, timer model and Run limit it must end exactly
+# where polling one read at a time would, under both schedulers.
+go test ./internal/platform -run '^$' -fuzz FuzzWaitTimer -fuzztime 5s
 
 echo "== fuzz smoke: internal/code =="
 # A short randomized pass over the decoder-facing fuzz targets: the channel
@@ -129,6 +132,11 @@ echo "== fuzz smoke: internal/serve/journal =="
 # The write-ahead log replays whatever a crash left on disk: arbitrary bytes
 # must never panic, and every record recovered must be a real record.
 go test ./internal/serve/journal -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s
+
+echo "== bench module: vet + tests =="
+# bench/ is its own module pinned to go 1.22 and built with -mod=readonly,
+# so a go-directive bump or API break in the root module fails here first.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== smoke: meecc batch =="
 tmp=$(mktemp -d)
@@ -200,7 +208,7 @@ go run ./cmd/figures -fig 6b -trace "$tmp/fig6b.trace.json" > /dev/null
 test -s "$tmp/fig6b.trace.json" || { echo "missing fig6b trace" >&2; exit 1; }
 go run ./cmd/meecc inspect "$tmp/fig6b.trace.json"
 
-echo "== bench-gate (hard gate, epoch kernel) =="
+echo "== bench-gate (hard gate) =="
 sh "$0" bench-gate
 
 echo "== bench-compare (soft gate) =="

@@ -267,19 +267,7 @@ func (s *channelSession) evict(th *platform.Thread) {
 // trojanWarm is the sender's pre-transmission work: threshold calibration,
 // Algorithm 1, and the search-phase burst loop the spy locks onto. It
 // reports whether the phase succeeded; on failure s.trojanErr is set.
-// It is split into trojanSetup (everything through the end of the setup
-// budget — the part the epoch kernel leaves on the general engine) and
-// trojanBurst (the scripted search-phase loop the kernel compiles).
 func (s *channelSession) trojanWarm(th *platform.Thread) bool {
-	if !s.trojanSetup(th) {
-		return false
-	}
-	s.trojanBurst(th)
-	return true
-}
-
-// trojanSetup calibrates, runs Algorithm 1, and spins out the setup budget.
-func (s *channelSession) trojanSetup(th *platform.Thread) bool {
 	th.EnterEnclave()
 	base := s.trojanProc.Enclave().Base
 	threshold := calibrateThreshold(th, pageAddrs(base, calPages, s.cfg.Index512))
@@ -299,27 +287,25 @@ func (s *channelSession) trojanSetup(th *platform.Thread) bool {
 		return false
 	}
 	th.SpinUntil(s.tSetupEnd)
-	return true
-}
 
-// trojanBurst is the search phase: burst continuously so the spy can find
-// which of its addresses conflicts with the eviction set.
-func (s *channelSession) trojanBurst(th *platform.Thread) {
+	// Search phase: burst continuously so the spy can find which of its
+	// addresses conflicts with the eviction set.
 	for th.Now() < s.t0-20_000 {
 		s.evict(th)
 		th.Spin(1000)
 	}
+	return true
 }
 
 // trojanTransmit is Algorithm 2, the trojan's operation.
 func (s *channelSession) trojanTransmit(th *platform.Thread) {
 	for i, bit := range s.cfg.Bits {
-		waitUntilTimer(th, s.t0+sim.Cycles(i)*s.cfg.Window)
+		th.WaitTimer(s.t0 + sim.Cycles(i)*s.cfg.Window)
 		if bit == 1 {
 			s.evict(th)
 		}
-		// '0': busy loop until the next window (the waitUntilTimer at
-		// the top of the loop).
+		// '0': busy loop until the next window (the WaitTimer at the top
+		// of the loop).
 	}
 }
 
@@ -327,16 +313,9 @@ func (s *channelSession) trojanTransmit(th *platform.Thread) {
 const spySamples = 10
 
 // spyWarm is the receiver's pre-transmission work: threshold calibration
-// and monitor-address discovery against the trojan's search bursts. Like
-// trojanWarm it is split at the setup-budget boundary: spySetup stays on
-// the general engine, spyDiscover is what the epoch kernel compiles.
+// and monitor-address discovery against the trojan's search bursts. It
+// reports whether the phase succeeded; on failure s.spyErr is set.
 func (s *channelSession) spyWarm(th *platform.Thread) bool {
-	s.spySetup(th)
-	return s.spyDiscover(th)
-}
-
-// spySetup calibrates the spy's threshold and spins out the setup budget.
-func (s *channelSession) spySetup(th *platform.Thread) {
 	th.EnterEnclave()
 	base := s.spyProc.Enclave().Base
 	// Calibrate in the second half of the calibration phase, staggered
@@ -345,11 +324,9 @@ func (s *channelSession) spySetup(th *platform.Thread) {
 	s.spyThreshold = calibrateThreshold(th, pageAddrs(base, calPages, s.cfg.Index512))
 	s.res.SpyThreshold = s.spyThreshold
 	th.SpinUntil(s.tSetupEnd)
-}
 
-// spyDiscover is monitor discovery: sample each candidate while the trojan
-// bursts; the address the bursts keep evicting is the monitor.
-func (s *channelSession) spyDiscover(th *platform.Thread) bool {
+	// Monitor discovery: sample each candidate while the trojan bursts; the
+	// address the bursts keep evicting is the monitor.
 	bestScore, monitor := -1, enclave.VAddr(0)
 	for _, cand := range s.spyCands {
 		score := 0
@@ -366,19 +343,13 @@ func (s *channelSession) spyDiscover(th *platform.Thread) bool {
 			bestScore, monitor = score, cand
 		}
 	}
-	return s.finishDiscovery(th.Now(), bestScore, monitor)
-}
-
-// finishDiscovery applies the discovery acceptance checks shared by the
-// general engine and the epoch kernel.
-func (s *channelSession) finishDiscovery(now sim.Cycles, bestScore int, monitor enclave.VAddr) bool {
 	s.res.MonitorScore = bestScore
 	if bestScore < spySamples*6/10 {
 		s.spyErr = fmt.Errorf("core: monitor discovery failed (best score %d/%d)", bestScore, spySamples)
 		return false
 	}
-	if now > s.t0 {
-		s.spyErr = fmt.Errorf("core: spy search overran its budget (%d > %d)", now, s.t0)
+	if th.Now() > s.t0 {
+		s.spyErr = fmt.Errorf("core: spy search overran its budget (%d > %d)", th.Now(), s.t0)
 		return false
 	}
 	s.monitor = monitor
@@ -390,14 +361,14 @@ func (s *channelSession) finishDiscovery(now sim.Cycles, bestScore int, monitor 
 // transmission starts (after the trojan's last search-phase burst), then
 // decode each window. The probe itself re-primes after a miss.
 func (s *channelSession) spyTransmit(th *platform.Thread) {
-	waitUntilTimer(th, s.t0-5000)
+	th.WaitTimer(s.t0 - 5000)
 	th.Access(s.monitor)
 	th.Flush(s.monitor)
 	s.res.Received = make([]byte, len(s.cfg.Bits))
 	s.res.ProbeTimes = make([]sim.Cycles, len(s.cfg.Bits))
 	probeOffset := sim.Cycles(float64(s.cfg.Window) * s.cfg.ProbePhase)
 	for i := range s.cfg.Bits {
-		waitUntilTimer(th, s.t0+sim.Cycles(i)*s.cfg.Window+probeOffset)
+		th.WaitTimer(s.t0 + sim.Cycles(i)*s.cfg.Window + probeOffset)
 		t := timedAccess(th, s.monitor)
 		th.Flush(s.monitor)
 		s.res.ProbeTimes[i] = t
@@ -495,17 +466,13 @@ func (s *channelSession) finish(plat *platform.Platform, injector *fault.Injecto
 // spy monitor-address discovery, then the Algorithm 2 transmission of
 // cfg.Bits. It returns the decoded sequence and channel statistics.
 //
-// Each side runs warm and transmit phases back to back in a single actor,
-// so the operation stream is identical to the historical single-closure
-// implementation. WarmChannel/ChannelWarmState.Run split the same phases
-// across a platform fork instead.
+// Each side runs warm and transmit phases back to back in a single actor.
+// WarmChannel/ChannelWarmState.Run split the same phases across a platform
+// fork instead, with an identical operation stream.
 func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 	s, err := prepareChannel(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if s.epochEligible() {
-		return s.runEpoch()
 	}
 	cfg = s.cfg
 	plat := cfg.boot()

@@ -81,14 +81,6 @@ func timedAccess(th *platform.Thread, va enclave.VAddr) sim.Cycles {
 	return t2 - t1 - sim.Cycles(enclave.TimerReadCycles)
 }
 
-// waitUntilTimer busy-polls the hyperthread timer until it reaches deadline,
-// the way Algorithm 2's "busy loop for remaining time" is implemented when
-// rdtsc is unavailable. Each poll costs one timer read.
-func waitUntilTimer(th *platform.Thread, deadline sim.Cycles) {
-	for th.TimerNow() < deadline {
-	}
-}
-
 // pageAddrs returns the virtual addresses of `pages` consecutive enclave
 // pages starting at base, each offset by `index512` 512-byte units — the
 // "same index in consecutive versions data region" agreement from §5.3.

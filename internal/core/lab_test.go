@@ -55,7 +55,7 @@ func TestWaitUntilTimerOvershootBounded(t *testing.T) {
 	pr := plat.NewProcess("w")
 	var woke sim.Cycles
 	plat.SpawnThread("w", pr, 0, func(th *platform.Thread) {
-		waitUntilTimer(th, 100_000)
+		th.WaitTimer(100_000)
 		woke = th.Now()
 	})
 	plat.Run(-1)

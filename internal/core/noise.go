@@ -42,32 +42,25 @@ func (k NoiseKind) String() string {
 	}
 }
 
-// noiseSetup is the host-side preparation of a background environment: the
-// process, its buffer or enclave, and the walk parameters. Preparation is
-// split from actor spawning so the epoch kernel can run the same workload
-// as a compiled lane — the setup's rng draws (general-frame allocation)
-// land at the same point in the platform's random stream either way.
-type noiseSetup struct {
-	kind    NoiseKind
-	pr      *platform.Process
-	core    int
-	base    enclave.VAddr // start of the walked region
-	stride  int           // bytes between touches
-	pages   int           // region size in pages
-	enclave bool          // walk runs in enclave mode with Flush+Spin
-}
-
-// prepareNoise builds the noise workload's process and memory for kind.
-// It returns nil for NoiseNone.
-func prepareNoise(plat *platform.Platform, kind NoiseKind, core int) (*noiseSetup, error) {
+// spawnNoise starts the background actor for kind on the given core,
+// beginning at cycle `from`; NoiseNone starts nothing. The actor runs until
+// the engine is closed.
+func spawnNoise(plat *platform.Platform, kind NoiseKind, core int, from sim.Cycles) error {
 	switch kind {
 	case NoiseNone:
-		return nil, nil
+		return nil
 	case NoiseMemory:
 		pr := plat.NewProcess("noise-mem")
 		const pages = 2048 // 8 MB working set: thrashes the LLC
 		buf := pr.AllocGeneral(pages)
-		return &noiseSetup{kind: kind, pr: pr, core: core, base: buf, stride: 64, pages: pages}, nil
+		plat.SpawnThreadAt("noise-mem", pr, core, from, func(th *platform.Thread) {
+			for {
+				for off := 0; off < pages*enclave.PageBytes; off += 64 {
+					th.Access(buf + enclave.VAddr(off))
+				}
+			}
+		})
+		return nil
 	case NoiseMEE512, NoiseMEE4K:
 		stride := 512
 		if kind == NoiseMEE4K {
@@ -76,23 +69,14 @@ func prepareNoise(plat *platform.Platform, kind NoiseKind, core int) (*noiseSetu
 		pr := plat.NewProcess("noise-mee")
 		const pages = 1024 // 4 MB of protected memory
 		if _, err := pr.CreateEnclave(pages); err != nil {
-			return nil, err
+			return err
 		}
-		return &noiseSetup{kind: kind, pr: pr, core: core, base: pr.Enclave().Base, stride: stride, pages: pages, enclave: true}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown noise kind %d", kind)
-	}
-}
-
-// spawn starts the background actor, beginning at cycle `from`. The actor
-// runs until the engine is closed.
-func (n *noiseSetup) spawn(plat *platform.Platform, from sim.Cycles) {
-	if n.enclave {
-		plat.SpawnThreadAt("noise-mee", n.pr, n.core, from, func(th *platform.Thread) {
+		base := pr.Enclave().Base
+		plat.SpawnThreadAt("noise-mee", pr, core, from, func(th *platform.Thread) {
 			th.EnterEnclave()
 			for {
-				for off := 0; off < n.pages*enclave.PageBytes; off += n.stride {
-					va := n.base + enclave.VAddr(off)
+				for off := 0; off < pages*enclave.PageBytes; off += stride {
+					va := base + enclave.VAddr(off)
 					th.Access(va)
 					th.Flush(va)
 					// A real workload computes between touches; back-to-back
@@ -101,24 +85,8 @@ func (n *noiseSetup) spawn(plat *platform.Platform, from sim.Cycles) {
 				}
 			}
 		})
-		return
+		return nil
+	default:
+		return fmt.Errorf("core: unknown noise kind %d", kind)
 	}
-	plat.SpawnThreadAt("noise-mem", n.pr, n.core, from, func(th *platform.Thread) {
-		for {
-			for off := 0; off < n.pages*enclave.PageBytes; off += n.stride {
-				th.Access(n.base + enclave.VAddr(off))
-			}
-		}
-	})
-}
-
-// spawnNoise prepares and starts the background actor for kind on the given
-// core, beginning at cycle `from`.
-func spawnNoise(plat *platform.Platform, kind NoiseKind, core int, from sim.Cycles) error {
-	n, err := prepareNoise(plat, kind, core)
-	if err != nil || n == nil {
-		return err
-	}
-	n.spawn(plat, from)
-	return nil
 }

@@ -110,7 +110,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 				th.Spin(1000)
 			}
 			for w := 0; w < windows; w++ {
-				waitUntilTimer(th, t0+sim.Cycles(w)*cfg.Window)
+				th.WaitTimer(t0 + sim.Cycles(w)*cfg.Window)
 				if cfg.Bits[w*lanes+lane] == 1 {
 					evict()
 				}
@@ -161,7 +161,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 			monitors[lane] = best
 		}
 
-		waitUntilTimer(th, t0-5000)
+		th.WaitTimer(t0 - 5000)
 		for _, m := range monitors {
 			th.Access(m)
 			th.Flush(m)
@@ -177,7 +177,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 		}
 		probeOffset := sim.Cycles(float64(cfg.Window) * phase)
 		for w := 0; w < windows; w++ {
-			waitUntilTimer(th, t0+sim.Cycles(w)*cfg.Window+probeOffset)
+			th.WaitTimer(t0 + sim.Cycles(w)*cfg.Window + probeOffset)
 			for lane := 0; lane < lanes; lane++ {
 				t := timedAccess(th, monitors[lane])
 				th.Flush(monitors[lane])

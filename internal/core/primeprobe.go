@@ -92,7 +92,7 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		res.ProbeTimes = make([]sim.Cycles, len(cfg.Bits))
 		probeOffset := sim.Cycles(float64(cfg.Window) * cfg.ProbePhase)
 		for i := range cfg.Bits {
-			waitUntilTimer(th, t0+sim.Cycles(i)*cfg.Window+probeOffset)
+			th.WaitTimer(t0 + sim.Cycles(i)*cfg.Window + probeOffset)
 			t := probeAll(th, evSet)
 			res.ProbeTimes[i] = t
 			if t > res.Threshold {
@@ -138,7 +138,7 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		}
 
 		for i, bit := range cfg.Bits {
-			waitUntilTimer(th, t0+sim.Cycles(i)*cfg.Window)
+			th.WaitTimer(t0 + sim.Cycles(i)*cfg.Window)
 			if bit == 1 {
 				th.Access(conflict)
 				th.Flush(conflict)

@@ -655,7 +655,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			if p.resync {
 				// Re-acquisition: fresh threshold, Algorithm 1 re-run, then
 				// burst so the spy can re-locate its monitor.
-				waitUntilTimer(th, p.start)
+				th.WaitTimer(p.start)
 				threshold = calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, cfg.Index512))
 				calUsed++
 				if a1, err := FindEvictionSet(th, trojanCands, threshold); err == nil {
@@ -670,7 +670,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 				bit := 0
 				sendBit := func(b byte) {
 					for r := 0; r < p.rep; r++ {
-						waitUntilTimer(th, p.start+sim.Cycles(bit*p.rep+r)*p.window)
+						th.WaitTimer(p.start + sim.Cycles(bit*p.rep+r)*p.window)
 						if b == 1 {
 							evict()
 						}
@@ -686,7 +686,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 					}
 				}
 			}
-			waitUntilTimer(th, end)
+			th.WaitTimer(end)
 		}
 	})
 
@@ -743,7 +743,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			if plan.resync {
 				// Re-calibrate while the trojan rebuilds, then re-discover
 				// the monitor during its burst phase.
-				waitUntilTimer(th, plan.start)
+				th.WaitTimer(plan.start)
 				threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, cfg.Index512))
 				calUsed++
 				res.SpyThreshold = threshold
@@ -756,14 +756,14 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			} else {
 				// Prime, then decode pilot + chunks with majority voting
 				// over the repetition windows.
-				waitUntilTimer(th, plan.start-5000)
+				th.WaitTimer(plan.start - 5000)
 				th.Access(monitor)
 				th.Flush(monitor)
 				bit := 0
 				readBit := func() byte {
 					ones := 0
 					for r := 0; r < plan.rep; r++ {
-						waitUntilTimer(th, plan.start+sim.Cycles(bit*plan.rep+r)*plan.window+probeOffset(plan.window))
+						th.WaitTimer(plan.start + sim.Cycles(bit*plan.rep+r)*plan.window + probeOffset(plan.window))
 						if timedAccess(th, monitor) > threshold {
 							ones++
 						}
@@ -815,7 +815,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			s.plan = plan
 			if !plan.done && !plan.abort {
 				res.SessionCycles = roundEnd(&cfg, ctl.chunkBits, plan) - t0
-				waitUntilTimer(th, plan.start-10_000)
+				th.WaitTimer(plan.start - 10_000)
 			} else {
 				res.SessionCycles = end - t0
 			}

@@ -165,7 +165,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		}
 		// Transmit the frame three times back to back.
 		for w := 0; w < frameRepeats*len(frame); w++ {
-			waitUntilTimer(th, trojanStart+sim.Cycles(w)*cfg.Window)
+			th.WaitTimer(trojanStart + sim.Cycles(w)*cfg.Window)
 			if frame[w%len(frame)] == 1 {
 				evict()
 			}
@@ -206,7 +206,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		// slowly until evictions start appearing — transmission has begun.
 		// Slow polling matters: re-priming the monitor mid-pass would
 		// suppress the very evictions being watched for.
-		waitUntilTimer(th, tSearchEnd)
+		th.WaitTimer(tSearchEnd)
 		acqDeadline := trojanStart + sim.Cycles(preambleBits/2)*cfg.Window
 		firstEvent, events := awaitTransmission(th, monitor, threshold, cfg.Window, acqDeadline)
 		if firstEvent == 0 {
@@ -223,7 +223,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 			start := firstEvent + sim.Cycles(attempt*len(frame))*cfg.Window
 			decoded := make([]byte, 0, len(frame))
 			for k := 0; k < len(frame); k++ {
-				waitUntilTimer(th, start+sim.Cycles(k)*cfg.Window+off)
+				th.WaitTimer(start + sim.Cycles(k)*cfg.Window + off)
 				t := timedAccess(th, monitor)
 				th.Flush(monitor)
 				if t > threshold {

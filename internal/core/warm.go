@@ -156,10 +156,6 @@ func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	s.res.SetupCycles = ws.setupCycles
 	s.res.SpyThreshold = ws.spyThreshold
 
-	if s.epochEligible() && cleanThreadState(ws.trojanSt) && cleanThreadState(ws.spySt) {
-		return ws.runEpochFork(s, plat)
-	}
-
 	// Same spawn order as RunChannel (trojan id 0, spy id 1, stats-reset
 	// next), so clock ties resolve as they would in a fresh run.
 	plat.ResumeThread("trojan", s.trojanProc, ws.trojanClock, ws.trojanSt, func(th *platform.Thread) {

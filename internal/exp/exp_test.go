@@ -440,8 +440,8 @@ func TestChaosArtifactByteIdenticalAcrossWorkers(t *testing.T) {
 // TestActorPanicCarriesActorNameAndStack exercises the typed-panic
 // cooperation between the simulation engine and the harness: a panic inside
 // a simulated actor crosses Engine.Run as a *sim.PanicError, and runTrial
-// must report the actor's name and the actor goroutine's original stack —
-// not the worker goroutine's resume plumbing.
+// must report the actor's name and the stack captured inside the actor
+// body — not the worker goroutine's resume plumbing.
 func TestActorPanicCarriesActorNameAndStack(t *testing.T) {
 	runner := func(j Job) (Metrics, *obs.Snapshot, error) {
 		if v, _ := j.Cell.Get("mode"); v == "flaky" {

@@ -106,7 +106,8 @@ func (in *Injector) record(at sim.Cycles, k Kind, t Target, format string, args 
 // Attach arms the plan on a booted platform: one injector actor walks the
 // event schedule, and a co-tenant enclave actor runs the storm windows. Both
 // actors terminate after their last event, so an attached plan never keeps
-// the engine alive past the configured window.
+// the engine alive past the configured window. Threads the events stall or
+// perturb are marked with Thread.MarkFaultTarget.
 func (p *Plan) Attach(plat *platform.Platform, tg Targets) *Injector {
 	if tg.Cores == 0 {
 		tg.Cores = plat.Config().Cores
@@ -120,6 +121,17 @@ func (p *Plan) Attach(plat *platform.Platform, tg Targets) *Injector {
 	}
 	if len(p.Events) > 0 {
 		events := p.Events
+		// The injector is the only actor that stalls a thread or moves its
+		// timer: tell every thread an event will hit, so its timer waits
+		// poll read by read instead of collapsing.
+		for _, ev := range events {
+			switch ev.Kind {
+			case Migration, Timer, Paging:
+				if th := tg.thread(ev.Target); th != nil {
+					th.MarkFaultTarget()
+				}
+			}
+		}
 		plat.Engine().SpawnAt("fault-injector", events[0].At, func(sp *sim.Proc) {
 			for _, ev := range events {
 				sp.SleepUntil(ev.At)

@@ -11,25 +11,13 @@ import (
 	"meecc/internal/sim"
 )
 
-// Timeline is the clock a Thread executes against. Under the general DES
-// engine it is the actor's *sim.Proc (Advance yields to the scheduler);
-// under the epoch kernel it is a lane cursor that just moves a number. All
-// Thread model code is written against this interface, so both engines run
-// the exact same access/flush/timer code — same latencies, same rng draws —
-// and differ only in who owns the clock.
-type Timeline interface {
-	Now() sim.Cycles
-	Advance(n sim.Cycles)
-	SleepUntil(t sim.Cycles)
-}
-
 // Thread is one hardware thread executing on a core on behalf of a process.
 // Its methods are the simulated "ISA" that attack code is written against;
 // every method advances simulated time by the operation's cost.
 type Thread struct {
 	proc        *Process
 	core        int
-	tl          Timeline
+	sp          *sim.Proc // the actor running the thread's body
 	enclaveMode bool
 
 	// tlb is a host-side direct-mapped translation cache: pure memoization
@@ -43,12 +31,14 @@ type Thread struct {
 	// Fault-injection state (see internal/fault). pendingStall is time the
 	// thread has lost to an external event (preemption, page fault) that it
 	// pays at its next instruction; timerDrift/timerJitter perturb this
-	// thread's hyperthread-timer readings. All four fields are written by
+	// thread's hyperthread-timer readings. These fields are written by
 	// injector actors and read by this thread — safe because the engine
-	// serializes actors.
+	// serializes actors. faultTarget records that an injector may write
+	// them while the thread runs (see MarkFaultTarget).
 	pendingStall sim.Cycles
 	timerDrift   sim.Cycles
 	timerJitter  float64
+	faultTarget  bool
 }
 
 const tlbSlots = 64
@@ -84,32 +74,8 @@ func (p *Platform) SpawnThreadAt(name string, pr *Process, core int, start sim.C
 		panic(fmt.Sprintf("platform: core %d out of range", core))
 	}
 	th := &Thread{proc: pr, core: core}
-	p.eng.SpawnAt(name, start, func(sp *sim.Proc) {
-		th.tl = sp
-		body(th)
-	})
+	th.sp = p.eng.SpawnAt(name, start, func(*sim.Proc) { body(th) }).Proc()
 	return th
-}
-
-// DetachThread builds a Thread that is not backed by any engine actor: it
-// carries saved thread state and executes against the caller-supplied
-// Timeline. This is how the epoch kernel drives the exact Thread model code
-// (access, Flush, TimerNow, ...) from a compiled lane — the lane's cursor
-// is the timeline, and no goroutine exists. The caller owns scheduling; the
-// platform only validates the core.
-func (p *Platform) DetachThread(pr *Process, st ThreadState, tl Timeline) *Thread {
-	if st.Core < 0 || st.Core >= p.cfg.Cores {
-		panic(fmt.Sprintf("platform: core %d out of range", st.Core))
-	}
-	return &Thread{
-		proc:         pr,
-		core:         st.Core,
-		tl:           tl,
-		enclaveMode:  st.EnclaveMode,
-		pendingStall: st.PendingStall,
-		timerDrift:   st.TimerDrift,
-		timerJitter:  st.TimerJitter,
-	}
 }
 
 // ThreadState is the portable execution state of a thread at a quiescent
@@ -166,10 +132,12 @@ func (t *Thread) SetCore(core int) {
 }
 
 // Preempt charges the thread `stall` cycles of lost time (AEX, scheduler
-// latency, page-fault handling) at its next instruction. Stalls from
-// multiple events accumulate. Time spent parked in SpinUntil absorbs the
-// stall for free, as on real hardware — preempting an idle-waiting thread
-// costs it nothing observable.
+// latency, page-fault handling). Stalls from multiple events accumulate and
+// are paid, as one extra operation, by the thread's next Access, ReadU64,
+// WriteU64, Flush, TimerNow or Rdtsc. Spin, SpinUntil, Mfence, enclave
+// transitions and OCallRdtsc neither pay nor absorb a pending stall: a
+// thread preempted while spinning still pays the full stall at its next
+// memory access or timer read, on top of the spin.
 func (t *Thread) Preempt(stall sim.Cycles) {
 	if stall > 0 {
 		t.pendingStall += stall
@@ -185,12 +153,19 @@ func (t *Thread) AddTimerDrift(d sim.Cycles) { t.timerDrift += d }
 // hyperthread-timer reading (0 disables).
 func (t *Thread) SetTimerJitter(j float64) { t.timerJitter = j }
 
+// MarkFaultTarget records that another actor (a fault injector) may call
+// Preempt, AddTimerDrift or SetTimerJitter on this thread while it runs.
+// WaitTimer then polls the timer read by read instead of collapsing the
+// wait, because a mid-wait stall or timer change must land on the poll it
+// would hit.
+func (t *Thread) MarkFaultTarget() { t.faultTarget = true }
+
 // payStall consumes any pending preemption stall before an instruction.
 func (t *Thread) payStall() {
 	if t.pendingStall > 0 {
 		d := t.pendingStall
 		t.pendingStall = 0
-		t.tl.Advance(d)
+		t.sp.Advance(d)
 	}
 }
 
@@ -200,7 +175,7 @@ func (t *Thread) Process() *Process { return t.proc }
 // Now returns simulator-internal time. In-universe code cannot read this
 // (that is the whole point of challenge 4); it exists for harness
 // instrumentation and tests.
-func (t *Thread) Now() sim.Cycles { return t.tl.Now() }
+func (t *Thread) Now() sim.Cycles { return t.sp.Now() }
 
 // InEnclave reports whether the thread is in enclave mode.
 func (t *Thread) InEnclave() bool { return t.enclaveMode }
@@ -214,7 +189,7 @@ func (t *Thread) EnterEnclave() {
 		panic("platform: nested EnterEnclave")
 	}
 	t.enclaveMode = true
-	t.tl.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
+	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
 }
 
 // ExitEnclave leaves enclave mode (EEXIT).
@@ -223,7 +198,7 @@ func (t *Thread) ExitEnclave() {
 		panic("platform: ExitEnclave outside enclave")
 	}
 	t.enclaveMode = false
-	t.tl.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
+	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
 }
 
 // translate resolves va, enforcing SGX access control: EPC pages are only
@@ -266,7 +241,7 @@ func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
 	pa, protected := t.translate(va)
 	p := t.proc.plat
 	rng := p.rng
-	now := t.tl.Now()
+	now := t.sp.Now()
 
 	lvl, lat := p.caches.Access(t.core, pa, write)
 	res := AccessResult{CacheLevel: lvl}
@@ -299,7 +274,7 @@ func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
 		}
 	}
 	res.Lat = lat
-	t.tl.Advance(lat)
+	t.sp.Advance(lat)
 	return res
 }
 
@@ -358,13 +333,13 @@ func (t *Thread) Flush(va enclave.VAddr) {
 	pa, _ := t.translate(va)
 	p := t.proc.plat
 	victim, lat := p.caches.Flush(pa)
-	t.writebackVictim(t.tl.Now()+lat, victim)
-	t.tl.Advance(lat)
+	t.writebackVictim(t.sp.Now()+lat, victim)
+	t.sp.Advance(lat)
 }
 
 // Mfence orders memory operations (small fixed cost; ordering is implicit
 // in the serialized simulation).
-func (t *Thread) Mfence() { t.tl.Advance(20) }
+func (t *Thread) Mfence() { t.sp.Advance(20) }
 
 // Rdtsc returns the exact cycle counter — but faults in enclave mode, as on
 // SGX1 hardware (challenge 4). Use TimerNow or OCallRdtsc inside enclaves.
@@ -373,8 +348,8 @@ func (t *Thread) Rdtsc() sim.Cycles {
 		panic("platform: rdtsc #UD in enclave mode (SGX1)")
 	}
 	t.payStall()
-	now := t.tl.Now()
-	t.tl.Advance(sim.Cycles(t.proc.plat.cfg.RdtscCost))
+	now := t.sp.Now()
+	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.RdtscCost))
 	return now
 }
 
@@ -386,11 +361,11 @@ func (t *Thread) TimerNow() sim.Cycles {
 	t.payStall()
 	p := t.proc.plat
 	res := sim.Cycles(p.cfg.TimerResolution)
-	val := t.tl.Now()/res*res + t.timerDrift
+	val := t.sp.Now()/res*res + t.timerDrift
 	if t.timerJitter > 0 {
 		val += sim.Cycles((p.rng.Float64()*2 - 1) * t.timerJitter)
 	}
-	t.tl.Advance(sim.Cycles(p.cfg.TimerReadCost))
+	t.sp.Advance(sim.Cycles(p.cfg.TimerReadCost))
 	return val
 }
 
@@ -404,14 +379,54 @@ func (t *Thread) OCallRdtsc() sim.Cycles {
 	p := t.proc.plat
 	span := enclave.OCallMaxCycles - enclave.OCallMinCycles
 	dur := sim.Cycles(enclave.OCallMinCycles + p.rng.Float64()*float64(span))
-	val := t.tl.Now() + dur/2
-	t.tl.Advance(dur)
+	val := t.sp.Now() + dur/2
+	t.sp.Advance(dur)
 	return val
 }
 
 // Spin busy-loops for n cycles.
-func (t *Thread) Spin(n sim.Cycles) { t.tl.Advance(n) }
+func (t *Thread) Spin(n sim.Cycles) { t.sp.Advance(n) }
 
 // SpinUntil busy-loops until simulated cycle `deadline` (in-universe code
 // implements this by polling TimerNow; the cost model is identical).
-func (t *Thread) SpinUntil(deadline sim.Cycles) { t.tl.SleepUntil(deadline) }
+func (t *Thread) SpinUntil(deadline sim.Cycles) { t.sp.SleepUntil(deadline) }
+
+// WaitTimer busy-polls the hyperthread timer until it reads at least
+// deadline — Algorithm 2's "busy loop for remaining time" when rdtsc is
+// unavailable — one TimerNow per poll. When no other actor can change what
+// the polls read (no pending stall, no timer jitter, which draws from the
+// shared random stream, and no fault injector aimed at the thread), every
+// poll's reading is known in advance, so the whole loop is committed as one
+// scheduling step through sim.Proc.AdvanceN: the same final clock and the
+// same operation and busy-cycle counts as polling.
+func (t *Thread) WaitTimer(deadline sim.Cycles) {
+	for {
+		if t.pendingStall != 0 || t.timerJitter != 0 || t.faultTarget {
+			if t.TimerNow() >= deadline {
+				return
+			}
+			continue
+		}
+		cfg := &t.proc.plat.cfg
+		step := max(sim.Cycles(cfg.TimerReadCost), 1)
+		n := timerPolls(t.sp.Now(), deadline-t.timerDrift, sim.Cycles(cfg.TimerResolution), step)
+		// A shorter commit means the Run limit fell mid-wait (or the linear
+		// scheduler stepped one poll): re-plan from the new clock.
+		if t.sp.AdvanceN(step, n) == n {
+			return
+		}
+	}
+}
+
+// timerPolls counts the polls of a wait that starts at clock c: poll i
+// reads the timer quantized to res at c+i*step, and the first reading at or
+// past deadline ends the wait. With q the first multiple of res at or past
+// deadline, that is the first poll made at a clock at or past q. (When
+// deadline <= 0, q <= 0 and the first poll ends the wait.)
+func timerPolls(c, deadline, res, step sim.Cycles) int {
+	q := (deadline + res - 1) / res * res
+	if c >= q {
+		return 1
+	}
+	return int((q-c+step-1)/step) + 1
+}

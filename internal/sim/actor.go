@@ -15,20 +15,25 @@ type Actor struct {
 	done       bool
 	panicVal   any
 	panicStack []byte
-	resume     chan struct{}
 	engine     *Engine
 	proc       *Proc
 	heapIdx    int // position in the engine's scheduling heap; -1 if detached
 	track      obs.TrackID
 
-	// Run-ahead state, written by whichever goroutine resumes the actor
-	// (the engine loop or a peer handing off directly) before signalling
-	// resume, and consumed by Proc.yield (the resume channel orders the
-	// accesses): the actor keeps executing operations locally while its
-	// next operation is still scheduled before (horizonClock, horizonID)
-	// and within runLimit. lastStart is the start clock of the last
-	// committed operation, which Run reports; batchStart is the clock at
-	// resume, for the tracer's batch slices.
+	// The body runs as a coroutine: next resumes it for one batch and
+	// reports false once the body has returned; stop unwinds a suspended
+	// body; suspend (the coroutine's yield) hands control back to the engine
+	// loop and reports false when the engine is tearing the actor down.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
+
+	// Run-ahead state, written by the engine loop before it resumes the
+	// actor and consumed by Proc.yield: the actor keeps executing operations
+	// locally while its next operation is still scheduled before
+	// (horizonClock, horizonID) and within runLimit. lastStart is the start
+	// clock of the last committed operation, which Run reports; batchStart
+	// is the clock at resume, for the tracer's batch slices.
 	horizonClock Cycles
 	horizonID    int
 	runLimit     Cycles
@@ -45,46 +50,26 @@ func (a *Actor) Clock() Cycles { return a.clock }
 // Done reports whether the actor's body has returned (or been killed).
 func (a *Actor) Done() bool { return a.done }
 
-// run is the goroutine wrapper around the actor body. The goroutine blocks
-// until it is resumed for the first time, executes the body, and reports
-// completion — handing control straight to the next-due actor when it can,
-// waking the engine loop otherwise. Panics other than the engine's kill
-// sentinel are captured — value and actor-side stack — and re-raised on the
-// engine side as a *PanicError.
-func (a *Actor) run(body func(*Proc)) {
-	defer func() {
-		e := a.engine
-		if r := recover(); r != nil {
-			if _, isKill := r.(killSentinel); !isKill {
-				a.panicVal = r
-				a.panicStack = debug.Stack()
-			}
-		}
-		a.done = true
-		if !e.killed {
-			e.endBatch(a)
-			// A panicking actor must wake the engine loop, which owns
-			// re-raising the panic as a *PanicError.
-			if a.panicVal == nil && e.handoff(a) {
-				return
-			}
-		}
-		e.parkedCh <- a
-	}()
-	<-a.resume
-	if a.engine.killed {
-		panic(killSentinel{})
-	}
-	body(a.proc)
-}
+// Proc returns the handle the actor's body runs with.
+func (a *Actor) Proc() *Proc { return a.proc }
 
-// step resumes the actor for one batch of operations and waits for control
-// to come back. Used only by Close, with the kill flag already set, so the
-// actor unwinds immediately and no direct handoff can occur — the parked
-// actor is always a itself.
-func (a *Actor) step() {
-	a.resume <- struct{}{}
-	<-a.engine.parkedCh
+// start wraps body in the actor's coroutine. The body first runs when the
+// engine resumes the actor; a body killed before that never runs at all.
+// Panics other than the engine's kill sentinel are captured — value and
+// actor-side stack — for Run to re-raise as a *PanicError.
+func (a *Actor) start(body func(*Proc)) {
+	a.next, a.stop = pull(func(suspend func(struct{}) bool) {
+		a.suspend = suspend
+		defer func() {
+			if r := recover(); r != nil {
+				if _, isKill := r.(killSentinel); !isKill {
+					a.panicVal = r
+					a.panicStack = debug.Stack()
+				}
+			}
+		}()
+		body(a.proc)
+	})
 }
 
 // Proc is the handle an actor body uses to interact with simulated time.
@@ -117,6 +102,42 @@ func (p *Proc) Advance(n Cycles) {
 	p.yield()
 }
 
+// AdvanceN commits n back-to-back operations of step cycles each (step
+// minimum 1, n minimum 1) as one scheduling step and returns how many it
+// committed; each counts as an operation exactly as n Advance(step) calls
+// would. It is for operations with no effects — nothing another actor
+// reads or writes, no random draws — so running the later ones ahead of
+// other actors' operations is invisible. Only operations starting within
+// the current Run limit execute, so a wait that straddles the limit
+// commits a prefix and the caller resumes it on the next Run. The linear
+// reference scheduler commits exactly one operation per call, which keeps
+// it an op-by-op oracle for the collapse.
+func (p *Proc) AdvanceN(step Cycles, n int) int {
+	if step < 1 {
+		step = 1
+	}
+	if n < 1 {
+		n = 1
+	}
+	a := p.actor
+	e := a.engine
+	if e.linear {
+		n = 1
+	} else if a.runLimit >= 0 {
+		// Operation i starts at clock+i*step; operation 0 is the one
+		// already executing, admitted when the actor was scheduled.
+		if fit := (a.runLimit-a.clock)/step + 1; fit < Cycles(n) {
+			n = int(fit)
+		}
+	}
+	e.cOps.Add(uint64(n))
+	e.cBusy.Add(uint64(n) * uint64(step))
+	a.lastStart = a.clock + Cycles(n-1)*step
+	a.clock += Cycles(n) * step
+	p.yield()
+	return n
+}
+
 // SleepUntil advances the actor's clock to t (no-op plus a 1-cycle yield if
 // t is in the past) — the busy-loop-until-deadline primitive from the
 // paper's Algorithm 2.
@@ -127,31 +148,21 @@ func (p *Proc) SleepUntil(t Cycles) {
 
 // yield ends the current operation. If the actor's next operation is still
 // scheduled before every other live actor (the run-ahead horizon) and within
-// the current Run limit, the actor continues executing locally — no park, no
-// channel handoff. Otherwise its batch is over: it commits the batch
-// bookkeeping, hands control straight to the next-due actor when the chain
-// may continue (waking the engine loop only at a Run boundary), and blocks
-// until resumed. If the engine is tearing down, the actor unwinds via the
-// kill sentinel.
+// the current Run limit, the actor continues executing locally. Otherwise
+// its batch is over and it suspends back to the engine loop until resumed.
+// If the engine is tearing down, the actor unwinds via the kill sentinel.
 func (p *Proc) yield() {
 	a := p.actor
-	e := a.engine
-	if !e.killed {
-		c := a.clock
-		if (a.runLimit < 0 || c <= a.runLimit) &&
-			schedBefore(c, a.id, a.horizonClock, a.horizonID) {
-			a.lastStart = c
-			return
-		}
-		e.endBatch(a)
-		if !e.handoff(a) {
-			e.parkedCh <- a
-		}
-	} else {
-		e.parkedCh <- a
+	if a.engine.killed {
+		panic(killSentinel{})
 	}
-	<-a.resume
-	if e.killed {
+	c := a.clock
+	if (a.runLimit < 0 || c <= a.runLimit) &&
+		schedBefore(c, a.id, a.horizonClock, a.horizonID) {
+		a.lastStart = c
+		return
+	}
+	if !a.suspend(struct{}{}) {
 		panic(killSentinel{})
 	}
 }

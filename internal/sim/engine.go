@@ -18,19 +18,19 @@ type Cycles int64
 // maxCycles is the run-ahead horizon when an actor has no live peers.
 const maxCycles = Cycles(math.MaxInt64)
 
-// killSentinel is panicked inside an actor goroutine when the engine tears
-// the actor down; the actor wrapper recovers it.
+// killSentinel is panicked inside an actor body when the engine tears the
+// actor down; the actor's coroutine wrapper recovers it.
 type killSentinel struct{}
 
 // PanicError is what Engine.Run re-panics when an actor body panics: it
 // carries the original panic value and the stack captured inside the actor
-// goroutine at the point of the panic, so callers recovering at the engine
+// body at the point of the panic, so callers recovering at the engine
 // boundary (e.g. the experiment harness's trial guard) can report the real
 // failure instead of a flattened string.
 type PanicError struct {
 	Actor string // name of the actor whose body panicked
 	Value any    // the original panic value
-	Stack []byte // stack of the actor goroutine, captured at recovery
+	Stack []byte // stack of the actor body, captured at recovery
 }
 
 func (e *PanicError) Error() string {
@@ -63,17 +63,10 @@ type Engine struct {
 	heap    []*Actor // live actors, indexed min-heap on (clock, spawn id)
 	rng     *rand.Rand
 	pcg     *rand.PCG // rng's source, retained so RNGSnapshot can serialize it
-	running *Actor // actor currently executing inside Run/Close
+	running *Actor    // actor currently executing inside Run
 	killed  bool
 	closed  bool
 	linear  bool // reference scheduler: linear scan, single-step resumes
-
-	// parkedCh is how control returns to the engine loop: the actor that
-	// ends a handoff chain (no further live actor within the Run limit, a
-	// panic, or teardown) sends itself. Exactly one goroutine — the engine
-	// or a single actor — executes at any time, so the channel never sees
-	// concurrent senders.
-	parkedCh chan *Actor
 
 	// Observability (all nil/zero when disabled; see Observe). cOps and
 	// cBusy are schedule-invariant; cResumes and cTrunc count scheduler
@@ -86,7 +79,7 @@ type Engine struct {
 	tracer   *obs.Tracer
 	nBatch   obs.NameID
 	nSpawn   obs.NameID
-	lastNow  Cycles // clock of the last committed operation, for sampling
+	lastNow  Cycles // latest start of any committed operation, for sampling
 }
 
 // NewEngine returns an engine whose random stream is derived from seed.
@@ -94,10 +87,9 @@ type Engine struct {
 func NewEngine(seed uint64) *Engine {
 	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
 	return &Engine{
-		rng:      rand.New(pcg),
-		pcg:      pcg,
-		linear:   forceLinear.Load(),
-		parkedCh: make(chan *Actor),
+		rng:    rand.New(pcg),
+		pcg:    pcg,
+		linear: forceLinear.Load(),
 	}
 }
 
@@ -125,10 +117,9 @@ func NewEngineResumed(rngState []byte) (*Engine, error) {
 		return nil, fmt.Errorf("sim: resuming RNG state: %w", err)
 	}
 	return &Engine{
-		rng:      rand.New(pcg),
-		pcg:      pcg,
-		linear:   forceLinear.Load(),
-		parkedCh: make(chan *Actor),
+		rng:    rand.New(pcg),
+		pcg:    pcg,
+		linear: forceLinear.Load(),
 	}, nil
 }
 
@@ -161,8 +152,8 @@ func (e *Engine) Observe(o *obs.Observer) {
 }
 
 // Spawn registers a new actor starting at cycle 0 and returns it. The body
-// runs in its own goroutine but only between Proc yield points chosen by the
-// engine, never concurrently with another actor.
+// runs as a coroutine, resumed by the engine loop between Proc yield points
+// and never concurrently with another actor.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Actor {
 	return e.SpawnAt(name, 0, body)
 }
@@ -180,7 +171,6 @@ func (e *Engine) SpawnAt(name string, start Cycles, body func(*Proc)) *Actor {
 		id:      len(e.actors),
 		clock:   start,
 		heapIdx: -1,
-		resume:  make(chan struct{}),
 		engine:  e,
 	}
 	a.proc = &Proc{actor: a}
@@ -198,7 +188,7 @@ func (e *Engine) SpawnAt(name string, start Cycles, body func(*Proc)) *Actor {
 		r.horizonClock, r.horizonID = a.clock, a.id
 		e.cTrunc.Inc()
 	}
-	go a.run(body)
+	a.start(body)
 	return a
 }
 
@@ -220,9 +210,8 @@ func (e *Engine) pickLinear() *Actor {
 }
 
 // beginBatch arms a for a resume: run-ahead horizon, Run limit, batch
-// bookkeeping. The caller (the engine loop, or a peer actor handing off)
-// signals a.resume afterwards. Valid only when a is the scheduled-first
-// live actor, so heapSecond is the horizon owner.
+// bookkeeping. Valid only when a is the scheduled-first live actor, so
+// heapSecond is the horizon owner.
 func (e *Engine) beginBatch(a *Actor, limit Cycles) {
 	if e.linear {
 		// Horizon in the past: the actor parks after every operation.
@@ -241,13 +230,17 @@ func (e *Engine) beginBatch(a *Actor, limit Cycles) {
 
 // endBatch commits a's batch bookkeeping once its body stops executing
 // operations: the tracer slice, the clock sample, and a's heap position.
-// Runs on a's own goroutine — safe because execution is serialized.
+// The sample keeps the latest operation start rather than the last batch's:
+// a collapsed wait (Proc.AdvanceN) commits operations ahead of other
+// actors' batches, and the maximum is what single-step order would report.
 func (e *Engine) endBatch(a *Actor) {
 	e.running = nil
 	if e.tracer != nil {
 		e.tracer.Slice(a.track, e.nBatch, int64(a.batchStart), int64(a.clock-a.batchStart))
 	}
-	e.lastNow = a.lastStart
+	if a.lastStart > e.lastNow {
+		e.lastNow = a.lastStart
+	}
 	if a.done {
 		e.heapRemove(a)
 	} else {
@@ -255,46 +248,19 @@ func (e *Engine) endBatch(a *Actor) {
 	}
 }
 
-// handoff transfers control straight from a (whose batch just ended) to the
-// next-due actor without waking the engine loop, and reports whether it did.
-// It declines — and the caller parks to the engine instead — under the
-// reference scheduler, at a Run boundary (no live actor, or the next one is
-// past the limit), or when a itself is still scheduled first (its next
-// operation merely crossed the Run limit). The next actor, horizon, and
-// limit are computed exactly as the engine loop would, so the global
-// operation order is unchanged — only the channel round-trip through the
-// engine goroutine is elided.
-func (e *Engine) handoff(a *Actor) bool {
-	if e.linear {
-		return false
-	}
-	next := e.heapMin()
-	if next == nil || next == a {
-		return false
-	}
-	if a.runLimit >= 0 && next.clock > a.runLimit {
-		return false
-	}
-	e.beginBatch(next, a.runLimit)
-	next.resume <- struct{}{}
-	return true
-}
-
 // Run advances the simulation until every actor has finished or the next
 // runnable actor's clock exceeds limit. A negative limit means "no limit"
-// (run until all actors finish). It returns the clock of the last executed
-// operation. Run may be called repeatedly with growing limits; actors keep
-// their state between calls.
+// (run until all actors finish). It returns the latest start clock of the
+// operations it executed. Run may be called repeatedly with growing limits;
+// actors keep their state between calls.
 //
 // Each resume hands the chosen actor a run-ahead horizon — the schedule
-// position of the next other live actor. The actor executes operations
-// locally (no handoff at all) for as long as it stays ahead of that horizon
-// and within limit; when its batch ends it hands control directly to the
-// next-due actor, so the engine goroutine sleeps for whole chains of
-// batches and wakes only at Run boundaries. Because every operation is
-// committed in exactly the order the single-step scheduler would have
-// chosen, the global operation order — and thus every artifact byte — is
-// unchanged.
+// position of the next other live actor. The actor's coroutine executes
+// operations locally for as long as it stays ahead of that horizon and
+// within limit, then suspends back to this loop, which resumes the next-due
+// actor. Because every operation with effects is committed in exactly the
+// order the single-step scheduler would have chosen, the global order of
+// shared-state mutations — and thus every artifact byte — is unchanged.
 func (e *Engine) Run(limit Cycles) Cycles {
 	if e.closed {
 		panic("sim: Run on closed engine")
@@ -314,15 +280,15 @@ func (e *Engine) Run(limit Cycles) Cycles {
 			break
 		}
 		e.beginBatch(a, limit)
-		a.resume <- struct{}{}
-		// Batch bookkeeping for every actor in the chain — including end —
-		// already ran actor-side in endBatch.
-		end := <-e.parkedCh
-		now = end.lastStart
-		if end.panicVal != nil {
-			pv, stack := end.panicVal, end.panicStack
-			end.panicVal, end.panicStack = nil, nil
-			panic(&PanicError{Actor: end.name, Value: pv, Stack: stack})
+		if _, more := a.next(); !more {
+			a.done = true
+		}
+		e.endBatch(a)
+		now = max(now, a.lastStart)
+		if a.panicVal != nil {
+			pv, stack := a.panicVal, a.panicStack
+			a.panicVal, a.panicStack = nil, nil
+			panic(&PanicError{Actor: a.name, Value: pv, Stack: stack})
 		}
 	}
 	return now
@@ -336,8 +302,9 @@ func (e *Engine) Close() {
 	}
 	e.killed = true
 	for _, a := range e.actors {
-		for !a.done {
-			a.step()
+		if !a.done {
+			a.stop()
+			a.done = true
 		}
 		e.heapRemove(a)
 	}

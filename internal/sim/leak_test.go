@@ -8,8 +8,9 @@ import (
 )
 
 // TestCloseReclaimsActorGoroutines guards against goroutine leaks in the
-// engine shutdown path: every parked actor goroutine must observe the kill
-// sentinel and exit, even when actors are mid-simulation with pending work.
+// engine shutdown path: every suspended actor coroutine (each backed by a
+// runtime goroutine) must observe the kill sentinel and exit, even when
+// actors are mid-simulation with pending work.
 // Experiment batches boot thousands of engines per process, so a single
 // leaked goroutine per engine would accumulate into real memory pressure.
 func TestCloseReclaimsActorGoroutines(t *testing.T) {
