@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, race detector over the packages with
-# real cross-goroutine traffic, a benchmark smoke pass, and a smoke batch run
-# through the experiment harness. Exits non-zero on the first failure.
+# CI gate: vet, gofmt, build, full test suite, race detector over the
+# packages with real cross-goroutine traffic, a benchmark smoke pass, and a
+# smoke batch run through the experiment harness. Exits non-zero on the first
+# failure.
 #
 # `./ci.sh bench` instead runs the full benchmark suites with -benchmem and
 # writes a benchstat-comparable baseline to results/bench.json (tune with
@@ -86,16 +87,30 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every tracked Go file must be gofmt-clean.
+files=$(git ls-files '*.go')
+unformatted=$(gofmt -l $files)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops) =="
+echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/platform, internal/cpucache) =="
 # internal/obs/ops rides along for its scrape-while-updating test: lock-free
 # instruments hammered by writers while /metrics renders concurrently.
-go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops
+# internal/platform and internal/cpucache fork one snapshot from several
+# goroutines: forks share DRAM pages and LLC line buffers copy-on-write, so
+# a fork that writes shared state instead of copying it races here.
+go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
+    ./internal/platform ./internal/cpucache
 
 echo "== go test -race: fig6b/fig7 (1 iteration) =="
 # One race-instrumented pass over the transmission hot path: every actor
@@ -109,10 +124,14 @@ echo "== bench smoke (1 iteration per benchmark) =="
 go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== fuzz smoke: internal/platform =="
-# The timer-wait collapse commits a whole poll loop in one scheduling step;
-# for any clock, deadline, timer model and Run limit it must end exactly
-# where polling one read at a time would, under both schedulers.
-go test ./internal/platform -run '^$' -fuzz FuzzWaitTimer -fuzztime 5s
+# FuzzWaitTimer: the timer-wait collapse commits a whole poll loop in one
+# scheduling step; for any clock, deadline, timer model and Run limit it must
+# end exactly where polling one read at a time would, under both schedulers.
+# FuzzForkEquivalence: a fork replays the stream of a platform that never
+# forked, even after the snapshot's parent runs on over the shared state.
+for target in FuzzWaitTimer FuzzForkEquivalence; do
+    go test ./internal/platform -run '^$' -fuzz "^$target\$" -fuzztime 5s
+done
 
 echo "== fuzz smoke: internal/code =="
 # A short randomized pass over the decoder-facing fuzz targets: the channel

@@ -87,3 +87,17 @@ func TestEvictionsBySetIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("short buffer result length %d, want 8", len(short))
 	}
 }
+
+// TestNewAllocsIndependentOfSets pins the slab layout: a level is a fixed
+// set of slabs, so building a 64-set cache and an 8192-set one costs the
+// same number of allocations. A per-set line slice or policy object would
+// scale with the set count.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	newAllocs := func(sets int) float64 {
+		return testing.AllocsPerRun(100, func() { New("alloc", sets, 16, NewLRU()) })
+	}
+	small, large := newAllocs(64), newAllocs(8192)
+	if small != large {
+		t.Fatalf("New allocations scale with sets: %.1f at 64 sets vs %.1f at 8192", small, large)
+	}
+}

@@ -3,11 +3,18 @@
 // (L1/L2/LLC) and for the MEE cache; callers own the address-to-set mapping,
 // so the MEE's odd/even set split for versions and PD_Tag lines lives in the
 // mee package, not here.
+//
+// Each cache is a few flat slabs allocated once by New: the line directory
+// indexed [set*ways+way] and one word slab holding every set's replacement
+// state, which a Policy reads and writes one set's window at a time. The
+// same windows are the serialized form (State), so cloning, exporting and
+// rebuilding a cache are slab copies whatever its geometry.
 package cache
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"meecc/internal/obs"
 )
@@ -38,12 +45,15 @@ type Stats struct {
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulation engine serializes all actors, so no locking is needed.
+// lines is indexed [set*ways+way] and words holds set s's replacement
+// window at [s*stride : (s+1)*stride]; both are allocated once by New.
 type Cache struct {
 	name    string
 	sets    int
 	ways    int
-	lines   [][]Line
-	state   []SetState
+	stride  int // policy words per set
+	lines   []Line
+	words   []uint64
 	policy  Policy
 	stats   Stats
 	evBySet []uint64
@@ -56,20 +66,31 @@ func New(name string, sets, ways int, policy Policy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %dx%d", name, sets, ways))
 	}
+	stride := policy.Words(ways)
 	c := &Cache{
 		name:    name,
 		sets:    sets,
 		ways:    ways,
-		lines:   make([][]Line, sets),
-		state:   make([]SetState, sets),
+		stride:  stride,
+		lines:   make([]Line, sets*ways),
+		words:   make([]uint64, sets*stride),
 		policy:  policy,
 		evBySet: make([]uint64, sets),
 	}
-	for s := range c.lines {
-		c.lines[s] = make([]Line, ways)
-		c.state[s] = policy.NewSetState(ways)
+	for s := 0; s < sets; s++ {
+		policy.Init(c.window(s))
 	}
 	return c
+}
+
+// set returns the ways of one set, aliasing the line slab.
+func (c *Cache) set(set int) []Line {
+	return c.lines[set*c.ways : (set+1)*c.ways : (set+1)*c.ways]
+}
+
+// window returns one set's replacement state, aliasing the word slab.
+func (c *Cache) window(set int) []uint64 {
+	return c.words[set*c.stride : (set+1)*c.stride : (set+1)*c.stride]
 }
 
 // Name returns the cache's diagnostic name.
@@ -161,10 +182,10 @@ func (c *Cache) Lookup(set int, tag Tag) bool {
 // the cpucache plaintext buffers) can index it without a map. way is -1 on a
 // miss.
 func (c *Cache) LookupWay(set int, tag Tag) (way int, hit bool) {
-	ws := c.lines[set]
+	ws := c.set(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
-			c.state[set].Touch(w)
+			c.policy.Touch(c.window(set), w)
 			c.stats.Hits++
 			return w, true
 		}
@@ -182,7 +203,7 @@ func (c *Cache) Contains(set int, tag Tag) bool {
 // WayOf returns the way holding tag without updating replacement state or
 // stats (Contains with the way exposed). way is -1 when absent.
 func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
-	ws := c.lines[set]
+	ws := c.set(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			return w, true
@@ -194,7 +215,7 @@ func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
 // MarkDirty sets the dirty bit of a resident line. It reports whether the
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
-	ws := c.lines[set]
+	ws := c.set(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			ws[w].Dirty = true
@@ -216,12 +237,12 @@ func (c *Cache) Insert(set int, tag Tag, dirty bool) (evicted Line) {
 // InsertWay is Insert returning the way the line landed in, so callers with
 // dense [set][way] side data can place the line's payload without a map.
 func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) {
-	ws := c.lines[set]
+	ws := c.set(set)
 	// Already present: refresh.
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			ws[w].Dirty = ws[w].Dirty || dirty
-			c.state[set].Touch(w)
+			c.policy.Touch(c.window(set), w)
 			return w, Line{}
 		}
 	}
@@ -229,13 +250,13 @@ func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) 
 	for w := range ws {
 		if !ws[w].Valid {
 			ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-			c.state[set].Fill(w)
+			c.policy.Fill(c.window(set), w)
 			c.stats.Fills++
 			return w, Line{}
 		}
 	}
 	// Evict a victim.
-	w := c.state[set].Victim()
+	w := c.policy.Victim(c.window(set), c.ways)
 	if w < 0 || w >= c.ways {
 		panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d", c.name, c.policy.Name(), w, c.ways))
 	}
@@ -246,7 +267,7 @@ func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) 
 		c.stats.WritebacksOut++
 	}
 	ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-	c.state[set].Fill(w)
+	c.policy.Fill(c.window(set), w)
 	c.stats.Fills++
 	return w, evicted
 }
@@ -262,12 +283,12 @@ func (c *Cache) Invalidate(set int, tag Tag) Line {
 // InvalidateWay is Invalidate returning the way the line was removed from
 // (-1 when the tag was not resident).
 func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
-	ws := c.lines[set]
+	ws := c.set(set)
 	for w := range ws {
 		if ws[w].Valid && ws[w].Tag == tag {
 			l := ws[w]
 			ws[w] = Line{}
-			c.state[set].Invalidate(w)
+			c.policy.Invalidate(c.window(set), w)
 			c.stats.Invalidations++
 			if l.Dirty {
 				c.stats.WritebacksOut++
@@ -282,18 +303,16 @@ func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
 // written back.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			l := c.lines[s][w]
-			if l.Valid {
-				c.lines[s][w] = Line{}
-				c.state[s].Invalidate(w)
-				c.stats.Invalidations++
-				if l.Dirty {
-					dirty = append(dirty, l)
-					c.stats.WritebacksOut++
-				}
-			}
+	for i, l := range c.lines {
+		if !l.Valid {
+			continue
+		}
+		c.lines[i] = Line{}
+		c.policy.Invalidate(c.window(i/c.ways), i%c.ways)
+		c.stats.Invalidations++
+		if l.Dirty {
+			dirty = append(dirty, l)
+			c.stats.WritebacksOut++
 		}
 	}
 	return dirty
@@ -307,8 +326,8 @@ func (c *Cache) FlushAll() []Line {
 func (c *Cache) Clone(rng *rand.Rand) *Cache {
 	policy := c.policy
 	if rng != nil {
-		// Rebind rng-bearing policies so future set states draw from the
-		// fork's stream. PolicyByName cannot fail here: c.policy.Name() is a
+		// Rebind rng-bearing policies so future victims draw from the fork's
+		// stream. PolicyByName cannot fail here: c.policy.Name() is a
 		// registered name and rng is non-nil.
 		p, err := PolicyByName(c.policy.Name(), rng)
 		if err != nil {
@@ -316,41 +335,25 @@ func (c *Cache) Clone(rng *rand.Rand) *Cache {
 		}
 		policy = p
 	}
-	n := &Cache{
-		name:    c.name,
-		sets:    c.sets,
-		ways:    c.ways,
-		lines:   make([][]Line, c.sets),
-		state:   make([]SetState, c.sets),
-		policy:  policy,
-		stats:   c.stats,
-		evBySet: make([]uint64, c.sets),
-	}
-	flat := make([]Line, c.sets*c.ways) // one backing array keeps the copy dense
-	for s := range c.lines {
-		n.lines[s] = flat[s*c.ways : (s+1)*c.ways : (s+1)*c.ways]
-		copy(n.lines[s], c.lines[s])
-		n.state[s] = c.state[s].Clone(rng)
-	}
-	copy(n.evBySet, c.evBySet)
-	return n
+	n := *c
+	n.policy = policy
+	n.lines = slices.Clone(c.lines)
+	n.words = slices.Clone(c.words)
+	n.evBySet = slices.Clone(c.evBySet)
+	return &n
 }
 
 // SetContents returns a copy of the lines in a set, for tests and tools.
 func (c *Cache) SetContents(set int) []Line {
-	out := make([]Line, c.ways)
-	copy(out, c.lines[set])
-	return out
+	return slices.Clone(c.set(set))
 }
 
 // ValidCount returns the number of valid lines in the whole cache.
 func (c *Cache) ValidCount() int {
 	n := 0
-	for s := range c.lines {
-		for _, l := range c.lines[s] {
-			if l.Valid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.Valid {
+			n++
 		}
 	}
 	return n

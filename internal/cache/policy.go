@@ -5,109 +5,89 @@ import (
 	"math/rand/v2"
 )
 
-// Policy constructs per-set replacement state. Implementations must be
-// deterministic given the engine's seeded random source.
+// Policy is a replacement policy: the operations on one set's replacement
+// state. A Cache keeps every set's state in one word slab, Words(ways) words
+// per set, and hands each operation the set's window w of that slab. The
+// window is the set's serialized form too (cache.State.SetWords), so each
+// policy documents its layout. Implementations must be deterministic given
+// the engine's seeded random source; random sources are never part of the
+// window — Clone rebinds them at fork time.
 type Policy interface {
 	Name() string
-	NewSetState(ways int) SetState
-}
-
-// SetState is the replacement bookkeeping for one set.
-type SetState interface {
+	// Words returns the state words one set of the given associativity
+	// uses. It panics on an associativity the policy cannot model.
+	Words(ways int) int
+	// Init writes a fresh set's state into w.
+	Init(w []uint64)
 	// Touch records a reference to way (hit).
-	Touch(way int)
+	Touch(w []uint64, way int)
 	// Fill records that way was (re)filled with a new line. Policies that
-	// distinguish insertion from reference (FIFO) use this; others treat it
-	// as Touch.
-	Fill(way int)
+	// distinguish insertion from reference (FIFO, SRRIP) use this; others
+	// treat it as Touch.
+	Fill(w []uint64, way int)
 	// Victim returns the way to evict. All ways are valid when called.
-	Victim() int
+	Victim(w []uint64, ways int) int
 	// Invalidate clears state for way after the line is removed.
-	Invalidate(way int)
-	// Clone returns an independent deep copy for platform forking. Policies
-	// that draw randomness (random, nru) bind the copy to rng so the fork
-	// consumes its own engine's stream; deterministic policies ignore it.
-	Clone(rng *rand.Rand) SetState
-	// SaveWords flattens the replacement state into a word vector for
-	// serialization. LoadWords restores it into a state freshly built by the
-	// same policy with the same associativity; it rejects vectors whose
-	// length does not match what SaveWords produces. Random sources are not
-	// part of the vector — they are rebound by Clone at fork time.
-	SaveWords() []uint64
-	LoadWords(ws []uint64) error
+	Invalidate(w []uint64, way int)
+	// Check validates a window loaded from a serialized image, whose length
+	// the caller has already matched against Words.
+	Check(w []uint64) error
 }
 
-// wordLenError reports a SaveWords/LoadWords length mismatch.
-func wordLenError(policy string, got, want int) error {
-	return fmt.Errorf("cache: %s state: %d words, want %d", policy, got, want)
-}
-
-// boolsToWords packs one bool per word (0/1); wordsToBools reverses it.
-func boolsToWords(bs []bool) []uint64 {
-	ws := make([]uint64, len(bs))
-	for i, b := range bs {
-		if b {
-			ws[i] = 1
+// checkBits accepts a window of 0/1 words: the bit-vector policies'
+// layout.
+func checkBits(policy string, w []uint64) error {
+	for _, v := range w {
+		if v > 1 {
+			return fmt.Errorf("cache: %s state: bit word %d out of range", policy, v)
 		}
 	}
-	return ws
+	return nil
 }
 
-func wordsToBools(dst []bool, ws []uint64) {
-	for i, w := range ws {
-		dst[i] = w != 0
+// touchMRU sets way's reference bit; when every bit would be set, the
+// others are cleared (bit-PLRU and NRU share this aging rule).
+func touchMRU(w []uint64, way int) {
+	w[way] = 1
+	for _, b := range w {
+		if b == 0 {
+			return
+		}
 	}
+	clear(w)
+	w[way] = 1
 }
 
 // ---------------------------------------------------------------------------
-// True LRU
+// True LRU. Window: [tick, stamp[0..ways)].
 
 type lruPolicy struct{}
 
 // NewLRU returns a true least-recently-used policy.
 func NewLRU() Policy { return lruPolicy{} }
 
-func (lruPolicy) Name() string { return "lru" }
-func (lruPolicy) NewSetState(ways int) SetState {
-	return &lruState{stamp: make([]uint64, ways)}
-}
+func (lruPolicy) Name() string                   { return "lru" }
+func (lruPolicy) Words(ways int) int             { return 1 + ways }
+func (lruPolicy) Init(w []uint64)                { clear(w) }
+func (lruPolicy) Touch(w []uint64, way int)      { w[0]++; w[1+way] = w[0] }
+func (p lruPolicy) Fill(w []uint64, way int)     { p.Touch(w, way) }
+func (lruPolicy) Victim(w []uint64, _ int) int   { return oldestStamp(w[1:]) }
+func (lruPolicy) Invalidate(w []uint64, way int) { w[1+way] = 0 }
+func (lruPolicy) Check([]uint64) error           { return nil }
 
-type lruState struct {
-	stamp []uint64
-	tick  uint64
-}
-
-func (s *lruState) Touch(way int) { s.tick++; s.stamp[way] = s.tick }
-func (s *lruState) Fill(way int)  { s.Touch(way) }
-func (s *lruState) Victim() int {
-	best, bestStamp := 0, s.stamp[0]
-	for w := 1; w < len(s.stamp); w++ {
-		if s.stamp[w] < bestStamp {
-			best, bestStamp = w, s.stamp[w]
+// oldestStamp returns the way with the smallest stamp (lowest way on ties).
+func oldestStamp(stamp []uint64) int {
+	best, bestStamp := 0, stamp[0]
+	for w := 1; w < len(stamp); w++ {
+		if stamp[w] < bestStamp {
+			best, bestStamp = w, stamp[w]
 		}
 	}
 	return best
 }
-func (s *lruState) Invalidate(way int) { s.stamp[way] = 0 }
-func (s *lruState) Clone(*rand.Rand) SetState {
-	c := &lruState{stamp: make([]uint64, len(s.stamp)), tick: s.tick}
-	copy(c.stamp, s.stamp)
-	return c
-}
-func (s *lruState) SaveWords() []uint64 {
-	return append([]uint64{s.tick}, s.stamp...)
-}
-func (s *lruState) LoadWords(ws []uint64) error {
-	if len(ws) != 1+len(s.stamp) {
-		return wordLenError("lru", len(ws), 1+len(s.stamp))
-	}
-	s.tick = ws[0]
-	copy(s.stamp, ws[1:])
-	return nil
-}
 
 // ---------------------------------------------------------------------------
-// FIFO
+// FIFO. Window: [tick, stamp[0..ways)], stamped on fill only.
 
 type fifoPolicy struct{}
 
@@ -115,44 +95,14 @@ type fifoPolicy struct{}
 // do not refresh).
 func NewFIFO() Policy { return fifoPolicy{} }
 
-func (fifoPolicy) Name() string { return "fifo" }
-func (fifoPolicy) NewSetState(ways int) SetState {
-	return &fifoState{stamp: make([]uint64, ways)}
-}
-
-type fifoState struct {
-	stamp []uint64
-	tick  uint64
-}
-
-func (s *fifoState) Touch(int)    {}
-func (s *fifoState) Fill(way int) { s.tick++; s.stamp[way] = s.tick }
-func (s *fifoState) Victim() int {
-	best, bestStamp := 0, s.stamp[0]
-	for w := 1; w < len(s.stamp); w++ {
-		if s.stamp[w] < bestStamp {
-			best, bestStamp = w, s.stamp[w]
-		}
-	}
-	return best
-}
-func (s *fifoState) Invalidate(way int) { s.stamp[way] = 0 }
-func (s *fifoState) Clone(*rand.Rand) SetState {
-	c := &fifoState{stamp: make([]uint64, len(s.stamp)), tick: s.tick}
-	copy(c.stamp, s.stamp)
-	return c
-}
-func (s *fifoState) SaveWords() []uint64 {
-	return append([]uint64{s.tick}, s.stamp...)
-}
-func (s *fifoState) LoadWords(ws []uint64) error {
-	if len(ws) != 1+len(s.stamp) {
-		return wordLenError("fifo", len(ws), 1+len(s.stamp))
-	}
-	s.tick = ws[0]
-	copy(s.stamp, ws[1:])
-	return nil
-}
+func (fifoPolicy) Name() string                   { return "fifo" }
+func (fifoPolicy) Words(ways int) int             { return 1 + ways }
+func (fifoPolicy) Init(w []uint64)                { clear(w) }
+func (fifoPolicy) Touch([]uint64, int)            {}
+func (fifoPolicy) Fill(w []uint64, way int)       { w[0]++; w[1+way] = w[0] }
+func (fifoPolicy) Victim(w []uint64, _ int) int   { return oldestStamp(w[1:]) }
+func (fifoPolicy) Invalidate(w []uint64, way int) { w[1+way] = 0 }
+func (fifoPolicy) Check([]uint64) error           { return nil }
 
 // ---------------------------------------------------------------------------
 // Tree-PLRU ("approximate LRU", the default assumption for the MEE cache —
@@ -165,78 +115,57 @@ type treePLRUPolicy struct{}
 // (forward+backward) eviction in Algorithm 2 exists precisely because a
 // single in-order pass over an eviction set does not reliably displace all
 // resident lines under this policy.
+//
+// Window: the ways-1 internal nodes of a complete binary tree over the ways,
+// one 0/1 word each. 0 means "left subtree is older" (the victim path goes
+// left); Touch flips the nodes along the accessed way's path to point away
+// from it.
 func NewTreePLRU() Policy { return treePLRUPolicy{} }
 
 func (treePLRUPolicy) Name() string { return "tree-plru" }
-func (treePLRUPolicy) NewSetState(ways int) SetState {
+func (treePLRUPolicy) Words(ways int) int {
 	if ways&(ways-1) != 0 {
 		panic(fmt.Sprintf("tree-plru requires power-of-two ways, got %d", ways))
 	}
-	return &treePLRUState{ways: ways, bits: make([]bool, ways-1)}
+	return ways - 1
 }
+func (treePLRUPolicy) Init(w []uint64) { clear(w) }
 
-// treePLRUState stores the internal nodes of a complete binary tree over the
-// ways. bits[i] == false means "left subtree is older" (victim path goes
-// left); Touch flips the bits along the accessed way's path to point away
-// from it.
-type treePLRUState struct {
-	ways int
-	bits []bool
-}
-
-func (s *treePLRUState) Touch(way int) {
+func (treePLRUPolicy) Touch(w []uint64, way int) {
 	node := 0
 	// Walk from the root; at each level decide left/right from the way's
 	// bits (MSB first) and point the node away from the accessed half.
-	for span := s.ways / 2; span >= 1; span /= 2 {
-		right := way&span != 0
-		s.bits[node] = !right // point at the other half next time
-		if right {
+	for span := (len(w) + 1) / 2; span >= 1; span /= 2 {
+		if way&span != 0 {
+			w[node] = 0 // point at the other half next time
 			node = 2*node + 2
 		} else {
+			w[node] = 1
 			node = 2*node + 1
-		}
-		if span == 1 {
-			break
 		}
 	}
 }
 
-func (s *treePLRUState) Fill(way int) { s.Touch(way) }
+func (p treePLRUPolicy) Fill(w []uint64, way int) { p.Touch(w, way) }
 
-func (s *treePLRUState) Victim() int {
+func (treePLRUPolicy) Victim(w []uint64, ways int) int {
 	node, way := 0, 0
-	for span := s.ways / 2; span >= 1; span /= 2 {
-		if s.bits[node] {
+	for span := ways / 2; span >= 1; span /= 2 {
+		if w[node] != 0 {
 			way |= span
 			node = 2*node + 2
 		} else {
 			node = 2*node + 1
 		}
-		if span == 1 {
-			break
-		}
 	}
 	return way
 }
 
-func (s *treePLRUState) Invalidate(int) {}
-func (s *treePLRUState) Clone(*rand.Rand) SetState {
-	c := &treePLRUState{ways: s.ways, bits: make([]bool, len(s.bits))}
-	copy(c.bits, s.bits)
-	return c
-}
-func (s *treePLRUState) SaveWords() []uint64 { return boolsToWords(s.bits) }
-func (s *treePLRUState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.bits) {
-		return wordLenError("tree-plru", len(ws), len(s.bits))
-	}
-	wordsToBools(s.bits, ws)
-	return nil
-}
+func (treePLRUPolicy) Invalidate([]uint64, int) {}
+func (treePLRUPolicy) Check(w []uint64) error   { return checkBits("tree-plru", w) }
 
 // ---------------------------------------------------------------------------
-// Bit-PLRU (MRU bits)
+// Bit-PLRU (MRU bits). Window: one 0/1 MRU word per way.
 
 type bitPLRUPolicy struct{}
 
@@ -245,51 +174,24 @@ type bitPLRUPolicy struct{}
 // victim is the lowest way with a clear bit.
 func NewBitPLRU() Policy { return bitPLRUPolicy{} }
 
-func (bitPLRUPolicy) Name() string { return "bit-plru" }
-func (bitPLRUPolicy) NewSetState(ways int) SetState {
-	return &bitPLRUState{mru: make([]bool, ways)}
-}
-
-type bitPLRUState struct{ mru []bool }
-
-func (s *bitPLRUState) Touch(way int) {
-	s.mru[way] = true
-	for _, b := range s.mru {
-		if !b {
-			return
-		}
-	}
-	for w := range s.mru {
-		s.mru[w] = false
-	}
-	s.mru[way] = true
-}
-func (s *bitPLRUState) Fill(way int) { s.Touch(way) }
-func (s *bitPLRUState) Victim() int {
-	for w, b := range s.mru {
-		if !b {
-			return w
+func (bitPLRUPolicy) Name() string                   { return "bit-plru" }
+func (bitPLRUPolicy) Words(ways int) int             { return ways }
+func (bitPLRUPolicy) Init(w []uint64)                { clear(w) }
+func (bitPLRUPolicy) Touch(w []uint64, way int)      { touchMRU(w, way) }
+func (bitPLRUPolicy) Fill(w []uint64, way int)       { touchMRU(w, way) }
+func (bitPLRUPolicy) Invalidate(w []uint64, way int) { w[way] = 0 }
+func (bitPLRUPolicy) Check(w []uint64) error         { return checkBits("bit-plru", w) }
+func (bitPLRUPolicy) Victim(w []uint64, _ int) int {
+	for way, b := range w {
+		if b == 0 {
+			return way
 		}
 	}
 	return 0
 }
-func (s *bitPLRUState) Invalidate(way int) { s.mru[way] = false }
-func (s *bitPLRUState) Clone(*rand.Rand) SetState {
-	c := &bitPLRUState{mru: make([]bool, len(s.mru))}
-	copy(c.mru, s.mru)
-	return c
-}
-func (s *bitPLRUState) SaveWords() []uint64 { return boolsToWords(s.mru) }
-func (s *bitPLRUState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.mru) {
-		return wordLenError("bit-plru", len(ws), len(s.mru))
-	}
-	wordsToBools(s.mru, ws)
-	return nil
-}
 
 // ---------------------------------------------------------------------------
-// Random
+// Random. Window: empty.
 
 type randomPolicy struct{ rng *rand.Rand }
 
@@ -298,33 +200,14 @@ type randomPolicy struct{ rng *rand.Rand }
 // the mitigation candidates evaluated in the extension experiments.
 func NewRandom(rng *rand.Rand) Policy { return &randomPolicy{rng: rng} }
 
-func (*randomPolicy) Name() string { return "random" }
-func (p *randomPolicy) NewSetState(ways int) SetState {
-	return &randomState{ways: ways, rng: p.rng}
-}
-
-type randomState struct {
-	ways int
-	rng  *rand.Rand
-}
-
-func (s *randomState) Touch(int)      {}
-func (s *randomState) Fill(int)       {}
-func (s *randomState) Victim() int    { return s.rng.IntN(s.ways) }
-func (s *randomState) Invalidate(int) {}
-func (s *randomState) Clone(rng *rand.Rand) SetState {
-	if rng == nil {
-		rng = s.rng // no rebind requested: keep drawing from the original
-	}
-	return &randomState{ways: s.ways, rng: rng}
-}
-func (s *randomState) SaveWords() []uint64 { return nil }
-func (s *randomState) LoadWords(ws []uint64) error {
-	if len(ws) != 0 {
-		return wordLenError("random", len(ws), 0)
-	}
-	return nil
-}
+func (*randomPolicy) Name() string                      { return "random" }
+func (*randomPolicy) Words(int) int                     { return 0 }
+func (*randomPolicy) Init([]uint64)                     {}
+func (*randomPolicy) Touch([]uint64, int)               {}
+func (*randomPolicy) Fill([]uint64, int)                {}
+func (p *randomPolicy) Victim(_ []uint64, ways int) int { return p.rng.IntN(ways) }
+func (*randomPolicy) Invalidate([]uint64, int)          {}
+func (*randomPolicy) Check([]uint64) error              { return nil }
 
 // PolicyByName constructs a policy from its name; random and nru need rng
 // (may be nil for the others). Recognized: lru, fifo, tree-plru, bit-plru,

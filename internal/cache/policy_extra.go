@@ -9,6 +9,7 @@ import (
 // NRU (not-recently-used): one reference bit per way; victim is chosen among
 // clear-bit ways (pseudo-randomly to avoid positional bias); when every bit
 // is set, all others are cleared. Many embedded and GPU caches use NRU.
+// Window: one 0/1 reference word per way.
 
 type nruPolicy struct{ rng *rand.Rand }
 
@@ -16,63 +17,42 @@ type nruPolicy struct{ rng *rand.Rand }
 // selection among the non-referenced ways, drawing from rng.
 func NewNRU(rng *rand.Rand) Policy { return &nruPolicy{rng: rng} }
 
-func (*nruPolicy) Name() string { return "nru" }
-func (p *nruPolicy) NewSetState(ways int) SetState {
-	return &nruState{ref: make([]bool, ways), rng: p.rng}
-}
+func (*nruPolicy) Name() string                   { return "nru" }
+func (*nruPolicy) Words(ways int) int             { return ways }
+func (*nruPolicy) Init(w []uint64)                { clear(w) }
+func (*nruPolicy) Touch(w []uint64, way int)      { touchMRU(w, way) }
+func (*nruPolicy) Fill(w []uint64, way int)       { touchMRU(w, way) }
+func (*nruPolicy) Invalidate(w []uint64, way int) { w[way] = 0 }
+func (*nruPolicy) Check(w []uint64) error         { return checkBits("nru", w) }
 
-type nruState struct {
-	ref []bool
-	rng *rand.Rand
-}
-
-func (s *nruState) Touch(way int) {
-	s.ref[way] = true
-	for _, b := range s.ref {
-		if !b {
-			return
+func (p *nruPolicy) Victim(w []uint64, ways int) int {
+	clearBits := 0
+	for _, b := range w {
+		if b == 0 {
+			clearBits++
 		}
 	}
-	for w := range s.ref {
-		s.ref[w] = false
+	if clearBits == 0 {
+		return p.rng.IntN(ways)
 	}
-	s.ref[way] = true
-}
-func (s *nruState) Fill(way int) { s.Touch(way) }
-func (s *nruState) Victim() int {
-	candidates := make([]int, 0, len(s.ref))
-	for w, b := range s.ref {
-		if !b {
-			candidates = append(candidates, w)
+	// The k-th clear way in ascending order, k drawn uniformly.
+	k := p.rng.IntN(clearBits)
+	for way, b := range w {
+		if b == 0 {
+			if k == 0 {
+				return way
+			}
+			k--
 		}
 	}
-	if len(candidates) == 0 {
-		return s.rng.IntN(len(s.ref))
-	}
-	return candidates[s.rng.IntN(len(candidates))]
-}
-func (s *nruState) Invalidate(way int) { s.ref[way] = false }
-func (s *nruState) Clone(rng *rand.Rand) SetState {
-	if rng == nil {
-		rng = s.rng
-	}
-	c := &nruState{ref: make([]bool, len(s.ref)), rng: rng}
-	copy(c.ref, s.ref)
-	return c
-}
-func (s *nruState) SaveWords() []uint64 { return boolsToWords(s.ref) }
-func (s *nruState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.ref) {
-		return wordLenError("nru", len(ws), len(s.ref))
-	}
-	wordsToBools(s.ref, ws)
-	return nil
+	panic("unreachable")
 }
 
 // ---------------------------------------------------------------------------
 // SRRIP (static re-reference interval prediction, Jaleel et al. ISCA 2010):
 // 2-bit re-reference prediction values; hits promote to 0, fills insert at
 // maxRRPV-1, victims are ways at maxRRPV (aging everyone when none is).
+// Window: one RRPV word per way.
 
 const srripMax = 3 // 2-bit RRPV
 
@@ -82,53 +62,36 @@ type srripPolicy struct{}
 // found in recent Intel LLCs.
 func NewSRRIP() Policy { return srripPolicy{} }
 
-func (srripPolicy) Name() string { return "srrip" }
-func (srripPolicy) NewSetState(ways int) SetState {
-	st := &srripState{rrpv: make([]uint8, ways)}
-	for i := range st.rrpv {
-		st.rrpv[i] = srripMax
+func (srripPolicy) Name() string                   { return "srrip" }
+func (srripPolicy) Words(ways int) int             { return ways }
+func (srripPolicy) Touch(w []uint64, way int)      { w[way] = 0 }
+func (srripPolicy) Fill(w []uint64, way int)       { w[way] = srripMax - 1 }
+func (srripPolicy) Invalidate(w []uint64, way int) { w[way] = srripMax }
+
+func (srripPolicy) Init(w []uint64) {
+	for i := range w {
+		w[i] = srripMax
 	}
-	return st
 }
 
-type srripState struct{ rrpv []uint8 }
-
-func (s *srripState) Touch(way int) { s.rrpv[way] = 0 }
-func (s *srripState) Fill(way int)  { s.rrpv[way] = srripMax - 1 }
-func (s *srripState) Victim() int {
+func (srripPolicy) Victim(w []uint64, _ int) int {
 	for {
-		for w, v := range s.rrpv {
+		for way, v := range w {
 			if v >= srripMax {
-				return w
+				return way
 			}
 		}
-		for w := range s.rrpv {
-			s.rrpv[w]++
+		for way := range w {
+			w[way]++
 		}
 	}
 }
-func (s *srripState) Invalidate(way int) { s.rrpv[way] = srripMax }
-func (s *srripState) Clone(*rand.Rand) SetState {
-	c := &srripState{rrpv: make([]uint8, len(s.rrpv))}
-	copy(c.rrpv, s.rrpv)
-	return c
-}
-func (s *srripState) SaveWords() []uint64 {
-	ws := make([]uint64, len(s.rrpv))
-	for i, v := range s.rrpv {
-		ws[i] = uint64(v)
-	}
-	return ws
-}
-func (s *srripState) LoadWords(ws []uint64) error {
-	if len(ws) != len(s.rrpv) {
-		return wordLenError("srrip", len(ws), len(s.rrpv))
-	}
-	for i, w := range ws {
-		if w > srripMax {
-			return fmt.Errorf("cache: srrip state: rrpv %d out of range", w)
+
+func (srripPolicy) Check(w []uint64) error {
+	for _, v := range w {
+		if v > srripMax {
+			return fmt.Errorf("cache: srrip state: rrpv %d out of range", v)
 		}
-		s.rrpv[i] = uint8(w)
 	}
 	return nil
 }

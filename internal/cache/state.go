@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // State is the serializable image of a Cache: geometry, policy name, line
@@ -14,7 +15,7 @@ type State struct {
 	Sets, Ways int
 	PolicyName string
 	Lines      []Line     // dense [set*ways+way]
-	SetWords   [][]uint64 // per-set SaveWords vectors
+	SetWords   [][]uint64 // per-set replacement windows (see Policy)
 	Stats      Stats
 	EvBySet    []uint64
 }
@@ -27,16 +28,17 @@ func (c *Cache) ExportState() *State {
 		Sets:       c.sets,
 		Ways:       c.ways,
 		PolicyName: c.policy.Name(),
-		Lines:      make([]Line, c.sets*c.ways),
+		Lines:      slices.Clone(c.lines),
 		SetWords:   make([][]uint64, c.sets),
 		Stats:      c.stats,
-		EvBySet:    make([]uint64, c.sets),
+		EvBySet:    slices.Clone(c.evBySet),
 	}
-	for s := range c.lines {
-		copy(st.Lines[s*c.ways:(s+1)*c.ways], c.lines[s])
-		st.SetWords[s] = c.state[s].SaveWords()
+	if c.stride > 0 {
+		words := slices.Clone(c.words)
+		for s := range st.SetWords {
+			st.SetWords[s] = words[s*c.stride : (s+1)*c.stride : (s+1)*c.stride]
+		}
 	}
-	copy(st.EvBySet, c.evBySet)
 	return st
 }
 
@@ -44,8 +46,9 @@ func (c *Cache) ExportState() *State {
 // policies (random, nru); it may be nil, in which case those policies get a
 // private throwaway source — safe for frozen copies that never run, because
 // Clone(rng) at fork time rebinds them to the fork's engine stream before
-// any victim is drawn. All geometry and vector lengths are validated, so a
-// corrupted image returns an error rather than panicking downstream.
+// any victim is drawn. All geometry and vector lengths are validated, and
+// every set's words pass the policy's Check, so a corrupted image returns an
+// error rather than panicking downstream.
 func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 	if st.Sets <= 0 || st.Ways <= 0 {
 		return nil, fmt.Errorf("cache %s: invalid geometry %dx%d", st.Name, st.Sets, st.Ways)
@@ -72,26 +75,27 @@ func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 			return nil, fmt.Errorf("cache %s: %w", st.Name, err)
 		}
 	}
+	stride := policy.Words(st.Ways)
 	c := &Cache{
 		name:    st.Name,
 		sets:    st.Sets,
 		ways:    st.Ways,
-		lines:   make([][]Line, st.Sets),
-		state:   make([]SetState, st.Sets),
+		stride:  stride,
+		lines:   slices.Clone(st.Lines),
+		words:   make([]uint64, st.Sets*stride),
 		policy:  policy,
 		stats:   st.Stats,
-		evBySet: make([]uint64, st.Sets),
+		evBySet: slices.Clone(st.EvBySet),
 	}
-	flat := make([]Line, st.Sets*st.Ways)
-	copy(flat, st.Lines)
-	for s := range c.lines {
-		c.lines[s] = flat[s*st.Ways : (s+1)*st.Ways : (s+1)*st.Ways]
-		ss := policy.NewSetState(st.Ways)
-		if err := ss.LoadWords(st.SetWords[s]); err != nil {
+	for s, ws := range st.SetWords {
+		if len(ws) != stride {
+			return nil, fmt.Errorf("cache %s set %d: %s state: %d words, want %d", st.Name, s, st.PolicyName, len(ws), stride)
+		}
+		w := c.window(s)
+		copy(w, ws)
+		if err := policy.Check(w); err != nil {
 			return nil, fmt.Errorf("cache %s set %d: %w", st.Name, s, err)
 		}
-		c.state[s] = ss
 	}
-	copy(c.evBySet, st.EvBySet)
 	return c, nil
 }

@@ -1,0 +1,66 @@
+package cache
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// TestStateRoundTripAllPolicies: every policy's replacement windows survive
+// ExportState → FromState, and FromState rejects a window of the wrong
+// length or, for the bit-vector and RRPV policies, a word out of range.
+func TestStateRoundTripAllPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rejectsTwo bool // 2 is out of range for a 0/1 word
+		rejectsMax bool // srripMax+1 is out of range for an RRPV
+	}{
+		{"lru", false, false},
+		{"fifo", false, false},
+		{"tree-plru", true, true},
+		{"bit-plru", true, true},
+		{"random", false, false},
+		{"nru", true, true},
+		{"srrip", false, true},
+	} {
+		p, err := PolicyByName(tc.name, rand.New(rand.NewPCG(1, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(tc.name, 4, 8, p)
+		for i := 0; i < 100; i++ {
+			if set, tag := i%4, Tag(i%37); !c.Lookup(set, tag) {
+				c.Insert(set, tag, i%3 == 0)
+			}
+		}
+		st := c.ExportState()
+		dec, err := FromState(st, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(dec.ExportState(), st) {
+			t.Fatalf("%s: decoded cache re-exports a different image", tc.name)
+		}
+		if p.Words(8) == 0 {
+			continue
+		}
+		corrupt := func(w []uint64) error {
+			bad := *st
+			bad.SetWords = slices.Clone(st.SetWords)
+			bad.SetWords[1] = w
+			_, err := FromState(&bad, nil)
+			return err
+		}
+		if corrupt(st.SetWords[1][1:]) == nil {
+			t.Errorf("%s: short window accepted", tc.name)
+		}
+		for v, rejects := range map[uint64]bool{2: tc.rejectsTwo, srripMax + 1: tc.rejectsMax} {
+			w := slices.Clone(st.SetWords[1])
+			w[len(w)-1] = v
+			if got := corrupt(w) != nil; got != rejects {
+				t.Errorf("%s: window word %d rejected = %v, want %v", tc.name, v, got, rejects)
+			}
+		}
+	}
+}

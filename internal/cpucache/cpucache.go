@@ -8,12 +8,16 @@
 // Functionally, the hierarchy keeps a plaintext mirror of every resident
 // line; protected-region lines are decrypted by the MEE on fill and
 // re-encrypted on dirty writeback, so DRAM only ever holds ciphertext for
-// the protected region.
+// the protected region. The mirror is one block of line buffers per LLC
+// set, allocated on the set's first fill and shared copy-on-write between a
+// snapshot and its forks, so a fork pays only for the sets it writes.
 package cpucache
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync/atomic"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
@@ -84,20 +88,39 @@ type Victim struct {
 	Dirty bool
 }
 
+// maxCores is the presence-mask width: lineBuf.cores has one bit per core.
+const maxCores = 16
+
 type lineBuf struct {
 	data  [dram.LineSize]byte
 	dirty bool
-	// valid marks the slot occupied; the slot index is implied by position
-	// in the dense [set*ways+way] slab.
+	// valid marks the slot occupied; the slot's way is implied by its
+	// position in the set's block.
 	valid bool
 	// cores is a conservative mask of cores whose private L1/L2 may still
 	// hold the line: a set bit means "maybe present", a clear bit means
 	// "definitely absent". It lets flushes and back-invalidations skip the
 	// private-cache scans that would find nothing — pure host-side
 	// bookkeeping with no effect on simulated state or statistics (a no-op
-	// Invalidate touches neither replacement state nor counters).
+	// Invalidate touches neither replacement state nor counters). It is dead
+	// state while the slot is invalid.
 	cores uint16
 }
+
+// lineBlock is one LLC set's plaintext buffers, one per way. bufs is nil
+// until the set's first Fill, so a set that never held a line costs
+// nothing. Blocks are shared copy-on-write between a snapshot and its
+// forks: a hierarchy writes a block in place only when gen matches its own
+// generation, and copies it first otherwise, as dram shares pages.
+type lineBlock struct {
+	gen  uint64
+	bufs []lineBuf
+}
+
+// generations hands out copy-on-write ownership tags. Tags only gate
+// copying — they never influence simulated behaviour — so the
+// process-global atomic does not perturb determinism.
+var generations atomic.Uint64
 
 // Hierarchy is the multi-core cache stack. Not safe for concurrent use; the
 // simulation engine serializes all actors.
@@ -106,15 +129,15 @@ type Hierarchy struct {
 	l1  []*cache.Cache
 	l2  []*cache.Cache
 	llc *cache.Cache
-	// bufs mirrors plaintext content and dirtiness of every LLC-resident
-	// line (inclusive LLC means LLC residency == hierarchy residency). It is
-	// one contiguous value slab indexed [set*ways+way] in parallel with the
-	// LLC's line storage: the hot-path lookup is an array index, dropping a
-	// line is clearing its valid bit, and Fork is a single slab copy.
-	bufs []lineBuf
+	// blocks mirrors plaintext content and dirtiness of every LLC-resident
+	// line (inclusive LLC means LLC residency == hierarchy residency), one
+	// block per LLC set in parallel with the LLC's line slab.
+	blocks []lineBlock
+	// gen is this hierarchy's copy-on-write generation (see lineBlock).
+	gen uint64
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the linebuf alloc/recycled observability counters keep their exact
-	// historical semantics now that slots are slab-resident.
+	// historical semantics now that slots are block-resident.
 	freeBufs int
 	// victim is the scratch Victim that Fill/Flush drops fill.
 	victim Victim
@@ -149,13 +172,14 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("cpucache: invalid core count %d", cfg.Cores))
 	}
-	if cfg.Cores > 16 {
+	if cfg.Cores > maxCores {
 		panic(fmt.Sprintf("cpucache: core count %d exceeds presence-mask width", cfg.Cores))
 	}
 	h := &Hierarchy{
-		cfg:  cfg,
-		llc:  cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy),
-		bufs: make([]lineBuf, cfg.LLCSets*cfg.LLCWays),
+		cfg:    cfg,
+		llc:    cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy),
+		blocks: make([]lineBlock, cfg.LLCSets),
+		gen:    generations.Add(1),
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, policy))
@@ -164,15 +188,21 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 	return h
 }
 
-// Fork returns an independent deep copy of the hierarchy — every cache
-// level's lines, replacement state and statistics, plus the plaintext line
-// buffers — for platform forking. rng rebinds randomized replacement
-// policies to the fork's stream. Observability is not carried over.
+// Fork returns an independent copy of the hierarchy — every cache level's
+// lines, replacement state and statistics, plus the plaintext line buffers —
+// for platform forking. rng rebinds randomized replacement policies to the
+// fork's stream. Observability is not carried over.
+//
+// The cache levels are copied; the line-buffer blocks are shared with h
+// copy-on-write. Fork only reads h, so forks of one frozen hierarchy may be
+// taken concurrently; h itself must not run on afterwards (use Snapshot for
+// a hierarchy that keeps running).
 func (h *Hierarchy) Fork(rng *rand.Rand) *Hierarchy {
 	n := &Hierarchy{
-		cfg:  h.cfg,
-		llc:  h.llc.Clone(rng),
-		bufs: make([]lineBuf, len(h.bufs)),
+		cfg:    h.cfg,
+		llc:    h.llc.Clone(rng),
+		blocks: slices.Clone(h.blocks),
+		gen:    generations.Add(1),
 	}
 	for _, c := range h.l1 {
 		n.l1 = append(n.l1, c.Clone(rng))
@@ -180,25 +210,47 @@ func (h *Hierarchy) Fork(rng *rand.Rand) *Hierarchy {
 	for _, c := range h.l2 {
 		n.l2 = append(n.l2, c.Clone(rng))
 	}
-	copy(n.bufs, h.bufs) // value slab: one memcpy clones every resident line
 	return n
 }
 
-// bufIdx maps an LLC location to its slot in the dense buffer array.
-func (h *Hierarchy) bufIdx(set, way int) int { return set*h.cfg.LLCWays + way }
+// Snapshot returns a frozen copy of the hierarchy to Fork from, and moves h
+// to a new generation: every block is then shared, so h may keep running
+// and copies a block before its first write, leaving the frozen image
+// intact.
+func (h *Hierarchy) Snapshot() *Hierarchy {
+	s := h.Fork(nil)
+	h.gen = generations.Add(1)
+	return s
+}
 
-// residentBuf returns the buffer of an LLC-resident line without touching
-// replacement state or statistics, or nil when absent.
-func (h *Hierarchy) residentBuf(addr dram.Addr) *lineBuf {
-	set := h.set(h.llc, addr)
-	way, ok := h.llc.WayOf(set, h.tag(addr))
-	if !ok {
-		return nil
-	}
-	if b := &h.bufs[h.bufIdx(set, way)]; b.valid {
-		return b
+// buf returns the buffer of a valid line at an LLC location for reading,
+// or nil when the slot holds no line.
+func (h *Hierarchy) buf(set, way int) *lineBuf {
+	if bufs := h.blocks[set].bufs; bufs != nil && bufs[way].valid {
+		return &bufs[way]
 	}
 	return nil
+}
+
+// ownBuf returns the slot at an LLC location for writing. A set's first
+// write allocates its block; a block shared with a snapshot or fork is
+// copied first, so writes never reach another hierarchy's lines.
+func (h *Hierarchy) ownBuf(set, way int) *lineBuf {
+	blk := &h.blocks[set]
+	if blk.gen != h.gen {
+		bufs := make([]lineBuf, h.cfg.LLCWays)
+		copy(bufs, blk.bufs)
+		*blk = lineBlock{gen: h.gen, bufs: bufs}
+	}
+	return &blk.bufs[way]
+}
+
+// locate finds the LLC location of a resident line without touching
+// replacement state or statistics; ok is false when the line is absent.
+func (h *Hierarchy) locate(addr dram.Addr) (set, way int, ok bool) {
+	set = h.set(h.llc, addr)
+	way, ok = h.llc.WayOf(set, h.tag(addr))
+	return set, way, ok && h.buf(set, way) != nil
 }
 
 // Config returns the hierarchy configuration.
@@ -277,11 +329,16 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		}
 		h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
 		h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
-		h.bufs[h.bufIdx(set, way)].cores |= 1 << uint(core) // now privately resident here too
+		// Now privately resident here too; a bit already set needs no write,
+		// so a read hit leaves a shared block shared.
+		if b := h.buf(set, way); b != nil && b.cores&(1<<uint(core)) == 0 {
+			h.ownBuf(set, way).cores |= 1 << uint(core)
+		}
 		lvl, lat = HitLLC, sim.Cycles(h.cfg.LLCLat)
 	}
 	if write {
-		if b := h.residentBuf(addr); b != nil {
+		if set, way, ok := h.locate(addr); ok {
+			b := h.ownBuf(set, way)
 			b.dirty = true
 			h.invalidateOthers(core, addr, b.cores)
 			b.cores = 1 << uint(core) // sole private holder after write-invalidate
@@ -314,11 +371,12 @@ func (h *Hierarchy) touchShared(core int, addr dram.Addr) {
 }
 
 // Data returns the plaintext view of a resident line, or nil if the line is
-// not cached. The returned slice aliases internal state; writes through it
-// must be paired with a write Access so dirtiness is tracked.
+// not cached. The returned array aliases internal state, made private to
+// this hierarchy first so a write through it never reaches a snapshot or
+// fork; writes must be paired with a write Access so dirtiness is tracked.
 func (h *Hierarchy) Data(addr dram.Addr) *[dram.LineSize]byte {
-	if b := h.residentBuf(lineAddr(addr)); b != nil {
-		return &b.data
+	if set, way, ok := h.locate(lineAddr(addr)); ok {
+		return &h.ownBuf(set, way).data
 	}
 	return nil
 }
@@ -333,7 +391,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	var victim *Victim
 	set := h.set(h.llc, addr)
 	way, ev := h.llc.InsertWay(set, tag, false)
-	idx := h.bufIdx(set, way)
+	b := h.ownBuf(set, way)
 	mask := uint16(1) << uint(core)
 	if ev.Valid {
 		// The victim's buffer sits in the slot the new line just took; copy
@@ -342,9 +400,8 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 		// presence mask bounds which cores can still hold it privately.
 		evAddr := dram.Addr(uint64(ev.Tag) * dram.LineSize)
 		evTag := h.tag(evAddr)
-		evb := h.bufs[idx]
-		evMask := evb.cores
-		if !evb.valid {
+		evMask := b.cores
+		if !b.valid {
 			evMask = h.allCores()
 		}
 		for c := 0; c < h.cfg.Cores; c++ {
@@ -354,12 +411,12 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 			h.l1[c].Invalidate(h.set(h.l1[c], evAddr), evTag)
 			h.l2[c].Invalidate(h.set(h.l2[c], evAddr), evTag)
 		}
-		if evb.valid {
-			h.victim = Victim{Addr: evAddr, Data: evb.data, Dirty: evb.dirty}
+		if b.valid {
+			h.victim = Victim{Addr: evAddr, Data: b.data, Dirty: b.dirty}
 			h.countDrop()
 			victim = &h.victim
 		}
-	} else if b := &h.bufs[idx]; b.valid {
+	} else if b.valid {
 		// Re-filling a still-resident line: other cores may hold it
 		// privately, so their mask bits must survive.
 		mask |= b.cores
@@ -367,7 +424,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
 	h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
 	h.countInstall()
-	h.bufs[idx] = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
+	*b = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
 	return victim
 }
 
@@ -387,9 +444,11 @@ func (h *Hierarchy) dropLine(addr dram.Addr) *Victim {
 		}
 		return nil
 	}
-	idx := h.bufIdx(set, way)
-	b := h.bufs[idx]
-	h.bufs[idx] = lineBuf{}
+	var b lineBuf
+	if p := h.buf(set, way); p != nil {
+		b = *p
+		*h.ownBuf(set, way) = lineBuf{}
+	}
 	mask := b.cores
 	if !b.valid {
 		mask = h.allCores()
@@ -417,7 +476,7 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	addr = lineAddr(addr)
 	h.cFlush.Inc()
 	lat := sim.Cycles(h.cfg.FlushLat)
-	if h.residentBuf(addr) == nil {
+	if _, _, ok := h.locate(addr); !ok {
 		return nil, lat
 	}
 	return h.dropLine(addr), lat
@@ -425,5 +484,6 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 
 // Resident reports whether addr's line is anywhere in the hierarchy.
 func (h *Hierarchy) Resident(addr dram.Addr) bool {
-	return h.residentBuf(lineAddr(addr)) != nil
+	_, _, ok := h.locate(lineAddr(addr))
+	return ok
 }

@@ -1,6 +1,8 @@
 package cpucache
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"meecc/internal/cache"
@@ -160,5 +162,45 @@ func TestSeparateLinesSeparateSets(t *testing.T) {
 		if lv, _ := h.Access(0, dram.Addr(i*64), false); lv == Miss {
 			t.Fatalf("line %d lost", i)
 		}
+	}
+}
+
+// TestForkCopiesOnlyTheWrittenBlock pins the copy-on-write line buffers: a
+// fork that fills a line copies that one LLC set's block, the snapshot's
+// block stays as it was, and every other set's block is still shared. The
+// parent keeps running after its snapshot under the same rule.
+func TestForkCopiesOnlyTheWrittenBlock(t *testing.T) {
+	h := newH()
+	for i := 0; i < 64; i++ {
+		h.Fill(0, dram.Addr(0x10000+i*dram.LineSize), line(byte(i)), false)
+	}
+	snap := h.Snapshot()
+	f := snap.Fork(nil)
+
+	addr := dram.Addr(0x10000 + 5*dram.LineSize)
+	set := snap.set(snap.llc, addr)
+	frozen := slices.Clone(snap.blocks[set].bufs)
+	sameSet := addr + dram.Addr(snap.cfg.LLCSets*dram.LineSize)
+	f.Fill(1, sameSet, line(0xee), true)
+	h.Access(0, addr, true)
+	h.Data(addr)[0] = 0xdd
+
+	shared := func(a, b []lineBuf) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	if !reflect.DeepEqual(snap.blocks[set].bufs, frozen) {
+		t.Fatal("a write by the fork or the parent reached the snapshot's block")
+	}
+	for s := range snap.blocks {
+		if got := shared(f.blocks[s].bufs, snap.blocks[s].bufs); got != (s != set) {
+			t.Fatalf("set %d: fork shares the snapshot's block = %v, want %v", s, got, s != set)
+		}
+		if got := shared(h.blocks[s].bufs, snap.blocks[s].bufs); got != (s != set) {
+			t.Fatalf("set %d: parent shares the snapshot's block = %v, want %v", s, got, s != set)
+		}
+	}
+	if d := f.Data(sameSet); d == nil || d[0] != 0xee {
+		t.Fatal("fork lost its own fill")
+	}
+	if d := snap.Fork(nil).Data(addr); d == nil || d[0] != 5 {
+		t.Fatal("a later fork does not see the snapshot's data")
 	}
 }

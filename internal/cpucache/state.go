@@ -34,22 +34,24 @@ func (h *Hierarchy) ExportState() *State {
 	for _, c := range h.l2 {
 		st.L2 = append(st.L2, c.ExportState())
 	}
-	for i := range h.bufs {
-		b := &h.bufs[i]
-		if !b.valid {
-			continue
+	for set, blk := range h.blocks {
+		for way, b := range blk.bufs {
+			if b.valid {
+				st.Bufs = append(st.Bufs, LineBufState{Idx: set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
+			}
 		}
-		st.Bufs = append(st.Bufs, LineBufState{Idx: i, Data: b.data, Dirty: b.dirty})
 	}
 	return st
 }
 
 // HierarchyFromState rebuilds a frozen hierarchy from a serialized image.
 // The result never runs directly — Fork rebinds randomized policies to a
-// live engine stream. Geometry mismatches against cfg are errors.
+// live engine stream. Geometry mismatches against cfg are errors, and so is
+// a core count the presence masks cannot represent. Only sets that hold a
+// buffer get a block.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("cpucache: invalid core count %d", cfg.Cores)
+	if cfg.Cores <= 0 || cfg.Cores > maxCores {
+		return nil, fmt.Errorf("cpucache: core count %d outside 1..%d", cfg.Cores, maxCores)
 	}
 	if len(st.L1) != cfg.Cores || len(st.L2) != cfg.Cores {
 		return nil, fmt.Errorf("cpucache: %d/%d private cache states, want %d", len(st.L1), len(st.L2), cfg.Cores)
@@ -66,9 +68,10 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 		return nil, fmt.Errorf("cpucache: %w", err)
 	}
 	h := &Hierarchy{
-		cfg:  cfg,
-		llc:  llc,
-		bufs: make([]lineBuf, cfg.LLCSets*cfg.LLCWays),
+		cfg:    cfg,
+		llc:    llc,
+		blocks: make([]lineBlock, cfg.LLCSets),
+		gen:    generations.Add(1),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		if st.L1[i] == nil || st.L2[i] == nil {
@@ -91,13 +94,13 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	}
 	last := -1
 	for _, b := range st.Bufs {
-		if b.Idx <= last || b.Idx >= len(h.bufs) {
+		if b.Idx <= last || b.Idx >= cfg.LLCSets*cfg.LLCWays {
 			return nil, fmt.Errorf("cpucache: buffer slot %d out of order or range", b.Idx)
 		}
 		last = b.Idx
 		// The serialized image does not carry private-cache presence, so
 		// restore with the conservative all-cores mask.
-		h.bufs[b.Idx] = lineBuf{data: b.Data, dirty: b.Dirty, valid: true, cores: h.allCores()}
+		*h.ownBuf(b.Idx/cfg.LLCWays, b.Idx%cfg.LLCWays) = lineBuf{data: b.Data, dirty: b.Dirty, valid: true, cores: h.allCores()}
 	}
 	return h, nil
 }

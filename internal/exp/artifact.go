@@ -58,7 +58,7 @@ type Manifest struct {
 	BaseSeed      uint64 `json:"base_seed"`
 	// SpecSHA256 is the spec's content hash (Spec.Hash): the run's
 	// deterministic identity, comparable across checkouts and hosts.
-	SpecSHA256 string `json:"spec_sha256"`
+	SpecSHA256    string `json:"spec_sha256"`
 	Axes          []Axis `json:"axes"`
 	Cells         int    `json:"cells"`
 	TrialsPerCell int    `json:"trials_per_cell"`

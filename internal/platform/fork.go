@@ -16,8 +16,9 @@ import (
 // resumes the RNG stream exactly where the parent left it, so a fork
 // behaves cycle-for-cycle like the parent would have. Snapshots may be
 // forked any number of times, concurrently, and the parent platform may
-// keep running after the snapshot (DRAM pages go copy-on-write on both
-// sides; everything else is deep-copied at snapshot time).
+// keep running after the snapshot (DRAM pages and LLC line-buffer blocks go
+// copy-on-write on both sides; everything else is deep-copied at snapshot
+// time).
 //
 // Observability does not carry across: forks boot with a nil Observer.
 type Snapshot struct {
@@ -61,7 +62,7 @@ func (p *Platform) Snapshot() *Snapshot {
 		rngState: p.eng.RNGSnapshot(),
 		mem:      p.mem.Snapshot(),
 		mee:      p.mee.Fork(nil, nil),
-		caches:   p.caches.Fork(nil),
+		caches:   p.caches.Snapshot(),
 		epc:      p.epc.Clone(),
 		genUsed:  make([]uint64, len(p.genUsed)),
 		prmBase:  p.prmBase,
@@ -89,8 +90,11 @@ func (p *Platform) Snapshot() *Snapshot {
 // Fork builds an independent platform from the snapshot. The fork's engine
 // starts at cycle zero with an empty actor table (spawn ids restart at 0)
 // and the RNG stream resumed from the snapshot point; its memory system,
-// caches, MEE, EPC allocator, and processes are deep copies. Threads are
-// not carried over — respawn them with ResumeThread from saved ThreadState.
+// caches, MEE, EPC allocator, and processes are independent copies (DRAM
+// pages and LLC line-buffer blocks shared copy-on-write). Fork only reads
+// the snapshot, so forks may be taken from several goroutines at once.
+// Threads are not carried over — respawn them with ResumeThread from saved
+// ThreadState.
 func (s *Snapshot) Fork() *Platform {
 	eng, err := sim.NewEngineResumed(s.rngState)
 	if err != nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"meecc/internal/enclave"
@@ -102,6 +103,31 @@ func TestForkReproducesParentStream(t *testing.T) {
 		c := trace(t, p, st2, end2)
 		if !reflect.DeepEqual(a, c) {
 			t.Fatalf("seed %d: forked stream differs from fresh-platform stream", seed)
+		}
+	}
+}
+
+// TestConcurrentForksReplayOneStream forks one snapshot from several
+// goroutines and runs the probe script on every fork at the same time. Fork
+// only reads the snapshot and forks copy shared state before writing it, so
+// every fork replays the same stream (and -race sees no conflict).
+func TestConcurrentForksReplayOneStream(t *testing.T) {
+	snap, st, end := warmAndSnapshot(t, 23)
+	want := trace(t, snap.Fork(), st, end)
+	const forks = 4
+	got := make([][]AccessResult, forks)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = trace(t, snap.Fork(), st, end)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("concurrent fork %d diverged from a lone fork", i)
 		}
 	}
 }

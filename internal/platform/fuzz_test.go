@@ -30,8 +30,15 @@ func decodeFuzzOps(data []byte, max int, size enclave.VAddr) []fuzzOp {
 	return ops
 }
 
-func playFuzzOps(th *Thread, base enclave.VAddr, ops []fuzzOp) []AccessResult {
-	out := make([]AccessResult, 0, len(ops))
+// fuzzStep is one op's observable outcome: the timing of the final load
+// and the word it read back.
+type fuzzStep struct {
+	AccessResult
+	Val uint64
+}
+
+func playFuzzOps(th *Thread, base enclave.VAddr, ops []fuzzOp) []fuzzStep {
+	out := make([]fuzzStep, 0, len(ops))
 	for i, op := range ops {
 		va := base + op.off
 		switch op.kind {
@@ -40,16 +47,50 @@ func playFuzzOps(th *Thread, base enclave.VAddr, ops []fuzzOp) []AccessResult {
 		case 2:
 			th.Flush(va)
 		}
-		out = append(out, th.Access(va))
+		val, res := th.ReadU64(va)
+		out = append(out, fuzzStep{res, val})
 	}
 	return out
 }
 
+// churnParent keeps a snapshotted platform running on the lines a probe
+// script will touch: it writes values no script writes, flushes every other
+// line (dirty writebacks re-encrypt through the MEE into DRAM), and fills
+// each line's LLC set from five hugepages, so LLC evictions back-invalidate
+// and write back the enclave lines and overwrite their buffer slots. None
+// of it may reach the snapshot.
+func churnParent(p *Platform, st ThreadState, start sim.Cycles, ops []fuzzOp) {
+	pr := p.Procs()[0]
+	base := pr.Enclave().Base
+	huge := pr.AllocHugepages(5)
+	const llcSpan = 512 << 10 // LLC sets × line size: lines this far apart share a set
+	p.ResumeThread("churn", pr, start, st, func(th *Thread) {
+		for i, op := range ops {
+			va := base + op.off
+			th.WriteU64(va, ^uint64(i))
+			if i%2 == 0 {
+				th.Flush(va)
+			}
+		}
+		for _, op := range ops {
+			pa, _ := pr.Translate(base + op.off)
+			off := enclave.VAddr(uint64(pa) % llcSpan)
+			for k := enclave.VAddr(0); k < 5*HugepageBytes/llcSpan; k++ {
+				th.WriteU64(huge+k*llcSpan+off, uint64(k))
+			}
+		}
+	})
+	p.Run(-1)
+}
+
 // FuzzForkEquivalence drives random read/write/flush scripts across a
 // Snapshot/Fork boundary and asserts the forked platform replays the exact
-// HitLevel/latency/MEE stream of a fresh platform that never forked. This
-// is the tentpole invariant — forking is behaviorally invisible — probed
-// with adversarial access patterns instead of the fixed ones in fork_test.
+// HitLevel/latency/MEE/value stream of a fresh platform that never forked.
+// This is the tentpole invariant — forking is behaviorally invisible —
+// probed with adversarial access patterns instead of the fixed ones in
+// fork_test. The parent keeps running between the snapshot and the forks,
+// as Snapshot allows, so state it shares copy-on-write with the snapshot
+// (DRAM pages, LLC line buffers) must stay frozen.
 func FuzzForkEquivalence(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add(uint64(42), []byte{255, 128, 64, 32}, []byte{9, 9, 9, 9, 9, 9})
@@ -84,10 +125,10 @@ func FuzzForkEquivalence(f *testing.F) {
 			p.Run(-1)
 			return st, end
 		}
-		probe := func(p *Platform, st ThreadState, start sim.Cycles) []AccessResult {
+		probe := func(p *Platform, st ThreadState, start sim.Cycles) []fuzzStep {
 			pr := p.Procs()[0]
 			e := pr.Enclave()
-			var out []AccessResult
+			var out []fuzzStep
 			p.ResumeThread("probe", pr, start, st, func(th *Thread) {
 				out = playFuzzOps(th, e.Base, probeOps)
 			})
@@ -100,13 +141,15 @@ func FuzzForkEquivalence(f *testing.F) {
 		stf, endf := warm(pf, prf, ef)
 		want := probe(pf, stf, endf)
 
-		// Forked platform: identical warm, snapshot, probe a fork.
+		// Forked platform: identical warm, snapshot, let the parent run on,
+		// then probe a fork.
 		ps, prs, es := boot()
 		sts, ends := warm(ps, prs, es)
 		if sts != stf || ends != endf {
 			t.Fatalf("warm phase not reproducible: %+v@%d vs %+v@%d", sts, ends, stf, endf)
 		}
 		snap := ps.Snapshot()
+		churnParent(ps, sts, ends, probeOps)
 		got := probe(snap.Fork(), sts, ends)
 		if !reflect.DeepEqual(got, want) {
 			for i := range got {
