@@ -112,6 +112,12 @@ echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs
 go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
     ./internal/platform ./internal/cpucache
 
+echo "== go test -race -count=10: exp unit dispatch =="
+# Workers take a seed's shared-axis trials as one unit, and a stop can cut a
+# unit short between trials; these two tests drive both by events.
+go test -race -count=10 \
+    -run '^(TestSharedSeedTrialsRunAsOneUnit|TestCancelInsideUnitSkipsItsRest)$' ./internal/exp
+
 echo "== go test -race: fig6b/fig7 (1 iteration) =="
 # One race-instrumented pass over the transmission hot path: every actor
 # switch and collapsed timer wait of a full channel run goes through the

@@ -389,7 +389,7 @@ func progressLine(name string) func(exp.Progress) {
 }
 
 // runGrid executes a spec on the harness with live progress. A first SIGINT
-// stops dispatching and drains in-flight trials so a partial artifact can
+// starts no new trial and drains in-flight trials so a partial artifact can
 // still be written; a second one kills the process the usual way.
 func runGrid(spec *exp.Spec) (*exp.Report, error) {
 	if *metricsOn {
@@ -529,7 +529,7 @@ func runBatch() error {
 				skipped++
 			}
 		}
-		fmt.Printf("PARTIAL RUN: interrupted with %d trials never dispatched (artifact flagged partial)\n", skipped)
+		fmt.Printf("PARTIAL RUN: interrupted with %d trials never started (artifact flagged partial)\n", skipped)
 	}
 	fmt.Printf("artifact: %s\nmanifest: %s\n", artifact, manifest)
 	// Partial failures are data (recorded per trial in the artifact), but a
@@ -600,7 +600,7 @@ func runChaos() error {
 	}
 	tb.Render(os.Stdout)
 	if rep.Partial {
-		fmt.Println("PARTIAL RUN: interrupted before every trial was dispatched (artifact flagged partial)")
+		fmt.Println("PARTIAL RUN: interrupted before every trial started (artifact flagged partial)")
 	}
 	fmt.Printf("artifact: %s\nmanifest: %s\ncsv: %s\n", artifact, manifest, csvPath)
 	return nil

@@ -31,8 +31,8 @@ type Artifact struct {
 	// Params and Axes echo the spec so an artifact is self-describing.
 	Params map[string]string `json:"params,omitempty"`
 	Axes   []Axis            `json:"axes"`
-	// Partial marks a cancelled run: some trials were never dispatched and
-	// carry SkippedErr instead of metrics.
+	// Partial marks a cancelled run: some trials never started and carry
+	// SkippedErr instead of metrics.
 	Partial bool           `json:"partial,omitempty"`
 	Cells   []ArtifactCell `json:"cells"`
 	Trials  []TrialResult  `json:"trials"`

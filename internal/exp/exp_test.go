@@ -123,27 +123,29 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 
 // TestDeterministicAcrossWorkerCounts is the harness's core guarantee:
 // the same spec produces byte-identical aggregated JSON at workers=1 and
-// workers=8.
+// workers=8, whether each trial is its own dispatch unit or shared axes
+// group a seed's windows into one.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec := gridSpec()
-	var artifacts [][]byte
-	for _, w := range []int{1, 8} {
-		rep, err := Run(spec, fakeRunner, Config{Workers: w})
-		if err != nil {
-			t.Fatal(err)
+	for _, spec := range []*Spec{gridSpec(), sharedGridSpec()} {
+		var artifacts [][]byte
+		for _, w := range []int{1, 8} {
+			rep, err := Run(spec, fakeRunner, Config{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Workers != w {
+				t.Errorf("report workers %d, want %d", rep.Workers, w)
+			}
+			b, err := MarshalArtifact(rep.Artifact())
+			if err != nil {
+				t.Fatal(err)
+			}
+			artifacts = append(artifacts, b)
 		}
-		if rep.Workers != w {
-			t.Errorf("report workers %d, want %d", rep.Workers, w)
+		if !bytes.Equal(artifacts[0], artifacts[1]) {
+			t.Fatalf("shared axes %v: artifacts differ between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
+				spec.SharedAxes, artifacts[0], artifacts[1])
 		}
-		b, err := MarshalArtifact(rep.Artifact())
-		if err != nil {
-			t.Fatal(err)
-		}
-		artifacts = append(artifacts, b)
-	}
-	if !bytes.Equal(artifacts[0], artifacts[1]) {
-		t.Fatalf("artifacts differ between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
-			artifacts[0], artifacts[1])
 	}
 }
 

@@ -89,12 +89,12 @@ type Config struct {
 	// OnProgress, when set, is invoked (serialized) after every finished
 	// trial.
 	OnProgress func(Progress)
-	// Cancel, when set and closed, stops the dispatcher: no new trials
-	// start, in-flight trials drain to completion, and the report comes
-	// back flagged Partial with the undispatched trials marked skipped.
+	// Cancel, when set and closed, stops the run: no new trial starts,
+	// in-flight trials drain to completion, and the report comes back
+	// flagged Partial with the trials that never started marked skipped.
 	Cancel <-chan struct{}
-	// Context, when non-nil, stops the dispatcher exactly like Cancel when
-	// it ends — the hook long-lived callers (the serve service) use to give
+	// Context, when non-nil, stops the run exactly like Cancel when it
+	// ends — the hook long-lived callers (the serve service) use to give
 	// runs deadlines and client-initiated cancellation. Run never returns
 	// the context's error: a cancelled run is a Partial report, and the
 	// caller inspects context.Cause to learn why.
@@ -116,8 +116,8 @@ type Report struct {
 	Cells    []CellResult
 	Workers  int
 	WallTime time.Duration
-	// Partial is true when the run was cancelled before every trial was
-	// dispatched; skipped trials carry Err == SkippedErr.
+	// Partial is true when the run was cancelled before every trial
+	// started; skipped trials carry Err == SkippedErr.
 	Partial bool
 }
 
@@ -173,24 +173,24 @@ func Run(spec *Spec, runner Runner, cfg Config) (*Report, error) {
 		}
 	}
 
-	// Dispatch order. Results land at precomputed indices, so any order
-	// yields the same artifact; normally jobs go out cell-major (their
-	// storage order). With shared axes, jobs that share a seed live in
-	// different cells, so dispatch trial-major instead: the shared-seed
-	// jobs of each trial run back to back and a study's warm-state cache
-	// only ever needs a handful of live entries.
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	if len(spec.SharedAxes) > 0 {
-		k := 0
-		for t := 0; t < spec.Trials; t++ {
-			for ci := range cells {
-				order[k] = ci*spec.Trials + t
-				k++
-			}
+	// Dispatch units. Results land at precomputed indices, so any order
+	// yields the same artifact. The jobs that share a trial seed (one trial
+	// of the cells that differ only in shared axes) form one unit, in cell
+	// order, and one worker runs a unit back to back: it computes the
+	// seed's warm-up once and forks it for every cell while the other
+	// workers warm other seeds, instead of blocking on a warm-up another
+	// worker is computing. Without shared axes every seed is unique, so
+	// each job is its own unit in storage (cell-major) order.
+	var units [][]int
+	unitOf := make(map[uint64]int, len(jobs))
+	for i, job := range jobs {
+		u, ok := unitOf[job.Seed]
+		if !ok {
+			u = len(units)
+			unitOf[job.Seed] = u
+			units = append(units, nil)
 		}
+		units[u] = append(units[u], i)
 	}
 
 	// Wall-clock dispatcher telemetry. All instruments are nil when cfg.Ops
@@ -206,14 +206,42 @@ func Run(spec *Spec, runner Runner, cfg Config) (*Report, error) {
 	defer workersGauge.Add(-float64(workers))
 
 	start := time.Now()
+	// Every trial is recorded as skipped until a worker runs it, so trials
+	// a cancel cut off count as failures in the aggregates instead of being
+	// silently averaged away.
 	results := make([]TrialResult, len(jobs))
-	// Each dispatch carries its send timestamp so the receiving worker can
-	// record how long the trial sat in the channel waiting for a free slot.
-	type dispatchItem struct {
-		idx int
-		at  time.Time
+	for i, job := range jobs {
+		results[i] = TrialResult{
+			Cell:    job.Cell.Index,
+			CellKey: job.Cell.Key(),
+			Trial:   job.Trial,
+			Seed:    job.Seed,
+			Err:     SkippedErr,
+		}
 	}
-	idxCh := make(chan dispatchItem)
+	// Both stop signals feed one select; a nil channel never fires, so the
+	// unconfigured cases cost nothing.
+	var ctxDone <-chan struct{}
+	if cfg.Context != nil {
+		ctxDone = cfg.Context.Done()
+	}
+	stopped := func() bool {
+		select {
+		case <-cfg.Cancel:
+			return true
+		case <-ctxDone:
+			return true
+		default:
+			return false
+		}
+	}
+	// Each dispatch carries its send timestamp so the receiving worker can
+	// record how long the unit sat in the channel waiting for a free slot.
+	type dispatchItem struct {
+		unit []int // job indices, in the order the worker runs them
+		at   time.Time
+	}
+	unitCh := make(chan dispatchItem)
 	var wg sync.WaitGroup
 
 	var mu sync.Mutex // guards done/cellDone and serializes OnProgress
@@ -224,100 +252,78 @@ func Run(spec *Spec, runner Runner, cfg Config) (*Report, error) {
 		cellRemaining[i] = spec.Trials
 	}
 
+	// runJob runs one trial, records its result over the skipped record,
+	// and reports progress; wait is how long the trial waited for a worker.
+	runJob := func(i int, wait float64) {
+		job := jobs[i]
+		tr := results[i]
+		queueWait.Observe(wait)
+		execStart := time.Now()
+		inflight.Add(1)
+		m, snap, err := runTrial(runner, job)
+		inflight.Add(-1)
+		trialSeconds.ObserveSince(execStart)
+		busySeconds.Add(time.Since(execStart).Seconds())
+		if err != nil {
+			tr.Err = err.Error()
+		} else {
+			tr.Err, tr.Metrics, tr.Obs = "", m, snap
+		}
+		results[i] = tr
+
+		mu.Lock()
+		done++
+		cellRemaining[job.Cell.Index]--
+		if cellRemaining[job.Cell.Index] == 0 {
+			cellsDone++
+		}
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(Progress{
+				Done:      done,
+				Total:     len(jobs),
+				CellsDone: cellsDone,
+				Cells:     len(cells),
+				Elapsed:   time.Since(start),
+			})
+		}
+		mu.Unlock()
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for item := range idxCh {
-				i := item.idx
-				job := jobs[i]
-				tr := TrialResult{
-					Cell:    job.Cell.Index,
-					CellKey: job.Cell.Key(),
-					Trial:   job.Trial,
-					Seed:    job.Seed,
+			for item := range unitCh {
+				// Only a unit's first trial waited for a worker. A stop
+				// cuts the unit short before a later trial, and the trials
+				// after the cut stay skipped.
+				runJob(item.unit[0], time.Since(item.at).Seconds())
+				for _, i := range item.unit[1:] {
+					if stopped() {
+						break
+					}
+					runJob(i, 0)
 				}
-				execStart := time.Now()
-				queueWait.Observe(execStart.Sub(item.at).Seconds())
-				inflight.Add(1)
-				m, snap, err := runTrial(runner, job)
-				inflight.Add(-1)
-				trialSeconds.ObserveSince(execStart)
-				busySeconds.Add(time.Since(execStart).Seconds())
-				if err != nil {
-					tr.Err = err.Error()
-				} else {
-					tr.Metrics = m
-					tr.Obs = snap
-				}
-				results[i] = tr
-
-				mu.Lock()
-				done++
-				cellRemaining[job.Cell.Index]--
-				if cellRemaining[job.Cell.Index] == 0 {
-					cellsDone++
-				}
-				if cfg.OnProgress != nil {
-					cfg.OnProgress(Progress{
-						Done:      done,
-						Total:     len(jobs),
-						CellsDone: cellsDone,
-						Cells:     len(cells),
-						Elapsed:   time.Since(start),
-					})
-				}
-				mu.Unlock()
 			}
 		}()
 	}
-	// Both stop signals feed one select; a nil channel never fires, so the
-	// unconfigured cases cost nothing.
-	var ctxDone <-chan struct{}
-	if cfg.Context != nil {
-		ctxDone = cfg.Context.Done()
-	}
-	dispatched := len(order)
 dispatch:
-	for j, i := range order {
+	for _, unit := range units {
 		// Poll the stop signals first: select picks among ready cases at
 		// random, so without this a fired cancel could keep losing coin
-		// flips against ready workers and dispatch trials anyway.
-		select {
-		case <-cfg.Cancel:
-			dispatched = j
-			break dispatch
-		case <-ctxDone:
-			dispatched = j
-			break dispatch
-		default:
+		// flips against ready workers and dispatch units anyway.
+		if stopped() {
+			break
 		}
 		select {
 		case <-cfg.Cancel:
-			dispatched = j
 			break dispatch
 		case <-ctxDone:
-			dispatched = j
 			break dispatch
-		case idxCh <- dispatchItem{idx: i, at: time.Now()}:
+		case unitCh <- dispatchItem{unit: unit, at: time.Now()}:
 		}
 	}
-	close(idxCh)
+	close(unitCh)
 	wg.Wait()
-
-	// Trials the cancel cut off are recorded as skipped, so the aggregates
-	// count them as failures instead of silently averaging over fewer
-	// samples than the spec asked for.
-	for j := dispatched; j < len(order); j++ {
-		i := order[j]
-		results[i] = TrialResult{
-			Cell:    jobs[i].Cell.Index,
-			CellKey: jobs[i].Cell.Key(),
-			Trial:   jobs[i].Trial,
-			Seed:    jobs[i].Seed,
-			Err:     SkippedErr,
-		}
-	}
 
 	report := &Report{
 		Spec:     spec,
@@ -325,7 +331,7 @@ dispatch:
 		Cells:    aggregate(cells, results, spec.Trials),
 		Workers:  workers,
 		WallTime: time.Since(start),
-		Partial:  dispatched < len(jobs),
+		Partial:  done < len(jobs),
 	}
 	return report, nil
 }

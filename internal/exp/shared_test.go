@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"sync"
 	"testing"
 
 	"meecc/internal/core"
@@ -152,5 +154,152 @@ func TestSharedAxesWarmMatchesFreshAcrossWorkers(t *testing.T) {
 			t.Fatalf("artifact %d differs from warm workers=1 baseline:\n%s\n---\n%s",
 				i, artifacts[0], artifacts[i])
 		}
+	}
+}
+
+// sharedGridSpec is gridSpec with the window axis shared: in each trial the
+// three windows of one mode share a seed, so they form one dispatch unit.
+func sharedGridSpec() *Spec {
+	spec := gridSpec()
+	spec.SharedAxes = []string{"window"}
+	return spec
+}
+
+// TestSharedSeedTrialsRunAsOneUnit drives the dispatcher by events. Cell 0's
+// trial 0 starts first (every other seed waits for it) and holds its worker
+// until two more trials have started. The other worker must spend them on
+// another seed: a dispatcher that hands it the held seed's next window
+// starts that trial while the held one is still in flight.
+func TestSharedSeedTrialsRunAsOneUnit(t *testing.T) {
+	spec := sharedGridSpec()
+	held := TrialSeed(spec.BaseSeed, spec.SeedKey(spec.Cells()[0]), 0)
+	heldRunning := make(chan struct{})
+	release := make(chan struct{})
+	var (
+		mu       sync.Mutex
+		inflight = map[uint64]int{}   // seed -> trials of it in flight
+		cellsOf  = map[uint64][]int{} // seed -> cells in start order
+		started  int
+		overlap  bool // two seeds were in flight at once
+	)
+	runner := func(j Job) (Metrics, *obs.Snapshot, error) {
+		first := j.Cell.Index == 0 && j.Trial == 0
+		if j.Seed != held {
+			<-heldRunning
+		}
+		mu.Lock()
+		if inflight[j.Seed] > 0 {
+			t.Errorf("cell %d trial %d started while another trial of its seed was in flight", j.Cell.Index, j.Trial)
+		}
+		if len(inflight) > 0 && inflight[j.Seed] == 0 {
+			overlap = true
+		}
+		inflight[j.Seed]++
+		cellsOf[j.Seed] = append(cellsOf[j.Seed], j.Cell.Index)
+		if started++; started == 3 {
+			close(release)
+		}
+		mu.Unlock()
+		if first {
+			close(heldRunning)
+			<-release
+		}
+		mu.Lock()
+		if inflight[j.Seed]--; inflight[j.Seed] == 0 {
+			delete(inflight, j.Seed)
+		}
+		mu.Unlock()
+		return fakeRunner(j)
+	}
+	rep, err := Run(spec, runner, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partial {
+		t.Fatal("uncancelled run flagged partial")
+	}
+	if !overlap {
+		t.Error("no two seeds were ever in flight at once")
+	}
+	if len(cellsOf) != 2*spec.Trials {
+		t.Fatalf("%d distinct seeds ran, want %d", len(cellsOf), 2*spec.Trials)
+	}
+	for seed, cells := range cellsOf {
+		if len(cells) != 3 {
+			t.Errorf("seed %d ran %d trials, want 3 (one per window)", seed, len(cells))
+		}
+		for k := 1; k < len(cells); k++ {
+			if cells[k] <= cells[k-1] {
+				t.Errorf("seed %d started its cells in order %v, want cell order", seed, cells)
+				break
+			}
+		}
+	}
+}
+
+// TestCancelInsideUnitSkipsItsRest stops a run while a unit's first trial
+// runs, through Config.Cancel and through Config.Context: the worker holding
+// the unit must not start its later windows, which come back skipped.
+func TestCancelInsideUnitSkipsItsRest(t *testing.T) {
+	for _, via := range []string{"Cancel", "Context"} {
+		t.Run(via, func(t *testing.T) {
+			cfg := Config{Workers: 2}
+			var stop func()
+			if via == "Cancel" {
+				ch := make(chan struct{})
+				cfg.Cancel, stop = ch, func() { close(ch) }
+			} else {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg.Context, stop = ctx, cancel
+			}
+			cut := make(chan Job, 1)
+			release := make(chan struct{})
+			var once sync.Once
+			runner := func(j Job) (Metrics, *obs.Snapshot, error) {
+				once.Do(func() {
+					stop()
+					cut <- j
+				})
+				<-release
+				return fakeRunner(j)
+			}
+			done := make(chan *Report, 1)
+			go func() {
+				rep, err := Run(sharedGridSpec(), runner, cfg)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- rep
+			}()
+			first := <-cut
+			close(release)
+			rep := <-done
+			if rep == nil {
+				t.Fatal("no report")
+			}
+			if !rep.Partial || !rep.Artifact().Partial {
+				t.Fatalf("report partial %v, artifact partial %v; want both", rep.Partial, rep.Artifact().Partial)
+			}
+			ran := 0
+			for _, tr := range rep.Trials {
+				skipped := tr.Err == SkippedErr
+				if !skipped {
+					ran++
+				}
+				if tr.Seed != first.Seed {
+					continue
+				}
+				switch {
+				case tr.Cell == first.Cell.Index && skipped:
+					t.Error("the trial that cancelled the run is recorded as skipped")
+				case tr.Cell != first.Cell.Index && !skipped:
+					t.Errorf("cell %d of the cancelled unit ran after the cancel", tr.Cell)
+				}
+			}
+			if ran > 4 {
+				t.Fatalf("%d trials ran after cancel; the stop did not hold", ran)
+			}
+		})
 	}
 }

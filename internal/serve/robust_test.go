@@ -94,8 +94,8 @@ func TestAdmissionControlRejectsWhenSaturated(t *testing.T) {
 }
 
 // TestCancelRunningRunDrainsToPartialArtifact: DELETE on an executing run
-// stops its dispatcher; the in-flight trial drains, and the artifact comes
-// back flagged partial with the undispatched trials marked skipped.
+// starts no new trial; the in-flight trial drains, and the artifact comes
+// back flagged partial with the trials that never started marked skipped.
 func TestCancelRunningRunDrainsToPartialArtifact(t *testing.T) {
 	started := make(chan string, 16)
 	release := make(chan struct{})

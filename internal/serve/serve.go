@@ -61,7 +61,7 @@ type Config struct {
 	// 16). A full queue rejects submissions with 429 + Retry-After.
 	MaxPending int
 	// RunTimeout is each run's wall-clock deadline (<= 0 means none). A run
-	// that exceeds it stops dispatching trials, drains, and fails; its
+	// that exceeds it starts no new trial, drains, and fails; its
 	// committed trials stay journaled.
 	RunTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (<= 0 means 1 MiB).
@@ -624,7 +624,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-finished:
 	case <-ctx.Done():
-		// Grace expired: stop dispatching trials; in-flight ones drain.
+		// Grace expired: start no new trial; in-flight ones drain.
 		s.mu.Lock()
 		live := make([]*run, 0, len(s.runs))
 		for _, ru := range s.runs {
