@@ -225,6 +225,15 @@ trap 'rm -rf "$tmp"' EXIT
 cmp "$tmp/resumed/smoke.json" "$tmp/smoke.json" || {
     echo "resumed artifact differs from local batch artifact" >&2; exit 1; }
 
+echo "== smoke: in-band, parallel and fig 6a/E/P runners =="
+# cmd/meecc and cmd/figures have no tests. These drive the CLI entry points
+# of the runners that share the channel's acquisition protocol: in-band
+# sync and two parallel lanes, then Prime+Probe (6a), the eviction-phase
+# study (E) and the parallel-lane sweep (P).
+"$tmp/meecc" send -inband > /dev/null
+"$tmp/meecc" send -lanes 2 > /dev/null
+go run ./cmd/figures -fig 6a,E,P -trials 2 -bits 64 > /dev/null
+
 echo "== smoke: traced fig6b =="
 # One traced end-to-end transmission: the exported Chrome trace must pass
 # the same structural validation Perfetto relies on (per-actor tracks, MEE

@@ -41,7 +41,7 @@ func EvictionStudy(opts Options, policy string, twoPhase bool, windows int) (*Ev
 	defer plat.Close()
 
 	pr := plat.NewProcess("evstudy")
-	if _, err := pr.CreateEnclave(8 + 96); err != nil {
+	if _, err := pr.CreateEnclave(calPages + evSetCandidates); err != nil {
 		return nil, err
 	}
 	base := pr.Enclave().Base
@@ -50,8 +50,8 @@ func EvictionStudy(opts Options, policy string, twoPhase bool, windows int) (*Ev
 	var runErr error
 	plat.SpawnThread("evstudy", pr, 0, func(th *platform.Thread) {
 		th.EnterEnclave()
-		threshold := calibrateThreshold(th, pageAddrs(base, 8, 0))
-		cands := pageAddrs(base+enclave.VAddr(8*enclave.PageBytes), 96, 0)
+		threshold := calibrateThreshold(th, pageAddrs(base, calPages, 0))
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, 0)
 		a1, err := FindEvictionSet(th, cands, threshold)
 		if err != nil {
 			runErr = err
@@ -77,18 +77,7 @@ func EvictionStudy(opts Options, policy string, twoPhase bool, windows int) (*Ev
 			th.Flush(monitor)
 			th.Spin(2000)
 			// Trojan side: the eviction pass(es).
-			for i := 0; i < len(evSet); i++ {
-				th.Access(evSet[i])
-				th.Flush(evSet[i])
-			}
-			th.Mfence()
-			if twoPhase {
-				for i := len(evSet) - 1; i >= 0; i-- {
-					th.Access(evSet[i])
-					th.Flush(evSet[i])
-				}
-				th.Mfence()
-			}
+			evictPass(th, evSet, twoPhase)
 			if !meeEng.Cache().Contains(set, vtag) {
 				res.Successes++
 			}

@@ -30,9 +30,6 @@ type ActivityResult struct {
 	QuietMean, ActiveMean float64
 }
 
-// debugActivity enables diagnostic printing in tests.
-var debugActivity = false
-
 // InferActivity runs the experiment: the victim alternates compute phases
 // (no memory traffic) and memory phases (protected-region streaming) of
 // epochLen cycles; the spy samples its own enclave's probe latency and
@@ -146,10 +143,5 @@ func InferActivity(opts Options, epochs int, epochLen sim.Cycles) (*ActivityResu
 		res.ActiveMean = activeSum / float64(activeN)
 	}
 	res.Accuracy = float64(res.Correct) / float64(epochs)
-	if debugActivity {
-		for i, m := range epochMeans {
-			fmt.Printf("epoch %2d truth=%5v mean=%.0f\n", i, res.Truth[i], m)
-		}
-	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"meecc/internal/enclave"
@@ -159,13 +160,24 @@ func RandomBits(seed uint64, n int) []byte {
 	return out
 }
 
-// Enclave layout shared by RunChannel and RunResilient: a calibration pool
-// plus the candidate pages Algorithm 1 (trojan) and monitor discovery (spy)
-// work over.
+// Enclave layout of every MEE-channel runner: calibration pools of calPages
+// pages, then the candidate pages. Algorithm 1 builds the eviction set from
+// evSetCandidates pages; the conflict search scores monitorCandidates pages
+// against the eviction set's bursts. The trojan owns the eviction set and
+// the spy the monitor, except in Prime+Probe, which reverses the roles.
 const (
-	calPages         = 8
-	trojanCandidates = 96
-	spyCandidates    = 24
+	calPages          = 8
+	evSetCandidates   = 96
+	monitorCandidates = 24
+)
+
+// Monitor discovery probes each candidate spySamples times, searchGap cycles
+// (several burst periods) apart, and accepts a best score of at least
+// minMonitorScore.
+const (
+	spySamples      = 10
+	searchGap       = 40_000
+	minMonitorScore = spySamples * 6 / 10
 )
 
 // channelSession carries the state shared between the warm phase
@@ -174,6 +186,8 @@ const (
 // RunChannel drives both phases back to back in one pair of actors on a
 // fresh platform; WarmChannel runs only the warm phase and snapshots the
 // platform so many transmissions can fork from the same warm state.
+// RunResilient and RunInBandChannel run the same warm phase and then their
+// own transmit protocols.
 type channelSession struct {
 	cfg     ChannelConfig // defaults applied; Bits expanded by repetition
 	logical []byte        // pre-expansion payload
@@ -196,19 +210,30 @@ type channelSession struct {
 	spyThreshold sim.Cycles
 	evSet        []enclave.VAddr
 	monitor      enclave.VAddr
+	// trojanReady records that the trojan finished its warm phase; a run
+	// limit that cuts Algorithm 1 short leaves it unset.
+	trojanReady bool
 
 	res               *ChannelResult
 	trojanErr, spyErr error
+}
+
+// checkBits rejects payload values other than 0 and 1.
+func checkBits(bits []byte) error {
+	for _, b := range bits {
+		if b > 1 {
+			return fmt.Errorf("core: bits must be 0/1, got %d", b)
+		}
+	}
+	return nil
 }
 
 // prepareChannel validates cfg, applies defaults, expands repetition
 // coding, and computes the session schedule.
 func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
 	cfg.applyDefaults()
-	for _, b := range cfg.Bits {
-		if b > 1 {
-			return nil, fmt.Errorf("core: bits must be 0/1, got %d", b)
-		}
+	if err := checkBits(cfg.Bits); err != nil {
+		return nil, err
 	}
 	s := &channelSession{cfg: cfg, logical: cfg.Bits, rep: cfg.Repetition}
 	if s.rep < 1 {
@@ -233,35 +258,22 @@ func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
 
 // createProcs builds the trojan and spy processes and their enclaves on
 // plat, in a fixed order: process index 0 is always the trojan, index 1 the
-// spy. Forked sessions re-find their processes by these indices.
-func (s *channelSession) createProcs(plat *platform.Platform) error {
+// spy. Forked sessions re-find their processes by these indices. Each
+// enclave starts with `pools` disjoint calibration pools; the warm phase
+// calibrates on the first.
+func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 	s.trojanProc = plat.NewProcess("trojan")
 	s.spyProc = plat.NewProcess("spy")
-	if _, err := s.trojanProc.CreateEnclave(calPages + trojanCandidates); err != nil {
+	if _, err := s.trojanProc.CreateEnclave(pools*calPages + evSetCandidates); err != nil {
 		return err
 	}
-	if _, err := s.spyProc.CreateEnclave(calPages + spyCandidates); err != nil {
+	if _, err := s.spyProc.CreateEnclave(pools*calPages + monitorCandidates); err != nil {
 		return err
 	}
-	s.trojanCands = pageAddrs(s.trojanProc.Enclave().Base+enclave.VAddr(calPages*enclave.PageBytes), trojanCandidates, s.cfg.Index512)
-	s.spyCands = pageAddrs(s.spyProc.Enclave().Base+enclave.VAddr(calPages*enclave.PageBytes), spyCandidates, s.cfg.Index512)
+	candBase := enclave.VAddr(pools * calPages * enclave.PageBytes)
+	s.trojanCands = pageAddrs(s.trojanProc.Enclave().Base+candBase, evSetCandidates, s.cfg.Index512)
+	s.spyCands = pageAddrs(s.spyProc.Enclave().Base+candBase, monitorCandidates, s.cfg.Index512)
 	return nil
-}
-
-// evict runs the paper's forward(+backward) pass over the eviction set.
-func (s *channelSession) evict(th *platform.Thread) {
-	for i := 0; i < len(s.evSet); i++ { // forward phase
-		th.Access(s.evSet[i])
-		th.Flush(s.evSet[i])
-	}
-	th.Mfence()
-	if s.cfg.TwoPhaseEviction {
-		for i := len(s.evSet) - 1; i >= 0; i-- { // backward phase
-			th.Access(s.evSet[i])
-			th.Flush(s.evSet[i])
-		}
-		th.Mfence()
-	}
 }
 
 // trojanWarm is the sender's pre-transmission work: threshold calibration,
@@ -290,10 +302,8 @@ func (s *channelSession) trojanWarm(th *platform.Thread) bool {
 
 	// Search phase: burst continuously so the spy can find which of its
 	// addresses conflicts with the eviction set.
-	for th.Now() < s.t0-20_000 {
-		s.evict(th)
-		th.Spin(1000)
-	}
+	burstUntil(th, s.evSet, s.cfg.TwoPhaseEviction, s.t0-20_000)
+	s.trojanReady = true
 	return true
 }
 
@@ -302,15 +312,12 @@ func (s *channelSession) trojanTransmit(th *platform.Thread) {
 	for i, bit := range s.cfg.Bits {
 		th.WaitTimer(s.t0 + sim.Cycles(i)*s.cfg.Window)
 		if bit == 1 {
-			s.evict(th)
+			evictPass(th, s.evSet, s.cfg.TwoPhaseEviction)
 		}
 		// '0': busy loop until the next window (the WaitTimer at the top
 		// of the loop).
 	}
 }
-
-// spySamples is how many times monitor discovery probes each candidate.
-const spySamples = 10
 
 // spyWarm is the receiver's pre-transmission work: threshold calibration
 // and monitor-address discovery against the trojan's search bursts. It
@@ -325,26 +332,11 @@ func (s *channelSession) spyWarm(th *platform.Thread) bool {
 	s.res.SpyThreshold = s.spyThreshold
 	th.SpinUntil(s.tSetupEnd)
 
-	// Monitor discovery: sample each candidate while the trojan bursts; the
-	// address the bursts keep evicting is the monitor.
-	bestScore, monitor := -1, enclave.VAddr(0)
-	for _, cand := range s.spyCands {
-		score := 0
-		for i := 0; i < spySamples; i++ {
-			th.Access(cand)
-			th.Flush(cand)
-			th.SpinUntil(th.Now() + 40_000) // several burst periods
-			if timedAccess(th, cand) > s.spyThreshold {
-				score++
-			}
-			th.Flush(cand)
-		}
-		if score > bestScore {
-			bestScore, monitor = score, cand
-		}
-	}
+	// Monitor discovery: the address the trojan's bursts keep evicting is
+	// the monitor.
+	monitor, bestScore := findConflict(th, s.spyCands, s.spyThreshold, spySamples, searchGap)
 	s.res.MonitorScore = bestScore
-	if bestScore < spySamples*6/10 {
+	if bestScore < minMonitorScore {
 		s.spyErr = fmt.Errorf("core: monitor discovery failed (best score %d/%d)", bestScore, spySamples)
 		return false
 	}
@@ -378,6 +370,41 @@ func (s *channelSession) spyTransmit(th *platform.Thread) {
 	}
 }
 
+// attachFaults arms cfg.Fault, if set, against the session's actors and
+// pages; a campaign without its own window lands in [start, end).
+func (s *channelSession) attachFaults(plat *platform.Platform, trojan, spy *platform.Thread, start, end sim.Cycles) *fault.Injector {
+	if s.cfg.Fault == nil {
+		return nil
+	}
+	fc := *s.cfg.Fault
+	if fc.Start == 0 && fc.End == 0 {
+		fc.Start, fc.End = start, end
+	}
+	return fault.NewPlan(fc).Attach(plat, fault.Targets{
+		Trojan: trojan, Spy: spy,
+		TrojanProc: s.trojanProc, SpyProc: s.spyProc,
+		TrojanPages: s.trojanCands, SpyPages: s.spyCands,
+		TrojanLive: func() []enclave.VAddr { return s.liveEvictionSet },
+		SpyLive:    func() []enclave.VAddr { return s.liveMonitor },
+		TrojanHome: s.cfg.TrojanCore, SpyHome: s.cfg.SpyCore,
+		StormCore: s.cfg.NoiseCore,
+	})
+}
+
+// err reports why the session has nothing to decode: an actor's own error,
+// or a run limit that stopped the trojan before its warm phase finished.
+func (s *channelSession) err() error {
+	switch {
+	case s.trojanErr != nil:
+		return s.trojanErr
+	case s.spyErr != nil:
+		return s.spyErr
+	case !s.trojanReady:
+		return errors.New("core: trojan never completed setup")
+	}
+	return nil
+}
+
 // spawnStatsReset arms the detector-statistics snapshot at transmission
 // start: detector-visible counters cover the transmission phase only.
 func (s *channelSession) spawnStatsReset(plat *platform.Platform) {
@@ -396,11 +423,8 @@ func (s *channelSession) finish(plat *platform.Platform, injector *fault.Injecto
 	if injector != nil {
 		res.Faults = injector.Log()
 	}
-	if s.trojanErr != nil {
-		return res, s.trojanErr
-	}
-	if s.spyErr != nil {
-		return res, s.spyErr
+	if err := s.err(); err != nil {
+		return res, err
 	}
 	if res.Received == nil {
 		return res, fmt.Errorf("core: spy never completed transmission")
@@ -477,7 +501,7 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 	cfg = s.cfg
 	plat := cfg.boot()
 	defer plat.Close()
-	if err := s.createProcs(plat); err != nil {
+	if err := s.createProcs(plat, 1); err != nil {
 		return nil, err
 	}
 
@@ -495,22 +519,7 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 	if err := spawnNoise(plat, cfg.Noise, cfg.NoiseCore, s.t0); err != nil {
 		return nil, err
 	}
-	var injector *fault.Injector
-	if cfg.Fault != nil {
-		fc := *cfg.Fault
-		if fc.Start == 0 && fc.End == 0 {
-			fc.Start, fc.End = s.t0, s.tEnd
-		}
-		injector = fault.NewPlan(fc).Attach(plat, fault.Targets{
-			Trojan: trojanTh, Spy: spyTh,
-			TrojanProc: s.trojanProc, SpyProc: s.spyProc,
-			TrojanPages: s.trojanCands, SpyPages: s.spyCands,
-			TrojanLive: func() []enclave.VAddr { return s.liveEvictionSet },
-			SpyLive:    func() []enclave.VAddr { return s.liveMonitor },
-			TrojanHome: cfg.TrojanCore, SpyHome: cfg.SpyCore,
-			StormCore: cfg.NoiseCore,
-		})
-	}
+	injector := s.attachFaults(plat, trojanTh, spyTh, s.t0, s.tEnd)
 	// Snapshot detector-visible statistics over the transmission phase.
 	s.spawnStatsReset(plat)
 	if cfg.onPlatform != nil {

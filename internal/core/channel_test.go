@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"meecc/internal/sim"
@@ -193,10 +196,62 @@ func TestEvictionPhaseStudy(t *testing.T) {
 }
 
 func TestChannelRejectsBadBits(t *testing.T) {
-	cfg := DefaultChannelConfig(1)
-	cfg.Bits = []byte{0, 1, 2}
-	if _, err := RunChannel(cfg); err == nil {
-		t.Fatal("expected error for non-binary bits")
+	// Every runner that takes a payload applies the same 0/1 check.
+	runners := []struct {
+		name string
+		run  func(ChannelConfig) error
+	}{
+		{"RunChannel", func(c ChannelConfig) error { _, err := RunChannel(c); return err }},
+		{"RunInBandChannel", func(c ChannelConfig) error { _, err := RunInBandChannel(c); return err }},
+		{"RunLLCChannel", func(c ChannelConfig) error { _, err := RunLLCChannel(c); return err }},
+		{"RunPrimeProbe", func(c ChannelConfig) error { _, err := RunPrimeProbe(c); return err }},
+		{"RunParallelChannel", func(c ChannelConfig) error { _, err := RunParallelChannel(c, 1); return err }},
+	}
+	for _, r := range runners {
+		cfg := DefaultChannelConfig(1)
+		cfg.Bits = []byte{0, 1, 2, 1}
+		if err := r.run(cfg); err == nil || err.Error() != "core: bits must be 0/1, got 2" {
+			t.Errorf("%s: err = %v, want the 0/1 bit check", r.name, err)
+		}
+	}
+}
+
+func TestSetupCutShortFailsFreshAndWarm(t *testing.T) {
+	// A one-cycle setup budget ends the fresh run (~16M cycles) long before
+	// Algorithm 1 finishes (~30M): the trojan never transmits, so the run
+	// must fail rather than decode the spy's probes of a silent channel.
+	cfg := DefaultChannelConfig(42)
+	cfg.Bits = RandomBits(42, 8)
+	cfg.SetupBudget = 1
+	if _, err := RunChannel(cfg); err == nil || err.Error() != "core: trojan never completed setup" {
+		t.Errorf("fresh: err = %v, want trojan never completed setup", err)
+	}
+	// The warm path runs Algorithm 1 to completion and reports the overrun.
+	if _, err := WarmChannel(cfg); err == nil || !strings.Contains(err.Error(), "trojan setup overran its budget") {
+		t.Errorf("warm: err = %v, want a setup overrun", err)
+	}
+}
+
+func TestTwoPhaseEvictionReachesEveryRunner(t *testing.T) {
+	// A single-pass config must reach the in-band and parallel trojans'
+	// eviction passes, not only RunChannel's.
+	runners := []struct {
+		name string
+		seed uint64
+		run  func(ChannelConfig) (any, error)
+	}{
+		{"RunInBandChannel", 61, func(c ChannelConfig) (any, error) { return RunInBandChannel(c) }},
+		{"RunParallelChannel", 71, func(c ChannelConfig) (any, error) { return RunParallelChannel(c, 1) }},
+	}
+	for _, r := range runners {
+		cfg := DefaultChannelConfig(r.seed)
+		cfg.Bits = RandomBits(r.seed, 64)
+		two, errTwo := r.run(cfg)
+		cfg.TwoPhaseEviction = false
+		one, errOne := r.run(cfg)
+		if reflect.DeepEqual(one, two) && fmt.Sprint(errOne) == fmt.Sprint(errTwo) {
+			t.Errorf("%s: single-pass run equals the two-phase run", r.name)
+		}
 	}
 }
 

@@ -101,6 +101,58 @@ func prime(th *platform.Thread, set []enclave.VAddr) {
 	}
 }
 
+// evictPass is the trojan's eviction pass over its eviction set (§5.3): a
+// forward access+flush sweep and, when twoPhase, a backward one, each
+// fenced. Under approximate-LRU replacement the backward sweep catches the
+// ways the forward one left behind.
+func evictPass(th *platform.Thread, set []enclave.VAddr, twoPhase bool) {
+	for _, a := range set {
+		th.Access(a)
+		th.Flush(a)
+	}
+	th.Mfence()
+	if twoPhase {
+		for i := len(set) - 1; i >= 0; i-- {
+			th.Access(set[i])
+			th.Flush(set[i])
+		}
+		th.Mfence()
+	}
+}
+
+// burstUntil repeats the eviction pass until deadline: the search-phase
+// signal that the other side's findConflict locks onto.
+func burstUntil(th *platform.Thread, set []enclave.VAddr, twoPhase bool, deadline sim.Cycles) {
+	for th.Now() < deadline {
+		evictPass(th, set, twoPhase)
+		th.Spin(1000)
+	}
+}
+
+// findConflict scores each candidate against the other side's bursts: load
+// and flush it, wait gap cycles, and count a timed re-access above
+// threshold as an eviction. It returns the first best-scoring candidate
+// and its score out of samples.
+func findConflict(th *platform.Thread, cands []enclave.VAddr, threshold sim.Cycles, samples int, gap sim.Cycles) (enclave.VAddr, int) {
+	best, bestScore := enclave.VAddr(0), -1
+	for _, cand := range cands {
+		score := 0
+		for i := 0; i < samples; i++ {
+			th.Access(cand)
+			th.Flush(cand)
+			th.SpinUntil(th.Now() + gap)
+			if timedAccess(th, cand) > threshold {
+				score++
+			}
+			th.Flush(cand)
+		}
+		if score > bestScore {
+			best, bestScore = cand, score
+		}
+	}
+	return best, bestScore
+}
+
 // calibrateThreshold derives the hit/miss decision threshold the way real
 // attack code does: sample versions-hit latency (repeated flushed access to
 // one line) and versions-miss latency (first touch of fresh 512 B blocks,

@@ -52,10 +52,8 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 		cfg.Window = 5000
 	}
 	cfg.applyDefaults()
-	for _, b := range cfg.Bits {
-		if b > 1 {
-			return nil, fmt.Errorf("core: bits must be 0/1, got %d", b)
-		}
+	if err := checkBits(cfg.Bits); err != nil {
+		return nil, err
 	}
 	plat := cfg.boot()
 	defer plat.Close()

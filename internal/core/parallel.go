@@ -33,6 +33,9 @@ type ParallelResult struct {
 // 4-core part (the spy and noise need cores too).
 func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	cfg.applyDefaults()
+	if err := checkBits(cfg.Bits); err != nil {
+		return nil, err
+	}
 	if lanes < 1 || lanes > 2 {
 		return nil, fmt.Errorf("core: lanes must be 1 or 2 on a 4-core part, got %d", lanes)
 	}
@@ -49,15 +52,11 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	t0 := tSearchEnd
 	tEnd := t0 + sim.Cycles(windows)*cfg.Window
 
-	const calPages = 8
-	const trojanCandidates = 96
-	const spyCandidates = 24
-
 	spyProc := plat.NewProcess("pspy")
 	// One disjoint calibration pool per lane: reusing blocks across the
 	// lane calibrations would turn the second lane's miss samples into MEE
 	// cache hits and collapse its threshold onto the hit mode.
-	if _, err := spyProc.CreateEnclave(calPages*lanes + spyCandidates); err != nil {
+	if _, err := spyProc.CreateEnclave(calPages*lanes + monitorCandidates); err != nil {
 		return nil, err
 	}
 
@@ -68,7 +67,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	for lane := 0; lane < lanes; lane++ {
 		lane := lane
 		pr := plat.NewProcess(fmt.Sprintf("ptrojan%d", lane))
-		if _, err := pr.CreateEnclave(calPages + trojanCandidates); err != nil {
+		if _, err := pr.CreateEnclave(calPages + evSetCandidates); err != nil {
 			return nil, err
 		}
 		plat.SpawnThread(fmt.Sprintf("ptrojan%d", lane), pr, trojanCores[lane], func(th *platform.Thread) {
@@ -79,7 +78,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 			threshold := calibrateThreshold(th, pageAddrs(base, calPages, index))
 			th.SpinUntil(tCalEnd)
 
-			cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), trojanCandidates, index)
+			cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, index)
 			a1, err := FindEvictionSet(th, cands, threshold)
 			if err != nil {
 				errs[lane] = fmt.Errorf("lane %d: %w", lane, err)
@@ -87,32 +86,16 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 			}
 			evSet := a1.EvictionSet
 			res.EvictionSetSizes[lane] = len(evSet)
-			evict := func() {
-				for i := 0; i < len(evSet); i++ {
-					th.Access(evSet[i])
-					th.Flush(evSet[i])
-				}
-				th.Mfence()
-				for i := len(evSet) - 1; i >= 0; i-- {
-					th.Access(evSet[i])
-					th.Flush(evSet[i])
-				}
-				th.Mfence()
-			}
 			th.SpinUntil(tSetupEnd)
 			// Burst only inside this lane's search slot so the spy can
 			// attribute evictions to lanes.
 			laneSlotStart := tSetupEnd + cfg.SearchBudget*sim.Cycles(lane)
-			laneSlotEnd := laneSlotStart + cfg.SearchBudget
 			th.SpinUntil(laneSlotStart)
-			for th.Now() < laneSlotEnd-20_000 {
-				evict()
-				th.Spin(1000)
-			}
+			burstUntil(th, evSet, cfg.TwoPhaseEviction, laneSlotStart+cfg.SearchBudget-20_000)
 			for w := 0; w < windows; w++ {
 				th.WaitTimer(t0 + sim.Cycles(w)*cfg.Window)
 				if cfg.Bits[w*lanes+lane] == 1 {
-					evict()
+					evictPass(th, evSet, cfg.TwoPhaseEviction)
 				}
 			}
 		})
@@ -128,8 +111,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 		// against each index's pages to stay faithful).
 		th.SpinUntil(tCalEnd / 2)
 		for lane := 0; lane < lanes; lane++ {
-			pool := base + enclave.VAddr(lane*calPages*enclave.PageBytes)
-			thresholds[lane] = calibrateThreshold(th, pageAddrs(pool, calPages, cfg.Index512+lane))
+			thresholds[lane] = calibrateThreshold(th, calSlice(base, lane, lanes, cfg.Index512+lane))
 		}
 		th.SpinUntil(tSetupEnd)
 
@@ -137,23 +119,8 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 		const samples = 8
 		for lane := 0; lane < lanes; lane++ {
 			th.SpinUntil(tSetupEnd + cfg.SearchBudget*sim.Cycles(lane))
-			cands := pageAddrs(base+enclave.VAddr(lanes*calPages*enclave.PageBytes), spyCandidates, cfg.Index512+lane)
-			best, bestScore := enclave.VAddr(0), -1
-			for _, cand := range cands {
-				score := 0
-				for s := 0; s < samples; s++ {
-					th.Access(cand)
-					th.Flush(cand)
-					th.SpinUntil(th.Now() + 40_000)
-					if timedAccess(th, cand) > thresholds[lane] {
-						score++
-					}
-					th.Flush(cand)
-				}
-				if score > bestScore {
-					bestScore, best = score, cand
-				}
-			}
+			cands := pageAddrs(base+enclave.VAddr(lanes*calPages*enclave.PageBytes), monitorCandidates, cfg.Index512+lane)
+			best, bestScore := findConflict(th, cands, thresholds[lane], samples, searchGap)
 			if bestScore < samples*6/10 {
 				errs[lanes] = fmt.Errorf("core: lane %d monitor discovery failed (%d/%d)", lane, bestScore, samples)
 				return

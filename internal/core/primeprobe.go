@@ -26,6 +26,9 @@ type PrimeProbeResult struct {
 // conflicting address. Setup mirrors RunChannel with the roles reversed.
 func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 	cfg.applyDefaults()
+	if err := checkBits(cfg.Bits); err != nil {
+		return nil, err
+	}
 	plat := cfg.boot()
 	defer plat.Close()
 
@@ -37,13 +40,10 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 
 	spyProc := plat.NewProcess("pp-spy")
 	trojanProc := plat.NewProcess("pp-trojan")
-	const calPages = 8
-	const spyCandidates = 96
-	const trojanCandidates = 24
-	if _, err := spyProc.CreateEnclave(calPages + spyCandidates); err != nil {
+	if _, err := spyProc.CreateEnclave(calPages + evSetCandidates); err != nil {
 		return nil, err
 	}
-	if _, err := trojanProc.CreateEnclave(calPages + trojanCandidates); err != nil {
+	if _, err := trojanProc.CreateEnclave(calPages + monitorCandidates); err != nil {
 		return nil, err
 	}
 
@@ -58,7 +58,7 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
 		th.SpinUntil(tCalEnd)
 
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), spyCandidates, cfg.Index512)
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, cfg.Index512)
 		a1, err := FindEvictionSet(th, cands, threshold)
 		if err != nil {
 			spyErr = err
@@ -110,24 +110,9 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
 		th.SpinUntil(tSetupEnd)
 
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), trojanCandidates, cfg.Index512)
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), monitorCandidates, cfg.Index512)
 		const samples = 6
-		bestScore, conflict := -1, enclave.VAddr(0)
-		for _, cand := range cands {
-			score := 0
-			for s := 0; s < samples; s++ {
-				th.Access(cand)
-				th.Flush(cand)
-				th.SpinUntil(th.Now() + 30_000)
-				if timedAccess(th, cand) > threshold {
-					score++
-				}
-				th.Flush(cand)
-			}
-			if score > bestScore {
-				bestScore, conflict = score, cand
-			}
-		}
+		conflict, bestScore := findConflict(th, cands, threshold, samples, 30_000)
 		if bestScore < samples-2 {
 			trojanErr = fmt.Errorf("core: prime+probe trojan found no conflicting address (best %d/%d)", bestScore, samples)
 			return

@@ -561,83 +561,40 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 		chunkSizes[i] = len(ch)
 	}
 
+	// Initial acquisition is the channel session's warm phase, over
+	// enclaves that carry calSlices calibration pools for the ladder.
+	chCfg := cfg.ChannelConfig
+	chCfg.Bits, chCfg.Repetition = nil, 0 // the payload defines the bits
+	sess, err := prepareChannel(chCfg)
+	if err != nil {
+		return nil, err
+	}
 	plat := cfg.boot()
 	defer plat.Close()
-
-	tCalEnd := cfg.CalBudget
-	tSetupEnd := tCalEnd + cfg.SetupBudget
-	t0 := tSetupEnd + cfg.SearchBudget
-
-	trojanProc := plat.NewProcess("trojan")
-	spyProc := plat.NewProcess("spy")
-	if _, err := trojanProc.CreateEnclave(calSlices*calPages + trojanCandidates); err != nil {
+	if err := sess.createProcs(plat, calSlices); err != nil {
 		return nil, err
 	}
-	if _, err := spyProc.CreateEnclave(calSlices*calPages + spyCandidates); err != nil {
-		return nil, err
-	}
-	trojanBase := trojanProc.Enclave().Base
-	spyBase := spyProc.Enclave().Base
-	trojanCands := pageAddrs(trojanBase+enclave.VAddr(calSlices*calPages*enclave.PageBytes), trojanCandidates, cfg.Index512)
-	spyCands := pageAddrs(spyBase+enclave.VAddr(calSlices*calPages*enclave.PageBytes), spyCandidates, cfg.Index512)
+	t0 := sess.t0
+	trojanBase := sess.trojanProc.Enclave().Base
+	spyBase := sess.spyProc.Enclave().Base
 
 	ctl := newController(&cfg, chunkSizes)
 	ctl.observe(cfg.Obs)
 	s := &resilientSession{}
 	res := &ResilientResult{Chunks: len(chunks)}
-	var trojanErr, spyErr error
 	var trojanDone, spyDone bool
-	var liveEvictionSet, liveMonitor []enclave.VAddr
 	probeOffset := func(w sim.Cycles) sim.Cycles { return sim.Cycles(float64(w) * cfg.ProbePhase) }
 
 	// ------------------------------------------------------------------
 	// Trojan: initial acquisition, then plan-driven rounds.
-	trojanTh := plat.SpawnThread("trojan", trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	trojanTh := plat.SpawnThread("trojan", sess.trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
 		defer func() { trojanDone = true }()
-		th.EnterEnclave()
-		calUsed := 0
-		threshold := calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, cfg.Index512))
-		calUsed++
-		th.SpinUntil(tCalEnd)
-
-		a1, err := FindEvictionSet(th, trojanCands, threshold)
-		if err != nil {
-			trojanErr = err
+		ok := sess.trojanWarm(th)
+		res.EvictionSetSize, res.SetupCycles = sess.res.EvictionSetSize, sess.res.SetupCycles
+		if !ok {
 			return
 		}
-		evSet := a1.EvictionSet
-		liveEvictionSet = evSet
-		res.EvictionSetSize = len(evSet)
-		res.SetupCycles = th.Now()
-		if th.Now() > tSetupEnd {
-			trojanErr = fmt.Errorf("core: trojan setup overran its budget (%d > %d)", th.Now(), tSetupEnd)
-			return
-		}
-
-		evict := func() {
-			for i := 0; i < len(evSet); i++ {
-				th.Access(evSet[i])
-				th.Flush(evSet[i])
-			}
-			th.Mfence()
-			if cfg.TwoPhaseEviction {
-				for i := len(evSet) - 1; i >= 0; i-- {
-					th.Access(evSet[i])
-					th.Flush(evSet[i])
-				}
-				th.Mfence()
-			}
-		}
-		burstUntil := func(deadline sim.Cycles) {
-			for th.Now() < deadline {
-				evict()
-				th.Spin(1000)
-			}
-		}
-
-		th.SpinUntil(tSetupEnd)
-		burstUntil(t0 - 20_000)
-
+		calUsed := 1
 		lastSeq := 0
 		for {
 			p := s.plan
@@ -656,14 +613,14 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 				// Re-acquisition: fresh threshold, Algorithm 1 re-run, then
 				// burst so the spy can re-locate its monitor.
 				th.WaitTimer(p.start)
-				threshold = calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, cfg.Index512))
+				threshold := calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, cfg.Index512))
 				calUsed++
-				if a1, err := FindEvictionSet(th, trojanCands, threshold); err == nil {
-					evSet = a1.EvictionSet
-					liveEvictionSet = evSet
-					res.EvictionSetSize = len(evSet)
+				if a1, err := FindEvictionSet(th, sess.trojanCands, threshold); err == nil {
+					sess.evSet = a1.EvictionSet
+					sess.liveEvictionSet = sess.evSet
+					res.EvictionSetSize = len(sess.evSet)
 				}
-				burstUntil(end - cfg.CtrlGap - 20_000)
+				burstUntil(th, sess.evSet, cfg.TwoPhaseEviction, end-cfg.CtrlGap-20_000)
 			} else {
 				// Data round: pilot then scheduled chunks, each logical bit
 				// over rep consecutive windows.
@@ -672,7 +629,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 					for r := 0; r < p.rep; r++ {
 						th.WaitTimer(p.start + sim.Cycles(bit*p.rep+r)*p.window)
 						if b == 1 {
-							evict()
+							evictPass(th, sess.evSet, cfg.TwoPhaseEviction)
 						}
 					}
 					bit++
@@ -692,48 +649,20 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 
 	// ------------------------------------------------------------------
 	// Spy: initial acquisition, then controller-driven rounds.
-	spyTh := plat.SpawnThread("spy", spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	spyTh := plat.SpawnThread("spy", sess.spyProc, cfg.SpyCore, func(th *platform.Thread) {
 		defer func() { spyDone = true }()
-		th.EnterEnclave()
-		calUsed := 0
-		th.SpinUntil(tCalEnd / 2)
-		threshold := calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, cfg.Index512))
-		calUsed++
-		res.SpyThreshold = threshold
-		th.SpinUntil(tSetupEnd)
-
-		discover := func() (enclave.VAddr, int) {
-			const samples = 10
-			bestScore, monitor := -1, enclave.VAddr(0)
-			for _, cand := range spyCands {
-				score := 0
-				for sa := 0; sa < samples; sa++ {
-					th.Access(cand)
-					th.Flush(cand)
-					th.SpinUntil(th.Now() + 40_000)
-					if timedAccess(th, cand) > threshold {
-						score++
-					}
-					th.Flush(cand)
-				}
-				if score > bestScore {
-					bestScore, monitor = score, cand
-				}
+		ok := sess.spyWarm(th)
+		res.SpyThreshold = sess.spyThreshold
+		if !ok {
+			if sess.res.MonitorScore < minMonitorScore {
+				s.plan = ctl.abortPlan(th.Now(), "initial monitor discovery failed (score %d/%d)", sess.res.MonitorScore, spySamples)
+			} else {
+				s.plan = ctl.abortPlan(th.Now(), "spy search overran budget")
 			}
-			return monitor, bestScore
-		}
-		monitor, score := discover()
-		if score < 6 {
-			spyErr = fmt.Errorf("core: monitor discovery failed (best score %d/10)", score)
-			s.plan = ctl.abortPlan(th.Now(), "initial monitor discovery failed (score %d/10)", score)
 			return
 		}
-		if th.Now() > t0 {
-			spyErr = fmt.Errorf("core: spy search overran its budget (%d > %d)", th.Now(), t0)
-			s.plan = ctl.abortPlan(th.Now(), "spy search overran budget")
-			return
-		}
-		liveMonitor = []enclave.VAddr{monitor}
+		threshold, monitor := sess.spyThreshold, sess.monitor
+		calUsed := 1
 
 		plan := ctl.first(t0)
 		s.plan = plan
@@ -748,10 +677,10 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 				calUsed++
 				res.SpyThreshold = threshold
 				th.SpinUntil(plan.start + cfg.ResyncBudget - cfg.SearchBudget)
-				m, sc := discover()
-				if obs.resyncOK = sc >= 6; obs.resyncOK {
+				m, sc := findConflict(th, sess.spyCands, threshold, spySamples, searchGap)
+				if obs.resyncOK = sc >= minMonitorScore; obs.resyncOK {
 					monitor = m
-					liveMonitor = []enclave.VAddr{monitor}
+					sess.liveMonitor = []enclave.VAddr{monitor}
 				}
 			} else {
 				// Prime, then decode pilot + chunks with majority voting
@@ -821,7 +750,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			}
 		}
 		if plan.abort {
-			spyErr = fmt.Errorf("core: resilient session aborted: %s", plan.reason)
+			sess.spyErr = fmt.Errorf("core: resilient session aborted: %s", plan.reason)
 		}
 	})
 
@@ -834,22 +763,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 		cfg.MaxWindow*sim.Cycles(cfg.MaxRepetition) + cfg.RecalBudget + cfg.CtrlGap + cfg.MaxBackoff
 	hardCap := t0 + sim.Cycles(cfg.MaxRounds)*maxRound +
 		sim.Cycles(cfg.MaxResyncs+1)*(cfg.ResyncBudget+cfg.CtrlGap)
-	var injector *fault.Injector
-	if cfg.Fault != nil {
-		fc := *cfg.Fault
-		if fc.Start == 0 && fc.End == 0 {
-			fc.Start, fc.End = t0, hardCap
-		}
-		injector = fault.NewPlan(fc).Attach(plat, fault.Targets{
-			Trojan: trojanTh, Spy: spyTh,
-			TrojanProc: trojanProc, SpyProc: spyProc,
-			TrojanPages: trojanCands, SpyPages: spyCands,
-			TrojanLive: func() []enclave.VAddr { return liveEvictionSet },
-			SpyLive:    func() []enclave.VAddr { return liveMonitor },
-			TrojanHome: cfg.TrojanCore, SpyHome: cfg.SpyCore,
-			StormCore: cfg.NoiseCore,
-		})
-	}
+	injector := sess.attachFaults(plat, trojanTh, spyTh, t0, hardCap)
 
 	// Step the engine until both endpoints finish; immortal noise actors
 	// would otherwise keep an unbounded Run busy forever.
@@ -876,11 +790,11 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 		res.GoodputKBps = float64(len(payload)) / 1000 / seconds
 	}
 
-	if trojanErr != nil {
-		return res, trojanErr
+	if sess.trojanErr != nil {
+		return res, sess.trojanErr
 	}
-	if spyErr != nil {
-		return res, spyErr
+	if sess.spyErr != nil {
+		return res, sess.spyErr
 	}
 	if !(trojanDone && spyDone) {
 		return res, fmt.Errorf("core: resilient session stalled (ran to hard cap at %d cycles)", hardCap)

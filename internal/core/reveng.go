@@ -45,7 +45,6 @@ func MeasureCapacity(opts Options, sizes []int, trials int) (*CapacityResult, er
 	// Pool: fresh pages per trial (victim + maxN candidates), plus a
 	// calibration pool.
 	perTrial := maxN + 1
-	calPages := 8
 	need := calPages + trials*perTrial
 	if _, err := pr.CreateEnclave(need); err != nil {
 		return nil, err
@@ -121,9 +120,7 @@ func ReverseEngineer(opts Options, trials int) (*Organization, *CapacityResult, 
 	plat := opts.boot()
 	defer plat.Close()
 	pr := plat.NewProcess("reveng")
-	const candidates = 96
-	const calPages = 8
-	if _, err := pr.CreateEnclave(calPages + candidates); err != nil {
+	if _, err := pr.CreateEnclave(calPages + evSetCandidates); err != nil {
 		return nil, capRes, nil, err
 	}
 	base := pr.Enclave().Base
@@ -132,7 +129,7 @@ func ReverseEngineer(opts Options, trials int) (*Organization, *CapacityResult, 
 	plat.SpawnThread("reveng", pr, 0, func(th *platform.Thread) {
 		th.EnterEnclave()
 		threshold := calibrateThreshold(th, pageAddrs(base, calPages, 0))
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), candidates, 0)
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, 0)
 		a1, a1Err = FindEvictionSet(th, cands, threshold)
 	})
 	plat.Run(-1)

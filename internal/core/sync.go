@@ -94,21 +94,21 @@ func awaitTransmission(th *platform.Thread, monitor enclave.VAddr, threshold, wi
 // trojan begins at a start time of its own choosing (derived from its
 // seed) and the spy synchronizes from the signal itself.
 func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
-	cfg.applyDefaults()
-	for _, b := range cfg.Bits {
-		if b > 1 {
-			return nil, fmt.Errorf("core: bits must be 0/1, got %d", b)
-		}
+	cfg.Repetition = 0 // the repeated frame replaces repetition coding
+	s, err := prepareChannel(cfg)
+	if err != nil {
+		return nil, err
 	}
+	cfg = s.cfg
 	plat := cfg.boot()
 	defer plat.Close()
+	if err := s.createProcs(plat, 1); err != nil {
+		return nil, err
+	}
 
-	tCalEnd := cfg.CalBudget
-	tSetupEnd := tCalEnd + cfg.SetupBudget
-	tSearchEnd := tSetupEnd + cfg.SearchBudget
 	// The trojan picks its own start; the spy knows only "after the
 	// search phase, eventually".
-	trojanStart := tSearchEnd + sim.Cycles(150_000+int64(cfg.Options.Seed%7)*33_000)
+	trojanStart := s.t0 + sim.Cycles(150_000+int64(cfg.Options.Seed%7)*33_000)
 
 	frame := make([]byte, 0, preambleBits+len(syncWord)+len(cfg.Bits))
 	for i := 0; i < preambleBits; i++ {
@@ -119,98 +119,36 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 	totalWindows := frameRepeats*len(frame) + 12
 	tEnd := trojanStart + sim.Cycles(totalWindows+4)*cfg.Window
 
-	trojanProc := plat.NewProcess("ib-trojan")
-	spyProc := plat.NewProcess("ib-spy")
-	const calPages = 8
-	const trojanCandidates = 96
-	const spyCandidates = 24
-	if _, err := trojanProc.CreateEnclave(calPages + trojanCandidates); err != nil {
-		return nil, err
-	}
-	if _, err := spyProc.CreateEnclave(calPages + spyCandidates); err != nil {
-		return nil, err
-	}
-
 	res := &InBandResult{Sent: cfg.Bits}
-	var trojanErr, spyErr error
 
-	plat.SpawnThread("ib-trojan", trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
-		th.EnterEnclave()
-		base := trojanProc.Enclave().Base
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
-		th.SpinUntil(tCalEnd)
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), trojanCandidates, cfg.Index512)
-		a1, err := FindEvictionSet(th, cands, threshold)
-		if err != nil {
-			trojanErr = err
+	plat.SpawnThread("ib-trojan", s.trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+		if !s.trojanWarm(th) {
 			return
-		}
-		evSet := a1.EvictionSet
-		evict := func() {
-			for i := 0; i < len(evSet); i++ {
-				th.Access(evSet[i])
-				th.Flush(evSet[i])
-			}
-			th.Mfence()
-			for i := len(evSet) - 1; i >= 0; i-- {
-				th.Access(evSet[i])
-				th.Flush(evSet[i])
-			}
-			th.Mfence()
-		}
-		th.SpinUntil(tSetupEnd)
-		for th.Now() < tSearchEnd-20_000 {
-			evict()
-			th.Spin(1000)
 		}
 		// Transmit the frame three times back to back.
 		for w := 0; w < frameRepeats*len(frame); w++ {
 			th.WaitTimer(trojanStart + sim.Cycles(w)*cfg.Window)
 			if frame[w%len(frame)] == 1 {
-				evict()
+				evictPass(th, s.evSet, cfg.TwoPhaseEviction)
 			}
 		}
 	})
 
-	plat.SpawnThread("ib-spy", spyProc, cfg.SpyCore, func(th *platform.Thread) {
-		th.EnterEnclave()
-		base := spyProc.Enclave().Base
-		th.SpinUntil(tCalEnd / 2)
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
-		th.SpinUntil(tSetupEnd)
-
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), spyCandidates, cfg.Index512)
-		const samples = 10
-		bestScore, monitor := -1, enclave.VAddr(0)
-		for _, cand := range cands {
-			score := 0
-			for s := 0; s < samples; s++ {
-				th.Access(cand)
-				th.Flush(cand)
-				th.SpinUntil(th.Now() + 40_000)
-				if timedAccess(th, cand) > threshold {
-					score++
-				}
-				th.Flush(cand)
-			}
-			if score > bestScore {
-				bestScore, monitor = score, cand
-			}
-		}
-		if bestScore < samples*6/10 {
-			spyErr = fmt.Errorf("core: in-band monitor discovery failed (%d/%d)", bestScore, samples)
+	plat.SpawnThread("ib-spy", s.spyProc, cfg.SpyCore, func(th *platform.Thread) {
+		if !s.spyWarm(th) {
 			return
 		}
+		monitor, threshold := s.monitor, s.spyThreshold
 
 		// Acquisition: from the (agreed) end of the setup schedule, poll
 		// slowly until evictions start appearing — transmission has begun.
 		// Slow polling matters: re-priming the monitor mid-pass would
 		// suppress the very evictions being watched for.
-		th.WaitTimer(tSearchEnd)
+		th.WaitTimer(s.t0)
 		acqDeadline := trojanStart + sim.Cycles(preambleBits/2)*cfg.Window
 		firstEvent, events := awaitTransmission(th, monitor, threshold, cfg.Window, acqDeadline)
 		if firstEvent == 0 {
-			spyErr = fmt.Errorf("core: in-band acquisition saw no transmission")
+			s.spyErr = fmt.Errorf("core: in-band acquisition saw no transmission")
 			return
 		}
 		res.Events = events
@@ -240,16 +178,16 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 			}
 		}
 		if !res.SyncFound {
-			spyErr = fmt.Errorf("core: sync word not found in %d phase attempts", frameRepeats)
+			s.spyErr = fmt.Errorf("core: sync word not found in %d phase attempts", frameRepeats)
 		}
 	})
 
 	plat.Run(tEnd + 4_000_000)
-	if trojanErr != nil {
-		return res, trojanErr
+	if err := s.err(); err != nil {
+		return res, err
 	}
-	if spyErr != nil {
-		return res, spyErr
+	if res.Received == nil {
+		return res, fmt.Errorf("core: in-band spy never completed")
 	}
 	for i := range res.Sent {
 		if res.Received[i] != res.Sent[i] {

@@ -25,6 +25,17 @@ func TestInBandChannelSynchronizes(t *testing.T) {
 		res.Attempt, res.BitErrors, res.KBps)
 }
 
+func TestInBandSpyCutShortReportsError(t *testing.T) {
+	// A one-cycle search budget puts the run limit inside the spy's
+	// monitor discovery: the run must fail, not index a decode it never made.
+	cfg := DefaultChannelConfig(42)
+	cfg.Bits = RandomBits(42, 8)
+	cfg.SearchBudget = 1
+	if _, err := RunInBandChannel(cfg); err == nil || err.Error() != "core: in-band spy never completed" {
+		t.Fatalf("err = %v, want in-band spy never completed", err)
+	}
+}
+
 func TestInBandChannelAcrossSeeds(t *testing.T) {
 	// The trojan's start offset varies by seed; synchronization must not
 	// depend on any particular phase.

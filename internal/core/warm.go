@@ -69,7 +69,7 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 	}
 	plat := warm.boot()
 	defer plat.Close()
-	if err := s.createProcs(plat); err != nil {
+	if err := s.createProcs(plat, 1); err != nil {
 		return nil, err
 	}
 
@@ -89,11 +89,8 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 		}
 	})
 	plat.Run(-1)
-	if s.trojanErr != nil {
-		return nil, s.trojanErr
-	}
-	if s.spyErr != nil {
-		return nil, s.spyErr
+	if err := s.err(); err != nil {
+		return nil, err
 	}
 	ws.snap = plat.Snapshot()
 	ws.evSet = s.evSet
@@ -146,6 +143,7 @@ func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	plat := ws.snap.Fork()
 	defer plat.Close()
 	s.trojanProc, s.spyProc = plat.Procs()[0], plat.Procs()[1]
+	s.trojanReady = true
 	s.evSet = ws.evSet
 	s.monitor = ws.monitor
 	s.spyThreshold = ws.spyThreshold
