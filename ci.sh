@@ -103,14 +103,17 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/platform, internal/cpucache) =="
+echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/platform, internal/cpucache, internal/snapstore; internal/core TestWarm*) =="
 # internal/obs/ops rides along for its scrape-while-updating test: lock-free
 # instruments hammered by writers while /metrics renders concurrently.
 # internal/platform and internal/cpucache fork one snapshot from several
 # goroutines: forks share DRAM pages and LLC line buffers copy-on-write, so
 # a fork that writes shared state instead of copying it races here.
+# internal/snapstore and core's warm-cache tests: spills, fault-ins and the
+# adoption of an entry whose spill is in flight cross goroutines.
 go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
-    ./internal/platform ./internal/cpucache
+    ./internal/platform ./internal/cpucache ./internal/snapstore
+go test -race -run '^TestWarm' ./internal/core
 
 echo "== go test -race -count=10: exp unit dispatch =="
 # Workers take a seed's shared-axis trials as one unit, and a stop can cut a
@@ -210,6 +213,9 @@ trap 'kill -9 "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 submit_pid=$!
 sleep 1
 kill -9 "$serve_pid"
+# Reap the killed server before restarting on its port: until it has exited,
+# the restart can fail with "bind: address already in use".
+wait "$serve_pid" 2>/dev/null || true
 # The orphaned submit would retry-reconnect for a while; it has served its
 # purpose (driving the run the kill interrupted), so take it down too.
 kill "$submit_pid" 2>/dev/null || true

@@ -25,7 +25,9 @@ import (
 // store as sealed warm-state blobs instead of discarded, and a later miss
 // faults the state back in from disk — decode of a spilled state forks
 // bit-identically to the in-memory original, so the tier swap is invisible
-// too. The disk tier is itself capacity-bounded by the store's size bound.
+// too. Each state is spilled at most once: evicting one the store already
+// holds only freshens its blob. The disk tier is itself capacity-bounded by
+// the store's size bound.
 type WarmCache struct {
 	mu  sync.Mutex
 	cap int
@@ -77,8 +79,11 @@ type warmEntry struct {
 	elem *list.Element
 	once sync.Once
 	done atomic.Bool // set after once completes; guards ws/err for spillers
-	ws   *ChannelWarmState
-	err  error
+	// stored records that the store holds this state's blob: faultIn
+	// decoded ws from it (set inside once, before done), or a spill put it.
+	stored atomic.Bool
+	ws     *ChannelWarmState
+	err    error
 }
 
 // NewWarmCache returns a cache holding at most capacity warm states
@@ -101,7 +106,8 @@ func (c *WarmCache) AttachStore(st *snapstore.Store) {
 
 // WarmCacheStats counts the cache's slow paths: Computes is how many times a
 // warm phase was actually executed, DiskLoads how many misses were served
-// from the disk tier instead, DiskSpills how many evictions were persisted.
+// from the disk tier instead, DiskSpills how many evictions were encoded and
+// written to the store (evicting a state the store holds writes nothing).
 type WarmCacheStats struct {
 	Computes   int64
 	DiskLoads  int64
@@ -181,6 +187,7 @@ func (c *WarmCache) Warm(cfg ChannelConfig) (*ChannelWarmState, error) {
 		defer e.done.Store(true)
 		if ws, ok := c.faultIn(store, key); ok {
 			e.ws = ws
+			e.stored.Store(true)
 			return
 		}
 		c.computes.Add(1)
@@ -191,10 +198,12 @@ func (c *WarmCache) Warm(cfg ChannelConfig) (*ChannelWarmState, error) {
 	return e.ws, e.err
 }
 
-// spill persists an evicted entry to the disk tier. Entries still computing,
-// failed warm-ups, and encode or store errors are dropped silently — the
-// state is rebuilt deterministically on a later miss, so spilling is purely
-// an optimization.
+// spill persists an evicted entry to the disk tier. An entry the store
+// already holds is not encoded again: its blob is only freshened in the
+// store's LRU, unless the store has dropped it since, in which case it is
+// spilled like a computed entry. Entries still computing, failed warm-ups,
+// and encode or store errors are dropped silently — the state is rebuilt
+// deterministically on a later miss, so spilling is purely an optimization.
 func (c *WarmCache) spill(store *snapstore.Store, e *warmEntry) {
 	defer func() {
 		// The entry stays adoptable (see Warm) until the spill has landed in
@@ -211,12 +220,17 @@ func (c *WarmCache) spill(store *snapstore.Store, e *warmEntry) {
 	if store == nil || !e.done.Load() || e.err != nil || e.ws == nil {
 		return
 	}
+	key := diskKey(e.key)
+	if e.stored.Load() && store.Touch(key) == nil {
+		return
+	}
 	start := time.Now()
 	blob, err := e.ws.Encode()
 	if err != nil {
 		return
 	}
-	if store.Put(diskKey(e.key), blob) == nil {
+	if store.Put(key, blob) == nil {
+		e.stored.Store(true)
 		c.diskSpills.Add(1)
 		c.spillSeconds.ObserveSince(start)
 	}
@@ -224,7 +238,8 @@ func (c *WarmCache) spill(store *snapstore.Store, e *warmEntry) {
 
 // faultIn tries to serve a miss from the disk tier. Any failure — absent,
 // evicted by the store's own size bound, or corrupt (the seal's checksum
-// rejects damage) — falls back to recomputing.
+// rejects damage) — falls back to recomputing, and the recomputed entry's
+// spill overwrites a damaged blob.
 func (c *WarmCache) faultIn(store *snapstore.Store, key string) (*ChannelWarmState, bool) {
 	if store == nil {
 		return nil, false

@@ -13,7 +13,8 @@ import (
 
 // Encode serializes the warm state — the warm-phase config it was produced
 // under, both actors' resume points, the derived channel parameters, and the
-// full platform snapshot — into a sealed snapstore blob. Decode of the blob
+// full platform snapshot — into a sealed snapstore blob, framed and
+// checksummed in the one buffer it is encoded into. Decode of the blob
 // yields a state whose Run produces results DeepEqual to this one's.
 func (ws *ChannelWarmState) Encode() ([]byte, error) {
 	// The warm config is nil in every field warmRestriction forbids
@@ -23,10 +24,10 @@ func (ws *ChannelWarmState) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding warm config: %w", err)
 	}
-	var w snapstore.Writer
+	w := snapstore.NewSealWriter(snapstore.KindWarm)
 	w.Blob(cfgJSON)
-	writeThreadState(&w, ws.trojanSt)
-	writeThreadState(&w, ws.spySt)
+	writeThreadState(w, ws.trojanSt)
+	writeThreadState(w, ws.spySt)
 	w.I64(int64(ws.trojanClock))
 	w.I64(int64(ws.spyClock))
 	w.U64(uint64(len(ws.evSet)))
@@ -38,10 +39,12 @@ func (ws *ChannelWarmState) Encode() ([]byte, error) {
 	w.I64(int64(ws.evictionSetSize))
 	w.I64(int64(ws.monitorScore))
 	w.I64(int64(ws.setupCycles))
-	if err := snapstore.AppendSnapshot(&w, ws.snap); err != nil {
+	// The snapshot is nearly all of the blob; AppendSnapshot sizes the
+	// buffer for it before writing.
+	if err := snapstore.AppendSnapshot(w, ws.snap); err != nil {
 		return nil, err
 	}
-	return snapstore.Seal(snapstore.KindWarm, w.Bytes()), nil
+	return w.Seal(), nil
 }
 
 // DecodeWarmState reverses Encode. Damaged blobs error (never panic); the

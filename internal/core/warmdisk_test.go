@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -129,7 +133,9 @@ func TestWarmCacheSpillSingleflight(t *testing.T) {
 // TestWarmCacheDiskTier exercises the spill/fault-in path: with capacity 1
 // and a store attached, warming a second key evicts the first to disk, and
 // re-warming the first is served from disk — no recompute — with results
-// equal to the originals.
+// equal to the originals. A state faulted in from disk is not spilled again
+// when evicted, unless its blob has left the store since; a damaged blob is
+// recomputed and rewritten.
 func TestWarmCacheDiskTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -178,4 +184,183 @@ func TestWarmCacheDiskTier(t *testing.T) {
 	if !reflect.DeepEqual(refA, gotA) {
 		t.Fatal("disk-tier warm state diverged from original")
 	}
+
+	want := func(when string, spills, computes, loads int64) {
+		t.Helper()
+		if st := c.Stats(); st != (WarmCacheStats{Computes: computes, DiskLoads: loads, DiskSpills: spills}) {
+			t.Fatalf("%s: %+v, want %d spills, %d computes and %d disk loads", when, st, spills, computes, loads)
+		}
+	}
+	warm := func(cfg ChannelConfig) {
+		t.Helper()
+		if _, err := c.Warm(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A came from the store, so evicting it only freshens its blob. B was
+	// spilled when A evicted it, and faults in.
+	warm(cfgB)
+	want("after evicting the faulted-in A", 2, 2, 2)
+
+	// A blob the store has dropped since the fault-in is spilled again.
+	keyCfg := cfgA
+	keyCfg.applyDefaults()
+	keyA := diskKey(warmKey(keyCfg))
+	blobA, err := store.Get(keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm(cfgA) // evicts B, faults A in
+	if err := store.Delete(keyA); err != nil {
+		t.Fatal(err)
+	}
+	warm(cfgB) // evicts A, faults B in
+	want("after evicting A with its blob deleted", 3, 2, 4)
+	if got, err := store.Get(keyA); err != nil || !bytes.Equal(got, blobA) {
+		t.Fatalf("A's blob was not spilled again (err %v)", err)
+	}
+
+	// A damaged blob fails the fault-in; A is recomputed and its eviction
+	// rewrites the blob.
+	damaged := bytes.Clone(blobA)
+	damaged[len(damaged)/2] ^= 1
+	if err := store.Put(keyA, damaged); err != nil {
+		t.Fatal(err)
+	}
+	warm(cfgA) // evicts B, recomputes A
+	want("after recomputing the damaged A", 3, 3, 4)
+	warm(cfgB) // evicts A, faults B in
+	want("after evicting the recomputed A", 4, 3, 5)
+	if got, err := store.Get(keyA); err != nil || !bytes.Equal(got, blobA) {
+		t.Fatalf("A's damaged blob was not rewritten (err %v)", err)
+	}
+}
+
+// TestWarmCacheConcurrentEvictions drives the disk tier from several
+// goroutines at once. With capacity 1 every miss evicts, so spills, blob
+// freshening, fault-ins and adoptions of in-flight entries interleave; run
+// it under -race. Every state handed out must transmit exactly as a fresh
+// warm-up does.
+func TestWarmCacheConcurrentEvictions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	store, err := snapstore.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewWarmCache(1)
+	c.AttachStore(store)
+	cfgs := []ChannelConfig{DefaultChannelConfig(5), DefaultChannelConfig(6)}
+	refs := make([]*ChannelResult, len(cfgs))
+	for i := range cfgs {
+		cfgs[i].Bits = AlternatingBits(4)
+		ws, err := WarmChannel(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs[i], err = ws.Run(cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				k := (g + i) % len(cfgs)
+				ws, err := c.Warm(cfgs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := ws.Run(cfgs[k]); err != nil || !reflect.DeepEqual(got, refs[k]) {
+					t.Errorf("goroutine %d, call %d: warm state for seed %d diverged (err %v)", g, i, cfgs[k].Options.Seed, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
+// at two seeds keep the digests older builds wrote, so the stores they
+// filled still fault in. It also bounds what one Encode allocates: the
+// blob's one buffer plus the state export it is written from, under 2.5x
+// the blob.
+func TestWarmStateBlobPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	for _, tc := range []struct {
+		seed uint64
+		size int
+		sha  string
+	}{
+		{7, 5300502, "4662b77372330d5c7a982ae9937f8b9978ca792fff6c721bba6fcf031a454b80"},
+		{1007, 5300508, "7f3b416e5ce0f03334120fd23d44dac46d889b19db54178109894caa36953587"},
+	} {
+		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
+		if err != nil {
+			t.Fatalf("seed %d: WarmChannel: %v", tc.seed, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		blob, err := ws.Encode()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("seed %d: Encode: %v", tc.seed, err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); len(blob) != tc.size || got != tc.sha {
+			t.Errorf("seed %d: blob is %d bytes, sha256 %s; want %d bytes, %s", tc.seed, len(blob), got, tc.size, tc.sha)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 2.5*float64(len(blob)) {
+			t.Errorf("seed %d: Encode allocated %d bytes, %.2fx the %d-byte blob; want under 2.5x",
+				tc.seed, alloc, float64(alloc)/float64(len(blob)), len(blob))
+		}
+	}
+}
+
+// decodedSink keeps BenchmarkWarmStateDecode's result live.
+var decodedSink *ChannelWarmState
+
+// benchWarmState warms the default channel once for the codec benchmarks.
+func benchWarmState(b *testing.B) *ChannelWarmState {
+	b.Helper()
+	ws, err := WarmChannel(DefaultChannelConfig(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ws
+}
+
+func BenchmarkWarmStateEncode(b *testing.B) {
+	ws := benchWarmState(b)
+	var blob []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if blob, err = ws.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob))/1e6, "blobMB")
+}
+
+func BenchmarkWarmStateDecode(b *testing.B) {
+	blob, err := benchWarmState(b).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if decodedSink, err = DecodeWarmState(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob))/1e6, "blobMB")
 }

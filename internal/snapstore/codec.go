@@ -26,11 +26,11 @@ const (
 // cache directories, replacement words, MEE node buffers — uses the packed
 // binary layout below it.
 func EncodeSnapshot(s *platform.Snapshot) ([]byte, error) {
-	var w Writer
-	if err := AppendSnapshot(&w, s); err != nil {
+	w := NewSealWriter(KindSnapshot)
+	if err := AppendSnapshot(w, s); err != nil {
 		return nil, err
 	}
-	return Seal(KindSnapshot, w.Bytes()), nil
+	return w.Seal(), nil
 }
 
 // DecodeSnapshot reverses EncodeSnapshot, validating framing, checksum, and
@@ -53,13 +53,15 @@ func DecodeSnapshot(blob []byte) (*platform.Snapshot, error) {
 
 // AppendSnapshot writes a snapshot's full payload into w, so callers
 // embedding a snapshot inside a larger blob (core's warm channel state) can
-// compose it with their own fields.
+// compose it with their own fields. It grows w once, by a bound on the
+// payload, before writing any of it.
 func AppendSnapshot(w *Writer, s *platform.Snapshot) error {
 	st := s.ExportState()
 	cfgJSON, err := json.Marshal(st.Cfg)
 	if err != nil {
 		return fmt.Errorf("snapstore: marshaling config: %w", err)
 	}
+	w.Grow(len(cfgJSON) + payloadBound(st))
 	w.Blob(cfgJSON)
 	w.String(st.MEEPolicy)
 	w.Raw(st.Master[:])
@@ -115,6 +117,44 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	return s, nil
 }
 
+// fixedBound covers a component's fixed-size fields — statistics, scalar
+// state and length prefixes — in payloadBound. The MEE engine has the
+// most: 112 bytes.
+const fixedBound = 256
+
+// payloadBound bounds from above the bytes AppendSnapshot writes for st,
+// apart from the config JSON: every variable-length table at its wire size,
+// each component's fixed fields within fixedBound. Nearly all of a warm
+// machine's payload is DRAM pages, cache lines, replacement-word slabs, the
+// generation bitset and line buffers.
+func payloadBound(st *platform.SnapshotState) int {
+	n := fixedBound + len(st.MEEPolicy) + len(st.RNGState) + 8*len(st.GenUsed)
+	m := st.Mem
+	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy)+len(m.RefreshedAt)) + len(m.Pages)*(8+dram.PageBytes)
+	n += fixedBound + cacheBound(st.MEE.Cache) + len(st.MEE.Bufs)*meeBufWire + 8*(len(st.MEE.Root)+len(st.MEE.Initialized))
+	for _, c := range st.Caches.L1 {
+		n += cacheBound(c)
+	}
+	for _, c := range st.Caches.L2 {
+		n += cacheBound(c)
+	}
+	n += fixedBound + cacheBound(st.Caches.LLC) + len(st.Caches.Bufs)*cpuBufWire
+	n += fixedBound + 8*len(st.EPC.Frames) + 16*len(st.EPC.Owners)
+	for _, p := range st.Procs {
+		n += fixedBound + len(p.Name) + 16*len(p.PT)
+	}
+	return n
+}
+
+// cacheBound bounds writeCache's output for st.
+func cacheBound(st *cache.State) int {
+	n := fixedBound + len(st.Name) + len(st.PolicyName) + cacheLineWire*len(st.Lines) + 8*len(st.EvBySet)
+	for _, ws := range st.SetWords {
+		n += 8 + 8*len(ws)
+	}
+	return n
+}
+
 // ---------------------------------------------------------------------------
 // DRAM
 
@@ -168,6 +208,9 @@ func readDRAM(r *Reader, cfg dram.Config) *dram.SnapshotState {
 // ---------------------------------------------------------------------------
 // Generic cache level
 
+// cacheLineWire is one cache.Line on the wire: tag, valid, dirty.
+const cacheLineWire = 8 + 1 + 1
+
 func writeCache(w *Writer, st *cache.State) {
 	w.String(st.Name)
 	w.U32(uint32(st.Sets))
@@ -197,7 +240,7 @@ func readCache(r *Reader) *cache.State {
 	st.Sets = int(r.U32())
 	st.Ways = int(r.U32())
 	st.PolicyName = r.String()
-	nLines := r.Count(10)
+	nLines := r.Count(cacheLineWire)
 	st.Lines = make([]cache.Line, nLines)
 	for i := range st.Lines {
 		st.Lines[i] = cache.Line{Tag: cache.Tag(r.U64()), Valid: r.Bool(), Dirty: r.Bool()}
@@ -293,6 +336,9 @@ func readMEE(r *Reader) *mee.State {
 // ---------------------------------------------------------------------------
 // CPU cache hierarchy
 
+// cpuBufWire is one LLC line buffer on the wire: index, data, dirty.
+const cpuBufWire = 4 + dram.LineSize + 1
+
 func writeCPU(w *Writer, st *cpucache.State) {
 	w.U64(uint64(len(st.L1)))
 	for _, c := range st.L1 {
@@ -322,7 +368,7 @@ func readCPU(r *Reader) *cpucache.State {
 		st.L2 = append(st.L2, readCache(r))
 	}
 	st.LLC = readCache(r)
-	nBufs := r.Count(4 + dram.LineSize + 1)
+	nBufs := r.Count(cpuBufWire)
 	st.Bufs = make([]cpucache.LineBufState, 0, nBufs)
 	for i := 0; i < nBufs && r.Err() == nil; i++ {
 		b := cpucache.LineBufState{Idx: int(r.U32())}

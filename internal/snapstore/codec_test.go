@@ -2,6 +2,9 @@ package snapstore_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -87,6 +90,14 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatalf("re-encoding a decoded snapshot changed the blob (%d vs %d bytes)", len(blob), len(blob2))
 	}
+	// Seal frames a payload exactly as the encoder's in-place seal does.
+	payload, err := snapstore.Unseal(snapstore.KindSnapshot, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapstore.Seal(snapstore.KindSnapshot, payload), blob) {
+		t.Fatal("Seal of the unsealed payload differs from the encoded blob")
+	}
 }
 
 // TestDecodedForkMatchesInMemoryFork is the determinism proof for the wire
@@ -138,5 +149,86 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	if _, err := snapstore.DecodeSnapshot(snapstore.Seal(snapstore.KindWarm, payload)); err == nil {
 		t.Fatal("wrong-kind blob decoded without error")
+	}
+}
+
+// TestPayloadBound checks the bound AppendSnapshot grows its writer by
+// before writing: at least the payload, or the buffer regrows by a quarter
+// and is copied, and at most the payload plus a few KB of slack.
+func TestPayloadBound(t *testing.T) {
+	for _, seed := range []uint64{5, 9} {
+		snap, _, _ := buildSnapshot(t, seed)
+		blob, err := snapstore.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := snapstore.Unseal(snapstore.KindSnapshot, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := snap.ExportState()
+		cfgJSON, err := json.Marshal(st.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := len(cfgJSON) + snapstore.PayloadBound(st)
+		if bound < len(payload) || bound > len(payload)+8<<10 {
+			t.Errorf("seed %d: bound %d for a %d-byte payload; want at least the payload and at most 8 KB over",
+				seed, bound, len(payload))
+		}
+	}
+}
+
+// TestReaderRejectsOverflowingCounts feeds length prefixes whose byte size
+// wraps: 8*(2^61+1) is 8 modulo 2^64, so a bound check that multiplies lets
+// the count through to an allocation that panics. Each must come back as
+// ErrCorrupt, through the bare Reader and through a sealed snapshot whose
+// DRAM open-row count was overwritten.
+func TestReaderRejectsOverflowingCounts(t *testing.T) {
+	const huge = uint64(1)<<61 + 1
+	var w snapstore.Writer
+	w.U64(huge)
+	w.U64(0) // one word of payload after the count
+	words := w.Bytes()
+
+	snap, _, _ := buildSnapshot(t, 5)
+	blob, err := snapstore.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := snapstore.Unseal(snapstore.KindSnapshot, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Clone(sealed)
+	// Skip the config, MEE policy, master key, RNG state and DRAM
+	// allocation count to reach the open-row slice's length prefix.
+	r := snapstore.NewReader(payload)
+	r.Blob()
+	_ = r.String()
+	r.Raw(16)
+	r.Blob()
+	r.I64()
+	at := len(payload) - r.Remaining()
+	if got, want := binary.LittleEndian.Uint64(payload[at:]), len(snap.ExportState().Mem.OpenRow); r.Err() != nil || got != uint64(want) {
+		t.Fatalf("open-row count at offset %d reads %d (err %v), want %d", at, got, r.Err(), want)
+	}
+	binary.LittleEndian.PutUint64(payload[at:], huge)
+	damaged := snapstore.Seal(snapstore.KindSnapshot, payload)
+
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"Count", func() error { r := snapstore.NewReader(words); r.Count(8); return r.Err() }},
+		{"U64s", func() error { r := snapstore.NewReader(words); r.U64s(); return r.Err() }},
+		{"I64s", func() error { r := snapstore.NewReader(words); r.I64s(); return r.Err() }},
+		{"DecodeSnapshot", func() error { _, err := snapstore.DecodeSnapshot(damaged); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.decode(); !errors.Is(err, snapstore.ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

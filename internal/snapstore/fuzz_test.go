@@ -7,10 +7,12 @@ import (
 	"meecc/internal/snapstore"
 )
 
-// FuzzSnapshotCodec feeds mutated snapshot blobs to the decoder. The
-// invariants: decoding never panics, damaged bytes come back as errors (the
-// checksum trailer catches silent corruption), and anything that does decode
-// is self-consistent — re-encoding it reproduces the same state, so a
+// FuzzSnapshotCodec feeds mutated bytes to the snapshot decoder twice: as a
+// blob, and as the payload of a blob sealed here. A mutated blob almost
+// never passes the checksum trailer, so the second pass is what reaches the
+// payload decoder behind it. The invariants: decoding never panics, damaged
+// bytes come back as errors, and anything that does decode is
+// self-consistent — re-encoding it reproduces the same state, so a
 // "successful" decode can never be a silently wrong machine.
 func FuzzSnapshotCodec(f *testing.F) {
 	snap, _, _ := buildSnapshot(f, 5)
@@ -18,25 +20,38 @@ func FuzzSnapshotCodec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	payload, err := snapstore.Unseal(snapstore.KindSnapshot, blob)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
+	f.Add(payload)
 	f.Add([]byte{})
 	f.Add([]byte("MEECSNP\x00garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := snapstore.DecodeSnapshot(data)
-		if err != nil {
-			return // rejected, as damaged input should be
-		}
-		blob2, err := snapstore.EncodeSnapshot(dec)
-		if err != nil {
-			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
-		}
-		dec2, err := snapstore.DecodeSnapshot(blob2)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(dec.ExportState(), dec2.ExportState()) {
-			t.Fatal("decode/encode/decode is not a fixed point")
-		}
+		checkDecode(t, data)
+		checkDecode(t, snapstore.Seal(snapstore.KindSnapshot, data))
 	})
+}
+
+// checkDecode decodes blob and, if that succeeds, checks that
+// decode/encode/decode is a fixed point.
+func checkDecode(t *testing.T, blob []byte) {
+	t.Helper()
+	dec, err := snapstore.DecodeSnapshot(blob)
+	if err != nil {
+		return // rejected, as damaged input should be
+	}
+	blob2, err := snapstore.EncodeSnapshot(dec)
+	if err != nil {
+		t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+	}
+	dec2, err := snapstore.DecodeSnapshot(blob2)
+	if err != nil {
+		t.Fatalf("re-encoded snapshot failed to decode: %v", err)
+	}
+	if !reflect.DeepEqual(dec.ExportState(), dec2.ExportState()) {
+		t.Fatal("decode/encode/decode is not a fixed point")
+	}
 }

@@ -168,6 +168,28 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return blob, nil
 }
 
+// Touch freshens the LRU position of the blob under key without reading
+// it, for a caller that already holds the blob's content. A key with no blob
+// — never stored, deleted, or evicted by the size bound since — returns
+// ErrNotFound.
+func (s *Store) Touch(key string) error {
+	p, err := s.path(key)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := time.Now()
+	err = os.Chtimes(p, now, now)
+	if errors.Is(err, os.ErrNotExist) {
+		return ErrNotFound
+	}
+	if err != nil {
+		return fmt.Errorf("snapstore: %w", err)
+	}
+	return nil
+}
+
 // Delete removes the blob under key; deleting an absent key is not an error.
 func (s *Store) Delete(key string) error {
 	p, err := s.path(key)

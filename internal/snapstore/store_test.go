@@ -126,3 +126,47 @@ func TestStoreCorruptionDetectedOnLoad(t *testing.T) {
 		t.Fatalf("bit-flipped blob: got %v, want ErrCorrupt", err)
 	}
 }
+
+// TestStoreTouch: Touch freshens a stored blob's LRU position without
+// reading it, so the size bound evicts an older blob first, and it reports
+// ErrNotFound once the blob is gone.
+func TestStoreTouch(t *testing.T) {
+	dir := t.TempDir()
+	blob := snapstore.Seal(snapstore.KindWarm, bytes.Repeat([]byte("x"), 400))
+	s, err := snapstore.Open(dir, int64(2*len(blob)+10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2, k3 := snapstore.Key("1"), snapstore.Key("2"), snapstore.Key("3")
+	if err := s.Touch(k1); !errors.Is(err, snapstore.ErrNotFound) {
+		t.Fatalf("absent key: got %v, want ErrNotFound", err)
+	}
+	if err := s.Touch("zz"); err == nil || errors.Is(err, snapstore.ErrNotFound) {
+		t.Fatalf("malformed key: got %v, want a malformed-key error", err)
+	}
+	for _, k := range []string{k1, k2} {
+		if err := s.Put(k, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// k1 is the older blob until Touch freshens it.
+	for i, k := range []string{k1, k2} {
+		old := time.Now().Add(time.Duration(i-2) * time.Hour)
+		os.Chtimes(filepath.Join(dir, k+".snap"), old, old)
+	}
+	if err := s.Touch(k1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k3, blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(k2); !errors.Is(err, snapstore.ErrNotFound) {
+		t.Fatalf("k2 should have been evicted, got %v", err)
+	}
+	if _, err := s.Get(k1); err != nil {
+		t.Fatalf("touched blob evicted: %v", err)
+	}
+	if err := s.Touch(k2); !errors.Is(err, snapstore.ErrNotFound) {
+		t.Fatalf("evicted key: got %v, want ErrNotFound", err)
+	}
+}

@@ -35,16 +35,33 @@ const (
 
 // Writer builds a wire payload. All integers are little-endian fixed-width;
 // variable-size fields carry an explicit length prefix. The zero value is
-// ready to use.
+// ready to use; NewSealWriter starts one that frames its payload as a sealed
+// blob in the same buffer.
 type Writer struct {
 	buf []byte
+	// payloadAt is the offset of a sealed blob's payload, just past the
+	// header NewSealWriter wrote; 0 for a plain payload writer.
+	payloadAt int
 }
 
-// Bytes returns the accumulated payload.
+// Bytes returns the accumulated bytes: the payload, preceded by the seal
+// header for a writer from NewSealWriter.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the accumulated payload size.
-func (w *Writer) Len() int { return len(w.buf) }
+// Grow makes room for n more bytes, so writing them does not reallocate. On
+// a writer from NewSealWriter it also reserves the checksum trailer Seal
+// appends.
+func (w *Writer) Grow(n int) {
+	if w.payloadAt > 0 {
+		n += sha256.Size
+	}
+	if cap(w.buf)-len(w.buf) < n {
+		// Not slices.Grow: its append of a make allocates twice under -race.
+		buf := make([]byte, len(w.buf), len(w.buf)+n)
+		copy(buf, w.buf)
+		w.buf = buf
+	}
+}
 
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 func (w *Writer) Bool(v bool) {
@@ -199,7 +216,8 @@ func (r *Reader) Count(elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n*elemSize > r.Remaining() {
+	// Divide rather than multiply: n*elemSize can overflow int.
+	if n > r.Remaining()/elemSize {
 		r.fail("count %d exceeds remaining payload", n)
 		return 0
 	}
@@ -237,14 +255,34 @@ func (r *Reader) I64s() []int64 {
 // the length-prefixed payload, and a SHA-256 trailer over everything before
 // it. Unseal rejects any blob whose trailer does not match.
 func Seal(kind string, payload []byte) []byte {
-	var w Writer
-	w.buf = make([]byte, 0, len(magic)+4+4+len(kind)+8+len(payload)+sha256.Size)
+	w := NewSealWriter(kind)
+	w.Grow(len(payload))
+	w.Raw(payload)
+	return w.Seal()
+}
+
+// NewSealWriter returns a Writer whose buffer opens with the header of a
+// sealed blob of the given kind, its payload length left as a placeholder.
+// Everything written to it after that is the payload; Seal then completes
+// the blob in place, so encoding straight into it skips Seal(kind, payload)'s
+// copy of the whole payload. The bytes are exactly Seal's.
+func NewSealWriter(kind string) *Writer {
+	w := &Writer{buf: make([]byte, 0, len(magic)+4+4+len(kind)+8)}
 	w.Raw([]byte(magic))
 	w.U32(Version)
 	w.String(kind)
-	w.Blob(payload)
+	w.U64(0) // payload length, filled in by Seal
+	w.payloadAt = len(w.buf)
+	return w
+}
+
+// Seal completes the blob a NewSealWriter writer frames: it fills in the
+// payload length, appends the SHA-256 trailer and returns the sealed blob,
+// which shares the writer's buffer. Write nothing to w afterwards.
+func (w *Writer) Seal() []byte {
+	binary.LittleEndian.PutUint64(w.buf[w.payloadAt-8:], uint64(len(w.buf)-w.payloadAt))
 	sum := sha256.Sum256(w.buf)
-	w.Raw(sum[:])
+	w.buf = append(w.buf, sum[:]...)
 	return w.buf
 }
 
