@@ -231,14 +231,21 @@ trap 'rm -rf "$tmp"' EXIT
 cmp "$tmp/resumed/smoke.json" "$tmp/smoke.json" || {
     echo "resumed artifact differs from local batch artifact" >&2; exit 1; }
 
-echo "== smoke: in-band, parallel and fig 6a/E/P runners =="
-# cmd/meecc and cmd/figures have no tests. These drive the CLI entry points
-# of the runners that share the channel's acquisition protocol: in-band
-# sync and two parallel lanes, then Prime+Probe (6a), the eviction-phase
-# study (E) and the parallel-lane sweep (P).
+echo "== smoke: in-band, parallel and fig 6a/E/P runners; meecc figure alias =="
+# internal/figures pins every figure's output by digest in-process, and the
+# cmd/meecc and cmd/figures tests cover command and figure-id parsing. These
+# drive the built binaries instead: the runners that share the channel's
+# acquisition protocol (in-band sync and two parallel lanes, then
+# Prime+Probe (6a), the eviction-phase study (E) and the parallel-lane sweep
+# (P)), and the alias dispatch — `meecc timing` must print exactly what
+# `figures -fig 2` prints.
 "$tmp/meecc" send -inband > /dev/null
 "$tmp/meecc" send -lanes 2 > /dev/null
 go run ./cmd/figures -fig 6a,E,P -trials 2 -bits 64 > /dev/null
+"$tmp/meecc" timing > "$tmp/timing.txt"
+go run ./cmd/figures -fig 2 > "$tmp/fig2.txt"
+cmp "$tmp/timing.txt" "$tmp/fig2.txt" || {
+    echo "meecc timing differs from figures -fig 2" >&2; exit 1; }
 
 echo "== smoke: traced fig6b =="
 # One traced end-to-end transmission: the exported Chrome trace must pass

@@ -1,18 +1,20 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation from the simulator, printing terminal renditions and (with
-// -out) writing CSV files suitable for replotting.
+// -out) writing CSV files and experiment artifacts suitable for replotting.
 //
 // Usage:
 //
-//	figures [-fig all|4|5|6a|6b|7|8|M|E] [-seed N] [-trials N] [-bits N] [-out DIR]
-//	        [-metrics] [-trace FILE]
+//	figures [-fig all|ID[,ID...]] [-seed N] [-trials N] [-bits N] [-out DIR]
+//	        [-workers N] [-metrics] [-trace FILE]
 //
 // -metrics prints a counter report after single-run figures and embeds
 // per-trial metrics snapshots in grid-figure artifacts; -trace FILE exports
-// a Perfetto-loadable timeline of a single-run figure (5, 6a, 6b).
+// a Perfetto-loadable timeline of a single-run figure (2, 5, 6a, 6b, S, O,
+// A). An id that is not in the figure map exits 2; "all" must stand alone.
 //
 // Figure map (see DESIGN.md for the experiment index):
 //
+//	2  — measuring time inside an SGX1 enclave (§3)
 //	4  — eviction probability vs candidate-set size (§4.1)
 //	5  — protected-access latency histogram by tree level (§5.1)
 //	6a — Prime+Probe baseline probe-time trace (§5.2)
@@ -21,536 +23,65 @@
 //	8  — error bits under noise environments (§5.4)
 //	M  — mitigation ablation (extension of §5.5)
 //	E  — eviction-phase × replacement-policy ablation (§5.3)
+//	P  — aggregate rate vs parallel lanes (beyond the paper)
+//	S  — detector-visible footprint, MEE channel vs LLC Prime+Probe
+//	O  — SGX memory overhead vs working-set size
+//	A  — victim-activity inference via shared-MEE contention
+//	D  — HPC attack-monitor study (§5.5 defenses)
+//
+// The renderers live in internal/figures; meecc's sweep, noise, latency,
+// stealth, overhead, timing and activity subcommands print the same
+// figures.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
-	"meecc"
-	"meecc/internal/exp"
-	"meecc/internal/mee"
-	"meecc/internal/obs"
-	"meecc/internal/trace"
-)
-
-var (
-	figFlag    = flag.String("fig", "all", "figure to regenerate: 4,5,6a,6b,7,8,M,E or all")
-	seedFlag   = flag.Uint64("seed", 42, "simulation seed")
-	trialsFlag = flag.Int("trials", 100, "trials per grid cell for figures 4/7/8")
-	bitsFlag   = flag.Int("bits", 256, "payload bits for figures 7/8/M")
-	outFlag    = flag.String("out", "", "directory for CSV output (optional)")
-	workers    = flag.Int("workers", 0, "worker goroutines for multi-trial figures (0 = GOMAXPROCS)")
-	metricsOn  = flag.Bool("metrics", false, "print a metrics report after each single-run figure; embed snapshots in grid artifacts")
-	traceFlag  = flag.String("trace", "", "write a timeline trace of single-run figures to this file (.csv = compact CSV, else Chrome trace-event JSON; when several figures are selected the last one wins)")
+	"meecc/internal/figures"
 )
 
 func main() {
-	flag.Parse()
-	runners := map[string]func() error{
-		"2":  fig2,
-		"4":  fig4,
-		"5":  fig5,
-		"6a": fig6a,
-		"6b": fig6b,
-		"7":  fig7,
-		"8":  fig8,
-		"M":  figM,
-		"E":  figE,
-		"P":  figP,
-		"S":  figS,
-		"O":  figO,
-		"A":  figA,
-		"D":  figD,
-	}
-	order := []string{"2", "4", "5", "6a", "6b", "7", "8", "M", "E", "P", "S", "O", "A", "D"}
-	want := strings.Split(*figFlag, ",")
-	for _, key := range order {
-		selected := *figFlag == "all"
-		for _, w := range want {
-			if strings.EqualFold(w, key) {
-				selected = true
-			}
+	os.Exit(run(os.Args, os.Stdout, os.Stderr))
+}
+
+// run parses args (args[0] is the program name), renders the selected
+// figures and returns the exit code: 2 for bad flags or figure ids, 1 for a
+// figure that fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figures to regenerate: all, or a comma list of 2,4,5,6a,6b,7,8,M,E,P,S,O,A,D")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	trials := fs.Int("trials", 100, "trials per grid cell for figures 7/8; eviction tests per candidate size for figure 4")
+	bits := fs.Int("bits", 256, "payload bits for figures 7/M")
+	out := fs.String("out", "", "directory for CSV output (optional)")
+	workers := fs.Int("workers", 0, "worker goroutines for multi-trial figures (0 = GOMAXPROCS)")
+	metrics := fs.Bool("metrics", false, "print a metrics report after each single-run figure; embed snapshots in grid artifacts")
+	tracePath := fs.String("trace", "", "write a timeline trace of single-run figures to this file (.csv = compact CSV, else Chrome trace-event JSON; when several figures are selected the last one wins)")
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if !selected {
-			continue
-		}
-		if err := runners[key](); err != nil {
-			fatal(fmt.Errorf("figure %s: %w", key, err))
-		}
+		return 2
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
-}
-
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func writeCSV(name string, write func(*os.File) error) (err error) {
-	if *outFlag == "" {
-		return nil
-	}
-	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(*outFlag, name))
+	ids, err := figures.Select(*fig)
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "figures:", err)
+		return 2
 	}
-	defer func() {
-		// A failed flush surfaces only at Close; don't mask it.
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return write(f)
-}
-
-// figObserver returns a fresh observer when -metrics or -trace is set, so
-// each single-run figure reports its own counters and timeline.
-func figObserver() *obs.Observer {
-	if !*metricsOn && *traceFlag == "" {
-		return nil
+	env := &figures.Env{
+		Seed: *seed, Trials: *trials, Bits: *bits, Window: 15000, Workers: *workers, OutDir: *out,
+		Metrics: *metrics, TracePath: *tracePath, Stdout: stdout, Stderr: stderr,
 	}
-	o := obs.NewObserver()
-	if *traceFlag != "" {
-		o.WithTracer(0)
-	}
-	return o
-}
-
-// finishFigObs renders the metrics report and/or writes the trace export
-// for one completed single-run figure.
-func finishFigObs(o *obs.Observer) error {
-	if o == nil {
-		return nil
-	}
-	if *metricsOn {
-		fmt.Println()
-		o.SnapshotAll().Render(os.Stdout)
-	}
-	if *traceFlag == "" {
-		return nil
-	}
-	f, err := os.Create(*traceFlag)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(*traceFlag, ".csv") {
-		err = o.Tracer().WriteCSV(f)
-	} else {
-		err = o.Tracer().WriteChromeJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trace: %s (%d events)\n", *traceFlag, o.Tracer().Len())
-	return nil
-}
-
-// runGrid fans a figure's grid out over the worker pool with live
-// progress on stderr and, with -out, persists the artifact + manifest.
-func runGrid(spec *exp.Spec) (*exp.Report, error) {
-	if *metricsOn {
-		spec.Metrics = true
-	}
-	rep, err := exp.RunSpec(spec, exp.Config{Workers: *workers, OnProgress: progressLine(spec.Name)})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(os.Stderr)
-	if *outFlag != "" {
-		if _, _, err := exp.WriteArtifacts(*outFlag, rep); err != nil {
-			return nil, err
+	for _, id := range ids {
+		if err := env.Run(id); err != nil {
+			fmt.Fprintf(stderr, "figures: figure %s: %v\n", id, err)
+			return 1
 		}
 	}
-	return rep, nil
-}
-
-// progressLine returns an OnProgress callback printing "cells done / ETA"
-// as a carriage-returned stderr status line.
-func progressLine(name string) func(exp.Progress) {
-	return func(p exp.Progress) {
-		fmt.Fprintf(os.Stderr, "\r%s: %d/%d trials, %d/%d cells, eta %s   ",
-			name, p.Done, p.Total, p.CellsDone, p.Cells, p.ETA().Round(1e9))
-	}
-}
-
-func fig2() error {
-	header("Figure 2 / §3: measuring time inside an SGX1 enclave")
-	results, err := meecc.TimingStudy(meecc.DefaultOptions(*seedFlag), 60)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("mechanism", "in-enclave", "overhead (cyc)", "jitter sd", "resolves 300-cyc signal")
-	for _, r := range results {
-		if !r.AvailableInEnclave {
-			tb.Row(r.Mechanism, "no (#UD)", "-", "-", "no")
-			continue
-		}
-		tb.Row(r.Mechanism, "yes", r.MeanOverhead, r.StdDev, r.Usable())
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("paper anchors: OCALL costs 8000-15000 cycles; hyperthread timer ~50")
-	return nil
-}
-
-func fig4() error {
-	header("Figure 4: eviction probability vs candidate address set size (§4.1)")
-	// One harness cell per EPC layout; each trial is a full capacity
-	// experiment with *trialsFlag eviction tests per candidate size.
-	rep, err := runGrid(&exp.Spec{
-		Name:     "fig4",
-		Study:    "capacity",
-		BaseSeed: *seedFlag,
-		Trials:   1,
-		Params:   map[string]string{"samples": strconv.Itoa(*trialsFlag)},
-		Axes:     []exp.Axis{{Name: "epc", Values: []string{"contiguous", "fragmented"}}},
-	})
-	if err != nil {
-		return err
-	}
-	contig, frag := rep.Cell("epc=contiguous"), rep.Cell("epc=fragmented")
-	if fails := rep.Failures(); fails > 0 {
-		return fmt.Errorf("%d capacity run(s) failed", fails)
-	}
-	tb := trace.NewTable("candidates", "P(evict) contiguous EPC", "P(evict) fragmented EPC")
-	var rows [][]float64
-	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		metric := fmt.Sprintf("p_evict_%d", n)
-		pc, pf := contig.Stat(metric).Mean, frag.Stat(metric).Mean
-		tb.Row(n, pc, pf)
-		rows = append(rows, []float64{float64(n), pc, pf})
-	}
-	tb.Render(os.Stdout)
-	fmt.Printf("inferred MEE cache capacity: %.0f KB (paper: 64 KB)\n", contig.Stat("capacity_kb").Mean)
-	return writeCSV("fig4.csv", func(f *os.File) error {
-		return trace.WriteCSV(f, []string{"candidates", "p_evict_contiguous", "p_evict_fragmented"}, rows)
-	})
-}
-
-func fig5() error {
-	header("Figure 5: protected-region access latency by MEE-cache hit level (§5.1)")
-	o := figObserver()
-	opts := meecc.DefaultOptions(*seedFlag)
-	opts.Obs = o
-	res, err := meecc.CharacterizeLatency(opts, 800)
-	if err != nil {
-		return err
-	}
-	var rows [][]float64
-	for h := mee.HitVersions; h <= mee.HitRoot; h++ {
-		hst := res.ByLevel[h]
-		fmt.Printf("\n%s  (n=%d, mean=%.0f cycles)\n", h, hst.N(), hst.Mean())
-		hst.Render(os.Stdout, 50)
-		for _, b := range hst.Buckets() {
-			rows = append(rows, []float64{float64(h), b.Lo, b.Hi, float64(b.Count)})
-		}
-	}
-	fmt.Println("\npaper anchors: versions hit ~480, versions miss (L0 hit) ~750, ~+270/level")
-	if err := writeCSV("fig5.csv", func(f *os.File) error {
-		return trace.WriteCSV(f, []string{"hit_level", "bucket_lo", "bucket_hi", "count"}, rows)
-	}); err != nil {
-		return err
-	}
-	return finishFigObs(o)
-}
-
-func fig6a() error {
-	header("Figure 6(a): Prime+Probe baseline, trojan sending '0101...' (§5.2)")
-	o := figObserver()
-	cfg := meecc.DefaultChannelConfig(*seedFlag)
-	cfg.Bits = meecc.AlternatingBits(16)
-	cfg.Obs = o
-	res, err := meecc.RunPrimeProbe(cfg)
-	if err != nil {
-		return err
-	}
-	if err := renderTrace("fig6a.csv", res.Sent, res.Received, toF(res.ProbeTimes),
-		fmt.Sprintf("probe-all-8 threshold %d; errors %d/%d (%.1f%%) — paper: communication not established; every probe >3500 cycles",
-			res.Threshold, res.BitErrors, len(res.Sent), 100*res.ErrorRate)); err != nil {
-		return err
-	}
-	return finishFigObs(o)
-}
-
-func fig6b() error {
-	header("Figure 6(b): this work's MEE-cache covert channel, '0101...' (§5.3)")
-	o := figObserver()
-	cfg := meecc.DefaultChannelConfig(*seedFlag)
-	cfg.Bits = meecc.AlternatingBits(30)
-	cfg.Obs = o
-	res, err := meecc.RunChannel(cfg)
-	if err != nil {
-		return err
-	}
-	if err := renderTrace("fig6b.csv", res.Sent, res.Received, toF(res.ProbeTimes),
-		fmt.Sprintf("spy threshold %d; errors %d/%d — paper anchors: '0'≈480, '1'≈750 cycles",
-			res.SpyThreshold, res.BitErrors, len(res.Sent))); err != nil {
-		return err
-	}
-	return finishFigObs(o)
-}
-
-func fig7() error {
-	header("Figure 7: bit rate vs error rate across timing-window sizes (§5.4)")
-	windows := make([]string, 0, len(meecc.PaperWindows()))
-	for _, w := range meecc.PaperWindows() {
-		windows = append(windows, strconv.FormatInt(int64(w), 10))
-	}
-	rep, err := runGrid(&exp.Spec{
-		Name:     "fig7",
-		Study:    "channel",
-		BaseSeed: *seedFlag,
-		Trials:   *trialsFlag,
-		Params:   map[string]string{"bits": strconv.Itoa(*bitsFlag), "pattern": "random"},
-		Axes:     []exp.Axis{{Name: "window", Values: windows}},
-	})
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("window (cyc)", "bit rate (KBps)", "error rate (mean ± 95% CI)", "err min..max", "trials")
-	var rows [][]float64
-	for _, c := range rep.Cells {
-		w, _ := c.Cell.Get("window")
-		kbps, errRate := c.Stat("kbps"), c.Stat("error_rate")
-		tb.Row(w, kbps.Mean,
-			fmt.Sprintf("%.4f ± %.4f", errRate.Mean, errRate.CI95),
-			fmt.Sprintf("%.4f..%.4f", errRate.Min, errRate.Max),
-			fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
-		wf, _ := strconv.ParseFloat(w, 64)
-		row := []float64{wf}
-		row = append(row, kbps.Columns()...)
-		row = append(row, errRate.Columns()...)
-		row = append(row, float64(c.Trials), float64(c.Failures))
-		rows = append(rows, row)
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("paper anchors: ~35 KBps / 1.7% at 15000; 34% at 7500; knee between 7500 and 10000")
-	return writeCSV("fig7.csv", func(f *os.File) error {
-		header := append([]string{"window_cycles"}, trace.StatHeader("kbps")...)
-		header = append(header, trace.StatHeader("error_rate")...)
-		header = append(header, "trials", "failures")
-		return trace.WriteCSV(f, header, rows)
-	})
-}
-
-func fig8() error {
-	header("Figure 8: 128-bit '100100...' under noise environments (§5.4)")
-	rep, err := runGrid(&exp.Spec{
-		Name:     "fig8",
-		Study:    "channel",
-		BaseSeed: *seedFlag,
-		Trials:   *trialsFlag,
-		Params:   map[string]string{"bits": "128", "pattern": "100", "window": "15000"},
-		Axes:     []exp.Axis{{Name: "noise", Values: []string{"none", "memory", "mee512", "mee4k"}}},
-	})
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("environment", "error bits (mean ± 95% CI)", "error rate", "min..max", "trials")
-	var rows [][]string
-	for _, c := range rep.Cells {
-		env, _ := c.Cell.Get("noise")
-		bits, errRate := c.Stat("bit_errors"), c.Stat("error_rate")
-		tb.Row(env,
-			fmt.Sprintf("%.2f ± %.2f", bits.Mean, bits.CI95),
-			errRate.Mean,
-			fmt.Sprintf("%.0f..%.0f", bits.Min, bits.Max),
-			fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
-		row := []string{env}
-		for _, v := range append(bits.Columns(), errRate.Columns()...) {
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		row = append(row, strconv.Itoa(c.Trials), strconv.Itoa(c.Failures))
-		rows = append(rows, row)
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("paper anchors: 1 error bit quiet, ~same under memory noise, 4–5 under MEE noise")
-	return writeCSV("fig8.csv", func(f *os.File) error {
-		header := append([]string{"environment"}, trace.StatHeader("bit_errors")...)
-		header = append(header, trace.StatHeader("error_rate")...)
-		header = append(header, "trials", "failures")
-		return trace.WriteCSVRecords(f, header, rows)
-	})
-}
-
-func figM() error {
-	header("Mitigation ablation (extension of §5.5)")
-	results := meecc.MitigationStudy(meecc.DefaultOptions(*seedFlag), 15000, *bitsFlag)
-	tb := trace.NewTable("variant", "error rate", "setup", "defeated")
-	for _, m := range results {
-		setup := "ok"
-		if m.SetupFailed {
-			setup = "failed: " + m.Detail
-		}
-		tb.Row(m.Name, m.ErrorRate, setup, m.Defeated())
-	}
-	tb.Render(os.Stdout)
-	return nil
-}
-
-func figE() error {
-	header("Eviction-phase x replacement-policy ablation (§5.3)")
-	tb := trace.NewTable("policy", "phases", "eviction success")
-	for _, pol := range []string{"lru", "tree-plru", "bit-plru"} {
-		for _, two := range []bool{false, true} {
-			phases := "fwd"
-			if two {
-				phases = "fwd+bwd"
-			}
-			res, err := meecc.EvictionStudy(meecc.DefaultOptions(*seedFlag), pol, two, 60)
-			if err != nil {
-				tb.Row(pol, phases, "setup failed: "+err.Error())
-				continue
-			}
-			tb.Row(pol, phases, res.SuccessRate())
-		}
-	}
-	tb.Render(os.Stdout)
-	return nil
-}
-
-func figP() error {
-	header("Parallel-lane extension: aggregate rate vs lanes (beyond the paper)")
-	tb := trace.NewTable("lanes", "aggregate KBps", "error rate")
-	for lanes := 1; lanes <= 2; lanes++ {
-		cfg := meecc.DefaultChannelConfig(*seedFlag + uint64(lanes))
-		cfg.Bits = meecc.RandomBits(*seedFlag, 128)
-		res, err := meecc.RunParallelChannel(cfg, lanes)
-		if err != nil {
-			tb.Row(lanes, "-", err.Error())
-			continue
-		}
-		tb.Row(lanes, res.KBps, res.ErrorRate)
-	}
-	tb.Render(os.Stdout)
-	return nil
-}
-
-func figS() error {
-	header("Stealth study: detector-visible footprint, MEE channel vs LLC Prime+Probe")
-	rows, err := meecc.StealthStudy(meecc.DefaultOptions(*seedFlag), 15000, 128)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("attack", "error rate", "LLC evictions/bit", "hottest-LLC-set share", "MEE reads/bit")
-	for _, r := range rows {
-		tb.Row(r.Attack, r.ErrorRate, r.LLCEvictionsPerBit, r.LLCHottestShare, r.MEEReadsPerBit)
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("an LLC-conflict detector sees the P+P channel hammer one set; the MEE channel's")
-	fmt.Println("conflict pattern lives in the MEE cache, which no performance counter exposes")
-	return nil
-}
-
-func figO() error {
-	header("SGX memory overhead: enclave vs plain uncached reads (substrate validation)")
-	rows, err := meecc.MeasureOverhead(meecc.DefaultOptions(*seedFlag), nil, 800)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("working set", "plain (cyc)", "enclave (cyc)", "slowdown")
-	for _, r := range rows {
-		tb.Row(fmt.Sprintf("%d KB", r.WorkingSetBytes/1024), r.PlainCycles, r.EnclaveCycles, r.Slowdown())
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("the slowdown grows once the working set's integrity metadata no longer fits the MEE cache")
-	return nil
-}
-
-func figA() error {
-	header("Victim-activity inference via shared-MEE contention (side-channel direction)")
-	res, err := meecc.InferActivity(meecc.DefaultOptions(*seedFlag), 32, 150_000)
-	if err != nil {
-		return err
-	}
-	row := func(label string, vals []bool) {
-		fmt.Printf("  %-8s ", label)
-		for _, v := range vals {
-			if v {
-				fmt.Print("#")
-			} else {
-				fmt.Print(".")
-			}
-		}
-		fmt.Println()
-	}
-	row("victim", res.Truth)
-	row("spy", res.Inferred)
-	fmt.Printf("accuracy %.0f%% (quiet %.0f cyc, active %.0f cyc per probe)\n",
-		100*res.Accuracy, res.QuietMean, res.ActiveMean)
-	return nil
-}
-
-func figD() error {
-	header("HPC attack-monitor study: who gets caught (§5.5 defenses, operationalized)")
-	rows, err := meecc.DetectionStudy(meecc.DefaultOptions(*seedFlag), 15000, 96)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("workload", "alarm rate", "peak hottest-set share", "channel error")
-	for _, r := range rows {
-		errStr := "-"
-		if r.Workload != "benign-memory-stress" {
-			errStr = fmt.Sprintf("%.3f", r.ChannelError)
-		}
-		tb.Row(r.Workload, r.AlarmRate, r.PeakShare, errStr)
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("the per-set LLC eviction monitor catches the P+P channel every window and")
-	fmt.Println("never fires on the MEE channel — there is no counter to watch the MEE cache with")
-	return nil
-}
-
-func renderTrace(csvName string, sent, recv []byte, probes []float64, note string) error {
-	fmt.Printf("sent: %s\n", bitString(sent))
-	fmt.Printf("recv: %s\n", bitString(recv))
-	fmt.Printf("probe times: %s\n", trace.Sparkline(probes))
-	for i, p := range probes {
-		marker := ""
-		if recv != nil && i < len(recv) && recv[i] != sent[i] {
-			marker = "  <-- error"
-		}
-		fmt.Printf("  bit %2d sent %d probe %5.0f%s\n", i, sent[i], p, marker)
-	}
-	fmt.Println(note)
-	var rows [][]float64
-	for i, p := range probes {
-		r := float64(0)
-		if recv != nil && i < len(recv) {
-			r = float64(recv[i])
-		}
-		rows = append(rows, []float64{float64(i), float64(sent[i]), r, p})
-	}
-	return writeCSV(csvName, func(f *os.File) error {
-		return trace.WriteCSV(f, []string{"bit", "sent", "received", "probe_cycles"}, rows)
-	})
-}
-
-func bitString(bits []byte) string {
-	var b strings.Builder
-	for _, x := range bits {
-		b.WriteByte('0' + x)
-	}
-	return b.String()
-}
-
-func toF(xs []meecc.Cycles) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
+	return 0
 }

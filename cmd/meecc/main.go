@@ -5,16 +5,16 @@
 //
 //	meecc [send] [-msg TEXT] [-window CYCLES] [-seed N] [-noise KIND]
 //	      [-policy NAME] [-reliable] [-inband] [-lanes N] [-v]
-//	meecc sweep    [-seed N] [-bits N] [-trials N] [-workers N]  # Figure 7
-//	meecc noise    [-seed N] [-bits N] [-trials N] [-workers N]  # Figure 8
+//	meecc sweep    [-seed N] [-bits N] [-trials N] [-workers N]    # figures -fig 7
+//	meecc noise    [-seed N] [-window CYCLES] [-trials N] [-workers N]  # figures -fig 8
 //	meecc batch    -spec FILE [-out DIR] [-workers N]            # declarative grid
 //	meecc chaos    [-seed N] [-trials N] [-faults LIST] [-intensities LIST]
 //	               [-payload N] [-out DIR] [-workers N]          # fault campaign
-//	meecc latency  [-seed N]                   # Figure 5
-//	meecc stealth  [-seed N]                   # MEE vs LLC P+P footprint
-//	meecc overhead [-seed N]                   # SGX slowdown curve
-//	meecc timing   [-seed N]                   # §3 time sources
-//	meecc activity [-seed N]                   # victim-activity inference
+//	meecc latency  [-seed N]                   # figures -fig 5: latency by tree level
+//	meecc stealth  [-seed N] [-window CYCLES]  # figures -fig S: MEE vs LLC P+P footprint
+//	meecc overhead [-seed N]                   # figures -fig O: SGX slowdown curve
+//	meecc timing   [-seed N]                   # figures -fig 2: §3 time sources
+//	meecc activity [-seed N]                   # figures -fig A: victim-activity inference
 //	meecc inspect  FILE                        # render a snapshot/trace/artifact
 //	meecc serve    [-addr HOST:PORT] [-storedir DIR] [-storemax BYTES] [-workers N]
 //	               [-journal FILE] [-maxruns N] [-maxpending N] [-runtimeout D]
@@ -72,7 +72,13 @@
 // batch, chaos) embed per-trial metrics snapshots in the artifact instead
 // of tracing.
 //
-// The sweep, noise, and batch subcommands run on the internal/exp
+// sweep, noise, latency, stealth, overhead, timing and activity are aliases
+// of `figures -fig` 7, 8, 5, S, O, 2 and A (internal/figures): each prints
+// exactly what the figure prints at the same -seed, -trials and -bits (the
+// window is -window for noise and stealth, 15000 cycles in figures), and
+// writes no files.
+//
+// The sweep, noise, batch and chaos subcommands run on the internal/exp
 // experiment harness: every (cell, trial) pair fans out over a worker
 // pool, per-trial seeds derive deterministically from the base seed, and
 // results are byte-identical at any worker count. batch reads a JSON spec
@@ -81,12 +87,10 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -99,7 +103,7 @@ import (
 	"meecc/internal/core"
 	"meecc/internal/exp"
 	"meecc/internal/fault"
-	"meecc/internal/mee"
+	"meecc/internal/figures"
 	"meecc/internal/obs"
 	"meecc/internal/trace"
 )
@@ -113,8 +117,8 @@ var (
 	reliable = flag.Bool("reliable", false, "use FEC framing (Hamming(7,4) + CRC-16 + ARQ)")
 	inband   = flag.Bool("inband", false, "synchronize in-band (no agreed transmission start)")
 	lanes    = flag.Int("lanes", 1, "parallel trojan lanes (1 or 2)")
-	bits     = flag.Int("bits", 256, "payload bits for sweep/noise studies")
-	trials   = flag.Int("trials", 1, "trials per grid cell for sweep/noise")
+	bits     = flag.Int("bits", 256, "payload bits for sweep (noise always sends 128)")
+	trials   = flag.Int("trials", 1, "trials per grid cell for sweep/noise/chaos")
 	workers  = flag.Int("workers", 0, "worker goroutines for sweep/noise/batch (0 = GOMAXPROCS)")
 	specPath = flag.String("spec", "", "JSON experiment spec for batch")
 	outDir   = flag.String("out", "results", "artifact directory for batch/chaos")
@@ -150,34 +154,36 @@ var (
 	tracePath  = flag.String("trace", "", "write a timeline trace to this file (.csv = compact CSV, anything else = Chrome trace-event JSON for Perfetto)")
 )
 
+// commands maps each subcommand that is not a figure alias to its runner.
+var commands = map[string]func() error{
+	"send":    runSend,
+	"batch":   runBatch,
+	"chaos":   runChaos,
+	"inspect": runInspect,
+	"serve":   runServe,
+	"submit":  runSubmit,
+	"top":     runTop,
+	"hash":    runHash,
+}
+
+// figureAliases maps the study subcommands onto the figures that render
+// them.
+var figureAliases = map[string]string{
+	"sweep":    "7",
+	"noise":    "8",
+	"latency":  "5",
+	"stealth":  "S",
+	"overhead": "O",
+	"timing":   "2",
+	"activity": "A",
+}
+
 func main() {
-	cmd := "send"
-	args := os.Args[1:]
-	if len(args) > 0 && args[0][0] != '-' {
-		cmd = args[0]
-		args = args[1:]
-	}
+	cmd, args := splitCommand(os.Args[1:])
 	if err := flag.CommandLine.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	cmds := map[string]func() error{
-		"send":     runSend,
-		"sweep":    runSweep,
-		"noise":    runNoise,
-		"batch":    runBatch,
-		"chaos":    runChaos,
-		"latency":  runLatency,
-		"stealth":  runStealth,
-		"overhead": runOverhead,
-		"timing":   runTiming,
-		"activity": runActivity,
-		"inspect":  runInspect,
-		"serve":    runServe,
-		"submit":   runSubmit,
-		"top":      runTop,
-		"hash":     runHash,
-	}
-	run, ok := cmds[cmd]
+	run, ok := command(cmd)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "meecc: unknown command %q (have: send, sweep, noise, batch, chaos, latency, stealth, overhead, timing, activity, inspect, serve, submit, top, hash)\n", cmd)
 		os.Exit(2)
@@ -192,6 +198,36 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "meecc:", err)
 		os.Exit(1)
+	}
+}
+
+// splitCommand separates the subcommand from its flags: a first argument
+// that does not start with '-' names the command, and without one the
+// command is send.
+func splitCommand(args []string) (cmd string, rest []string) {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		return args[0], args[1:]
+	}
+	return "send", args
+}
+
+// command returns the runner for a subcommand name.
+func command(name string) (func() error, bool) {
+	if id, ok := figureAliases[name]; ok {
+		return func() error { return env().Run(id) }, true
+	}
+	run, ok := commands[name]
+	return run, ok
+}
+
+// env carries the parsed flags into internal/figures: the figure aliases
+// render through it without writing files, and the other subcommands use its
+// grid runner and observer set-up.
+func env() *figures.Env {
+	return &figures.Env{
+		Seed: *seed, Trials: *trials, Bits: *bits, Window: meecc.Cycles(*window), Workers: *workers,
+		Metrics: *metricsOn, MetricsOut: *metricsOut, TracePath: *tracePath,
+		Stdout: os.Stdout, Stderr: os.Stderr,
 	}
 }
 
@@ -234,65 +270,6 @@ func startProfiles() (stop func(), err error) {
 	return stop, nil
 }
 
-// observer builds the run's observer from -metrics/-metricsout/-trace, or
-// returns nil when none are set (all instrumentation disabled). Single-run
-// subcommands thread the result through their Options/ChannelConfig and
-// call finishObs on the way out.
-func observer() *obs.Observer {
-	if !*metricsOn && *metricsOut == "" && *tracePath == "" {
-		return nil
-	}
-	o := obs.NewObserver()
-	if *tracePath != "" {
-		o.WithTracer(0)
-	}
-	return o
-}
-
-// finishObs emits whatever the observability flags asked for: a full text
-// report (including diagnostic scheduler counters) on stdout, a snapshot
-// JSON file, and a trace export picked by file extension.
-func finishObs(o *obs.Observer) error {
-	if o == nil {
-		return nil
-	}
-	snap := o.SnapshotAll()
-	if *metricsOn {
-		fmt.Println()
-		snap.Render(os.Stdout)
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, snap.Encode(), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: %s\n", *metricsOut)
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(*tracePath, ".csv") {
-			err = o.Tracer().WriteCSV(f)
-		} else {
-			err = o.Tracer().WriteChromeJSON(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		tr := o.Tracer()
-		fmt.Printf("trace: %s (%d events", *tracePath, tr.Len())
-		if d := tr.Dropped(); d > 0 {
-			fmt.Printf(", %d oldest overwritten", d)
-		}
-		fmt.Println(")")
-	}
-	return nil
-}
-
 func channelConfig() (meecc.ChannelConfig, error) {
 	cfg := meecc.DefaultChannelConfig(*seed)
 	cfg.Window = meecc.Cycles(*window)
@@ -311,7 +288,8 @@ func runSend() error {
 	if err != nil {
 		return err
 	}
-	o := observer()
+	e := env()
+	o := e.Observer()
 	cfg.Obs = o
 	switch {
 	case *reliable:
@@ -324,7 +302,7 @@ func runSend() error {
 			res.Payload, res.Stats.Corrections, res.Attempts)
 		fmt.Printf("raw     : %.1f KBps, %d channel bit errors\n", res.Channel.KBps, res.Channel.BitErrors)
 		fmt.Printf("goodput : %.1f KBps after coding overhead\n", res.GoodputKBps)
-		return finishObs(o)
+		return e.FinishObs(o)
 
 	case *inband:
 		fmt.Printf("transmitting %d bits with in-band synchronization...\n", len(cfg.Bits))
@@ -334,7 +312,7 @@ func runSend() error {
 		}
 		fmt.Printf("locked on phase attempt %d; decoded %q\n", res.Attempt, meecc.StringFromBits(res.Received))
 		fmt.Printf("%d/%d bit errors, %.1f KBps effective\n", res.BitErrors, len(res.Sent), res.KBps)
-		return finishObs(o)
+		return e.FinishObs(o)
 
 	case *lanes > 1:
 		if pad := len(cfg.Bits) % *lanes; pad != 0 {
@@ -348,7 +326,7 @@ func runSend() error {
 		fmt.Printf("decoded %q\n", meecc.StringFromBits(res.Received))
 		fmt.Printf("%.1f KBps aggregate, %d/%d bit errors (per lane: %v)\n",
 			res.KBps, res.BitErrors, len(res.Sent), res.LaneErrors)
-		return finishObs(o)
+		return e.FinishObs(o)
 	}
 
 	fmt.Printf("transmitting %d bits (%d bytes) over the MEE cache covert channel...\n",
@@ -377,102 +355,7 @@ func runSend() error {
 				i, res.Sent[i], res.Received[i], res.ProbeTimes[i], mark)
 		}
 	}
-	return finishObs(o)
-}
-
-// progressLine prints live fan-out state (cells done / ETA) to stderr.
-func progressLine(name string) func(exp.Progress) {
-	return func(p exp.Progress) {
-		fmt.Fprintf(os.Stderr, "\r%s: %d/%d trials, %d/%d cells, eta %s   ",
-			name, p.Done, p.Total, p.CellsDone, p.Cells, p.ETA().Round(1e9))
-	}
-}
-
-// runGrid executes a spec on the harness with live progress. A first SIGINT
-// starts no new trial and drains in-flight trials so a partial artifact can
-// still be written; a second one kills the process the usual way.
-func runGrid(spec *exp.Spec) (*exp.Report, error) {
-	if *metricsOn {
-		spec.Metrics = true
-	}
-	if *tracePath != "" {
-		fmt.Fprintln(os.Stderr, "meecc: -trace records a single run; grid commands embed per-trial metrics snapshots in the artifact instead (use -metrics)")
-	}
-	cancel := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt)
-	defer signal.Stop(sigCh)
-	go func() {
-		if _, ok := <-sigCh; !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "\ninterrupt: draining in-flight trials (interrupt again to kill)\n")
-		close(cancel)
-		signal.Stop(sigCh)
-	}()
-	rep, err := exp.RunSpec(spec, exp.Config{Workers: *workers, OnProgress: progressLine(spec.Name), Cancel: cancel})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(os.Stderr)
-	return rep, nil
-}
-
-func runSweep() error {
-	windows := make([]string, 0, len(meecc.PaperWindows()))
-	for _, w := range meecc.PaperWindows() {
-		windows = append(windows, strconv.FormatInt(int64(w), 10))
-	}
-	rep, err := runGrid(&exp.Spec{
-		Name:     "sweep",
-		Study:    "channel",
-		BaseSeed: *seed,
-		Trials:   *trials,
-		Params:   map[string]string{"bits": strconv.Itoa(*bits), "pattern": "random"},
-		Axes:     []exp.Axis{{Name: "window", Values: windows}},
-	})
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("window", "KBps", "error rate (mean ± 95% CI)", "trials")
-	for _, c := range rep.Cells {
-		w, _ := c.Cell.Get("window")
-		e := c.Stat("error_rate")
-		tb.Row(w, c.Stat("kbps").Mean,
-			fmt.Sprintf("%.4f ± %.4f", e.Mean, e.CI95),
-			fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
-	}
-	tb.Render(os.Stdout)
-	return nil
-}
-
-func runNoise() error {
-	rep, err := runGrid(&exp.Spec{
-		Name:     "noise",
-		Study:    "channel",
-		BaseSeed: *seed,
-		Trials:   *trials,
-		Params: map[string]string{
-			"bits":    strconv.Itoa(*bits),
-			"pattern": "100",
-			"window":  strconv.FormatInt(*window, 10),
-		},
-		Axes: []exp.Axis{{Name: "noise", Values: []string{"none", "memory", "mee512", "mee4k"}}},
-	})
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("environment", "error bits (mean ± 95% CI)", "error rate", "trials")
-	for _, c := range rep.Cells {
-		env, _ := c.Cell.Get("noise")
-		eb := c.Stat("bit_errors")
-		tb.Row(env,
-			fmt.Sprintf("%.2f ± %.2f", eb.Mean, eb.CI95),
-			c.Stat("error_rate").Mean,
-			fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
-	}
-	tb.Render(os.Stdout)
-	return nil
+	return e.FinishObs(o)
 }
 
 // runBatch runs a JSON-described grid end to end: spec → worker-pool
@@ -489,7 +372,7 @@ func runBatch() error {
 	if err != nil {
 		return err
 	}
-	rep, err := runGrid(spec)
+	rep, err := env().RunGrid(spec)
 	if err != nil {
 		return err
 	}
@@ -574,7 +457,7 @@ func runChaos() error {
 			{Name: "intensity", Values: levels},
 		},
 	}
-	rep, err := runGrid(spec)
+	rep, err := env().RunGrid(spec)
 	if err != nil {
 		return err
 	}
@@ -621,20 +504,11 @@ func writeChaosCSV(dir string, rep *exp.Report) (string, error) {
 	}
 	sort.Strings(metrics)
 
-	path := filepath.Join(dir, rep.Spec.Name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	w := csv.NewWriter(f)
 	header := []string{"faults", "intensity", "trials", "failures"}
 	for _, m := range metrics {
 		header = append(header, m+"_mean", m+"_ci95")
 	}
-	if err := w.Write(header); err != nil {
-		f.Close()
-		return "", err
-	}
+	var rows [][]string
 	for _, c := range rep.Cells {
 		kind, _ := c.Cell.Get("faults")
 		level, _ := c.Cell.Get("intensity")
@@ -645,99 +519,18 @@ func writeChaosCSV(dir string, rep *exp.Report) (string, error) {
 				strconv.FormatFloat(s.Mean, 'g', -1, 64),
 				strconv.FormatFloat(s.CI95, 'g', -1, 64))
 		}
-		if err := w.Write(row); err != nil {
-			f.Close()
-			return "", err
-		}
+		rows = append(rows, row)
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	path := filepath.Join(dir, rep.Spec.Name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := trace.WriteCSVRecords(f, header, rows); err != nil {
 		f.Close()
 		return "", err
 	}
 	return path, f.Close()
-}
-
-func runLatency() error {
-	o := observer()
-	opts := meecc.DefaultOptions(*seed)
-	opts.Obs = o
-	res, err := meecc.CharacterizeLatency(opts, 500)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("tree level", "samples", "mean latency (cyc)")
-	for h := mee.HitVersions; h <= mee.HitRoot; h++ {
-		hst := res.ByLevel[h]
-		tb.Row(h.String(), hst.N(), hst.Mean())
-	}
-	tb.Render(os.Stdout)
-	return finishObs(o)
-}
-
-func runStealth() error {
-	o := observer()
-	opts := meecc.DefaultOptions(*seed)
-	opts.Obs = o
-	rows, err := meecc.StealthStudy(opts, meecc.Cycles(*window), 128)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("attack", "error", "LLC evictions/bit", "hottest-set share", "MEE reads/bit")
-	for _, r := range rows {
-		tb.Row(r.Attack, r.ErrorRate, r.LLCEvictionsPerBit, r.LLCHottestShare, r.MEEReadsPerBit)
-	}
-	tb.Render(os.Stdout)
-	return finishObs(o)
-}
-
-func runOverhead() error {
-	o := observer()
-	opts := meecc.DefaultOptions(*seed)
-	opts.Obs = o
-	rows, err := meecc.MeasureOverhead(opts, nil, 600)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("working set", "plain (cyc)", "enclave (cyc)", "slowdown")
-	for _, r := range rows {
-		tb.Row(fmt.Sprintf("%d KB", r.WorkingSetBytes/1024), r.PlainCycles, r.EnclaveCycles, r.Slowdown())
-	}
-	tb.Render(os.Stdout)
-	return finishObs(o)
-}
-
-func runTiming() error {
-	o := observer()
-	opts := meecc.DefaultOptions(*seed)
-	opts.Obs = o
-	rows, err := meecc.TimingStudy(opts, 60)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("mechanism", "in-enclave", "overhead (cyc)", "jitter sd")
-	for _, r := range rows {
-		if !r.AvailableInEnclave {
-			tb.Row(r.Mechanism, "no (#UD)", "-", "-")
-			continue
-		}
-		tb.Row(r.Mechanism, "yes", r.MeanOverhead, r.StdDev)
-	}
-	tb.Render(os.Stdout)
-	return finishObs(o)
-}
-
-func runActivity() error {
-	o := observer()
-	opts := meecc.DefaultOptions(*seed)
-	opts.Obs = o
-	res, err := meecc.InferActivity(opts, 32, 150_000)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("accuracy %.0f%% over 32 epochs (quiet %.0f cyc, active %.0f cyc)\n",
-		100*res.Accuracy, res.QuietMean, res.ActiveMean)
-	return finishObs(o)
 }
 
 // runInspect renders an observability file as a text report. It sniffs the

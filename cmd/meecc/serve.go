@@ -27,7 +27,7 @@ import (
 // stderr (-loglevel, -logformat), and -debugaddr opens net/http/pprof on a
 // separate listener so profiling never shares the service port.
 func runServe() error {
-	o := observer()
+	o := env().Observer()
 	level, err := ops.ParseLevel(*logLevel)
 	if err != nil {
 		return err
@@ -100,7 +100,7 @@ func runServe() error {
 		return err
 	}
 	<-idle
-	return finishObs(o)
+	return env().FinishObs(o)
 }
 
 func storeDesc() string {

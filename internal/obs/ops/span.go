@@ -1,11 +1,12 @@
 package ops
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"meecc/internal/obs"
 )
 
 // Span is one wall-clock interval of a run's lifecycle: submit→admit→queue→
@@ -101,20 +102,9 @@ func (r *SpanRecorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// spanChromeEvent mirrors the trace-event JSON shape obs.WriteChromeJSON
-// emits, so ops traces load in Perfetto and validate with
-// obs.ValidateChromeTrace exactly like sim-clock traces do.
-type spanChromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid,omitempty"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace exports spans as Chrome trace-event JSON: one thread per
+// WriteChromeTrace exports spans as Chrome trace-event JSON through obs's
+// encoder, so ops traces load in Perfetto and validate with
+// obs.ValidateChromeTrace exactly like sim-clock traces do: one thread per
 // distinct Track (in order of first appearance), timestamps in microseconds
 // relative to the earliest span. An empty span list is an error — an empty
 // trace is useless and ValidateChromeTrace rejects it anyway.
@@ -128,28 +118,15 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			epoch = sp.Start
 		}
 	}
-	const pid = 1
-	events := []spanChromeEvent{{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": "meecc-serve"},
-	}}
+	var tracks []string
 	tids := map[string]int{}
 	for _, sp := range spans {
-		if _, ok := tids[sp.Track]; ok {
-			continue
+		if _, ok := tids[sp.Track]; !ok {
+			tracks = append(tracks, sp.Track)
+			tids[sp.Track] = len(tracks)
 		}
-		tid := len(tids) + 1
-		tids[sp.Track] = tid
-		events = append(events,
-			spanChromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": sp.Track},
-			},
-			spanChromeEvent{
-				Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"sort_index": tid - 1},
-			})
 	}
+	events := obs.ChromeMetadata("meecc-serve", tracks)
 	for _, sp := range spans {
 		dur := float64(sp.Dur.Microseconds())
 		if dur < 0 {
@@ -159,16 +136,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if sp.Run != "" {
 			args["run"] = sp.Run
 		}
-		events = append(events, spanChromeEvent{
-			Name: sp.Name, Ph: "X", Pid: pid, Tid: tids[sp.Track],
+		events = append(events, obs.ChromeEvent{
+			Name: sp.Name, Ph: "X", Pid: obs.TracePid, Tid: tids[sp.Track],
 			Ts:  float64(sp.Start.Sub(epoch).Microseconds()),
 			Dur: &dur, Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(map[string]any{
-		"displayTimeUnit": "ms",
-		"traceEvents":     events,
-	})
+	return obs.WriteChromeEvents(w, events)
 }

@@ -2,6 +2,8 @@ package ops
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -49,10 +51,9 @@ func TestSpanRecorderFilterByRun(t *testing.T) {
 	}
 }
 
-// TestChromeTraceValidates exports a realistic run lifecycle and checks it
-// with the same structural validator the sim-clock traces use — the
-// acceptance bar from PR 4 reused for wall-clock traces.
-func TestChromeTraceValidates(t *testing.T) {
+// lifecycleSpans records a realistic run lifecycle: run-track phases and
+// trials on two worker slots.
+func lifecycleSpans() []Span {
 	r := NewSpanRecorder(64)
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	r.Record("run-7", "run", "queue", base, 30*time.Millisecond)
@@ -61,9 +62,15 @@ func TestChromeTraceValidates(t *testing.T) {
 	r.Record("run-7", "slot-1", "trial cellA/1", base.Add(36*time.Millisecond), 90*time.Millisecond)
 	r.Record("run-7", "slot-0", "memo cellA/2", base.Add(160*time.Millisecond), time.Millisecond)
 	r.Record("run-7", "run", "artifact", base.Add(430*time.Millisecond), 5*time.Millisecond)
+	return r.Spans("run-7")
+}
 
+// TestChromeTraceValidates exports a realistic run lifecycle and checks it
+// with the same structural validator the sim-clock traces use — the
+// acceptance bar from PR 4 reused for wall-clock traces.
+func TestChromeTraceValidates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Spans("run-7")); err != nil {
+	if err := WriteChromeTrace(&buf, lifecycleSpans()); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := obs.ValidateChromeTrace(buf.Bytes())
@@ -78,5 +85,32 @@ func TestChromeTraceValidates(t *testing.T) {
 func TestChromeTraceEmptyErrors(t *testing.T) {
 	if err := WriteChromeTrace(&bytes.Buffer{}, nil); err == nil {
 		t.Fatal("empty span list exported without error")
+	}
+}
+
+// TestChromeTraceGolden pins the export's exact bytes, which
+// /v1/runs/{id}/trace serves. Regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/obs/ops -run Golden after a deliberate
+// format change.
+func TestChromeTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, lifecycleSpans()); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "lifecycle.trace.json")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("export drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
 	}
 }

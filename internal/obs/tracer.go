@@ -173,10 +173,11 @@ func (t *Tracer) at(i int) event { return t.events[(t.head+i)%len(t.events)] }
 // ts converts a cycle stamp to trace microseconds.
 func (t *Tracer) us(cycles int64) float64 { return float64(cycles) / t.cyclesPerUs }
 
-// chromeEvent is one entry of the Chrome trace-event JSON array; fields
+// ChromeEvent is one entry of the Chrome trace-event JSON array; fields
 // follow the trace-event format spec (ph X = complete slice, i = instant,
-// C = counter, M = metadata).
-type chromeEvent struct {
+// C = counter, M = metadata). Both timeline exports build on it: the
+// sim-clock Tracer here and internal/obs/ops's wall-clock spans.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Ph    string         `json:"ph"`
 	Pid   int            `json:"pid"`
@@ -190,10 +191,40 @@ type chromeEvent struct {
 // chromeTrace is the top-level JSON object Perfetto loads.
 type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 }
 
-const tracePid = 1
+// TracePid is the process id every exported trace event carries.
+const TracePid = 1
+
+// ChromeMetadata returns the metadata events that name the process and one
+// thread track per entry of tracks, with tids 1..len(tracks) in order.
+func ChromeMetadata(process string, tracks []string) []ChromeEvent {
+	events := []ChromeEvent{{
+		Name: "process_name", Ph: "M", Pid: TracePid,
+		Args: map[string]any{"name": process},
+	}}
+	for id, name := range tracks {
+		events = append(events,
+			ChromeEvent{
+				Name: "thread_name", Ph: "M", Pid: TracePid, Tid: id + 1,
+				Args: map[string]any{"name": name},
+			},
+			ChromeEvent{
+				Name: "thread_sort_index", Ph: "M", Pid: TracePid, Tid: id + 1,
+				Args: map[string]any{"sort_index": id},
+			})
+	}
+	return events
+}
+
+// WriteChromeEvents encodes events as the Chrome trace-event JSON object
+// that Perfetto loads and ValidateChromeTrace checks.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(chromeTrace{DisplayTimeUnit: "ms", TraceEvents: events})
+}
 
 // WriteChromeJSON exports the buffered events as Chrome trace-event JSON
 // loadable in Perfetto or chrome://tracing: one thread track per interned
@@ -203,49 +234,32 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: nil tracer")
 	}
-	out := chromeTrace{DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: tracePid,
-		Args: map[string]any{"name": "meecc-sim"},
-	})
-	for id, name := range t.tracks {
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: tracePid, Tid: id + 1,
-				Args: map[string]any{"name": name},
-			},
-			chromeEvent{
-				Name: "thread_sort_index", Ph: "M", Pid: tracePid, Tid: id + 1,
-				Args: map[string]any{"sort_index": id},
-			})
-	}
+	events := ChromeMetadata("meecc-sim", t.tracks)
 	for i := 0; i < t.n; i++ {
 		e := t.at(i)
 		name := t.names[e.name]
 		switch e.kind {
 		case evSlice:
 			dur := t.us(e.arg)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Ph: "X", Pid: tracePid, Tid: int(e.track) + 1,
+			events = append(events, ChromeEvent{
+				Name: name, Ph: "X", Pid: TracePid, Tid: int(e.track) + 1,
 				Ts: t.us(e.ts), Dur: &dur,
 			})
 		case evInstant:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Ph: "i", Pid: tracePid, Tid: int(e.track) + 1,
+			events = append(events, ChromeEvent{
+				Name: name, Ph: "i", Pid: TracePid, Tid: int(e.track) + 1,
 				Ts: t.us(e.ts), Scope: "t",
 				Args: map[string]any{"value": e.arg},
 			})
 		case evCounter:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Ph: "C", Pid: tracePid,
+			events = append(events, ChromeEvent{
+				Name: name, Ph: "C", Pid: TracePid,
 				Ts:   t.us(e.ts),
 				Args: map[string]any{"value": e.arg},
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return WriteChromeEvents(w, events)
 }
 
 // WriteCSV exports the buffered events as a compact CSV with cycle-accurate

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -99,7 +101,7 @@ func TestChromeJSONGoldenSchema(t *testing.T) {
 	for _, ev := range got.TraceEvents {
 		ph := ev["ph"].(string)
 		byPhase[ph] = append(byPhase[ph], ev)
-		if int(ev["pid"].(float64)) != tracePid {
+		if int(ev["pid"].(float64)) != TracePid {
 			t.Errorf("event %v has pid %v", ev["name"], ev["pid"])
 		}
 	}
@@ -133,6 +135,33 @@ func TestChromeJSONGoldenSchema(t *testing.T) {
 	}
 	if v := c["args"].(map[string]any)["value"].(float64); v != 3 {
 		t.Errorf("counter value %v", v)
+	}
+}
+
+// TestChromeJSONGolden pins the export's exact bytes. internal/obs/ops's
+// span export shares the encoder, so a change made for one must not move
+// the other. Regenerate with UPDATE_GOLDEN=1 go test ./internal/obs -run
+// Golden after a deliberate format change.
+func TestChromeJSONGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildTrace().WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "build.trace.json")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("export drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
 	}
 }
 
