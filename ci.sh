@@ -255,6 +255,16 @@ go run ./cmd/figures -fig 6b -trace "$tmp/fig6b.trace.json" > /dev/null
 test -s "$tmp/fig6b.trace.json" || { echo "missing fig6b trace" >&2; exit 1; }
 go run ./cmd/meecc inspect "$tmp/fig6b.trace.json"
 
+echo "== smoke: examples =="
+# Each example is a short program against the public facade that exits
+# non-zero when a run it makes fails; examples/specs holds no program.
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    [ -f "$dir/main.go" ] || continue
+    go build -o "$tmp/example-$name" "./$dir"
+    "$tmp/example-$name" > /dev/null || { echo "example $name failed" >&2; exit 1; }
+done
+
 echo "== bench-gate (hard gate) =="
 sh "$0" bench-gate
 

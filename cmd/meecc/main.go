@@ -274,6 +274,9 @@ func channelConfig() (meecc.ChannelConfig, error) {
 	cfg := meecc.DefaultChannelConfig(*seed)
 	cfg.Window = meecc.Cycles(*window)
 	cfg.Bits = meecc.BitsFromString(*msg)
+	if err := core.CheckMEEPolicy(*policy); err != nil {
+		return cfg, fmt.Errorf("-policy: %w", err)
+	}
 	cfg.Options.MEEPolicy = *policy
 	kind, err := core.ParseNoiseKind(*noise)
 	if err != nil {

@@ -216,6 +216,13 @@ func TestPolicyByName(t *testing.T) {
 	if _, err := PolicyByName("random", nil); err == nil {
 		t.Fatal("expected error for random policy without rng")
 	}
+	// CheckPolicyName judges the name alone: random needs no rng to pass.
+	if err := CheckPolicyName("random"); err != nil {
+		t.Fatalf("CheckPolicyName(random): %v", err)
+	}
+	if err := CheckPolicyName("mru"); err == nil {
+		t.Fatal("CheckPolicyName accepted an unknown policy")
+	}
 }
 
 // Property: under any access pattern, a set never holds more lines than its

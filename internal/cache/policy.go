@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 )
 
 // Policy is a replacement policy: the operations on one set's replacement
@@ -208,6 +210,19 @@ func (*randomPolicy) Fill([]uint64, int)                {}
 func (p *randomPolicy) Victim(_ []uint64, ways int) int { return p.rng.IntN(ways) }
 func (*randomPolicy) Invalidate([]uint64, int)          {}
 func (*randomPolicy) Check([]uint64) error              { return nil }
+
+// policyNames lists the names PolicyByName recognizes.
+var policyNames = []string{"lru", "fifo", "tree-plru", "bit-plru", "random", "nru", "srrip"}
+
+// CheckPolicyName reports whether PolicyByName recognizes name. It builds no
+// policy, so unlike PolicyByName it needs no random source: input surfaces
+// check a name before any machine that could supply one boots.
+func CheckPolicyName(name string) error {
+	if slices.Contains(policyNames, name) {
+		return nil
+	}
+	return fmt.Errorf("cache: unknown replacement policy %q (have: %s)", name, strings.Join(policyNames, ", "))
+}
 
 // PolicyByName constructs a policy from its name; random and nru need rng
 // (may be nil for the others). Recognized: lru, fifo, tree-plru, bit-plru,

@@ -96,7 +96,7 @@ func TestExtendedPolicyByName(t *testing.T) {
 
 func TestAllPoliciesSatisfyBasicInvariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
-	for _, name := range []string{"lru", "fifo", "tree-plru", "bit-plru", "random", "nru", "srrip"} {
+	for _, name := range policyNames {
 		p, err := PolicyByName(name, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -50,23 +50,9 @@ func DetectionStudy(opts Options, window sim.Cycles, nbits int) ([]DetectionRow,
 	// fresh seed, as an attacker would).
 	{
 		var mon *detect.Monitor
-		var res *ChannelResult
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			seed := opts.Seed + uint64(attempt)*2654435761
-			cfg := DefaultChannelConfig(seed)
-			cfg.Options = opts
-			cfg.Options.Seed = seed
-			cfg.Window = window
-			cfg.Bits = bits
-			cfg.onPlatform = func(plat *platform.Platform, t0, tEnd sim.Cycles) {
-				mon = attachDetector(plat, t0, tEnd)
-			}
-			res, err = RunChannel(cfg)
-			if err == nil {
-				break
-			}
-		}
+		res, err := runChannelRetrying(opts, window, bits, func(plat *platform.Platform, t0, tEnd sim.Cycles) {
+			mon = attachDetector(plat, t0, tEnd)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: detection study (mee): %w", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"meecc/internal/cache"
 	"meecc/internal/enclave"
 	"meecc/internal/obs"
 	"meecc/internal/platform"
@@ -16,8 +17,9 @@ type Options struct {
 	// EPCMode controls physical contiguity of enclave pages
 	// (sequential / chunked / shuffled).
 	EPCMode enclave.AllocMode
-	// MEEPolicy overrides the MEE cache replacement policy by name
-	// ("tree-plru" if empty; "lru", "bit-plru", "fifo", "random").
+	// MEEPolicy overrides the MEE cache replacement policy by name: true
+	// LRU ("lru") if empty; "tree-plru", "bit-plru", "fifo", "random",
+	// "nru" or "srrip" otherwise. CheckMEEPolicy validates a name.
 	MEEPolicy string
 	// RandomEvictProb enables the MEE noise-injection mitigation.
 	RandomEvictProb float64
@@ -33,6 +35,16 @@ type Options struct {
 	// is attached) from every platform the experiment boots. Nil disables
 	// all instrumentation.
 	Obs *obs.Observer
+}
+
+// CheckMEEPolicy reports whether name can be Options.MEEPolicy: empty, or a
+// name cache.PolicyByName recognizes. Booting a machine with any other name
+// panics, so input surfaces check it first.
+func CheckMEEPolicy(name string) error {
+	if name == "" {
+		return nil
+	}
+	return cache.CheckPolicyName(name)
 }
 
 // platformConfig expands Options into a full machine configuration.

@@ -200,58 +200,6 @@ func TestPrimeProbeBaselineIsWorseThanChannel(t *testing.T) {
 	}
 }
 
-func TestNoiseStudyOrdering(t *testing.T) {
-	runs := NoiseStudy(DefaultOptions(3), 15000, 128)
-	if len(runs) != 4 {
-		t.Fatalf("got %d runs", len(runs))
-	}
-	rates := map[NoiseKind]float64{}
-	for _, r := range runs {
-		if r.Err != nil {
-			t.Fatalf("%v: %v", r.Kind, r.Err)
-		}
-		rates[r.Kind] = r.Result.ErrorRate
-	}
-	// Figure 8: plain memory noise has minimal impact; MEE noise hurts.
-	if rates[NoiseMEE4K] <= rates[NoiseNone] {
-		t.Errorf("MEE 4KB noise %.3f not worse than quiet %.3f", rates[NoiseMEE4K], rates[NoiseNone])
-	}
-	if rates[NoiseMEE512] <= rates[NoiseNone] {
-		t.Errorf("MEE 512B noise %.3f not worse than quiet %.3f", rates[NoiseMEE512], rates[NoiseNone])
-	}
-	if rates[NoiseMemory] >= rates[NoiseMEE4K] {
-		t.Errorf("memory noise %.3f should hurt less than MEE noise %.3f", rates[NoiseMemory], rates[NoiseMEE4K])
-	}
-}
-
-func TestWindowSweepShape(t *testing.T) {
-	pts := WindowSweep(DefaultOptions(1), nil, 128)
-	if len(pts) != 7 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	byWindow := map[int64]SweepPoint{}
-	for _, p := range pts {
-		if p.Err != nil {
-			t.Fatalf("window %d: %v", p.Window, p.Err)
-		}
-		byWindow[int64(p.Window)] = p
-	}
-	// Bit rate halves as window doubles; the 15000 window gives ~33 KBps.
-	if k := byWindow[15000].KBps; k < 30 || k > 37 {
-		t.Errorf("15000-cycle bit rate %.1f", k)
-	}
-	if byWindow[5000].KBps <= byWindow[30000].KBps {
-		t.Error("bit rate not decreasing with window size")
-	}
-	// The error knee (§5.4): 7500 is far worse than 10000+.
-	if byWindow[7500].ErrorRate < 2*byWindow[15000].ErrorRate {
-		t.Errorf("no knee: err(7500)=%.3f err(15000)=%.3f", byWindow[7500].ErrorRate, byWindow[15000].ErrorRate)
-	}
-	if byWindow[15000].ErrorRate > 0.08 {
-		t.Errorf("err(15000)=%.3f, paper: 1.7%%", byWindow[15000].ErrorRate)
-	}
-}
-
 func TestMitigationStudy(t *testing.T) {
 	results := MitigationStudy(DefaultOptions(9), 15000, 128)
 	byName := map[string]MitigationResult{}

@@ -1,11 +1,15 @@
 package core
 
-import "meecc/internal/sim"
+import (
+	"meecc/internal/platform"
+	"meecc/internal/sim"
+)
 
 // runChannelRetrying runs the channel, retrying setup failures (monitor
 // discovery or Algorithm 1 can fail on an unlucky seed) under fresh
 // conditions — what a real attacker does by simply starting over.
-func runChannelRetrying(opts Options, window sim.Cycles, bits []byte) (*ChannelResult, error) {
+// onPlatform, when non-nil, is every attempt's ChannelConfig.onPlatform.
+func runChannelRetrying(opts Options, window sim.Cycles, bits []byte, onPlatform func(*platform.Platform, sim.Cycles, sim.Cycles)) (*ChannelResult, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		seed := opts.Seed + uint64(attempt)*2654435761
@@ -14,6 +18,7 @@ func runChannelRetrying(opts Options, window sim.Cycles, bits []byte) (*ChannelR
 		cfg.Options.Seed = seed
 		cfg.Window = window
 		cfg.Bits = bits
+		cfg.onPlatform = onPlatform
 		res, err := RunChannel(cfg)
 		if err == nil {
 			return res, nil
@@ -44,7 +49,7 @@ type StealthRow struct {
 func StealthStudy(opts Options, window sim.Cycles, nbits int) ([]StealthRow, error) {
 	bits := RandomBits(opts.Seed, nbits)
 
-	meeRes, err := runChannelRetrying(opts, window, bits)
+	meeRes, err := runChannelRetrying(opts, window, bits, nil)
 	if err != nil {
 		return nil, err
 	}

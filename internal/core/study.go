@@ -31,6 +31,11 @@ func ParseNoiseKind(s string) (NoiseKind, error) {
 	}
 }
 
+// PaperWindows are the window sizes of Figure 7.
+func PaperWindows() []sim.Cycles {
+	return []sim.Cycles{5000, 7500, 10000, 15000, 20000, 25000, 30000}
+}
+
 // parseEPCMode maps a spec string to an enclave allocation mode.
 func parseEPCMode(s string) (enclave.AllocMode, error) {
 	switch s {
@@ -54,7 +59,7 @@ func parseEPCMode(s string) (enclave.AllocMode, error) {
 //	pattern     "random" (seeded per trial), "alternating", or a 0/1
 //	            string repeated to length ("100" is Figure 8's sequence)
 //	noise       none | memory | mee512 | mee4k
-//	policy      MEE replacement policy override
+//	policy      MEE replacement policy (see Options.MEEPolicy)
 //	epc         sequential | chunked | shuffled
 //	repetition  repetition-coding factor
 //	twophase    "true"/"false": forward+backward eviction
@@ -86,7 +91,7 @@ func BuildChannelConfig(params map[string]string, seed uint64) (ChannelConfig, e
 		case "noise":
 			cfg.Noise, err = ParseNoiseKind(val)
 		case "policy":
-			cfg.Options.MEEPolicy = val
+			cfg.Options.MEEPolicy, err = val, CheckMEEPolicy(val)
 		case "epc":
 			cfg.Options.EPCMode, err = parseEPCMode(val)
 		case "repetition":

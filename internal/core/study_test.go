@@ -65,6 +65,7 @@ func TestBuildChannelConfigRejectsBadParams(t *testing.T) {
 		{"pattern": "012"},
 		{"noise": "hurricane"},
 		{"epc": "nope"},
+		{"policy": "bogus"},
 		{"no-such-param": "1"},
 	}
 	for _, params := range bad {

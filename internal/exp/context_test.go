@@ -8,10 +8,10 @@ import (
 	"meecc/internal/obs"
 )
 
-// TestContextCancelStopsDispatch mirrors the Cancel-channel drain test
-// through Config.Context: cancelling the context stops dispatch, in-flight
-// trials drain, and the report comes back Partial with the cut-off trials
-// skipped — Run itself never returns the context's error.
+// TestContextCancelStopsDispatch: cancelling Config.Context stops dispatch,
+// in-flight trials drain, and the report and its artifact come back Partial
+// with the cut-off trials skipped and counted as failures — Run itself never
+// returns the context's error.
 func TestContextCancelStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	release := make(chan struct{})
@@ -53,6 +53,12 @@ func TestContextCancelStopsDispatch(t *testing.T) {
 	}
 	if ran > 4 { // 2 workers in flight + at most the handed-off pair
 		t.Fatalf("%d trials ran after cancel; dispatch did not stop", ran)
+	}
+	if rep.Failures() < skipped {
+		t.Fatalf("failures %d < skipped %d", rep.Failures(), skipped)
+	}
+	if !rep.Artifact().Partial {
+		t.Fatal("artifact not flagged partial")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"meecc/internal/obs"
@@ -342,70 +341,6 @@ func TestPanickingTrialIsRecordedNotFatal(t *testing.T) {
 		if v, _ := c.Cell.Get("mode"); v == "flaky" && c.Failures != 2 {
 			t.Fatalf("cell %s: %d failures, want 2 (scripted + panic)", c.Key, c.Failures)
 		}
-	}
-}
-
-func TestCancelDrainsAndFlagsPartial(t *testing.T) {
-	cancel := make(chan struct{})
-	started := make(chan struct{}, 64)
-	release := make(chan struct{})
-	var once sync.Once
-	runner := func(j Job) (Metrics, *obs.Snapshot, error) {
-		started <- struct{}{}
-		once.Do(func() { close(cancel) }) // cancel as soon as the first trial runs
-		<-release
-		return fakeRunner(j)
-	}
-	spec := gridSpec()
-	done := make(chan *Report, 1)
-	go func() {
-		rep, err := Run(spec, runner, Config{Workers: 2, Cancel: cancel})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rep
-	}()
-	// Wait for the workers to pick up their in-flight trials, then let them
-	// drain. With 2 workers at most 2-3 trials ever start (one per worker
-	// plus at most one more the dispatcher had already queued).
-	<-started
-	close(release)
-	rep := <-done
-	if rep == nil {
-		t.Fatal("no report")
-	}
-	if !rep.Partial {
-		t.Fatal("cancelled run not flagged partial")
-	}
-	ran, skipped := 0, 0
-	for _, tr := range rep.Trials {
-		switch {
-		case tr.Err == SkippedErr:
-			skipped++
-		case tr.Err == "" && tr.Metrics != nil:
-			ran++
-		case strings.Contains(tr.Err, "scripted"):
-			ran++
-		default:
-			t.Fatalf("trial %+v neither ran nor skipped", tr)
-		}
-	}
-	if skipped == 0 || ran == 0 {
-		t.Fatalf("ran=%d skipped=%d, want both nonzero", ran, skipped)
-	}
-	if ran+skipped != len(rep.Trials) {
-		t.Fatalf("ran+skipped=%d != %d trials", ran+skipped, len(rep.Trials))
-	}
-	if ran > 4 {
-		t.Fatalf("%d trials ran after cancel; drain did not stop dispatch", ran)
-	}
-	// Skipped trials count as failures so aggregates stay honest.
-	if rep.Failures() < skipped {
-		t.Fatalf("failures %d < skipped %d", rep.Failures(), skipped)
-	}
-	// And the artifact carries the flag.
-	if !rep.Artifact().Partial {
-		t.Fatal("artifact not flagged partial")
 	}
 }
 

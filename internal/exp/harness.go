@@ -89,15 +89,11 @@ type Config struct {
 	// OnProgress, when set, is invoked (serialized) after every finished
 	// trial.
 	OnProgress func(Progress)
-	// Cancel, when set and closed, stops the run: no new trial starts,
-	// in-flight trials drain to completion, and the report comes back
-	// flagged Partial with the trials that never started marked skipped.
-	Cancel <-chan struct{}
-	// Context, when non-nil, stops the run exactly like Cancel when it
-	// ends — the hook long-lived callers (the serve service) use to give
-	// runs deadlines and client-initiated cancellation. Run never returns
-	// the context's error: a cancelled run is a Partial report, and the
-	// caller inspects context.Cause to learn why.
+	// Context, when non-nil, stops the run when it ends: no new trial
+	// starts, in-flight trials drain to completion, and the report comes
+	// back flagged Partial with the trials that never started marked
+	// skipped. Run never returns the context's error: a cancelled run is a
+	// Partial report, and the caller inspects context.Cause to learn why.
 	Context context.Context
 	// Ops, when non-nil, receives wall-clock dispatcher telemetry: per-trial
 	// queue wait and execution latency, worker busy time, and in-flight
@@ -219,16 +215,14 @@ func Run(spec *Spec, runner Runner, cfg Config) (*Report, error) {
 			Err:     SkippedErr,
 		}
 	}
-	// Both stop signals feed one select; a nil channel never fires, so the
-	// unconfigured cases cost nothing.
+	// A nil channel never fires, so without a Context the stop checks
+	// cost nothing.
 	var ctxDone <-chan struct{}
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
 	}
 	stopped := func() bool {
 		select {
-		case <-cfg.Cancel:
-			return true
 		case <-ctxDone:
 			return true
 		default:
@@ -308,15 +302,13 @@ func Run(spec *Spec, runner Runner, cfg Config) (*Report, error) {
 	}
 dispatch:
 	for _, unit := range units {
-		// Poll the stop signals first: select picks among ready cases at
+		// Poll the stop signal first: select picks among ready cases at
 		// random, so without this a fired cancel could keep losing coin
 		// flips against ready workers and dispatch units anyway.
 		if stopped() {
 			break
 		}
 		select {
-		case <-cfg.Cancel:
-			break dispatch
 		case <-ctxDone:
 			break dispatch
 		case unitCh <- dispatchItem{unit: unit, at: time.Now()}:

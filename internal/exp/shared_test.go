@@ -237,69 +237,60 @@ func TestSharedSeedTrialsRunAsOneUnit(t *testing.T) {
 	}
 }
 
-// TestCancelInsideUnitSkipsItsRest stops a run while a unit's first trial
-// runs, through Config.Cancel and through Config.Context: the worker holding
-// the unit must not start its later windows, which come back skipped.
+// TestCancelInsideUnitSkipsItsRest stops a run through Config.Context
+// while a unit's first trial runs: the worker holding the unit must not
+// start its later windows, which come back skipped. The subtest is named
+// after the stop signal it drives.
 func TestCancelInsideUnitSkipsItsRest(t *testing.T) {
-	for _, via := range []string{"Cancel", "Context"} {
-		t.Run(via, func(t *testing.T) {
-			cfg := Config{Workers: 2}
-			var stop func()
-			if via == "Cancel" {
-				ch := make(chan struct{})
-				cfg.Cancel, stop = ch, func() { close(ch) }
-			} else {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				cfg.Context, stop = ctx, cancel
+	t.Run("Context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cut := make(chan Job, 1)
+		release := make(chan struct{})
+		var once sync.Once
+		runner := func(j Job) (Metrics, *obs.Snapshot, error) {
+			once.Do(func() {
+				cancel()
+				cut <- j
+			})
+			<-release
+			return fakeRunner(j)
+		}
+		done := make(chan *Report, 1)
+		go func() {
+			rep, err := Run(sharedGridSpec(), runner, Config{Workers: 2, Context: ctx})
+			if err != nil {
+				t.Error(err)
 			}
-			cut := make(chan Job, 1)
-			release := make(chan struct{})
-			var once sync.Once
-			runner := func(j Job) (Metrics, *obs.Snapshot, error) {
-				once.Do(func() {
-					stop()
-					cut <- j
-				})
-				<-release
-				return fakeRunner(j)
+			done <- rep
+		}()
+		first := <-cut
+		close(release)
+		rep := <-done
+		if rep == nil {
+			t.Fatal("no report")
+		}
+		if !rep.Partial || !rep.Artifact().Partial {
+			t.Fatalf("report partial %v, artifact partial %v; want both", rep.Partial, rep.Artifact().Partial)
+		}
+		ran := 0
+		for _, tr := range rep.Trials {
+			skipped := tr.Err == SkippedErr
+			if !skipped {
+				ran++
 			}
-			done := make(chan *Report, 1)
-			go func() {
-				rep, err := Run(sharedGridSpec(), runner, cfg)
-				if err != nil {
-					t.Error(err)
-				}
-				done <- rep
-			}()
-			first := <-cut
-			close(release)
-			rep := <-done
-			if rep == nil {
-				t.Fatal("no report")
+			if tr.Seed != first.Seed {
+				continue
 			}
-			if !rep.Partial || !rep.Artifact().Partial {
-				t.Fatalf("report partial %v, artifact partial %v; want both", rep.Partial, rep.Artifact().Partial)
+			switch {
+			case tr.Cell == first.Cell.Index && skipped:
+				t.Error("the trial that cancelled the run is recorded as skipped")
+			case tr.Cell != first.Cell.Index && !skipped:
+				t.Errorf("cell %d of the cancelled unit ran after the cancel", tr.Cell)
 			}
-			ran := 0
-			for _, tr := range rep.Trials {
-				skipped := tr.Err == SkippedErr
-				if !skipped {
-					ran++
-				}
-				if tr.Seed != first.Seed {
-					continue
-				}
-				switch {
-				case tr.Cell == first.Cell.Index && skipped:
-					t.Error("the trial that cancelled the run is recorded as skipped")
-				case tr.Cell != first.Cell.Index && !skipped:
-					t.Errorf("cell %d of the cancelled unit ran after the cancel", tr.Cell)
-				}
-			}
-			if ran > 4 {
-				t.Fatalf("%d trials ran after cancel; the stop did not hold", ran)
-			}
-		})
-	}
+		}
+		if ran > 4 {
+			t.Fatalf("%d trials ran after cancel; the stop did not hold", ran)
+		}
+	})
 }

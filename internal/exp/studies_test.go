@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,41 @@ func TestChannelStudyDeterministicAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(artifacts[0], artifacts[1]) {
 		t.Fatalf("channel artifacts differ between workers=1 and workers=8:\n%s\n---\n%s",
 			artifacts[0], artifacts[1])
+	}
+}
+
+// TestChannelStudyUnknownPolicyIsAParameterError: a spec naming an unknown
+// MEE policy fails every trial with the parameter error, not with a boot
+// panic whose recorded goroutine stack would make the artifact differ
+// between worker counts.
+func TestChannelStudyUnknownPolicyIsAParameterError(t *testing.T) {
+	spec := &Spec{
+		Name:     "bad-policy",
+		Study:    "channel",
+		BaseSeed: 42,
+		Trials:   2,
+		Params:   map[string]string{"bits": "16", "policy": "bogus"},
+		Axes:     []Axis{{Name: "window", Values: []string{"10000", "15000"}}},
+	}
+	var artifacts [][]byte
+	for _, w := range []int{1, 2} {
+		rep, err := RunSpec(spec, Config{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range rep.Trials {
+			if !strings.Contains(tr.Err, `policy="bogus"`) || strings.Contains(tr.Err, "panicked") {
+				t.Fatalf("workers=%d: trial error %q, want the policy parameter error", w, tr.Err)
+			}
+		}
+		b, err := MarshalArtifact(rep.Artifact())
+		if err != nil {
+			t.Fatal(err)
+		}
+		artifacts = append(artifacts, b)
+	}
+	if !bytes.Equal(artifacts[0], artifacts[1]) {
+		t.Fatalf("artifacts differ between workers=1 and workers=2:\n%s\n---\n%s", artifacts[0], artifacts[1])
 	}
 }
 

@@ -11,6 +11,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -184,26 +185,26 @@ func (e *Env) RunGrid(spec *exp.Spec) (*exp.Report, error) {
 	if e.TracePath != "" {
 		fmt.Fprintln(e.Stderr, "note: -trace records a single run; grids embed per-trial metrics snapshots in the artifact instead (use -metrics)")
 	}
-	cancel, done := make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt)
 	defer signal.Stop(sigCh)
-	defer close(done)
 	go func() {
 		select {
-		case <-done:
+		case <-ctx.Done():
 			return
 		case <-sigCh:
 		}
 		fmt.Fprintf(e.Stderr, "\ninterrupt: draining in-flight trials (interrupt again to kill)\n")
-		close(cancel)
+		cancel()
 		signal.Stop(sigCh)
 	}()
 	progress := func(p exp.Progress) {
 		fmt.Fprintf(e.Stderr, "\r%s: %d/%d trials, %d/%d cells, eta %s   ",
 			spec.Name, p.Done, p.Total, p.CellsDone, p.Cells, p.ETA().Round(1e9))
 	}
-	rep, err := exp.RunSpec(spec, exp.Config{Workers: e.Workers, OnProgress: progress, Cancel: cancel})
+	rep, err := exp.RunSpec(spec, exp.Config{Workers: e.Workers, OnProgress: progress, Context: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -34,18 +34,22 @@ func fig2(e *Env) error {
 	return e.FinishObs(o)
 }
 
-func fig4(e *Env) error {
-	e.header("Figure 4: eviction probability vs candidate address set size (§4.1)")
-	// One harness cell per EPC layout; each trial is a full capacity
-	// experiment with e.Trials eviction tests per candidate size.
-	rep, err := e.grid(&exp.Spec{
+// fig4Spec is Figure 4's grid: one cell per EPC layout, each trial a full
+// capacity experiment with e.Trials eviction tests per candidate size.
+func fig4Spec(e *Env) *exp.Spec {
+	return &exp.Spec{
 		Name:     "fig4",
 		Study:    "capacity",
 		BaseSeed: e.Seed,
 		Trials:   1,
 		Params:   map[string]string{"samples": strconv.Itoa(e.Trials)},
 		Axes:     []exp.Axis{{Name: "epc", Values: []string{"contiguous", "fragmented"}}},
-	})
+	}
+}
+
+func fig4(e *Env) error {
+	e.header("Figure 4: eviction probability vs candidate address set size (§4.1)")
+	rep, err := e.grid(fig4Spec(e))
 	if err != nil {
 		return err
 	}
@@ -131,20 +135,26 @@ func fig6b(e *Env) error {
 	return e.FinishObs(o)
 }
 
-func fig7(e *Env) error {
-	e.header("Figure 7: bit rate vs error rate across timing-window sizes (§5.4)")
+// fig7Spec is Figure 7's grid: e.Trials random e.Bits-bit payloads at each
+// of the paper's windows.
+func fig7Spec(e *Env) *exp.Spec {
 	windows := make([]string, 0, len(meecc.PaperWindows()))
 	for _, w := range meecc.PaperWindows() {
 		windows = append(windows, strconv.FormatInt(int64(w), 10))
 	}
-	rep, err := e.grid(&exp.Spec{
+	return &exp.Spec{
 		Name:     "fig7",
 		Study:    "channel",
 		BaseSeed: e.Seed,
 		Trials:   e.Trials,
 		Params:   map[string]string{"bits": strconv.Itoa(e.Bits), "pattern": "random"},
 		Axes:     []exp.Axis{{Name: "window", Values: windows}},
-	})
+	}
+}
+
+func fig7(e *Env) error {
+	e.header("Figure 7: bit rate vs error rate across timing-window sizes (§5.4)")
+	rep, err := e.grid(fig7Spec(e))
 	if err != nil {
 		return err
 	}
@@ -174,16 +184,22 @@ func fig7(e *Env) error {
 	})
 }
 
-func fig8(e *Env) error {
-	e.header("Figure 8: 128-bit '100100...' under noise environments (§5.4)")
-	rep, err := e.grid(&exp.Spec{
+// fig8Spec is Figure 8's grid: e.Trials runs of the 128-bit '100100...'
+// sequence at window e.Window in each noise environment.
+func fig8Spec(e *Env) *exp.Spec {
+	return &exp.Spec{
 		Name:     "fig8",
 		Study:    "channel",
 		BaseSeed: e.Seed,
 		Trials:   e.Trials,
 		Params:   map[string]string{"bits": "128", "pattern": "100", "window": strconv.FormatInt(int64(e.Window), 10)},
 		Axes:     []exp.Axis{{Name: "noise", Values: []string{"none", "memory", "mee512", "mee4k"}}},
-	})
+	}
+}
+
+func fig8(e *Env) error {
+	e.header("Figure 8: 128-bit '100100...' under noise environments (§5.4)")
+	rep, err := e.grid(fig8Spec(e))
 	if err != nil {
 		return err
 	}

@@ -51,10 +51,6 @@ func NewStat(samples []float64) Stat {
 	return s
 }
 
-// CILo and CIHi bound the 95% confidence interval on the mean.
-func (s Stat) CILo() float64 { return s.Mean - s.CI95 }
-func (s Stat) CIHi() float64 { return s.Mean + s.CI95 }
-
 // StatHeader names the CSV columns Columns emits for a metric, in order.
 func StatHeader(metric string) []string {
 	return []string{

@@ -1,6 +1,6 @@
 // Package trace provides the small data-wrangling layer the experiment
-// harness uses to reproduce the paper's figures: histograms, labeled series,
-// CSV emission, and ASCII rendering for terminal output.
+// harness uses to reproduce the paper's figures: histograms, CSV emission,
+// and ASCII rendering for terminal output.
 package trace
 
 import (
@@ -84,22 +84,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// Percentile returns the p-th percentile (0..100) using bucket midpoints.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := int(p / 100 * float64(h.n))
-	seen := 0
-	for _, b := range h.Buckets() {
-		seen += b.Count
-		if seen > target {
-			return (b.Lo + b.Hi) / 2
-		}
-	}
-	return h.max
-}
-
 // Render draws the histogram as ASCII bars of at most barWidth characters.
 func (h *Histogram) Render(w io.Writer, barWidth int) {
 	bks := h.Buckets()
@@ -116,19 +100,6 @@ func (h *Histogram) Render(w io.Writer, barWidth int) {
 		}
 		fmt.Fprintf(w, "%10.0f-%-8.0f |%-*s %d\n", b.Lo, b.Hi, barWidth, strings.Repeat("#", bar), b.Count)
 	}
-}
-
-// Series is one labeled (x, y) data series.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
 }
 
 // WriteCSV emits a header row and numeric rows.
@@ -156,30 +127,6 @@ func WriteCSVRecords(w io.Writer, header []string, rows [][]string) error {
 		}
 	}
 	return nil
-}
-
-// SeriesCSV writes aligned series (sharing X) as CSV columns.
-func SeriesCSV(w io.Writer, xName string, series ...*Series) error {
-	if len(series) == 0 {
-		return nil
-	}
-	header := []string{xName}
-	for _, s := range series {
-		header = append(header, s.Name)
-	}
-	rows := make([][]float64, len(series[0].X))
-	for i := range rows {
-		row := []float64{series[0].X[i]}
-		for _, s := range series {
-			if i < len(s.Y) {
-				row = append(row, s.Y[i])
-			} else {
-				row = append(row, 0)
-			}
-		}
-		rows[i] = row
-	}
-	return WriteCSV(w, header, rows)
 }
 
 // Table accumulates aligned text rows for terminal reports.

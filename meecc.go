@@ -21,7 +21,9 @@
 //     FindEvictionSet;
 //   - characterization (§5.1): CharacterizeLatency;
 //   - the Prime+Probe baseline (§5.2): RunPrimeProbe;
-//   - evaluation sweeps (§5.4): WindowSweep, NoiseStudy;
+//   - the evaluation axes (§5.4): PaperWindows for Figure 7 and NoiseKind
+//     for Figure 8; cmd/figures runs both figures as experiment grids of
+//     RunChannel trials;
 //   - extensions: MitigationStudy, EvictionStudy;
 //   - robustness: FaultConfig (deterministic fault injection) and
 //     RunResilient (the adaptive session layer that survives it).
@@ -75,14 +77,8 @@ type LatencyResult = core.LatencyResult
 // PrimeProbeResult is the Figure 6(a) dataset.
 type PrimeProbeResult = core.PrimeProbeResult
 
-// SweepPoint is one Figure 7 point.
-type SweepPoint = core.SweepPoint
-
 // NoiseKind selects a Figure 8 background environment.
 type NoiseKind = core.NoiseKind
-
-// NoiseRun is one Figure 8 panel.
-type NoiseRun = core.NoiseRun
 
 // MitigationResult is one row of the mitigation ablation.
 type MitigationResult = core.MitigationResult
@@ -145,27 +141,8 @@ func CharacterizeLatency(opts Options, samplesPerStride int) (*LatencyResult, er
 	return core.CharacterizeLatency(opts, samplesPerStride)
 }
 
-// WindowSweep runs the §5.4 bit-rate/error-rate sweep (Figure 7).
-func WindowSweep(opts Options, windows []Cycles, nbits int) []SweepPoint {
-	return core.WindowSweep(opts, windows, nbits)
-}
-
 // PaperWindows returns Figure 7's window sizes.
 func PaperWindows() []Cycles { return core.PaperWindows() }
-
-// SweepStats aggregates one window size across seeds (Figure 7 error bars).
-type SweepStats = core.SweepStats
-
-// MultiSeedSweep runs the Figure 7 sweep across independent seeds and
-// aggregates per-window error statistics.
-func MultiSeedSweep(opts Options, windows []Cycles, nbits, seeds int) []SweepStats {
-	return core.MultiSeedSweep(opts, windows, nbits, seeds)
-}
-
-// NoiseStudy runs the §5.4 robustness experiments (Figure 8).
-func NoiseStudy(opts Options, window Cycles, nbits int) []NoiseRun {
-	return core.NoiseStudy(opts, window, nbits)
-}
 
 // MitigationStudy runs the channel against hardened MEE-cache variants
 // (extension of §5.5).
