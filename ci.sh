@@ -142,6 +142,16 @@ for target in FuzzWaitTimer FuzzForkEquivalence; do
     go test ./internal/platform -run '^$' -fuzz "^$target\$" -fuzztime 5s
 done
 
+echo "== fuzz smoke: internal/cache, internal/cpucache =="
+# FuzzCacheMatchesReference: random scripts over a shrunk cache must match a
+# plain list-per-set LRU/FIFO reference op for op, through Clone and an
+# ExportState/FromState round trip. FuzzHierarchyInvariants: random
+# multi-core reads, writes, fills and clflushes keep the LLC inclusive, the
+# presence bits set and every valid LLC line paired with its buffer, which
+# the one-scan clflush relies on.
+go test ./internal/cache -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 5s
+go test ./internal/cpucache -run '^$' -fuzz '^FuzzHierarchyInvariants$' -fuzztime 5s
+
 echo "== fuzz smoke: internal/code =="
 # A short randomized pass over the decoder-facing fuzz targets: the channel
 # hands the decoder attacker-observed, noise-corrupted bits, so "never

@@ -5,14 +5,17 @@
 // mee package, not here.
 //
 // Each cache is a few flat slabs allocated once by New: the line directory
-// indexed [set*ways+way] and one word slab holding every set's replacement
-// state, which a Policy reads and writes one set's window at a time. The
-// same windows are the serialized form (State), so cloning, exporting and
-// rebuilding a cache are slab copies whatever its geometry.
+// indexed [set*ways+way], one occupancy mask per set, and one word slab
+// holding every set's replacement state, which a Policy reads and writes one
+// set's window at a time. The same windows are the serialized form (State),
+// so cloning, exporting and rebuilding a cache are slab copies whatever its
+// geometry. Every scan of a set visits only the ways its mask marks valid,
+// so a probe of a near-empty set costs little whatever the associativity.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 
@@ -45,26 +48,42 @@ type Stats struct {
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulation engine serializes all actors, so no locking is needed.
-// lines is indexed [set*ways+way] and words holds set s's replacement
-// window at [s*stride : (s+1)*stride]; both are allocated once by New.
+// lines is indexed [set*ways+way], valid[s] has bit w set exactly when
+// lines[s*ways+w] is valid, and words holds set s's replacement window at
+// [s*stride : (s+1)*stride]; all are allocated once by New. The masks are
+// derived from lines, so State does not carry them.
 type Cache struct {
 	name    string
 	sets    int
 	ways    int
-	stride  int // policy words per set
+	stride  int    // policy words per set
+	full    uint64 // occupancy mask of a set with every way valid
 	lines   []Line
+	valid   []uint64
 	words   []uint64
 	policy  Policy
 	stats   Stats
 	evBySet []uint64
 }
 
+// maxWays is the occupancy-mask width: one uint64 per set.
+const maxWays = 64
+
+// checkGeometry is the one geometry rule New and FromState share: at least
+// one set, and 1..maxWays ways so a set's occupancy fits its mask.
+func checkGeometry(name string, sets, ways int) error {
+	if sets <= 0 || ways <= 0 || ways > maxWays {
+		return fmt.Errorf("cache %s: invalid geometry %dx%d (want at least 1 set and 1..%d ways)", name, sets, ways, maxWays)
+	}
+	return nil
+}
+
 // New builds a cache with the given geometry and replacement policy.
-// sets and ways must be positive; tree-PLRU additionally requires ways to be
-// a power of two (enforced by the policy).
+// sets must be positive and ways in 1..64; tree-PLRU additionally requires
+// ways to be a power of two (enforced by the policy).
 func New(name string, sets, ways int, policy Policy) *Cache {
-	if sets <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cache %s: invalid geometry %dx%d", name, sets, ways))
+	if err := checkGeometry(name, sets, ways); err != nil {
+		panic(err.Error())
 	}
 	stride := policy.Words(ways)
 	c := &Cache{
@@ -72,7 +91,9 @@ func New(name string, sets, ways int, policy Policy) *Cache {
 		sets:    sets,
 		ways:    ways,
 		stride:  stride,
+		full:    fullMask(ways),
 		lines:   make([]Line, sets*ways),
+		valid:   make([]uint64, sets),
 		words:   make([]uint64, sets*stride),
 		policy:  policy,
 		evBySet: make([]uint64, sets),
@@ -83,9 +104,19 @@ func New(name string, sets, ways int, policy Policy) *Cache {
 	return c
 }
 
-// set returns the ways of one set, aliasing the line slab.
-func (c *Cache) set(set int) []Line {
-	return c.lines[set*c.ways : (set+1)*c.ways : (set+1)*c.ways]
+// fullMask returns the occupancy mask with one bit per way.
+func fullMask(ways int) uint64 { return ^uint64(0) >> (maxWays - ways) }
+
+// find returns the way holding tag in set, or -1, visiting only the ways
+// the set's occupancy mask marks valid.
+func (c *Cache) find(set int, tag Tag) int {
+	base := set * c.ways
+	for m := c.valid[set]; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); c.lines[base+w].Tag == tag {
+			return w
+		}
+	}
+	return -1
 }
 
 // window returns one set's replacement state, aliasing the word slab.
@@ -182,13 +213,10 @@ func (c *Cache) Lookup(set int, tag Tag) bool {
 // the cpucache plaintext buffers) can index it without a map. way is -1 on a
 // miss.
 func (c *Cache) LookupWay(set int, tag Tag) (way int, hit bool) {
-	ws := c.set(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			c.policy.Touch(c.window(set), w)
-			c.stats.Hits++
-			return w, true
-		}
+	if w := c.find(set, tag); w >= 0 {
+		c.policy.Touch(c.window(set), w)
+		c.stats.Hits++
+		return w, true
 	}
 	c.stats.Misses++
 	return -1, false
@@ -203,26 +231,19 @@ func (c *Cache) Contains(set int, tag Tag) bool {
 // WayOf returns the way holding tag without updating replacement state or
 // stats (Contains with the way exposed). way is -1 when absent.
 func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
-	ws := c.set(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			return w, true
-		}
-	}
-	return -1, false
+	w := c.find(set, tag)
+	return w, w >= 0
 }
 
 // MarkDirty sets the dirty bit of a resident line. It reports whether the
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
-	ws := c.set(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			ws[w].Dirty = true
-			return true
-		}
+	w := c.find(set, tag)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.lines[set*c.ways+w].Dirty = true
+	return true
 }
 
 // Insert fills tag into set, evicting if necessary. It returns the evicted
@@ -237,39 +258,35 @@ func (c *Cache) Insert(set int, tag Tag, dirty bool) (evicted Line) {
 // InsertWay is Insert returning the way the line landed in, so callers with
 // dense [set][way] side data can place the line's payload without a map.
 func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) {
-	ws := c.set(set)
+	base := set * c.ways
 	// Already present: refresh.
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			ws[w].Dirty = ws[w].Dirty || dirty
-			c.policy.Touch(c.window(set), w)
-			return w, Line{}
+	if w := c.find(set, tag); w >= 0 {
+		l := &c.lines[base+w]
+		l.Dirty = l.Dirty || dirty
+		c.policy.Touch(c.window(set), w)
+		return w, Line{}
+	}
+	if m := c.valid[set]; m != c.full {
+		// Empty way available: the lowest one.
+		way = bits.TrailingZeros64(^m)
+	} else {
+		// Evict a victim.
+		way = c.policy.Victim(c.window(set), c.ways)
+		if way < 0 || way >= c.ways {
+			panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d", c.name, c.policy.Name(), way, c.ways))
+		}
+		evicted = c.lines[base+way]
+		c.stats.Evictions++
+		c.evBySet[set]++
+		if evicted.Dirty {
+			c.stats.WritebacksOut++
 		}
 	}
-	// Empty way available.
-	for w := range ws {
-		if !ws[w].Valid {
-			ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-			c.policy.Fill(c.window(set), w)
-			c.stats.Fills++
-			return w, Line{}
-		}
-	}
-	// Evict a victim.
-	w := c.policy.Victim(c.window(set), c.ways)
-	if w < 0 || w >= c.ways {
-		panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d", c.name, c.policy.Name(), w, c.ways))
-	}
-	evicted = ws[w]
-	c.stats.Evictions++
-	c.evBySet[set]++
-	if evicted.Dirty {
-		c.stats.WritebacksOut++
-	}
-	ws[w] = Line{Tag: tag, Valid: true, Dirty: dirty}
-	c.policy.Fill(c.window(set), w)
+	c.lines[base+way] = Line{Tag: tag, Valid: true, Dirty: dirty}
+	c.valid[set] |= 1 << way
+	c.policy.Fill(c.window(set), way)
 	c.stats.Fills++
-	return w, evicted
+	return way, evicted
 }
 
 // Invalidate removes tag from set (clflush semantics). It returns the line
@@ -283,37 +300,38 @@ func (c *Cache) Invalidate(set int, tag Tag) Line {
 // InvalidateWay is Invalidate returning the way the line was removed from
 // (-1 when the tag was not resident).
 func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
-	ws := c.set(set)
-	for w := range ws {
-		if ws[w].Valid && ws[w].Tag == tag {
-			l := ws[w]
-			ws[w] = Line{}
-			c.policy.Invalidate(c.window(set), w)
-			c.stats.Invalidations++
-			if l.Dirty {
-				c.stats.WritebacksOut++
-			}
-			return w, l
-		}
+	way = c.find(set, tag)
+	if way < 0 {
+		return -1, Line{}
 	}
-	return -1, Line{}
+	l := &c.lines[set*c.ways+way]
+	removed, *l = *l, Line{}
+	c.valid[set] &^= 1 << way
+	c.policy.Invalidate(c.window(set), way)
+	c.stats.Invalidations++
+	if removed.Dirty {
+		c.stats.WritebacksOut++
+	}
+	return way, removed
 }
 
 // FlushAll invalidates every line, returning the dirty lines that would be
-// written back.
+// written back in [set*ways+way] order.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
-	for i, l := range c.lines {
-		if !l.Valid {
-			continue
+	for s, m := range c.valid {
+		for ; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			l := c.lines[s*c.ways+w]
+			c.lines[s*c.ways+w] = Line{}
+			c.policy.Invalidate(c.window(s), w)
+			c.stats.Invalidations++
+			if l.Dirty {
+				dirty = append(dirty, l)
+				c.stats.WritebacksOut++
+			}
 		}
-		c.lines[i] = Line{}
-		c.policy.Invalidate(c.window(i/c.ways), i%c.ways)
-		c.stats.Invalidations++
-		if l.Dirty {
-			dirty = append(dirty, l)
-			c.stats.WritebacksOut++
-		}
+		c.valid[s] = 0
 	}
 	return dirty
 }
@@ -338,6 +356,7 @@ func (c *Cache) Clone(rng *rand.Rand) *Cache {
 	n := *c
 	n.policy = policy
 	n.lines = slices.Clone(c.lines)
+	n.valid = slices.Clone(c.valid)
 	n.words = slices.Clone(c.words)
 	n.evBySet = slices.Clone(c.evBySet)
 	return &n
@@ -345,16 +364,14 @@ func (c *Cache) Clone(rng *rand.Rand) *Cache {
 
 // SetContents returns a copy of the lines in a set, for tests and tools.
 func (c *Cache) SetContents(set int) []Line {
-	return slices.Clone(c.set(set))
+	return slices.Clone(c.lines[set*c.ways : (set+1)*c.ways])
 }
 
 // ValidCount returns the number of valid lines in the whole cache.
 func (c *Cache) ValidCount() int {
 	n := 0
-	for _, l := range c.lines {
-		if l.Valid {
-			n++
-		}
+	for _, m := range c.valid {
+		n += bits.OnesCount64(m)
 	}
 	return n
 }

@@ -9,7 +9,8 @@ import (
 // State is the serializable image of a Cache: geometry, policy name, line
 // directory, per-set replacement words, statistics, and per-set eviction
 // counters. It contains no pointers into the live cache and no random
-// sources; FromState rebuilds an equivalent frozen cache from it.
+// sources; FromState rebuilds an equivalent frozen cache from it, deriving
+// the occupancy masks from the lines.
 type State struct {
 	Name       string
 	Sets, Ways int
@@ -50,8 +51,8 @@ func (c *Cache) ExportState() *State {
 // every set's words pass the policy's Check, so a corrupted image returns an
 // error rather than panicking downstream.
 func FromState(st *State, rng *rand.Rand) (*Cache, error) {
-	if st.Sets <= 0 || st.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: invalid geometry %dx%d", st.Name, st.Sets, st.Ways)
+	if err := checkGeometry(st.Name, st.Sets, st.Ways); err != nil {
+		return nil, err
 	}
 	if len(st.Lines) != st.Sets*st.Ways {
 		return nil, fmt.Errorf("cache %s: %d lines, want %d", st.Name, len(st.Lines), st.Sets*st.Ways)
@@ -81,11 +82,18 @@ func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 		sets:    st.Sets,
 		ways:    st.Ways,
 		stride:  stride,
+		full:    fullMask(st.Ways),
 		lines:   slices.Clone(st.Lines),
+		valid:   make([]uint64, st.Sets),
 		words:   make([]uint64, st.Sets*stride),
 		policy:  policy,
 		stats:   st.Stats,
 		evBySet: slices.Clone(st.EvBySet),
+	}
+	for i, l := range c.lines {
+		if l.Valid {
+			c.valid[i/c.ways] |= 1 << (i % c.ways)
+		}
 	}
 	for s, ws := range st.SetWords {
 		if len(ws) != stride {

@@ -64,3 +64,23 @@ func TestStateRoundTripAllPolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestStateRejectsUnrepresentableWays: a set's occupancy is one 64-bit mask,
+// so an image with no ways or more than 64 must fail to decode instead of
+// yielding a cache whose high ways no scan visits.
+func TestStateRejectsUnrepresentableWays(t *testing.T) {
+	for _, ways := range []int{0, maxWays + 1} {
+		st := &State{
+			Name:       "t",
+			Sets:       2,
+			Ways:       ways,
+			PolicyName: "lru",
+			Lines:      make([]Line, 2*ways),
+			SetWords:   [][]uint64{make([]uint64, 1+ways), make([]uint64, 1+ways)},
+			EvBySet:    make([]uint64, 2),
+		}
+		if _, err := FromState(st, nil); err == nil {
+			t.Errorf("%d-way image decoded without error", ways)
+		}
+	}
+}

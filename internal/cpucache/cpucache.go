@@ -50,7 +50,8 @@ func (l Level) String() string {
 
 // Config describes the hierarchy's geometry and latencies (cycles). The
 // defaults model the paper's i7-6700K (Skylake): 32 KB 8-way L1D, 256 KB
-// 4-way L2, 8 MB 16-way shared inclusive LLC.
+// 4-way L2, 8 MB 16-way shared inclusive LLC. Every level's set count must
+// be a power of two: set indexes are the line address masked to the level.
 type Config struct {
 	Cores   int
 	L1Sets  int
@@ -126,6 +127,10 @@ var generations atomic.Uint64
 // simulation engine serializes all actors.
 type Hierarchy struct {
 	cfg Config
+	// l1Mask, l2Mask and llcMask are each level's set count minus one: a
+	// line's set is its line address masked to the level.
+	l1Mask, l2Mask, llcMask uint64
+
 	l1  []*cache.Cache
 	l2  []*cache.Cache
 	llc *cache.Cache
@@ -166,21 +171,43 @@ func (h *Hierarchy) countDrop() { h.freeBufs++ }
 // allCores is the mask with every core's bit set.
 func (h *Hierarchy) allCores() uint16 { return uint16(1)<<h.cfg.Cores - 1 }
 
+// checkConfig is the one geometry rule New and HierarchyFromState share: a
+// core count the presence masks can represent, and power-of-two set counts
+// at every level, which the masked set indexes rely on. Ways are the cache
+// package's to check.
+func checkConfig(cfg Config) error {
+	if cfg.Cores <= 0 || cfg.Cores > maxCores {
+		return fmt.Errorf("cpucache: core count %d outside 1..%d", cfg.Cores, maxCores)
+	}
+	for _, sets := range []int{cfg.L1Sets, cfg.L2Sets, cfg.LLCSets} {
+		if sets <= 0 || sets&(sets-1) != 0 {
+			return fmt.Errorf("cpucache: L1/L2/LLC set counts %d/%d/%d must be powers of two", cfg.L1Sets, cfg.L2Sets, cfg.LLCSets)
+		}
+	}
+	return nil
+}
+
+// newHierarchy returns a hierarchy of cfg's geometry over blocks, in a
+// fresh generation and with no cache levels yet.
+func newHierarchy(cfg Config, blocks []lineBlock) *Hierarchy {
+	return &Hierarchy{
+		cfg:     cfg,
+		l1Mask:  uint64(cfg.L1Sets - 1),
+		l2Mask:  uint64(cfg.L2Sets - 1),
+		llcMask: uint64(cfg.LLCSets - 1),
+		blocks:  blocks,
+		gen:     generations.Add(1),
+	}
+}
+
 // New builds the hierarchy; policy applies to all levels (LRU by default in
-// the platform).
+// the platform). It panics on a config checkConfig rejects.
 func New(cfg Config, policy cache.Policy) *Hierarchy {
-	if cfg.Cores <= 0 {
-		panic(fmt.Sprintf("cpucache: invalid core count %d", cfg.Cores))
+	if err := checkConfig(cfg); err != nil {
+		panic(err.Error())
 	}
-	if cfg.Cores > maxCores {
-		panic(fmt.Sprintf("cpucache: core count %d exceeds presence-mask width", cfg.Cores))
-	}
-	h := &Hierarchy{
-		cfg:    cfg,
-		llc:    cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy),
-		blocks: make([]lineBlock, cfg.LLCSets),
-		gen:    generations.Add(1),
-	}
+	h := newHierarchy(cfg, make([]lineBlock, cfg.LLCSets))
+	h.llc = cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy)
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, policy))
 		h.l2 = append(h.l2, cache.New(fmt.Sprintf("l2-%d", c), cfg.L2Sets, cfg.L2Ways, policy))
@@ -198,12 +225,8 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 // taken concurrently; h itself must not run on afterwards (use Snapshot for
 // a hierarchy that keeps running).
 func (h *Hierarchy) Fork(rng *rand.Rand) *Hierarchy {
-	n := &Hierarchy{
-		cfg:    h.cfg,
-		llc:    h.llc.Clone(rng),
-		blocks: slices.Clone(h.blocks),
-		gen:    generations.Add(1),
-	}
+	n := newHierarchy(h.cfg, slices.Clone(h.blocks))
+	n.llc = h.llc.Clone(rng)
 	for _, c := range h.l1 {
 		n.l1 = append(n.l1, c.Clone(rng))
 	}
@@ -248,7 +271,7 @@ func (h *Hierarchy) ownBuf(set, way int) *lineBuf {
 // locate finds the LLC location of a resident line without touching
 // replacement state or statistics; ok is false when the line is absent.
 func (h *Hierarchy) locate(addr dram.Addr) (set, way int, ok bool) {
-	set = h.set(h.llc, addr)
+	set = h.llcSet(addr)
 	way, ok = h.llc.WayOf(set, h.tag(addr))
 	return set, way, ok && h.buf(set, way) != nil
 }
@@ -291,9 +314,9 @@ func (h *Hierarchy) L1(core int) *cache.Cache { return h.l1[core] }
 
 func lineAddr(addr dram.Addr) dram.Addr { return addr &^ (dram.LineSize - 1) }
 
-func (h *Hierarchy) set(c *cache.Cache, addr dram.Addr) int {
-	return int((uint64(addr) / dram.LineSize) % uint64(c.Sets()))
-}
+func (h *Hierarchy) l1Set(addr dram.Addr) int  { return int(uint64(addr) / dram.LineSize & h.l1Mask) }
+func (h *Hierarchy) l2Set(addr dram.Addr) int  { return int(uint64(addr) / dram.LineSize & h.l2Mask) }
+func (h *Hierarchy) llcSet(addr dram.Addr) int { return int(uint64(addr) / dram.LineSize & h.llcMask) }
 
 func (h *Hierarchy) tag(addr dram.Addr) cache.Tag {
 	return cache.Tag(uint64(addr) / dram.LineSize)
@@ -314,21 +337,21 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 	lvl := Miss
 	var lat sim.Cycles
 	switch {
-	case h.l1[core].Lookup(h.set(h.l1[core], addr), tag):
+	case h.l1[core].Lookup(h.l1Set(addr), tag):
 		h.touchShared(core, addr) // keep L2/LLC recency in sync
 		lvl, lat = HitL1, sim.Cycles(h.cfg.L1Lat)
-	case h.l2[core].Lookup(h.set(h.l2[core], addr), tag):
-		h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
-		h.llc.Lookup(h.set(h.llc, addr), tag)
+	case h.l2[core].Lookup(h.l2Set(addr), tag):
+		h.l1[core].Insert(h.l1Set(addr), tag, false)
+		h.llc.Lookup(h.llcSet(addr), tag)
 		lvl, lat = HitL2, sim.Cycles(h.cfg.L2Lat)
 	default:
-		set := h.set(h.llc, addr)
+		set := h.llcSet(addr)
 		way, hit := h.llc.LookupWay(set, tag)
 		if !hit {
 			return Miss, sim.Cycles(h.cfg.MissLat)
 		}
-		h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
-		h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
+		h.l2[core].Insert(h.l2Set(addr), tag, false)
+		h.l1[core].Insert(h.l1Set(addr), tag, false)
 		// Now privately resident here too; a bit already set needs no write,
 		// so a read hit leaves a shared block shared.
 		if b := h.buf(set, way); b != nil && b.cores&(1<<uint(core)) == 0 {
@@ -359,15 +382,15 @@ func (h *Hierarchy) invalidateOthers(writer int, addr dram.Addr, mask uint16) {
 		if c == writer || mask&(1<<uint(c)) == 0 {
 			continue
 		}
-		h.l1[c].Invalidate(h.set(h.l1[c], addr), tag)
-		h.l2[c].Invalidate(h.set(h.l2[c], addr), tag)
+		h.l1[c].Invalidate(h.l1Set(addr), tag)
+		h.l2[c].Invalidate(h.l2Set(addr), tag)
 	}
 }
 
 func (h *Hierarchy) touchShared(core int, addr dram.Addr) {
 	tag := h.tag(addr)
-	h.l2[core].Lookup(h.set(h.l2[core], addr), tag)
-	h.llc.Lookup(h.set(h.llc, addr), tag)
+	h.l2[core].Lookup(h.l2Set(addr), tag)
+	h.llc.Lookup(h.llcSet(addr), tag)
 }
 
 // Data returns the plaintext view of a resident line, or nil if the line is
@@ -389,7 +412,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	addr = lineAddr(addr)
 	tag := h.tag(addr)
 	var victim *Victim
-	set := h.set(h.llc, addr)
+	set := h.llcSet(addr)
 	way, ev := h.llc.InsertWay(set, tag, false)
 	b := h.ownBuf(set, way)
 	mask := uint16(1) << uint(core)
@@ -400,86 +423,62 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 		// presence mask bounds which cores can still hold it privately.
 		evAddr := dram.Addr(uint64(ev.Tag) * dram.LineSize)
 		evTag := h.tag(evAddr)
-		evMask := b.cores
-		if !b.valid {
-			evMask = h.allCores()
-		}
 		for c := 0; c < h.cfg.Cores; c++ {
-			if evMask&(1<<uint(c)) == 0 {
+			if b.cores&(1<<uint(c)) == 0 {
 				continue
 			}
-			h.l1[c].Invalidate(h.set(h.l1[c], evAddr), evTag)
-			h.l2[c].Invalidate(h.set(h.l2[c], evAddr), evTag)
+			h.l1[c].Invalidate(h.l1Set(evAddr), evTag)
+			h.l2[c].Invalidate(h.l2Set(evAddr), evTag)
 		}
-		if b.valid {
-			h.victim = Victim{Addr: evAddr, Data: b.data, Dirty: b.dirty}
-			h.countDrop()
-			victim = &h.victim
-		}
+		h.victim = Victim{Addr: evAddr, Data: b.data, Dirty: b.dirty}
+		h.countDrop()
+		victim = &h.victim
 	} else if b.valid {
 		// Re-filling a still-resident line: other cores may hold it
 		// privately, so their mask bits must survive.
 		mask |= b.cores
 	}
-	h.l2[core].Insert(h.set(h.l2[core], addr), tag, false)
-	h.l1[core].Insert(h.set(h.l1[core], addr), tag, false)
+	h.l2[core].Insert(h.l2Set(addr), tag, false)
+	h.l1[core].Insert(h.l1Set(addr), tag, false)
 	h.countInstall()
 	*b = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
 	return victim
 }
 
-// dropLine removes a line everywhere and returns it as a Victim (nil if the
-// line had no buffer, which cannot happen in a consistent hierarchy). The
-// returned pointer aliases the hierarchy's scratch Victim.
-func (h *Hierarchy) dropLine(addr dram.Addr) *Victim {
-	tag := h.tag(addr)
-	set := h.set(h.llc, addr)
-	way, _ := h.llc.InvalidateWay(set, tag)
-	if way < 0 {
-		// Not in the inclusive LLC; sweep the private caches anyway (the
-		// historical behavior — a guaranteed no-op in a consistent hierarchy).
-		for c := 0; c < h.cfg.Cores; c++ {
-			h.l1[c].Invalidate(h.set(h.l1[c], addr), tag)
-			h.l2[c].Invalidate(h.set(h.l2[c], addr), tag)
-		}
-		return nil
-	}
-	var b lineBuf
-	if p := h.buf(set, way); p != nil {
-		b = *p
-		*h.ownBuf(set, way) = lineBuf{}
-	}
-	mask := b.cores
-	if !b.valid {
-		mask = h.allCores()
-	}
-	for c := 0; c < h.cfg.Cores; c++ {
-		if mask&(1<<uint(c)) == 0 {
-			continue
-		}
-		h.l1[c].Invalidate(h.set(h.l1[c], addr), tag)
-		h.l2[c].Invalidate(h.set(h.l2[c], addr), tag)
-	}
-	if !b.valid {
-		return nil
-	}
-	h.countDrop()
-	h.victim = Victim{Addr: addr, Data: b.data, Dirty: b.dirty}
-	return &h.victim
-}
-
 // Flush implements clflush: the line is invalidated from every level of
 // every core. It returns the victim (nil if the line was not cached) and
-// the latency charged to the issuing core. The MEE cache is unaffected —
-// that asymmetry is the paper's challenge 1.
+// the latency charged to the issuing core; the victim aliases the
+// hierarchy's scratch Victim. The MEE cache is unaffected — that asymmetry
+// is the paper's challenge 1.
+//
+// One scan of the LLC set finds and invalidates the line. The LLC is
+// inclusive and every valid LLC line has a valid buffer (New and
+// HierarchyFromState keep both true), so a line the LLC does not hold is
+// in no private cache either, and a line it does hold has a buffer whose
+// presence mask bounds the private caches to clear.
 func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	addr = lineAddr(addr)
 	h.cFlush.Inc()
 	lat := sim.Cycles(h.cfg.FlushLat)
-	if _, _, ok := h.locate(addr); !ok {
+	tag := h.tag(addr)
+	set := h.llcSet(addr)
+	way, _ := h.llc.InvalidateWay(set, tag)
+	if way < 0 {
 		return nil, lat
 	}
-	return h.dropLine(addr), lat
+	b := h.ownBuf(set, way)
+	h.victim = Victim{Addr: addr, Data: b.data, Dirty: b.dirty}
+	mask := b.cores
+	*b = lineBuf{}
+	for c := 0; c < h.cfg.Cores; c++ {
+		if mask&(1<<uint(c)) == 0 {
+			continue
+		}
+		h.l1[c].Invalidate(h.l1Set(addr), tag)
+		h.l2[c].Invalidate(h.l2Set(addr), tag)
+	}
+	h.countDrop()
+	return &h.victim, lat
 }
 
 // Resident reports whether addr's line is anywhere in the hierarchy.

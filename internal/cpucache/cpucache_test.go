@@ -178,7 +178,7 @@ func TestForkCopiesOnlyTheWrittenBlock(t *testing.T) {
 	f := snap.Fork(nil)
 
 	addr := dram.Addr(0x10000 + 5*dram.LineSize)
-	set := snap.set(snap.llc, addr)
+	set := snap.llcSet(addr)
 	frozen := slices.Clone(snap.blocks[set].bufs)
 	sameSet := addr + dram.Addr(snap.cfg.LLCSets*dram.LineSize)
 	f.Fill(1, sameSet, line(0xee), true)

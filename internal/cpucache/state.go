@@ -46,12 +46,13 @@ func (h *Hierarchy) ExportState() *State {
 
 // HierarchyFromState rebuilds a frozen hierarchy from a serialized image.
 // The result never runs directly — Fork rebinds randomized policies to a
-// live engine stream. Geometry mismatches against cfg are errors, and so is
-// a core count the presence masks cannot represent. Only sets that hold a
-// buffer get a block.
+// live engine stream. A config New would refuse is an error, and so are
+// geometry mismatches against cfg and buffers that do not match the valid
+// LLC lines one for one (Flush relies on every valid LLC line having one).
+// Only sets that hold a buffer get a block.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
-	if cfg.Cores <= 0 || cfg.Cores > maxCores {
-		return nil, fmt.Errorf("cpucache: core count %d outside 1..%d", cfg.Cores, maxCores)
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
 	if len(st.L1) != cfg.Cores || len(st.L2) != cfg.Cores {
 		return nil, fmt.Errorf("cpucache: %d/%d private cache states, want %d", len(st.L1), len(st.L2), cfg.Cores)
@@ -67,12 +68,8 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpucache: %w", err)
 	}
-	h := &Hierarchy{
-		cfg:    cfg,
-		llc:    llc,
-		blocks: make([]lineBlock, cfg.LLCSets),
-		gen:    generations.Add(1),
-	}
+	h := newHierarchy(cfg, make([]lineBlock, cfg.LLCSets))
+	h.llc = llc
 	for i := 0; i < cfg.Cores; i++ {
 		if st.L1[i] == nil || st.L2[i] == nil {
 			return nil, fmt.Errorf("cpucache: missing private cache state for core %d", i)
@@ -92,10 +89,16 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 		h.l1 = append(h.l1, l1)
 		h.l2 = append(h.l2, l2)
 	}
+	if len(st.Bufs) != llc.ValidCount() {
+		return nil, fmt.Errorf("cpucache: %d line buffers for %d valid LLC lines", len(st.Bufs), llc.ValidCount())
+	}
 	last := -1
 	for _, b := range st.Bufs {
 		if b.Idx <= last || b.Idx >= cfg.LLCSets*cfg.LLCWays {
 			return nil, fmt.Errorf("cpucache: buffer slot %d out of order or range", b.Idx)
+		}
+		if !st.LLC.Lines[b.Idx].Valid {
+			return nil, fmt.Errorf("cpucache: buffer slot %d holds no valid LLC line", b.Idx)
 		}
 		last = b.Idx
 		// The serialized image does not carry private-cache presence, so

@@ -2,6 +2,7 @@ package cpucache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"meecc/internal/cache"
@@ -43,13 +44,68 @@ func TestStateRoundTrip(t *testing.T) {
 func TestStateRejectsUnrepresentableCores(t *testing.T) {
 	for _, cores := range []int{0, maxCores + 1} {
 		cfg := DefaultConfig(cores)
-		st := &State{LLC: cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU()).ExportState()}
-		for c := 0; c < cores; c++ {
-			st.L1 = append(st.L1, cache.New("l1d", cfg.L1Sets, cfg.L1Ways, cache.NewLRU()).ExportState())
-			st.L2 = append(st.L2, cache.New("l2", cfg.L2Sets, cfg.L2Ways, cache.NewLRU()).ExportState())
-		}
-		if _, err := HierarchyFromState(cfg, st); err == nil {
+		if _, err := HierarchyFromState(cfg, privateStates(cfg)); err == nil {
 			t.Errorf("%d-core image decoded without error", cores)
 		}
+	}
+}
+
+// privateStates returns a state with fresh caches of cfg's geometry, built
+// with the cache package directly so that cfg may break cpucache's rules.
+func privateStates(cfg Config) *State {
+	st := &State{LLC: cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU()).ExportState()}
+	for c := 0; c < cfg.Cores; c++ {
+		st.L1 = append(st.L1, cache.New("l1d", cfg.L1Sets, cfg.L1Ways, cache.NewLRU()).ExportState())
+		st.L2 = append(st.L2, cache.New("l2", cfg.L2Sets, cfg.L2Ways, cache.NewLRU()).ExportState())
+	}
+	return st
+}
+
+// TestStateRejectsNonPowerOfTwoSets: set indexes mask the line address, so
+// an image whose L1, L2 or LLC set count is not a power of two must fail to
+// decode, as New refuses it, instead of yielding a machine that indexes
+// past its sets.
+func TestStateRejectsNonPowerOfTwoSets(t *testing.T) {
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.L1Sets = 48 },
+		func(c *Config) { c.L2Sets = 1000 },
+		func(c *Config) { c.LLCSets = 6 },
+	} {
+		cfg := DefaultConfig(2)
+		bad(&cfg)
+		if _, err := HierarchyFromState(cfg, privateStates(cfg)); err == nil {
+			t.Errorf("image with L1/L2/LLC sets %d/%d/%d decoded without error", cfg.L1Sets, cfg.L2Sets, cfg.LLCSets)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted L1/L2/LLC sets %d/%d/%d", cfg.L1Sets, cfg.L2Sets, cfg.LLCSets)
+				}
+			}()
+			New(cfg, cache.NewLRU())
+		}()
+	}
+}
+
+// TestStateRejectsBuffersOffValidLines: clflush scans the LLC once and
+// takes the line's buffer, so an image must pair every valid LLC line with
+// a buffer and hold no buffer for an invalid slot.
+func TestStateRejectsBuffersOffValidLines(t *testing.T) {
+	h := newH()
+	h.Fill(0, 0x40000, line(1), true)
+	h.Fill(1, 0x80000, line(2), false)
+	st := h.ExportState()
+	if _, err := HierarchyFromState(h.Config(), st); err != nil {
+		t.Fatal(err)
+	}
+	missing := *st
+	missing.Bufs = st.Bufs[1:]
+	if _, err := HierarchyFromState(h.Config(), &missing); err == nil {
+		t.Error("valid LLC line without a buffer decoded without error")
+	}
+	stray := *st
+	stray.Bufs = append(slices.Clone(st.Bufs[:1]), LineBufState{Idx: st.Bufs[1].Idx + 1})
+	if _, err := HierarchyFromState(h.Config(), &stray); err == nil {
+		t.Error("buffer in an invalid LLC slot decoded without error")
 	}
 }

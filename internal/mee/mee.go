@@ -80,7 +80,9 @@ func (e *IntegrityError) Error() string {
 // latencies.
 type Config struct {
 	// CacheSets/CacheWays: 128 sets (64 odd for versions, 64 even for
-	// tags/levels) of 8 ways — the organization §4 reverse-engineers.
+	// tags/levels) of 8 ways — the organization §4 reverse-engineers. The
+	// set count must be even with a power-of-two half, so a line's set
+	// within its half is its line address masked.
 	CacheSets int
 	CacheWays int
 	// Policy is the replacement policy. The paper assumes "approximate
@@ -151,6 +153,9 @@ type Engine struct {
 	crypt *itree.Crypto
 	mem   *dram.DRAM
 	cache *cache.Cache
+	// halfMask is CacheSets/2 - 1: a line's set within its odd or even half
+	// is its line address masked by it.
+	halfMask uint64
 
 	// bufs mirrors the current content of every tree line resident in the
 	// MEE cache (DRAM may be stale for dirty lines). It is one contiguous
@@ -267,14 +272,27 @@ func (e *Engine) countInstall() {
 
 func (e *Engine) countDrop() { e.freeBufs++ }
 
-// New builds an MEE over the given geometry, crypto, and DRAM.
+// checkGeometry is the one geometry rule New and EngineFromState share: an
+// even set count whose half is a power of two, for the masked odd/even set
+// split. Ways are the cache package's to check.
+func checkGeometry(cfg Config) error {
+	half := cfg.CacheSets / 2
+	if cfg.CacheSets%2 != 0 || half <= 0 || half&(half-1) != 0 {
+		return fmt.Errorf("mee: cache sets must be even with a power-of-two half (odd/even split), got %d", cfg.CacheSets)
+	}
+	return nil
+}
+
+// New builds an MEE over the given geometry, crypto, and DRAM. It panics on
+// a geometry checkGeometry rejects.
 func New(cfg Config, geom itree.Geometry, crypt *itree.Crypto, mem *dram.DRAM) *Engine {
-	if cfg.CacheSets%2 != 0 {
-		panic("mee: cache sets must be even (odd/even split)")
+	if err := checkGeometry(cfg); err != nil {
+		panic(err.Error())
 	}
 	return &Engine{
 		cfg:         cfg,
 		geom:        geom,
+		halfMask:    uint64(cfg.CacheSets/2 - 1),
 		crypt:       crypt,
 		mem:         mem,
 		cache:       cache.New("mee", cfg.CacheSets, cfg.CacheWays, cfg.Policy),
@@ -306,6 +324,7 @@ func (e *Engine) Fork(mem *dram.DRAM, rng *rand.Rand) *Engine {
 	n := &Engine{
 		cfg:         e.cfg,
 		geom:        e.geom,
+		halfMask:    e.halfMask,
 		crypt:       e.crypt.Clone(),
 		mem:         mem,
 		cache:       e.cache.Clone(rng),
@@ -371,13 +390,21 @@ func (e *Engine) ResetStats() { e.stats = Stats{}; e.cache.ResetStats() }
 // would carry one extra odd-set fill and cap index sets at 7. The residual
 // "versions data eviction caused by other levels" the paper mentions shows
 // up in our model through PD_Tag pressure and PLRU dynamics instead.
+//
+// The walk knows each line's kind and calls oddSet or evenSet directly.
 func (e *Engine) CacheSetFor(addr dram.Addr) int {
-	lineIdx := uint64(addr) / itree.LineSize
-	half := uint64(e.cfg.CacheSets / 2)
 	if e.geom.Classify(addr) == itree.KindVersion {
-		return int(2*(lineIdx%half)) + 1
+		return e.oddSet(addr)
 	}
-	return int(2 * (lineIdx % half))
+	return e.evenSet(addr)
+}
+
+// oddSet is the set of a versions line.
+func (e *Engine) oddSet(addr dram.Addr) int { return e.evenSet(addr) + 1 }
+
+// evenSet is the set of a PD_Tag or L0..L2 line.
+func (e *Engine) evenSet(addr dram.Addr) int {
+	return int(2 * (uint64(addr) / itree.LineSize & e.halfMask))
 }
 
 func (e *Engine) cacheTag(addr dram.Addr) cache.Tag {

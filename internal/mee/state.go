@@ -67,8 +67,12 @@ func (e *Engine) ExportState() *State {
 // geom, and crypt come from the platform-level decode (they are derived from
 // the machine config and master key, not stored per-engine); the result has
 // no DRAM binding and never runs — Fork rebinds it to a live memory and RNG.
-// Geometry mismatches between cfg and the image are reported as errors.
+// A geometry New would refuse, and mismatches between cfg and the image, are
+// reported as errors.
 func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *State) (*Engine, error) {
+	if err := checkGeometry(cfg); err != nil {
+		return nil, err
+	}
 	if st.Cache == nil {
 		return nil, fmt.Errorf("mee: missing cache state")
 	}
@@ -89,6 +93,7 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 	e := &Engine{
 		cfg:         cfg,
 		geom:        geom,
+		halfMask:    uint64(cfg.CacheSets/2 - 1),
 		crypt:       crypt,
 		cache:       c,
 		bufs:        make([]nodeBuf, cfg.CacheSets*cfg.CacheWays),

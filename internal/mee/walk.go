@@ -17,7 +17,7 @@ import (
 // against its covering L0 counter, recursing up the tree.
 func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	vaddr := e.geom.VersionLineAddr(dataAddr)
-	set := e.CacheSetFor(vaddr)
+	set := e.oddSet(vaddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(vaddr)); hit {
 		w.markHit(HitVersions)
 		return &e.bufs[e.bufIdx(set, way)], nil
@@ -47,7 +47,7 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 // is not in the MEE cache. It records the walk's terminal hit level.
 func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (uint64, error) {
 	addr := e.geom.LevelLineAddr(level, idx)
-	set := e.CacheSetFor(addr)
+	set := e.evenSet(addr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(addr)); hit {
 		w.markHit(HitL0 + HitLevel(level))
 		return e.bufs[e.bufIdx(set, way)].counter.Counters[slot], nil
@@ -82,7 +82,7 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 // adds no serial latency and does not define the walk's hit level.
 func (e *Engine) loadTags(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	taddr := e.geom.TagLineAddr(dataAddr)
-	set := e.CacheSetFor(taddr)
+	set := e.evenSet(taddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(taddr)); hit {
 		return &e.bufs[e.bufIdx(set, way)], nil
 	}
@@ -109,19 +109,24 @@ func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBu
 	e.countInstall()
 	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), nb.dirty)
 	idx := e.bufIdx(set, way)
-	ev := e.bufs[idx] // victim's buffer lives in the slot we fill; copy it out
+	// The victim's buffer lives in the slot we fill. Only its writeback
+	// reads it, so it is copied out only when dirty.
+	dropped := evicted.Valid && e.bufs[idx].valid
+	var ev nodeBuf
+	if dropped && e.bufs[idx].dirty {
+		ev = e.bufs[idx]
+	}
 	nb.addr, nb.valid = addr, true
 	e.bufs[idx] = nb
-	e.nBufs++
-	if evicted.Valid {
-		e.nBufs--
-		if ev.valid {
-			if ev.dirty {
-				evAddr := dram.Addr(uint64(evicted.Tag) * itree.LineSize)
-				e.writeback(w, evAddr, &ev)
-			}
-			e.countDrop()
+	if !evicted.Valid {
+		e.nBufs++
+	}
+	if dropped {
+		if ev.dirty {
+			evAddr := dram.Addr(uint64(evicted.Tag) * itree.LineSize)
+			e.writeback(w, evAddr, &ev)
 		}
+		e.countDrop()
 	}
 	return &e.bufs[idx]
 }
@@ -179,7 +184,7 @@ func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) ui
 		panic(fmt.Sprintf("mee: level %d counter overflow (re-key required)", level))
 	}
 	addr := e.geom.LevelLineAddr(level, idx)
-	set := e.CacheSetFor(addr)
+	set := e.evenSet(addr)
 	way, ok := e.cache.WayOf(set, e.cacheTag(addr))
 	if !ok {
 		panic(fmt.Sprintf("mee: counter line %#x vanished during writeback", addr))

@@ -1,0 +1,63 @@
+package platform
+
+import (
+	"testing"
+
+	"meecc/internal/enclave"
+)
+
+// accessFlushPages is the working set of the access+flush loops: 96 enclave
+// pages, probed one line per page at a 4 KB stride, as Algorithm 1 walks its
+// candidate pages.
+const accessFlushPages = 96
+
+// accessFlushLoop runs body on an enclave thread of a fresh default machine
+// once the thread has made one Access+Flush pass over the pages, handing it
+// the pair for the i-th step of the round robin.
+func accessFlushLoop(tb testing.TB, body func(step func(i int))) {
+	tb.Helper()
+	p := New(DefaultConfig(1))
+	defer p.Close()
+	pr := p.NewProcess("probe")
+	e, err := pr.CreateEnclave(accessFlushPages)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.SpawnThread("probe", pr, 0, func(th *Thread) {
+		th.EnterEnclave()
+		step := func(i int) {
+			va := e.Base + enclave.VAddr(i%accessFlushPages*enclave.PageBytes)
+			th.Access(va)
+			th.Flush(va)
+		}
+		for i := 0; i < accessFlushPages; i++ {
+			step(i)
+		}
+		body(step)
+	})
+	p.Run(-1)
+}
+
+// BenchmarkAccessFlush times Algorithm 1's inner step on the whole machine:
+// one protected Access and one clflush of the same line, round robin over
+// the pages. Every access misses the CPU caches and walks the MEE, so ns/op
+// is the host time of one simulated access pair.
+func BenchmarkAccessFlush(b *testing.B) {
+	accessFlushLoop(b, func(step func(int)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+		b.StopTimer()
+	})
+}
+
+// BenchmarkBoot isolates the boot floor every fresh trial pays: building a
+// default machine, whose cache slabs and bitmaps dominate B/op.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(DefaultConfig(uint64(i))).Close()
+	}
+}

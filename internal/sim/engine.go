@@ -338,8 +338,15 @@ func (e *Engine) Actors() []string {
 // timing models.
 func Gauss(rng *rand.Rand, mean, sigma float64) Cycles {
 	v := rng.NormFloat64()*sigma + mean
-	lo, hi := mean-4*sigma, mean+4*sigma
-	v = math.Max(lo, math.Min(hi, v))
+	// Clamp to hi, then lo: math.Max(lo, math.Min(hi, v)) for every value
+	// NormFloat64 can yield (it never returns NaN or ±Inf, and ±0 both round
+	// to 0), without the calls.
+	if hi := mean + 4*sigma; v > hi {
+		v = hi
+	}
+	if lo := mean - 4*sigma; v < lo {
+		v = lo
+	}
 	if v < 0 {
 		v = 0
 	}

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
 
 func TestSpawnAtDelaysFirstOp(t *testing.T) {
 	e := NewEngine(1)
@@ -140,5 +144,25 @@ func TestSpawnDuringPausedRun(t *testing.T) {
 	}
 	if count != 4 {
 		t.Fatalf("first actor ran %d iterations", count)
+	}
+}
+
+// TestGaussMatchesMaxMinClamp: Gauss clamps with two comparisons, which
+// must give what math.Max(lo, math.Min(hi, v)) gives, draw for draw,
+// whatever the mean and sigma, negative sigma included.
+func TestGaussMatchesMaxMinClamp(t *testing.T) {
+	for _, ms := range [][2]float64{{250, 10}, {0, 8}, {5, 3}, {-40, 10}, {100, 0}, {100, -5}, {0.5, 0.2}} {
+		mean, sigma := ms[0], ms[1]
+		got, want := rand.New(rand.NewPCG(3, 4)), rand.New(rand.NewPCG(3, 4))
+		for i := 0; i < 2000; i++ {
+			v := want.NormFloat64()*sigma + mean
+			v = math.Max(mean-4*sigma, math.Min(mean+4*sigma, v))
+			if v < 0 {
+				v = 0
+			}
+			if g, w := Gauss(got, mean, sigma), Cycles(math.Round(v)); g != w {
+				t.Fatalf("Gauss(%v, %v) draw %d = %d, max/min clamp gives %d", mean, sigma, i, g, w)
+			}
+		}
 	}
 }
