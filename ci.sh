@@ -103,16 +103,18 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/platform, internal/cpucache, internal/snapstore; internal/core TestWarm*) =="
+echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/cache, internal/platform, internal/cpucache, internal/snapstore; internal/core TestWarm*) =="
 # internal/obs/ops rides along for its scrape-while-updating test: lock-free
 # instruments hammered by writers while /metrics renders concurrently.
-# internal/platform and internal/cpucache fork one snapshot from several
-# goroutines: forks share DRAM pages and LLC line buffers copy-on-write, so
-# a fork that writes shared state instead of copying it races here.
+# internal/cache, internal/platform and internal/cpucache clone or fork one
+# frozen snapshot from several goroutines: forks share DRAM pages, every
+# cache level's set blocks (CPU caches and the MEE cache) and the LLC line
+# buffers copy-on-write, so a fork that writes shared state instead of
+# copying it races here.
 # internal/snapstore and core's warm-cache tests: spills, fault-ins and the
 # adoption of an entry whose spill is in flight cross goroutines.
 go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
-    ./internal/platform ./internal/cpucache ./internal/snapstore
+    ./internal/cache ./internal/platform ./internal/cpucache ./internal/snapstore
 go test -race -run '^TestWarm' ./internal/core
 
 echo "== go test -race -count=10: exp unit dispatch =="
@@ -144,11 +146,13 @@ done
 
 echo "== fuzz smoke: internal/cache, internal/cpucache =="
 # FuzzCacheMatchesReference: random scripts over a shrunk cache must match a
-# plain list-per-set LRU/FIFO reference op for op, through Clone and an
-# ExportState/FromState round trip. FuzzHierarchyInvariants: random
-# multi-core reads, writes, fills and clflushes keep the LLC inclusive, the
-# presence bits set and every valid LLC line paired with its buffer, which
-# the one-scan clflush relies on.
+# plain list-per-set LRU/FIFO reference op for op, through an
+# ExportState/FromState round trip and clones taken from a live and from a
+# frozen cache, both sides running on. FuzzHierarchyInvariants: random
+# multi-core reads, writes, fills, clflushes, snapshots and forks keep the
+# LLC inclusive, the presence bits set and every valid LLC line paired with
+# its buffer, which the one-scan clflush relies on, and leave every
+# snapshot's image as it was taken.
 go test ./internal/cache -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 5s
 go test ./internal/cpucache -run '^$' -fuzz '^FuzzHierarchyInvariants$' -fuzztime 5s
 

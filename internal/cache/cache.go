@@ -4,13 +4,17 @@
 // so the MEE's odd/even set split for versions and PD_Tag lines lives in the
 // mee package, not here.
 //
-// Each cache is a few flat slabs allocated once by New: the line directory
-// indexed [set*ways+way], one occupancy mask per set, and one word slab
-// holding every set's replacement state, which a Policy reads and writes one
-// set's window at a time. The same windows are the serialized form (State),
-// so cloning, exporting and rebuilding a cache are slab copies whatever its
-// geometry. Every scan of a set visits only the ways its mask marks valid,
-// so a probe of a near-empty set costs little whatever the associativity.
+// Each set's lines and replacement window are one block, materialized on
+// the set's first write and allocated a chunk of blocks at a time; a Policy
+// reads and writes one set's window at a time, and the same windows are the
+// serialized form (State). A set never written has no block: it reads as
+// empty with the policy's Init window. New, Clone and Snapshot therefore
+// copy only flat per-set words (occupancy masks, eviction counters and
+// block indexes), whatever a cache holds: a snapshot and its clones share
+// blocks copy-on-write, and each copies only the sets it writes. Every scan
+// of a set visits only the ways its mask marks valid, so a probe of an
+// empty set never reaches a block and a probe of a near-empty set costs
+// little whatever the associativity.
 package cache
 
 import (
@@ -48,19 +52,18 @@ type Stats struct {
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulation engine serializes all actors, so no locking is needed.
-// lines is indexed [set*ways+way], valid[s] has bit w set exactly when
-// lines[s*ways+w] is valid, and words holds set s's replacement window at
-// [s*stride : (s+1)*stride]; all are allocated once by New. The masks are
-// derived from lines, so State does not carry them.
+// valid[s] has bit w set exactly when way w of set s holds a line, and set
+// s's block holds the ways' tags, their dirty mask, then the policy's
+// window, padded to a whole number of cache lines. The masks are derived
+// state, so State does not carry them.
 type Cache struct {
 	name    string
 	sets    int
 	ways    int
 	stride  int    // policy words per set
 	full    uint64 // occupancy mask of a set with every way valid
-	lines   []Line
 	valid   []uint64
-	words   []uint64
+	blocks  Blocks[uint64]
 	policy  Policy
 	stats   Stats
 	evBySet []uint64
@@ -80,48 +83,62 @@ func checkGeometry(name string, sets, ways int) error {
 
 // New builds a cache with the given geometry and replacement policy.
 // sets must be positive and ways in 1..64; tree-PLRU additionally requires
-// ways to be a power of two (enforced by the policy).
+// ways to be a power of two (enforced by the policy). No set has a block
+// yet: each is materialized on the set's first write.
 func New(name string, sets, ways int, policy Policy) *Cache {
 	if err := checkGeometry(name, sets, ways); err != nil {
 		panic(err.Error())
 	}
 	stride := policy.Words(ways)
-	c := &Cache{
+	// Blocks are padded to whole 64-byte lines, so that in a chunk, which
+	// the allocator aligns to a line, no block straddles one more line than
+	// it fills.
+	empty := make([]uint64, (ways+1+stride+7)&^7)
+	policy.Init(empty[ways+1 : ways+1+stride])
+	return &Cache{
 		name:    name,
 		sets:    sets,
 		ways:    ways,
 		stride:  stride,
 		full:    fullMask(ways),
-		lines:   make([]Line, sets*ways),
 		valid:   make([]uint64, sets),
-		words:   make([]uint64, sets*stride),
+		blocks:  NewBlocks(sets, empty),
 		policy:  policy,
 		evBySet: make([]uint64, sets),
 	}
-	for s := 0; s < sets; s++ {
-		policy.Init(c.window(s))
-	}
-	return c
 }
 
 // fullMask returns the occupancy mask with one bit per way.
 func fullMask(ways int) uint64 { return ^uint64(0) >> (maxWays - ways) }
 
-// find returns the way holding tag in set, or -1, visiting only the ways
-// the set's occupancy mask marks valid.
-func (c *Cache) find(set int, tag Tag) int {
-	base := set * c.ways
-	for m := c.valid[set]; m != 0; m &= m - 1 {
-		if w := bits.TrailingZeros64(m); c.lines[base+w].Tag == tag {
+// wayIn returns the way of block b holding tag among the ways m marks
+// valid, or -1.
+func wayIn(b []uint64, m uint64, tag Tag) int {
+	for ; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); Tag(b[w]) == tag {
 			return w
 		}
 	}
 	return -1
 }
 
-// window returns one set's replacement state, aliasing the word slab.
-func (c *Cache) window(set int) []uint64 {
-	return c.words[set*c.stride : (set+1)*c.stride : (set+1)*c.stride]
+// probe returns the index of set's block and the way holding tag in it,
+// or -1, without writing; a probe of an empty set stops at its mask.
+func (c *Cache) probe(set int, tag Tag) (i uint32, way int) {
+	if m := c.valid[set]; m != 0 {
+		i = c.blocks.dir[set]
+		// The scan reads only the tags, the block's first words.
+		return i, wayIn(c.blocks.chunks[i>>offsetBits][i&offsetMask:], m, tag)
+	}
+	return 0, -1
+}
+
+// window returns block b's replacement state.
+func (c *Cache) window(b []uint64) []uint64 { return b[c.ways+1 : c.ways+1+c.stride] }
+
+// line returns way w of block b as a Line; w must be valid.
+func (c *Cache) line(b []uint64, w int) Line {
+	return Line{Tag: Tag(b[w]), Valid: true, Dirty: b[c.ways]&(1<<w) != 0}
 }
 
 // Name returns the cache's diagnostic name.
@@ -213,13 +230,17 @@ func (c *Cache) Lookup(set int, tag Tag) bool {
 // the cpucache plaintext buffers) can index it without a map. way is -1 on a
 // miss.
 func (c *Cache) LookupWay(set int, tag Tag) (way int, hit bool) {
-	if w := c.find(set, tag); w >= 0 {
-		c.policy.Touch(c.window(set), w)
-		c.stats.Hits++
-		return w, true
+	i, w := c.probe(set, tag)
+	if w < 0 {
+		c.stats.Misses++
+		return -1, false
 	}
-	c.stats.Misses++
-	return -1, false
+	if i < c.blocks.owned {
+		return c.lookupCopying(set, tag)
+	}
+	c.policy.Touch(c.window(c.blocks.at(i)), w)
+	c.stats.Hits++
+	return w, true
 }
 
 // Contains probes set for tag without updating replacement state or stats.
@@ -231,18 +252,18 @@ func (c *Cache) Contains(set int, tag Tag) bool {
 // WayOf returns the way holding tag without updating replacement state or
 // stats (Contains with the way exposed). way is -1 when absent.
 func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
-	w := c.find(set, tag)
+	_, w := c.probe(set, tag)
 	return w, w >= 0
 }
 
 // MarkDirty sets the dirty bit of a resident line. It reports whether the
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
-	w := c.find(set, tag)
+	_, w := c.probe(set, tag)
 	if w < 0 {
 		return false
 	}
-	c.lines[set*c.ways+w].Dirty = true
+	c.blocks.Write(set)[c.ways] |= 1 << w
 	return true
 }
 
@@ -258,33 +279,44 @@ func (c *Cache) Insert(set int, tag Tag, dirty bool) (evicted Line) {
 // InsertWay is Insert returning the way the line landed in, so callers with
 // dense [set][way] side data can place the line's payload without a map.
 func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) {
-	base := set * c.ways
+	i := c.blocks.dir[set]
+	if i < c.blocks.owned {
+		return c.insertCopying(set, tag, dirty)
+	}
+	b := c.blocks.at(i)
+	m := c.valid[set]
 	// Already present: refresh.
-	if w := c.find(set, tag); w >= 0 {
-		l := &c.lines[base+w]
-		l.Dirty = l.Dirty || dirty
-		c.policy.Touch(c.window(set), w)
+	if w := wayIn(b, m, tag); w >= 0 {
+		if dirty {
+			b[c.ways] |= 1 << w
+		}
+		c.policy.Touch(c.window(b), w)
 		return w, Line{}
 	}
-	if m := c.valid[set]; m != c.full {
+	if m != c.full {
 		// Empty way available: the lowest one.
 		way = bits.TrailingZeros64(^m)
 	} else {
 		// Evict a victim.
-		way = c.policy.Victim(c.window(set), c.ways)
+		way = c.policy.Victim(c.window(b), c.ways)
 		if way < 0 || way >= c.ways {
 			panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d", c.name, c.policy.Name(), way, c.ways))
 		}
-		evicted = c.lines[base+way]
+		evicted = c.line(b, way)
 		c.stats.Evictions++
 		c.evBySet[set]++
 		if evicted.Dirty {
 			c.stats.WritebacksOut++
 		}
 	}
-	c.lines[base+way] = Line{Tag: tag, Valid: true, Dirty: dirty}
-	c.valid[set] |= 1 << way
-	c.policy.Fill(c.window(set), way)
+	b[way] = uint64(tag)
+	if dirty {
+		b[c.ways] |= 1 << way
+	} else {
+		b[c.ways] &^= 1 << way
+	}
+	c.valid[set] = m | 1<<way
+	c.policy.Fill(c.window(b), way)
 	c.stats.Fills++
 	return way, evicted
 }
@@ -300,14 +332,18 @@ func (c *Cache) Invalidate(set int, tag Tag) Line {
 // InvalidateWay is Invalidate returning the way the line was removed from
 // (-1 when the tag was not resident).
 func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
-	way = c.find(set, tag)
+	i, way := c.probe(set, tag)
 	if way < 0 {
 		return -1, Line{}
 	}
-	l := &c.lines[set*c.ways+way]
-	removed, *l = *l, Line{}
+	if i < c.blocks.owned {
+		return c.invalidateCopying(set, tag)
+	}
+	b := c.blocks.at(i)
+	removed = c.line(b, way)
+	b[c.ways] &^= 1 << way
 	c.valid[set] &^= 1 << way
-	c.policy.Invalidate(c.window(set), way)
+	c.policy.Invalidate(c.window(b), way)
 	c.stats.Invalidations++
 	if removed.Dirty {
 		c.stats.WritebacksOut++
@@ -315,32 +351,61 @@ func (c *Cache) InvalidateWay(set int, tag Tag) (way int, removed Line) {
 	return way, removed
 }
 
+// lookupCopying, insertCopying and invalidateCopying run LookupWay,
+// InsertWay and InvalidateWay on a set whose block c does not own yet: each
+// copies the block, then runs the operation again. The three check
+// ownership inline, the common case, and leave the copy to these, so that
+// their common path has no call to keep its arguments in memory for.
+func (c *Cache) lookupCopying(set int, tag Tag) (int, bool) {
+	c.blocks.Write(set)
+	return c.LookupWay(set, tag)
+}
+
+func (c *Cache) insertCopying(set int, tag Tag, dirty bool) (int, Line) {
+	c.blocks.Write(set)
+	return c.InsertWay(set, tag, dirty)
+}
+
+func (c *Cache) invalidateCopying(set int, tag Tag) (int, Line) {
+	c.blocks.Write(set)
+	return c.InvalidateWay(set, tag)
+}
+
 // FlushAll invalidates every line, returning the dirty lines that would be
 // written back in [set*ways+way] order.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
 	for s, m := range c.valid {
+		if m == 0 {
+			continue
+		}
+		b := c.blocks.Write(s)
 		for ; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			l := c.lines[s*c.ways+w]
-			c.lines[s*c.ways+w] = Line{}
-			c.policy.Invalidate(c.window(s), w)
+			l := c.line(b, w)
+			c.policy.Invalidate(c.window(b), w)
 			c.stats.Invalidations++
 			if l.Dirty {
 				dirty = append(dirty, l)
 				c.stats.WritebacksOut++
 			}
 		}
+		b[c.ways] = 0
 		c.valid[s] = 0
 	}
 	return dirty
 }
 
-// Clone returns an independent deep copy of the cache — lines, replacement
+// Clone returns an independent copy of the cache — lines, replacement
 // state, statistics, and per-set eviction counters — for platform forking.
 // rng rebinds randomized policies (random, nru) to the fork's engine stream;
 // it may be nil for deterministic policies (the clone then shares the
 // original's random source, which forking never does).
+//
+// The clone shares c's blocks copy-on-write and copies only the flat
+// per-set masks, counters and block indexes. Clone only reads c, so clones
+// of one frozen cache may be taken concurrently; c itself must not run on
+// afterwards (use Snapshot for a cache that keeps running).
 func (c *Cache) Clone(rng *rand.Rand) *Cache {
 	policy := c.policy
 	if rng != nil {
@@ -355,16 +420,40 @@ func (c *Cache) Clone(rng *rand.Rand) *Cache {
 	}
 	n := *c
 	n.policy = policy
-	n.lines = slices.Clone(c.lines)
 	n.valid = slices.Clone(c.valid)
-	n.words = slices.Clone(c.words)
+	n.blocks = c.blocks.Clone()
 	n.evBySet = slices.Clone(c.evBySet)
 	return &n
 }
 
+// Snapshot returns a frozen copy of the cache to Clone from, and moves c to
+// a new generation: every block is then shared, so c may keep running and
+// copies a block before its first write, leaving the frozen copy intact.
+func (c *Cache) Snapshot() *Cache {
+	n := c.Clone(nil)
+	c.blocks.newGeneration()
+	return n
+}
+
 // SetContents returns a copy of the lines in a set, for tests and tools.
+// An invalid way reads as the zero Line.
 func (c *Cache) SetContents(set int) []Line {
-	return slices.Clone(c.lines[set*c.ways : (set+1)*c.ways])
+	lines := make([]Line, c.ways)
+	c.linesInto(lines, set)
+	return lines
+}
+
+// linesInto writes set's lines into dst, which holds c.ways zero Lines.
+func (c *Cache) linesInto(dst []Line, set int) {
+	m := c.valid[set]
+	if m == 0 {
+		return
+	}
+	b := c.blocks.Read(set)
+	for ; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		dst[w] = c.line(b, w)
+	}
 }
 
 // ValidCount returns the number of valid lines in the whole cache.

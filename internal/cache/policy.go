@@ -8,9 +8,9 @@ import (
 )
 
 // Policy is a replacement policy: the operations on one set's replacement
-// state. A Cache keeps every set's state in one word slab, Words(ways) words
-// per set, and hands each operation the set's window w of that slab. The
-// window is the set's serialized form too (cache.State.SetWords), so each
+// state. A Cache keeps each set's state in the set's block, Words(ways)
+// words, and hands each operation that window w. The window is the set's
+// serialized form too (cache.State.SetWords), so each
 // policy documents its layout. Implementations must be deterministic given
 // the engine's seeded random source; random sources are never part of the
 // window — Clone rebinds them at fork time.

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -37,6 +38,17 @@ func newRefCache(sets, ways int, lru bool) *refCache {
 }
 
 func (r *refCache) tick() uint64 { r.clock++; return r.clock }
+
+// clone returns an independent copy of the reference.
+func (r *refCache) clone() *refCache {
+	n := *r
+	n.sets = make([][]refEntry, len(r.sets))
+	for s := range r.sets {
+		n.sets[s] = slices.Clone(r.sets[s])
+	}
+	n.evBySet = slices.Clone(r.evBySet)
+	return &n
+}
 
 func (r *refCache) find(set int, tag Tag) int {
 	for w, e := range r.sets[set] {
@@ -186,16 +198,51 @@ func refScript(sets, ways int, lru bool, seed uint64, n int) []byte {
 	return append(b, opFlushAll, 0, 0)
 }
 
+// refSide is one running cache of a fuzz script and the reference it must
+// match.
+type refSide struct {
+	c *Cache
+	r *refCache
+}
+
+// sideNames label a fuzz script's running caches in failures.
+var sideNames = []string{"first side", "second side"}
+
+// checkSide fails t unless c, the cache called what, agrees with r: Stats,
+// EvictionsBySet and every set's contents.
+func checkSide(t *testing.T, op int, what string, c *Cache, r *refCache) {
+	t.Helper()
+	if c.Stats() != r.stats {
+		t.Fatalf("op %d: %s: stats %+v, reference %+v", op, what, c.Stats(), r.stats)
+	}
+	if !slices.Equal(c.EvictionsBySet(), r.evBySet) {
+		t.Fatalf("op %d: %s: evictions by set %v, reference %v", op, what, c.EvictionsBySet(), r.evBySet)
+	}
+	for s := range r.sets {
+		if got, want := c.SetContents(s), r.contents(s); !slices.Equal(got, want) {
+			t.Fatalf("op %d: %s: set %d holds %+v, reference %+v", op, what, s, got, want)
+		}
+	}
+}
+
 // FuzzCacheMatchesReference drives a random script over a shrunk geometry
 // (1–8 sets, 1–16 ways, LRU or FIFO) through the cache and the reference
 // model side by side. After every op the hit, way, evicted or removed line,
-// Stats, EvictionsBySet and every set's contents must agree. Clone continues
-// the script on the clone after flushing the original, so a clone sharing
-// any slab with its source diverges; a round trip continues it on the
-// FromState image of ExportState.
+// Stats, EvictionsBySet and every set's contents must agree.
+//
+// Clone splits the script in two, taken the two ways a fork is: with the
+// dirty flag clear, the running cache is snapshotted and keeps running
+// beside a clone of the snapshot; with it set, the running cache freezes
+// and two clones of it run. From then on the ops alternate between the two
+// sides, each checked against its own copy of the reference, and the frozen
+// cache against the reference as it was. So a write by either side that
+// reaches the other or the frozen cache through a shared block diverges. A
+// round trip continues the current side on the FromState image of its
+// ExportState.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, opInsert, 0, 1, opLookup, 0, 1, opRoundTrip, 0, 0, opLookupWay, 0, 1})
 	f.Add([]byte{7, 15, 1, opInsertWay, 3, 0x85, opClone, 0, 0, opInvalidateWay, 3, 5, opFlushAll, 0, 0})
+	f.Add([]byte{1, 3, 0, opInsert, 1, 0x82, opClone, 0, 0x80, opMarkDirty, 1, 2, opInsert, 1, 2, opFlushAll, 0, 0, opInsert, 1, 3})
 	for i, g := range [][2]int{{1, 1}, {1, 16}, {2, 4}, {3, 2}, {4, 8}, {5, 5}, {8, 3}, {8, 16}} {
 		f.Add(refScript(g[0], g[1], i%2 == 0, uint64(i), 600))
 	}
@@ -210,8 +257,12 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		} else {
 			c = New("ref", sets, ways, NewFIFO())
 		}
-		r := newRefCache(sets, ways, lru)
+		sides := []refSide{{c, newRefCache(sets, ways, lru)}}
+		var frozen refSide
 		for i := 3; i+2 < len(script); i += 3 {
+			opIdx := i/3 - 1
+			cur := &sides[opIdx%len(sides)]
+			c, r := cur.c, cur.r
 			op, set := script[i]%numRefOps, int(script[i+1])%sets
 			tag, dirty := Tag(script[i+2]&0x7f)%Tag(2*ways+1), script[i+2]&0x80 != 0
 			var got, want any
@@ -251,29 +302,32 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			case opFlushAll:
 				got, want = c.FlushAll(), r.flushAll()
 			case opClone:
-				n := c.Clone(nil)
-				c.FlushAll()
-				c = n
+				if dirty {
+					// A frozen cache: c stops and two clones of it run.
+					frozen = refSide{c, r.clone()}
+					sides = []refSide{{c.Clone(nil), r}, {c.Clone(nil), r.clone()}}
+				} else {
+					// A live cache: c keeps running beside a clone of its
+					// snapshot.
+					snap := c.Snapshot()
+					frozen = refSide{snap, r.clone()}
+					sides = []refSide{{c, r}, {snap.Clone(nil), r.clone()}}
+				}
 			case opRoundTrip:
 				n, err := FromState(c.ExportState(), nil)
 				if err != nil {
-					t.Fatalf("op %d: round trip: %v", i/3-1, err)
+					t.Fatalf("op %d: round trip: %v", opIdx, err)
 				}
-				c = n
+				cur.c = n
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("op %d (%d set %d tag %d dirty %v): cache %+v, reference %+v", i/3-1, op, set, tag, dirty, got, want)
+				t.Fatalf("op %d (%d set %d tag %d dirty %v): cache %+v, reference %+v", opIdx, op, set, tag, dirty, got, want)
 			}
-			if c.Stats() != r.stats {
-				t.Fatalf("op %d (%d): stats %+v, reference %+v", i/3-1, op, c.Stats(), r.stats)
+			for k, sd := range sides {
+				checkSide(t, opIdx, sideNames[k], sd.c, sd.r)
 			}
-			if !reflect.DeepEqual(c.EvictionsBySet(), r.evBySet) {
-				t.Fatalf("op %d (%d): evictions by set %v, reference %v", i/3-1, op, c.EvictionsBySet(), r.evBySet)
-			}
-			for s := 0; s < sets; s++ {
-				if got, want := c.SetContents(s), r.contents(s); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d (%d): set %d holds %+v, reference %+v", i/3-1, op, s, got, want)
-				}
+			if frozen.c != nil {
+				checkSide(t, opIdx, "frozen cache", frozen.c, frozen.r)
 			}
 		}
 	})

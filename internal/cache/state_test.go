@@ -84,3 +84,51 @@ func TestStateRejectsUnrepresentableWays(t *testing.T) {
 		}
 	}
 }
+
+// TestUntouchedSetsExportInitWindow: for every policy PolicyByName accepts,
+// a cache with a few touched sets round-trips through ExportState and
+// FromState to an equal export, and each set never written exports zero
+// lines and the policy's Init window, which for SRRIP is not zero. Set 5 is
+// written and then emptied, so it holds no line but keeps a window of its
+// own for the policies whose Invalidate does not restore Init.
+func TestUntouchedSetsExportInitWindow(t *testing.T) {
+	const sets, ways = 16, 4
+	touched := []int{2, 5, 9, 15}
+	for _, name := range policyNames {
+		p, err := PolicyByName(name, rand.New(rand.NewPCG(3, 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(name, sets, ways, p)
+		for _, set := range touched {
+			for i := 0; i < 6; i++ {
+				c.Insert(set, Tag(set*100+i), i%2 == 0)
+				c.Lookup(set, Tag(set*100+i/2))
+			}
+		}
+		for _, l := range c.SetContents(5) {
+			c.Invalidate(5, l.Tag)
+		}
+		st := c.ExportState()
+		dec, err := FromState(st, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(dec.ExportState(), st) {
+			t.Errorf("%s: decoded cache re-exports a different image", name)
+		}
+		init := make([]uint64, p.Words(ways))
+		p.Init(init)
+		for s := 0; s < sets; s++ {
+			if slices.Contains(touched, s) {
+				continue
+			}
+			if lines := st.Lines[s*ways : (s+1)*ways]; !slices.Equal(lines, make([]Line, ways)) {
+				t.Errorf("%s: untouched set %d exports lines %+v", name, s, lines)
+			}
+			if !slices.Equal(st.SetWords[s], init) {
+				t.Errorf("%s: untouched set %d exports window %v, want Init's %v", name, s, st.SetWords[s], init)
+			}
+		}
+	}
+}

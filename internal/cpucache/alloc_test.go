@@ -58,10 +58,11 @@ func TestWarmAccessAllocFreeWithMetrics(t *testing.T) {
 	}
 }
 
-// TestForkAllocsIndependentOfResidency pins the arena-backed Fork: cloning
-// the hierarchy is a fixed set of slab allocations plus one memcpy, so the
-// allocation count must not scale with how many lines are resident. A
-// per-line clone loop would fail this immediately.
+// TestForkAllocsIndependentOfResidency pins the copy-on-write Fork: cloning
+// the hierarchy copies each level's flat per-set words and block indexes
+// and shares every block, so the allocation count must not scale with how
+// many lines are resident. A per-line or per-set clone loop would fail
+// this immediately.
 func TestForkAllocsIndependentOfResidency(t *testing.T) {
 	forkAllocs := func(lines int) float64 {
 		h := New(DefaultConfig(2), cache.NewLRU())

@@ -9,15 +9,14 @@
 // line; protected-region lines are decrypted by the MEE on fill and
 // re-encrypted on dirty writeback, so DRAM only ever holds ciphertext for
 // the protected region. The mirror is one block of line buffers per LLC
-// set, allocated on the set's first fill and shared copy-on-write between a
-// snapshot and its forks, so a fork pays only for the sets it writes.
+// set, materialized on the set's first fill and shared copy-on-write
+// between a snapshot and its forks (cache.Blocks, as the cache levels keep
+// their own sets), so a fork pays only for the sets it writes.
 package cpucache
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
-	"sync/atomic"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
@@ -96,7 +95,8 @@ type lineBuf struct {
 	data  [dram.LineSize]byte
 	dirty bool
 	// valid marks the slot occupied; the slot's way is implied by its
-	// position in the set's block.
+	// position in the set's block, and a set never filled reads as a block
+	// of invalid slots.
 	valid bool
 	// cores is a conservative mask of cores whose private L1/L2 may still
 	// hold the line: a set bit means "maybe present", a clear bit means
@@ -107,21 +107,6 @@ type lineBuf struct {
 	// state while the slot is invalid.
 	cores uint16
 }
-
-// lineBlock is one LLC set's plaintext buffers, one per way. bufs is nil
-// until the set's first Fill, so a set that never held a line costs
-// nothing. Blocks are shared copy-on-write between a snapshot and its
-// forks: a hierarchy writes a block in place only when gen matches its own
-// generation, and copies it first otherwise, as dram shares pages.
-type lineBlock struct {
-	gen  uint64
-	bufs []lineBuf
-}
-
-// generations hands out copy-on-write ownership tags. Tags only gate
-// copying — they never influence simulated behaviour — so the
-// process-global atomic does not perturb determinism.
-var generations atomic.Uint64
 
 // Hierarchy is the multi-core cache stack. Not safe for concurrent use; the
 // simulation engine serializes all actors.
@@ -134,12 +119,11 @@ type Hierarchy struct {
 	l1  []*cache.Cache
 	l2  []*cache.Cache
 	llc *cache.Cache
-	// blocks mirrors plaintext content and dirtiness of every LLC-resident
-	// line (inclusive LLC means LLC residency == hierarchy residency), one
-	// block per LLC set in parallel with the LLC's line slab.
-	blocks []lineBlock
-	// gen is this hierarchy's copy-on-write generation (see lineBlock).
-	gen uint64
+	// bufs mirrors plaintext content and dirtiness of every LLC-resident
+	// line (inclusive LLC means LLC residency == hierarchy residency): one
+	// block of LLCWays buffers per LLC set, way for way with the LLC's
+	// lines.
+	bufs cache.Blocks[lineBuf]
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the linebuf alloc/recycled observability counters keep their exact
 	// historical semantics now that slots are block-resident.
@@ -187,17 +171,21 @@ func checkConfig(cfg Config) error {
 	return nil
 }
 
-// newHierarchy returns a hierarchy of cfg's geometry over blocks, in a
-// fresh generation and with no cache levels yet.
-func newHierarchy(cfg Config, blocks []lineBlock) *Hierarchy {
+// newHierarchy returns a hierarchy of cfg's geometry over bufs, with no
+// cache levels yet.
+func newHierarchy(cfg Config, bufs cache.Blocks[lineBuf]) *Hierarchy {
 	return &Hierarchy{
 		cfg:     cfg,
 		l1Mask:  uint64(cfg.L1Sets - 1),
 		l2Mask:  uint64(cfg.L2Sets - 1),
 		llcMask: uint64(cfg.LLCSets - 1),
-		blocks:  blocks,
-		gen:     generations.Add(1),
+		bufs:    bufs,
 	}
+}
+
+// newBufs returns cfg's line-buffer directory with no set filled.
+func newBufs(cfg Config) cache.Blocks[lineBuf] {
+	return cache.NewBlocks(cfg.LLCSets, make([]lineBuf, cfg.LLCWays))
 }
 
 // New builds the hierarchy; policy applies to all levels (LRU by default in
@@ -206,7 +194,7 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 	if err := checkConfig(cfg); err != nil {
 		panic(err.Error())
 	}
-	h := newHierarchy(cfg, make([]lineBlock, cfg.LLCSets))
+	h := newHierarchy(cfg, newBufs(cfg))
 	h.llc = cache.New("llc", cfg.LLCSets, cfg.LLCWays, policy)
 	for c := 0; c < cfg.Cores; c++ {
 		h.l1 = append(h.l1, cache.New(fmt.Sprintf("l1d-%d", c), cfg.L1Sets, cfg.L1Ways, policy))
@@ -220,53 +208,48 @@ func New(cfg Config, policy cache.Policy) *Hierarchy {
 // for platform forking. rng rebinds randomized replacement policies to the
 // fork's stream. Observability is not carried over.
 //
-// The cache levels are copied; the line-buffer blocks are shared with h
-// copy-on-write. Fork only reads h, so forks of one frozen hierarchy may be
-// taken concurrently; h itself must not run on afterwards (use Snapshot for
-// a hierarchy that keeps running).
+// The cache levels' set blocks and the line-buffer blocks are shared with
+// h copy-on-write. Fork only reads h, so forks of one frozen hierarchy may
+// be taken concurrently; h itself must not run on afterwards (use Snapshot
+// for a hierarchy that keeps running).
 func (h *Hierarchy) Fork(rng *rand.Rand) *Hierarchy {
-	n := newHierarchy(h.cfg, slices.Clone(h.blocks))
-	n.llc = h.llc.Clone(rng)
-	for _, c := range h.l1 {
-		n.l1 = append(n.l1, c.Clone(rng))
-	}
-	for _, c := range h.l2 {
-		n.l2 = append(n.l2, c.Clone(rng))
-	}
-	return n
+	return h.fork(h.bufs.Clone(), func(c *cache.Cache) *cache.Cache { return c.Clone(rng) })
 }
 
 // Snapshot returns a frozen copy of the hierarchy to Fork from, and moves h
-// to a new generation: every block is then shared, so h may keep running
-// and copies a block before its first write, leaving the frozen image
-// intact.
+// and its cache levels to a new generation: every block is then shared, so
+// h may keep running and copies a block before its first write, leaving
+// the frozen image intact.
 func (h *Hierarchy) Snapshot() *Hierarchy {
-	s := h.Fork(nil)
-	h.gen = generations.Add(1)
-	return s
+	return h.fork(h.bufs.Snapshot(), (*cache.Cache).Snapshot)
+}
+
+// fork copies h over bufs, each cache level through level.
+func (h *Hierarchy) fork(bufs cache.Blocks[lineBuf], level func(*cache.Cache) *cache.Cache) *Hierarchy {
+	n := newHierarchy(h.cfg, bufs)
+	n.llc = level(h.llc)
+	for _, c := range h.l1 {
+		n.l1 = append(n.l1, level(c))
+	}
+	for _, c := range h.l2 {
+		n.l2 = append(n.l2, level(c))
+	}
+	return n
 }
 
 // buf returns the buffer of a valid line at an LLC location for reading,
 // or nil when the slot holds no line.
 func (h *Hierarchy) buf(set, way int) *lineBuf {
-	if bufs := h.blocks[set].bufs; bufs != nil && bufs[way].valid {
-		return &bufs[way]
+	if b := &h.bufs.Read(set)[way]; b.valid {
+		return b
 	}
 	return nil
 }
 
 // ownBuf returns the slot at an LLC location for writing. A set's first
-// write allocates its block; a block shared with a snapshot or fork is
+// write materializes its block; a block shared with a snapshot or fork is
 // copied first, so writes never reach another hierarchy's lines.
-func (h *Hierarchy) ownBuf(set, way int) *lineBuf {
-	blk := &h.blocks[set]
-	if blk.gen != h.gen {
-		bufs := make([]lineBuf, h.cfg.LLCWays)
-		copy(bufs, blk.bufs)
-		*blk = lineBlock{gen: h.gen, bufs: bufs}
-	}
-	return &blk.bufs[way]
-}
+func (h *Hierarchy) ownBuf(set, way int) *lineBuf { return &h.bufs.Write(set)[way] }
 
 // locate finds the LLC location of a resident line without touching
 // replacement state or statistics; ok is false when the line is absent.

@@ -179,21 +179,21 @@ func TestForkCopiesOnlyTheWrittenBlock(t *testing.T) {
 
 	addr := dram.Addr(0x10000 + 5*dram.LineSize)
 	set := snap.llcSet(addr)
-	frozen := slices.Clone(snap.blocks[set].bufs)
+	frozen := slices.Clone(snap.bufs.Read(set))
 	sameSet := addr + dram.Addr(snap.cfg.LLCSets*dram.LineSize)
 	f.Fill(1, sameSet, line(0xee), true)
 	h.Access(0, addr, true)
 	h.Data(addr)[0] = 0xdd
 
-	shared := func(a, b []lineBuf) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
-	if !reflect.DeepEqual(snap.blocks[set].bufs, frozen) {
+	shared := func(a, b *Hierarchy, s int) bool { return &a.bufs.Read(s)[0] == &b.bufs.Read(s)[0] }
+	if !reflect.DeepEqual(snap.bufs.Read(set), frozen) {
 		t.Fatal("a write by the fork or the parent reached the snapshot's block")
 	}
-	for s := range snap.blocks {
-		if got := shared(f.blocks[s].bufs, snap.blocks[s].bufs); got != (s != set) {
+	for s := 0; s < snap.cfg.LLCSets; s++ {
+		if got := shared(f, snap, s); got != (s != set) {
 			t.Fatalf("set %d: fork shares the snapshot's block = %v, want %v", s, got, s != set)
 		}
-		if got := shared(h.blocks[s].bufs, snap.blocks[s].bufs); got != (s != set) {
+		if got := shared(h, snap, s); got != (s != set) {
 			t.Fatalf("set %d: parent shares the snapshot's block = %v, want %v", s, got, s != set)
 		}
 	}

@@ -2,6 +2,7 @@ package cpucache
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"meecc/internal/cache"
@@ -57,15 +58,29 @@ func checkHierarchy(t *testing.T, h *Hierarchy, op int) {
 	}
 }
 
+// frozenImage is a snapshot taken during a fuzz script and the image it
+// exported when taken.
+type frozenImage struct {
+	h  *Hierarchy
+	st *State
+}
+
 // FuzzHierarchyInvariants drives random reads, writes (each miss followed by
-// the Fill the platform would make) and clflushes from 2–4 cores through a
-// hierarchy small enough that LLC evictions back-invalidate the private
-// caches, and checks the inclusion and buffer invariants after every op.
-// Each op is two bytes: the first picks the core and the kind (read, write
-// or flush), the second the line and a byte offset within it.
+// the Fill the platform would make), clflushes, snapshots and forks from 2–4
+// cores through hierarchies small enough that LLC evictions back-invalidate
+// the private caches. Each op is two bytes. The first picks the core (bits
+// 3 and up) and the kind: read, write or flush (two values each), or a
+// snapshot or fork; the second picks the line and a byte offset within it,
+// and its low bit picks fork over snapshot. A snapshot freezes the
+// hierarchy the op runs on, which keeps running; a fork runs beside the
+// others from the newest snapshot. Ops rotate over the running hierarchies.
+// After every op the inclusion and buffer invariants hold on each running
+// hierarchy, and each snapshot still exports the image it had when taken,
+// so a write that reaches a shared block instead of a copy fails.
 func FuzzHierarchyInvariants(f *testing.F) {
-	f.Add(uint8(0), []byte{0, 1, 1, 1, 2, 1, 0, 2, 1, 3})
-	f.Add(uint8(2), []byte{0x40, 5, 0x81, 5, 0x02, 5, 0x41, 37, 0x80, 69})
+	f.Add(uint8(0), []byte{0, 1, 2, 1, 4, 1, 0, 2, 5, 2})
+	f.Add(uint8(2), []byte{0x48, 5, 0x8a, 5, 0x04, 5, 0x49, 37, 0x88, 69})
+	f.Add(uint8(1), []byte{2, 3, 0x0a, 4, 6, 0, 2, 3, 6, 1, 3, 4, 0x0b, 3, 4, 3, 6, 1, 2, 5, 0x0c, 4})
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(uint8(seed), hierarchyScript(seed, 400))
 	}
@@ -74,23 +89,44 @@ func FuzzHierarchyInvariants(f *testing.F) {
 		cfg.L1Sets, cfg.L1Ways = 2, 2
 		cfg.L2Sets, cfg.L2Ways = 4, 2
 		cfg.LLCSets, cfg.LLCWays = 4, 2
-		h := New(cfg, cache.NewLRU())
+		running := []*Hierarchy{New(cfg, cache.NewLRU())}
+		var frozen []frozenImage
 		for i := 0; i+1 < len(script); i += 2 {
-			core := int(script[i]>>2) % cfg.Cores
+			op := i / 2
+			h := running[op%len(running)]
+			core := int(script[i]>>3) % cfg.Cores
 			addr := dram.Addr(int(script[i+1])%fuzzLines*dram.LineSize + int(script[i+1])/fuzzLines)
-			switch script[i] % 3 {
-			case 0, 1:
-				write := script[i]%3 == 1
+			switch kind := script[i] % 7; {
+			case kind < 4:
+				write := kind >= 2
 				if lvl, _ := h.Access(core, addr, write); lvl == Miss {
 					h.Fill(core, addr, line(script[i+1]), write)
 				}
-			case 2:
+			case kind < 6:
 				h.Flush(addr)
 				if h.Resident(addr) {
-					t.Fatalf("op %d: line %#x resident after clflush", i/2, addr)
+					t.Fatalf("op %d: line %#x resident after clflush", op, addr)
+				}
+			case script[i+1]&1 == 0 || len(frozen) == 0:
+				s := h.Snapshot()
+				frozen = append(frozen, frozenImage{s, s.ExportState()})
+				if len(frozen) > 3 {
+					frozen = frozen[1:]
+				}
+			default:
+				running = append(running, frozen[len(frozen)-1].h.Fork(nil))
+				if len(running) > 3 {
+					running = append(running[:1], running[2:]...)
 				}
 			}
-			checkHierarchy(t, h, i/2)
+			for _, r := range running {
+				checkHierarchy(t, r, op)
+			}
+			for k, fi := range frozen {
+				if !reflect.DeepEqual(fi.h.ExportState(), fi.st) {
+					t.Fatalf("op %d: snapshot %d of %d no longer exports the image it was taken with", op, k, len(frozen))
+				}
+			}
 		}
 	})
 }

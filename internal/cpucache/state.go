@@ -34,8 +34,8 @@ func (h *Hierarchy) ExportState() *State {
 	for _, c := range h.l2 {
 		st.L2 = append(st.L2, c.ExportState())
 	}
-	for set, blk := range h.blocks {
-		for way, b := range blk.bufs {
+	for set := 0; set < h.cfg.LLCSets; set++ {
+		for way, b := range h.bufs.Read(set) {
 			if b.valid {
 				st.Bufs = append(st.Bufs, LineBufState{Idx: set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
 			}
@@ -68,7 +68,7 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpucache: %w", err)
 	}
-	h := newHierarchy(cfg, make([]lineBlock, cfg.LLCSets))
+	h := newHierarchy(cfg, newBufs(cfg))
 	h.llc = llc
 	for i := 0; i < cfg.Cores; i++ {
 		if st.L1[i] == nil || st.L2[i] == nil {

@@ -26,9 +26,10 @@ func TestStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(dec.ExportState(), st) {
 		t.Fatal("decoded hierarchy re-exports a different image")
 	}
-	blocks := 0
-	for _, b := range dec.blocks {
-		if b.bufs != nil {
+	// A set never filled reads as the one shared empty block; set 0 is one.
+	empty, blocks := &dec.bufs.Read(0)[0], 0
+	for s := 0; s < dec.cfg.LLCSets; s++ {
+		if &dec.bufs.Read(s)[0] != empty {
 			blocks++
 		}
 	}

@@ -78,8 +78,9 @@ func TestWarmReadDataAllocFreeWithMetrics(t *testing.T) {
 }
 
 // TestForkAllocsIndependentOfResidency pins the arena-backed Fork: cloning
-// the engine is a fixed set of slab allocations plus memcpys, so the
-// allocation count must not scale with how many node lines are resident.
+// the engine is a fixed set of slab allocations plus memcpys, with the MEE
+// cache's set blocks shared copy-on-write, so the allocation count must not
+// scale with how many node lines are resident.
 func TestForkAllocsIndependentOfResidency(t *testing.T) {
 	forkAllocs := func(lines int) float64 {
 		rng := rand.New(rand.NewPCG(77, 88))

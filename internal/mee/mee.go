@@ -159,8 +159,8 @@ type Engine struct {
 
 	// bufs mirrors the current content of every tree line resident in the
 	// MEE cache (DRAM may be stale for dirty lines). It is one contiguous
-	// value slab indexed [set*ways+way] in parallel with the cache's line
-	// storage: the per-walk lookup is an array index, dropping a line is
+	// value slab indexed [set*ways+way], way for way with the cache's
+	// lines: the per-walk lookup is an array index, dropping a line is
 	// clearing its valid bit, and Fork is a single slab copy.
 	bufs  []nodeBuf
 	nBufs int // resident count, for maybeRandomEvict's capacity/empty checks
@@ -312,7 +312,7 @@ func (e *Engine) initBit(addr dram.Addr) (word int, mask uint64) {
 	return int(line / 64), 1 << (line % 64)
 }
 
-// Fork returns an independent deep copy of the engine for platform forking:
+// Fork returns an independent copy of the engine for platform forking:
 // cache contents and replacement state, resident node buffers, root
 // counters, init bitmap, port, and statistics all carry over. The copy gets
 // its own crypto scratch (same keys); mem rebinds it to the fork's DRAM
@@ -320,14 +320,28 @@ func (e *Engine) initBit(addr dram.Addr) (word int, mask uint64) {
 // engine's stream (nil keeps the source policy's stream — only valid for
 // frozen intermediate copies that never run). Observability is not carried
 // over — attach via Observe if needed.
+//
+// The MEE cache's set blocks are shared with e copy-on-write (see
+// cache.Clone), so Fork only reads e and forks of one frozen engine may be
+// taken concurrently; e itself must not run on afterwards (use Snapshot
+// for an engine that keeps running).
 func (e *Engine) Fork(mem *dram.DRAM, rng *rand.Rand) *Engine {
+	return e.fork(mem, e.cache.Clone(rng))
+}
+
+// Snapshot returns a frozen copy of the engine to Fork from. e may keep
+// running: its cache moves to a new generation (see cache.Snapshot).
+func (e *Engine) Snapshot() *Engine { return e.fork(nil, e.cache.Snapshot()) }
+
+// fork copies e around c, its cache's copy.
+func (e *Engine) fork(mem *dram.DRAM, c *cache.Cache) *Engine {
 	n := &Engine{
 		cfg:         e.cfg,
 		geom:        e.geom,
 		halfMask:    e.halfMask,
 		crypt:       e.crypt.Clone(),
 		mem:         mem,
-		cache:       e.cache.Clone(rng),
+		cache:       c,
 		bufs:        make([]nodeBuf, len(e.bufs)),
 		nBufs:       e.nBufs,
 		root:        make([]uint64, len(e.root)),

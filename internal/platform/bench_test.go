@@ -54,10 +54,45 @@ func BenchmarkAccessFlush(b *testing.B) {
 }
 
 // BenchmarkBoot isolates the boot floor every fresh trial pays: building a
-// default machine, whose cache slabs and bitmaps dominate B/op.
+// default machine. No cache set has a block yet, so B/op is the flat
+// per-set words of every cache level, the MEE node-buffer slab and init
+// bitmap, and the EPC frame list.
 func BenchmarkBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		New(DefaultConfig(uint64(i))).Close()
+	}
+}
+
+// BenchmarkFork times what a forked trial pays before it runs: Snapshot.Fork
+// and Close of a machine whose enclave thread read and wrote across 64 pages
+// (4 096 accesses, every third a write), as the benchmark's standalone fork
+// loop does. The fork shares DRAM pages and cache blocks with the snapshot,
+// so B/op is what it copies eagerly.
+func BenchmarkFork(b *testing.B) {
+	p := New(DefaultConfig(1))
+	pr := p.NewProcess("traffic")
+	e, err := pr.CreateEnclave(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.SpawnThread("traffic", pr, 0, func(th *Thread) {
+		th.EnterEnclave()
+		for i := 0; i < 4096; i++ {
+			va := e.Base + enclave.VAddr(i*64%(64*enclave.PageBytes))
+			if i%3 == 0 {
+				th.WriteU64(va, uint64(i))
+			} else {
+				th.Access(va)
+			}
+		}
+	})
+	p.Run(-1)
+	snap := p.Snapshot()
+	p.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.Fork().Close()
 	}
 }

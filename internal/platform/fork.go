@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"maps"
 
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
@@ -16,9 +17,13 @@ import (
 // resumes the RNG stream exactly where the parent left it, so a fork
 // behaves cycle-for-cycle like the parent would have. Snapshots may be
 // forked any number of times, concurrently, and the parent platform may
-// keep running after the snapshot (DRAM pages and LLC line-buffer blocks go
-// copy-on-write on both sides; everything else is deep-copied at snapshot
-// time).
+// keep running after the snapshot. DRAM pages, every cache level's set
+// blocks (CPU caches and the MEE cache) and LLC line-buffer blocks are
+// shared copy-on-write on both sides, so a snapshot and each fork copy only
+// what they write. Everything else is copied at snapshot and fork time: the
+// flat per-set masks, counters and block indexes of each cache, the MEE
+// node buffers and init bitmap, the EPC allocator, the sparse
+// general-frame bitmap and the page tables.
 //
 // Observability does not carry across: forks boot with a nil Observer.
 type Snapshot struct {
@@ -28,7 +33,7 @@ type Snapshot struct {
 	mee      *mee.Engine         // frozen copy; never runs
 	caches   *cpucache.Hierarchy // frozen copy; never runs
 	epc      *enclave.EPCAllocator
-	genUsed  []uint64
+	genUsed  map[uint64]uint64
 	prmBase  dram.Addr
 	procs    []procSnap
 	nextEID  int
@@ -61,16 +66,15 @@ func (p *Platform) Snapshot() *Snapshot {
 		cfg:      cfg,
 		rngState: p.eng.RNGSnapshot(),
 		mem:      p.mem.Snapshot(),
-		mee:      p.mee.Fork(nil, nil),
+		mee:      p.mee.Snapshot(),
 		caches:   p.caches.Snapshot(),
 		epc:      p.epc.Clone(),
-		genUsed:  make([]uint64, len(p.genUsed)),
+		genUsed:  maps.Clone(p.genUsed),
 		prmBase:  p.prmBase,
 		procs:    make([]procSnap, len(p.procs)),
 		nextEID:  p.nextEID,
 		nextPID:  p.nextPID,
 	}
-	copy(s.genUsed, p.genUsed)
 	for i, pr := range p.procs {
 		s.procs[i] = procSnap{
 			name:     pr.name,
@@ -91,7 +95,7 @@ func (p *Platform) Snapshot() *Snapshot {
 // starts at cycle zero with an empty actor table (spawn ids restart at 0)
 // and the RNG stream resumed from the snapshot point; its memory system,
 // caches, MEE, EPC allocator, and processes are independent copies (DRAM
-// pages and LLC line-buffer blocks shared copy-on-write). Fork only reads
+// pages and cache blocks shared copy-on-write). Fork only reads
 // the snapshot, so forks may be taken from several goroutines at once.
 // Threads are not carried over — respawn them with ResumeThread from saved
 // ThreadState.
@@ -109,14 +113,13 @@ func (s *Snapshot) Fork() *Platform {
 		mee:     s.mee.Fork(mem, rng),
 		caches:  s.caches.Fork(rng),
 		epc:     s.epc.Clone(),
-		genUsed: make([]uint64, len(s.genUsed)),
+		genUsed: maps.Clone(s.genUsed),
 		prmBase: s.prmBase,
 		procs:   make([]*Process, len(s.procs)),
 		nextEID: s.nextEID,
 		nextPID: s.nextPID,
 		rng:     rng,
 	}
-	copy(p.genUsed, s.genUsed)
 	for i, ps := range s.procs {
 		pr := &Process{
 			plat:     p,

@@ -88,7 +88,11 @@ type Platform struct {
 	caches *cpucache.Hierarchy
 	epc    *enclave.EPCAllocator
 
-	genUsed []uint64 // bitset over general-region 4 KB frames handed out
+	// genUsed is a bitmap over the general-region 4 KB frames handed out,
+	// kept sparse: only its nonzero words, keyed by word index. A machine
+	// hands out few of its millions of frames, so boot and fork copy
+	// almost nothing.
+	genUsed map[uint64]uint64
 	prmBase dram.Addr
 	procs   []*Process
 	nextEID int
@@ -100,6 +104,12 @@ type Platform struct {
 func (p *Platform) genFrameUsed(f dram.Addr) bool {
 	i := uint64(f) / enclave.PageBytes
 	return p.genUsed[i/64]&(1<<(i%64)) != 0
+}
+
+// genWords returns the word count of the general-region frame bitmap below
+// a PRM at prmBase, in its dense serialized form.
+func genWords(prmBase dram.Addr) int {
+	return int((uint64(prmBase)/enclave.PageBytes + 63) / 64)
 }
 
 // markGenFrame records the general-region frame at f as handed out.
@@ -143,7 +153,7 @@ func New(cfg Config) *Platform {
 		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem),
 		caches:  cpucache.New(cfg.CPU, cache.NewLRU()),
 		epc:     enclave.NewEPCAllocator(prmBase, cfg.EPCSize, cfg.EPCMode, rng),
-		genUsed: make([]uint64, (uint64(prmBase)/enclave.PageBytes+63)/64),
+		genUsed: make(map[uint64]uint64),
 		prmBase: prmBase,
 		rng:     rng,
 	}

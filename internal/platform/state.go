@@ -60,10 +60,13 @@ func (s *Snapshot) ExportState() *SnapshotState {
 		MEE:       meeSt,
 		Caches:    s.caches.ExportState(),
 		EPC:       s.epc.ExportState(),
-		GenUsed:   append([]uint64(nil), s.genUsed...),
+		GenUsed:   make([]uint64, genWords(s.prmBase)),
 		PRMBase:   s.prmBase,
 		NextEID:   s.nextEID,
 		NextPID:   s.nextPID,
+	}
+	for i, w := range s.genUsed {
+		st.GenUsed[i] = w
 	}
 	for _, pr := range s.procs {
 		ps := ProcState{
@@ -117,7 +120,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	cfg.MEE.Policy = pol
-	if want := (uint64(prmBase)/enclave.PageBytes + 63) / 64; uint64(len(st.GenUsed)) != want {
+	if want := genWords(prmBase); len(st.GenUsed) != want {
 		return nil, fmt.Errorf("platform: general-frame bitmap %d words, want %d", len(st.GenUsed), want)
 	}
 	mem, err := dram.SnapshotFromState(st.Mem)
@@ -143,10 +146,15 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		mee:      meeEng,
 		caches:   caches,
 		epc:      epc,
-		genUsed:  append([]uint64(nil), st.GenUsed...),
+		genUsed:  make(map[uint64]uint64),
 		prmBase:  prmBase,
 		nextEID:  st.NextEID,
 		nextPID:  st.NextPID,
+	}
+	for i, w := range st.GenUsed {
+		if w != 0 {
+			s.genUsed[uint64(i)] = w
+		}
 	}
 	for i, ps := range st.Procs {
 		pt, err := enclave.PageTableFromEntries(ps.PT)
