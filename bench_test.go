@@ -220,20 +220,6 @@ func BenchmarkParallelLanes(b *testing.B) {
 	b.ReportMetric(errRate, "err/bit")
 }
 
-// BenchmarkReliableTransfer runs the FEC-framed transfer extension.
-func BenchmarkReliableTransfer(b *testing.B) {
-	var goodput float64
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultChannelConfig(uint64(404 + i))
-		res, err := RunReliable(cfg, []byte("32-byte-session-key-0123456789ab"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		goodput = res.GoodputKBps
-	}
-	b.ReportMetric(goodput, "goodputKBps")
-}
-
 // BenchmarkStealthStudy contrasts detector-visible footprints.
 func BenchmarkStealthStudy(b *testing.B) {
 	var meeShare, llcShare float64

@@ -245,16 +245,23 @@ trap 'rm -rf "$tmp"' EXIT
 cmp "$tmp/resumed/smoke.json" "$tmp/smoke.json" || {
     echo "resumed artifact differs from local batch artifact" >&2; exit 1; }
 
-echo "== smoke: in-band, parallel and fig 6a/E/P runners; meecc figure alias =="
+echo "== smoke: in-band, parallel, reliable and fig 6a/E/P runners; meecc flags and figure alias =="
 # internal/figures pins every figure's output by digest in-process, and the
-# cmd/meecc and cmd/figures tests cover command and figure-id parsing. These
+# cmd/meecc tests pin every meecc command line the same way and cover
+# command and flag parsing, as cmd/figures' tests cover figure ids. These
 # drive the built binaries instead: the runners that share the channel's
-# acquisition protocol (in-band sync and two parallel lanes, then
+# acquisition protocol (in-band sync, two parallel lanes and the adaptive
+# ARQ session, which must deliver under MEE noise at 4 KB stride, then
 # Prime+Probe (6a), the eviction-phase study (E) and the parallel-lane sweep
-# (P)), and the alias dispatch — `meecc timing` must print exactly what
-# `figures -fig 2` prints.
+# (P)); a flag the subcommand does not declare, which must exit 2, so main
+# parses through the per-subcommand flag sets; and the alias dispatch —
+# `meecc timing` must print exactly what `figures -fig 2` prints.
 "$tmp/meecc" send -inband > /dev/null
 "$tmp/meecc" send -lanes 2 > /dev/null
+"$tmp/meecc" send -reliable -noise mee4k > /dev/null
+"$tmp/meecc" hash -spec examples/specs/smoke.json -trials 3 > /dev/null 2>&1 && code=0 || code=$?
+[ "$code" -eq 2 ] || {
+    echo "meecc hash -trials exited $code, want 2 (undeclared flag)" >&2; exit 1; }
 go run ./cmd/figures -fig 6a,E,P -trials 2 -bits 64 > /dev/null
 "$tmp/meecc" timing > "$tmp/timing.txt"
 go run ./cmd/figures -fig 2 > "$tmp/fig2.txt"

@@ -1,28 +1,46 @@
 // Command meecc drives the MEE-cache covert channel and the studies around
 // it on the simulated SGX machine.
 //
-// Usage:
+// Usage, with each subcommand's flags:
 //
-//	meecc [send] [-msg TEXT] [-window CYCLES] [-seed N] [-noise KIND]
-//	      [-policy NAME] [-reliable] [-inband] [-lanes N] [-v]
-//	meecc sweep    [-seed N] [-bits N] [-trials N] [-workers N]    # figures -fig 7
-//	meecc noise    [-seed N] [-window CYCLES] [-trials N] [-workers N]  # figures -fig 8
-//	meecc batch    -spec FILE [-out DIR] [-workers N]            # declarative grid
+//	meecc [send]   [-msg TEXT] [-window CYCLES] [-seed N] [-noise KIND]
+//	               [-policy NAME] [-reliable | -inband | -lanes 1|2] [-v] [OBS]
+//	meecc sweep    [FIG] [OBS]  # figures -fig 7: bit and error rate vs window
+//	meecc noise    [FIG] [OBS]  # figures -fig 8: error bits under noise
+//	meecc latency  [FIG] [OBS]  # figures -fig 5: latency by tree level
+//	meecc stealth  [FIG] [OBS]  # figures -fig S: MEE vs LLC P+P footprint
+//	meecc overhead [FIG] [OBS]  # figures -fig O: SGX slowdown curve
+//	meecc timing   [FIG] [OBS]  # figures -fig 2: §3 time sources
+//	meecc activity [FIG] [OBS]  # figures -fig A: victim-activity inference
+//	meecc batch    -spec FILE [-out DIR] [-workers N] [-metrics]  # declarative grid
 //	meecc chaos    [-seed N] [-trials N] [-faults LIST] [-intensities LIST]
-//	               [-payload N] [-out DIR] [-workers N]          # fault campaign
-//	meecc latency  [-seed N]                   # figures -fig 5: latency by tree level
-//	meecc stealth  [-seed N] [-window CYCLES]  # figures -fig S: MEE vs LLC P+P footprint
-//	meecc overhead [-seed N]                   # figures -fig O: SGX slowdown curve
-//	meecc timing   [-seed N]                   # figures -fig 2: §3 time sources
-//	meecc activity [-seed N]                   # figures -fig A: victim-activity inference
-//	meecc inspect  FILE                        # render a snapshot/trace/artifact
+//	               [-payload N] [-out DIR] [-workers N] [-metrics]  # fault campaign
+//	meecc inspect  FILE         # render a snapshot/trace/artifact
 //	meecc serve    [-addr HOST:PORT] [-storedir DIR] [-storemax BYTES] [-workers N]
 //	               [-journal FILE] [-maxruns N] [-maxpending N] [-runtimeout D]
 //	               [-grace D] [-readtimeout D] [-writetimeout D] [-idletimeout D]
-//	               [-loglevel L] [-logformat text|json] [-debugaddr HOST:PORT]
+//	               [-loglevel L] [-logformat text|json] [-debugaddr HOST:PORT] [OBS]
 //	meecc submit   -spec FILE [-addr HOST:PORT] [-out DIR]
 //	meecc top      [-addr HOST:PORT] [-interval D] [-once] [-require FAMILIES]
-//	meecc hash     -spec FILE                  # print the spec's content hash
+//	meecc hash     -spec FILE   # print the spec's content hash
+//
+// FIG is [-seed N] [-trials N] [-bits N] [-window CYCLES] [-workers N], the
+// settings internal/figures renders with. OBS is the observability flags:
+// -metrics prints a counter/histogram report after the run, -metricsout
+// FILE writes the snapshot as JSON, and -trace FILE exports a sim-clock
+// timeline (Chrome trace-event JSON for Perfetto, or CSV when FILE ends in
+// .csv). batch and chaos take only -metrics, which embeds per-trial metrics
+// snapshots in the artifact. Every subcommand also takes -cpuprofile FILE
+// and -memprofile FILE to capture pprof profiles of the run (inspect with
+// `go tool pprof FILE`). A flag the subcommand does not declare, or an
+// argument left over after its flags, exits 2.
+//
+// send transmits -msg over the raw channel (Algorithm 2), or in one of
+// three other modes: -reliable sends it through the adaptive ARQ session
+// (RunResilient: Hamming(7,4) + CRC-16 chunks, retransmission,
+// recalibration, resync and graceful degradation), -inband synchronizes
+// without an agreed start, and -lanes 2 runs two trojan lanes. The modes
+// exclude each other.
 //
 // serve runs the experiment service: POST /v1/runs accepts a spec, GET
 // /v1/runs/{id}/events streams NDJSON progress (resumable with ?from=SEQ),
@@ -63,15 +81,6 @@
 // Noise kinds: none, memory, mee512, mee4k. Policies: lru (default),
 // tree-plru, bit-plru, fifo, random, nru, srrip.
 //
-// Every command additionally accepts -cpuprofile FILE and -memprofile FILE
-// to capture pprof profiles of the run (inspect with `go tool pprof FILE`),
-// plus the observability flags: -metrics prints a counter/histogram report
-// after the run, -metricsout FILE writes the snapshot as JSON, and
-// -trace FILE exports a sim-clock timeline (Chrome trace-event JSON for
-// Perfetto, or CSV when FILE ends in .csv). Grid subcommands (sweep, noise,
-// batch, chaos) embed per-trial metrics snapshots in the artifact instead
-// of tracing.
-//
 // sweep, noise, latency, stealth, overhead, timing and activity are aliases
 // of `figures -fig` 7, 8, 5, S, O, 2 and A (internal/figures): each prints
 // exactly what the figure prints at the same -seed, -trials and -bits (the
@@ -88,8 +97,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -97,7 +108,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"meecc"
 	"meecc/internal/core"
@@ -108,62 +118,23 @@ import (
 	"meecc/internal/trace"
 )
 
-var (
-	msg      = flag.String("msg", "MEE CACHE COVERT CHANNEL", "message the trojan transmits")
-	window   = flag.Int64("window", 15000, "timing window Tsync in cycles")
-	seed     = flag.Uint64("seed", 42, "simulation seed")
-	noise    = flag.String("noise", "none", "background noise: none, memory, mee512, mee4k")
-	policy   = flag.String("policy", "", "MEE cache replacement policy override")
-	reliable = flag.Bool("reliable", false, "use FEC framing (Hamming(7,4) + CRC-16 + ARQ)")
-	inband   = flag.Bool("inband", false, "synchronize in-band (no agreed transmission start)")
-	lanes    = flag.Int("lanes", 1, "parallel trojan lanes (1 or 2)")
-	bits     = flag.Int("bits", 256, "payload bits for sweep (noise always sends 128)")
-	trials   = flag.Int("trials", 1, "trials per grid cell for sweep/noise/chaos")
-	workers  = flag.Int("workers", 0, "worker goroutines for sweep/noise/batch (0 = GOMAXPROCS)")
-	specPath = flag.String("spec", "", "JSON experiment spec for batch")
-	outDir   = flag.String("out", "results", "artifact directory for batch/chaos")
-	verbose  = flag.Bool("v", false, "print the per-bit probe trace")
+// A subcommand declares the flags its code reads on fs and returns the
+// function that runs it once fs has parsed the command line. e carries the
+// subcommand's stdout and stderr; the subcommands that use internal/figures'
+// grid runner or observer set-up bind their flags to its fields.
+type subcommand func(fs *flag.FlagSet, e *figures.Env) func() error
 
-	faults      = flag.String("faults", "all", "chaos fault kinds: all, none, or a comma list (migration,timer,paging,meeflush,storm)")
-	intensities = flag.String("intensities", "0,1,2,4,8", "chaos fault intensities (comma list)")
-	payloadLen  = flag.Int("payload", 16, "chaos payload length in bytes")
-
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
-
-	addr         = flag.String("addr", "127.0.0.1:8311", "listen/target address for serve/submit/top")
-	storeDir     = flag.String("storedir", "", "snapstore directory for serve's warm-state disk tier (empty = in-memory only)")
-	storeMax     = flag.Int64("storemax", 0, "snapstore size bound in bytes (0 = unbounded)")
-	journalPath  = flag.String("journal", "", "serve's write-ahead log; makes runs and trials durable across kill -9 (empty = no durability)")
-	maxRuns      = flag.Int("maxruns", 4, "serve: max concurrently executing runs")
-	maxPending   = flag.Int("maxpending", 64, "serve: max queued runs before submissions get 429")
-	runTimeout   = flag.Duration("runtimeout", 0, "serve: per-run wall-clock deadline (0 = none)")
-	grace        = flag.Duration("grace", 10*time.Second, "serve: shutdown grace period for in-flight runs")
-	readTimeout  = flag.Duration("readtimeout", 30*time.Second, "serve: HTTP read timeout per request")
-	writeTimeout = flag.Duration("writetimeout", 10*time.Minute, "serve: HTTP write timeout (bounds event-stream lifetime)")
-	idleTimeout  = flag.Duration("idletimeout", 2*time.Minute, "serve: HTTP keep-alive idle timeout")
-	logLevel     = flag.String("loglevel", "info", "serve: structured-log threshold (debug, info, warn, error)")
-	logFormat    = flag.String("logformat", "text", "serve: structured-log encoding (text = logfmt, json)")
-	debugAddr    = flag.String("debugaddr", "", "serve: open net/http/pprof on this extra address (empty = off)")
-	topInterval  = flag.Duration("interval", 2*time.Second, "top: poll interval")
-	topOnce      = flag.Bool("once", false, "top: print one snapshot and exit")
-	topRequire   = flag.String("require", "", "top: comma list of metric families that must be present (exit nonzero otherwise)")
-
-	metricsOn  = flag.Bool("metrics", false, "collect metrics and print a report after the run")
-	metricsOut = flag.String("metricsout", "", "write the metrics snapshot JSON to this file")
-	tracePath  = flag.String("trace", "", "write a timeline trace to this file (.csv = compact CSV, anything else = Chrome trace-event JSON for Perfetto)")
-)
-
-// commands maps each subcommand that is not a figure alias to its runner.
-var commands = map[string]func() error{
-	"send":    runSend,
-	"batch":   runBatch,
-	"chaos":   runChaos,
-	"inspect": runInspect,
-	"serve":   runServe,
-	"submit":  runSubmit,
-	"top":     runTop,
-	"hash":    runHash,
+// commands maps each subcommand that is not a figure alias to its
+// declaration.
+var commands = map[string]subcommand{
+	"send":    sendCmd,
+	"batch":   batchCmd,
+	"chaos":   chaosCmd,
+	"inspect": inspectCmd,
+	"serve":   serveCmd,
+	"submit":  submitCmd,
+	"top":     topCmd,
+	"hash":    hashCmd,
 }
 
 // figureAliases maps the study subcommands onto the figures that render
@@ -178,27 +149,58 @@ var figureAliases = map[string]string{
 	"activity": "A",
 }
 
+// usageError is a command line that names a known subcommand and only flags
+// it declares, but still cannot run, such as two send modes at once. It
+// exits 2, as an undeclared flag does.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
-	cmd, args := splitCommand(os.Args[1:])
-	if err := flag.CommandLine.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	run, ok := command(cmd)
+	os.Exit(run(os.Args, os.Stdout, os.Stderr))
+}
+
+// run parses args (args[0] is the program name), runs the subcommand and
+// returns the exit code: 2 for an unknown subcommand, a flag it does not
+// declare, a leftover argument or a usageError; 1 for a run that fails; 0
+// otherwise, -h included.
+func run(args []string, stdout, stderr io.Writer) int {
+	name, rest := splitCommand(args[1:])
+	cmd, ok := command(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "meecc: unknown command %q (have: send, sweep, noise, batch, chaos, latency, stealth, overhead, timing, activity, inspect, serve, submit, top, hash)\n", cmd)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "meecc: unknown command %q (have: send, sweep, noise, batch, chaos, latency, stealth, overhead, timing, activity, inspect, serve, submit, top, hash)\n", name)
+		return 2
 	}
-	stopProfiles, err := startProfiles()
+	e := &figures.Env{Stdout: stdout, Stderr: stderr}
+	fs, prof, runCmd := declare(name, cmd, e)
+	if err := fs.Parse(rest); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// inspect reads its FILE argument; no other subcommand takes one.
+	if fs.NArg() > 0 && name != "inspect" {
+		fmt.Fprintf(stderr, "meecc %s: unexpected argument %q after the flags\n", name, fs.Arg(0))
+		return 2
+	}
+	stopProfiles, err := prof.start(stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "meecc:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "meecc:", err)
+		return 2
 	}
-	err = run()
-	stopProfiles() // before exit: os.Exit skips deferred writers
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "meecc:", err)
-		os.Exit(1)
+	err = runCmd()
+	stopProfiles()
+	var usage usageError
+	switch {
+	case errors.As(err, &usage):
+		fmt.Fprintf(stderr, "meecc %s: %v\n", name, err)
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, "meecc:", err)
+		return 1
 	}
+	return 0
 }
 
 // splitCommand separates the subcommand from its flags: a first argument
@@ -211,33 +213,64 @@ func splitCommand(args []string) (cmd string, rest []string) {
 	return "send", args
 }
 
-// command returns the runner for a subcommand name.
-func command(name string) (func() error, bool) {
+// command returns the declaration of a subcommand name.
+func command(name string) (subcommand, bool) {
 	if id, ok := figureAliases[name]; ok {
-		return func() error { return env().Run(id) }, true
+		return figureCmd(id), true
 	}
-	run, ok := commands[name]
-	return run, ok
+	cmd, ok := commands[name]
+	return cmd, ok
 }
 
-// env carries the parsed flags into internal/figures: the figure aliases
-// render through it without writing files, and the other subcommands use its
-// grid runner and observer set-up.
-func env() *figures.Env {
-	return &figures.Env{
-		Seed: *seed, Trials: *trials, Bits: *bits, Window: meecc.Cycles(*window), Workers: *workers,
-		Metrics: *metricsOn, MetricsOut: *metricsOut, TracePath: *tracePath,
-		Stdout: os.Stdout, Stderr: os.Stderr,
+// declare builds the flag set of the named subcommand: -cpuprofile and
+// -memprofile, which every subcommand takes, then the subcommand's own
+// flags. It returns the set, the profiles it fills and the subcommand's
+// runner.
+func declare(name string, cmd subcommand, e *figures.Env) (*flag.FlagSet, *profiles, func() error) {
+	fs := flag.NewFlagSet("meecc "+name, flag.ContinueOnError)
+	fs.SetOutput(e.Stderr)
+	p := &profiles{}
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write a heap profile (taken at exit) to this file")
+	return fs, p, cmd(fs, e)
+}
+
+// observe declares -metrics, -metricsout and -trace, the settings of e's
+// observer set-up.
+func observe(fs *flag.FlagSet, e *figures.Env) {
+	fs.BoolVar(&e.Metrics, "metrics", false, "collect metrics and print a report after the run")
+	fs.StringVar(&e.MetricsOut, "metricsout", "", "write the metrics snapshot JSON to this file")
+	fs.StringVar(&e.TracePath, "trace", "", "write a timeline trace to this file (.csv = compact CSV, anything else = Chrome trace-event JSON for Perfetto)")
+}
+
+// figureCmd declares a figure alias: the settings internal/figures renders
+// with, and the observability flags. It prints what `figures -fig id`
+// prints and writes no files.
+func figureCmd(id string) subcommand {
+	return func(fs *flag.FlagSet, e *figures.Env) func() error {
+		fs.Uint64Var(&e.Seed, "seed", 42, "simulation seed")
+		fs.IntVar(&e.Trials, "trials", 1, "trials per grid cell (sweep, noise)")
+		fs.IntVar(&e.Bits, "bits", 256, "payload bits (sweep; noise always sends 128)")
+		window := fs.Int64("window", 15000, "timing window Tsync in cycles (noise, stealth)")
+		fs.IntVar(&e.Workers, "workers", 0, "grid worker goroutines (0 = GOMAXPROCS)")
+		observe(fs, e)
+		return func() error {
+			e.Window = meecc.Cycles(*window)
+			return e.Run(id)
+		}
 	}
 }
 
-// startProfiles honors -cpuprofile/-memprofile. The returned stop function
-// finishes the CPU profile and snapshots the heap; it must run before
-// os.Exit.
-func startProfiles() (stop func(), err error) {
+// profiles holds -cpuprofile and -memprofile.
+type profiles struct{ cpu, mem string }
+
+// start begins the CPU profile. The returned stop function finishes it and
+// writes the heap profile; it must run before the process exits, as
+// os.Exit skips deferred writers.
+func (p *profiles) start(stderr io.Writer) (stop func(), err error) {
 	stop = func() {}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if p.cpu != "" {
+		f, err := os.Create(p.cpu)
 		if err != nil {
 			return nil, err
 		}
@@ -250,141 +283,201 @@ func startProfiles() (stop func(), err error) {
 			f.Close()
 		}
 	}
-	if *memprofile == "" {
+	if p.mem == "" {
 		return stop, nil
 	}
 	cpuStop := stop
 	stop = func() {
 		cpuStop()
-		f, err := os.Create(*memprofile)
+		f, err := os.Create(p.mem)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "meecc: memprofile:", err)
+			fmt.Fprintln(stderr, "meecc: memprofile:", err)
 			return
 		}
 		defer f.Close()
 		runtime.GC() // materialize final live-set statistics
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "meecc: memprofile:", err)
+			fmt.Fprintln(stderr, "meecc: memprofile:", err)
 		}
 	}
 	return stop, nil
 }
 
-func channelConfig() (meecc.ChannelConfig, error) {
-	cfg := meecc.DefaultChannelConfig(*seed)
-	cfg.Window = meecc.Cycles(*window)
-	cfg.Bits = meecc.BitsFromString(*msg)
-	if err := core.CheckMEEPolicy(*policy); err != nil {
-		return cfg, fmt.Errorf("-policy: %w", err)
+// sendCmd transmits -msg in one of four modes: the raw channel, the adaptive
+// ARQ session (-reliable), in-band synchronization (-inband) or two lanes
+// (-lanes 2).
+func sendCmd(fs *flag.FlagSet, e *figures.Env) func() error {
+	msg := fs.String("msg", "MEE CACHE COVERT CHANNEL", "message the trojan transmits")
+	window := fs.Int64("window", 15000, "timing window Tsync in cycles")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	noise := fs.String("noise", "none", "background noise: none, memory, mee512, mee4k")
+	policy := fs.String("policy", "", "MEE cache replacement policy override")
+	reliable := fs.Bool("reliable", false, "send through the adaptive ARQ session (Hamming(7,4) + CRC-16 chunks, retransmission, recalibration, resync)")
+	inband := fs.Bool("inband", false, "synchronize in-band (no agreed transmission start)")
+	lanes := fs.Int("lanes", 1, "parallel trojan lanes (1 or 2)")
+	verbose := fs.Bool("v", false, "print the per-bit probe trace")
+	observe(fs, e)
+	return func() error {
+		if *lanes < 1 || *lanes > 2 {
+			return usageError(fmt.Sprintf("-lanes %d: want 1 or 2", *lanes))
+		}
+		modes := 0
+		for _, on := range []bool{*reliable, *inband, *lanes == 2} {
+			if on {
+				modes++
+			}
+		}
+		if modes > 1 {
+			return usageError("-reliable, -inband and -lanes 2 are separate modes; choose one")
+		}
+		cfg := meecc.DefaultChannelConfig(*seed)
+		cfg.Window = meecc.Cycles(*window)
+		cfg.Bits = meecc.BitsFromString(*msg)
+		if err := core.CheckMEEPolicy(*policy); err != nil {
+			return fmt.Errorf("-policy: %w", err)
+		}
+		cfg.Options.MEEPolicy = *policy
+		kind, err := core.ParseNoiseKind(*noise)
+		if err != nil {
+			return err
+		}
+		cfg.Noise = kind
+		o := e.Observer()
+		cfg.Obs = o
+		switch {
+		case *reliable:
+			err = sendReliable(e.Stdout, cfg, *msg)
+		case *inband:
+			err = sendInBand(e.Stdout, cfg)
+		case *lanes == 2:
+			err = sendLanes(e.Stdout, cfg, *lanes)
+		default:
+			err = sendRaw(e.Stdout, cfg, *verbose)
+		}
+		if err != nil {
+			return err
+		}
+		return e.FinishObs(o)
 	}
-	cfg.Options.MEEPolicy = *policy
-	kind, err := core.ParseNoiseKind(*noise)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Noise = kind
-	return cfg, nil
 }
 
-func runSend() error {
-	cfg, err := channelConfig()
+// sendReliable runs the adaptive ARQ session. On failure it prints every
+// action the session took before giving up.
+func sendReliable(w io.Writer, cfg meecc.ChannelConfig, msg string) error {
+	fmt.Fprintf(w, "transmitting %d payload bytes through the adaptive ARQ session...\n", len(msg))
+	res, err := meecc.RunResilient(meecc.ResilientConfig{ChannelConfig: cfg}, []byte(msg))
+	if err != nil {
+		if res != nil {
+			fmt.Fprintf(w, "session failed after %d rounds, %d/%d chunks delivered; actions:\n",
+				res.Report.Rounds, res.ChunksDelivered, res.Chunks)
+			for _, a := range res.Report.Actions {
+				fmt.Fprintf(w, "  %v\n", a)
+			}
+		}
+		return err
+	}
+	r := res.Report
+	fmt.Fprintf(w, "delivered: %q (%d chunks, CRC ok)\n", res.Payload, res.Chunks)
+	fmt.Fprintf(w, "session  : %d rounds, %d retransmits, %d recalibrations, %d resyncs\n",
+		r.Rounds, r.Retransmits, r.Recals, r.Resyncs)
+	fmt.Fprintf(w, "final    : window %d cycles, repetition %d\n", r.FinalWindow, r.FinalRepetition)
+	fmt.Fprintf(w, "goodput  : %.2f KBps over the whole session (pilots, control gaps and retransmits included)\n", res.GoodputKBps)
+	return nil
+}
+
+func sendInBand(w io.Writer, cfg meecc.ChannelConfig) error {
+	fmt.Fprintf(w, "transmitting %d bits with in-band synchronization...\n", len(cfg.Bits))
+	res, err := meecc.RunInBandChannel(cfg)
 	if err != nil {
 		return err
 	}
-	e := env()
-	o := e.Observer()
-	cfg.Obs = o
-	switch {
-	case *reliable:
-		fmt.Printf("transmitting %d payload bytes with FEC framing...\n", len(*msg))
-		res, err := meecc.RunReliable(cfg, []byte(*msg))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("decoded : %q (CRC ok, %d corrections, %d attempt(s))\n",
-			res.Payload, res.Stats.Corrections, res.Attempts)
-		fmt.Printf("raw     : %.1f KBps, %d channel bit errors\n", res.Channel.KBps, res.Channel.BitErrors)
-		fmt.Printf("goodput : %.1f KBps after coding overhead\n", res.GoodputKBps)
-		return e.FinishObs(o)
+	fmt.Fprintf(w, "locked on phase attempt %d; decoded %q\n", res.Attempt, meecc.StringFromBits(res.Received))
+	fmt.Fprintf(w, "%d/%d bit errors, %.1f KBps effective\n", res.BitErrors, len(res.Sent), res.KBps)
+	return nil
+}
 
-	case *inband:
-		fmt.Printf("transmitting %d bits with in-band synchronization...\n", len(cfg.Bits))
-		res, err := meecc.RunInBandChannel(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("locked on phase attempt %d; decoded %q\n", res.Attempt, meecc.StringFromBits(res.Received))
-		fmt.Printf("%d/%d bit errors, %.1f KBps effective\n", res.BitErrors, len(res.Sent), res.KBps)
-		return e.FinishObs(o)
-
-	case *lanes > 1:
-		if pad := len(cfg.Bits) % *lanes; pad != 0 {
-			cfg.Bits = append(cfg.Bits, make([]byte, *lanes-pad)...)
-		}
-		fmt.Printf("transmitting %d bits over %d lanes...\n", len(cfg.Bits), *lanes)
-		res, err := meecc.RunParallelChannel(cfg, *lanes)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("decoded %q\n", meecc.StringFromBits(res.Received))
-		fmt.Printf("%.1f KBps aggregate, %d/%d bit errors (per lane: %v)\n",
-			res.KBps, res.BitErrors, len(res.Sent), res.LaneErrors)
-		return e.FinishObs(o)
+func sendLanes(w io.Writer, cfg meecc.ChannelConfig, lanes int) error {
+	if pad := len(cfg.Bits) % lanes; pad != 0 {
+		cfg.Bits = append(cfg.Bits, make([]byte, lanes-pad)...)
 	}
+	fmt.Fprintf(w, "transmitting %d bits over %d lanes...\n", len(cfg.Bits), lanes)
+	res, err := meecc.RunParallelChannel(cfg, lanes)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "decoded %q\n", meecc.StringFromBits(res.Received))
+	fmt.Fprintf(w, "%.1f KBps aggregate, %d/%d bit errors (per lane: %v)\n",
+		res.KBps, res.BitErrors, len(res.Sent), res.LaneErrors)
+	return nil
+}
 
-	fmt.Printf("transmitting %d bits (%d bytes) over the MEE cache covert channel...\n",
-		len(cfg.Bits), len(*msg))
+// sendRaw runs the raw channel; verbose adds the per-bit probe trace.
+func sendRaw(w io.Writer, cfg meecc.ChannelConfig, verbose bool) error {
+	fmt.Fprintf(w, "transmitting %d bits (%d bytes) over the MEE cache covert channel...\n",
+		len(cfg.Bits), len(cfg.Bits)/8)
 	res, err := meecc.RunChannel(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nsetup: eviction set of %d ways found in %.2f ms of machine time; spy threshold %d cycles\n",
+	fmt.Fprintf(w, "\nsetup: eviction set of %d ways found in %.2f ms of machine time; spy threshold %d cycles\n",
 		res.EvictionSetSize, float64(res.SetupCycles)/4e6, res.SpyThreshold)
-	fmt.Printf("channel: %.1f KBps, %d/%d bit errors (%.2f%%)\n",
+	fmt.Fprintf(w, "channel: %.1f KBps, %d/%d bit errors (%.2f%%)\n",
 		res.KBps, res.BitErrors, len(res.Sent), 100*res.ErrorRate)
-	fmt.Printf("decoded: %q\n", meecc.StringFromBits(res.Received))
-	if *verbose {
-		probes := make([]float64, len(res.ProbeTimes))
-		for i, p := range res.ProbeTimes {
-			probes[i] = float64(p)
-		}
-		fmt.Printf("probe trace: %s\n", trace.Sparkline(probes))
-		for i := range res.Sent {
-			mark := ""
-			if res.Received[i] != res.Sent[i] {
-				mark = " <-- error"
-			}
-			fmt.Printf("  bit %3d sent %d recv %d probe %4d%s\n",
-				i, res.Sent[i], res.Received[i], res.ProbeTimes[i], mark)
-		}
+	fmt.Fprintf(w, "decoded: %q\n", meecc.StringFromBits(res.Received))
+	if !verbose {
+		return nil
 	}
-	return e.FinishObs(o)
+	probes := make([]float64, len(res.ProbeTimes))
+	for i, p := range res.ProbeTimes {
+		probes[i] = float64(p)
+	}
+	fmt.Fprintf(w, "probe trace: %s\n", trace.Sparkline(probes))
+	for i := range res.Sent {
+		mark := ""
+		if res.Received[i] != res.Sent[i] {
+			mark = " <-- error"
+		}
+		fmt.Fprintf(w, "  bit %3d sent %d recv %d probe %4d%s\n",
+			i, res.Sent[i], res.Received[i], res.ProbeTimes[i], mark)
+	}
+	return nil
 }
 
-// runBatch runs a JSON-described grid end to end: spec → worker-pool
-// fan-out → aggregated statistics → artifact + manifest under -out.
-func runBatch() error {
-	if *specPath == "" {
-		return fmt.Errorf("batch requires -spec FILE (see examples/specs/)")
+// batchCmd runs a JSON-described grid end to end: spec → worker-pool fan-out →
+// aggregated statistics → artifact + manifest under -out.
+func batchCmd(fs *flag.FlagSet, e *figures.Env) func() error {
+	specPath := fs.String("spec", "", "JSON experiment spec (see examples/specs/)")
+	outDir := fs.String("out", "results", "directory for the artifact and manifest")
+	fs.IntVar(&e.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&e.Metrics, "metrics", false, "embed per-trial metrics snapshots in the artifact")
+	return func() error {
+		if *specPath == "" {
+			return fmt.Errorf("batch requires -spec FILE (see examples/specs/)")
+		}
+		data, err := os.ReadFile(*specPath)
+		if err != nil {
+			return err
+		}
+		spec, err := exp.ParseSpec(data)
+		if err != nil {
+			return err
+		}
+		rep, err := e.RunGrid(spec)
+		if err != nil {
+			return err
+		}
+		artifact, manifest, err := exp.WriteArtifacts(*outDir, rep)
+		if err != nil {
+			return err
+		}
+		return printBatch(e.Stdout, spec, rep, artifact, manifest)
 	}
-	data, err := os.ReadFile(*specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := exp.ParseSpec(data)
-	if err != nil {
-		return err
-	}
-	rep, err := env().RunGrid(spec)
-	if err != nil {
-		return err
-	}
-	artifact, manifest, err := exp.WriteArtifacts(*outDir, rep)
-	if err != nil {
-		return err
-	}
+}
 
-	// Summary: one row per cell, every aggregated metric's mean ± CI.
+// printBatch writes batch's summary, one row per cell with every aggregated
+// metric's mean ± CI, and the artifact paths. A run in which every trial
+// failed is an error.
+func printBatch(w io.Writer, spec *exp.Spec, rep *exp.Report, artifact, manifest string) error {
 	var metrics []string
 	if len(rep.Cells) > 0 {
 		for name := range rep.Cells[0].Stats {
@@ -405,8 +498,8 @@ func runBatch() error {
 		}
 		tb.Row(row...)
 	}
-	tb.Render(os.Stdout)
-	fmt.Printf("\n%d cells × %d trials on %d workers in %s (%d failures)\n",
+	tb.Render(w)
+	fmt.Fprintf(w, "\n%d cells × %d trials on %d workers in %s (%d failures)\n",
 		len(rep.Cells), spec.Trials, rep.Workers, rep.WallTime.Round(1e6), rep.Failures())
 	if rep.Partial {
 		skipped := 0
@@ -415,9 +508,9 @@ func runBatch() error {
 				skipped++
 			}
 		}
-		fmt.Printf("PARTIAL RUN: interrupted with %d trials never started (artifact flagged partial)\n", skipped)
+		fmt.Fprintf(w, "PARTIAL RUN: interrupted with %d trials never started (artifact flagged partial)\n", skipped)
 	}
-	fmt.Printf("artifact: %s\nmanifest: %s\n", artifact, manifest)
+	fmt.Fprintf(w, "artifact: %s\nmanifest: %s\n", artifact, manifest)
 	// Partial failures are data (recorded per trial in the artifact), but a
 	// run where nothing succeeded should not look like success to scripts.
 	if total := len(rep.Cells) * spec.Trials; rep.Failures() == total {
@@ -426,70 +519,80 @@ func runBatch() error {
 	return nil
 }
 
-// runChaos sweeps the fault-injection campaign over (kind × intensity),
+// chaosCmd sweeps the fault-injection campaign over (kind × intensity),
 // comparing the static single-shot transfer against the adaptive resilient
 // session in every cell, and writes artifact + manifest + CSV under -out.
-func runChaos() error {
-	kinds, err := fault.ParseKinds(*faults)
-	if err != nil {
-		return err
-	}
-	if len(kinds) == 0 {
-		return fmt.Errorf("chaos requires at least one fault kind")
-	}
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
-	}
-	var levels []string
-	for _, v := range strings.Split(*intensities, ",") {
-		v = strings.TrimSpace(v)
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			return fmt.Errorf("chaos intensity %q: %v", v, err)
+func chaosCmd(fs *flag.FlagSet, e *figures.Env) func() error {
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	trials := fs.Int("trials", 1, "trials per grid cell")
+	faults := fs.String("faults", "all", "fault kinds: all, none, or a comma list (migration,timer,paging,meeflush,storm)")
+	intensities := fs.String("intensities", "0,1,2,4,8", "fault intensities (comma list)")
+	payloadLen := fs.Int("payload", 16, "payload length in bytes")
+	outDir := fs.String("out", "results", "directory for the artifact, manifest and CSV")
+	fs.IntVar(&e.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&e.Metrics, "metrics", false, "embed per-trial metrics snapshots in the artifact")
+	return func() error {
+		kinds, err := fault.ParseKinds(*faults)
+		if err != nil {
+			return err
 		}
-		levels = append(levels, v)
-	}
-	spec := &exp.Spec{
-		Name:     "chaos",
-		Study:    "chaos",
-		BaseSeed: *seed,
-		Trials:   *trials,
-		Params:   map[string]string{"payload": strconv.Itoa(*payloadLen)},
-		Axes: []exp.Axis{
-			{Name: "faults", Values: kindNames},
-			{Name: "intensity", Values: levels},
-		},
-	}
-	rep, err := env().RunGrid(spec)
-	if err != nil {
-		return err
-	}
-	artifact, manifest, err := exp.WriteArtifacts(*outDir, rep)
-	if err != nil {
-		return err
-	}
-	csvPath, err := writeChaosCSV(*outDir, rep)
-	if err != nil {
-		return err
-	}
+		if len(kinds) == 0 {
+			return fmt.Errorf("chaos requires at least one fault kind")
+		}
+		kindNames := make([]string, len(kinds))
+		for i, k := range kinds {
+			kindNames[i] = k.String()
+		}
+		var levels []string
+		for _, v := range strings.Split(*intensities, ",") {
+			v = strings.TrimSpace(v)
+			if _, err := strconv.ParseFloat(v, 64); err != nil {
+				return fmt.Errorf("chaos intensity %q: %v", v, err)
+			}
+			levels = append(levels, v)
+		}
+		spec := &exp.Spec{
+			Name:     "chaos",
+			Study:    "chaos",
+			BaseSeed: *seed,
+			Trials:   *trials,
+			Params:   map[string]string{"payload": strconv.Itoa(*payloadLen)},
+			Axes: []exp.Axis{
+				{Name: "faults", Values: kindNames},
+				{Name: "intensity", Values: levels},
+			},
+		}
+		rep, err := e.RunGrid(spec)
+		if err != nil {
+			return err
+		}
+		artifact, manifest, err := exp.WriteArtifacts(*outDir, rep)
+		if err != nil {
+			return err
+		}
+		csvPath, err := writeChaosCSV(*outDir, rep)
+		if err != nil {
+			return err
+		}
 
-	tb := trace.NewTable("faults", "intensity", "static BER", "static ok", "adaptive ok", "goodput KBps (static/adaptive)", "trials")
-	for _, c := range rep.Cells {
-		kind, _ := c.Cell.Get("faults")
-		level, _ := c.Cell.Get("intensity")
-		tb.Row(kind, level,
-			fmt.Sprintf("%.3f", c.Stat("static_ber").Mean),
-			fmt.Sprintf("%.0f%%", 100*c.Stat("static_delivered").Mean),
-			fmt.Sprintf("%.0f%%", 100*c.Stat("adaptive_delivered").Mean),
-			fmt.Sprintf("%.2f / %.2f", c.Stat("static_goodput_kbps").Mean, c.Stat("adaptive_goodput_kbps").Mean),
-			fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
+		tb := trace.NewTable("faults", "intensity", "static BER", "static ok", "adaptive ok", "goodput KBps (static/adaptive)", "trials")
+		for _, c := range rep.Cells {
+			kind, _ := c.Cell.Get("faults")
+			level, _ := c.Cell.Get("intensity")
+			tb.Row(kind, level,
+				fmt.Sprintf("%.3f", c.Stat("static_ber").Mean),
+				fmt.Sprintf("%.0f%%", 100*c.Stat("static_delivered").Mean),
+				fmt.Sprintf("%.0f%%", 100*c.Stat("adaptive_delivered").Mean),
+				fmt.Sprintf("%.2f / %.2f", c.Stat("static_goodput_kbps").Mean, c.Stat("adaptive_goodput_kbps").Mean),
+				fmt.Sprintf("%d (%d failed)", c.Trials, c.Failures))
+		}
+		tb.Render(e.Stdout)
+		if rep.Partial {
+			fmt.Fprintln(e.Stdout, "PARTIAL RUN: interrupted before every trial started (artifact flagged partial)")
+		}
+		fmt.Fprintf(e.Stdout, "artifact: %s\nmanifest: %s\ncsv: %s\n", artifact, manifest, csvPath)
+		return nil
 	}
-	tb.Render(os.Stdout)
-	if rep.Partial {
-		fmt.Println("PARTIAL RUN: interrupted before every trial started (artifact flagged partial)")
-	}
-	fmt.Printf("artifact: %s\nmanifest: %s\ncsv: %s\n", artifact, manifest, csvPath)
-	return nil
 }
 
 // writeChaosCSV renders the per-cell aggregates as one CSV row per cell
@@ -536,16 +639,21 @@ func writeChaosCSV(dir string, rep *exp.Report) (string, error) {
 	return path, f.Close()
 }
 
-// runInspect renders an observability file as a text report. It sniffs the
+// inspectCmd renders an observability file as a text report. It sniffs the
 // payload: a metrics snapshot (from -metricsout or an artifact's obs block),
 // a Chrome trace-event JSON (from -trace), or an experiment artifact (from
 // batch/chaos), and exits non-zero on anything malformed.
-func runInspect() error {
-	args := flag.CommandLine.Args()
-	if len(args) != 1 {
-		return fmt.Errorf("usage: meecc inspect FILE (a -metricsout snapshot, a -trace JSON, or a batch artifact)")
+func inspectCmd(fs *flag.FlagSet, e *figures.Env) func() error {
+	return func() error {
+		if fs.NArg() != 1 {
+			return usageError("usage: meecc inspect FILE (a -metricsout snapshot, a -trace JSON, or a batch artifact)")
+		}
+		return inspectFile(e.Stdout, fs.Arg(0))
 	}
-	data, err := os.ReadFile(args[0])
+}
+
+func inspectFile(w io.Writer, path string) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -562,41 +670,42 @@ func runInspect() error {
 	}
 	if err := json.Unmarshal(data, &kind); err != nil {
 		if !json.Valid(data) {
-			return fmt.Errorf("inspect: %s is not JSON: %v", args[0], err)
+			return fmt.Errorf("inspect: %s is not JSON: %v", path, err)
 		}
-		return inspectSchemaError(args[0], data)
+		return inspectSchemaError(path, data)
 	}
 	switch {
 	case kind.TraceEvents != nil:
 		sum, err := obs.ValidateChromeTrace(data)
 		if err != nil {
-			return fmt.Errorf("inspect: %s: %v", args[0], err)
+			return fmt.Errorf("inspect: %s: %v", path, err)
 		}
-		fmt.Printf("%s: Chrome trace-event JSON (load in https://ui.perfetto.dev)\n", args[0])
-		sum.Render(os.Stdout)
+		fmt.Fprintf(w, "%s: Chrome trace-event JSON (load in https://ui.perfetto.dev)\n", path)
+		sum.Render(w)
 		return nil
 
 	case kind.Study != nil && kind.Cells != nil:
 		art, err := exp.UnmarshalArtifact(data)
 		if err != nil {
-			return fmt.Errorf("inspect: %s: %v", args[0], err)
+			return fmt.Errorf("inspect: %s: %v", path, err)
 		}
-		return inspectArtifact(args[0], art)
+		inspectArtifact(w, path, art)
+		return nil
 
 	case kind.SchemaVersion != nil || kind.Counters != nil:
 		snap, err := obs.DecodeSnapshot(data)
 		if err != nil {
-			return fmt.Errorf("inspect: %s: %v", args[0], err)
+			return fmt.Errorf("inspect: %s: %v", path, err)
 		}
-		fmt.Printf("%s: metrics snapshot (schema v%d)\n\n", args[0], snap.SchemaVersion)
-		snap.Render(os.Stdout)
+		fmt.Fprintf(w, "%s: metrics snapshot (schema v%d)\n\n", path, snap.SchemaVersion)
+		snap.Render(w)
 		return nil
 
 	default:
 		// Valid JSON, but none of the discriminating fields: say what this
 		// command can render instead of surfacing a decoder's unmarshal
 		// error about a schema the file never claimed to follow.
-		return inspectSchemaError(args[0], data)
+		return inspectSchemaError(path, data)
 	}
 }
 
@@ -627,9 +736,9 @@ expected one of:
 // inspectArtifact summarizes a batch/chaos artifact: the grid shape, then —
 // when trials carry metrics snapshots — the summed semantic counters across
 // all trials.
-func inspectArtifact(path string, art *exp.Artifact) error {
-	fmt.Printf("%s: %s artifact %q (schema v%d)\n", path, art.Study, art.Name, art.SchemaVersion)
-	fmt.Printf("grid:    %d cells x %d trials, base seed %d\n", len(art.Cells), art.TrialsPerCell, art.BaseSeed)
+func inspectArtifact(w io.Writer, path string, art *exp.Artifact) {
+	fmt.Fprintf(w, "%s: %s artifact %q (schema v%d)\n", path, art.Study, art.Name, art.SchemaVersion)
+	fmt.Fprintf(w, "grid:    %d cells x %d trials, base seed %d\n", len(art.Cells), art.TrialsPerCell, art.BaseSeed)
 	failures := 0
 	observed := 0
 	total := obs.NewSnapshot()
@@ -646,15 +755,14 @@ func inspectArtifact(path string, art *exp.Artifact) error {
 			total.Counters[name] += v
 		}
 	}
-	fmt.Printf("trials:  %d recorded, %d failed\n", len(art.Trials), failures)
+	fmt.Fprintf(w, "trials:  %d recorded, %d failed\n", len(art.Trials), failures)
 	if art.Partial {
-		fmt.Println("partial: run was interrupted before every trial dispatched")
+		fmt.Fprintln(w, "partial: run was interrupted before every trial dispatched")
 	}
 	if observed == 0 {
-		fmt.Println("metrics: none embedded (run with -metrics or \"metrics\": true in the spec)")
-		return nil
+		fmt.Fprintln(w, "metrics: none embedded (run with -metrics or \"metrics\": true in the spec)")
+		return
 	}
-	fmt.Printf("metrics: summed over %d trial snapshots\n\n", observed)
-	total.Render(os.Stdout)
-	return nil
+	fmt.Fprintf(w, "metrics: summed over %d trial snapshots\n\n", observed)
+	total.Render(w)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,11 +13,12 @@ import (
 	"syscall"
 	"time"
 
+	"meecc/internal/figures"
 	"meecc/internal/obs/ops"
 	"meecc/internal/serve"
 )
 
-// runTop polls a running service's GET /metrics and GET /healthz and renders
+// topCmd polls a running service's GET /metrics and GET /healthz and renders
 // a live terminal dashboard: runs in flight, queue depth, trial throughput,
 // memo hit rate, latency quantiles, journal and store sizes. It shares the
 // exposition parser with the serve tests, so anything it renders is by
@@ -24,72 +26,75 @@ import (
 //
 // With -once it prints a single snapshot and exits; add -require FAM1,FAM2
 // to assert metric families are present (the CI smoke's scrape check).
-func runTop() error {
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	client := &http.Client{Timeout: 10 * time.Second}
+func topCmd(fs *flag.FlagSet, e *figures.Env) func() error {
+	addr := fs.String("addr", defaultAddr, "service address")
+	interval := fs.Duration("interval", 2*time.Second, "poll interval")
+	once := fs.Bool("once", false, "print one snapshot and exit")
+	require := fs.String("require", "", "comma list of metric families that must be present (exit nonzero otherwise)")
+	return func() error {
+		base := baseURL(*addr)
+		client := &http.Client{Timeout: 10 * time.Second}
 
-	var required []string
-	if *topRequire != "" {
-		for _, f := range strings.Split(*topRequire, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				required = append(required, f)
+		var required []string
+		if *require != "" {
+			for _, f := range strings.Split(*require, ",") {
+				if f = strings.TrimSpace(f); f != "" {
+					required = append(required, f)
+				}
 			}
 		}
-	}
 
-	poll := func() (*ops.Scrape, *serve.Health, error) {
-		sc, err := scrapeMetrics(client, base)
-		if err != nil {
-			return nil, nil, err
+		poll := func() (*ops.Scrape, *serve.Health, error) {
+			sc, err := scrapeMetrics(client, base)
+			if err != nil {
+				return nil, nil, err
+			}
+			h, err := scrapeHealth(client, base)
+			if err != nil {
+				return nil, nil, err
+			}
+			return sc, h, nil
 		}
-		h, err := scrapeHealth(client, base)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sc, h, nil
-	}
 
-	if *topOnce {
-		sc, h, err := poll()
-		if err != nil {
-			return err
-		}
-		if err := requireFamilies(sc, required); err != nil {
-			return err
-		}
-		renderDashboard(os.Stdout, base, sc, h, topDeltas{})
-		if len(required) > 0 {
-			fmt.Printf("require: all %d families present\n", len(required))
-		}
-		return nil
-	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	ticker := time.NewTicker(*topInterval)
-	defer ticker.Stop()
-
-	var prev topDeltas
-	for {
-		sc, h, err := poll()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "meecc top: %v (retrying in %s)\n", err, *topInterval)
-		} else {
+		if *once {
+			sc, h, err := poll()
+			if err != nil {
+				return err
+			}
 			if err := requireFamilies(sc, required); err != nil {
 				return err
 			}
-			fmt.Print("\x1b[H\x1b[2J") // home + clear: repaint in place
-			prev = renderDashboard(os.Stdout, base, sc, h, prev)
-		}
-		select {
-		case <-sigCh:
-			fmt.Println()
+			renderDashboard(e.Stdout, base, sc, h, topDeltas{})
+			if len(required) > 0 {
+				fmt.Fprintf(e.Stdout, "require: all %d families present\n", len(required))
+			}
 			return nil
-		case <-ticker.C:
+		}
+
+		sigCh := make(chan os.Signal, 1)
+		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sigCh)
+		ticker := time.NewTicker(*interval)
+		defer ticker.Stop()
+
+		var prev topDeltas
+		for {
+			sc, h, err := poll()
+			if err != nil {
+				fmt.Fprintf(e.Stderr, "meecc top: %v (retrying in %s)\n", err, *interval)
+			} else {
+				if err := requireFamilies(sc, required); err != nil {
+					return err
+				}
+				fmt.Fprint(e.Stdout, "\x1b[H\x1b[2J") // home + clear: repaint in place
+				prev = renderDashboard(e.Stdout, base, sc, h, prev)
+			}
+			select {
+			case <-sigCh:
+				fmt.Fprintln(e.Stdout)
+				return nil
+			case <-ticker.C:
+			}
 		}
 	}
 }

@@ -41,14 +41,14 @@ func ExampleBitsFromString() {
 	// [1 0 0 0 0 0 1 0]
 }
 
-// Reliable transfers wrap the raw channel in FEC framing.
-func ExampleRunReliable() {
-	cfg := meecc.DefaultChannelConfig(404)
-	res, err := meecc.RunReliable(cfg, []byte("key"))
+// The adaptive session layer sends a payload in CRC-framed, FEC-coded
+// chunks and retransmits any chunk whose checksum fails.
+func ExampleRunResilient() {
+	res, err := meecc.RunResilient(meecc.DefaultResilientConfig(404), []byte("key"))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%s (CRC ok: %v)\n", res.Payload, res.Stats.CRCOK)
+	fmt.Printf("%s (delivered: %v, retransmits: %d)\n", res.Payload, res.Delivered, res.Report.Retransmits)
 	// Output:
-	// key (CRC ok: true)
+	// key (delivered: true, retransmits: 0)
 }

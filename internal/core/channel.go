@@ -218,8 +218,14 @@ type channelSession struct {
 	trojanErr, spyErr error
 }
 
-// checkBits rejects payload values other than 0 and 1.
-func checkBits(bits []byte) error {
+// checkPayload rejects a payload with no bits, whose error rate would be
+// 0/0, or with values other than 0 and 1. Every runner that transmits
+// cfg.Bits calls it; the warm phase and the resilient session, which
+// transmit no cfg.Bits, do not.
+func checkPayload(bits []byte) error {
+	if len(bits) == 0 {
+		return errors.New("core: empty payload: no bits to transmit")
+	}
 	for _, b := range bits {
 		if b > 1 {
 			return fmt.Errorf("core: bits must be 0/1, got %d", b)
@@ -228,13 +234,10 @@ func checkBits(bits []byte) error {
 	return nil
 }
 
-// prepareChannel validates cfg, applies defaults, expands repetition
-// coding, and computes the session schedule.
+// prepareChannel applies defaults, expands repetition coding, and computes
+// the session schedule.
 func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
 	cfg.applyDefaults()
-	if err := checkBits(cfg.Bits); err != nil {
-		return nil, err
-	}
 	s := &channelSession{cfg: cfg, logical: cfg.Bits, rep: cfg.Repetition}
 	if s.rep < 1 {
 		s.rep = 1
@@ -494,6 +497,9 @@ func (s *channelSession) finish(plat *platform.Platform, injector *fault.Injecto
 // WarmChannel/ChannelWarmState.Run split the same phases across a platform
 // fork instead, with an identical operation stream.
 func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
+	if err := checkPayload(cfg.Bits); err != nil {
+		return nil, err
+	}
 	s, err := prepareChannel(cfg)
 	if err != nil {
 		return nil, err

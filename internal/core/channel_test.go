@@ -190,22 +190,37 @@ func TestEvictionPhaseStudy(t *testing.T) {
 }
 
 func TestChannelRejectsBadBits(t *testing.T) {
-	// Every runner that takes a payload applies the same 0/1 check.
+	// Every runner that transmits cfg.Bits applies the same payload check:
+	// bits are 0 or 1, and an empty payload, whose error rate would be 0/0,
+	// is refused.
+	warm, err := WarmChannel(DefaultChannelConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	runners := []struct {
 		name string
 		run  func(ChannelConfig) error
 	}{
 		{"RunChannel", func(c ChannelConfig) error { _, err := RunChannel(c); return err }},
+		{"ChannelWarmState.Run", func(c ChannelConfig) error { _, err := warm.Run(c); return err }},
 		{"RunInBandChannel", func(c ChannelConfig) error { _, err := RunInBandChannel(c); return err }},
 		{"RunLLCChannel", func(c ChannelConfig) error { _, err := RunLLCChannel(c); return err }},
 		{"RunPrimeProbe", func(c ChannelConfig) error { _, err := RunPrimeProbe(c); return err }},
 		{"RunParallelChannel", func(c ChannelConfig) error { _, err := RunParallelChannel(c, 1); return err }},
 	}
-	for _, r := range runners {
-		cfg := DefaultChannelConfig(1)
-		cfg.Bits = []byte{0, 1, 2, 1}
-		if err := r.run(cfg); err == nil || err.Error() != "core: bits must be 0/1, got 2" {
-			t.Errorf("%s: err = %v, want the 0/1 bit check", r.name, err)
+	for _, tc := range []struct {
+		bits []byte
+		want string
+	}{
+		{[]byte{0, 1, 2, 1}, "core: bits must be 0/1, got 2"},
+		{[]byte{}, "core: empty payload: no bits to transmit"},
+	} {
+		for _, r := range runners {
+			cfg := DefaultChannelConfig(1)
+			cfg.Bits = tc.bits
+			if err := r.run(cfg); err == nil || err.Error() != tc.want {
+				t.Errorf("%s(%v): err = %v, want %q", r.name, tc.bits, err, tc.want)
+			}
 		}
 	}
 }

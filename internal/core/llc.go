@@ -52,7 +52,7 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 		cfg.Window = 5000
 	}
 	cfg.applyDefaults()
-	if err := checkBits(cfg.Bits); err != nil {
+	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
 	plat := cfg.boot()

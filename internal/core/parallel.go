@@ -33,7 +33,7 @@ type ParallelResult struct {
 // 4-core part (the spy and noise need cores too).
 func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	cfg.applyDefaults()
-	if err := checkBits(cfg.Bits); err != nil {
+	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
 	if lanes < 1 || lanes > 2 {

@@ -100,9 +100,6 @@ var pinnedRows = []pinnedRow{
 	{"EvictionStudy/two-phase", "0fa4910fb128bc443d37d89e8689fe99a915bd5c3a7e7a2581c30ac044ea2a5e", func() (any, error) {
 		return EvictionStudy(DefaultOptions(41), "lru", true, 40)
 	}},
-	{"RunReliable", "b6945191914d3fd012e66f342852e7001ab45dffb62c973eba5cfea7f927f940", func() (any, error) {
-		return RunReliable(pinnedChannel(42), []byte("mc"))
-	}},
 	// The run limit stops the fresh run inside Algorithm 1: an error, not
 	// a transmission the trojan never sent.
 	{"RunChannel/setup-overrun", "80cd8a0cb7865e12153d41309bb94f88bd2050338b83b90dc4f7d8f171f0c3d1", func() (any, error) {

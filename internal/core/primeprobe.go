@@ -26,7 +26,7 @@ type PrimeProbeResult struct {
 // conflicting address. Setup mirrors RunChannel with the roles reversed.
 func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 	cfg.applyDefaults()
-	if err := checkBits(cfg.Bits); err != nil {
+	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
 	plat := cfg.boot()

@@ -22,11 +22,11 @@ import (
 // repetition coding). Every reaction is recorded in a DegradationReport.
 //
 // Coordination model: the spy is the controller. Both sides share a round
-// plan out of band (the standard colluding-endpoints assumption this repo
-// already makes for ACK/NACK in RunReliable); in the simulation the plan is
-// a struct the spy writes strictly before each round boundary and the
-// trojan reads strictly after it, which the engine's clock-ordered actor
-// scheduling turns into a deterministic, race-free rendezvous.
+// plan out of band (the colluding-endpoints assumption every covert channel
+// makes: the two ends agree on the protocol in advance); in the simulation
+// the plan is a struct the spy writes strictly before each round boundary
+// and the trojan reads strictly after it, which the engine's clock-ordered
+// actor scheduling turns into a deterministic, race-free rendezvous.
 
 // ActionKind labels one adaptation the session layer took.
 type ActionKind int

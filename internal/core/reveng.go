@@ -105,8 +105,9 @@ func (o Organization) String() string {
 }
 
 // ReverseEngineer runs the full §4 procedure: the capacity experiment, then
-// Algorithm 1 for the associativity, and derives the set count. This is the
-// cmd/revenge entry point.
+// Algorithm 1 for the associativity, and derives the set count.
+// examples/reverse-engineer prints what it finds, and cmd/figures -fig 4
+// renders the capacity experiment.
 func ReverseEngineer(opts Options, trials int) (*Organization, *CapacityResult, *Algorithm1Result, error) {
 	capRes, err := MeasureCapacity(opts, nil, trials)
 	if err != nil {

@@ -94,6 +94,9 @@ func awaitTransmission(th *platform.Thread, monitor enclave.VAddr, threshold, wi
 // trojan begins at a start time of its own choosing (derived from its
 // seed) and the spy synchronizes from the signal itself.
 func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
+	if err := checkPayload(cfg.Bits); err != nil {
+		return nil, err
+	}
 	cfg.Repetition = 0 // the repeated frame replaces repetition coding
 	s, err := prepareChannel(cfg)
 	if err != nil {

@@ -136,6 +136,9 @@ func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	if err := ws.compatible(cfg); err != nil {
 		return nil, err
 	}
+	if err := checkPayload(cfg.Bits); err != nil {
+		return nil, err
+	}
 	s, err := prepareChannel(cfg)
 	if err != nil {
 		return nil, err

@@ -198,16 +198,6 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 	return core.RunInBandChannel(cfg)
 }
 
-// ReliableResult reports a framed, forward-error-corrected transfer.
-type ReliableResult = core.ReliableResult
-
-// RunReliable transmits payload over the channel with Hamming(7,4) FEC,
-// interleaving, and CRC-16 framing — the error handling the paper defers
-// to future work.
-func RunReliable(cfg ChannelConfig, payload []byte) (*ReliableResult, error) {
-	return core.RunReliable(cfg, payload)
-}
-
 // FaultKind enumerates the deterministic fault injectors (thread migration,
 // timer jitter/drift, EPC paging, MEE-cache flushes, noise storms).
 type FaultKind = fault.Kind
