@@ -156,6 +156,13 @@ echo "== fuzz smoke: internal/cache, internal/cpucache =="
 go test ./internal/cache -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 5s
 go test ./internal/cpucache -run '^$' -fuzz '^FuzzHierarchyInvariants$' -fuzztime 5s
 
+echo "== fuzz smoke: internal/mee =="
+# FuzzTamperDetected: byte flips behind the engine in data, PD_Tag and
+# counter lines, between reads that replay the engine's memos of verified
+# lines, forks and state round trips, are detected exactly when an oracle
+# without memos says they must be.
+go test ./internal/mee -run '^$' -fuzz '^FuzzTamperDetected$' -fuzztime 5s
+
 echo "== fuzz smoke: internal/code =="
 # A short randomized pass over the decoder-facing fuzz targets: the channel
 # hands the decoder attacker-observed, noise-corrupted bits, so "never
