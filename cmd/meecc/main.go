@@ -315,7 +315,7 @@ func sendCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 	reliable := fs.Bool("reliable", false, "send through the adaptive ARQ session (Hamming(7,4) + CRC-16 chunks, retransmission, recalibration, resync)")
 	inband := fs.Bool("inband", false, "synchronize in-band (no agreed transmission start)")
 	lanes := fs.Int("lanes", 1, "parallel trojan lanes (1 or 2)")
-	verbose := fs.Bool("v", false, "print the per-bit probe trace")
+	verbose := fs.Bool("v", false, "print the per-bit probe trace (raw mode only)")
 	observe(fs, e)
 	return func() error {
 		if *lanes < 1 || *lanes > 2 {
@@ -329,6 +329,9 @@ func sendCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 		}
 		if modes > 1 {
 			return usageError("-reliable, -inband and -lanes 2 are separate modes; choose one")
+		}
+		if modes > 0 && *verbose {
+			return usageError("-v prints the raw channel's per-bit trace; -reliable, -inband and -lanes 2 have none")
 		}
 		cfg := meecc.DefaultChannelConfig(*seed)
 		cfg.Window = meecc.Cycles(*window)

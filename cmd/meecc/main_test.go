@@ -122,6 +122,9 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-lanes", "2", "-inband", "-reliable"}, 2, "-reliable, -inband and -lanes 2 are separate modes"},
 		{[]string{"send", "-lanes", "0"}, 2, "-lanes 0: want 1 or 2"},
 		{[]string{"send", "-lanes", "3", "-reliable"}, 2, "-lanes 3: want 1 or 2"},
+		{[]string{"send", "-reliable", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
+		{[]string{"send", "-inband", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
+		{[]string{"send", "-lanes", "2", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
 		{[]string{"nosuch"}, 2, `meecc: unknown command "nosuch"`},
 		{[]string{"-h"}, 0, "-msg string"},
 		{[]string{"batch", "-h"}, 0, "-spec string"},

@@ -81,7 +81,9 @@ func DefaultConfig(cores int) Config {
 // Victim is a line leaving the hierarchy toward memory. Pointers returned by
 // Fill and Flush alias a scratch field inside the Hierarchy and are valid
 // only until the next Fill, Flush, or Repage-driven drop; callers must
-// consume (or copy) the victim before touching the hierarchy again.
+// consume (or copy) the victim before touching the hierarchy again. Data
+// holds the line's content only when Dirty: a clean victim has nothing to
+// write back, so its bytes are not copied out.
 type Victim struct {
 	Addr  dram.Addr
 	Data  [dram.LineSize]byte
@@ -413,7 +415,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 			h.l1[c].Invalidate(h.l1Set(evAddr), evTag)
 			h.l2[c].Invalidate(h.l2Set(evAddr), evTag)
 		}
-		h.victim = Victim{Addr: evAddr, Data: b.data, Dirty: b.dirty}
+		h.setVictim(evAddr, b)
 		h.countDrop()
 		victim = &h.victim
 	} else if b.valid {
@@ -450,7 +452,7 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 		return nil, lat
 	}
 	b := h.ownBuf(set, way)
-	h.victim = Victim{Addr: addr, Data: b.data, Dirty: b.dirty}
+	h.setVictim(addr, b)
 	mask := b.cores
 	*b = lineBuf{}
 	for c := 0; c < h.cfg.Cores; c++ {
@@ -462,6 +464,15 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	}
 	h.countDrop()
 	return &h.victim, lat
+}
+
+// setVictim fills the scratch Victim from the buffer of the line at addr,
+// copying its bytes only when it is dirty.
+func (h *Hierarchy) setVictim(addr dram.Addr, b *lineBuf) {
+	h.victim.Addr, h.victim.Dirty = addr, b.dirty
+	if b.dirty {
+		h.victim.Data = b.data
+	}
 }
 
 // Resident reports whether addr's line is anywhere in the hierarchy.

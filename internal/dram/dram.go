@@ -6,6 +6,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -41,8 +42,11 @@ var generations atomic.Uint64
 func nextGeneration() uint64 { return generations.Add(1) }
 
 type page struct {
-	gen  uint64
-	data [pageBytes]byte
+	gen uint64
+	// writes is the page's write generation (see WriteGen). Unlike gen it
+	// tracks content, not ownership.
+	writes uint64
+	data   [pageBytes]byte
 }
 
 type chunk struct {
@@ -58,7 +62,8 @@ func (c *chunk) clone(gen uint64) *chunk {
 
 // Config describes DRAM geometry and timing. All latencies are in CPU
 // cycles as seen from the core (they fold in the on-chip traversal after an
-// LLC miss, which is why they are larger than raw DRAM timings).
+// LLC miss, which is why they are larger than raw DRAM timings). Banks and
+// RowBytes must be powers of two: an address's bank and row are its bits.
 type Config struct {
 	Size        uint64  // total physical bytes
 	Banks       int     // number of independent banks
@@ -119,10 +124,21 @@ type DRAM struct {
 	stats       Stats
 }
 
-// New builds a DRAM from cfg, validating geometry.
+// checkConfig is the one geometry rule New and SnapshotFromState share: a
+// nonzero size, and power-of-two bank counts and row sizes, which
+// bankAndRow's shifts rely on.
+func checkConfig(cfg Config) error {
+	if cfg.Size == 0 || cfg.Banks <= 0 || cfg.Banks&(cfg.Banks-1) != 0 ||
+		cfg.RowBytes == 0 || cfg.RowBytes&(cfg.RowBytes-1) != 0 {
+		return fmt.Errorf("dram: invalid config %+v (banks and row bytes must be powers of two)", cfg)
+	}
+	return nil
+}
+
+// New builds a DRAM from cfg. It panics on a config checkConfig rejects.
 func New(cfg Config) *DRAM {
-	if cfg.Size == 0 || cfg.Banks <= 0 || cfg.RowBytes == 0 {
-		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
+	if err := checkConfig(cfg); err != nil {
+		panic(err.Error())
 	}
 	d := &DRAM{
 		cfg:         cfg,
@@ -205,10 +221,12 @@ func (d *DRAM) Stats() Stats { return d.stats }
 func (d *DRAM) Size() uint64 { return d.cfg.Size }
 
 // bankAndRow maps an address onto its bank and row (row interleaving across
-// banks at row granularity).
+// banks at row granularity). Both counts are powers of two, so the
+// divisions are shifts.
 func (d *DRAM) bankAndRow(addr Addr) (bank int, row int64) {
-	rowIdx := uint64(addr) / d.cfg.RowBytes
-	return int(rowIdx % uint64(d.cfg.Banks)), int64(rowIdx / uint64(d.cfg.Banks))
+	banks := uint64(d.cfg.Banks)
+	rowIdx := uint64(addr) >> bits.TrailingZeros64(d.cfg.RowBytes)
+	return int(rowIdx & (banks - 1)), int64(rowIdx >> bits.TrailingZeros64(banks))
 }
 
 // Access performs the timing side of one line-granularity access beginning
@@ -285,7 +303,7 @@ func (d *DRAM) pageFor(addr Addr, write bool) (*page, uint64) {
 			ch = ch.clone(d.gen)
 			d.dir[ci] = ch
 		}
-		np := &page{gen: d.gen, data: p.data}
+		np := &page{gen: d.gen, writes: p.writes, data: p.data}
 		ch.pages[pi] = np
 		p = np
 	}
@@ -305,16 +323,35 @@ func (d *DRAM) ReadBytes(addr Addr, buf []byte) {
 	}
 }
 
-// WriteBytes stores data at addr.
+// WriteBytes stores data at addr, bumping the write generation of every
+// page it touches.
 func (d *DRAM) WriteBytes(addr Addr, data []byte) {
 	if uint64(addr)+uint64(len(data)) > d.cfg.Size {
 		panic(fmt.Sprintf("dram: write [%#x,+%d) beyond capacity", addr, len(data)))
 	}
 	for n := 0; n < len(data); {
 		p, off := d.pageFor(addr+Addr(n), true)
+		p.writes++
 		c := copy(p.data[off:], data[n:])
 		n += c
 	}
+}
+
+// WriteGen returns the write generation of the page holding addr. While it
+// is unchanged the page's bytes are too: every WriteBytes that touches the
+// page bumps it, and a view that copies a page it shares with a snapshot
+// carries it over. A page never materialized reads 0, and asking allocates
+// nothing. The generation is not serialized: a page decoded from a
+// SnapshotState starts again at 0.
+func (d *DRAM) WriteGen(addr Addr) uint64 {
+	ch := d.dir[uint64(addr)/chunkBytes]
+	if ch == nil {
+		return 0
+	}
+	if p := ch.pages[uint64(addr)%chunkBytes/pageBytes]; p != nil {
+		return p.writes
+	}
+	return 0
 }
 
 // ReadLine reads the 64-byte line containing addr (aligned down).

@@ -65,8 +65,8 @@ func (s *Snapshot) ExportState() *SnapshotState {
 // index order with exactly PageBytes of data each, so a corrupted image
 // returns an error rather than producing a silently wrong memory.
 func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
-	if st.Cfg.Size == 0 || st.Cfg.Banks <= 0 || st.Cfg.RowBytes == 0 {
-		return nil, fmt.Errorf("dram: invalid config %+v", st.Cfg)
+	if err := checkConfig(st.Cfg); err != nil {
+		return nil, err
 	}
 	if len(st.OpenRow) != st.Cfg.Banks || len(st.BanksBusy) != st.Cfg.Banks ||
 		len(st.RefreshedAt) != st.Cfg.Banks {

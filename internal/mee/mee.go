@@ -168,15 +168,19 @@ type Engine struct {
 	// so the nodebuf alloc/recycled observability counters keep their exact
 	// historical semantics now that slots are slab-resident.
 	freeBufs int
-	// dataMemo and nodeMemo cache the most recent crypto result per line:
-	// DataMAC/DecryptLine are pure functions of (address, version,
-	// ciphertext) and NodeMAC of (address, parent counter, counters), so a
-	// matching entry replays the result without re-running AES. The memos
-	// are host-side caches only — they never affect simulated timing or
-	// state, are excluded from snapshots, and are dropped on Fork (each
-	// fork rebuilds its own; sharing would race across goroutines). Tamper
-	// detection is unaffected: a tampered line differs in the memo key and
-	// recomputes.
+	// dataMemo and nodeMemo remember, per line, what the engine last derived
+	// from the line's DRAM bytes: a data line's PD_Tag and plaintext at a
+	// version, and a counter line's decoded image and the parent counter it
+	// verifies under. Each entry holds the write generation of the line's
+	// page when the bytes were read or written (dram.WriteGen), and is
+	// trusted only while that generation is unchanged: then the bytes are
+	// too, so a read replays the entry instead of copying, decoding and
+	// re-verifying them. Any DRAM write to the page, a tamper included,
+	// bumps the generation, and the next read goes back to the bytes, so
+	// tamper detection is unaffected (FuzzTamperDetected). The memos are
+	// host-side caches only — they never affect simulated timing or state,
+	// are excluded from snapshots, and are dropped on Fork (each fork
+	// rebuilds its own; sharing would race across goroutines).
 	dataMemo map[dram.Addr]*dataMemoEntry
 	nodeMemo map[dram.Addr]nodeMemoEntry
 	// root holds the on-die SRAM root counters — always trusted, always
@@ -213,40 +217,47 @@ type nodeBuf struct {
 }
 
 // dataMemoEntry is the memoized crypto result for one data line: the
-// PD_Tag and plaintext of the given (version, ciphertext) pair.
+// PD_Tag and plaintext of its ciphertext at the given version, as of page
+// write generation gen.
 type dataMemoEntry struct {
 	version uint64
-	ct      [itree.LineSize]byte
+	gen     uint64
 	mac     uint64
 	plain   [itree.LineSize]byte
 }
 
-// nodeMemoEntry is the memoized embedded MAC of one counter line under the
-// given parent counter and counter values.
+// nodeMemoEntry is one counter line's DRAM image as of page write
+// generation gen, decoded. Its embedded MAC is the line's NodeMAC under
+// parent counter pc: the line was verified under pc, or written with a MAC
+// made under it.
 type nodeMemoEntry struct {
-	pc       uint64
-	counters [itree.CountersPerLine]uint64
-	mac      uint64
+	gen  uint64
+	pc   uint64
+	line itree.CounterLine
 }
 
 // nodeMAC computes (or replays) the embedded MAC of a counter line. Both
 // verification and MAC production go through here, so a line written back
 // and later reloaded verifies from the memo.
 func (e *Engine) nodeMAC(addr dram.Addr, pc uint64, counters [itree.CountersPerLine]uint64) uint64 {
-	if m, ok := e.nodeMemo[addr]; ok && m.pc == pc && m.counters == counters {
-		return m.mac
+	if m, ok := e.nodeMemo[addr]; ok && m.pc == pc && m.line.Counters == counters {
+		return m.line.MAC
 	}
-	mac := e.crypt.NodeMAC(addr, pc, counters)
+	return e.crypt.NodeMAC(addr, pc, counters)
+}
+
+// putNodeMemo records m, a counter line's image valid under m.pc, as the
+// line's memo.
+func (e *Engine) putNodeMemo(addr dram.Addr, m nodeMemoEntry) {
 	if e.nodeMemo == nil {
 		e.nodeMemo = make(map[dram.Addr]nodeMemoEntry)
 	}
-	e.nodeMemo[addr] = nodeMemoEntry{pc: pc, counters: counters, mac: mac}
-	return mac
+	e.nodeMemo[addr] = m
 }
 
 // putDataMemo records the crypto result for a data line, reusing the
 // existing entry's storage when present.
-func (e *Engine) putDataMemo(addr dram.Addr, version uint64, ct [itree.LineSize]byte, mac uint64, plain [itree.LineSize]byte) {
+func (e *Engine) putDataMemo(addr dram.Addr, version, gen, mac uint64, plain [itree.LineSize]byte) {
 	m := e.dataMemo[addr]
 	if m == nil {
 		if e.dataMemo == nil {
@@ -255,7 +266,7 @@ func (e *Engine) putDataMemo(addr dram.Addr, version uint64, ct [itree.LineSize]
 		m = &dataMemoEntry{}
 		e.dataMemo[addr] = m
 	}
-	*m = dataMemoEntry{version: version, ct: ct, mac: mac, plain: plain}
+	*m = dataMemoEntry{version: version, gen: gen, mac: mac, plain: plain}
 }
 
 // countInstall and countDrop keep the nodebuf churn counters bit-compatible
@@ -473,9 +484,16 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	w := &walker{e: e, rng: rng, now: now}
 	e.maybeRandomEvict(w)
 
-	// Data ciphertext fetch from DRAM (the MEE never caches data lines).
+	// Data ciphertext fetch from DRAM (the MEE never caches data lines). A
+	// memo taken at the page's current write generation stands in for the
+	// ciphertext, which is then unchanged.
 	w.dram(addr, false)
-	ct := e.mem.ReadLine(addr)
+	gen := e.mem.WriteGen(addr)
+	m := e.dataMemo[addr]
+	var ct [itree.LineSize]byte
+	if m == nil || m.gen != gen {
+		m, ct = nil, e.mem.ReadLine(addr)
+	}
 
 	// Versions walk: stops at the first MEE-cache hit.
 	vline, err := e.loadVersions(w, addr)
@@ -492,10 +510,11 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	if err != nil {
 		return [itree.LineSize]byte{}, w.lat, w.hit, err
 	}
-	m := e.dataMemo[addr]
-	memoHit := m != nil && m.version == version && m.ct == ct
+	if m != nil && m.version != version {
+		m, ct = nil, e.mem.ReadLine(addr) // a memo of another version
+	}
 	var want uint64
-	if memoHit {
+	if m != nil {
 		want = m.mac
 	} else {
 		want = e.crypt.DataMAC(addr, version, ct)
@@ -505,11 +524,11 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 		return [itree.LineSize]byte{}, w.lat, w.hit, &IntegrityError{Addr: addr, Kind: itree.KindData, What: "PD_Tag mismatch"}
 	}
 	var plain [itree.LineSize]byte
-	if memoHit {
+	if m != nil {
 		plain = m.plain
 	} else {
 		plain = e.crypt.DecryptLine(addr, version, ct)
-		e.putDataMemo(addr, version, ct, want, plain)
+		e.putDataMemo(addr, version, gen, want, plain)
 	}
 
 	// MEE pipeline cost and port serialization (crypto stage only; DRAM
@@ -554,11 +573,12 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 		return w.lat, w.hit, fmt.Errorf("mee: version counter overflow at %#x (re-key required)", addr)
 	}
 	vline.counter.Counters[slot]++
-	vline.dirty = true
+	e.markDirty(vline)
 	version := vline.counter.Counters[slot]
 
 	ct := e.crypt.EncryptLine(addr, version, plain)
 	e.mem.WriteLine(addr, ct)
+	gen := e.mem.WriteGen(addr)
 	w.posted(addr, true)
 
 	tline, err := e.loadTags(w, addr)
@@ -567,8 +587,8 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	}
 	mac := e.crypt.DataMAC(addr, version, ct)
 	tline.tags.Tags[slot] = mac
-	tline.dirty = true
-	e.putDataMemo(addr, version, ct, mac, plain)
+	e.markDirty(tline)
+	e.putDataMemo(addr, version, gen, mac, plain)
 
 	w.lat += sim.Gauss(rng, e.cfg.PipelineBase+e.cfg.WriteExtra, e.cfg.JitterSigma)
 	stall := e.port.Acquire(now, e.portOccupancy())

@@ -141,3 +141,39 @@ func TestTagTamperOnOneLineDoesNotAffectSiblings(t *testing.T) {
 		t.Fatal("tamper on line 0 not detected")
 	}
 }
+
+// TestWriteMarksCacheLinesDirty: a write dirties the versions and PD_Tag
+// lines it updates in the MEE cache as well as in their buffers, so every
+// resident line's cache dirty bit matches its buffer's, and the cache's
+// count of dirty lines it evicted matches the engine's write-backs once
+// conflicting reads have evicted what the writes dirtied.
+func TestWriteMarksCacheLinesDirty(t *testing.T) {
+	f := newFixture(t)
+	check := func(when string) {
+		t.Helper()
+		c := f.eng.Cache()
+		for set := 0; set < c.Sets(); set++ {
+			for way, l := range c.SetContents(set) {
+				nb := &f.eng.bufs[f.eng.bufIdx(set, way)]
+				if l.Valid != nb.valid || l.Valid && l.Dirty != nb.dirty {
+					t.Fatalf("%s: set %d way %d: cache line valid %v dirty %v, buffer valid %v dirty %v",
+						when, set, way, l.Valid, l.Dirty, nb.valid, nb.dirty)
+				}
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		f.write(t, f.dataAddr(uint64(i)*512), byte(i+1))
+	}
+	check("after the writes")
+	// At a 32 KB stride the data lines' versions lines share one odd set
+	// and their PD_Tag lines one even set, 64 of each against 8 ways.
+	for i := 1; i <= 4000; i++ {
+		f.read(t, f.dataAddr(uint64(i%64)*32<<10))
+	}
+	check("after conflicting reads")
+	wb, out := f.eng.Stats().Writebacks, f.eng.Cache().Stats().WritebacksOut
+	if wb == 0 || out != wb {
+		t.Fatalf("engine wrote back %d lines, MEE cache counted %d dirty evictions", wb, out)
+	}
+}

@@ -24,8 +24,7 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	}
 	// Miss: fetch the line from DRAM.
 	w.dram(vaddr, false)
-	e.ensureInit(vaddr)
-	cl := itree.DecodeCounterLine(e.mem.ReadLine(vaddr))
+	m, memo := e.readCounterLine(vaddr)
 
 	// Obtain the covering L0 counter (may recurse further up).
 	vi := e.geom.VersionLineIndex(dataAddr)
@@ -34,12 +33,42 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cl.MAC != e.nodeMAC(vaddr, pc, cl.Counters) {
+	if !e.verifyCounterLine(vaddr, m, memo, pc) {
 		e.stats.Violations++
 		return nil, &IntegrityError{Addr: vaddr, Kind: itree.KindVersion, What: "embedded MAC mismatch"}
 	}
 	w.check()
-	return e.install(w, vaddr, set, nodeBuf{kind: itree.KindVersion, counter: cl}), nil
+	return e.install(w, vaddr, set, nodeBuf{kind: itree.KindVersion, counter: m.line}), nil
+}
+
+// readCounterLine returns the DRAM image of the counter line at addr,
+// materializing its boot image first, with the write generation its page
+// had when read. The generation is read before the walk recurses to the
+// parent, whose write-backs may write the page. memo reports that the image
+// is the line's memo, taken at that generation: the bytes are unchanged
+// since, so they are not read and decoded again.
+func (e *Engine) readCounterLine(addr dram.Addr) (m nodeMemoEntry, memo bool) {
+	e.ensureInit(addr)
+	gen := e.mem.WriteGen(addr)
+	if m, ok := e.nodeMemo[addr]; ok && m.gen == gen {
+		return m, true
+	}
+	return nodeMemoEntry{gen: gen, line: itree.DecodeCounterLine(e.mem.ReadLine(addr))}, false
+}
+
+// verifyCounterLine checks the counter line image m that readCounterLine
+// returned against parent counter pc, and memoizes an image that verifies.
+// A memo verified under pc verifies again without a MAC.
+func (e *Engine) verifyCounterLine(addr dram.Addr, m nodeMemoEntry, memo bool, pc uint64) bool {
+	if memo && m.pc == pc {
+		return true
+	}
+	if m.line.MAC != e.nodeMAC(addr, pc, m.line.Counters) {
+		return false
+	}
+	m.pc = pc
+	e.putNodeMemo(addr, m)
+	return true
 }
 
 // loadLevelCounter returns the current value of counter `slot` in the
@@ -53,8 +82,7 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 		return e.bufs[e.bufIdx(set, way)].counter.Counters[slot], nil
 	}
 	w.dram(addr, false)
-	e.ensureInit(addr)
-	cl := itree.DecodeCounterLine(e.mem.ReadLine(addr))
+	m, memo := e.readCounterLine(addr)
 
 	pIdx, pSlot, isRoot := e.geom.ParentOfLevel(level, idx)
 	var pc uint64
@@ -68,13 +96,13 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 			return 0, err
 		}
 	}
-	if cl.MAC != e.nodeMAC(addr, pc, cl.Counters) {
+	if !e.verifyCounterLine(addr, m, memo, pc) {
 		e.stats.Violations++
 		return 0, &IntegrityError{Addr: addr, Kind: itree.NodeKind(int(itree.KindLevel0) + level), What: "embedded MAC mismatch"}
 	}
 	w.check()
-	e.install(w, addr, set, nodeBuf{kind: itree.NodeKind(int(itree.KindLevel0) + level), counter: cl})
-	return cl.Counters[slot], nil
+	e.install(w, addr, set, nodeBuf{kind: itree.NodeKind(int(itree.KindLevel0) + level), counter: m.line})
+	return m.line.Counters[slot], nil
 }
 
 // loadTags returns the PD_Tag line covering dataAddr. Tag fetches overlap
@@ -137,6 +165,7 @@ func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBu
 // is posted: it occupies banks but does not delay the requester.
 func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 	e.stats.Writebacks++
+	var pc uint64
 	switch nb.kind {
 	case itree.KindTag:
 		raw := nb.tags.Encode()
@@ -146,26 +175,41 @@ func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 	case itree.KindVersion:
 		vi := uint64(addr-e.geom.VersBase) / itree.LineSize
 		l0, slot := e.geom.ParentOfVersion(vi)
-		pc := e.bumpLevelCounter(w, 0, l0, slot)
-		nb.counter.MAC = e.nodeMAC(addr, pc, nb.counter.Counters)
+		pc = e.bumpLevelCounter(w, 0, l0, slot)
 	case itree.KindLevel0, itree.KindLevel1, itree.KindLevel2:
 		level := int(nb.kind - itree.KindLevel0)
 		idx := uint64(addr-e.geom.LevelBase[level]) / itree.LineSize
 		pIdx, pSlot, isRoot := e.geom.ParentOfLevel(level, idx)
-		var pc uint64
 		if isRoot {
 			e.root[pIdx]++
 			pc = e.root[pIdx]
 		} else {
 			pc = e.bumpLevelCounter(w, level+1, pIdx, pSlot)
 		}
-		nb.counter.MAC = e.nodeMAC(addr, pc, nb.counter.Counters)
 	default:
 		panic(fmt.Sprintf("mee: writeback of unexpected node kind %v", nb.kind))
 	}
-	raw := nb.counter.Encode()
-	e.mem.WriteLine(addr, raw)
+	nb.counter.MAC = e.nodeMAC(addr, pc, nb.counter.Counters)
+	e.writeCounterLine(addr, pc, nb.counter)
 	w.posted(addr, true)
+}
+
+// writeCounterLine writes counter line cl, whose MAC was made under parent
+// counter pc, to DRAM and memoizes it at its page's new write generation.
+func (e *Engine) writeCounterLine(addr dram.Addr, pc uint64, cl itree.CounterLine) {
+	e.mem.WriteLine(addr, cl.Encode())
+	e.putNodeMemo(addr, nodeMemoEntry{gen: e.mem.WriteGen(addr), pc: pc, line: cl})
+}
+
+// markDirty flags a resident line dirty in its buffer and in the MEE cache,
+// whose dirty bit its write-back counters read.
+func (e *Engine) markDirty(nb *nodeBuf) {
+	nb.dirty = true
+	set := e.evenSet(nb.addr)
+	if nb.kind == itree.KindVersion {
+		set = e.oddSet(nb.addr)
+	}
+	e.cache.MarkDirty(set, e.cacheTag(nb.addr))
 }
 
 // bumpLevelCounter loads (posted) the covering counter line, increments the
@@ -191,8 +235,7 @@ func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) ui
 	}
 	nb := &e.bufs[e.bufIdx(set, way)]
 	nb.counter.Counters[slot] = pc + 1
-	nb.dirty = true
-	e.cache.MarkDirty(set, e.cacheTag(addr))
+	e.markDirty(nb)
 	return pc + 1
 }
 
@@ -258,8 +301,7 @@ func (e *Engine) ensureInit(addr dram.Addr) {
 	case itree.KindVersion, itree.KindLevel0, itree.KindLevel1, itree.KindLevel2:
 		var cl itree.CounterLine
 		cl.MAC = e.nodeMAC(addr, 0, cl.Counters)
-		raw := cl.Encode()
-		e.mem.WriteLine(addr, raw)
+		e.writeCounterLine(addr, 0, cl)
 	case itree.KindTag:
 		var tl itree.TagLine
 		vi := uint64(addr-e.geom.TagBase) / itree.LineSize

@@ -6,31 +6,44 @@ import (
 	"meecc/internal/enclave"
 )
 
-// accessFlushPages is the working set of the access+flush loops: 96 enclave
-// pages, probed one line per page at a 4 KB stride, as Algorithm 1 walks its
-// candidate pages.
-const accessFlushPages = 96
+// accessFlushRows are the working sets of the access+flush loops, in
+// enclave pages probed one line per page at a 4 KB stride, as Algorithm 1
+// walks its candidate pages. At that stride the pages' versions lines fall
+// into 8 of the MEE cache's odd sets. 96 pages put 12 lines in each set
+// against 8 ways, so every access misses versions and walks the tree, the
+// path ~12 % of warm-phase reads take; 32 pages fit, so every access hits
+// versions, as the other ~88 % do.
+var accessFlushRows = []struct {
+	name  string
+	pages int
+	hit   bool // every access after the first pass hits versions
+}{
+	{"versions-miss", 96, false},
+	{"versions-hit", 32, true},
+}
 
 // accessFlushLoop runs body on an enclave thread of a fresh default machine
 // once the thread has made one Access+Flush pass over the pages, handing it
-// the pair for the i-th step of the round robin.
-func accessFlushLoop(tb testing.TB, body func(step func(i int))) {
+// the pair for the i-th step of the round robin, which returns the access's
+// result.
+func accessFlushLoop(tb testing.TB, pages int, body func(step func(i int) AccessResult)) {
 	tb.Helper()
 	p := New(DefaultConfig(1))
 	defer p.Close()
 	pr := p.NewProcess("probe")
-	e, err := pr.CreateEnclave(accessFlushPages)
+	e, err := pr.CreateEnclave(pages)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	p.SpawnThread("probe", pr, 0, func(th *Thread) {
 		th.EnterEnclave()
-		step := func(i int) {
-			va := e.Base + enclave.VAddr(i%accessFlushPages*enclave.PageBytes)
-			th.Access(va)
+		step := func(i int) AccessResult {
+			va := e.Base + enclave.VAddr(i%pages*enclave.PageBytes)
+			res := th.Access(va)
 			th.Flush(va)
+			return res
 		}
-		for i := 0; i < accessFlushPages; i++ {
+		for i := 0; i < pages; i++ {
 			step(i)
 		}
 		body(step)
@@ -40,17 +53,21 @@ func accessFlushLoop(tb testing.TB, body func(step func(i int))) {
 
 // BenchmarkAccessFlush times Algorithm 1's inner step on the whole machine:
 // one protected Access and one clflush of the same line, round robin over
-// the pages. Every access misses the CPU caches and walks the MEE, so ns/op
-// is the host time of one simulated access pair.
+// each row's pages. Every access misses the CPU caches and goes to the MEE,
+// so ns/op is the host time of one simulated access pair.
 func BenchmarkAccessFlush(b *testing.B) {
-	accessFlushLoop(b, func(step func(int)) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step(i)
-		}
-		b.StopTimer()
-	})
+	for _, row := range accessFlushRows {
+		b.Run(row.name, func(b *testing.B) {
+			accessFlushLoop(b, row.pages, func(step func(int) AccessResult) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step(i)
+				}
+				b.StopTimer()
+			})
+		})
+	}
 }
 
 // BenchmarkBoot isolates the boot floor every fresh trial pays: building a
