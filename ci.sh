@@ -214,9 +214,16 @@ sleep 0.3
     meecc_serve_runs_submitted_total,meecc_serve_queue_depth,meecc_serve_runs_active,meecc_serve_trials_executed_total,meecc_serve_trials_memoized_total,meecc_serve_trial_seconds,meecc_journal_appends_total,meecc_journal_append_errors_total,meecc_snapstore_bytes,meecc_snapstore_selfheal_deletions_total,meecc_http_requests_total,meecc_process_goroutines \
     > /dev/null
 wait "$submit_pid" || { echo "submit failed" >&2; exit 1; }
+# The same grid with shared axes keeps its two warm states resident in the
+# server's memory tier, which never fills; the SIGTERM drain must spill them
+# to -storedir, so a restart faults them in instead of warming up again.
+sed 's/"axes"/"shared_axes": ["window"], "axes"/' examples/specs/smoke.json > "$tmp/shared.json"
+"$tmp/meecc" submit -spec "$tmp/shared.json" -addr 127.0.0.1:8391 -out "$tmp/shared" > /dev/null
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
+ls "$tmp"/snapstore/*.snap > /dev/null 2>&1 || {
+    echo "serve shutdown left no warm state in -storedir" >&2; exit 1; }
 cmp "$tmp/served/smoke.json" "$tmp/smoke.json" || {
     echo "served artifact differs from local batch artifact" >&2; exit 1; }
 

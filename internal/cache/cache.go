@@ -8,7 +8,8 @@
 // the set's first write and allocated a chunk of blocks at a time; a Policy
 // reads and writes one set's window at a time, and the same windows are the
 // serialized form (State). A set never written has no block: it reads as
-// empty with the policy's Init window. New, Clone and Snapshot therefore
+// empty with the policy's Init window, and State leaves it out. New, Clone
+// and Snapshot therefore
 // copy only flat per-set words (occupancy masks, eviction counters and
 // block indexes), whatever a cache holds: a snapshot and its clones share
 // blocks copy-on-write, and each copies only the sets it writes. Every scan

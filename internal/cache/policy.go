@@ -10,8 +10,8 @@ import (
 // Policy is a replacement policy: the operations on one set's replacement
 // state. A Cache keeps each set's state in the set's block, Words(ways)
 // words, and hands each operation that window w. The window is the set's
-// serialized form too (cache.State.SetWords), so each
-// policy documents its layout. Implementations must be deterministic given
+// serialized form too (SetState.Window), so each policy documents its
+// layout. Implementations must be deterministic given
 // the engine's seeded random source; random sources are never part of the
 // window — Clone rebinds them at fork time.
 type Policy interface {

@@ -2,72 +2,155 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 )
 
-// State is the serializable image of a Cache: geometry, policy name, line
-// directory, per-set replacement words, statistics, and per-set eviction
-// counters. It contains no pointers into the live cache and no random
-// sources; FromState rebuilds an equivalent frozen cache from it, deriving
-// the occupancy masks from the lines. The image is dense whatever sets the
-// cache has materialized.
+// State is the serializable image of a Cache: geometry, policy name, the
+// sets that differ from an untouched one, statistics, and the nonzero
+// per-set eviction counters. A set is listed when it holds a valid line or
+// its replacement window differs from the policy's Init window; every set
+// not listed is untouched. The image contains no pointers into the live
+// cache and no random sources; FromState rebuilds an equivalent frozen
+// cache from it, giving a block only to the listed sets.
 type State struct {
 	Name       string
 	Sets, Ways int
 	PolicyName string
-	Lines      []Line     // dense [set*ways+way]
-	SetWords   [][]uint64 // per-set replacement windows (see Policy)
+	Listed     []SetState // ascending Set
 	Stats      Stats
-	EvBySet    []uint64
+	EvBySet    []Word // nonzero per-set eviction counters
+}
+
+// SetState is one listed set: its index, the occupancy mask, the dirty
+// mask (a subset of Valid), the tags of the valid ways in way order, and
+// the policy's replacement window (see Policy).
+type SetState struct {
+	Set          int
+	Valid, Dirty uint64
+	Tags         []Tag
+	Window       []uint64
+}
+
+// Word is one nonzero word of a sparse word-vector image, at its index in
+// the vector. Cache eviction counters travel as Words, and so do the MEE
+// init bitmap and the platform's general-frame bitmap.
+type Word struct {
+	Index int
+	Value uint64
+}
+
+// SparseWords returns the nonzero words of v in ascending index order.
+func SparseWords(v []uint64) []Word {
+	var ws []Word
+	for i, x := range v {
+		if x != 0 {
+			ws = append(ws, Word{Index: i, Value: x})
+		}
+	}
+	return ws
+}
+
+// CheckWords reports whether ws is a sparse image of an n-word vector as
+// SparseWords writes one: indexes strictly ascending and below n, and no
+// zero value, so that re-exporting the vector gives ws back.
+func CheckWords(ws []Word, n int) error {
+	last := -1
+	for _, w := range ws {
+		if w.Index <= last || w.Index >= n {
+			return fmt.Errorf("sparse word index %d out of order or range (%d words)", w.Index, n)
+		}
+		if w.Value == 0 {
+			return fmt.Errorf("sparse word %d is zero", w.Index)
+		}
+		last = w.Index
+	}
+	return nil
+}
+
+// FillWords checks ws against len(dst) and writes it into dst, which reads
+// as zero.
+func FillWords(dst []uint64, ws []Word) error {
+	if err := CheckWords(ws, len(dst)); err != nil {
+		return err
+	}
+	for _, w := range ws {
+		dst[w.Index] = w.Value
+	}
+	return nil
 }
 
 // ExportState captures the cache as a State. The image is a deep copy; the
-// cache may keep running afterwards. A set never written exports zero lines
-// and the policy's Init window.
+// cache may keep running afterwards. The listed sets' tags and windows are
+// carved out of one slab each.
 func (c *Cache) ExportState() *State {
+	untouched := c.window(c.blocks.at(0))
+	n, tags := 0, 0
+	for s, m := range c.valid {
+		if c.listed(s, untouched) {
+			n++
+			tags += bits.OnesCount64(m)
+		}
+	}
 	st := &State{
 		Name:       c.name,
 		Sets:       c.sets,
 		Ways:       c.ways,
 		PolicyName: c.policy.Name(),
-		Lines:      make([]Line, c.sets*c.ways),
-		SetWords:   make([][]uint64, c.sets),
+		Listed:     make([]SetState, 0, n),
 		Stats:      c.stats,
-		EvBySet:    slices.Clone(c.evBySet),
+		EvBySet:    SparseWords(c.evBySet),
 	}
-	words := make([]uint64, c.sets*c.stride)
-	for s := range st.SetWords {
-		c.linesInto(st.Lines[s*c.ways:(s+1)*c.ways], s)
-		if c.stride > 0 { // a policy without state leaves its windows nil
-			st.SetWords[s] = words[s*c.stride : (s+1)*c.stride : (s+1)*c.stride]
-			copy(st.SetWords[s], c.window(c.blocks.Read(s)))
+	tagSlab := make([]Tag, tags)
+	words := make([]uint64, n*c.stride)
+	for s, m := range c.valid {
+		if !c.listed(s, untouched) {
+			continue
 		}
+		b := c.blocks.Read(s)
+		k := bits.OnesCount64(m)
+		ss := SetState{Set: s, Valid: m, Dirty: b[c.ways] & m, Tags: tagSlab[:k:k], Window: words[:c.stride:c.stride]}
+		tagSlab, words = tagSlab[k:], words[c.stride:]
+		for i := 0; m != 0; m &= m - 1 {
+			ss.Tags[i] = Tag(b[bits.TrailingZeros64(m)])
+			i++
+		}
+		copy(ss.Window, c.window(b))
+		st.Listed = append(st.Listed, ss)
 	}
 	return st
+}
+
+// listed reports whether set s differs from an untouched set, whose window
+// is untouched: it holds a valid line or a window of its own.
+func (c *Cache) listed(s int, untouched []uint64) bool {
+	if c.valid[s] != 0 {
+		return true
+	}
+	return c.blocks.dir[s] != 0 && !slices.Equal(c.window(c.blocks.Read(s)), untouched)
+}
+
+// Valid reports whether way of set holds a line in the image.
+func (st *State) Valid(set, way int) bool {
+	i, ok := slices.BinarySearchFunc(st.Listed, set, func(ss SetState, set int) int { return ss.Set - set })
+	return ok && st.Listed[i].Valid&(1<<way) != 0
 }
 
 // FromState rebuilds a cache from a State image. rng rebinds randomized
 // policies (random, nru); it may be nil, in which case those policies get a
 // private throwaway source — safe for frozen copies that never run, because
 // Clone(rng) at fork time rebinds them to the fork's engine stream before
-// any victim is drawn. All geometry and vector lengths are validated, every
-// set's words pass the policy's Check, and an invalid line must be the zero
-// Line, so a corrupted image returns an error rather than panicking
-// downstream. Only the sets whose lines or window differ from an untouched
-// set's get a block.
+// any victim is drawn. Geometry and every listed set are validated — set
+// indexes strictly ascending and in range, masks within the ways and the
+// dirty mask within the valid one, one tag per valid way, windows of the
+// policy's length that pass its Check, and no listed set equal to an
+// untouched one — as are the eviction counters, so a corrupted image
+// returns an error rather than panicking downstream, and an image that
+// decodes re-exports unchanged.
 func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 	if err := checkGeometry(st.Name, st.Sets, st.Ways); err != nil {
 		return nil, err
-	}
-	if len(st.Lines) != st.Sets*st.Ways {
-		return nil, fmt.Errorf("cache %s: %d lines, want %d", st.Name, len(st.Lines), st.Sets*st.Ways)
-	}
-	if len(st.SetWords) != st.Sets {
-		return nil, fmt.Errorf("cache %s: %d set-word vectors, want %d", st.Name, len(st.SetWords), st.Sets)
-	}
-	if len(st.EvBySet) != st.Sets {
-		return nil, fmt.Errorf("cache %s: %d eviction counters, want %d", st.Name, len(st.EvBySet), st.Sets)
 	}
 	if st.PolicyName == "tree-plru" && st.Ways&(st.Ways-1) != 0 {
 		return nil, fmt.Errorf("cache %s: tree-plru requires power-of-two ways, got %d", st.Name, st.Ways)
@@ -84,36 +167,40 @@ func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 	}
 	c := New(st.Name, st.Sets, st.Ways, policy)
 	c.stats = st.Stats
-	copy(c.evBySet, st.EvBySet)
-	untouched := c.window(c.blocks.Read(0)) // no set has a block yet
-	for s, ws := range st.SetWords {
-		if len(ws) != c.stride {
-			return nil, fmt.Errorf("cache %s set %d: %s state: %d words, want %d", st.Name, s, st.PolicyName, len(ws), c.stride)
+	if err := FillWords(c.evBySet, st.EvBySet); err != nil {
+		return nil, fmt.Errorf("cache %s eviction counters: %w", st.Name, err)
+	}
+	untouched := c.window(c.blocks.at(0))
+	last := -1
+	for _, ss := range st.Listed {
+		s := ss.Set
+		if s <= last || s >= c.sets {
+			return nil, fmt.Errorf("cache %s: listed set %d out of order or range", st.Name, s)
 		}
-		if err := policy.Check(ws); err != nil {
+		last = s
+		if ss.Valid&^c.full != 0 || ss.Dirty&^ss.Valid != 0 {
+			return nil, fmt.Errorf("cache %s set %d: valid mask %#x or dirty mask %#x outside %d ways", st.Name, s, ss.Valid, ss.Dirty, c.ways)
+		}
+		if len(ss.Tags) != bits.OnesCount64(ss.Valid) {
+			return nil, fmt.Errorf("cache %s set %d: %d tags for valid mask %#x", st.Name, s, len(ss.Tags), ss.Valid)
+		}
+		if len(ss.Window) != c.stride {
+			return nil, fmt.Errorf("cache %s set %d: %s state: %d words, want %d", st.Name, s, st.PolicyName, len(ss.Window), c.stride)
+		}
+		if err := policy.Check(ss.Window); err != nil {
 			return nil, fmt.Errorf("cache %s set %d: %w", st.Name, s, err)
 		}
-		lines := st.Lines[s*c.ways : (s+1)*c.ways]
-		var m uint64
-		for w, l := range lines {
-			if l.Valid {
-				m |= 1 << w
-			} else if l != (Line{}) {
-				return nil, fmt.Errorf("cache %s set %d way %d: invalid line carries tag %d or a dirty bit", st.Name, s, w, l.Tag)
-			}
-		}
-		if m == 0 && slices.Equal(ws, untouched) {
-			continue
+		if ss.Valid == 0 && slices.Equal(ss.Window, untouched) {
+			return nil, fmt.Errorf("cache %s set %d: listed but untouched", st.Name, s)
 		}
 		b := c.blocks.Write(s)
-		for w, l := range lines {
-			b[w] = uint64(l.Tag)
-			if l.Dirty {
-				b[c.ways] |= 1 << w
-			}
+		for i, m := 0, ss.Valid; m != 0; m &= m - 1 {
+			b[bits.TrailingZeros64(m)] = uint64(ss.Tags[i])
+			i++
 		}
-		copy(c.window(b), ws)
-		c.valid[s] = m
+		b[c.ways] = ss.Dirty
+		copy(c.window(b), ss.Window)
+		c.valid[s] = ss.Valid
 	}
 	return c, nil
 }

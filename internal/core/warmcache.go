@@ -236,6 +236,25 @@ func (c *WarmCache) spill(store *snapstore.Store, e *warmEntry) {
 	}
 }
 
+// SpillResident spills every warm state resident in the memory tier that
+// the store does not hold yet, oldest first, so that a process that shuts
+// down leaves its warm states on disk for the next one. A state the store
+// holds only has its blob freshened, as on eviction, so each state is still
+// spilled at most once. It does nothing without a store. Call it once the
+// cache's users have stopped: serve does, after its workers drain.
+func (c *WarmCache) SpillResident() {
+	c.mu.Lock()
+	store := c.store
+	resident := make([]*warmEntry, 0, c.lru.Len())
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		resident = append(resident, el.Value.(*warmEntry))
+	}
+	c.mu.Unlock()
+	for _, e := range resident {
+		c.spill(store, e)
+	}
+}
+
 // faultIn tries to serve a miss from the disk tier. Any failure — absent,
 // evicted by the store's own size bound, or corrupt (the seal's checksum
 // rejects damage) — falls back to recomputing, and the recomputed entry's

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -134,8 +136,8 @@ func TestWarmCacheSpillSingleflight(t *testing.T) {
 // and a store attached, warming a second key evicts the first to disk, and
 // re-warming the first is served from disk — no recompute — with results
 // equal to the originals. A state faulted in from disk is not spilled again
-// when evicted, unless its blob has left the store since; a damaged blob is
-// recomputed and rewritten.
+// when evicted, unless its blob has left the store since; a damaged blob,
+// and one of an older format version, is recomputed and rewritten.
 func TestWarmCacheDiskTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -234,6 +236,40 @@ func TestWarmCacheDiskTier(t *testing.T) {
 	if got, err := store.Get(keyA); err != nil || !bytes.Equal(got, blobA) {
 		t.Fatalf("A's damaged blob was not rewritten (err %v)", err)
 	}
+
+	// A blob of an older format version, sealed with a valid trailer, is
+	// not misread: Unseal rejects its version, A is recomputed, and its
+	// eviction rewrites the blob in the current version.
+	old := bytes.Clone(blobA)
+	binary.LittleEndian.PutUint32(old[len("MEECSNP\x00"):], 1)
+	sum := sha256.Sum256(old[:len(old)-sha256.Size])
+	copy(old[len(old)-sha256.Size:], sum[:])
+	if _, err := snapstore.Unseal(snapstore.KindWarm, old); err == nil || errors.Is(err, snapstore.ErrCorrupt) {
+		t.Fatalf("version-1 blob unsealed with %v, want a version error", err)
+	}
+	if err := store.Put(keyA, old); err != nil {
+		t.Fatal(err)
+	}
+	wsA3, err := c.Warm(cfgA) // evicts B, recomputes A
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("after recomputing the version-1 A", 4, 4, 5)
+	gotA, err = wsA3.Run(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refA, gotA) {
+		t.Fatal("warm state recomputed over a version-1 blob diverged from the original")
+	}
+	warm(cfgB) // evicts A, faults B in
+	want("after evicting the A recomputed over a version-1 blob", 5, 4, 6)
+	if got, err := store.Get(keyA); err != nil || !bytes.Equal(got, blobA) {
+		t.Fatalf("A's version-1 blob was not rewritten (err %v)", err)
+	}
+	if v := binary.LittleEndian.Uint32(blobA[len("MEECSNP\x00"):]); v != 2 {
+		t.Fatalf("rewritten blob has version %d, want 2", v)
+	}
 }
 
 // TestWarmCacheConcurrentEvictions drives the disk tier from several
@@ -285,10 +321,12 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 }
 
 // TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
-// at two seeds keep the digests older builds wrote, so the stores they
-// filled still fault in. It also bounds what one Encode allocates: the
-// blob's one buffer plus the state export it is written from, under 2.5x
-// the blob.
+// at two seeds keep the digests of format version 2, the sparse images, so
+// the stores older builds of that version filled still fault in. A change
+// to them is a format change, which bumps snapstore.Version; blobs of
+// another version are recomputed, not misread (TestWarmCacheDiskTier). It
+// also bounds what one Encode allocates: the blob's one buffer plus the
+// state export it is written from, under 2.5x the blob.
 func TestWarmStateBlobPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -298,8 +336,8 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{7, 5300502, "4662b77372330d5c7a982ae9937f8b9978ca792fff6c721bba6fcf031a454b80"},
-		{1007, 5300508, "7f3b416e5ce0f03334120fd23d44dac46d889b19db54178109894caa36953587"},
+		{7, 365126, "46014ffc36d1c59f632fca295cc42d119b232d7b4d2930095aba588add5be339"},
+		{1007, 365132, "22a3d44ec69a8a600e00eb9ae318e8869aa8e23efc2e074bbb777eca5dc15fc2"},
 	} {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {

@@ -2,6 +2,7 @@ package cpucache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
@@ -25,7 +26,9 @@ type State struct {
 	Bufs []LineBufState // ascending Idx
 }
 
-// ExportState captures the hierarchy as a deep-copied State.
+// ExportState captures the hierarchy as a deep-copied State. Only the ways
+// the LLC image marks valid hold a buffer, so only the LLC's listed sets
+// are scanned for one.
 func (h *Hierarchy) ExportState() *State {
 	st := &State{LLC: h.llc.ExportState()}
 	for _, c := range h.l1 {
@@ -34,10 +37,12 @@ func (h *Hierarchy) ExportState() *State {
 	for _, c := range h.l2 {
 		st.L2 = append(st.L2, c.ExportState())
 	}
-	for set := 0; set < h.cfg.LLCSets; set++ {
-		for way, b := range h.bufs.Read(set) {
-			if b.valid {
-				st.Bufs = append(st.Bufs, LineBufState{Idx: set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
+	for _, ss := range st.LLC.Listed {
+		bufs := h.bufs.Read(ss.Set)
+		for m := ss.Valid; m != 0; m &= m - 1 {
+			way := bits.TrailingZeros64(m)
+			if b := &bufs[way]; b.valid {
+				st.Bufs = append(st.Bufs, LineBufState{Idx: ss.Set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
 			}
 		}
 	}
@@ -97,7 +102,7 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 		if b.Idx <= last || b.Idx >= cfg.LLCSets*cfg.LLCWays {
 			return nil, fmt.Errorf("cpucache: buffer slot %d out of order or range", b.Idx)
 		}
-		if !st.LLC.Lines[b.Idx].Valid {
+		if !st.LLC.Valid(b.Idx/cfg.LLCWays, b.Idx%cfg.LLCWays) {
 			return nil, fmt.Errorf("cpucache: buffer slot %d holds no valid LLC line", b.Idx)
 		}
 		last = b.Idx

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"meecc/internal/dram"
@@ -55,14 +56,15 @@ type EPCState struct {
 	Owners []OwnerEntry // sorted by Frame
 }
 
-// ExportState flattens the allocator deterministically.
+// ExportState flattens the allocator deterministically. Frames aliases the
+// allocator's frame list, whose entries never change once it is built
+// (Realloc only appends past them); callers must treat it as read-only.
 func (a *EPCAllocator) ExportState() *EPCState {
 	st := &EPCState{
-		Frames: make([]dram.Addr, len(a.frames)),
+		Frames: slices.Clip(a.frames),
 		Next:   a.next,
 		Owners: make([]OwnerEntry, 0, len(a.owner)),
 	}
-	copy(st.Frames, a.frames)
 	for f, id := range a.owner {
 		st.Owners = append(st.Owners, OwnerEntry{Frame: f, EID: id})
 	}

@@ -2,6 +2,7 @@ package mee
 
 import (
 	"fmt"
+	"slices"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
@@ -22,11 +23,12 @@ type BufState struct {
 
 // State is the serializable image of an Engine, excluding what the platform
 // reconstructs around it: config, geometry, crypto, and the DRAM binding.
+// The init bitmap travels as its nonzero words.
 type State struct {
 	Cache       *cache.State
 	Bufs        []BufState // ascending Idx
 	Root        []uint64
-	Initialized []uint64
+	Initialized []cache.Word
 	PortBusy    sim.Cycles
 	Stats       Stats
 }
@@ -39,13 +41,12 @@ func (e *Engine) CryptoMaster() [16]byte { return e.crypt.Master() }
 func (e *Engine) ExportState() *State {
 	st := &State{
 		Cache:       e.cache.ExportState(),
-		Root:        make([]uint64, len(e.root)),
-		Initialized: make([]uint64, len(e.initialized)),
+		Bufs:        make([]BufState, 0, e.nBufs),
+		Root:        slices.Clone(e.root),
+		Initialized: cache.SparseWords(e.initialized),
 		PortBusy:    e.port.BusyUntil(),
 		Stats:       e.stats,
 	}
-	copy(st.Root, e.root)
-	copy(st.Initialized, e.initialized)
 	for i := range e.bufs {
 		nb := &e.bufs[i]
 		if !nb.valid {
@@ -87,9 +88,6 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 	if len(st.Root) != geom.RootCounters {
 		return nil, fmt.Errorf("mee: %d root counters, want %d", len(st.Root), geom.RootCounters)
 	}
-	if want := int((geom.PRMSize/itree.LineSize + 63) / 64); len(st.Initialized) != want {
-		return nil, fmt.Errorf("mee: init bitmap %d words, want %d", len(st.Initialized), want)
-	}
 	e := &Engine{
 		cfg:         cfg,
 		geom:        geom,
@@ -97,13 +95,14 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 		crypt:       crypt,
 		cache:       c,
 		bufs:        make([]nodeBuf, cfg.CacheSets*cfg.CacheWays),
-		root:        make([]uint64, len(st.Root)),
-		initialized: make([]uint64, len(st.Initialized)),
+		root:        slices.Clone(st.Root),
+		initialized: make([]uint64, (geom.PRMSize/itree.LineSize+63)/64),
 		port:        sim.ResumeResource(st.PortBusy),
 		stats:       st.Stats,
 	}
-	copy(e.root, st.Root)
-	copy(e.initialized, st.Initialized)
+	if err := cache.FillWords(e.initialized, st.Initialized); err != nil {
+		return nil, fmt.Errorf("mee: init bitmap: %w", err)
+	}
 	last := -1
 	for _, b := range st.Bufs {
 		if b.Idx <= last || b.Idx >= len(e.bufs) {

@@ -2,8 +2,9 @@ package platform
 
 import (
 	"fmt"
-
 	"math/rand/v2"
+	"slices"
+
 	"meecc/internal/cache"
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
@@ -36,7 +37,7 @@ type SnapshotState struct {
 	MEE       *mee.State
 	Caches    *cpucache.State
 	EPC       *enclave.EPCState
-	GenUsed   []uint64
+	GenUsed   []cache.Word // nonzero words of the general-frame bitmap
 	PRMBase   dram.Addr
 	Procs     []ProcState
 	NextEID   int
@@ -44,8 +45,7 @@ type SnapshotState struct {
 }
 
 // ExportState flattens the snapshot for serialization. The image deep-copies
-// everything except DRAM page data, which aliases the snapshot's immutable
-// copy-on-write pages.
+// everything except the EPC frame list, which aliases the allocator's.
 func (s *Snapshot) ExportState() *SnapshotState {
 	cfg := s.cfg
 	cfg.Obs = nil
@@ -60,14 +60,15 @@ func (s *Snapshot) ExportState() *SnapshotState {
 		MEE:       meeSt,
 		Caches:    s.caches.ExportState(),
 		EPC:       s.epc.ExportState(),
-		GenUsed:   make([]uint64, genWords(s.prmBase)),
+		GenUsed:   make([]cache.Word, 0, len(s.genUsed)),
 		PRMBase:   s.prmBase,
 		NextEID:   s.nextEID,
 		NextPID:   s.nextPID,
 	}
 	for i, w := range s.genUsed {
-		st.GenUsed[i] = w
+		st.GenUsed = append(st.GenUsed, cache.Word{Index: int(i), Value: w})
 	}
+	slices.SortFunc(st.GenUsed, func(a, b cache.Word) int { return a.Index - b.Index })
 	for _, pr := range s.procs {
 		ps := ProcState{
 			Name:     pr.name,
@@ -120,8 +121,8 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	cfg.MEE.Policy = pol
-	if want := genWords(prmBase); len(st.GenUsed) != want {
-		return nil, fmt.Errorf("platform: general-frame bitmap %d words, want %d", len(st.GenUsed), want)
+	if err := cache.CheckWords(st.GenUsed, genWords(prmBase)); err != nil {
+		return nil, fmt.Errorf("platform: general-frame bitmap: %w", err)
 	}
 	mem, err := dram.SnapshotFromState(st.Mem)
 	if err != nil {
@@ -146,15 +147,13 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		mee:      meeEng,
 		caches:   caches,
 		epc:      epc,
-		genUsed:  make(map[uint64]uint64),
+		genUsed:  make(map[uint64]uint64, len(st.GenUsed)),
 		prmBase:  prmBase,
 		nextEID:  st.NextEID,
 		nextPID:  st.NextPID,
 	}
-	for i, w := range st.GenUsed {
-		if w != 0 {
-			s.genUsed[uint64(i)] = w
-		}
+	for _, w := range st.GenUsed {
+		s.genUsed[uint64(w.Index)] = w.Value
 	}
 	for i, ps := range st.Procs {
 		pt, err := enclave.PageTableFromEntries(ps.PT)

@@ -602,7 +602,8 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 // 503 + Retry-After), in-flight runs get until ctx's deadline to finish on
 // their own, then their dispatchers stop and in-flight trials drain. Every
 // committed trial is already journaled, so anything cut off resumes on
-// restart; a clean checkpoint is journaled and synced before return.
+// restart; with a store, every resident warm state is spilled to it; a
+// clean checkpoint is journaled and synced before return.
 // Idempotent: later calls wait for the first to finish.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -637,6 +638,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-finished
 	}
 	s.workers.Wait()
+	// Only evicted warm states reach the store on their own; spill the
+	// resident ones too, so a restart faults them in instead of warming up.
+	s.warm.SpillResident()
 
 	// Runs that never started (still queued) end their streams here; with no
 	// terminal journal record they are resumable after restart.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"meecc/internal/core"
 	"meecc/internal/exp"
 	"meecc/internal/obs"
 	"meecc/internal/serve"
@@ -179,6 +180,72 @@ func TestServedArtifactMatchesLocalRun(t *testing.T) {
 		counters["serve.trials_memoized"] != uint64(totalTrials) ||
 		counters["serve.runs_submitted"] != 2 {
 		t.Fatalf("obs counters disagree: %v", counters)
+	}
+}
+
+// TestShutdownPersistsWarmState: the warm states a server still holds in
+// memory reach its store when it shuts down, not only the ones it evicted.
+// A server restarted on the same directory then faults them in for a new
+// window instead of warming up again, and serves the artifact a local run
+// produces.
+func TestShutdownPersistsWarmState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	spec := func(window string) string {
+		return `{
+  "name": "persist",
+  "study": "channel",
+  "base_seed": 42,
+  "trials": 2,
+  "params": {"bits": "24", "pattern": "alternating"},
+  "axes": [{"name": "window", "values": ["` + window + `"]}],
+  "shared_axes": ["window"]
+}`
+	}
+	dir := t.TempDir()
+	run := func(window string) (*serve.Server, []byte) {
+		t.Helper()
+		srv, err := serve.New(serve.Config{Workers: 2, StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		info, events := submitAndWait(t, ts.URL, spec(window))
+		if last := events[len(events)-1]; last["type"] != "done" {
+			t.Fatalf("window %s: run ended with %v", window, last)
+		}
+		artifact := fetchArtifact(t, ts.URL, info)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return srv, artifact
+	}
+
+	first, _ := run("10000")
+	if st := first.Stats().Warm; st != (core.WarmCacheStats{Computes: 2, DiskSpills: 2}) {
+		t.Fatalf("first server: %+v, want 2 warm states computed and spilled at shutdown", st)
+	}
+	second, served := run("15000")
+	if st := second.Stats().Warm; st.Computes != 0 || st.DiskLoads != 2 {
+		t.Fatalf("restarted server: %+v, want 0 warm states computed and 2 loaded from disk", st)
+	}
+
+	sp, err := exp.ParseSpec([]byte(spec("15000")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := exp.RunSpec(sp, exp.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := exp.MarshalArtifact(rep.Artifact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, local) {
+		t.Fatalf("artifact served from disk-loaded warm states differs from local run (%d vs %d bytes)", len(served), len(local))
 	}
 }
 

@@ -1,8 +1,10 @@
 package snapstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"meecc/internal/cache"
 	"meecc/internal/cpucache"
@@ -22,9 +24,11 @@ const (
 
 // EncodeSnapshot serializes a platform snapshot into a sealed, versioned,
 // checksummed blob. The machine Config travels as canonical JSON (it is
-// small, extensible, and hashable); the bulky component state — DRAM pages,
-// cache directories, replacement words, MEE node buffers — uses the packed
-// binary layout below it.
+// small, extensible, and hashable); the component state uses the packed
+// binary layout below it, which carries only what differs from a freshly
+// built machine: the cache sets that hold a line or a window of their own,
+// the nonzero words of sparse counters and bitmaps, and each materialized
+// DRAM page's nonzero lines.
 func EncodeSnapshot(s *platform.Snapshot) ([]byte, error) {
 	w := NewSealWriter(KindSnapshot)
 	if err := AppendSnapshot(w, s); err != nil {
@@ -56,7 +60,11 @@ func DecodeSnapshot(blob []byte) (*platform.Snapshot, error) {
 // compose it with their own fields. It grows w once, by a bound on the
 // payload, before writing any of it.
 func AppendSnapshot(w *Writer, s *platform.Snapshot) error {
-	st := s.ExportState()
+	return appendState(w, s.ExportState())
+}
+
+// appendState writes the payload of a snapshot image into w.
+func appendState(w *Writer, st *platform.SnapshotState) error {
 	cfgJSON, err := json.Marshal(st.Cfg)
 	if err != nil {
 		return fmt.Errorf("snapstore: marshaling config: %w", err)
@@ -70,7 +78,7 @@ func AppendSnapshot(w *Writer, s *platform.Snapshot) error {
 	writeMEE(w, st.MEE)
 	writeCPU(w, st.Caches)
 	writeEPC(w, st.EPC)
-	w.U64s(st.GenUsed)
+	writeWords(w, st.GenUsed)
 	w.U64(uint64(st.PRMBase))
 	w.U64(uint64(len(st.Procs)))
 	for _, p := range st.Procs {
@@ -99,7 +107,7 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	st.MEE = readMEE(r)
 	st.Caches = readCPU(r)
 	st.EPC = readEPC(r)
-	st.GenUsed = r.U64s()
+	st.GenUsed = readWords(r)
 	st.PRMBase = dram.Addr(r.U64())
 	nProcs := r.Count(1)
 	for i := 0; i < nProcs && r.Err() == nil; i++ {
@@ -122,16 +130,19 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 // most: 112 bytes.
 const fixedBound = 256
 
-// payloadBound bounds from above the bytes AppendSnapshot writes for st,
-// apart from the config JSON: every variable-length table at its wire size,
-// each component's fixed fields within fixedBound. Nearly all of a warm
-// machine's payload is DRAM pages, cache lines, replacement-word slabs, the
-// generation bitset and line buffers.
+// payloadBound bounds from above the bytes appendState writes for st, apart
+// from the config JSON: every variable-length table at its exact wire
+// size — listed cache sets with their valid tags and windows, sparse
+// words, DRAM pages with their nonzero lines, node and line buffers, the
+// EPC frame list — and each component's fixed fields within fixedBound.
 func payloadBound(st *platform.SnapshotState) int {
-	n := fixedBound + len(st.MEEPolicy) + len(st.RNGState) + 8*len(st.GenUsed)
+	n := fixedBound + len(st.MEEPolicy) + len(st.RNGState) + wordWire*len(st.GenUsed)
 	m := st.Mem
-	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy)+len(m.RefreshedAt)) + len(m.Pages)*(8+dram.PageBytes)
-	n += fixedBound + cacheBound(st.MEE.Cache) + len(st.MEE.Bufs)*meeBufWire + 8*(len(st.MEE.Root)+len(st.MEE.Initialized))
+	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy)+len(m.RefreshedAt))
+	for _, p := range m.Pages {
+		n += pageWire + len(p.Data)
+	}
+	n += fixedBound + cacheBound(st.MEE.Cache) + len(st.MEE.Bufs)*meeBufWire + 8*len(st.MEE.Root) + wordWire*len(st.MEE.Initialized)
 	for _, c := range st.Caches.L1 {
 		n += cacheBound(c)
 	}
@@ -148,15 +159,41 @@ func payloadBound(st *platform.SnapshotState) int {
 
 // cacheBound bounds writeCache's output for st.
 func cacheBound(st *cache.State) int {
-	n := fixedBound + len(st.Name) + len(st.PolicyName) + cacheLineWire*len(st.Lines) + 8*len(st.EvBySet)
-	for _, ws := range st.SetWords {
-		n += 8 + 8*len(ws)
+	n := fixedBound + len(st.Name) + len(st.PolicyName) + wordWire*len(st.EvBySet)
+	for _, ss := range st.Listed {
+		n += setWire + 8*(len(ss.Tags)+len(ss.Window))
 	}
 	return n
 }
 
 // ---------------------------------------------------------------------------
+// Sparse words
+
+// wordWire is one cache.Word on the wire: u32 index, u64 value.
+const wordWire = 4 + 8
+
+func writeWords(w *Writer, ws []cache.Word) {
+	w.U64(uint64(len(ws)))
+	for _, x := range ws {
+		w.U32(uint32(x.Index))
+		w.U64(x.Value)
+	}
+}
+
+func readWords(r *Reader) []cache.Word {
+	ws := make([]cache.Word, r.Count(wordWire))
+	for i := range ws {
+		ws[i] = cache.Word{Index: int(r.U32()), Value: r.U64()}
+	}
+	return ws
+}
+
+// ---------------------------------------------------------------------------
 // DRAM
+
+// pageWire is a page's fixed fields on the wire: index and line mask; the
+// lines the mask marks follow.
+const pageWire = 8 + 8
 
 func writeDRAM(w *Writer, st *dram.SnapshotState) {
 	w.I64(int64(st.Allocated))
@@ -175,6 +212,7 @@ func writeDRAM(w *Writer, st *dram.SnapshotState) {
 	w.U64(uint64(len(st.Pages)))
 	for _, p := range st.Pages {
 		w.U64(p.Index)
+		w.U64(p.Lines)
 		w.Raw(p.Data)
 	}
 }
@@ -195,12 +233,14 @@ func readDRAM(r *Reader, cfg dram.Config) *dram.SnapshotState {
 	st.Stats.RowMisses = r.U64()
 	st.Stats.Refreshes = r.U64()
 	st.Stats.StallCyc = sim.Cycles(r.I64())
-	nPages := r.Count(8 + dram.PageBytes)
+	nPages := r.Count(pageWire)
 	st.Pages = make([]dram.PageImage, 0, nPages)
 	for i := 0; i < nPages && r.Err() == nil; i++ {
-		idx := r.U64()
-		data := r.Raw(dram.PageBytes)
-		st.Pages = append(st.Pages, dram.PageImage{Index: idx, Data: data})
+		p := dram.PageImage{Index: r.U64(), Lines: r.U64()}
+		// The lines alias the payload; SnapshotFromState copies them into
+		// the page it materializes.
+		p.Data = r.Raw(bits.OnesCount64(p.Lines) * dram.LineSize)
+		st.Pages = append(st.Pages, p)
 	}
 	return st
 }
@@ -208,22 +248,32 @@ func readDRAM(r *Reader, cfg dram.Config) *dram.SnapshotState {
 // ---------------------------------------------------------------------------
 // Generic cache level
 
-// cacheLineWire is one cache.Line on the wire: tag, valid, dirty.
-const cacheLineWire = 8 + 1 + 1
+// setWire is a listed set's fixed fields on the wire: set index, valid and
+// dirty masks. The valid ways' tags follow, one word per bit of the valid
+// mask, then the set's window, as many words as the cache's window length.
+const setWire = 4 + 8 + 8
 
 func writeCache(w *Writer, st *cache.State) {
 	w.String(st.Name)
 	w.U32(uint32(st.Sets))
 	w.U32(uint32(st.Ways))
 	w.String(st.PolicyName)
-	w.U64(uint64(len(st.Lines)))
-	for _, l := range st.Lines {
-		w.U64(uint64(l.Tag))
-		w.Bool(l.Valid)
-		w.Bool(l.Dirty)
+	stride := 0
+	if len(st.Listed) > 0 {
+		stride = len(st.Listed[0].Window)
 	}
-	for _, ws := range st.SetWords {
-		w.U64s(ws)
+	w.U32(uint32(stride))
+	w.U64(uint64(len(st.Listed)))
+	for _, ss := range st.Listed {
+		w.U32(uint32(ss.Set))
+		w.U64(ss.Valid)
+		w.U64(ss.Dirty)
+		for _, t := range ss.Tags {
+			w.U64(uint64(t))
+		}
+		for _, x := range ss.Window {
+			w.U64(x)
+		}
 	}
 	w.U64(st.Stats.Hits)
 	w.U64(st.Stats.Misses)
@@ -231,7 +281,7 @@ func writeCache(w *Writer, st *cache.State) {
 	w.U64(st.Stats.Evictions)
 	w.U64(st.Stats.WritebacksOut)
 	w.U64(st.Stats.Invalidations)
-	w.U64s(st.EvBySet)
+	writeWords(w, st.EvBySet)
 }
 
 func readCache(r *Reader) *cache.State {
@@ -240,20 +290,25 @@ func readCache(r *Reader) *cache.State {
 	st.Sets = int(r.U32())
 	st.Ways = int(r.U32())
 	st.PolicyName = r.String()
-	nLines := r.Count(cacheLineWire)
-	st.Lines = make([]cache.Line, nLines)
-	for i := range st.Lines {
-		st.Lines[i] = cache.Line{Tag: cache.Tag(r.U64()), Valid: r.Bool(), Dirty: r.Bool()}
-	}
-	// Each set's word vector costs at least its 8-byte length prefix, so
-	// bound the outer allocation by the remaining payload.
-	if st.Sets < 0 || st.Sets*8 > r.Remaining() {
-		r.fail("cache %s: set count %d exceeds payload", st.Name, st.Sets)
-		return st
-	}
-	st.SetWords = make([][]uint64, st.Sets)
-	for s := range st.SetWords {
-		st.SetWords[s] = r.U64s()
+	stride := int(r.U32())
+	n := r.Count(setWire + 8*stride)
+	st.Listed = make([]cache.SetState, n)
+	windows := make([]uint64, n*stride)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ss := &st.Listed[i]
+		ss.Set = int(r.U32())
+		ss.Valid = r.U64()
+		ss.Dirty = r.U64()
+		if raw := r.Raw(8 * bits.OnesCount64(ss.Valid)); len(raw) > 0 {
+			ss.Tags = make([]cache.Tag, len(raw)/8)
+			for j := range ss.Tags {
+				ss.Tags[j] = cache.Tag(binary.LittleEndian.Uint64(raw[8*j:]))
+			}
+		}
+		ss.Window = windows[i*stride : (i+1)*stride : (i+1)*stride]
+		for j := range ss.Window {
+			ss.Window[j] = r.U64()
+		}
 	}
 	st.Stats.Hits = r.U64()
 	st.Stats.Misses = r.U64()
@@ -261,7 +316,7 @@ func readCache(r *Reader) *cache.State {
 	st.Stats.Evictions = r.U64()
 	st.Stats.WritebacksOut = r.U64()
 	st.Stats.Invalidations = r.U64()
-	st.EvBySet = r.U64s()
+	st.EvBySet = readWords(r)
 	return st
 }
 
@@ -285,7 +340,7 @@ func writeMEE(w *Writer, st *mee.State) {
 		w.Bool(b.Dirty)
 	}
 	w.U64s(st.Root)
-	w.U64s(st.Initialized)
+	writeWords(w, st.Initialized)
 	w.I64(int64(st.PortBusy))
 	w.U64(st.Stats.Reads)
 	w.U64(st.Stats.Writes)
@@ -320,7 +375,7 @@ func readMEE(r *Reader) *mee.State {
 		st.Bufs = append(st.Bufs, b)
 	}
 	st.Root = r.U64s()
-	st.Initialized = r.U64s()
+	st.Initialized = readWords(r)
 	st.PortBusy = sim.Cycles(r.I64())
 	st.Stats.Reads = r.U64()
 	st.Stats.Writes = r.U64()
@@ -397,10 +452,13 @@ func writeEPC(w *Writer, st *enclave.EPCState) {
 
 func readEPC(r *Reader) *enclave.EPCState {
 	st := &enclave.EPCState{}
+	// The frame list is over half of a warm state's payload: decode it
+	// from one read rather than word by word.
 	nf := r.Count(8)
+	raw := r.Raw(8 * nf)
 	st.Frames = make([]dram.Addr, nf)
 	for i := range st.Frames {
-		st.Frames[i] = dram.Addr(r.U64())
+		st.Frames[i] = dram.Addr(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	st.Next = int(r.I64())
 	no := r.Count(16)

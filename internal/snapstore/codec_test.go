@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
+	"meecc/internal/cache"
+	"meecc/internal/dram"
 	"meecc/internal/enclave"
 	"meecc/internal/platform"
 	"meecc/internal/sim"
@@ -149,6 +152,91 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 	if _, err := snapstore.DecodeSnapshot(snapstore.Seal(snapstore.KindWarm, payload)); err == nil {
 		t.Fatal("wrong-kind blob decoded without error")
+	}
+
+	// Images that each break one rule of the sparse layout, encoded and
+	// resealed so that they pass the trailer and reach the decoder. Each
+	// rule keeps decode → encode a fixed point.
+	reseal := func(st *platform.SnapshotState) []byte {
+		var w snapstore.Writer
+		if err := snapstore.AppendState(&w, st); err != nil {
+			t.Fatal(err)
+		}
+		return snapstore.Seal(snapstore.KindSnapshot, w.Bytes())
+	}
+	if _, err := snapstore.DecodeSnapshot(reseal(snap.ExportState())); err != nil {
+		t.Fatalf("undamaged image: %v", err)
+	}
+	fix := snap.ExportState()
+	if len(fix.MEE.Cache.Listed) < 2 || len(fix.MEE.Initialized) < 2 || fix.MEE.Cache.Listed[0].Valid == 0 {
+		t.Fatalf("fixture lists %d MEE sets, the first with valid mask %#x, and %d init words; want 2 sets with lines and 2 words",
+			len(fix.MEE.Cache.Listed), fix.MEE.Cache.Listed[0].Valid, len(fix.MEE.Initialized))
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(st *platform.SnapshotState)
+	}{
+		{"set index repeats", func(st *platform.SnapshotState) {
+			sets := st.MEE.Cache.Listed
+			sets[1].Set = sets[0].Set
+		}},
+		{"set index descends", func(st *platform.SnapshotState) {
+			sets := st.MEE.Cache.Listed
+			sets[0], sets[1] = sets[1], sets[0]
+		}},
+		{"set index at Sets", func(st *platform.SnapshotState) {
+			c := st.MEE.Cache
+			c.Listed[len(c.Listed)-1].Set = c.Sets
+		}},
+		{"valid bit at Ways", func(st *platform.SnapshotState) {
+			c := st.MEE.Cache
+			ss := &c.Listed[0]
+			ss.Valid |= 1 << c.Ways
+			ss.Tags = append(ss.Tags, 1)
+		}},
+		{"dirty bit outside valid", func(st *platform.SnapshotState) {
+			ss := &st.MEE.Cache.Listed[0]
+			low := ss.Valid & -ss.Valid
+			ss.Valid &^= low
+			ss.Dirty |= low
+			ss.Tags = ss.Tags[1:]
+		}},
+		{"listed set untouched", func(st *platform.SnapshotState) {
+			p, err := cache.PolicyByName(st.MEEPolicy, rand.New(rand.NewPCG(0, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := &st.MEE.Cache.Listed[0]
+			ss.Valid, ss.Dirty, ss.Tags = 0, 0, nil
+			p.Init(ss.Window)
+		}},
+		{"sparse word out of order", func(st *platform.SnapshotState) {
+			ws := st.MEE.Initialized
+			ws[0], ws[1] = ws[1], ws[0]
+		}},
+		{"sparse word out of range", func(st *platform.SnapshotState) {
+			st.GenUsed = append(st.GenUsed, cache.Word{Index: 1<<32 - 1, Value: 1})
+		}},
+		{"sparse word zero", func(st *platform.SnapshotState) {
+			st.MEE.Initialized[0].Value = 0
+		}},
+		{"page line listed but zero", func(st *platform.SnapshotState) {
+			for i := range st.Mem.Pages {
+				if p := &st.Mem.Pages[i]; p.Lines != 0 {
+					clear(p.Data[:dram.LineSize])
+					return
+				}
+			}
+			t.Fatal("fixture has no page with a nonzero line")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := snap.ExportState()
+			tc.damage(st)
+			if _, err := snapstore.DecodeSnapshot(reseal(st)); !errors.Is(err, snapstore.ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
