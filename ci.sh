@@ -103,7 +103,7 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/cache, internal/platform, internal/cpucache, internal/snapstore; internal/core TestWarm*) =="
+echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs/ops, internal/cache, internal/platform, internal/cpucache, internal/snapstore, internal/serve, internal/serve/journal; internal/core TestWarm*) =="
 # internal/obs/ops rides along for its scrape-while-updating test: lock-free
 # instruments hammered by writers while /metrics renders concurrently.
 # internal/cache, internal/platform and internal/cpucache clone or fork one
@@ -113,8 +113,11 @@ echo "== go test -race (internal/exp, internal/fault, internal/sim, internal/obs
 # copying it races here.
 # internal/snapstore and core's warm-cache tests: spills, fault-ins and the
 # adoption of an entry whose spill is in flight cross goroutines.
+# internal/serve and its journal: HTTP handlers, run workers, the memo
+# table, the warm cache and the shutdown spill all share one Server.
 go test -race ./internal/exp ./internal/fault ./internal/sim ./internal/obs/ops \
-    ./internal/cache ./internal/platform ./internal/cpucache ./internal/snapstore
+    ./internal/cache ./internal/platform ./internal/cpucache ./internal/snapstore \
+    ./internal/serve ./internal/serve/journal
 go test -race -run '^TestWarm' ./internal/core
 
 echo "== go test -race -count=10: exp unit dispatch =="

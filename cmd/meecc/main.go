@@ -19,7 +19,7 @@
 //	meecc serve    [-addr HOST:PORT] [-storedir DIR] [-storemax BYTES] [-workers N]
 //	               [-journal FILE] [-maxruns N] [-maxpending N] [-runtimeout D]
 //	               [-grace D] [-readtimeout D] [-writetimeout D] [-idletimeout D]
-//	               [-loglevel L] [-logformat text|json] [-debugaddr HOST:PORT] [OBS]
+//	               [-loglevel L] [-logformat text|json] [-debugaddr HOST:PORT]
 //	meecc submit   -spec FILE [-addr HOST:PORT] [-out DIR]
 //	meecc top      [-addr HOST:PORT] [-interval D] [-once] [-require FAMILIES]
 //	meecc hash     -spec FILE   # print the spec's content hash
@@ -368,7 +368,7 @@ func sendCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 // action the session took before giving up.
 func sendReliable(w io.Writer, cfg meecc.ChannelConfig, msg string) error {
 	fmt.Fprintf(w, "transmitting %d payload bytes through the adaptive ARQ session...\n", len(msg))
-	res, err := meecc.RunResilient(meecc.ResilientConfig{ChannelConfig: cfg}, []byte(msg))
+	res, err := meecc.RunResilient(cfg, []byte(msg))
 	if err != nil {
 		if res != nil {
 			fmt.Fprintf(w, "session failed after %d rounds, %d/%d chunks delivered; actions:\n",

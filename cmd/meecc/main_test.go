@@ -69,7 +69,7 @@ func TestFlagSets(t *testing.T) {
 		"chaos":   "seed trials faults intensities payload out workers metrics",
 		"inspect": "",
 		"serve": "addr storedir storemax journal maxruns maxpending runtimeout grace" +
-			" readtimeout writetimeout idletimeout loglevel logformat debugaddr workers" + obsFlags,
+			" readtimeout writetimeout idletimeout loglevel logformat debugaddr workers",
 		"submit": "spec addr out",
 		"top":    "addr interval once require",
 		"hash":   "spec",
@@ -97,8 +97,8 @@ func TestFlagSets(t *testing.T) {
 		}
 		pairs += len(got)
 	}
-	if pairs != 136 {
-		t.Errorf("%d (subcommand, flag) pairs, want 136", pairs)
+	if pairs != 133 {
+		t.Errorf("%d (subcommand, flag) pairs, want 133", pairs)
 	}
 }
 
@@ -112,6 +112,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"batch", "-seed", "7"}, 2, "flag provided but not defined: -seed"},
 		{[]string{"hash", "-spec", smoke, "-trials", "9"}, 2, "flag provided but not defined: -trials"},
 		{[]string{"top", "-msg", "x"}, 2, "flag provided but not defined: -msg"},
+		{[]string{"serve", "-metrics"}, 2, "flag provided but not defined: -metrics"},
 		{[]string{"hash", "-spec", smoke, "extra"}, 2, `meecc hash: unexpected argument "extra" after the flags`},
 		// A leading flag makes the command send, so "sweep" is left over.
 		{[]string{"-cpuprofile", "cpu.pprof", "sweep", "-trials", "3"}, 2, `meecc send: unexpected argument "sweep"`},

@@ -48,9 +48,7 @@ func serveCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 	logFormat := fs.String("logformat", "text", "structured-log encoding (text = logfmt, json)")
 	debugAddr := fs.String("debugaddr", "", "open net/http/pprof on this extra address (empty = off)")
 	fs.IntVar(&e.Workers, "workers", 0, "trial worker goroutines (0 = GOMAXPROCS)")
-	observe(fs, e)
 	return func() error {
-		o := e.Observer()
 		level, err := ops.ParseLevel(*logLevel)
 		if err != nil {
 			return err
@@ -68,7 +66,6 @@ func serveCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 			MaxConcurrent: *maxRuns,
 			MaxPending:    *maxPending,
 			RunTimeout:    *runTimeout,
-			Obs:           o,
 			Log:           log,
 		})
 		if err != nil {
@@ -129,7 +126,7 @@ func serveCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 			return err
 		}
 		<-idle
-		return e.FinishObs(o)
+		return nil
 	}
 }
 

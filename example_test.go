@@ -44,7 +44,7 @@ func ExampleBitsFromString() {
 // The adaptive session layer sends a payload in CRC-framed, FEC-coded
 // chunks and retransmits any chunk whose checksum fails.
 func ExampleRunResilient() {
-	res, err := meecc.RunResilient(meecc.DefaultResilientConfig(404), []byte("key"))
+	res, err := meecc.RunResilient(meecc.DefaultChannelConfig(404), []byte("key"))
 	if err != nil {
 		panic(err)
 	}

@@ -11,8 +11,9 @@ import (
 // booting a default machine, and forking a warm channel state, as 6 of
 // every 7 Figure 7 trials do. Neither may scale with the machine's size.
 // Cache sets get their blocks on first write, and a fork shares its
-// snapshot's blocks and DRAM pages, so both copy only flat per-set words
-// and the MEE and EPC slabs: 1.05 MB each, against 5.99 MB when every
+// snapshot's blocks, DRAM pages and EPC frame list. Boot allocates flat
+// per-set words, the MEE slabs and the 196 KB frame list (1.05 MB); a fork
+// copies only the words and slabs (0.86 MB). Both were 5.99 MB when every
 // cache level was eager slabs. A return to eager slabs fails here.
 func TestBootAndForkBytes(t *testing.T) {
 	const limit = 1_500_000

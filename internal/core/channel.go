@@ -19,9 +19,6 @@ type ChannelConfig struct {
 	Window sim.Cycles
 	// Bits is the bit sequence the trojan transmits (values 0/1).
 	Bits []byte
-	// Index512 is the agreed index: which 512-byte unit within a 4 KB page
-	// both sides use (§5.3 — "any arbitrary index can be used").
-	Index512 int
 	// ProbePhase is the fraction of the window at which the spy probes;
 	// late enough that the trojan's ~9000-cycle eviction has finished.
 	ProbePhase float64
@@ -41,20 +38,39 @@ type ChannelConfig struct {
 	// Start/End default to the transmission interval when both are zero.
 	Fault *fault.Config
 
-	// Core placement (defaults: trojan 0, spy 2, noise 1 — distinct
-	// physical cores, as in the paper's threat model).
-	TrojanCore, SpyCore, NoiseCore int
-
-	// Setup schedule (cycle budgets; defaults applied by RunChannel).
-	CalBudget    sim.Cycles // both sides calibrate thresholds
-	SetupBudget  sim.Cycles // trojan runs Algorithm 1
-	SearchBudget sim.Cycles // spy locates its monitor address
+	// budgets, when set (by in-package tests), replaces the warm-up
+	// schedule, so that a one-cycle budget puts the run limit inside that
+	// phase.
+	budgets warmBudgets
 
 	// onPlatform, when set (by in-package studies), is invoked after the
 	// attack actors are spawned with the platform and the transmission
 	// interval — e.g. to attach a detector.
 	onPlatform func(plat *platform.Platform, t0, tEnd sim.Cycles)
 }
+
+// Core placement: trojan, spy and noise run on three distinct physical
+// cores, as in the paper's threat model.
+const (
+	trojanCore = 0
+	spyCore    = 2
+	noiseCore  = 1
+)
+
+// agreedIndex is the 512-byte unit within each 4 KB page that both sides
+// use (§5.3: "any arbitrary index can be used").
+const agreedIndex = 0
+
+// The warm-up schedule in cycles: both sides calibrate their thresholds,
+// the trojan runs Algorithm 1, and the spy locates its monitor address.
+const (
+	calBudget    sim.Cycles = 2_000_000
+	setupBudget  sim.Cycles = 60_000_000
+	searchBudget sim.Cycles = 14_000_000
+)
+
+// warmBudgets is a warm-up schedule; the zero value means the one above.
+type warmBudgets struct{ cal, setup, search sim.Cycles }
 
 // DefaultChannelConfig returns the paper's operating point: 15000-cycle
 // window, alternating bits, two-phase eviction.
@@ -65,9 +81,6 @@ func DefaultChannelConfig(seed uint64) ChannelConfig {
 		Bits:             AlternatingBits(30),
 		ProbePhase:       0.65,
 		TwoPhaseEviction: true,
-		TrojanCore:       0,
-		SpyCore:          2,
-		NoiseCore:        1,
 	}
 }
 
@@ -78,29 +91,8 @@ func (c *ChannelConfig) applyDefaults() {
 	if c.ProbePhase <= 0 || c.ProbePhase >= 1 {
 		c.ProbePhase = 0.65
 	}
-	// Normalize core placement: the threat model puts trojan, spy, and
-	// noise on three distinct physical cores. Resolve collisions
-	// deterministically — spy hops two cores away, then noise takes the
-	// lowest core distinct from both.
-	if c.SpyCore == c.TrojanCore {
-		c.SpyCore = (c.TrojanCore + 2) % 4
-	}
-	if c.NoiseCore == c.TrojanCore || c.NoiseCore == c.SpyCore {
-		for core := 0; core < 4; core++ {
-			if core != c.TrojanCore && core != c.SpyCore {
-				c.NoiseCore = core
-				break
-			}
-		}
-	}
-	if c.CalBudget <= 0 {
-		c.CalBudget = 2_000_000
-	}
-	if c.SetupBudget <= 0 {
-		c.SetupBudget = 60_000_000
-	}
-	if c.SearchBudget <= 0 {
-		c.SearchBudget = 14_000_000
+	if c.budgets == (warmBudgets{}) {
+		c.budgets = warmBudgets{calBudget, setupBudget, searchBudget}
 	}
 }
 
@@ -251,9 +243,9 @@ func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
 		}
 		s.cfg.Bits = expanded
 	}
-	s.tCalEnd = s.cfg.CalBudget
-	s.tSetupEnd = s.tCalEnd + s.cfg.SetupBudget
-	s.t0 = s.tSetupEnd + s.cfg.SearchBudget
+	s.tCalEnd = s.cfg.budgets.cal
+	s.tSetupEnd = s.tCalEnd + s.cfg.budgets.setup
+	s.t0 = s.tSetupEnd + s.cfg.budgets.search
 	s.tEnd = s.t0 + sim.Cycles(len(s.cfg.Bits))*s.cfg.Window
 	s.res = &ChannelResult{Sent: s.cfg.Bits}
 	return s, nil
@@ -274,8 +266,8 @@ func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 		return err
 	}
 	candBase := enclave.VAddr(pools * calPages * enclave.PageBytes)
-	s.trojanCands = pageAddrs(s.trojanProc.Enclave().Base+candBase, evSetCandidates, s.cfg.Index512)
-	s.spyCands = pageAddrs(s.spyProc.Enclave().Base+candBase, monitorCandidates, s.cfg.Index512)
+	s.trojanCands = pageAddrs(s.trojanProc.Enclave().Base+candBase, evSetCandidates, agreedIndex)
+	s.spyCands = pageAddrs(s.spyProc.Enclave().Base+candBase, monitorCandidates, agreedIndex)
 	return nil
 }
 
@@ -285,7 +277,7 @@ func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 func (s *channelSession) trojanWarm(th *platform.Thread) bool {
 	th.EnterEnclave()
 	base := s.trojanProc.Enclave().Base
-	threshold := calibrateThreshold(th, pageAddrs(base, calPages, s.cfg.Index512))
+	threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
 	th.SpinUntil(s.tCalEnd)
 
 	a1, err := FindEvictionSet(th, s.trojanCands, threshold)
@@ -331,7 +323,7 @@ func (s *channelSession) spyWarm(th *platform.Thread) bool {
 	// Calibrate in the second half of the calibration phase, staggered
 	// against the trojan so the two measurement loops don't contend.
 	th.SpinUntil(s.tCalEnd / 2)
-	s.spyThreshold = calibrateThreshold(th, pageAddrs(base, calPages, s.cfg.Index512))
+	s.spyThreshold = calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
 	s.res.SpyThreshold = s.spyThreshold
 	th.SpinUntil(s.tSetupEnd)
 
@@ -389,8 +381,8 @@ func (s *channelSession) attachFaults(plat *platform.Platform, trojan, spy *plat
 		TrojanPages: s.trojanCands, SpyPages: s.spyCands,
 		TrojanLive: func() []enclave.VAddr { return s.liveEvictionSet },
 		SpyLive:    func() []enclave.VAddr { return s.liveMonitor },
-		TrojanHome: s.cfg.TrojanCore, SpyHome: s.cfg.SpyCore,
-		StormCore: s.cfg.NoiseCore,
+		TrojanHome: trojanCore, SpyHome: spyCore,
+		StormCore: noiseCore,
 	})
 }
 
@@ -511,18 +503,18 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 		return nil, err
 	}
 
-	trojanTh := plat.SpawnThread("trojan", s.trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	trojanTh := plat.SpawnThread("trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if s.trojanWarm(th) {
 			s.trojanTransmit(th)
 		}
 	})
-	spyTh := plat.SpawnThread("spy", s.spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	spyTh := plat.SpawnThread("spy", s.spyProc, spyCore, func(th *platform.Thread) {
 		if s.spyWarm(th) {
 			s.spyTransmit(th)
 		}
 	})
 
-	if err := spawnNoise(plat, cfg.Noise, cfg.NoiseCore, s.t0); err != nil {
+	if err := spawnNoise(plat, cfg.Noise, noiseCore, s.t0); err != nil {
 		return nil, err
 	}
 	injector := s.attachFaults(plat, trojanTh, spyTh, s.t0, s.tEnd)

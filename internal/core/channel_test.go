@@ -9,39 +9,6 @@ import (
 	"meecc/internal/sim"
 )
 
-func TestApplyDefaultsResolvesCoreCollisions(t *testing.T) {
-	cases := []struct {
-		name               string
-		trojan, spy, noise int
-		wantSpy, wantNoise int
-	}{
-		{"defaults intact", 0, 2, 1, 2, 1},
-		{"spy on trojan core", 1, 1, 2, 3, 2},
-		{"noise on trojan core", 0, 2, 0, 2, 1},
-		{"noise on spy core", 0, 2, 2, 2, 1},
-		{"all on one core", 0, 0, 0, 2, 1},
-		{"zero value config", 0, 0, 0, 2, 1},
-	}
-	for _, tc := range cases {
-		cfg := ChannelConfig{TrojanCore: tc.trojan, SpyCore: tc.spy, NoiseCore: tc.noise}
-		cfg.applyDefaults()
-		if cfg.SpyCore != tc.wantSpy || cfg.NoiseCore != tc.wantNoise {
-			t.Errorf("%s: spy=%d noise=%d, want spy=%d noise=%d",
-				tc.name, cfg.SpyCore, cfg.NoiseCore, tc.wantSpy, tc.wantNoise)
-		}
-		if cfg.SpyCore == cfg.TrojanCore || cfg.NoiseCore == cfg.TrojanCore || cfg.NoiseCore == cfg.SpyCore {
-			t.Errorf("%s: cores collide after applyDefaults: trojan=%d spy=%d noise=%d",
-				tc.name, cfg.TrojanCore, cfg.SpyCore, cfg.NoiseCore)
-		}
-		// Normalization must be deterministic: applying twice is a no-op.
-		again := cfg
-		again.applyDefaults()
-		if again.SpyCore != cfg.SpyCore || again.NoiseCore != cfg.NoiseCore {
-			t.Errorf("%s: applyDefaults is not idempotent", tc.name)
-		}
-	}
-}
-
 func TestChannelTransmitsAlternatingBits(t *testing.T) {
 	cfg := DefaultChannelConfig(42)
 	cfg.Bits = AlternatingBits(30)
@@ -231,7 +198,7 @@ func TestSetupCutShortFailsFreshAndWarm(t *testing.T) {
 	// must fail rather than decode the spy's probes of a silent channel.
 	cfg := DefaultChannelConfig(42)
 	cfg.Bits = RandomBits(42, 8)
-	cfg.SetupBudget = 1
+	cfg.budgets = warmBudgets{calBudget, 1, searchBudget}
 	if _, err := RunChannel(cfg); err == nil || err.Error() != "core: trojan never completed setup" {
 		t.Errorf("fresh: err = %v, want trojan never completed setup", err)
 	}

@@ -96,9 +96,9 @@ func ChaosTrial(params map[string]string, seed uint64, withMetrics bool) (map[st
 	}
 
 	// Adaptive arm: the resilient session under the identical campaign.
-	rcfg := ResilientConfig{ChannelConfig: base}
-	rcfg.Obs = oAdaptive
-	res, rerr := RunResilient(rcfg, payload)
+	adaptiveCfg := base
+	adaptiveCfg.Obs = oAdaptive
+	res, rerr := RunResilient(adaptiveCfg, payload)
 	adaptiveDelivered := 0.0
 	if rerr == nil && res.Delivered {
 		adaptiveDelivered = 1

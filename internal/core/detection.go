@@ -88,7 +88,7 @@ func DetectionStudy(opts Options, window sim.Cycles, nbits int) ([]DetectionRow,
 
 	// Benign control: a memory-hungry but honest workload.
 	{
-		plat := Options{Seed: opts.Seed + 2, SpikeProb: -1}.boot()
+		plat := Options{Seed: opts.Seed + 2}.boot()
 		pr := plat.NewProcess("benign")
 		const pages = 4096 // 16 MB working set
 		buf := pr.AllocGeneral(pages)

@@ -23,13 +23,8 @@ type Options struct {
 	MEEPolicy string
 	// RandomEvictProb enables the MEE noise-injection mitigation.
 	RandomEvictProb float64
-	// SpikeProb/SpikeMax override ambient interference when non-negative
-	// (pass -1 to keep platform defaults).
-	SpikeProb float64
-	SpikeMax  float64
-	// MEESets/MEEWays override the MEE cache geometry when positive
-	// (organization ablations).
-	MEESets int
+	// MEEWays overrides the MEE cache associativity when positive (the
+	// mitigation study's half-ways variant).
 	MEEWays int
 	// Obs, when non-nil, collects metrics (and timeline events if a tracer
 	// is attached) from every platform the experiment boots. Nil disables
@@ -53,15 +48,6 @@ func (o Options) platformConfig() platform.Config {
 	cfg.EPCMode = o.EPCMode
 	cfg.MEEPolicyName = o.MEEPolicy
 	cfg.MEE.RandomEvictProb = o.RandomEvictProb
-	if o.SpikeProb >= 0 {
-		cfg.SpikeProb = o.SpikeProb
-	}
-	if o.SpikeMax > 0 {
-		cfg.SpikeMax = o.SpikeMax
-	}
-	if o.MEESets > 0 {
-		cfg.MEE.CacheSets = o.MEESets
-	}
 	if o.MEEWays > 0 {
 		cfg.MEE.CacheWays = o.MEEWays
 	}
@@ -71,7 +57,7 @@ func (o Options) platformConfig() platform.Config {
 
 // DefaultOptions returns the paper-testbed options for a seed.
 func DefaultOptions(seed uint64) Options {
-	return Options{Seed: seed, SpikeProb: -1}
+	return Options{Seed: seed}
 }
 
 // boot builds the platform for these options.

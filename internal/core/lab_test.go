@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"meecc/internal/enclave"
@@ -23,15 +24,12 @@ func TestPageAddrsLayout(t *testing.T) {
 
 func TestOptionsPlatformConfig(t *testing.T) {
 	o := DefaultOptions(5)
-	o.MEESets = 64
 	o.MEEWays = 4
 	o.MEEPolicy = "srrip"
 	o.RandomEvictProb = 0.1
-	o.SpikeProb = 0.5
-	o.SpikeMax = 999
 	cfg := o.platformConfig()
-	if cfg.MEE.CacheSets != 64 || cfg.MEE.CacheWays != 4 {
-		t.Fatalf("geometry override lost: %d/%d", cfg.MEE.CacheSets, cfg.MEE.CacheWays)
+	if cfg.MEE.CacheWays != 4 {
+		t.Fatalf("associativity override lost: %d", cfg.MEE.CacheWays)
 	}
 	if cfg.MEEPolicyName != "srrip" {
 		t.Fatalf("policy %q", cfg.MEEPolicyName)
@@ -39,13 +37,14 @@ func TestOptionsPlatformConfig(t *testing.T) {
 	if cfg.MEE.RandomEvictProb != 0.1 {
 		t.Fatal("random-evict override lost")
 	}
-	if cfg.SpikeProb != 0.5 || cfg.SpikeMax != 999 {
-		t.Fatal("spike override lost")
-	}
-	// Negative SpikeProb keeps the platform default.
-	o2 := DefaultOptions(5)
-	if got := o2.platformConfig().SpikeProb; got != platform.DefaultConfig(5).SpikeProb {
-		t.Fatalf("default spike prob %v", got)
+}
+
+// TestZeroOptionsIsPaperTestbed pins Options' contract: the zero value plus
+// a seed boots the paper's testbed, ambient spikes included.
+func TestZeroOptionsIsPaperTestbed(t *testing.T) {
+	got, want := Options{Seed: 5}.platformConfig(), platform.DefaultConfig(5)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Options{Seed: 5} boots\n%+v\nwant platform.DefaultConfig(5)\n%+v", got, want)
 	}
 }
 
@@ -65,9 +64,9 @@ func TestWaitUntilTimerOvershootBounded(t *testing.T) {
 }
 
 func TestTimedAccessApproximatesLatency(t *testing.T) {
-	opts := DefaultOptions(7)
-	opts.SpikeProb = 0
-	plat := opts.boot()
+	cfg := DefaultOptions(7).platformConfig()
+	cfg.SpikeProb = 0
+	plat := platform.New(cfg)
 	defer plat.Close()
 	pr := plat.NewProcess("m")
 	if _, err := pr.CreateEnclave(2); err != nil {
@@ -171,8 +170,6 @@ func TestMitigationResultDefeated(t *testing.T) {
 
 func TestChannelConfigDefaults(t *testing.T) {
 	var c ChannelConfig
-	c.TrojanCore = 2
-	c.SpyCore = 2 // collision: must be moved
 	c.applyDefaults()
 	if c.Window != 15000 {
 		t.Fatalf("window %d", c.Window)
@@ -180,10 +177,7 @@ func TestChannelConfigDefaults(t *testing.T) {
 	if c.ProbePhase != 0.65 {
 		t.Fatalf("phase %v", c.ProbePhase)
 	}
-	if c.SpyCore == c.TrojanCore {
-		t.Fatal("core collision not resolved")
-	}
-	if c.CalBudget <= 0 || c.SetupBudget <= 0 || c.SearchBudget <= 0 {
-		t.Fatal("budgets not defaulted")
+	if c.budgets != (warmBudgets{calBudget, setupBudget, searchBudget}) {
+		t.Fatalf("budgets %+v not defaulted", c.budgets)
 	}
 }

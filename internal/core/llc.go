@@ -69,7 +69,7 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	// Agreed LLC set: both sides derive addresses from the same offset
 	// within their hugepages (the set index is fully determined by the
 	// offset, since hugepages are 2 MB aligned).
-	agreedOff := enclave.VAddr(cfg.Index512 * 512)
+	agreedOff := enclave.VAddr(agreedIndex * 512)
 	evSet := make([]enclave.VAddr, 0, llcWays)
 	for hp := 0; hp < hugepagesNeeded; hp++ {
 		for k := 0; k < platform.HugepageBytes/llcSpanBytes; k++ {
@@ -89,7 +89,7 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 		plat.MEE().ResetStats()
 	})
 
-	plat.SpawnThread("llc-spy", spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	plat.SpawnThread("llc-spy", spyProc, spyCore, func(th *platform.Thread) {
 		probeAll := func() sim.Cycles {
 			t1 := th.Rdtsc()
 			for _, a := range evSet {
@@ -123,7 +123,7 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 		}
 	})
 
-	plat.SpawnThread("llc-trojan", trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	plat.SpawnThread("llc-trojan", trojanProc, trojanCore, func(th *platform.Thread) {
 		for i, bit := range cfg.Bits {
 			th.SpinUntil(t0 + sim.Cycles(i)*cfg.Window)
 			if bit == 1 {

@@ -58,7 +58,7 @@ func TestChannelMatchesLinearOracle(t *testing.T) {
 		// A 1-cycle search budget forces the spy to overrun: discovery is
 		// still in flight at the run limit, so both schedulers must
 		// truncate it at exactly the same operation and fail the same way.
-		"spy-overrun": channel(func(c *ChannelConfig) { c.SearchBudget = 1 }),
+		"spy-overrun": channel(func(c *ChannelConfig) { c.budgets = warmBudgets{calBudget, setupBudget, 1} }),
 		// A second seed: other eviction sets, other noise addresses.
 		"mee512-seed11": func(*obs.Observer) (any, error) {
 			cfg := DefaultChannelConfig(11)
@@ -124,7 +124,7 @@ func TestObserversDoNotChangeResults(t *testing.T) {
 			plain, errPlain, seen, errSeen)
 	}
 
-	rc := DefaultResilientConfig(42)
+	rc := DefaultChannelConfig(42)
 	rc.Fault = faultCfg(fault.Migration, 8)
 	payload := []byte("observer probe")
 	rPlain, errPlain := RunResilient(rc, payload)

@@ -46,9 +46,9 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	defer plat.Close()
 
 	windows := len(cfg.Bits) / lanes
-	tCalEnd := cfg.CalBudget * sim.Cycles(lanes) // staggered calibrations
-	tSetupEnd := tCalEnd + cfg.SetupBudget
-	tSearchEnd := tSetupEnd + cfg.SearchBudget*sim.Cycles(lanes)
+	tCalEnd := calBudget * sim.Cycles(lanes) // staggered calibrations
+	tSetupEnd := tCalEnd + setupBudget
+	tSearchEnd := tSetupEnd + searchBudget*sim.Cycles(lanes)
 	t0 := tSearchEnd
 	tEnd := t0 + sim.Cycles(windows)*cfg.Window
 
@@ -73,8 +73,8 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 		plat.SpawnThread(fmt.Sprintf("ptrojan%d", lane), pr, trojanCores[lane], func(th *platform.Thread) {
 			th.EnterEnclave()
 			base := pr.Enclave().Base
-			index := cfg.Index512 + lane // distinct agreed index per lane
-			th.SpinUntil(cfg.CalBudget * sim.Cycles(lane))
+			index := agreedIndex + lane // distinct agreed index per lane
+			th.SpinUntil(calBudget * sim.Cycles(lane))
 			threshold := calibrateThreshold(th, pageAddrs(base, calPages, index))
 			th.SpinUntil(tCalEnd)
 
@@ -89,9 +89,9 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 			th.SpinUntil(tSetupEnd)
 			// Burst only inside this lane's search slot so the spy can
 			// attribute evictions to lanes.
-			laneSlotStart := tSetupEnd + cfg.SearchBudget*sim.Cycles(lane)
+			laneSlotStart := tSetupEnd + searchBudget*sim.Cycles(lane)
 			th.SpinUntil(laneSlotStart)
-			burstUntil(th, evSet, cfg.TwoPhaseEviction, laneSlotStart+cfg.SearchBudget-20_000)
+			burstUntil(th, evSet, cfg.TwoPhaseEviction, laneSlotStart+searchBudget-20_000)
 			for w := 0; w < windows; w++ {
 				th.WaitTimer(t0 + sim.Cycles(w)*cfg.Window)
 				if cfg.Bits[w*lanes+lane] == 1 {
@@ -111,15 +111,15 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 		// against each index's pages to stay faithful).
 		th.SpinUntil(tCalEnd / 2)
 		for lane := 0; lane < lanes; lane++ {
-			thresholds[lane] = calibrateThreshold(th, calSlice(base, lane, lanes, cfg.Index512+lane))
+			thresholds[lane] = calibrateThreshold(th, calSlice(base, lane, lanes, agreedIndex+lane))
 		}
 		th.SpinUntil(tSetupEnd)
 
 		// Monitor discovery, one lane slot at a time.
 		const samples = 8
 		for lane := 0; lane < lanes; lane++ {
-			th.SpinUntil(tSetupEnd + cfg.SearchBudget*sim.Cycles(lane))
-			cands := pageAddrs(base+enclave.VAddr(lanes*calPages*enclave.PageBytes), monitorCandidates, cfg.Index512+lane)
+			th.SpinUntil(tSetupEnd + searchBudget*sim.Cycles(lane))
+			cands := pageAddrs(base+enclave.VAddr(lanes*calPages*enclave.PageBytes), monitorCandidates, agreedIndex+lane)
 			best, bestScore := findConflict(th, cands, thresholds[lane], samples, searchGap)
 			if bestScore < samples*6/10 {
 				errs[lanes] = fmt.Errorf("core: lane %d monitor discovery failed (%d/%d)", lane, bestScore, samples)

@@ -56,17 +56,17 @@ var pinnedRows = []pinnedRow{
 		return ws.Run(cfg)
 	}},
 	{"RunResilient/clean", "ee74aaba4f70b40fdc1e9c8d99c39ae1206a9bc532f7653df2b91be9f410a983", func() (any, error) {
-		return RunResilient(DefaultResilientConfig(5), []byte("mc"))
+		return RunResilient(DefaultChannelConfig(5), []byte("mc"))
 	}},
 	// Three resyncs, then an abort: the resync rounds' Algorithm 1 re-run,
 	// burst and monitor re-discovery all run.
 	{"RunResilient/resync-campaign", "04f6fb55d308e0575f10d6d483ab1d4313c5451c5c1f4b241fa9281dc235895e", func() (any, error) {
-		cfg := DefaultResilientConfig(7)
+		cfg := DefaultChannelConfig(7)
 		cfg.Fault = &fault.Config{Seed: 9, Kinds: []fault.Kind{fault.Paging, fault.Timer}, Intensity: 0.5}
 		return RunResilient(cfg, []byte("mc"))
 	}},
 	{"RunResilient/observed", "7445d536789f03c930871215ed798db6757d9142140b2fb9801558590eb2a99d", func() (any, error) {
-		cfg := DefaultResilientConfig(1007)
+		cfg := DefaultChannelConfig(1007)
 		cfg.Obs = obs.NewObserver()
 		res, err := RunResilient(cfg, []byte("mc"))
 		return struct {
@@ -104,18 +104,18 @@ var pinnedRows = []pinnedRow{
 	// a transmission the trojan never sent.
 	{"RunChannel/setup-overrun", "80cd8a0cb7865e12153d41309bb94f88bd2050338b83b90dc4f7d8f171f0c3d1", func() (any, error) {
 		cfg := pinnedOverrun()
-		cfg.SetupBudget = 1
+		cfg.budgets = warmBudgets{calBudget, 1, searchBudget}
 		return RunChannel(cfg)
 	}},
 	{"WarmChannel/setup-overrun", "0e90d12d943c9394e08117abe85b6d692fb9458bc18cd66412336cbdf5908e37", func() (any, error) {
 		cfg := pinnedOverrun()
-		cfg.SetupBudget = 1
+		cfg.budgets = warmBudgets{calBudget, 1, searchBudget}
 		return WarmChannel(cfg)
 	}},
 	// The run limit stops the in-band spy inside monitor discovery.
 	{"RunInBandChannel/search-overrun", "06fa06c3ce725857ea4103b5b1e88e936379a47df5e621a835144ab8f4f76879", func() (any, error) {
 		cfg := pinnedOverrun()
-		cfg.SearchBudget = 1
+		cfg.budgets = warmBudgets{calBudget, setupBudget, 1}
 		return RunInBandChannel(cfg)
 	}},
 }

@@ -32,9 +32,9 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 	plat := cfg.boot()
 	defer plat.Close()
 
-	tCalEnd := cfg.CalBudget
-	tSetupEnd := tCalEnd + cfg.SetupBudget
-	tSearchEnd := tSetupEnd + cfg.SearchBudget
+	tCalEnd := calBudget
+	tSetupEnd := tCalEnd + setupBudget
+	tSearchEnd := tSetupEnd + searchBudget
 	t0 := tSearchEnd
 	tEnd := t0 + sim.Cycles(len(cfg.Bits))*cfg.Window
 
@@ -52,13 +52,13 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 	var evSet []enclave.VAddr
 
 	// Spy: builds and owns the eviction set; probes all ways per window.
-	plat.SpawnThread("pp-spy", spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	plat.SpawnThread("pp-spy", spyProc, spyCore, func(th *platform.Thread) {
 		th.EnterEnclave()
 		base := spyProc.Enclave().Base
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
+		threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
 		th.SpinUntil(tCalEnd)
 
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, cfg.Index512)
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, agreedIndex)
 		a1, err := FindEvictionSet(th, cands, threshold)
 		if err != nil {
 			spyErr = err
@@ -103,14 +103,14 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 
 	// Trojan: finds one address conflicting with the spy's set, then sends
 	// bits by touching it.
-	plat.SpawnThread("pp-trojan", trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	plat.SpawnThread("pp-trojan", trojanProc, trojanCore, func(th *platform.Thread) {
 		th.EnterEnclave()
 		base := trojanProc.Enclave().Base
 		th.SpinUntil(tCalEnd / 2) // staggered against the spy's calibration
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, cfg.Index512))
+		threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
 		th.SpinUntil(tSetupEnd)
 
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), monitorCandidates, cfg.Index512)
+		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), monitorCandidates, agreedIndex)
 		const samples = 6
 		conflict, bestScore := findConflict(th, cands, threshold, samples, 30_000)
 		if bestScore < samples-2 {

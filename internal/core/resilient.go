@@ -113,106 +113,46 @@ func (r *DegradationReport) Count(kind ActionKind) int {
 	return n
 }
 
-// ResilientConfig parameterizes RunResilient. The embedded ChannelConfig
-// supplies the machine, core placement, base window, noise, and fault
-// campaign; its Bits field is ignored (the payload defines the bits).
-type ResilientConfig struct {
-	ChannelConfig
+// The session layer's operating constants.
+const (
+	// chunkBytes splits the payload into ARQ units.
+	chunkBytes = 8
+	// pilotLen is the number of known alternating bits opening each data
+	// round; the spy estimates link health from them.
+	pilotLen = 16
+	// chunksPerRound bounds how many chunks one data round carries.
+	chunksPerRound = 2
+	// maxRounds bounds the session.
+	maxRounds = 64
+	// maxWindowFactor caps window widening at this multiple of the base
+	// window.
+	maxWindowFactor = 4
+	// maxRepetition caps repetition coding (raised 1 -> 3 -> 5).
+	maxRepetition = 5
+	// maxChunkAttempts is how often one chunk may fail before the ladder
+	// must degrade the operating point.
+	maxChunkAttempts = 3
+	// maxResyncs bounds Algorithm-1 re-runs.
+	maxResyncs = 3
+	// dropoutStale is the pilot dropout fraction (expected-1 bits seen as
+	// 0) that declares the eviction set stale.
+	dropoutStale = 0.6
+	// pilotBad is the pilot BER above which the link counts as degraded.
+	pilotBad = 0.25
 
-	// ChunkBytes splits the payload into ARQ units (default 8).
-	ChunkBytes int
-	// PilotLen is the number of known alternating bits opening each data
-	// round (default 16); the spy estimates link health from them.
-	PilotLen int
-	// ChunksPerRound bounds how many chunks one data round carries
-	// (default 2).
-	ChunksPerRound int
-	// MaxRounds bounds the session (default 64).
-	MaxRounds int
-	// MaxWindow caps window widening (default 4x the base window).
-	MaxWindow sim.Cycles
-	// MaxRepetition caps repetition coding (default 5; raised 1 -> 3 -> 5).
-	MaxRepetition int
-	// MaxChunkAttempts is how often one chunk may fail before the ladder
-	// must degrade the operating point (default 3).
-	MaxChunkAttempts int
-	// MaxResyncs bounds Algorithm-1 re-runs (default 3).
-	MaxResyncs int
-	// DropoutStale is the pilot dropout fraction (expected-1 bits seen as 0)
-	// that declares the eviction set stale (default 0.6).
-	DropoutStale float64
-	// PilotBad is the pilot BER above which the link counts as degraded
-	// (default 0.25).
-	PilotBad float64
-
-	// ResyncBudget is the cycle budget of one re-acquisition round (default
-	// CalBudget + SetupBudget + SearchBudget, like initial setup).
-	ResyncBudget sim.Cycles
-	// RecalBudget is the extra round time reserved for a re-calibration
-	// (default 2M cycles).
-	RecalBudget sim.Cycles
-	// CtrlGap is the quiet tail of every round in which the spy commits the
-	// next plan (default 200k cycles).
-	CtrlGap sim.Cycles
-	// Backoff0 and MaxBackoff bound the idle gap inserted after rounds that
-	// delivered nothing (exponential, default 500k .. 8M cycles).
-	Backoff0, MaxBackoff sim.Cycles
-}
-
-// DefaultResilientConfig returns the session layer at the paper's operating
-// point.
-func DefaultResilientConfig(seed uint64) ResilientConfig {
-	return ResilientConfig{ChannelConfig: DefaultChannelConfig(seed)}
-}
-
-func (c *ResilientConfig) applyDefaults() {
-	c.ChannelConfig.applyDefaults()
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 8
-	}
-	if c.PilotLen <= 0 {
-		c.PilotLen = 16
-	}
-	if c.ChunksPerRound <= 0 {
-		c.ChunksPerRound = 2
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 64
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 4 * c.Window
-	}
-	if c.MaxRepetition <= 0 {
-		c.MaxRepetition = 5
-	}
-	if c.MaxChunkAttempts <= 0 {
-		c.MaxChunkAttempts = 3
-	}
-	if c.MaxResyncs <= 0 {
-		c.MaxResyncs = 3
-	}
-	if c.DropoutStale <= 0 {
-		c.DropoutStale = 0.6
-	}
-	if c.PilotBad <= 0 {
-		c.PilotBad = 0.25
-	}
-	if c.ResyncBudget <= 0 {
-		c.ResyncBudget = c.CalBudget + c.SetupBudget + c.SearchBudget
-	}
-	if c.RecalBudget <= 0 {
-		c.RecalBudget = 2_000_000
-	}
-	if c.CtrlGap <= 0 {
-		c.CtrlGap = 200_000
-	}
-	if c.Backoff0 <= 0 {
-		c.Backoff0 = 500_000
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8_000_000
-	}
-}
+	// resyncBudget is the cycle budget of one re-acquisition round: the
+	// whole warm-up schedule, like initial setup.
+	resyncBudget = calBudget + setupBudget + searchBudget
+	// recalBudget is the extra round time reserved for a re-calibration.
+	recalBudget sim.Cycles = 2_000_000
+	// ctrlGap is the quiet tail of every round in which the spy commits the
+	// next plan.
+	ctrlGap sim.Cycles = 200_000
+	// backoff0 and maxBackoff bound the idle gap inserted after rounds that
+	// delivered nothing (exponential).
+	backoff0   sim.Cycles = 500_000
+	maxBackoff sim.Cycles = 8_000_000
+)
 
 // ResilientResult reports one adaptive session.
 type ResilientResult struct {
@@ -269,11 +209,11 @@ type roundObs struct {
 // round observations to round plans, kept free of simulation types in its
 // transitions so the ladder is unit-testable without a platform.
 type controller struct {
-	cfg       *ResilientConfig
 	chunkBits []int // encoded bits per chunk
 	got       [][]byte
 	attempts  []int
 	window    sim.Cycles
+	maxWindow sim.Cycles
 	rep       int
 	backoff   sim.Cycles
 	resyncs   int
@@ -286,16 +226,17 @@ type controller struct {
 	cRep   *obs.Counter
 }
 
-func newController(cfg *ResilientConfig, chunkSizes []int) *controller {
+// newController starts the ladder at the base window.
+func newController(window sim.Cycles, chunkSizes []int) *controller {
 	codec := code.Codec{InterleaveDepth: 8}
 	c := &controller{
-		cfg:       cfg,
 		chunkBits: make([]int, len(chunkSizes)),
 		got:       make([][]byte, len(chunkSizes)),
 		attempts:  make([]int, len(chunkSizes)),
-		window:    cfg.Window,
+		window:    window,
+		maxWindow: maxWindowFactor * window,
 		rep:       1,
-		backoff:   cfg.Backoff0,
+		backoff:   backoff0,
 	}
 	for i, n := range chunkSizes {
 		c.chunkBits[i] = codec.EncodedBits(n)
@@ -334,20 +275,16 @@ func (c *controller) pending() []int {
 // roundEnd computes a plan's boundary — both endpoints derive it from the
 // shared plan, so it needs no further coordination.
 func (c *controller) roundEnd(p roundPlan) sim.Cycles {
-	return roundEnd(c.cfg, c.chunkBits, p)
-}
-
-func roundEnd(cfg *ResilientConfig, chunkBits []int, p roundPlan) sim.Cycles {
 	if p.resync {
-		return p.start + cfg.ResyncBudget + cfg.CtrlGap
+		return p.start + resyncBudget + ctrlGap
 	}
-	bits := cfg.PilotLen
+	bits := pilotLen
 	for _, ci := range p.chunks {
-		bits += chunkBits[ci]
+		bits += c.chunkBits[ci]
 	}
-	end := p.start + sim.Cycles(bits*p.rep)*p.window + cfg.CtrlGap
+	end := p.start + sim.Cycles(bits*p.rep)*p.window + ctrlGap
 	if p.recal {
-		end += cfg.RecalBudget
+		end += recalBudget
 	}
 	return end
 }
@@ -356,11 +293,11 @@ func roundEnd(cfg *ResilientConfig, chunkBits []int, p roundPlan) sim.Cycles {
 // bits the trojan will put on the channel.
 func (c *controller) schedule(p *roundPlan) {
 	pend := c.pending()
-	if len(pend) > c.cfg.ChunksPerRound {
-		pend = pend[:c.cfg.ChunksPerRound]
+	if len(pend) > chunksPerRound {
+		pend = pend[:chunksPerRound]
 	}
 	p.chunks = pend
-	bits := c.cfg.PilotLen
+	bits := pilotLen
 	for _, ci := range pend {
 		bits += c.chunkBits[ci]
 	}
@@ -384,19 +321,19 @@ func (c *controller) abortPlan(at sim.Cycles, format string, args ...any) roundP
 // degrade widens the window, then raises repetition. Returns false when the
 // operating point is already at the floor.
 func (c *controller) degrade(at sim.Cycles) bool {
-	if c.window < c.cfg.MaxWindow {
+	if c.window < c.maxWindow {
 		c.window *= 2
-		if c.window > c.cfg.MaxWindow {
-			c.window = c.cfg.MaxWindow
+		if c.window > c.maxWindow {
+			c.window = c.maxWindow
 		}
 		c.report.add(c.rounds, at, ActWidenWindow, "window -> %d", c.window)
 		c.cWiden.Inc()
 		return true
 	}
-	if c.rep < c.cfg.MaxRepetition {
+	if c.rep < maxRepetition {
 		c.rep += 2
-		if c.rep > c.cfg.MaxRepetition {
-			c.rep = c.cfg.MaxRepetition
+		if c.rep > maxRepetition {
+			c.rep = maxRepetition
 		}
 		c.report.add(c.rounds, at, ActRepetition, "repetition -> %d", c.rep)
 		c.cRep.Inc()
@@ -408,7 +345,6 @@ func (c *controller) degrade(at sim.Cycles) bool {
 // next is the ladder: fold one round's observations into state and emit the
 // following plan.
 func (c *controller) next(obs roundObs) roundPlan {
-	cfg := c.cfg
 	c.rounds++
 	round := c.rounds
 	if !obs.plan.resync {
@@ -431,7 +367,7 @@ func (c *controller) next(obs roundObs) roundPlan {
 	if len(c.pending()) == 0 {
 		return roundPlan{seq: obs.plan.seq + 1, done: true}
 	}
-	if c.rounds >= cfg.MaxRounds {
+	if c.rounds >= maxRounds {
 		return c.abortPlan(obs.at, "round budget exhausted (%d rounds, %d/%d chunks)",
 			c.rounds, len(c.got)-len(c.pending()), len(c.got))
 	}
@@ -441,7 +377,7 @@ func (c *controller) next(obs roundObs) roundPlan {
 	// Link-health ladder, most drastic condition first.
 	switch {
 	case obs.plan.resync && !obs.resyncOK:
-		if c.resyncs >= cfg.MaxResyncs {
+		if c.resyncs >= maxResyncs {
 			return c.abortPlan(obs.at, "re-acquisition failed %d times", c.resyncs)
 		}
 		c.resyncs++
@@ -449,8 +385,8 @@ func (c *controller) next(obs roundObs) roundPlan {
 		next.resync = true
 		c.report.add(round, obs.at, ActResync, "retry: monitor score too low")
 
-	case !obs.plan.resync && obs.dropout >= cfg.DropoutStale:
-		if c.resyncs >= cfg.MaxResyncs {
+	case !obs.plan.resync && obs.dropout >= dropoutStale:
+		if c.resyncs >= maxResyncs {
 			return c.abortPlan(obs.at, "eviction set stale (dropout %.2f) and resync budget spent", obs.dropout)
 		}
 		c.resyncs++
@@ -458,7 +394,7 @@ func (c *controller) next(obs roundObs) roundPlan {
 		next.resync = true
 		c.report.add(round, obs.at, ActResync, "pilot dropout %.2f: eviction set presumed stale", obs.dropout)
 
-	case !obs.plan.resync && obs.pilotErr > cfg.PilotBad:
+	case !obs.plan.resync && obs.pilotErr > pilotBad:
 		if !obs.plan.recal {
 			// Cheapest guess first: the threshold moved.
 			next.recal = true
@@ -472,7 +408,7 @@ func (c *controller) next(obs roundObs) roundPlan {
 		// Healthy pilot but chunks can still fail (bursts between pilots);
 		// degrade once a chunk has burned its attempt budget.
 		for _, idx := range obs.failed {
-			if c.attempts[idx] >= cfg.MaxChunkAttempts {
+			if c.attempts[idx] >= maxChunkAttempts {
 				if !c.degrade(obs.at) {
 					return c.abortPlan(obs.at, "chunk %d failed %d times at maximum degradation", idx, c.attempts[idx])
 				}
@@ -490,12 +426,12 @@ func (c *controller) next(obs roundObs) roundPlan {
 	if !obs.plan.resync && len(obs.decoded) == 0 && len(obs.failed) > 0 {
 		gap = c.backoff
 		c.backoff *= 2
-		if c.backoff > cfg.MaxBackoff {
-			c.backoff = cfg.MaxBackoff
+		if c.backoff > maxBackoff {
+			c.backoff = maxBackoff
 		}
 		c.report.add(round, obs.at, ActBackoff, "idle %d cycles", gap)
 	} else if len(obs.decoded) > 0 {
-		c.backoff = cfg.Backoff0
+		c.backoff = backoff0
 	}
 
 	next.start = obs.end + gap
@@ -529,9 +465,12 @@ func calSlice(base enclave.VAddr, n, slices, index512 int) []enclave.VAddr {
 const calSlices = 6
 
 // RunResilient transmits payload over the covert channel with the adaptive
-// session layer. It either delivers the payload CRC-intact or returns an
-// explicit error alongside the degradation report — never silent corruption.
-func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error) {
+// session layer. cfg supplies the machine, base window, probe phase,
+// eviction mode, noise and fault campaign; its Bits and Repetition are
+// ignored, as the payload defines the bits and the ladder the repetition.
+// It either delivers the payload CRC-intact or returns an explicit error
+// alongside the degradation report — never silent corruption.
+func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	cfg.applyDefaults()
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("core: resilient transfer of empty payload")
@@ -543,8 +482,8 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 	// Split into ARQ chunks and pre-encode on the trojan side.
 	codec := code.Codec{InterleaveDepth: 8}
 	var chunks [][]byte
-	for off := 0; off < len(payload); off += cfg.ChunkBytes {
-		end := off + cfg.ChunkBytes
+	for off := 0; off < len(payload); off += chunkBytes {
+		end := off + chunkBytes
 		if end > len(payload) {
 			end = len(payload)
 		}
@@ -563,9 +502,8 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 
 	// Initial acquisition is the channel session's warm phase, over
 	// enclaves that carry calSlices calibration pools for the ladder.
-	chCfg := cfg.ChannelConfig
-	chCfg.Bits, chCfg.Repetition = nil, 0 // the payload defines the bits
-	sess, err := prepareChannel(chCfg)
+	cfg.Bits, cfg.Repetition = nil, 0 // the payload defines the bits
+	sess, err := prepareChannel(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +516,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 	trojanBase := sess.trojanProc.Enclave().Base
 	spyBase := sess.spyProc.Enclave().Base
 
-	ctl := newController(&cfg, chunkSizes)
+	ctl := newController(cfg.Window, chunkSizes)
 	ctl.observe(cfg.Obs)
 	s := &resilientSession{}
 	res := &ResilientResult{Chunks: len(chunks)}
@@ -587,7 +525,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 
 	// ------------------------------------------------------------------
 	// Trojan: initial acquisition, then plan-driven rounds.
-	trojanTh := plat.SpawnThread("trojan", sess.trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	trojanTh := plat.SpawnThread("trojan", sess.trojanProc, trojanCore, func(th *platform.Thread) {
 		defer func() { trojanDone = true }()
 		ok := sess.trojanWarm(th)
 		res.EvictionSetSize, res.SetupCycles = sess.res.EvictionSetSize, sess.res.SetupCycles
@@ -604,23 +542,23 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			if p.seq == lastSeq {
 				// Timer drift carried us past the boundary before the spy
 				// committed the next plan; poll until it lands.
-				th.Spin(cfg.CtrlGap / 4)
+				th.Spin(ctrlGap / 4)
 				continue
 			}
 			lastSeq = p.seq
-			end := roundEnd(&cfg, ctl.chunkBits, p)
+			end := ctl.roundEnd(p)
 			if p.resync {
 				// Re-acquisition: fresh threshold, Algorithm 1 re-run, then
 				// burst so the spy can re-locate its monitor.
 				th.WaitTimer(p.start)
-				threshold := calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, cfg.Index512))
+				threshold := calibrateThreshold(th, calSlice(trojanBase, calUsed, calSlices, agreedIndex))
 				calUsed++
 				if a1, err := FindEvictionSet(th, sess.trojanCands, threshold); err == nil {
 					sess.evSet = a1.EvictionSet
 					sess.liveEvictionSet = sess.evSet
 					res.EvictionSetSize = len(sess.evSet)
 				}
-				burstUntil(th, sess.evSet, cfg.TwoPhaseEviction, end-cfg.CtrlGap-20_000)
+				burstUntil(th, sess.evSet, cfg.TwoPhaseEviction, end-ctrlGap-20_000)
 			} else {
 				// Data round: pilot then scheduled chunks, each logical bit
 				// over rep consecutive windows.
@@ -634,7 +572,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 					}
 					bit++
 				}
-				for i := 0; i < cfg.PilotLen; i++ {
+				for i := 0; i < pilotLen; i++ {
 					sendBit(byte(i % 2))
 				}
 				for _, ci := range p.chunks {
@@ -649,7 +587,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 
 	// ------------------------------------------------------------------
 	// Spy: initial acquisition, then controller-driven rounds.
-	spyTh := plat.SpawnThread("spy", sess.spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	spyTh := plat.SpawnThread("spy", sess.spyProc, spyCore, func(th *platform.Thread) {
 		defer func() { spyDone = true }()
 		ok := sess.spyWarm(th)
 		res.SpyThreshold = sess.spyThreshold
@@ -673,10 +611,10 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 				// Re-calibrate while the trojan rebuilds, then re-discover
 				// the monitor during its burst phase.
 				th.WaitTimer(plan.start)
-				threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, cfg.Index512))
+				threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
 				calUsed++
 				res.SpyThreshold = threshold
-				th.SpinUntil(plan.start + cfg.ResyncBudget - cfg.SearchBudget)
+				th.SpinUntil(plan.start + resyncBudget - searchBudget)
 				m, sc := findConflict(th, sess.spyCands, threshold, spySamples, searchGap)
 				if obs.resyncOK = sc >= minMonitorScore; obs.resyncOK {
 					monitor = m
@@ -705,7 +643,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 					return 0
 				}
 				pilotErrs, ones, expOnes := 0, 0, 0
-				for i := 0; i < cfg.PilotLen; i++ {
+				for i := 0; i < pilotLen; i++ {
 					want := byte(i % 2)
 					got := readBit()
 					if got != want {
@@ -718,7 +656,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 						}
 					}
 				}
-				obs.pilotErr = float64(pilotErrs) / float64(cfg.PilotLen)
+				obs.pilotErr = float64(pilotErrs) / float64(pilotLen)
 				if expOnes > 0 {
 					obs.dropout = float64(expOnes-ones) / float64(expOnes)
 				}
@@ -734,7 +672,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 					}
 				}
 				if plan.recal {
-					threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, cfg.Index512))
+					threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
 					calUsed++
 					res.SpyThreshold = threshold
 				}
@@ -743,7 +681,7 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 			plan = ctl.next(obs)
 			s.plan = plan
 			if !plan.done && !plan.abort {
-				res.SessionCycles = roundEnd(&cfg, ctl.chunkBits, plan) - t0
+				res.SessionCycles = ctl.roundEnd(plan) - t0
 				th.WaitTimer(plan.start - 10_000)
 			} else {
 				res.SessionCycles = end - t0
@@ -756,13 +694,12 @@ func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error)
 
 	// ------------------------------------------------------------------
 	// Environment: background noise and the chaos campaign.
-	if err := spawnNoise(plat, cfg.Noise, cfg.NoiseCore, t0); err != nil {
+	if err := spawnNoise(plat, cfg.Noise, noiseCore, t0); err != nil {
 		return nil, err
 	}
-	maxRound := sim.Cycles(cfg.PilotLen+cfg.ChunksPerRound*codec.EncodedBits(cfg.ChunkBytes))*
-		cfg.MaxWindow*sim.Cycles(cfg.MaxRepetition) + cfg.RecalBudget + cfg.CtrlGap + cfg.MaxBackoff
-	hardCap := t0 + sim.Cycles(cfg.MaxRounds)*maxRound +
-		sim.Cycles(cfg.MaxResyncs+1)*(cfg.ResyncBudget+cfg.CtrlGap)
+	maxRound := sim.Cycles(pilotLen+chunksPerRound*codec.EncodedBits(chunkBytes))*
+		ctl.maxWindow*maxRepetition + recalBudget + ctrlGap + maxBackoff
+	hardCap := t0 + maxRounds*maxRound + (maxResyncs+1)*(resyncBudget+ctrlGap)
 	injector := sess.attachFaults(plat, trojanTh, spyTh, t0, hardCap)
 
 	// Step the engine until both endpoints finish; immortal noise actors

@@ -16,13 +16,11 @@ import (
 
 func testController(t *testing.T, chunks int) *controller {
 	t.Helper()
-	cfg := DefaultResilientConfig(1)
-	cfg.applyDefaults()
 	sizes := make([]int, chunks)
 	for i := range sizes {
-		sizes[i] = cfg.ChunkBytes
+		sizes[i] = chunkBytes
 	}
-	return newController(&cfg, sizes)
+	return newController(DefaultChannelConfig(1).Window, sizes)
 }
 
 // obsFor builds a clean observation for a plan: every scheduled chunk decoded.
@@ -78,7 +76,7 @@ func TestControllerRetransmitsFailedChunks(t *testing.T) {
 func TestControllerDropoutTriggersResyncThenAborts(t *testing.T) {
 	c := testController(t, 1)
 	p := c.first(0)
-	for i := 0; i < c.cfg.MaxResyncs; i++ {
+	for i := 0; i < maxResyncs; i++ {
 		obs := obsFor(p)
 		obs.decoded = map[int][]byte{}
 		obs.failed = append([]int{}, p.chunks...)
@@ -100,10 +98,10 @@ func TestControllerDropoutTriggersResyncThenAborts(t *testing.T) {
 	obs.dropout = 0.9
 	p = c.next(obs)
 	if !p.abort || !strings.Contains(p.reason, "stale") {
-		t.Fatalf("after %d resyncs expected stale abort, got %+v", c.cfg.MaxResyncs, p)
+		t.Fatalf("after %d resyncs expected stale abort, got %+v", maxResyncs, p)
 	}
-	if c.report.Resyncs != c.cfg.MaxResyncs {
-		t.Fatalf("Resyncs=%d, want %d", c.report.Resyncs, c.cfg.MaxResyncs)
+	if c.report.Resyncs != maxResyncs {
+		t.Fatalf("Resyncs=%d, want %d", c.report.Resyncs, maxResyncs)
 	}
 }
 
@@ -118,7 +116,7 @@ func TestControllerFailedResyncRetriesThenAborts(t *testing.T) {
 	if !p.resync {
 		t.Fatalf("want resync, got %+v", p)
 	}
-	for i := 1; i < c.cfg.MaxResyncs; i++ {
+	for i := 1; i < maxResyncs; i++ {
 		p = c.next(roundObs{plan: p, end: p.start + 1, at: p.start + 1, decoded: map[int][]byte{}}) // resyncOK=false
 		if !p.resync {
 			t.Fatalf("failed resync %d should retry, got %+v", i, p)
@@ -145,8 +143,8 @@ func TestControllerPilotBERRecalibratesThenDegrades(t *testing.T) {
 		t.Fatalf("first bad pilot should recalibrate, got %+v (%v)", p, c.report.Actions)
 	}
 	// Recal didn't help: the ladder widens the window 15k -> 30k -> 60k...
-	baseW := c.cfg.Window
-	for want := baseW * 2; want <= c.cfg.MaxWindow; want *= 2 {
+	baseW := c.window
+	for want := baseW * 2; want <= c.maxWindow; want *= 2 {
 		p = c.next(bad(p))
 		if p.window != want {
 			t.Fatalf("want window %d, got %+v", want, p)
@@ -179,7 +177,7 @@ func TestControllerPilotBERRecalibratesThenDegrades(t *testing.T) {
 func TestControllerChunkAttemptsExhaustDegrades(t *testing.T) {
 	c := testController(t, 1)
 	p := c.first(0)
-	for i := 0; i < c.cfg.MaxChunkAttempts; i++ {
+	for i := 0; i < maxChunkAttempts; i++ {
 		obs := obsFor(p)
 		obs.decoded = map[int][]byte{}
 		obs.failed = []int{0} // healthy pilot, chunk keeps dying
@@ -200,7 +198,7 @@ func TestControllerBackoffGrowsAndResets(t *testing.T) {
 	c := testController(t, 1)
 	p := c.first(0)
 	ends := []sim.Cycles{}
-	gap0 := c.cfg.Backoff0
+	gap0 := backoff0
 	for i := 0; i < 3; i++ {
 		obs := obsFor(p)
 		obs.decoded = map[int][]byte{}
@@ -220,12 +218,15 @@ func TestControllerBackoffGrowsAndResets(t *testing.T) {
 
 func TestControllerMaxRoundsAborts(t *testing.T) {
 	c := testController(t, 1)
-	c.cfg.MaxRounds = 3
 	p := c.first(0)
-	for i := 0; i < 3; i++ {
+	// Rounds that deliver nothing and fail nothing move no other rung of
+	// the ladder, so only the round budget ends them.
+	for i := 0; i < maxRounds; i++ {
+		if p.abort {
+			t.Fatalf("aborted after %d of %d rounds: %+v", i, maxRounds, p)
+		}
 		obs := obsFor(p)
 		obs.decoded = map[int][]byte{}
-		obs.failed = []int{0}
 		p = c.next(obs)
 	}
 	if !p.abort || !strings.Contains(p.reason, "round budget") {
@@ -238,7 +239,7 @@ func TestControllerMaxRoundsAborts(t *testing.T) {
 
 func TestResilientCleanLinkDelivers(t *testing.T) {
 	payload := []byte("MEE covert channel: resilient transfer")
-	res, err := RunResilient(DefaultResilientConfig(42), payload)
+	res, err := RunResilient(DefaultChannelConfig(42), payload)
 	if err != nil {
 		t.Fatalf("RunResilient: %v (report: %+v)", err, res.Report)
 	}
@@ -262,10 +263,10 @@ func TestResilientCleanLinkDelivers(t *testing.T) {
 }
 
 func TestResilientRejectsBadPayload(t *testing.T) {
-	if _, err := RunResilient(DefaultResilientConfig(1), nil); err == nil {
+	if _, err := RunResilient(DefaultChannelConfig(1), nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
-	if _, err := RunResilient(DefaultResilientConfig(1), make([]byte, 300)); err == nil {
+	if _, err := RunResilient(DefaultChannelConfig(1), make([]byte, 300)); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 }
@@ -322,7 +323,7 @@ func TestResilientNeverSilentlyCorrupts(t *testing.T) {
 	payload := []byte("resilience probe")
 	delivered := 0
 	for _, c := range faultAcceptance {
-		cfg := DefaultResilientConfig(42)
+		cfg := DefaultChannelConfig(42)
 		cfg.Fault = faultCfg(c.kind, c.intensity)
 		res, err := RunResilient(cfg, payload)
 		if err != nil {
@@ -371,7 +372,7 @@ func TestResilientAdaptiveBeatsStaticUnderFlush(t *testing.T) {
 		t.Fatalf("static BER %.3f, scenario not hostile enough", ch.ErrorRate)
 	}
 	payload := []byte("resilience probe")
-	rcfg := DefaultResilientConfig(42)
+	rcfg := DefaultChannelConfig(42)
 	rcfg.Fault = fc
 	res, err := RunResilient(rcfg, payload)
 	if err != nil {
@@ -390,7 +391,7 @@ func TestResilientDeterministic(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	run := func() (*ResilientResult, error) {
-		cfg := DefaultResilientConfig(42)
+		cfg := DefaultChannelConfig(42)
 		cfg.Fault = faultCfg(fault.Migration, 8)
 		return RunResilient(cfg, []byte("determinism probe"))
 	}

@@ -124,7 +124,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 
 	res := &InBandResult{Sent: cfg.Bits}
 
-	plat.SpawnThread("ib-trojan", s.trojanProc, cfg.TrojanCore, func(th *platform.Thread) {
+	plat.SpawnThread("ib-trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if !s.trojanWarm(th) {
 			return
 		}
@@ -137,7 +137,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		}
 	})
 
-	plat.SpawnThread("ib-spy", s.spyProc, cfg.SpyCore, func(th *platform.Thread) {
+	plat.SpawnThread("ib-spy", s.spyProc, spyCore, func(th *platform.Thread) {
 		if !s.spyWarm(th) {
 			return
 		}

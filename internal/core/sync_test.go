@@ -30,7 +30,7 @@ func TestInBandSpyCutShortReportsError(t *testing.T) {
 	// monitor discovery: the run must fail, not index a decode it never made.
 	cfg := DefaultChannelConfig(42)
 	cfg.Bits = RandomBits(42, 8)
-	cfg.SearchBudget = 1
+	cfg.budgets = warmBudgets{calBudget, setupBudget, 1}
 	if _, err := RunInBandChannel(cfg); err == nil || err.Error() != "core: in-band spy never completed" {
 		t.Fatalf("err = %v, want in-band spy never completed", err)
 	}
@@ -123,9 +123,9 @@ func TestAwaitTransmissionZeroEvents(t *testing.T) {
 	// acquisition deadline) the 5% spike rate would eventually fake the two
 	// in-band events, which is exactly why the protocol keeps its deadline
 	// short; here the subject is the silent-channel path itself.
-	opts := DefaultOptions(99)
-	opts.SpikeProb = 0
-	plat := opts.boot()
+	cfg := DefaultOptions(99).platformConfig()
+	cfg.SpikeProb = 0
+	plat := platform.New(cfg)
 	defer plat.Close()
 	pr := plat.NewProcess("idle-spy")
 	if _, err := pr.CreateEnclave(calPages + 1); err != nil {

@@ -78,12 +78,12 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 	// actors (trojan first, then spy), so they get the same spawn ids and
 	// the engine breaks clock ties identically — the warm operation stream
 	// is bit-for-bit the one a fresh full run would produce.
-	plat.SpawnThread("trojan", s.trojanProc, s.cfg.TrojanCore, func(th *platform.Thread) {
+	plat.SpawnThread("trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if s.trojanWarm(th) {
 			ws.trojanSt, ws.trojanClock = th.State(), th.Now()
 		}
 	})
-	plat.SpawnThread("spy", s.spyProc, s.cfg.SpyCore, func(th *platform.Thread) {
+	plat.SpawnThread("spy", s.spyProc, spyCore, func(th *platform.Thread) {
 		if s.spyWarm(th) {
 			ws.spySt, ws.spyClock = th.State(), th.Now()
 		}
@@ -109,14 +109,8 @@ func (ws *ChannelWarmState) compatible(cfg ChannelConfig) error {
 	switch {
 	case cfg.Options != w.Options:
 		return fmt.Errorf("core: warm state options mismatch")
-	case cfg.Index512 != w.Index512:
-		return fmt.Errorf("core: warm state Index512 mismatch (%d != %d)", cfg.Index512, w.Index512)
 	case cfg.TwoPhaseEviction != w.TwoPhaseEviction:
 		return fmt.Errorf("core: warm state TwoPhaseEviction mismatch")
-	case cfg.TrojanCore != w.TrojanCore || cfg.SpyCore != w.SpyCore:
-		return fmt.Errorf("core: warm state core placement mismatch")
-	case cfg.CalBudget != w.CalBudget || cfg.SetupBudget != w.SetupBudget || cfg.SearchBudget != w.SearchBudget:
-		return fmt.Errorf("core: warm state schedule mismatch")
 	}
 	return nil
 }

@@ -85,10 +85,7 @@ func TestWarmRunRejectsIncompatibleConfigs(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(*ChannelConfig){
 		"seed":      func(c *ChannelConfig) { c.Options.Seed++ },
-		"index512":  func(c *ChannelConfig) { c.Index512 = 3 },
 		"two-phase": func(c *ChannelConfig) { c.TwoPhaseEviction = false },
-		"cores":     func(c *ChannelConfig) { c.SpyCore = 3 },
-		"budget":    func(c *ChannelConfig) { c.SetupBudget = 61_000_000 },
 		"noise":     func(c *ChannelConfig) { c.Noise = NoiseMemory },
 	} {
 		cfg := base

@@ -129,11 +129,8 @@ func (c *WarmCache) Stats() WarmCacheStats {
 // share a key.
 func warmKey(cfg ChannelConfig) string {
 	o := cfg.Options
-	return fmt.Sprintf("seed=%d epc=%d pol=%q rev=%g spike=%g/%g mee=%dx%d idx=%d twophase=%t cores=%d/%d budget=%d/%d/%d",
-		o.Seed, o.EPCMode, o.MEEPolicy, o.RandomEvictProb, o.SpikeProb, o.SpikeMax,
-		o.MEESets, o.MEEWays,
-		cfg.Index512, cfg.TwoPhaseEviction, cfg.TrojanCore, cfg.SpyCore,
-		cfg.CalBudget, cfg.SetupBudget, cfg.SearchBudget)
+	return fmt.Sprintf("seed=%d epc=%d pol=%q rev=%g meeways=%d twophase=%t",
+		o.Seed, o.EPCMode, o.MEEPolicy, o.RandomEvictProb, o.MEEWays, cfg.TwoPhaseEviction)
 }
 
 // diskKey maps a warm key to its content address in the store. The warm key

@@ -8,6 +8,7 @@ package enclave
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"meecc/internal/dram"
 )
@@ -137,17 +138,19 @@ func NewEPCAllocator(base dram.Addr, size uint64, mode AllocMode, rng *rand.Rand
 	return a
 }
 
-// Clone returns an independent deep copy of the allocator (frame order,
-// cursor, and ownership). Determinism note: the frame order was fixed at
+// Clone returns an independent copy of the allocator (frame order, cursor,
+// and ownership). Determinism note: the frame order was fixed at
 // construction, so clones allocate the same frames in the same order as the
-// original would have.
+// original would have. The clone shares the frame list, as no entry is
+// written once the list is built: Realloc only appends, the original past
+// the clone's end and the clone, whose copy is clipped, into an array of
+// its own.
 func (a *EPCAllocator) Clone() *EPCAllocator {
 	n := &EPCAllocator{
-		frames: make([]dram.Addr, len(a.frames)),
+		frames: slices.Clip(a.frames),
 		next:   a.next,
 		owner:  make(map[dram.Addr]int, len(a.owner)),
 	}
-	copy(n.frames, a.frames)
 	for f, id := range a.owner {
 		n.owner[f] = id
 	}

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,45 @@ func TestChunkedAllocatorHasRuns(t *testing.T) {
 	}
 	if adjacent == n-1 {
 		t.Fatal("chunked allocation fully sequential (no fragmentation)")
+	}
+}
+
+// TestCloneReallocLeavesOthersIntact: clones share the frame list, so a
+// Realloc, which appends the returned frame to one allocator's list, must
+// leave the hand-out order of the original and of a sibling clone as it
+// was, whether a clone or the original reallocates.
+func TestCloneReallocLeavesOthersIntact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	orig := NewEPCAllocator(0, 16*PageBytes, AllocShuffled, rng)
+	var owned []dram.Addr
+	for i := 0; i < 4; i++ {
+		f, err := orig.Alloc(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned = append(owned, f)
+	}
+	// A first Realloc moves the original's list to a larger array, leaving
+	// it room to append in place.
+	if _, err := orig.Realloc(owned[0]); err != nil {
+		t.Fatal(err)
+	}
+	all := []*EPCAllocator{orig, orig.Clone(), orig.Clone()}
+	names := []string{"the original", "clone a", "clone b"}
+	order := func(a *EPCAllocator) []dram.Addr { return slices.Clone(a.frames[a.next:]) }
+	want := [][]dram.Addr{order(all[0]), order(all[1]), order(all[2])}
+	for step, i := range []int{1, 0, 2} {
+		if _, err := all[i].Realloc(owned[step+1]); err != nil {
+			t.Fatal(err)
+		}
+		// The reallocating side hands out its next frame and queues the
+		// returned one last.
+		want[i] = append(want[i][1:], owned[step+1])
+		for j, a := range all {
+			if got := order(a); !slices.Equal(got, want[j]) {
+				t.Fatalf("after a Realloc on %s, %s hands out %#x, want %#x", names[i], names[j], got, want[j])
+			}
+		}
 	}
 }
 

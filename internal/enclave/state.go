@@ -72,17 +72,17 @@ func (a *EPCAllocator) ExportState() *EPCState {
 	return st
 }
 
-// EPCFromState rebuilds an allocator from a serialized image.
+// EPCFromState rebuilds an allocator from a serialized image. The
+// allocator shares st.Frames, as a clone shares its original's list.
 func EPCFromState(st *EPCState) (*EPCAllocator, error) {
 	if st.Next < 0 || st.Next > len(st.Frames) {
 		return nil, fmt.Errorf("enclave: EPC cursor %d out of range (%d frames)", st.Next, len(st.Frames))
 	}
 	a := &EPCAllocator{
-		frames: make([]dram.Addr, len(st.Frames)),
+		frames: slices.Clip(st.Frames),
 		next:   st.Next,
 		owner:  make(map[dram.Addr]int, len(st.Owners)),
 	}
-	copy(a.frames, st.Frames)
 	for _, o := range st.Owners {
 		if o.Frame%PageBytes != 0 {
 			return nil, fmt.Errorf("enclave: unaligned owned frame %#x", o.Frame)

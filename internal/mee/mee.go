@@ -86,15 +86,14 @@ type Config struct {
 	CacheSets int
 	CacheWays int
 	// Policy is the replacement policy. The paper assumes "approximate
-	// LRU"; we default to true LRU because it reproduces the paper's
-	// phenomenology exactly — in the 9-line/8-way musical chairs of
-	// Algorithm 2, a single forward pass evicts the spy's monitor line only
-	// ~half the time (the eviction cascade can close on an already-visited
-	// line), while the forward+backward two-phase pass makes the monitor
-	// the oldest line by the backward miss and evicts it deterministically.
-	// That is precisely the failure mode §5.3's two-phase design exists to
-	// fix. Tree-PLRU is available for ablations; being only path-wise
-	// recency-aware, it can lock into cycles that never evict the monitor.
+	// LRU"; we default to true LRU, under which Algorithm 1 measures the
+	// paper's 8 ways. In the 9-line/8-way musical chairs of Algorithm 2,
+	// true LRU evicts the spy's monitor line on a single forward pass as
+	// reliably as on §5.3's forward+backward pass (figures -fig E prints
+	// success 1 for both), so this default does not show the failure mode
+	// the two-phase design exists to fix (DESIGN.md §5). Tree-PLRU is
+	// available for ablations; being only path-wise recency-aware, it can
+	// lock into cycles that never evict the monitor, with one pass or two.
 	Policy cache.Policy
 
 	// PipelineBase is the mean cost (cycles) of the MEE pipeline itself —

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"meecc/internal/dram"
 	"meecc/internal/enclave"
 	"meecc/internal/sim"
 )
@@ -128,6 +129,55 @@ func TestConcurrentForksReplayOneStream(t *testing.T) {
 	for i, g := range got {
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("concurrent fork %d diverged from a lone fork", i)
+		}
+	}
+}
+
+// TestConcurrentForksRepage: forks share their snapshot's EPC frame list,
+// so forks repaging at once, each of which appends the frames it gives
+// back, must each get the frames a lone fork gets, with no write to the
+// shared list for -race to see. The platform repages once before its
+// snapshot, so the list the forks share has room to grow in place.
+func TestConcurrentForksRepage(t *testing.T) {
+	p := New(DefaultConfig(31))
+	pr := p.NewProcess("victim")
+	e, err := pr.CreateEnclave(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Repage(pr, e.Base, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	repage := func(f *Platform) []dram.Addr {
+		defer f.Close()
+		fpr := f.Procs()[0]
+		var frames []dram.Addr
+		for page := 0; page < 4; page++ {
+			va := e.Base + enclave.VAddr(page*enclave.PageBytes)
+			if err := f.Repage(fpr, va, 0); err != nil {
+				t.Error(err)
+				return nil
+			}
+			pa, _ := fpr.pt.Translate(va)
+			frames = append(frames, pa)
+		}
+		return frames
+	}
+	want := repage(snap.Fork())
+	got := make([][]dram.Addr, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = repage(snap.Fork())
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("concurrent fork %d repaged into %#x, a lone fork into %#x", i, g, want)
 		}
 	}
 }

@@ -116,8 +116,7 @@ func TestCrashRecoveryResumesOnlyUncommittedTrials(t *testing.T) {
 		t.Fatalf("cut dropped %d trial records, want 2", dropped)
 	}
 
-	o := obs.NewObserver()
-	srv2, err := serve.New(serve.Config{Workers: 1, JournalPath: jpath, RunnerFactory: syntheticFactory, Obs: o})
+	srv2, err := serve.New(serve.Config{Workers: 1, JournalPath: jpath, RunnerFactory: syntheticFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +132,6 @@ func TestCrashRecoveryResumesOnlyUncommittedTrials(t *testing.T) {
 	}
 	if st.RunsResumed != 1 {
 		t.Fatalf("RunsResumed = %d, want 1", st.RunsResumed)
-	}
-	counters := o.SnapshotAll().Counters
-	if counters["serve.journal_replayed"] != 3 || counters["serve.runs_resumed"] != 1 {
-		t.Fatalf("obs counters disagree: %v", counters)
 	}
 	if healed, err := os.ReadFile(jpath); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,14 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -47,13 +50,11 @@ func postSpec(t *testing.T, base, spec string) *http.Response {
 func TestAdmissionControlRejectsWhenSaturated(t *testing.T) {
 	started := make(chan string, 16)
 	release := make(chan struct{})
-	o := obs.NewObserver()
 	srv, err := serve.New(serve.Config{
 		Workers:       1,
 		MaxConcurrent: 1,
 		MaxPending:    1,
 		RunnerFactory: blockingFactory(started, release),
-		Obs:           o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +88,6 @@ func TestAdmissionControlRejectsWhenSaturated(t *testing.T) {
 	}
 	if st := srv.Stats(); st.RejectedOverload != 1 {
 		t.Fatalf("RejectedOverload = %d, want 1", st.RejectedOverload)
-	}
-	if c := o.SnapshotAll().Counters["serve.rejected_overload"]; c != 1 {
-		t.Fatalf("serve.rejected_overload = %d, want 1", c)
 	}
 }
 
@@ -328,6 +326,51 @@ func TestEventStreamOffsets(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("from=-1: %s, want 400", resp.Status)
+	}
+}
+
+// TestSubmitBodyBound: a spec body one byte over 1 MiB gets 400, admits no
+// run and writes nothing to the journal; the same spec padded to exactly
+// 1 MiB is admitted. Leading whitespace keeps both bodies valid JSON, so
+// only their size differs.
+func TestSubmitBodyBound(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal")
+	srv, err := serve.New(serve.Config{Workers: 1, JournalPath: jpath, RunnerFactory: syntheticFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	journalBefore, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := oneTrialSpec("padded")
+	padded := func(size int) string { return strings.Repeat(" ", size-len(spec)) + spec }
+
+	resp := postSpec(t, ts.URL, padded(1<<20+1))
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "request body too large") {
+		t.Fatalf("1 MiB + 1 byte body: %s: %s", resp.Status, body)
+	}
+	if st := srv.Stats(); st.RunsSubmitted != 0 {
+		t.Fatalf("oversized body admitted a run: RunsSubmitted = %d", st.RunsSubmitted)
+	}
+	if journal, err := os.ReadFile(jpath); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(journal, journalBefore) {
+		t.Fatalf("oversized body reached the journal: %d bytes, was %d", len(journal), len(journalBefore))
+	}
+
+	resp = postSpec(t, ts.URL, padded(1<<20))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("1 MiB body: %s", resp.Status)
+	}
+	if st := srv.Stats(); st.RunsSubmitted != 1 {
+		t.Fatalf("RunsSubmitted = %d, want 1", st.RunsSubmitted)
 	}
 }
 

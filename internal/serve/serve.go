@@ -38,7 +38,12 @@ var errShutdown = errors.New("serve: server shutting down")
 // errClientCancel is the cancellation cause for DELETE /v1/runs/{id}.
 var errClientCancel = errors.New("serve: run cancelled by client")
 
-// Config shapes a Server.
+// maxBodyBytes bounds request bodies: a larger spec is rejected with 400.
+const maxBodyBytes = 1 << 20
+
+// Config shapes a Server. Request bodies are bounded at 1 MiB and the span
+// ring behind GET /v1/runs/{id}/trace at ops.DefaultSpanCap; the service's
+// counters are read through Stats and GET /metrics.
 type Config struct {
 	// Workers sizes each run's trial pool (<= 0 means GOMAXPROCS). Worker
 	// count never changes artifacts, only wall time.
@@ -64,13 +69,6 @@ type Config struct {
 	// that exceeds it starts no new trial, drains, and fails; its
 	// committed trials stay journaled.
 	RunTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (<= 0 means 1 MiB).
-	MaxBodyBytes int64
-	// Obs, when non-nil, receives the service's counters
-	// (serve.runs_submitted, serve.trials_executed, serve.trials_memoized,
-	// serve.journal_replayed, serve.runs_resumed, serve.rejected_overload,
-	// serve.journal_errors, serve.warm_disk_loads, serve.warm_disk_spills).
-	Obs *obs.Observer
 	// Ops is the wall-clock operational telemetry registry served at GET
 	// /metrics. Nil means New creates a private one — telemetry is always on;
 	// it is structurally incapable of touching artifacts (see internal/obs/ops).
@@ -78,9 +76,6 @@ type Config struct {
 	// Log, when non-nil, receives the service's structured logs (admissions,
 	// run lifecycle, journal/store degradation). Nil discards them.
 	Log *ops.Logger
-	// SpanCap bounds the wall-clock span ring behind GET /v1/runs/{id}/trace
-	// (<= 0 means ops.DefaultSpanCap).
-	SpanCap int
 	// RunnerFactory, when non-nil, overrides how study names resolve to
 	// trial runners (tests inject synthetic studies; nil uses
 	// exp.RunnerWithWarmCache). The returned runner must obey the exp.Runner
@@ -158,9 +153,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 16
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	warm := core.NewWarmCache(cfg.WarmCapacity)
 	var store *snapstore.Store
 	if cfg.StoreDir != "" {
@@ -185,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		memo:    map[string]memoTrial{},
 		ops:     cfg.Ops,
 		log:     cfg.Log,
-		spans:   ops.NewSpanRecorder(cfg.SpanCap),
+		spans:   ops.NewSpanRecorder(ops.DefaultSpanCap),
 		started: time.Now(),
 	}
 	s.registerOps()
@@ -278,11 +270,9 @@ func (s *Server) replay(recs []journal.Record) {
 		if !ru.snapshotState().terminal() {
 			ru.interrupted()
 			s.stats.RunsResumed++
-			s.cfg.Obs.Counter("serve.runs_resumed").Inc()
 		}
 	}
 	s.stats.JournalReplayed = int64(len(recs))
-	s.cfg.Obs.Counter("serve.journal_replayed").Add(uint64(len(recs)))
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -316,7 +306,6 @@ func (s *Server) journalAppend(rec journal.Record) {
 		s.mu.Lock()
 		s.stats.JournalErrors++
 		s.mu.Unlock()
-		s.cfg.Obs.Counter("serve.journal_errors").Inc()
 		s.log.Warn("journal append failed; durability degraded", "run", rec.RunID, "err", err.Error())
 	}
 }
@@ -327,7 +316,7 @@ func (s *Server) journalAppend(rec journal.Record) {
 // draining server rejects with 503.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var raw json.RawMessage
 	if err := json.NewDecoder(body).Decode(&raw); err != nil {
 		httpError(w, http.StatusBadRequest, "reading spec: %v", err)
@@ -361,7 +350,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.pending >= cap(s.queue) {
 		s.stats.RejectedOverload++
-		s.cfg.Obs.Counter("serve.rejected_overload").Inc()
 		pending := s.pending
 		s.mu.Unlock()
 		s.ops.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "overload").Inc()
@@ -377,7 +365,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.pending++
 	s.stats.RunsSubmitted++
-	s.cfg.Obs.Counter("serve.runs_submitted").Inc()
 	queueDepth := s.pending
 	s.mu.Unlock()
 	s.inst.runsSubmitted.Inc()
@@ -553,7 +540,6 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 		s.mu.Lock()
 		if v, ok := s.memo[key]; ok {
 			s.stats.TrialsMemoized++
-			s.cfg.Obs.Counter("serve.trials_memoized").Inc()
 			s.mu.Unlock()
 			s.inst.trialsMemoized.Inc()
 			ru.memoized.Add(1)
@@ -590,7 +576,6 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 		s.mu.Lock()
 		s.memo[key] = v
 		s.stats.TrialsExecuted++
-		s.cfg.Obs.Counter("serve.trials_executed").Inc()
 		s.mu.Unlock()
 		s.inst.trialsExecuted.Inc()
 		ru.executed.Add(1)

@@ -12,7 +12,6 @@ import (
 
 	"meecc/internal/core"
 	"meecc/internal/exp"
-	"meecc/internal/obs"
 	"meecc/internal/serve"
 )
 
@@ -112,8 +111,7 @@ func TestServedArtifactMatchesLocalRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
 	}
-	o := obs.NewObserver()
-	srv, err := serve.New(serve.Config{Workers: 2, StoreDir: t.TempDir(), Obs: o})
+	srv, err := serve.New(serve.Config{Workers: 2, StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +173,8 @@ func TestServedArtifactMatchesLocalRun(t *testing.T) {
 	if st.TrialsMemoized != totalTrials {
 		t.Fatalf("resubmission not fully memoized: %+v", st)
 	}
-	counters := o.SnapshotAll().Counters
-	if counters["serve.trials_executed"] != uint64(totalTrials) ||
-		counters["serve.trials_memoized"] != uint64(totalTrials) ||
-		counters["serve.runs_submitted"] != 2 {
-		t.Fatalf("obs counters disagree: %v", counters)
+	if st.RunsSubmitted != 2 {
+		t.Fatalf("RunsSubmitted = %d, want 2", st.RunsSubmitted)
 	}
 }
 

@@ -26,7 +26,12 @@
 //     RunChannel trials;
 //   - extensions: MitigationStudy, EvictionStudy;
 //   - robustness: FaultConfig (deterministic fault injection) and
-//     RunResilient (the adaptive session layer that survives it).
+//     RunResilient, the adaptive session layer that survives it, run on
+//     the same ChannelConfig as RunChannel.
+//
+// The channel's geometry is fixed, as in the paper: trojan, spy and noise
+// run on distinct physical cores (0, 2 and 1) and both sides use the first
+// 512 B unit of each page.
 //
 // Quickstart (see examples/quickstart):
 //
@@ -221,9 +226,6 @@ const (
 // AllFaultKinds returns every fault kind.
 func AllFaultKinds() []FaultKind { return fault.AllKinds() }
 
-// ResilientConfig parameterizes the adaptive session layer.
-type ResilientConfig = core.ResilientConfig
-
 // ResilientResult reports an adaptive session: the payload (when delivered),
 // goodput, and the degradation report of every control action taken.
 type ResilientResult = core.ResilientResult
@@ -247,19 +249,14 @@ const (
 	ActAbort       = core.ActAbort
 )
 
-// DefaultResilientConfig returns the adaptive session layer's defaults on
-// the paper's operating point.
-func DefaultResilientConfig(seed uint64) ResilientConfig {
-	return core.DefaultResilientConfig(seed)
-}
-
 // RunResilient transmits payload through the adaptive session layer:
 // chunked ARQ with per-chunk CRC, pilot-based link-health probing,
 // threshold recalibration, eviction-set re-acquisition, and graceful
-// degradation (window widening, then repetition coding). It either delivers
-// a CRC-intact payload or returns an explicit degradation error — never a
-// silently corrupted result.
-func RunResilient(cfg ResilientConfig, payload []byte) (*ResilientResult, error) {
+// degradation (window widening, then repetition coding). cfg supplies the
+// machine, base window, noise and fault campaign; the payload defines the
+// bits. It either delivers a CRC-intact payload or returns an explicit
+// degradation error — never a silently corrupted result.
+func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	return core.RunResilient(cfg, payload)
 }
 

@@ -108,7 +108,7 @@ func TestFacadeResilientUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resilient session in -short mode")
 	}
-	cfg := DefaultResilientConfig(2025)
+	cfg := DefaultChannelConfig(2025)
 	cfg.Fault = &FaultConfig{Seed: 5, Kinds: []FaultKind{FaultMigration}, Intensity: 2}
 	payload := []byte("key")
 	res, err := RunResilient(cfg, payload)
