@@ -88,8 +88,8 @@ echo "== go vet =="
 go vet ./...
 
 echo "== gofmt =="
-# Every tracked Go file must be gofmt-clean.
-files=$(git ls-files '*.go')
+# Every Go file, tracked or new and not ignored, must be gofmt-clean.
+files=$(git ls-files --cached --others --exclude-standard -- '*.go')
 unformatted=$(gofmt -l $files)
 if [ -n "$unformatted" ]; then
     echo "gofmt -l lists files that need formatting:" >&2

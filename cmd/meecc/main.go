@@ -47,7 +47,10 @@
 // DELETE /v1/runs/{id} cancels a run, GET /v1/runs/{id}/artifact returns the
 // finished artifact (byte-identical to a local batch run of the same spec).
 // Completed trials are memoized by content hash, and with -storedir warm
-// channel state persists on disk across submissions and restarts.
+// channel state persists on disk across submissions and restarts. The
+// store holds at most -storemax bytes (256 MiB by default, 0 = unbounded),
+// evicting its least recently used blobs first, so blobs that no warm key
+// reaches any more are eventually reclaimed.
 //
 // With -journal the service is crash-safe: admitted specs and every
 // completed trial land in a write-ahead log before they are acknowledged,

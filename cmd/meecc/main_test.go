@@ -102,6 +102,16 @@ func TestFlagSets(t *testing.T) {
 	}
 }
 
+// TestServeStoreMaxDefault pins serve's store bound: 256 MiB unless
+// -storemax says otherwise.
+func TestServeStoreMaxDefault(t *testing.T) {
+	cmd, _ := command("serve")
+	fs, _, _ := declare("serve", cmd, &figures.Env{Stdout: io.Discard, Stderr: io.Discard})
+	if got := fs.Lookup("storemax").DefValue; got != "268435456" {
+		t.Errorf("-storemax defaults to %s, want 268435456 (256 MiB)", got)
+	}
+}
+
 func TestRunExitCodes(t *testing.T) {
 	smoke := filepath.Join("..", "..", "examples", "specs", "smoke.json")
 	for _, tc := range []struct {

@@ -24,6 +24,10 @@ import (
 // defaultAddr is where serve listens and submit and top connect by default.
 const defaultAddr = "127.0.0.1:8311"
 
+// defaultStoreMax bounds the snapstore by default, so its LRU eviction
+// eventually reclaims blobs that no warm key reaches any more.
+const defaultStoreMax = 256 << 20
+
 // serveCmd starts the experiment service on -addr and blocks until SIGINT/
 // SIGTERM. Shutdown is graceful: admission stops, in-flight runs get -grace
 // to finish, the journal checkpoints, and only then do the listeners close.
@@ -35,7 +39,7 @@ const defaultAddr = "127.0.0.1:8311"
 func serveCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 	addr := fs.String("addr", defaultAddr, "listen address")
 	storeDir := fs.String("storedir", "", "snapstore directory for the warm-state disk tier (empty = in-memory only)")
-	storeMax := fs.Int64("storemax", 0, "snapstore size bound in bytes (0 = unbounded)")
+	storeMax := fs.Int64("storemax", defaultStoreMax, "snapstore size bound in bytes, least recently used blobs evicted first (0 = unbounded)")
 	journalPath := fs.String("journal", "", "write-ahead log; makes runs and trials durable across kill -9 (empty = no durability)")
 	maxRuns := fs.Int("maxruns", 4, "max concurrently executing runs")
 	maxPending := fs.Int("maxpending", 64, "max queued runs before submissions get 429")

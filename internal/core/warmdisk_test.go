@@ -237,15 +237,15 @@ func TestWarmCacheDiskTier(t *testing.T) {
 		t.Fatalf("A's damaged blob was not rewritten (err %v)", err)
 	}
 
-	// A blob of an older format version, sealed with a valid trailer, is
-	// not misread: Unseal rejects its version, A is recomputed, and its
+	// A blob of the previous format version, sealed with a valid trailer,
+	// is not misread: Unseal rejects its version, A is recomputed, and its
 	// eviction rewrites the blob in the current version.
 	old := bytes.Clone(blobA)
-	binary.LittleEndian.PutUint32(old[len("MEECSNP\x00"):], 1)
+	binary.LittleEndian.PutUint32(old[len("MEECSNP\x00"):], snapstore.Version-1)
 	sum := sha256.Sum256(old[:len(old)-sha256.Size])
 	copy(old[len(old)-sha256.Size:], sum[:])
 	if _, err := snapstore.Unseal(snapstore.KindWarm, old); err == nil || errors.Is(err, snapstore.ErrCorrupt) {
-		t.Fatalf("version-1 blob unsealed with %v, want a version error", err)
+		t.Fatalf("version-%d blob unsealed with %v, want a version error", snapstore.Version-1, err)
 	}
 	if err := store.Put(keyA, old); err != nil {
 		t.Fatal(err)
@@ -254,21 +254,21 @@ func TestWarmCacheDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want("after recomputing the version-1 A", 4, 4, 5)
+	want("after recomputing the older-version A", 4, 4, 5)
 	gotA, err = wsA3.Run(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(refA, gotA) {
-		t.Fatal("warm state recomputed over a version-1 blob diverged from the original")
+		t.Fatal("warm state recomputed over an older-version blob diverged from the original")
 	}
 	warm(cfgB) // evicts A, faults B in
-	want("after evicting the A recomputed over a version-1 blob", 5, 4, 6)
+	want("after evicting the A recomputed over an older-version blob", 5, 4, 6)
 	if got, err := store.Get(keyA); err != nil || !bytes.Equal(got, blobA) {
-		t.Fatalf("A's version-1 blob was not rewritten (err %v)", err)
+		t.Fatalf("A's older-version blob was not rewritten (err %v)", err)
 	}
-	if v := binary.LittleEndian.Uint32(blobA[len("MEECSNP\x00"):]); v != 2 {
-		t.Fatalf("rewritten blob has version %d, want 2", v)
+	if v := binary.LittleEndian.Uint32(blobA[len("MEECSNP\x00"):]); v != snapstore.Version {
+		t.Fatalf("rewritten blob has version %d, want %d", v, snapstore.Version)
 	}
 }
 
@@ -321,7 +321,8 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 }
 
 // TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
-// at two seeds keep the digests of format version 2, the sparse images. A
+// at two seeds keep the digests of format version 3, the sparse images
+// without DRAM refresh clocks, DRAM statistics or a stored PRM base. A
 // change to the layout is a format change, which bumps snapstore.Version;
 // blobs of another version are recomputed, not misread
 // (TestWarmCacheDiskTier). A change to the warm config's JSON alone keeps
@@ -338,8 +339,8 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{7, 364965, "ada3efea1385f401ecd345ed4c5fb2f68d53821b438a43da820931a2aad71e29"},
-		{1007, 364971, "67d83b455c89c068d16cfe0cbfea8a9d2ff3abf30e727dd67a837b1694f915f8"},
+		{7, 364421, "013b5b41f578d5517da1cc21eaf19fa45f904de06fa7b405abefeeee26368332"},
+		{1007, 364427, "409c5b9f86524d12bbacdcf67b3326c69123e4e9183111f8e4144ef8b4c418d3"},
 	} {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {

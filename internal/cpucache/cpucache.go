@@ -47,10 +47,10 @@ func (l Level) String() string {
 	}
 }
 
-// Config describes the hierarchy's geometry and latencies (cycles). The
-// defaults model the paper's i7-6700K (Skylake): 32 KB 8-way L1D, 256 KB
-// 4-way L2, 8 MB 16-way shared inclusive LLC. Every level's set count must
-// be a power of two: set indexes are the line address masked to the level.
+// Config describes the hierarchy's geometry. The defaults model the
+// paper's i7-6700K (Skylake): 32 KB 8-way L1D, 256 KB 4-way L2, 8 MB
+// 16-way shared inclusive LLC. Every level's set count must be a power of
+// two: set indexes are the line address masked to the level.
 type Config struct {
 	Cores   int
 	L1Sets  int
@@ -59,13 +59,16 @@ type Config struct {
 	L2Ways  int
 	LLCSets int
 	LLCWays int
-
-	L1Lat    float64
-	L2Lat    float64
-	LLCLat   float64
-	MissLat  float64 // traversal cost charged before the memory system takes over
-	FlushLat float64 // clflush cost as observed by the issuing core
 }
+
+// Latencies in cycles, as the issuing core observes them.
+const (
+	L1Lat    = 4
+	L2Lat    = 14
+	LLCLat   = 42
+	MissLat  = 50 // traversal cost charged before the memory system takes over
+	FlushLat = 35 // clflush
+)
 
 // DefaultConfig returns the Skylake-like geometry for the given core count.
 func DefaultConfig(cores int) Config {
@@ -74,7 +77,6 @@ func DefaultConfig(cores int) Config {
 		L1Sets: 64, L1Ways: 8,
 		L2Sets: 1024, L2Ways: 4,
 		LLCSets: 8192, LLCWays: 16,
-		L1Lat: 4, L2Lat: 14, LLCLat: 42, MissLat: 50, FlushLat: 35,
 	}
 }
 
@@ -324,16 +326,16 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 	switch {
 	case h.l1[core].Lookup(h.l1Set(addr), tag):
 		h.touchShared(core, addr) // keep L2/LLC recency in sync
-		lvl, lat = HitL1, sim.Cycles(h.cfg.L1Lat)
+		lvl, lat = HitL1, L1Lat
 	case h.l2[core].Lookup(h.l2Set(addr), tag):
 		h.l1[core].Insert(h.l1Set(addr), tag, false)
 		h.llc.Lookup(h.llcSet(addr), tag)
-		lvl, lat = HitL2, sim.Cycles(h.cfg.L2Lat)
+		lvl, lat = HitL2, L2Lat
 	default:
 		set := h.llcSet(addr)
 		way, hit := h.llc.LookupWay(set, tag)
 		if !hit {
-			return Miss, sim.Cycles(h.cfg.MissLat)
+			return Miss, MissLat
 		}
 		h.l2[core].Insert(h.l2Set(addr), tag, false)
 		h.l1[core].Insert(h.l1Set(addr), tag, false)
@@ -342,7 +344,7 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		if b := h.buf(set, way); b != nil && b.cores&(1<<uint(core)) == 0 {
 			h.ownBuf(set, way).cores |= 1 << uint(core)
 		}
-		lvl, lat = HitLLC, sim.Cycles(h.cfg.LLCLat)
+		lvl, lat = HitLLC, LLCLat
 	}
 	if write {
 		if set, way, ok := h.locate(addr); ok {
@@ -444,12 +446,11 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	addr = lineAddr(addr)
 	h.cFlush.Inc()
-	lat := sim.Cycles(h.cfg.FlushLat)
 	tag := h.tag(addr)
 	set := h.llcSet(addr)
 	way, _ := h.llc.InvalidateWay(set, tag)
 	if way < 0 {
-		return nil, lat
+		return nil, FlushLat
 	}
 	b := h.ownBuf(set, way)
 	h.setVictim(addr, b)
@@ -463,7 +464,7 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 		h.l2[c].Invalidate(h.l2Set(addr), tag)
 	}
 	h.countDrop()
-	return &h.victim, lat
+	return &h.victim, FlushLat
 }
 
 // setVictim fills the scratch Victim from the buffer of the line at addr,

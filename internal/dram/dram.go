@@ -60,31 +60,23 @@ func (c *chunk) clone(gen uint64) *chunk {
 	return n
 }
 
-// Config describes DRAM geometry and timing. All latencies are in CPU
-// cycles as seen from the core (they fold in the on-chip traversal after an
-// LLC miss, which is why they are larger than raw DRAM timings). Banks and
-// RowBytes must be powers of two: an address's bank and row are its bits.
+// Config describes DRAM geometry and jitter. Banks and RowBytes must be
+// powers of two: an address's bank and row are its bits.
 type Config struct {
 	Size        uint64  // total physical bytes
 	Banks       int     // number of independent banks
 	RowBytes    uint64  // row-buffer size per bank
-	RowHitLat   float64 // mean cycles for an open-row access
-	RowMissLat  float64 // mean cycles for a row conflict/closed-row access
 	JitterSigma float64 // gaussian latency jitter (cycles)
-	WriteExtra  float64 // additional mean cycles for writes
-
-	// ClosedPage selects a closed-page controller policy: rows are
-	// precharged after every access, so every access pays the activation
-	// (RowMissLat) but never a conflict. Open-page (default) keeps rows
-	// open and wins under spatial locality.
-	ClosedPage bool
-	// RefreshInterval, when positive, stalls a bank for RefreshPenalty
-	// cycles once per interval (per bank, staggered) — the periodic
-	// all-bank refresh of real DRAM and a natural source of rare latency
-	// outliers. Zero disables refresh modeling.
-	RefreshInterval float64
-	RefreshPenalty  float64
 }
+
+// Mean access latencies in CPU cycles as seen from the core. They fold in
+// the on-chip traversal after an LLC miss, which is why they are larger
+// than raw DRAM timings. The controller keeps rows open.
+const (
+	RowHitLat  = 215 // open-row access
+	RowMissLat = 265 // row conflict or closed-row access
+	WriteExtra = 10  // added to writes
+)
 
 // DefaultConfig mirrors the paper's testbed scale: 32 GB of DRAM behind a
 // Skylake-class memory controller, calibrated so an independent cache-line
@@ -94,34 +86,19 @@ func DefaultConfig() Config {
 		Size:        32 << 30,
 		Banks:       16,
 		RowBytes:    8192,
-		RowHitLat:   215,
-		RowMissLat:  265,
 		JitterSigma: 10,
-		WriteExtra:  10,
 	}
-}
-
-// Stats counts DRAM events.
-type Stats struct {
-	Reads     uint64
-	Writes    uint64
-	RowHits   uint64
-	RowMisses uint64
-	Refreshes uint64
-	StallCyc  sim.Cycles
 }
 
 // DRAM is the main-memory model. Not safe for concurrent use (the simulation
 // engine serializes actors).
 type DRAM struct {
-	cfg         Config
-	dir         []*chunk // two-level page directory, chunk per 2 MB
-	gen         uint64   // COW ownership generation of this view
-	allocated   int      // pages materialized by this view and its ancestry
-	openRow     []int64  // per-bank open row, -1 = closed
-	banks       []sim.Resource
-	refreshedAt []int64 // per-bank refresh epoch counter
-	stats       Stats
+	cfg       Config
+	dir       []*chunk // two-level page directory, chunk per 2 MB
+	gen       uint64   // COW ownership generation of this view
+	allocated int      // pages materialized by this view and its ancestry
+	openRow   []int64  // per-bank open row, -1 = closed
+	banks     []sim.Resource
 }
 
 // checkConfig is the one geometry rule New and SnapshotFromState share: a
@@ -141,12 +118,11 @@ func New(cfg Config) *DRAM {
 		panic(err.Error())
 	}
 	d := &DRAM{
-		cfg:         cfg,
-		dir:         make([]*chunk, (cfg.Size+chunkBytes-1)/chunkBytes),
-		gen:         nextGeneration(),
-		openRow:     make([]int64, cfg.Banks),
-		banks:       make([]sim.Resource, cfg.Banks),
-		refreshedAt: make([]int64, cfg.Banks),
+		cfg:     cfg,
+		dir:     make([]*chunk, (cfg.Size+chunkBytes-1)/chunkBytes),
+		gen:     nextGeneration(),
+		openRow: make([]int64, cfg.Banks),
+		banks:   make([]sim.Resource, cfg.Banks),
 	}
 	for i := range d.openRow {
 		d.openRow[i] = -1
@@ -159,30 +135,25 @@ func New(cfg Config) *DRAM {
 // shared pages instead of mutating the frozen image. Snapshots are
 // immutable and safe to Fork from multiple goroutines.
 type Snapshot struct {
-	cfg         Config
-	dir         []*chunk
-	allocated   int
-	openRow     []int64
-	banks       []sim.Resource
-	refreshedAt []int64
-	stats       Stats
+	cfg       Config
+	dir       []*chunk
+	allocated int
+	openRow   []int64
+	banks     []sim.Resource
 }
 
 // Snapshot captures the DRAM for later forking; see Snapshot's doc.
 func (d *DRAM) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cfg:         d.cfg,
-		dir:         make([]*chunk, len(d.dir)),
-		allocated:   d.allocated,
-		openRow:     make([]int64, len(d.openRow)),
-		banks:       make([]sim.Resource, len(d.banks)),
-		refreshedAt: make([]int64, len(d.refreshedAt)),
-		stats:       d.stats,
+		cfg:       d.cfg,
+		dir:       make([]*chunk, len(d.dir)),
+		allocated: d.allocated,
+		openRow:   make([]int64, len(d.openRow)),
+		banks:     make([]sim.Resource, len(d.banks)),
 	}
 	copy(s.dir, d.dir)
 	copy(s.openRow, d.openRow)
 	copy(s.banks, d.banks)
-	copy(s.refreshedAt, d.refreshedAt)
 	// Everything reachable from s.dir is now shared: move the parent to a
 	// new generation so it copy-on-writes against the frozen image too.
 	d.gen = nextGeneration()
@@ -195,27 +166,21 @@ func (d *DRAM) Snapshot() *Snapshot {
 // still single-threaded, like DRAM).
 func (s *Snapshot) Fork() *DRAM {
 	d := &DRAM{
-		cfg:         s.cfg,
-		dir:         make([]*chunk, len(s.dir)),
-		gen:         nextGeneration(),
-		allocated:   s.allocated,
-		openRow:     make([]int64, len(s.openRow)),
-		banks:       make([]sim.Resource, len(s.banks)),
-		refreshedAt: make([]int64, len(s.refreshedAt)),
-		stats:       s.stats,
+		cfg:       s.cfg,
+		dir:       make([]*chunk, len(s.dir)),
+		gen:       nextGeneration(),
+		allocated: s.allocated,
+		openRow:   make([]int64, len(s.openRow)),
+		banks:     make([]sim.Resource, len(s.banks)),
 	}
 	copy(d.dir, s.dir)
 	copy(d.openRow, s.openRow)
 	copy(d.banks, s.banks)
-	copy(d.refreshedAt, s.refreshedAt)
 	return d
 }
 
 // Config returns the DRAM configuration.
 func (d *DRAM) Config() Config { return d.cfg }
-
-// Stats returns a copy of the accumulated statistics.
-func (d *DRAM) Stats() Stats { return d.stats }
 
 // Size returns the total physical capacity in bytes.
 func (d *DRAM) Size() uint64 { return d.cfg.Size }
@@ -237,39 +202,17 @@ func (d *DRAM) Access(now sim.Cycles, rng *rand.Rand, addr Addr, write bool) sim
 		panic(fmt.Sprintf("dram: access at %#x beyond capacity %#x", addr, d.cfg.Size))
 	}
 	bank, row := d.bankAndRow(addr)
-	var mean float64
-	switch {
-	case d.cfg.ClosedPage:
-		mean = d.cfg.RowMissLat
-		d.stats.RowMisses++
-	case d.openRow[bank] == row:
-		mean = d.cfg.RowHitLat
-		d.stats.RowHits++
-	default:
-		mean = d.cfg.RowMissLat
+	mean := float64(RowMissLat)
+	if d.openRow[bank] == row {
+		mean = RowHitLat
+	} else {
 		d.openRow[bank] = row
-		d.stats.RowMisses++
 	}
 	if write {
-		mean += d.cfg.WriteExtra
-		d.stats.Writes++
-	} else {
-		d.stats.Reads++
+		mean += WriteExtra
 	}
 	service := sim.Gauss(rng, mean, d.cfg.JitterSigma)
-	// Periodic refresh: once per interval the bank is unavailable for the
-	// refresh penalty before servicing (banks staggered by index).
-	if d.cfg.RefreshInterval > 0 {
-		epoch := (int64(now) + int64(float64(bank)/float64(d.cfg.Banks)*d.cfg.RefreshInterval)) /
-			int64(d.cfg.RefreshInterval)
-		if epoch > d.refreshedAt[bank] {
-			d.refreshedAt[bank] = epoch
-			service += sim.Cycles(d.cfg.RefreshPenalty)
-			d.stats.Refreshes++
-		}
-	}
 	stall := d.banks[bank].Acquire(now, service)
-	d.stats.StallCyc += stall
 	return stall + service
 }
 

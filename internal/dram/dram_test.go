@@ -67,17 +67,13 @@ func TestAccessLatencyRowHitVsMiss(t *testing.T) {
 	d := New(cfg)
 	rng := testRNG()
 	first := d.Access(0, rng, 0x0, false)
-	if first != sim.Cycles(cfg.RowMissLat) {
-		t.Fatalf("first access %d, want row miss %v", first, cfg.RowMissLat)
+	if first != RowMissLat {
+		t.Fatalf("first access %d, want row miss %d", first, RowMissLat)
 	}
 	// Wait past bank busy, same row: hit.
 	second := d.Access(first+1000, rng, 64, false)
-	if second != sim.Cycles(cfg.RowHitLat) {
-		t.Fatalf("same-row access %d, want row hit %v", second, cfg.RowHitLat)
-	}
-	st := d.Stats()
-	if st.RowHits != 1 || st.RowMisses != 1 {
-		t.Fatalf("stats %+v", st)
+	if second != RowHitLat {
+		t.Fatalf("same-row access %d, want row hit %d", second, RowHitLat)
 	}
 }
 
@@ -93,9 +89,6 @@ func TestBankContentionStalls(t *testing.T) {
 	if l2 <= l1 {
 		t.Fatalf("contended access %d not slower than %d", l2, l1)
 	}
-	if d.Stats().StallCyc == 0 {
-		t.Fatal("no stall recorded under contention")
-	}
 }
 
 func TestDifferentBanksDoNotContend(t *testing.T) {
@@ -106,8 +99,8 @@ func TestDifferentBanksDoNotContend(t *testing.T) {
 	d.Access(0, rng, 0, false)
 	// Next row index maps to the next bank.
 	l2 := d.Access(0, rng, Addr(cfg.RowBytes), false)
-	if l2 != sim.Cycles(cfg.RowMissLat) {
-		t.Fatalf("different-bank access %d, want %v", l2, cfg.RowMissLat)
+	if l2 != RowMissLat {
+		t.Fatalf("different-bank access %d, want %d", l2, RowMissLat)
 	}
 }
 

@@ -49,28 +49,23 @@ func (p *page) nonzeroLines() uint64 {
 // SnapshotState is the serializable image of a memory Snapshot: config,
 // timing state, and the materialized pages in ascending address order.
 type SnapshotState struct {
-	Cfg         Config
-	Allocated   int
-	OpenRow     []int64
-	BanksBusy   []sim.Cycles
-	RefreshedAt []int64
-	Stats       Stats
-	Pages       []PageImage
+	Cfg       Config
+	Allocated int
+	OpenRow   []int64
+	BanksBusy []sim.Cycles
+	Pages     []PageImage
 }
 
 // ExportState flattens the snapshot for serialization. It copies each
 // page's nonzero lines, and all of them share one buffer.
 func (s *Snapshot) ExportState() *SnapshotState {
 	st := &SnapshotState{
-		Cfg:         s.cfg,
-		Allocated:   s.allocated,
-		OpenRow:     make([]int64, len(s.openRow)),
-		BanksBusy:   make([]sim.Cycles, len(s.banks)),
-		RefreshedAt: make([]int64, len(s.refreshedAt)),
-		Stats:       s.stats,
+		Cfg:       s.cfg,
+		Allocated: s.allocated,
+		OpenRow:   make([]int64, len(s.openRow)),
+		BanksBusy: make([]sim.Cycles, len(s.banks)),
 	}
 	copy(st.OpenRow, s.openRow)
-	copy(st.RefreshedAt, s.refreshedAt)
 	for i := range s.banks {
 		st.BanksBusy[i] = s.banks[i].BusyUntil()
 	}
@@ -112,24 +107,20 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if err := checkConfig(st.Cfg); err != nil {
 		return nil, err
 	}
-	if len(st.OpenRow) != st.Cfg.Banks || len(st.BanksBusy) != st.Cfg.Banks ||
-		len(st.RefreshedAt) != st.Cfg.Banks {
-		return nil, fmt.Errorf("dram: bank state lengths %d/%d/%d, want %d",
-			len(st.OpenRow), len(st.BanksBusy), len(st.RefreshedAt), st.Cfg.Banks)
+	if len(st.OpenRow) != st.Cfg.Banks || len(st.BanksBusy) != st.Cfg.Banks {
+		return nil, fmt.Errorf("dram: bank state lengths %d/%d, want %d",
+			len(st.OpenRow), len(st.BanksBusy), st.Cfg.Banks)
 	}
 	nPages := (st.Cfg.Size + pageBytes - 1) / pageBytes
 	gen := nextGeneration()
 	s := &Snapshot{
-		cfg:         st.Cfg,
-		dir:         make([]*chunk, (st.Cfg.Size+chunkBytes-1)/chunkBytes),
-		allocated:   st.Allocated,
-		openRow:     make([]int64, st.Cfg.Banks),
-		banks:       make([]sim.Resource, st.Cfg.Banks),
-		refreshedAt: make([]int64, st.Cfg.Banks),
-		stats:       st.Stats,
+		cfg:       st.Cfg,
+		dir:       make([]*chunk, (st.Cfg.Size+chunkBytes-1)/chunkBytes),
+		allocated: st.Allocated,
+		openRow:   make([]int64, st.Cfg.Banks),
+		banks:     make([]sim.Resource, st.Cfg.Banks),
 	}
 	copy(s.openRow, st.OpenRow)
-	copy(s.refreshedAt, st.RefreshedAt)
 	for i, b := range st.BanksBusy {
 		s.banks[i] = sim.ResumeResource(b)
 	}

@@ -45,8 +45,8 @@ const (
 	// rotation): every primed line is gone at once.
 	MEEFlush
 	// Storm runs a co-tenant enclave streaming protected memory at 4 KB
-	// stride in on/off bursts with a configurable duty cycle — the Figure
-	// 8(d) environment, but bursty instead of constant.
+	// stride in on/off bursts, their duty cycle scaled by Intensity — the
+	// Figure 8(d) environment, but bursty instead of constant.
 	Storm
 	numKinds
 )
@@ -133,7 +133,7 @@ func (t Target) String() string {
 }
 
 // Config describes a fault campaign over one simulated session. Zero-valued
-// knobs take the documented defaults; Intensity scales event rates (mean
+// durations take the documented defaults; Intensity scales event rates (mean
 // gaps divide by it) and the jitter amplitude, so one dial sweeps a campaign
 // from benign to hostile. Intensity 0 disables everything.
 type Config struct {
@@ -147,38 +147,39 @@ type Config struct {
 	Start, End sim.Cycles
 
 	// MigrationGap is the mean gap between migration bounces (default 2M
-	// cycles at intensity 1); MigrationStall the AEX+scheduler cost charged
-	// on each bounce (default 30k); ReturnAfter how long the thread stays
+	// cycles at intensity 1); ReturnAfter how long the thread stays
 	// displaced on the foreign core (default 150k).
-	MigrationGap   sim.Cycles
-	MigrationStall sim.Cycles
-	ReturnAfter    sim.Cycles
+	MigrationGap sim.Cycles
+	ReturnAfter  sim.Cycles
 
-	// DriftGap is the mean gap between drift steps (default 1.5M); DriftStep
-	// the maximum per-step skew in cycles (default 40, signed uniform);
-	// JitterAmp the ± bound of per-reading timer noise applied for the whole
-	// window (default 2500 cycles, scaled by Intensity).
-	DriftGap  sim.Cycles
-	DriftStep float64
-	JitterAmp float64
-
-	// PagingGap is the mean gap between EPC paging events (default 4M);
-	// PagingStall the page-fault cost charged to the owning thread
-	// (default 60k).
-	PagingGap   sim.Cycles
-	PagingStall sim.Cycles
-
-	// FlushGap is the mean gap between MEE cache flushes (default 3M).
-	FlushGap sim.Cycles
-
-	// StormPeriod and StormDuty shape the noise bursts: each period starts
-	// with duty*period cycles of 4 KB-stride MEE traffic (duty is scaled by
-	// Intensity and capped at 0.95). Defaults: 1M cycles, 0.5.
-	StormPeriod sim.Cycles
-	StormDuty   float64
+	// DriftGap is the mean gap between timer drift steps (default 1.5M).
+	DriftGap sim.Cycles
 }
 
-// withDefaults fills zero knobs.
+// The campaign's fixed shape.
+const (
+	// migrationStall is the AEX+scheduler cost charged on each migration
+	// bounce.
+	migrationStall sim.Cycles = 30_000
+	// driftStep is the maximum per-step timer skew in cycles (signed
+	// uniform); jitterAmp the ± bound of per-reading timer noise applied
+	// for the whole window, scaled by Intensity.
+	driftStep = 40
+	jitterAmp = 2500
+	// pagingGap is the mean gap between EPC paging events; pagingStall the
+	// page-fault cost charged to the owning thread.
+	pagingGap   sim.Cycles = 4_000_000
+	pagingStall sim.Cycles = 60_000
+	// flushGap is the mean gap between MEE cache flushes.
+	flushGap sim.Cycles = 3_000_000
+	// stormPeriod and stormDuty shape the noise bursts: each period starts
+	// with duty*period cycles of 4 KB-stride MEE traffic (duty is scaled by
+	// Intensity and capped at 0.95).
+	stormPeriod sim.Cycles = 1_000_000
+	stormDuty              = 0.5
+)
+
+// withDefaults fills zero durations.
 func (c Config) withDefaults() Config {
 	def := func(v *sim.Cycles, d sim.Cycles) {
 		if *v == 0 {
@@ -186,22 +187,8 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	def(&c.MigrationGap, 2_000_000)
-	def(&c.MigrationStall, 30_000)
 	def(&c.ReturnAfter, 150_000)
 	def(&c.DriftGap, 1_500_000)
-	def(&c.PagingGap, 4_000_000)
-	def(&c.PagingStall, 60_000)
-	def(&c.FlushGap, 3_000_000)
-	def(&c.StormPeriod, 1_000_000)
-	if c.DriftStep == 0 {
-		c.DriftStep = 40
-	}
-	if c.JitterAmp == 0 {
-		c.JitterAmp = 2500
-	}
-	if c.StormDuty == 0 {
-		c.StormDuty = 0.5
-	}
 	return c
 }
 
@@ -302,15 +289,15 @@ func (p *Plan) genMigration(rng *rand.Rand) {
 		tgt := endpoint(rng)
 		pick := rng.Float64()
 		p.Events = append(p.Events,
-			Event{At: at, Kind: Migration, Target: tgt, Stall: cfg.MigrationStall, Pick: pick},
-			Event{At: at + cfg.ReturnAfter, Kind: Migration, Target: tgt, Home: true, Stall: cfg.MigrationStall / 2},
+			Event{At: at, Kind: Migration, Target: tgt, Stall: migrationStall, Pick: pick},
+			Event{At: at + cfg.ReturnAfter, Kind: Migration, Target: tgt, Home: true, Stall: migrationStall / 2},
 		)
 	})
 }
 
 func (p *Plan) genTimer(rng *rand.Rand) {
 	cfg := p.Config
-	amp := cfg.JitterAmp * cfg.Intensity
+	amp := jitterAmp * cfg.Intensity
 	// Jitter switches on for both endpoints at window start...
 	p.Events = append(p.Events,
 		Event{At: cfg.Start, Kind: Timer, Target: TargetTrojan, Jitter: amp},
@@ -319,38 +306,37 @@ func (p *Plan) genTimer(rng *rand.Rand) {
 	// ...and drift accumulates as a signed random walk, independently per
 	// endpoint so the two clocks diverge (a shared skew would cancel out).
 	p.arrivals(rng, cfg.DriftGap, func(at sim.Cycles) {
-		d := sim.Cycles((rng.Float64()*2 - 1) * cfg.DriftStep * cfg.Intensity)
+		d := sim.Cycles((rng.Float64()*2 - 1) * driftStep * cfg.Intensity)
 		p.Events = append(p.Events, Event{At: at, Kind: Timer, Target: endpoint(rng), Drift: d})
 	})
 }
 
 func (p *Plan) genPaging(rng *rand.Rand) {
-	cfg := p.Config
-	p.arrivals(rng, cfg.PagingGap, func(at sim.Cycles) {
+	p.arrivals(rng, pagingGap, func(at sim.Cycles) {
 		p.Events = append(p.Events, Event{
 			At: at, Kind: Paging, Target: endpoint(rng),
-			Stall: cfg.PagingStall, Pick: rng.Float64(),
+			Stall: pagingStall, Pick: rng.Float64(),
 		})
 	})
 }
 
 func (p *Plan) genFlush(rng *rand.Rand) {
-	p.arrivals(rng, p.Config.FlushGap, func(at sim.Cycles) {
+	p.arrivals(rng, flushGap, func(at sim.Cycles) {
 		p.Events = append(p.Events, Event{At: at, Kind: MEEFlush, Target: TargetMachine})
 	})
 }
 
 func (p *Plan) genStorm() {
 	cfg := p.Config
-	duty := cfg.StormDuty * cfg.Intensity
+	duty := stormDuty * cfg.Intensity
 	if duty > 0.95 {
 		duty = 0.95
 	}
-	on := sim.Cycles(float64(cfg.StormPeriod) * duty)
+	on := sim.Cycles(float64(stormPeriod) * duty)
 	if on <= 0 {
 		return
 	}
-	for t := cfg.Start; t < cfg.End; t += cfg.StormPeriod {
+	for t := cfg.Start; t < cfg.End; t += stormPeriod {
 		end := t + on
 		if end > cfg.End {
 			end = cfg.End

@@ -31,8 +31,6 @@ type Targets struct {
 	// TrojanHome and SpyHome are the pinned cores migration bounces return
 	// to.
 	TrojanHome, SpyHome int
-	// Cores is the number of cores on the machine (migration destinations).
-	Cores int
 	// StormCore is where the noise-storm enclave runs.
 	StormCore int
 }
@@ -109,9 +107,6 @@ func (in *Injector) record(at sim.Cycles, k Kind, t Target, format string, args 
 // the engine alive past the configured window. Threads the events stall or
 // perturb are marked with Thread.MarkFaultTarget.
 func (p *Plan) Attach(plat *platform.Platform, tg Targets) *Injector {
-	if tg.Cores == 0 {
-		tg.Cores = plat.Config().Cores
-	}
 	in := &Injector{plan: p, tg: tg}
 	if o := plat.Obs(); o != nil {
 		in.o = o
@@ -165,7 +160,7 @@ func (in *Injector) apply(sp *sim.Proc, plat *platform.Platform, ev Event) {
 				dest = tg.SpyHome
 			}
 		} else {
-			dest = pickOther(th.Core(), tg.Cores, ev.Pick)
+			dest = pickOther(th.Core(), ev.Pick)
 		}
 		from := th.Core()
 		th.SetCore(dest)
@@ -221,12 +216,9 @@ func (in *Injector) apply(sp *sim.Proc, plat *platform.Platform, ev Event) {
 	}
 }
 
-// pickOther maps a [0,1) draw to a core other than cur.
-func pickOther(cur, cores int, pick float64) int {
-	if cores <= 1 {
-		return cur
-	}
-	d := pickIndex(cores-1, pick)
+// pickOther maps a [0,1) draw to a core of the machine other than cur.
+func pickOther(cur int, pick float64) int {
+	d := pickIndex(platform.Cores-1, pick)
 	if d >= cur {
 		d++
 	}

@@ -19,7 +19,7 @@ func benchEngine(b *testing.B) (*Engine, *rand.Rand) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return New(DefaultConfig(rng), geom, itree.NewCrypto([16]byte{1}), mem), rng
+	return New(DefaultConfig(), geom, itree.NewCrypto([16]byte{1}), mem), rng
 }
 
 // BenchmarkReadVersionsHit is the hot path of the whole simulation: a

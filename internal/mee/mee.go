@@ -75,9 +75,8 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("mee: integrity violation on %s line %#x: %s", e.Kind, e.Addr, e.What)
 }
 
-// Config sets the MEE cache organization and the timing model. The defaults
-// reproduce the organization the paper reverse-engineers and its published
-// latencies.
+// Config sets the MEE cache organization. The defaults reproduce the
+// organization the paper reverse-engineers.
 type Config struct {
 	// CacheSets/CacheWays: 128 sets (64 odd for versions, 64 even for
 	// tags/levels) of 8 ways — the organization §4 reverse-engineers. The
@@ -96,42 +95,39 @@ type Config struct {
 	// lock into cycles that never evict the monitor, with one pass or two.
 	Policy cache.Policy
 
-	// PipelineBase is the mean cost (cycles) of the MEE pipeline itself —
-	// decryption, MAC checks, queueing inside the unit — added to every
-	// protected access on top of the DRAM fetches.
-	PipelineBase float64
-	// LevelCheck is the extra verification cost per tree level fetched.
-	LevelCheck float64
-	// WriteExtra is added to protected writes (counter update, re-MAC).
-	WriteExtra float64
-	// PortOccupancy is how long one access occupies the engine's request
-	// port. The MEE pipelines DRAM fetches of concurrent walks (those
-	// contend at the banks instead), so only the crypto/check stage
-	// serializes.
-	PortOccupancy float64
-	// JitterSigma is gaussian jitter on the pipeline cost.
-	JitterSigma float64
-
 	// RandomEvictProb, when positive, evicts one random MEE-cache line per
 	// protected access with this probability — a noise-injection mitigation
 	// evaluated in the extension experiments (§5.5 discussion).
 	RandomEvictProb float64
 }
 
+// The timing model in cycles, calibrated to Figure 5: ~480 cycles for a
+// versions hit, ~+270 per additional tree level fetched.
+const (
+	// PipelineBase is the mean cost of the MEE pipeline itself —
+	// decryption, MAC checks, queueing inside the unit — added to every
+	// protected access on top of the DRAM fetches.
+	PipelineBase = 230
+	// LevelCheck is the extra verification cost per tree level fetched.
+	LevelCheck = 20
+	// WriteExtra is added to protected writes (counter update, re-MAC).
+	WriteExtra = 60
+	// PortOccupancy is how long one access occupies the engine's request
+	// port. The MEE pipelines DRAM fetches of concurrent walks (those
+	// contend at the banks instead), so only the crypto/check stage
+	// serializes.
+	PortOccupancy = 120
+	// JitterSigma is gaussian jitter on the pipeline cost.
+	JitterSigma = 8
+)
+
 // DefaultConfig returns the reverse-engineered organization (64 KB, 8-way,
-// 128 sets — Section 4) with timing calibrated to Figure 5: ~480 cycles for
-// a versions hit, ~+270 per additional tree level fetched.
-func DefaultConfig(rng *rand.Rand) Config {
-	_ = rng // accepted for symmetry with policies that need randomness
+// 128 sets — Section 4) under true LRU.
+func DefaultConfig() Config {
 	return Config{
-		CacheSets:     128,
-		CacheWays:     8,
-		Policy:        cache.NewLRU(),
-		PipelineBase:  230,
-		LevelCheck:    20,
-		WriteExtra:    60,
-		PortOccupancy: 120,
-		JitterSigma:   8,
+		CacheSets: 128,
+		CacheWays: 8,
+		Policy:    cache.NewLRU(),
 	}
 }
 
@@ -532,8 +528,8 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 
 	// MEE pipeline cost and port serialization (crypto stage only; DRAM
 	// fetches of concurrent walks overlap and contend at the banks).
-	w.lat += sim.Gauss(rng, e.cfg.PipelineBase, e.cfg.JitterSigma)
-	stall := e.port.Acquire(now, e.portOccupancy())
+	w.lat += sim.Gauss(rng, PipelineBase, JitterSigma)
+	stall := e.port.Acquire(now, PortOccupancy)
 	e.stats.StallCyc += stall
 	e.stats.HitsAt[w.hit]++
 	e.hReadLat.Observe(int64(stall + w.lat))
@@ -541,14 +537,6 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 		e.tr.Count(e.nHitLevel, int64(now), int64(w.hit))
 	}
 	return plain, stall + w.lat, w.hit, nil
-}
-
-// portOccupancy bounds how long one request holds the MEE port.
-func (e *Engine) portOccupancy() sim.Cycles {
-	if e.cfg.PortOccupancy <= 0 {
-		return 1
-	}
-	return sim.Cycles(e.cfg.PortOccupancy)
 }
 
 // WriteData performs a protected-region write of the full line at addr:
@@ -589,8 +577,8 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	e.markDirty(tline)
 	e.putDataMemo(addr, version, gen, mac, plain)
 
-	w.lat += sim.Gauss(rng, e.cfg.PipelineBase+e.cfg.WriteExtra, e.cfg.JitterSigma)
-	stall := e.port.Acquire(now, e.portOccupancy())
+	w.lat += sim.Gauss(rng, PipelineBase+WriteExtra, JitterSigma)
+	stall := e.port.Acquire(now, PortOccupancy)
 	e.stats.StallCyc += stall
 	e.stats.HitsAt[w.hit]++
 	if e.tr != nil {

@@ -36,7 +36,7 @@ func TestIntegrityErrorMessage(t *testing.T) {
 
 func TestOddSetCountRejected(t *testing.T) {
 	f := newFixture(t)
-	cfg := DefaultConfig(f.rng)
+	cfg := DefaultConfig()
 	cfg.CacheSets = 127
 	defer func() {
 		if recover() == nil {
@@ -49,7 +49,7 @@ func TestOddSetCountRejected(t *testing.T) {
 func TestRandomEvictInjectionDegradesHitRate(t *testing.T) {
 	measure := func(prob float64) uint64 {
 		rngFix := newFixture(t)
-		cfg := DefaultConfig(rngFix.rng)
+		cfg := DefaultConfig()
 		cfg.RandomEvictProb = prob
 		eng := New(cfg, *rngFix.eng.Geometry(), itree.NewCrypto([16]byte{2}), dram.New(dram.DefaultConfig()))
 		now := rngFix.now

@@ -27,7 +27,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	crypt := itree.NewCrypto([16]byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
 	return &fixture{
-		eng: New(DefaultConfig(rng), geom, crypt, mem),
+		eng: New(DefaultConfig(), geom, crypt, mem),
 		mem: mem,
 		rng: rng,
 	}

@@ -17,7 +17,7 @@ func TestStateRejectsUnsplittableSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sets := range []int{127, 96} {
-		cfg := DefaultConfig(f.rng)
+		cfg := DefaultConfig()
 		cfg.CacheSets = sets
 		st := f.eng.ExportState()
 		st.Cache = cache.New("mee", sets, cfg.CacheWays, cfg.Policy).ExportState()

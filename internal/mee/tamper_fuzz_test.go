@@ -53,7 +53,7 @@ func newTamperRig(t *testing.T) *tamperRig {
 	memCfg := dram.DefaultConfig()
 	memCfg.Size = 64 << 20
 	rng := rand.New(rand.NewPCG(5, 6))
-	r := &tamperRig{cfg: DefaultConfig(rng), geom: geom, crypt: itree.NewCrypto(tamperKey), mem: dram.New(memCfg), rng: rng}
+	r := &tamperRig{cfg: DefaultConfig(), geom: geom, crypt: itree.NewCrypto(tamperKey), mem: dram.New(memCfg), rng: rng}
 	r.eng = New(r.cfg, geom, itree.NewCrypto(tamperKey), r.mem)
 	return r
 }

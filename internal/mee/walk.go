@@ -125,7 +125,7 @@ func (w *walker) check() {
 	if w.postedMode {
 		return
 	}
-	w.lat += sim.Cycles(w.e.cfg.LevelCheck)
+	w.lat += LevelCheck
 }
 
 // install fills a verified line into the MEE cache, handling the eviction

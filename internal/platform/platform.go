@@ -21,22 +21,17 @@ import (
 
 // Config describes a whole simulated machine.
 type Config struct {
-	Seed    uint64
-	Cores   int
-	FreqGHz float64
+	Seed uint64
 
 	DRAM dram.Config
 	CPU  cpucache.Config
 	MEE  mee.Config
 	// MEEPolicyName, when non-empty, overrides MEE.Policy by name (lru,
-	// fifo, tree-plru, bit-plru, random) using the engine's seeded random
-	// source — needed because the random policy must share the engine RNG.
+	// fifo, tree-plru, bit-plru, random, nru, srrip) using the engine's
+	// seeded random source — needed because the random policies must share
+	// the engine RNG.
 	MEEPolicyName string
 
-	// PRMSize is the processor-reserved (MEE) region, placed at top of
-	// DRAM; EPCSize is the protected data portion inside it.
-	PRMSize uint64
-	EPCSize uint64
 	EPCMode enclave.AllocMode
 
 	// SpikeProb/SpikeMax inject occasional latency spikes on memory
@@ -46,11 +41,9 @@ type Config struct {
 	SpikeProb float64
 	SpikeMax  float64
 
-	// Timing of the measurement mechanisms (Section 3, Figure 2).
+	// Timing of the hyperthread timer (Section 3, Figure 2(c)).
 	TimerResolution float64
 	TimerReadCost   float64
-	EnterExitCost   float64
-	RdtscCost       float64
 
 	// Obs, when non-nil, receives metrics and (optionally) timeline events
 	// from every component of the booted machine. Nil — the default — keeps
@@ -58,24 +51,34 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// The paper's testbed, which every machine models.
+const (
+	// Cores is the physical core count; a machine's CPU.Cores is set to it.
+	Cores = 4
+	// FreqGHz is the core clock.
+	FreqGHz = 4.0
+	// PRMSize is the processor-reserved (MEE) region, placed at the top of
+	// DRAM; EPCSize is the protected data portion inside it.
+	PRMSize = 128 << 20
+	EPCSize = 96 << 20
+	// EnterExitCost is the cycle cost of one EENTER or EEXIT, and RdtscCost
+	// of one rdtsc outside enclave mode (Section 3, Figure 2).
+	EnterExitCost = 4000
+	RdtscCost     = 25
+)
+
 // DefaultConfig returns the paper-testbed machine with the given seed.
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:            seed,
-		Cores:           4,
-		FreqGHz:         4.0,
 		DRAM:            dram.DefaultConfig(),
-		CPU:             cpucache.DefaultConfig(4),
-		MEE:             mee.DefaultConfig(nil),
-		PRMSize:         128 << 20,
-		EPCSize:         96 << 20,
+		CPU:             cpucache.DefaultConfig(Cores),
+		MEE:             mee.DefaultConfig(),
 		EPCMode:         enclave.AllocSequential,
 		SpikeProb:       0.05,
 		SpikeMax:        500,
 		TimerResolution: enclave.TimerResolutionCycles,
 		TimerReadCost:   enclave.TimerReadCycles,
-		EnterExitCost:   4000,
-		RdtscCost:       25,
 	}
 }
 
@@ -133,12 +136,10 @@ func New(cfg Config) *Platform {
 	if cfg.MEE.Policy == nil {
 		cfg.MEE.Policy = cache.NewLRU()
 	}
-	if cfg.CPU.Cores != cfg.Cores {
-		cfg.CPU.Cores = cfg.Cores
-	}
+	cfg.CPU.Cores = Cores
 	mem := dram.New(cfg.DRAM)
-	prmBase := dram.Addr(cfg.DRAM.Size - cfg.PRMSize)
-	geom, err := itree.NewGeometry(prmBase, cfg.PRMSize, cfg.EPCSize)
+	prmBase := dram.Addr(cfg.DRAM.Size - PRMSize)
+	geom, err := itree.NewGeometry(prmBase, PRMSize, EPCSize)
 	if err != nil {
 		panic(fmt.Sprintf("platform: %v", err))
 	}
@@ -152,13 +153,13 @@ func New(cfg Config) *Platform {
 		mem:     mem,
 		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem),
 		caches:  cpucache.New(cfg.CPU, cache.NewLRU()),
-		epc:     enclave.NewEPCAllocator(prmBase, cfg.EPCSize, cfg.EPCMode, rng),
+		epc:     enclave.NewEPCAllocator(prmBase, EPCSize, cfg.EPCMode, rng),
 		genUsed: make(map[uint64]uint64),
 		prmBase: prmBase,
 		rng:     rng,
 	}
 	if o := cfg.Obs; o != nil {
-		o.Tracer().SetCyclesPerMicrosecond(cfg.FreqGHz * 1000)
+		o.Tracer().SetCyclesPerMicrosecond(FreqGHz * 1000)
 		eng.Observe(o)
 		p.mee.Observe(o)
 		p.caches.Observe(o)
@@ -195,7 +196,7 @@ func (p *Platform) Run(limit sim.Cycles) sim.Cycles { return p.eng.Run(limit) }
 func (p *Platform) Close() { p.eng.Close() }
 
 // CyclesPerSecond converts the core frequency.
-func (p *Platform) CyclesPerSecond() float64 { return p.cfg.FreqGHz * 1e9 }
+func (p *Platform) CyclesPerSecond() float64 { return FreqGHz * 1e9 }
 
 // WindowKBps converts a per-bit timing window into a channel bit rate in
 // kilobytes per second, the unit Figure 7 of the paper uses.

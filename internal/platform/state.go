@@ -38,7 +38,6 @@ type SnapshotState struct {
 	Caches    *cpucache.State
 	EPC       *enclave.EPCState
 	GenUsed   []cache.Word // nonzero words of the general-frame bitmap
-	PRMBase   dram.Addr
 	Procs     []ProcState
 	NextEID   int
 	NextPID   int
@@ -61,7 +60,6 @@ func (s *Snapshot) ExportState() *SnapshotState {
 		Caches:    s.caches.ExportState(),
 		EPC:       s.epc.ExportState(),
 		GenUsed:   make([]cache.Word, 0, len(s.genUsed)),
-		PRMBase:   s.prmBase,
 		NextEID:   s.nextEID,
 		NextPID:   s.nextPID,
 	}
@@ -90,23 +88,20 @@ func (s *Snapshot) ExportState() *SnapshotState {
 // Derived structures — the integrity-tree geometry and the working crypto
 // keys — are recomputed from the config and master key rather than trusted
 // from the image, and every cross-component invariant the codec cannot
-// express (PRM placement, bitmap sizes, cache geometry) is revalidated, so
-// a corrupted image yields an error, never a silently inconsistent machine.
+// express (core count, PRM placement, bitmap sizes, cache geometry) is
+// revalidated, so a corrupted image yields an error, never a silently
+// inconsistent machine.
 func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	cfg := st.Cfg
 	cfg.Obs = nil
-	if cfg.Cores <= 0 || cfg.CPU.Cores != cfg.Cores {
-		return nil, fmt.Errorf("platform: config cores %d / cpu cores %d inconsistent", cfg.Cores, cfg.CPU.Cores)
+	if cfg.CPU.Cores != Cores {
+		return nil, fmt.Errorf("platform: cpu cores %d, want %d", cfg.CPU.Cores, Cores)
 	}
-	if cfg.DRAM.Size < cfg.PRMSize || cfg.PRMSize < cfg.EPCSize {
-		return nil, fmt.Errorf("platform: region sizes inconsistent (dram %d, prm %d, epc %d)",
-			cfg.DRAM.Size, cfg.PRMSize, cfg.EPCSize)
+	if cfg.DRAM.Size < PRMSize {
+		return nil, fmt.Errorf("platform: dram size %d below the %d-byte PRM", cfg.DRAM.Size, PRMSize)
 	}
-	prmBase := dram.Addr(cfg.DRAM.Size - cfg.PRMSize)
-	if prmBase != st.PRMBase {
-		return nil, fmt.Errorf("platform: PRM base %#x does not match config-derived %#x", st.PRMBase, prmBase)
-	}
-	geom, err := itree.NewGeometry(prmBase, cfg.PRMSize, cfg.EPCSize)
+	prmBase := dram.Addr(cfg.DRAM.Size - PRMSize)
+	geom, err := itree.NewGeometry(prmBase, PRMSize, EPCSize)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}

@@ -70,7 +70,7 @@ func (p *Platform) SpawnThread(name string, pr *Process, core int, body func(*Th
 
 // SpawnThreadAt is SpawnThread with a start cycle.
 func (p *Platform) SpawnThreadAt(name string, pr *Process, core int, start sim.Cycles, body func(*Thread)) *Thread {
-	if core < 0 || core >= p.cfg.Cores {
+	if core < 0 || core >= Cores {
 		panic(fmt.Sprintf("platform: core %d out of range", core))
 	}
 	th := &Thread{proc: pr, core: core}
@@ -125,7 +125,7 @@ func (t *Thread) Core() int { return t.core }
 // core's private L1/L2, so previously warm lines miss. Callers model the
 // scheduling cost separately via Preempt.
 func (t *Thread) SetCore(core int) {
-	if core < 0 || core >= t.proc.plat.cfg.Cores {
+	if core < 0 || core >= Cores {
 		panic(fmt.Sprintf("platform: SetCore %d out of range", core))
 	}
 	t.core = core
@@ -189,7 +189,7 @@ func (t *Thread) EnterEnclave() {
 		panic("platform: nested EnterEnclave")
 	}
 	t.enclaveMode = true
-	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
+	t.sp.Advance(EnterExitCost)
 }
 
 // ExitEnclave leaves enclave mode (EEXIT).
@@ -198,7 +198,7 @@ func (t *Thread) ExitEnclave() {
 		panic("platform: ExitEnclave outside enclave")
 	}
 	t.enclaveMode = false
-	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.EnterExitCost))
+	t.sp.Advance(EnterExitCost)
 }
 
 // translate resolves va, enforcing SGX access control: EPC pages are only
@@ -349,7 +349,7 @@ func (t *Thread) Rdtsc() sim.Cycles {
 	}
 	t.payStall()
 	now := t.sp.Now()
-	t.sp.Advance(sim.Cycles(t.proc.plat.cfg.RdtscCost))
+	t.sp.Advance(RdtscCost)
 	return now
 }
 

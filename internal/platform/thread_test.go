@@ -132,7 +132,7 @@ func TestEnterExitRoundTripCost(t *testing.T) {
 		cost = th.Now() - before
 	})
 	p.Run(-1)
-	want := 2 * sim.Cycles(p.Config().EnterExitCost)
+	want := sim.Cycles(2 * EnterExitCost)
 	if cost != want {
 		t.Fatalf("EENTER+EEXIT cost %d, want %d", cost, want)
 	}
@@ -155,7 +155,7 @@ func TestEPCExhaustion(t *testing.T) {
 	p := New(cfg)
 	defer p.Close()
 	pr := p.NewProcess("big")
-	total := int(cfg.EPCSize / enclave.PageBytes)
+	total := EPCSize / enclave.PageBytes
 	if _, err := pr.CreateEnclave(total + 1); err == nil {
 		t.Fatal("EPC over-allocation accepted")
 	}

@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"meecc/internal/cpucache"
 	"meecc/internal/sim"
 )
 
@@ -98,7 +99,7 @@ func TestWriteInvalidatesOtherCores(t *testing.T) {
 		t.Fatalf("reader saw %#x, want 0xABCD", got)
 	}
 	// The read after invalidation cannot be an L1 hit (4 cycles).
-	if secondReadCost <= sim.Cycles(p.Config().CPU.L1Lat) {
+	if secondReadCost <= cpucache.L1Lat {
 		t.Fatalf("post-invalidation read cost %d looks like an L1 hit", secondReadCost)
 	}
 }

@@ -79,7 +79,6 @@ func appendState(w *Writer, st *platform.SnapshotState) error {
 	writeCPU(w, st.Caches)
 	writeEPC(w, st.EPC)
 	writeWords(w, st.GenUsed)
-	w.U64(uint64(st.PRMBase))
 	w.U64(uint64(len(st.Procs)))
 	for _, p := range st.Procs {
 		writeProc(w, p)
@@ -108,7 +107,6 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	st.Caches = readCPU(r)
 	st.EPC = readEPC(r)
 	st.GenUsed = readWords(r)
-	st.PRMBase = dram.Addr(r.U64())
 	nProcs := r.Count(1)
 	for i := 0; i < nProcs && r.Err() == nil; i++ {
 		st.Procs = append(st.Procs, readProc(r))
@@ -138,7 +136,7 @@ const fixedBound = 256
 func payloadBound(st *platform.SnapshotState) int {
 	n := fixedBound + len(st.MEEPolicy) + len(st.RNGState) + wordWire*len(st.GenUsed)
 	m := st.Mem
-	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy)+len(m.RefreshedAt))
+	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy))
 	for _, p := range m.Pages {
 		n += pageWire + len(p.Data)
 	}
@@ -202,13 +200,6 @@ func writeDRAM(w *Writer, st *dram.SnapshotState) {
 	for _, b := range st.BanksBusy {
 		w.I64(int64(b))
 	}
-	w.I64s(st.RefreshedAt)
-	w.U64(st.Stats.Reads)
-	w.U64(st.Stats.Writes)
-	w.U64(st.Stats.RowHits)
-	w.U64(st.Stats.RowMisses)
-	w.U64(st.Stats.Refreshes)
-	w.I64(int64(st.Stats.StallCyc))
 	w.U64(uint64(len(st.Pages)))
 	for _, p := range st.Pages {
 		w.U64(p.Index)
@@ -226,13 +217,6 @@ func readDRAM(r *Reader, cfg dram.Config) *dram.SnapshotState {
 	for i := range st.BanksBusy {
 		st.BanksBusy[i] = sim.Cycles(r.I64())
 	}
-	st.RefreshedAt = r.I64s()
-	st.Stats.Reads = r.U64()
-	st.Stats.Writes = r.U64()
-	st.Stats.RowHits = r.U64()
-	st.Stats.RowMisses = r.U64()
-	st.Stats.Refreshes = r.U64()
-	st.Stats.StallCyc = sim.Cycles(r.I64())
 	nPages := r.Count(pageWire)
 	st.Pages = make([]dram.PageImage, 0, nPages)
 	for i := 0; i < nPages && r.Err() == nil; i++ {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"meecc/internal/cache"
@@ -228,6 +229,22 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				}
 			}
 			t.Fatal("fixture has no page with a nonzero line")
+		}},
+		// The machine config's rules. Each image is otherwise one the
+		// decoder would accept, so the rule is what rejects it.
+		{"cpu cores not the machine's", func(st *platform.SnapshotState) {
+			st.Cfg.CPU.Cores = platform.Cores / 2
+			st.Caches.L1 = st.Caches.L1[:platform.Cores/2]
+			st.Caches.L2 = st.Caches.L2[:platform.Cores/2]
+		}},
+		{"dram smaller than the PRM", func(st *platform.SnapshotState) {
+			st.Cfg.DRAM.Size = platform.PRMSize / 2
+			st.Mem.Pages = slices.DeleteFunc(st.Mem.Pages, func(p dram.PageImage) bool {
+				return p.Index >= st.Cfg.DRAM.Size/dram.PageBytes
+			})
+		}},
+		{"PRM base not line aligned", func(st *platform.SnapshotState) {
+			st.Cfg.DRAM.Size += dram.LineSize / 2
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,11 @@ package snapstore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,12 +62,38 @@ type Store struct {
 }
 
 // Open creates (if needed) and opens a store rooted at dir. maxBytes bounds
-// the total size of stored blobs; zero or negative disables eviction.
+// the total size of stored blobs; zero or negative disables eviction. Open
+// deletes every blob file that is not a sealed blob of the current format
+// Version: no decoder reads one, and no size bound would otherwise reclaim
+// it from an unbounded store.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: %w", err)
 	}
-	return &Store{dir: dir, maxBytes: maxBytes}, nil
+	s := &Store{dir: dir, maxBytes: maxBytes}
+	// s is not shared yet, so listing its blobs needs no lock.
+	for _, e := range s.entriesLocked() {
+		if !currentVersion(e.path) {
+			os.Remove(e.path)
+		}
+	}
+	return s, nil
+}
+
+// currentVersion reports whether the file at path opens with the magic and
+// the current format version, the first 12 bytes of every blob Seal
+// frames. A file it cannot open is given the benefit of the doubt.
+func currentVersion(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return true
+	}
+	defer f.Close()
+	var hdr [len(magic) + 4]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return false
+	}
+	return string(hdr[:len(magic)]) == magic && binary.LittleEndian.Uint32(hdr[len(magic):]) == Version
 }
 
 // Dir returns the store's root directory.

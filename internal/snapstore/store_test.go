@@ -2,6 +2,8 @@ package snapstore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -39,6 +41,39 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	}
 	if _, err := s.Get(key); !errors.Is(err, snapstore.ErrNotFound) {
 		t.Fatalf("deleted key: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestOpenDropsOtherVersions: a store opened over blobs of another format
+// version, which no decoder reads, deletes them and keeps the current ones.
+func TestOpenDropsOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	s, err := snapstore.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := snapstore.Seal(snapstore.KindWarm, []byte("payload"))
+	old := bytes.Clone(cur)
+	binary.LittleEndian.PutUint32(old[len("MEECSNP\x00"):], snapstore.Version-1)
+	sum := sha256.Sum256(old[:len(old)-sha256.Size])
+	copy(old[len(old)-sha256.Size:], sum[:])
+	kCur, kOld := snapstore.Key("current"), snapstore.Key("older")
+	for k, blob := range map[string][]byte{kCur: cur, kOld: old} {
+		if err := s.Put(k, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, err = snapstore.Open(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("reopened store holds %d blobs, want 1", s.Len())
+	}
+	if got, err := s.Get(kCur); err != nil || !bytes.Equal(got, cur) {
+		t.Fatalf("current blob: err %v, equal %t", err, bytes.Equal(got, cur))
+	}
+	if _, err := s.Get(kOld); !errors.Is(err, snapstore.ErrNotFound) {
+		t.Fatalf("version-%d blob: got %v, want ErrNotFound", snapstore.Version-1, err)
 	}
 }
 

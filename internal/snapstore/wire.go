@@ -23,7 +23,7 @@ const (
 	// magic opens every sealed blob.
 	magic = "MEECSNP\x00"
 	// Version is the wire-format version; bump on any layout change.
-	Version = 2
+	Version = 3
 	// maxStringLen bounds decoded string/name lengths so a corrupted length
 	// prefix cannot drive a giant allocation before the checksum would have
 	// caught it.
