@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: vet, gofmt, build, full test suite, race detector over the
-# packages with real cross-goroutine traffic, a benchmark smoke pass, and a
-# smoke batch run through the experiment harness. Exits non-zero on the first
-# failure.
+# packages with real cross-goroutine traffic, a benchmark smoke pass, a
+# smoke batch run through the experiment harness, and the committed
+# results/ regenerated byte for byte. Exits non-zero on the first failure.
 #
 # `./ci.sh bench` instead runs the full benchmark suites with -benchmem and
 # writes a benchstat-comparable baseline to results/bench.json (tune with
@@ -301,6 +301,22 @@ for dir in examples/*/; do
     [ -f "$dir/main.go" ] || continue
     go build -o "$tmp/example-$name" "./$dir"
     "$tmp/example-$name" > /dev/null || { echo "example $name failed" >&2; exit 1; }
+done
+
+echo "== results: regenerate the committed 100-trial figures =="
+# The determinism contract at paper scale: every committed results/ file
+# must come back byte for byte from the command that wrote it, except the
+# benchmark baseline and the run manifests, which record the git revision,
+# worker count and wall time of their run.
+mkdir -p "$tmp/results"
+go run ./cmd/figures -fig all -bits 256 -trials 100 -workers 2 \
+    -out "$tmp/results" > "$tmp/results/figures.txt"
+for f in $(git ls-files results); do
+    case "$f" in
+    results/bench.json | results/*.manifest.json) continue ;;
+    esac
+    cmp "$f" "$tmp/$f" || {
+        echo "$f differs from its regenerated copy" >&2; exit 1; }
 done
 
 echo "== bench-gate (hard gate) =="

@@ -261,12 +261,15 @@ func (c *Cache) WayOf(set int, tag Tag) (way int, ok bool) {
 // line was present.
 func (c *Cache) MarkDirty(set int, tag Tag) bool {
 	_, w := c.probe(set, tag)
-	if w < 0 {
-		return false
+	if w >= 0 {
+		c.MarkDirtyWay(set, w)
 	}
-	c.blocks.Write(set)[c.ways] |= 1 << w
-	return true
+	return w >= 0
 }
+
+// MarkDirtyWay sets the dirty bit of the line in way of set, which must
+// hold one.
+func (c *Cache) MarkDirtyWay(set, way int) { c.blocks.Write(set)[c.ways] |= 1 << way }
 
 // Insert fills tag into set, evicting if necessary. It returns the evicted
 // line (Valid=false if an empty way was used). The inserted line's dirty bit
@@ -454,6 +457,22 @@ func (c *Cache) linesInto(dst []Line, set int) {
 	for ; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		dst[w] = c.line(b, w)
+	}
+}
+
+// Lines calls f with the set, way and contents of every valid line, in
+// [set*ways+way] order, without touching replacement state or stats. f must
+// not change the cache.
+func (c *Cache) Lines(f func(set, way int, l Line)) {
+	for s, m := range c.valid {
+		if m == 0 {
+			continue
+		}
+		b := c.blocks.Read(s)
+		for ; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			f(s, w, c.line(b, w))
+		}
 	}
 }
 

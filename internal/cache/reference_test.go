@@ -209,7 +209,8 @@ type refSide struct {
 var sideNames = []string{"first side", "second side"}
 
 // checkSide fails t unless c, the cache called what, agrees with r: Stats,
-// EvictionsBySet and every set's contents.
+// EvictionsBySet, every set's contents, and Lines, which lists exactly the
+// valid lines in [set*ways+way] order.
 func checkSide(t *testing.T, op int, what string, c *Cache, r *refCache) {
 	t.Helper()
 	if c.Stats() != r.stats {
@@ -218,10 +219,26 @@ func checkSide(t *testing.T, op int, what string, c *Cache, r *refCache) {
 	if !slices.Equal(c.EvictionsBySet(), r.evBySet) {
 		t.Fatalf("op %d: %s: evictions by set %v, reference %v", op, what, c.EvictionsBySet(), r.evBySet)
 	}
+	var want, got []Line
 	for s := range r.sets {
-		if got, want := c.SetContents(s), r.contents(s); !slices.Equal(got, want) {
-			t.Fatalf("op %d: %s: set %d holds %+v, reference %+v", op, what, s, got, want)
+		contents := r.contents(s)
+		if got := c.SetContents(s); !slices.Equal(got, contents) {
+			t.Fatalf("op %d: %s: set %d holds %+v, reference %+v", op, what, s, got, contents)
 		}
+		for _, l := range contents {
+			if l.Valid {
+				want = append(want, l)
+			}
+		}
+	}
+	c.Lines(func(s, w int, l Line) {
+		if l != c.SetContents(s)[w] {
+			t.Fatalf("op %d: %s: Lines gives set %d way %d as %+v, SetContents %+v", op, what, s, w, l, c.SetContents(s)[w])
+		}
+		got = append(got, l)
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("op %d: %s: Lines lists %+v, reference %+v", op, what, got, want)
 	}
 }
 

@@ -131,20 +131,14 @@ func (c *Cache) listed(s int, untouched []uint64) bool {
 	return c.blocks.dir[s] != 0 && !slices.Equal(c.window(c.blocks.Read(s)), untouched)
 }
 
-// Valid reports whether way of set holds a line in the image.
-func (st *State) Valid(set, way int) bool {
-	i, ok := slices.BinarySearchFunc(st.Listed, set, func(ss SetState, set int) int { return ss.Set - set })
-	return ok && st.Listed[i].Valid&(1<<way) != 0
-}
-
 // FromState rebuilds a cache from a State image. rng rebinds randomized
 // policies (random, nru); it may be nil, in which case those policies get a
 // private throwaway source — safe for frozen copies that never run, because
 // Clone(rng) at fork time rebinds them to the fork's engine stream before
 // any victim is drawn. Geometry and every listed set are validated — set
 // indexes strictly ascending and in range, masks within the ways and the
-// dirty mask within the valid one, one tag per valid way, windows of the
-// policy's length that pass its Check, and no listed set equal to an
+// dirty mask within the valid one, one distinct tag per valid way, windows
+// of the policy's length that pass its Check, and no listed set equal to an
 // untouched one — as are the eviction counters, so a corrupted image
 // returns an error rather than panicking downstream, and an image that
 // decodes re-exports unchanged.
@@ -183,6 +177,11 @@ func FromState(st *State, rng *rand.Rand) (*Cache, error) {
 		}
 		if len(ss.Tags) != bits.OnesCount64(ss.Valid) {
 			return nil, fmt.Errorf("cache %s set %d: %d tags for valid mask %#x", st.Name, s, len(ss.Tags), ss.Valid)
+		}
+		for i, t := range ss.Tags {
+			if slices.Contains(ss.Tags[:i], t) {
+				return nil, fmt.Errorf("cache %s set %d: tag %#x held by two ways", st.Name, s, t)
+			}
 		}
 		if len(ss.Window) != c.stride {
 			return nil, fmt.Errorf("cache %s set %d: %s state: %d words, want %d", st.Name, s, st.PolicyName, len(ss.Window), c.stride)

@@ -12,8 +12,8 @@ import (
 // every 7 Figure 7 trials do. Neither may scale with the machine's size.
 // Cache sets get their blocks on first write, and a fork shares its
 // snapshot's blocks, DRAM pages and EPC frame list. Boot allocates flat
-// per-set words, the MEE slabs and the 196 KB frame list (1.05 MB); a fork
-// copies only the words and slabs (0.86 MB). Both were 5.99 MB when every
+// per-set words, the MEE slabs and the 196 KB frame list (1.04 MB); a fork
+// copies only the words and slabs (0.84 MB). Both were 5.99 MB when every
 // cache level was eager slabs. A return to eager slabs fails here.
 func TestBootAndForkBytes(t *testing.T) {
 	const limit = 1_500_000

@@ -95,20 +95,20 @@ type Victim struct {
 // maxCores is the presence-mask width: lineBuf.cores has one bit per core.
 const maxCores = 16
 
+// lineBuf is the plaintext and dirtiness of one LLC-resident line. Its way
+// is implied by its position in the set's block, and the LLC alone records
+// which line that way holds, if any: an empty way's slot holds the zero
+// buffer, and a set never filled reads as a block of them.
 type lineBuf struct {
 	data  [dram.LineSize]byte
 	dirty bool
-	// valid marks the slot occupied; the slot's way is implied by its
-	// position in the set's block, and a set never filled reads as a block
-	// of invalid slots.
-	valid bool
 	// cores is a conservative mask of cores whose private L1/L2 may still
 	// hold the line: a set bit means "maybe present", a clear bit means
 	// "definitely absent". It lets flushes and back-invalidations skip the
 	// private-cache scans that would find nothing — pure host-side
 	// bookkeeping with no effect on simulated state or statistics (a no-op
-	// Invalidate touches neither replacement state nor counters). It is dead
-	// state while the slot is invalid.
+	// Invalidate touches neither replacement state nor counters). An empty
+	// way's mask is zero.
 	cores uint16
 }
 
@@ -241,14 +241,8 @@ func (h *Hierarchy) fork(bufs cache.Blocks[lineBuf], level func(*cache.Cache) *c
 	return n
 }
 
-// buf returns the buffer of a valid line at an LLC location for reading,
-// or nil when the slot holds no line.
-func (h *Hierarchy) buf(set, way int) *lineBuf {
-	if b := &h.bufs.Read(set)[way]; b.valid {
-		return b
-	}
-	return nil
-}
+// buf returns the buffer at an LLC location for reading.
+func (h *Hierarchy) buf(set, way int) *lineBuf { return &h.bufs.Read(set)[way] }
 
 // ownBuf returns the slot at an LLC location for writing. A set's first
 // write materializes its block; a block shared with a snapshot or fork is
@@ -260,7 +254,7 @@ func (h *Hierarchy) ownBuf(set, way int) *lineBuf { return &h.bufs.Write(set)[wa
 func (h *Hierarchy) locate(addr dram.Addr) (set, way int, ok bool) {
 	set = h.llcSet(addr)
 	way, ok = h.llc.WayOf(set, h.tag(addr))
-	return set, way, ok && h.buf(set, way) != nil
+	return set, way, ok
 }
 
 // Config returns the hierarchy configuration.
@@ -341,7 +335,7 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		h.l1[core].Insert(h.l1Set(addr), tag, false)
 		// Now privately resident here too; a bit already set needs no write,
 		// so a read hit leaves a shared block shared.
-		if b := h.buf(set, way); b != nil && b.cores&(1<<uint(core)) == 0 {
+		if h.buf(set, way).cores&(1<<uint(core)) == 0 {
 			h.ownBuf(set, way).cores |= 1 << uint(core)
 		}
 		lvl, lat = HitLLC, LLCLat
@@ -420,15 +414,16 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 		h.setVictim(evAddr, b)
 		h.countDrop()
 		victim = &h.victim
-	} else if b.valid {
+	} else {
 		// Re-filling a still-resident line: other cores may hold it
-		// privately, so their mask bits must survive.
+		// privately, so their mask bits must survive. An empty way's
+		// buffer adds none.
 		mask |= b.cores
 	}
 	h.l2[core].Insert(h.l2Set(addr), tag, false)
 	h.l1[core].Insert(h.l1Set(addr), tag, false)
 	h.countInstall()
-	*b = lineBuf{data: data, dirty: dirty, valid: true, cores: mask}
+	*b = lineBuf{data: data, dirty: dirty, cores: mask}
 	return victim
 }
 
@@ -439,10 +434,9 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 // is the paper's challenge 1.
 //
 // One scan of the LLC set finds and invalidates the line. The LLC is
-// inclusive and every valid LLC line has a valid buffer (New and
-// HierarchyFromState keep both true), so a line the LLC does not hold is
-// in no private cache either, and a line it does hold has a buffer whose
-// presence mask bounds the private caches to clear.
+// inclusive, so a line the LLC does not hold is in no private cache either,
+// and a line it does hold has a buffer whose presence mask bounds the
+// private caches to clear.
 func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	addr = lineAddr(addr)
 	h.cFlush.Inc()

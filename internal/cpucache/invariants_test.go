@@ -24,16 +24,16 @@ func hierarchyScript(seed uint64, n int) []byte {
 	return b
 }
 
-// checkHierarchy fails t unless h holds the invariants the inclusive LLC
-// and the one-scan clflush rely on: every valid L1/L2 line is valid in the
-// LLC with that core's presence bit set, every valid LLC line has a valid
-// buffer, and no invalid LLC slot has one.
+// checkHierarchy fails t unless h holds the invariants the inclusive LLC,
+// the one-scan clflush and Fill's presence-mask merge rely on: every valid
+// L1/L2 line is valid in the LLC with that core's presence bit set, and an
+// empty LLC way holds the zero buffer.
 func checkHierarchy(t *testing.T, h *Hierarchy, op int) {
 	t.Helper()
 	for s := 0; s < h.cfg.LLCSets; s++ {
 		for w, l := range h.llc.SetContents(s) {
-			if b := h.buf(s, w); l.Valid != (b != nil) {
-				t.Fatalf("op %d: LLC set %d way %d: line valid %v, buffer valid %v", op, s, w, l.Valid, b != nil)
+			if b := h.buf(s, w); !l.Valid && *b != (lineBuf{}) {
+				t.Fatalf("op %d: LLC set %d way %d is empty but its buffer is not zero: %+v", op, s, w, *b)
 			}
 		}
 	}
@@ -49,7 +49,7 @@ func checkHierarchy(t *testing.T, h *Hierarchy, op int) {
 					if !ok {
 						t.Fatalf("op %d: core %d %s holds line %#x, which the LLC does not", op, c, private.Name(), uint64(l.Tag)*dram.LineSize)
 					}
-					if b := h.buf(set, way); b == nil || b.cores&(1<<uint(c)) == 0 {
+					if h.buf(set, way).cores&(1<<uint(c)) == 0 {
 						t.Fatalf("op %d: core %d %s holds line %#x without its presence bit", op, c, private.Name(), uint64(l.Tag)*dram.LineSize)
 					}
 				}

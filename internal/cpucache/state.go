@@ -9,9 +9,9 @@ import (
 )
 
 // LineBufState is one LLC-resident plaintext line buffer in a serialized
-// hierarchy image, addressed by its dense [set*ways+way] slot.
+// hierarchy image. Which line it holds is the LLC image's record: the
+// buffer belongs to the valid way it is listed for.
 type LineBufState struct {
-	Idx   int
 	Data  [dram.LineSize]byte
 	Dirty bool
 }
@@ -23,12 +23,12 @@ type State struct {
 	L1   []*cache.State
 	L2   []*cache.State
 	LLC  *cache.State
-	Bufs []LineBufState // ascending Idx
+	Bufs []LineBufState // one per valid way of LLC, in [set*ways+way] order
 }
 
 // ExportState captures the hierarchy as a deep-copied State. Only the ways
-// the LLC image marks valid hold a buffer, so only the LLC's listed sets
-// are scanned for one.
+// the LLC image marks valid hold a line, so only the LLC's listed sets are
+// scanned for buffers.
 func (h *Hierarchy) ExportState() *State {
 	st := &State{LLC: h.llc.ExportState()}
 	for _, c := range h.l1 {
@@ -40,10 +40,8 @@ func (h *Hierarchy) ExportState() *State {
 	for _, ss := range st.LLC.Listed {
 		bufs := h.bufs.Read(ss.Set)
 		for m := ss.Valid; m != 0; m &= m - 1 {
-			way := bits.TrailingZeros64(m)
-			if b := &bufs[way]; b.valid {
-				st.Bufs = append(st.Bufs, LineBufState{Idx: ss.Set*h.cfg.LLCWays + way, Data: b.data, Dirty: b.dirty})
-			}
+			b := &bufs[bits.TrailingZeros64(m)]
+			st.Bufs = append(st.Bufs, LineBufState{Data: b.data, Dirty: b.dirty})
 		}
 	}
 	return st
@@ -52,9 +50,8 @@ func (h *Hierarchy) ExportState() *State {
 // HierarchyFromState rebuilds a frozen hierarchy from a serialized image.
 // The result never runs directly — Fork rebinds randomized policies to a
 // live engine stream. A config New would refuse is an error, and so are
-// geometry mismatches against cfg and buffers that do not match the valid
-// LLC lines one for one (Flush relies on every valid LLC line having one).
-// Only sets that hold a buffer get a block.
+// geometry mismatches against cfg and a buffer list that is not one buffer
+// per valid LLC line. Only sets that hold a line get a block.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -97,18 +94,13 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if len(st.Bufs) != llc.ValidCount() {
 		return nil, fmt.Errorf("cpucache: %d line buffers for %d valid LLC lines", len(st.Bufs), llc.ValidCount())
 	}
-	last := -1
-	for _, b := range st.Bufs {
-		if b.Idx <= last || b.Idx >= cfg.LLCSets*cfg.LLCWays {
-			return nil, fmt.Errorf("cpucache: buffer slot %d out of order or range", b.Idx)
-		}
-		if !st.LLC.Valid(b.Idx/cfg.LLCWays, b.Idx%cfg.LLCWays) {
-			return nil, fmt.Errorf("cpucache: buffer slot %d holds no valid LLC line", b.Idx)
-		}
-		last = b.Idx
+	i := 0
+	llc.Lines(func(set, way int, _ cache.Line) {
 		// The serialized image does not carry private-cache presence, so
 		// restore with the conservative all-cores mask.
-		*h.ownBuf(b.Idx/cfg.LLCWays, b.Idx%cfg.LLCWays) = lineBuf{data: b.Data, dirty: b.Dirty, valid: true, cores: h.allCores()}
-	}
+		b := &st.Bufs[i]
+		*h.ownBuf(set, way) = lineBuf{data: b.Data, dirty: b.Dirty, cores: h.allCores()}
+		i++
+	})
 	return h, nil
 }

@@ -89,8 +89,8 @@ func TestStateRejectsNonPowerOfTwoSets(t *testing.T) {
 }
 
 // TestStateRejectsBuffersOffValidLines: clflush scans the LLC once and
-// takes the line's buffer, so an image must pair every valid LLC line with
-// a buffer and hold no buffer for an invalid slot.
+// takes the line's buffer, so an image must list exactly one buffer per
+// valid LLC line: none missing, and none beyond them.
 func TestStateRejectsBuffersOffValidLines(t *testing.T) {
 	h := newH()
 	h.Fill(0, 0x40000, line(1), true)
@@ -105,8 +105,8 @@ func TestStateRejectsBuffersOffValidLines(t *testing.T) {
 		t.Error("valid LLC line without a buffer decoded without error")
 	}
 	stray := *st
-	stray.Bufs = append(slices.Clone(st.Bufs[:1]), LineBufState{Idx: st.Bufs[1].Idx + 1})
+	stray.Bufs = append(slices.Clone(st.Bufs), LineBufState{})
 	if _, err := HierarchyFromState(h.Config(), &stray); err == nil {
-		t.Error("buffer in an invalid LLC slot decoded without error")
+		t.Error("buffer beyond the valid LLC lines decoded without error")
 	}
 }

@@ -93,12 +93,11 @@ func DefaultConfig() Config {
 // DRAM is the main-memory model. Not safe for concurrent use (the simulation
 // engine serializes actors).
 type DRAM struct {
-	cfg       Config
-	dir       []*chunk // two-level page directory, chunk per 2 MB
-	gen       uint64   // COW ownership generation of this view
-	allocated int      // pages materialized by this view and its ancestry
-	openRow   []int64  // per-bank open row, -1 = closed
-	banks     []sim.Resource
+	cfg     Config
+	dir     []*chunk // two-level page directory, chunk per 2 MB
+	gen     uint64   // COW ownership generation of this view
+	openRow []int64  // per-bank open row, -1 = closed
+	banks   []sim.Resource
 }
 
 // checkConfig is the one geometry rule New and SnapshotFromState share: a
@@ -135,21 +134,19 @@ func New(cfg Config) *DRAM {
 // shared pages instead of mutating the frozen image. Snapshots are
 // immutable and safe to Fork from multiple goroutines.
 type Snapshot struct {
-	cfg       Config
-	dir       []*chunk
-	allocated int
-	openRow   []int64
-	banks     []sim.Resource
+	cfg     Config
+	dir     []*chunk
+	openRow []int64
+	banks   []sim.Resource
 }
 
 // Snapshot captures the DRAM for later forking; see Snapshot's doc.
 func (d *DRAM) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cfg:       d.cfg,
-		dir:       make([]*chunk, len(d.dir)),
-		allocated: d.allocated,
-		openRow:   make([]int64, len(d.openRow)),
-		banks:     make([]sim.Resource, len(d.banks)),
+		cfg:     d.cfg,
+		dir:     make([]*chunk, len(d.dir)),
+		openRow: make([]int64, len(d.openRow)),
+		banks:   make([]sim.Resource, len(d.banks)),
 	}
 	copy(s.dir, d.dir)
 	copy(s.openRow, d.openRow)
@@ -166,12 +163,11 @@ func (d *DRAM) Snapshot() *Snapshot {
 // still single-threaded, like DRAM).
 func (s *Snapshot) Fork() *DRAM {
 	d := &DRAM{
-		cfg:       s.cfg,
-		dir:       make([]*chunk, len(s.dir)),
-		gen:       nextGeneration(),
-		allocated: s.allocated,
-		openRow:   make([]int64, len(s.openRow)),
-		banks:     make([]sim.Resource, len(s.banks)),
+		cfg:     s.cfg,
+		dir:     make([]*chunk, len(s.dir)),
+		gen:     nextGeneration(),
+		openRow: make([]int64, len(s.openRow)),
+		banks:   make([]sim.Resource, len(s.banks)),
 	}
 	copy(d.dir, s.dir)
 	copy(d.openRow, s.openRow)
@@ -238,7 +234,6 @@ func (d *DRAM) pageFor(addr Addr, write bool) (*page, uint64) {
 		}
 		p = &page{gen: d.gen}
 		ch.pages[pi] = p
-		d.allocated++
 		return p, uint64(addr - base)
 	}
 	if write && p.gen != d.gen {
@@ -311,5 +306,16 @@ func (d *DRAM) WriteLine(addr Addr, line [LineSize]byte) {
 
 // AllocatedPages reports how many 4 KB backing pages have been materialized
 // (diagnostics; the store is sparse so 32 GB costs nothing up front). A
-// forked view counts pages inherited from its snapshot plus its own.
-func (d *DRAM) AllocatedPages() int { return d.allocated }
+// forked view counts pages inherited from its snapshot plus its own. It
+// counts the directory's pages, so it costs a scan of the directory.
+func (d *DRAM) AllocatedPages() int {
+	n := 0
+	for _, ch := range d.dir {
+		for i := 0; ch != nil && i < chunkPages; i++ {
+			if ch.pages[i] != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

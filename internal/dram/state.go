@@ -50,7 +50,6 @@ func (p *page) nonzeroLines() uint64 {
 // timing state, and the materialized pages in ascending address order.
 type SnapshotState struct {
 	Cfg       Config
-	Allocated int
 	OpenRow   []int64
 	BanksBusy []sim.Cycles
 	Pages     []PageImage
@@ -61,7 +60,6 @@ type SnapshotState struct {
 func (s *Snapshot) ExportState() *SnapshotState {
 	st := &SnapshotState{
 		Cfg:       s.cfg,
-		Allocated: s.allocated,
 		OpenRow:   make([]int64, len(s.openRow)),
 		BanksBusy: make([]sim.Cycles, len(s.banks)),
 	}
@@ -114,11 +112,10 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	nPages := (st.Cfg.Size + pageBytes - 1) / pageBytes
 	gen := nextGeneration()
 	s := &Snapshot{
-		cfg:       st.Cfg,
-		dir:       make([]*chunk, (st.Cfg.Size+chunkBytes-1)/chunkBytes),
-		allocated: st.Allocated,
-		openRow:   make([]int64, st.Cfg.Banks),
-		banks:     make([]sim.Resource, st.Cfg.Banks),
+		cfg:     st.Cfg,
+		dir:     make([]*chunk, (st.Cfg.Size+chunkBytes-1)/chunkBytes),
+		openRow: make([]int64, st.Cfg.Banks),
+		banks:   make([]sim.Resource, st.Cfg.Banks),
 	}
 	copy(s.openRow, st.OpenRow)
 	for i, b := range st.BanksBusy {

@@ -26,12 +26,16 @@ func (pt *PageTable) Entries() []PTE {
 }
 
 // PageTableFromEntries rebuilds a page table from serialized entries,
-// validating alignment and rejecting duplicate virtual pages.
-func PageTableFromEntries(entries []PTE) (*PageTable, error) {
+// validating alignment and rejecting duplicate virtual pages and frames
+// that do not fit in a memory of memSize bytes.
+func PageTableFromEntries(entries []PTE, memSize uint64) (*PageTable, error) {
 	pt := NewPageTable()
 	for _, e := range entries {
 		if e.VA%PageBytes != 0 || e.PA%PageBytes != 0 {
 			return nil, fmt.Errorf("enclave: unaligned mapping %#x -> %#x", e.VA, e.PA)
+		}
+		if memSize < PageBytes || uint64(e.PA) > memSize-PageBytes {
+			return nil, fmt.Errorf("enclave: mapping %#x -> %#x past the %#x-byte memory", e.VA, e.PA, memSize)
 		}
 		if _, dup := pt.pages[e.VA]; dup {
 			return nil, fmt.Errorf("enclave: duplicate mapping for %#x", e.VA)
@@ -72,11 +76,24 @@ func (a *EPCAllocator) ExportState() *EPCState {
 	return st
 }
 
-// EPCFromState rebuilds an allocator from a serialized image. The
-// allocator shares st.Frames, as a clone shares its original's list.
-func EPCFromState(st *EPCState) (*EPCAllocator, error) {
+// EPCFromState rebuilds an allocator of the EPC [base, base+size) from a
+// serialized image, rejecting a listed or owned frame that is not a page of
+// that range. The allocator shares st.Frames, as a clone shares its
+// original's list.
+func EPCFromState(st *EPCState, base dram.Addr, size uint64) (*EPCAllocator, error) {
 	if st.Next < 0 || st.Next > len(st.Frames) {
 		return nil, fmt.Errorf("enclave: EPC cursor %d out of range (%d frames)", st.Next, len(st.Frames))
+	}
+	inEPC := func(f dram.Addr) error {
+		if f < base || uint64(f-base) >= size || f%PageBytes != 0 {
+			return fmt.Errorf("enclave: frame %#x is no page of the EPC [%#x, %#x)", f, base, uint64(base)+size)
+		}
+		return nil
+	}
+	for _, f := range st.Frames {
+		if err := inEPC(f); err != nil {
+			return nil, err
+		}
 	}
 	a := &EPCAllocator{
 		frames: slices.Clip(st.Frames),
@@ -84,8 +101,8 @@ func EPCFromState(st *EPCState) (*EPCAllocator, error) {
 		owner:  make(map[dram.Addr]int, len(st.Owners)),
 	}
 	for _, o := range st.Owners {
-		if o.Frame%PageBytes != 0 {
-			return nil, fmt.Errorf("enclave: unaligned owned frame %#x", o.Frame)
+		if err := inEPC(o.Frame); err != nil {
+			return nil, err
 		}
 		if _, dup := a.owner[o.Frame]; dup {
 			return nil, fmt.Errorf("enclave: duplicate owner entry for %#x", o.Frame)

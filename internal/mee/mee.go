@@ -152,13 +152,13 @@ type Engine struct {
 	// is its line address masked by it.
 	halfMask uint64
 
-	// bufs mirrors the current content of every tree line resident in the
+	// bufs holds the current content of every tree line resident in the
 	// MEE cache (DRAM may be stale for dirty lines). It is one contiguous
 	// value slab indexed [set*ways+way], way for way with the cache's
-	// lines: the per-walk lookup is an array index, dropping a line is
-	// clearing its valid bit, and Fork is a single slab copy.
-	bufs  []nodeBuf
-	nBufs int // resident count, for maybeRandomEvict's capacity/empty checks
+	// lines, which alone record what each slot holds: the per-walk lookup
+	// is an array index, an empty way's slot holds the zero buffer, and
+	// Fork is a single slab copy.
+	bufs []nodeBuf
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the nodebuf alloc/recycled observability counters keep their exact
 	// historical semantics now that slots are slab-resident.
@@ -198,17 +198,16 @@ type Engine struct {
 	nHitLevel   obs.NameID
 }
 
-// nodeBuf is the decoded content of a cached tree line. addr is the line's
-// DRAM address, kept here so resident lines can be enumerated from the
-// dense buffer array alone (random eviction, cache flush). valid marks the
-// slot occupied; the slot index is implied by position in the slab.
+// nodeBuf is the decoded content of a cached tree line. Which line a slot
+// holds is its way's: the line's address is the way's tag times the line
+// size, its kind the geometry's class of that address, and the slot is
+// resident exactly when the way is valid. dirty is the buffer's own record
+// of the cache's dirty bit: FlushCache clears it once a line is written
+// back, ahead of the cache's FlushAll.
 type nodeBuf struct {
-	addr    dram.Addr
-	kind    itree.NodeKind
 	counter itree.CounterLine // for version/level lines
 	tags    itree.TagLine     // for tag lines
 	dirty   bool
-	valid   bool
 }
 
 // dataMemoEntry is the memoized crypto result for one data line: the
@@ -349,7 +348,6 @@ func (e *Engine) fork(mem *dram.DRAM, c *cache.Cache) *Engine {
 		mem:         mem,
 		cache:       c,
 		bufs:        make([]nodeBuf, len(e.bufs)),
-		nBufs:       e.nBufs,
 		root:        make([]uint64, len(e.root)),
 		initialized: make([]uint64, len(e.initialized)),
 		port:        e.port,
@@ -431,6 +429,9 @@ func (e *Engine) cacheTag(addr dram.Addr) cache.Tag {
 	return cache.Tag(uint64(addr) / itree.LineSize)
 }
 
+// tagAddr is the address of the tree line a cache tag names.
+func tagAddr(t cache.Tag) dram.Addr { return dram.Addr(uint64(t) * itree.LineSize) }
+
 // walker accumulates latency for one protected access. In postedMode (used
 // for writebacks and background flushes) DRAM traffic occupies banks but
 // adds no requester latency, and hit-level accounting is suppressed.
@@ -491,20 +492,17 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	}
 
 	// Versions walk: stops at the first MEE-cache hit.
-	vline, err := e.loadVersions(w, addr)
+	vi, err := e.loadVersions(w, addr)
 	if err != nil {
 		return [itree.LineSize]byte{}, w.lat, w.hit, err
 	}
 	slot := e.geom.VersionSlot(addr)
-	version := vline.counter.Counters[slot]
+	version := e.bufs[vi].counter.Counters[slot]
 
 	// PD_Tag check. The tag fetch overlaps the data fetch in the real
 	// pipeline, so it adds no serial latency, but it does occupy a DRAM
 	// bank on a miss and consumes even-set cache capacity.
-	tline, err := e.loadTags(w, addr)
-	if err != nil {
-		return [itree.LineSize]byte{}, w.lat, w.hit, err
-	}
+	ti := e.loadTags(w, addr)
 	if m != nil && m.version != version {
 		m, ct = nil, e.mem.ReadLine(addr) // a memo of another version
 	}
@@ -514,7 +512,7 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	} else {
 		want = e.crypt.DataMAC(addr, version, ct)
 	}
-	if tline.tags.Tags[slot] != want {
+	if e.bufs[ti].tags.Tags[slot] != want {
 		e.stats.Violations++
 		return [itree.LineSize]byte{}, w.lat, w.hit, &IntegrityError{Addr: addr, Kind: itree.KindData, What: "PD_Tag mismatch"}
 	}
@@ -551,16 +549,17 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	w := &walker{e: e, rng: rng, now: now}
 	e.maybeRandomEvict(w)
 
-	vline, err := e.loadVersions(w, addr)
+	vi, err := e.loadVersions(w, addr)
 	if err != nil {
 		return w.lat, w.hit, err
 	}
 	slot := e.geom.VersionSlot(addr)
+	vline := &e.bufs[vi]
 	if vline.counter.Counters[slot] >= itree.CounterMax {
 		return w.lat, w.hit, fmt.Errorf("mee: version counter overflow at %#x (re-key required)", addr)
 	}
 	vline.counter.Counters[slot]++
-	e.markDirty(vline)
+	e.markDirty(vi)
 	version := vline.counter.Counters[slot]
 
 	ct := e.crypt.EncryptLine(addr, version, plain)
@@ -568,13 +567,10 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	gen := e.mem.WriteGen(addr)
 	w.posted(addr, true)
 
-	tline, err := e.loadTags(w, addr)
-	if err != nil {
-		return w.lat, w.hit, err
-	}
+	ti := e.loadTags(w, addr)
 	mac := e.crypt.DataMAC(addr, version, ct)
-	tline.tags.Tags[slot] = mac
-	e.markDirty(tline)
+	e.bufs[ti].tags.Tags[slot] = mac
+	e.markDirty(ti)
 	e.putDataMemo(addr, version, gen, mac, plain)
 
 	w.lat += sim.Gauss(rng, PipelineBase+WriteExtra, JitterSigma)

@@ -5,20 +5,16 @@ import (
 	"slices"
 
 	"meecc/internal/cache"
-	"meecc/internal/dram"
 	"meecc/internal/itree"
 	"meecc/internal/sim"
 )
 
-// BufState is one resident node buffer in a serialized engine image,
-// addressed by its dense [set*ways+way] slot.
+// BufState is the content of one resident node buffer in a serialized
+// engine image. Which line it holds, and whether it is dirty, is the cache
+// image's record: the buffer belongs to the valid way it is listed for.
 type BufState struct {
-	Idx     int
-	Addr    dram.Addr
-	Kind    itree.NodeKind
 	Counter itree.CounterLine
 	Tags    itree.TagLine
-	Dirty   bool
 }
 
 // State is the serializable image of an Engine, excluding what the platform
@@ -26,7 +22,7 @@ type BufState struct {
 // The init bitmap travels as its nonzero words.
 type State struct {
 	Cache       *cache.State
-	Bufs        []BufState // ascending Idx
+	Bufs        []BufState // one per valid way of Cache, in [set*ways+way] order
 	Root        []uint64
 	Initialized []cache.Word
 	PortBusy    sim.Cycles
@@ -41,26 +37,16 @@ func (e *Engine) CryptoMaster() [16]byte { return e.crypt.Master() }
 func (e *Engine) ExportState() *State {
 	st := &State{
 		Cache:       e.cache.ExportState(),
-		Bufs:        make([]BufState, 0, e.nBufs),
+		Bufs:        make([]BufState, 0, e.cache.ValidCount()),
 		Root:        slices.Clone(e.root),
 		Initialized: cache.SparseWords(e.initialized),
 		PortBusy:    e.port.BusyUntil(),
 		Stats:       e.stats,
 	}
-	for i := range e.bufs {
-		nb := &e.bufs[i]
-		if !nb.valid {
-			continue
-		}
-		st.Bufs = append(st.Bufs, BufState{
-			Idx:     i,
-			Addr:    nb.addr,
-			Kind:    nb.kind,
-			Counter: nb.counter,
-			Tags:    nb.tags,
-			Dirty:   nb.dirty,
-		})
-	}
+	e.cache.Lines(func(set, way int, _ cache.Line) {
+		nb := &e.bufs[e.bufIdx(set, way)]
+		st.Bufs = append(st.Bufs, BufState{Counter: nb.counter, Tags: nb.tags})
+	})
 	return st
 }
 
@@ -68,8 +54,14 @@ func (e *Engine) ExportState() *State {
 // geom, and crypt come from the platform-level decode (they are derived from
 // the machine config and master key, not stored per-engine); the result has
 // no DRAM binding and never runs — Fork rebinds it to a live memory and RNG.
-// A geometry New would refuse, and mismatches between cfg and the image, are
-// reported as errors.
+// A geometry New would refuse, mismatches between cfg and the image, a
+// cache tag that names no tree line of its set, and a buffer list that is
+// not one buffer per valid way are reported as errors. A buffer is dirty
+// when its way is. The two records agree at quiescence, except after a
+// write-back nested inside a walk has loaded and dirtied the line that
+// walk is loading: the walk's install then overwrites the buffer with a
+// clean copy while the cache keeps the dirty bit, a known fault of the
+// walk that corrupts the tree in any case.
 func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *State) (*Engine, error) {
 	if err := checkGeometry(cfg); err != nil {
 		return nil, err
@@ -103,21 +95,24 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 	if err := cache.FillWords(e.initialized, st.Initialized); err != nil {
 		return nil, fmt.Errorf("mee: init bitmap: %w", err)
 	}
-	last := -1
-	for _, b := range st.Bufs {
-		if b.Idx <= last || b.Idx >= len(e.bufs) {
-			return nil, fmt.Errorf("mee: buffer slot %d out of order or range", b.Idx)
+	if len(st.Bufs) != c.ValidCount() {
+		return nil, fmt.Errorf("mee: %d node buffers for %d valid cache lines", len(st.Bufs), c.ValidCount())
+	}
+	var bad error
+	i := 0
+	c.Lines(func(set, way int, l cache.Line) {
+		// The tag is the only record of the line the buffer holds.
+		addr := tagAddr(l.Tag)
+		k := geom.Classify(addr)
+		if k == itree.KindData || k == itree.KindOutside || e.cacheTag(addr) != l.Tag || e.CacheSetFor(addr) != set {
+			bad = fmt.Errorf("mee: set %d way %d holds %#x, no tree line of that set", set, way, addr)
 		}
-		last = b.Idx
-		e.bufs[b.Idx] = nodeBuf{
-			addr:    b.Addr,
-			kind:    b.Kind,
-			counter: b.Counter,
-			tags:    b.Tags,
-			dirty:   b.Dirty,
-			valid:   true,
-		}
-		e.nBufs++
+		b := &st.Bufs[i]
+		e.bufs[e.bufIdx(set, way)] = nodeBuf{counter: b.Counter, tags: b.Tags, dirty: l.Dirty}
+		i++
+	})
+	if bad != nil {
+		return nil, bad
 	}
 	return e, nil
 }

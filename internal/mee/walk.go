@@ -3,24 +3,25 @@ package mee
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
+	"meecc/internal/cache"
 	"meecc/internal/dram"
 	"meecc/internal/itree"
 	"meecc/internal/sim"
 )
 
-// loadVersions returns the (cached or freshly verified) versions line
-// covering dataAddr. On a cache hit the walk terminates here — the line was
-// verified when it was brought in, which is the property the whole covert
-// channel rests on. On a miss the line is fetched from DRAM and verified
-// against its covering L0 counter, recursing up the tree.
-func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
+// loadVersions returns the buffer slot of the (cached or freshly verified)
+// versions line covering dataAddr. On a cache hit the walk terminates here
+// — the line was verified when it was brought in, which is the property the
+// whole covert channel rests on. On a miss the line is fetched from DRAM and
+// verified against its covering L0 counter, recursing up the tree.
+func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (int, error) {
 	vaddr := e.geom.VersionLineAddr(dataAddr)
 	set := e.oddSet(vaddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(vaddr)); hit {
 		w.markHit(HitVersions)
-		return &e.bufs[e.bufIdx(set, way)], nil
+		return e.bufIdx(set, way), nil
 	}
 	// Miss: fetch the line from DRAM.
 	w.dram(vaddr, false)
@@ -31,14 +32,14 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
 	l0, slot := e.geom.ParentOfVersion(vi)
 	pc, err := e.loadLevelCounter(w, 0, l0, slot)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if !e.verifyCounterLine(vaddr, m, memo, pc) {
 		e.stats.Violations++
-		return nil, &IntegrityError{Addr: vaddr, Kind: itree.KindVersion, What: "embedded MAC mismatch"}
+		return 0, &IntegrityError{Addr: vaddr, Kind: itree.KindVersion, What: "embedded MAC mismatch"}
 	}
 	w.check()
-	return e.install(w, vaddr, set, nodeBuf{kind: itree.KindVersion, counter: m.line}), nil
+	return e.install(w, vaddr, set, nodeBuf{counter: m.line}), nil
 }
 
 // readCounterLine returns the DRAM image of the counter line at addr,
@@ -101,23 +102,23 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 		return 0, &IntegrityError{Addr: addr, Kind: itree.NodeKind(int(itree.KindLevel0) + level), What: "embedded MAC mismatch"}
 	}
 	w.check()
-	e.install(w, addr, set, nodeBuf{kind: itree.NodeKind(int(itree.KindLevel0) + level), counter: m.line})
+	e.install(w, addr, set, nodeBuf{counter: m.line})
 	return m.line.Counters[slot], nil
 }
 
-// loadTags returns the PD_Tag line covering dataAddr. Tag fetches overlap
-// the data fetch in the real pipeline, so a miss occupies a DRAM bank but
-// adds no serial latency and does not define the walk's hit level.
-func (e *Engine) loadTags(w *walker, dataAddr dram.Addr) (*nodeBuf, error) {
+// loadTags returns the buffer slot of the PD_Tag line covering dataAddr.
+// Tag fetches overlap the data fetch in the real pipeline, so a miss
+// occupies a DRAM bank but adds no serial latency and does not define the
+// walk's hit level.
+func (e *Engine) loadTags(w *walker, dataAddr dram.Addr) int {
 	taddr := e.geom.TagLineAddr(dataAddr)
 	set := e.evenSet(taddr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(taddr)); hit {
-		return &e.bufs[e.bufIdx(set, way)], nil
+		return e.bufIdx(set, way)
 	}
 	w.posted(taddr, false)
 	e.ensureInit(taddr)
-	nb := nodeBuf{kind: itree.KindTag, tags: itree.DecodeTagLine(e.mem.ReadLine(taddr))}
-	return e.install(w, taddr, set, nb), nil
+	return e.install(w, taddr, set, nodeBuf{tags: itree.DecodeTagLine(e.mem.ReadLine(taddr))})
 }
 
 // check charges the per-level verification cost to the requester.
@@ -130,33 +131,27 @@ func (w *walker) check() {
 
 // install fills a verified line into the MEE cache, handling the eviction
 // (and possible dirty writeback) of the displaced line, and returns the
-// slot's buffer. The new line is written into its slot before the victim's
-// writeback runs: the writeback may recurse into further loads that read or
-// evict other slots and must see a consistent slab.
-func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBuf {
+// slot's buffer index. The new line is written into its slot before the
+// victim's writeback runs: the writeback may recurse into further loads
+// that read or evict other slots and must see a consistent slab.
+func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) int {
 	e.countInstall()
 	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), nb.dirty)
 	idx := e.bufIdx(set, way)
 	// The victim's buffer lives in the slot we fill. Only its writeback
 	// reads it, so it is copied out only when dirty.
-	dropped := evicted.Valid && e.bufs[idx].valid
 	var ev nodeBuf
-	if dropped && e.bufs[idx].dirty {
+	if evicted.Valid && e.bufs[idx].dirty {
 		ev = e.bufs[idx]
 	}
-	nb.addr, nb.valid = addr, true
 	e.bufs[idx] = nb
-	if !evicted.Valid {
-		e.nBufs++
-	}
-	if dropped {
+	if evicted.Valid {
 		if ev.dirty {
-			evAddr := dram.Addr(uint64(evicted.Tag) * itree.LineSize)
-			e.writeback(w, evAddr, &ev)
+			e.writeback(w, tagAddr(evicted.Tag), &ev)
 		}
 		e.countDrop()
 	}
-	return &e.bufs[idx]
+	return idx
 }
 
 // writeback flushes a dirty tree line to DRAM. Version and level lines must
@@ -166,7 +161,7 @@ func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) *nodeBu
 func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 	e.stats.Writebacks++
 	var pc uint64
-	switch nb.kind {
+	switch kind := e.geom.Classify(addr); kind {
 	case itree.KindTag:
 		raw := nb.tags.Encode()
 		e.mem.WriteLine(addr, raw)
@@ -177,7 +172,7 @@ func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 		l0, slot := e.geom.ParentOfVersion(vi)
 		pc = e.bumpLevelCounter(w, 0, l0, slot)
 	case itree.KindLevel0, itree.KindLevel1, itree.KindLevel2:
-		level := int(nb.kind - itree.KindLevel0)
+		level := int(kind - itree.KindLevel0)
 		idx := uint64(addr-e.geom.LevelBase[level]) / itree.LineSize
 		pIdx, pSlot, isRoot := e.geom.ParentOfLevel(level, idx)
 		if isRoot {
@@ -187,7 +182,7 @@ func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 			pc = e.bumpLevelCounter(w, level+1, pIdx, pSlot)
 		}
 	default:
-		panic(fmt.Sprintf("mee: writeback of unexpected node kind %v", nb.kind))
+		panic(fmt.Sprintf("mee: writeback of unexpected node kind %v", kind))
 	}
 	nb.counter.MAC = e.nodeMAC(addr, pc, nb.counter.Counters)
 	e.writeCounterLine(addr, pc, nb.counter)
@@ -201,15 +196,11 @@ func (e *Engine) writeCounterLine(addr dram.Addr, pc uint64, cl itree.CounterLin
 	e.putNodeMemo(addr, nodeMemoEntry{gen: e.mem.WriteGen(addr), pc: pc, line: cl})
 }
 
-// markDirty flags a resident line dirty in its buffer and in the MEE cache,
-// whose dirty bit its write-back counters read.
-func (e *Engine) markDirty(nb *nodeBuf) {
-	nb.dirty = true
-	set := e.evenSet(nb.addr)
-	if nb.kind == itree.KindVersion {
-		set = e.oddSet(nb.addr)
-	}
-	e.cache.MarkDirty(set, e.cacheTag(nb.addr))
+// markDirty flags the line in buffer slot idx dirty, in its buffer and in
+// the MEE cache, whose dirty bit its write-back counters read.
+func (e *Engine) markDirty(idx int) {
+	e.bufs[idx].dirty = true
+	e.cache.MarkDirtyWay(idx/e.cfg.CacheWays, idx%e.cfg.CacheWays)
 }
 
 // bumpLevelCounter loads (posted) the covering counter line, increments the
@@ -233,9 +224,9 @@ func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) ui
 	if !ok {
 		panic(fmt.Sprintf("mee: counter line %#x vanished during writeback", addr))
 	}
-	nb := &e.bufs[e.bufIdx(set, way)]
-	nb.counter.Counters[slot] = pc + 1
-	e.markDirty(nb)
+	bi := e.bufIdx(set, way)
+	e.bufs[bi].counter.Counters[slot] = pc + 1
+	e.markDirty(bi)
 	return pc + 1
 }
 
@@ -243,14 +234,25 @@ func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) ui
 // the line is not resident. It does not touch replacement state or stats.
 func (e *Engine) residentBuf(addr dram.Addr) *nodeBuf {
 	set := e.CacheSetFor(addr)
-	way, ok := e.cache.WayOf(set, e.cacheTag(addr))
-	if !ok {
-		return nil
-	}
-	if nb := &e.bufs[e.bufIdx(set, way)]; nb.valid {
-		return nb
+	if way, ok := e.cache.WayOf(set, e.cacheTag(addr)); ok {
+		return &e.bufs[e.bufIdx(set, way)]
 	}
 	return nil
+}
+
+// residents returns the addresses of the lines resident in the MEE cache in
+// ascending order, so that what a caller does with them is independent of
+// storage layout (the map the buffers once were was sorted too). With
+// dirty set, it returns only the lines whose buffer is dirty.
+func (e *Engine) residents(dirty bool) []dram.Addr {
+	addrs := make([]dram.Addr, 0, e.cache.ValidCount())
+	e.cache.Lines(func(set, way int, l cache.Line) {
+		if !dirty || e.bufs[e.bufIdx(set, way)].dirty {
+			addrs = append(addrs, tagAddr(l.Tag))
+		}
+	})
+	slices.Sort(addrs)
+	return addrs
 }
 
 // maybeRandomEvict implements the noise-injection mitigation: with
@@ -258,25 +260,16 @@ func (e *Engine) residentBuf(addr dram.Addr) *nodeBuf {
 // evicted (written back if dirty) before the access proceeds.
 func (e *Engine) maybeRandomEvict(w *walker) {
 	p := e.cfg.RandomEvictProb
-	if p <= 0 || e.nBufs == 0 || w.rng.Float64() >= p {
+	if p <= 0 || e.cache.ValidCount() == 0 || w.rng.Float64() >= p {
 		return
 	}
-	// Enumerate residents in ascending address order so the victim draw is
-	// independent of storage layout (the map this replaced was sorted too).
-	addrs := make([]dram.Addr, 0, e.nBufs)
-	for i := range e.bufs {
-		if e.bufs[i].valid {
-			addrs = append(addrs, e.bufs[i].addr)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := e.residents(false)
 	victim := addrs[w.rng.IntN(len(addrs))]
 	set := e.CacheSetFor(victim)
 	way, _ := e.cache.InvalidateWay(set, e.cacheTag(victim))
 	idx := e.bufIdx(set, way)
 	nb := e.bufs[idx] // copy out before clearing; the writeback may recurse
 	e.bufs[idx] = nodeBuf{}
-	e.nBufs--
 	if nb.dirty {
 		prev := w.postedMode
 		w.postedMode = true
@@ -326,17 +319,7 @@ func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
 	// Writing back a dirty version/level line dirties its parent, so sweep
 	// in ascending address order (parents live above children in the PRM)
 	// until nothing dirty remains.
-	for {
-		addrs := make([]dram.Addr, 0, e.nBufs)
-		for i := range e.bufs {
-			if e.bufs[i].valid && e.bufs[i].dirty {
-				addrs = append(addrs, e.bufs[i].addr)
-			}
-		}
-		if len(addrs) == 0 {
-			break
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for addrs := e.residents(true); len(addrs) > 0; addrs = e.residents(true) {
 		for _, addr := range addrs {
 			nb := e.residentBuf(addr)
 			if nb == nil || !nb.dirty {
@@ -346,12 +329,9 @@ func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
 			nb.dirty = false
 		}
 	}
-	e.cache.FlushAll()
-	for i := range e.bufs {
-		if e.bufs[i].valid {
-			e.countDrop()
-			e.bufs[i] = nodeBuf{}
-		}
+	for range e.cache.ValidCount() {
+		e.countDrop()
 	}
-	e.nBufs = 0
+	e.cache.FlushAll()
+	clear(e.bufs)
 }

@@ -121,9 +121,33 @@ func (p *Platform) markGenFrame(f dram.Addr) {
 	p.genUsed[i/64] |= 1 << (i % 64)
 }
 
-// New boots a machine from cfg. It panics on inconsistent configuration —
-// a booted platform is always internally consistent.
+// checkConfig is the one machine-config rule New and SnapshotFromState
+// share: the machine's core count, and a DRAM that holds the PRM at its
+// top, at a line-aligned base (itree.NewGeometry's rule). It returns the
+// PRM's integrity-tree geometry.
+func checkConfig(cfg Config) (itree.Geometry, error) {
+	if cfg.CPU.Cores != Cores {
+		return itree.Geometry{}, fmt.Errorf("platform: cpu cores %d, want %d", cfg.CPU.Cores, Cores)
+	}
+	if cfg.DRAM.Size < PRMSize {
+		return itree.Geometry{}, fmt.Errorf("platform: dram size %d below the %d-byte PRM", cfg.DRAM.Size, PRMSize)
+	}
+	geom, err := itree.NewGeometry(dram.Addr(cfg.DRAM.Size-PRMSize), PRMSize, EPCSize)
+	if err != nil {
+		return itree.Geometry{}, fmt.Errorf("platform: %w", err)
+	}
+	return geom, nil
+}
+
+// New boots a machine from cfg, whose core count it sets to the machine's.
+// It panics on inconsistent configuration — a booted platform is always
+// internally consistent.
 func New(cfg Config) *Platform {
+	cfg.CPU.Cores = Cores
+	geom, err := checkConfig(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
 	eng := sim.NewEngine(cfg.Seed)
 	rng := eng.Rand()
 	if cfg.MEEPolicyName != "" {
@@ -136,13 +160,7 @@ func New(cfg Config) *Platform {
 	if cfg.MEE.Policy == nil {
 		cfg.MEE.Policy = cache.NewLRU()
 	}
-	cfg.CPU.Cores = Cores
 	mem := dram.New(cfg.DRAM)
-	prmBase := dram.Addr(cfg.DRAM.Size - PRMSize)
-	geom, err := itree.NewGeometry(prmBase, PRMSize, EPCSize)
-	if err != nil {
-		panic(fmt.Sprintf("platform: %v", err))
-	}
 	var master [16]byte
 	for i := range master {
 		master[i] = byte(rng.Uint64())
@@ -153,9 +171,9 @@ func New(cfg Config) *Platform {
 		mem:     mem,
 		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem),
 		caches:  cpucache.New(cfg.CPU, cache.NewLRU()),
-		epc:     enclave.NewEPCAllocator(prmBase, EPCSize, cfg.EPCMode, rng),
+		epc:     enclave.NewEPCAllocator(geom.PRMBase, EPCSize, cfg.EPCMode, rng),
 		genUsed: make(map[uint64]uint64),
-		prmBase: prmBase,
+		prmBase: geom.PRMBase,
 		rng:     rng,
 	}
 	if o := cfg.Obs; o != nil {

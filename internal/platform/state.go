@@ -25,22 +25,21 @@ type ProcState struct {
 
 // SnapshotState is the stable codec surface for platform snapshots: every
 // field a serializer needs to rebuild a Snapshot, as plain data. The machine
-// Config is carried with Obs and the MEE policy object stripped; MEEPolicy
-// records the policy by name and Master carries the crypto master key, so
-// decode re-derives working keys through the normal NewCrypto path.
+// Config is carried with Obs and the MEE policy object stripped: the MEE
+// cache image records the policy by name. Master carries the crypto master
+// key, so decode re-derives working keys through the normal NewCrypto path.
 type SnapshotState struct {
-	Cfg       Config
-	MEEPolicy string
-	Master    [16]byte
-	RNGState  []byte
-	Mem       *dram.SnapshotState
-	MEE       *mee.State
-	Caches    *cpucache.State
-	EPC       *enclave.EPCState
-	GenUsed   []cache.Word // nonzero words of the general-frame bitmap
-	Procs     []ProcState
-	NextEID   int
-	NextPID   int
+	Cfg      Config
+	Master   [16]byte
+	RNGState []byte
+	Mem      *dram.SnapshotState
+	MEE      *mee.State
+	Caches   *cpucache.State
+	EPC      *enclave.EPCState
+	GenUsed  []cache.Word // nonzero words of the general-frame bitmap
+	Procs    []ProcState
+	NextEID  int
+	NextPID  int
 }
 
 // ExportState flattens the snapshot for serialization. The image deep-copies
@@ -49,19 +48,17 @@ func (s *Snapshot) ExportState() *SnapshotState {
 	cfg := s.cfg
 	cfg.Obs = nil
 	cfg.MEE.Policy = nil
-	meeSt := s.mee.ExportState()
 	st := &SnapshotState{
-		Cfg:       cfg,
-		MEEPolicy: meeSt.Cache.PolicyName,
-		Master:    s.mee.CryptoMaster(),
-		RNGState:  append([]byte(nil), s.rngState...),
-		Mem:       s.mem.ExportState(),
-		MEE:       meeSt,
-		Caches:    s.caches.ExportState(),
-		EPC:       s.epc.ExportState(),
-		GenUsed:   make([]cache.Word, 0, len(s.genUsed)),
-		NextEID:   s.nextEID,
-		NextPID:   s.nextPID,
+		Cfg:      cfg,
+		Master:   s.mee.CryptoMaster(),
+		RNGState: append([]byte(nil), s.rngState...),
+		Mem:      s.mem.ExportState(),
+		MEE:      s.mee.ExportState(),
+		Caches:   s.caches.ExportState(),
+		EPC:      s.epc.ExportState(),
+		GenUsed:  make([]cache.Word, 0, len(s.genUsed)),
+		NextEID:  s.nextEID,
+		NextPID:  s.nextPID,
 	}
 	for i, w := range s.genUsed {
 		st.GenUsed = append(st.GenUsed, cache.Word{Index: int(i), Value: w})
@@ -87,36 +84,27 @@ func (s *Snapshot) ExportState() *SnapshotState {
 // SnapshotFromState rebuilds a forkable Snapshot from a serialized image.
 // Derived structures — the integrity-tree geometry and the working crypto
 // keys — are recomputed from the config and master key rather than trusted
-// from the image, and every cross-component invariant the codec cannot
-// express (core count, PRM placement, bitmap sizes, cache geometry) is
-// revalidated, so a corrupted image yields an error, never a silently
-// inconsistent machine.
+// from the image, and the rules across components that the codec cannot
+// express (checkConfig, cache geometry, one buffer per valid way, MEE tags
+// and EPC and page-table frames in range; DESIGN.md §9 lists them) are
+// revalidated, so a corrupted image yields an error, never a machine that
+// breaks one.
 func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	cfg := st.Cfg
 	cfg.Obs = nil
-	if cfg.CPU.Cores != Cores {
-		return nil, fmt.Errorf("platform: cpu cores %d, want %d", cfg.CPU.Cores, Cores)
-	}
-	if cfg.DRAM.Size < PRMSize {
-		return nil, fmt.Errorf("platform: dram size %d below the %d-byte PRM", cfg.DRAM.Size, PRMSize)
-	}
-	prmBase := dram.Addr(cfg.DRAM.Size - PRMSize)
-	geom, err := itree.NewGeometry(prmBase, PRMSize, EPCSize)
+	geom, err := checkConfig(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
+		return nil, err
 	}
-	if st.MEE == nil || st.Mem == nil || st.Caches == nil || st.EPC == nil {
+	if st.MEE == nil || st.Mem == nil || st.Caches == nil || st.EPC == nil || st.MEE.Cache == nil {
 		return nil, fmt.Errorf("platform: snapshot image missing a component state")
 	}
-	if st.MEE.Cache == nil || st.MEE.Cache.PolicyName != st.MEEPolicy {
-		return nil, fmt.Errorf("platform: MEE policy name mismatch")
-	}
-	pol, err := cache.PolicyByName(st.MEEPolicy, rand.New(rand.NewPCG(0, 0)))
+	pol, err := cache.PolicyByName(st.MEE.Cache.PolicyName, rand.New(rand.NewPCG(0, 0)))
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
 	cfg.MEE.Policy = pol
-	if err := cache.CheckWords(st.GenUsed, genWords(prmBase)); err != nil {
+	if err := cache.CheckWords(st.GenUsed, genWords(geom.PRMBase)); err != nil {
 		return nil, fmt.Errorf("platform: general-frame bitmap: %w", err)
 	}
 	mem, err := dram.SnapshotFromState(st.Mem)
@@ -131,7 +119,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	epc, err := enclave.EPCFromState(st.EPC)
+	epc, err := enclave.EPCFromState(st.EPC, geom.PRMBase, EPCSize)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
@@ -143,7 +131,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		caches:   caches,
 		epc:      epc,
 		genUsed:  make(map[uint64]uint64, len(st.GenUsed)),
-		prmBase:  prmBase,
+		prmBase:  geom.PRMBase,
 		nextEID:  st.NextEID,
 		nextPID:  st.NextPID,
 	}
@@ -151,7 +139,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 		s.genUsed[uint64(w.Index)] = w.Value
 	}
 	for i, ps := range st.Procs {
-		pt, err := enclave.PageTableFromEntries(ps.PT)
+		pt, err := enclave.PageTableFromEntries(ps.PT, cfg.DRAM.Size)
 		if err != nil {
 			return nil, fmt.Errorf("platform: proc %d: %w", i, err)
 		}

@@ -24,3 +24,22 @@ func TestSnapshotFromStateRejectsMEEGeometryNewRefuses(t *testing.T) {
 		t.Fatal("image with a 127-set MEE cache decoded without error")
 	}
 }
+
+// TestNewRefusesConfigSnapshotFromStateRejects: New and SnapshotFromState
+// share one machine-config rule, so New panics on a DRAM smaller than the
+// PRM, which would otherwise place the PRM below address zero, and on a
+// PRM base that is not line aligned.
+func TestNewRefusesConfigSnapshotFromStateRejects(t *testing.T) {
+	for _, size := range []uint64{PRMSize / 2, DefaultConfig(1).DRAM.Size + 32} {
+		cfg := DefaultConfig(1)
+		cfg.DRAM.Size = size
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New booted a machine with a %#x-byte DRAM", size)
+				}
+			}()
+			New(cfg).Close()
+		}()
+	}
+}

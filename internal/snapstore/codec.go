@@ -71,7 +71,6 @@ func appendState(w *Writer, st *platform.SnapshotState) error {
 	}
 	w.Grow(len(cfgJSON) + payloadBound(st))
 	w.Blob(cfgJSON)
-	w.String(st.MEEPolicy)
 	w.Raw(st.Master[:])
 	w.Blob(st.RNGState)
 	writeDRAM(w, st.Mem)
@@ -99,7 +98,6 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	if err := json.Unmarshal(cfgJSON, &st.Cfg); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrCorrupt, err)
 	}
-	st.MEEPolicy = r.String()
 	copy(st.Master[:], r.Raw(16))
 	st.RNGState = append([]byte(nil), r.Blob()...)
 	st.Mem = readDRAM(r, st.Cfg.DRAM)
@@ -134,7 +132,7 @@ const fixedBound = 256
 // words, DRAM pages with their nonzero lines, node and line buffers, the
 // EPC frame list — and each component's fixed fields within fixedBound.
 func payloadBound(st *platform.SnapshotState) int {
-	n := fixedBound + len(st.MEEPolicy) + len(st.RNGState) + wordWire*len(st.GenUsed)
+	n := fixedBound + len(st.RNGState) + wordWire*len(st.GenUsed)
 	m := st.Mem
 	n += fixedBound + 8*(len(m.OpenRow)+len(m.BanksBusy))
 	for _, p := range m.Pages {
@@ -194,7 +192,6 @@ func readWords(r *Reader) []cache.Word {
 const pageWire = 8 + 8
 
 func writeDRAM(w *Writer, st *dram.SnapshotState) {
-	w.I64(int64(st.Allocated))
 	w.I64s(st.OpenRow)
 	w.U64(uint64(len(st.BanksBusy)))
 	for _, b := range st.BanksBusy {
@@ -210,7 +207,6 @@ func writeDRAM(w *Writer, st *dram.SnapshotState) {
 
 func readDRAM(r *Reader, cfg dram.Config) *dram.SnapshotState {
 	st := &dram.SnapshotState{Cfg: cfg}
-	st.Allocated = int(r.I64())
 	st.OpenRow = r.I64s()
 	nb := r.Count(8)
 	st.BanksBusy = make([]sim.Cycles, nb)
@@ -307,13 +303,13 @@ func readCache(r *Reader) *cache.State {
 // ---------------------------------------------------------------------------
 // MEE engine
 
+// writeMEE writes an engine image. Its node buffers follow the cache, one
+// per valid way in way order, each its counter line and its tag line: the
+// way's tag names the line and its dirty bit the buffer's.
 func writeMEE(w *Writer, st *mee.State) {
 	writeCache(w, st.Cache)
 	w.U64(uint64(len(st.Bufs)))
 	for _, b := range st.Bufs {
-		w.U32(uint32(b.Idx))
-		w.U64(uint64(b.Addr))
-		w.U8(uint8(b.Kind))
 		for _, c := range b.Counter.Counters {
 			w.U64(c)
 		}
@@ -321,7 +317,6 @@ func writeMEE(w *Writer, st *mee.State) {
 		for _, t := range b.Tags.Tags {
 			w.U64(t)
 		}
-		w.Bool(b.Dirty)
 	}
 	w.U64s(st.Root)
 	writeWords(w, st.Initialized)
@@ -336,18 +331,15 @@ func writeMEE(w *Writer, st *mee.State) {
 	w.I64(int64(st.Stats.StallCyc))
 }
 
-const meeBufWire = 4 + 8 + 1 + (itree.CountersPerLine+1)*8 + itree.CountersPerLine*8 + 1
+// meeBufWire is one node buffer on the wire: counters and MAC, then tags.
+const meeBufWire = (itree.CountersPerLine+1)*8 + itree.CountersPerLine*8
 
 func readMEE(r *Reader) *mee.State {
 	st := &mee.State{Cache: readCache(r)}
 	nBufs := r.Count(meeBufWire)
 	st.Bufs = make([]mee.BufState, 0, nBufs)
 	for i := 0; i < nBufs && r.Err() == nil; i++ {
-		b := mee.BufState{
-			Idx:  int(r.U32()),
-			Addr: dram.Addr(r.U64()),
-			Kind: itree.NodeKind(r.U8()),
-		}
+		var b mee.BufState
 		for j := range b.Counter.Counters {
 			b.Counter.Counters[j] = r.U64()
 		}
@@ -355,7 +347,6 @@ func readMEE(r *Reader) *mee.State {
 		for j := range b.Tags.Tags {
 			b.Tags.Tags[j] = r.U64()
 		}
-		b.Dirty = r.Bool()
 		st.Bufs = append(st.Bufs, b)
 	}
 	st.Root = r.U64s()
@@ -375,8 +366,9 @@ func readMEE(r *Reader) *mee.State {
 // ---------------------------------------------------------------------------
 // CPU cache hierarchy
 
-// cpuBufWire is one LLC line buffer on the wire: index, data, dirty.
-const cpuBufWire = 4 + dram.LineSize + 1
+// cpuBufWire is one LLC line buffer on the wire: data, dirty. The buffers
+// follow the LLC, one per valid way in way order.
+const cpuBufWire = dram.LineSize + 1
 
 func writeCPU(w *Writer, st *cpucache.State) {
 	w.U64(uint64(len(st.L1)))
@@ -390,7 +382,6 @@ func writeCPU(w *Writer, st *cpucache.State) {
 	writeCache(w, st.LLC)
 	w.U64(uint64(len(st.Bufs)))
 	for _, b := range st.Bufs {
-		w.U32(uint32(b.Idx))
 		w.Raw(b.Data[:])
 		w.Bool(b.Dirty)
 	}
@@ -410,7 +401,7 @@ func readCPU(r *Reader) *cpucache.State {
 	nBufs := r.Count(cpuBufWire)
 	st.Bufs = make([]cpucache.LineBufState, 0, nBufs)
 	for i := 0; i < nBufs && r.Err() == nil; i++ {
-		b := cpucache.LineBufState{Idx: int(r.U32())}
+		var b cpucache.LineBufState
 		copy(b.Data[:], r.Raw(dram.LineSize))
 		b.Dirty = r.Bool()
 		st.Bufs = append(st.Bufs, b)

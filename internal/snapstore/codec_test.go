@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"meecc/internal/cache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
+	"meecc/internal/mee"
 	"meecc/internal/platform"
 	"meecc/internal/sim"
 	"meecc/internal/snapstore"
@@ -169,9 +171,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		t.Fatalf("undamaged image: %v", err)
 	}
 	fix := snap.ExportState()
-	if len(fix.MEE.Cache.Listed) < 2 || len(fix.MEE.Initialized) < 2 || fix.MEE.Cache.Listed[0].Valid == 0 {
-		t.Fatalf("fixture lists %d MEE sets, the first with valid mask %#x, and %d init words; want 2 sets with lines and 2 words",
+	if len(fix.MEE.Cache.Listed) < 2 || len(fix.MEE.Initialized) < 2 || bits.OnesCount64(fix.MEE.Cache.Listed[0].Valid) < 2 {
+		t.Fatalf("fixture lists %d MEE sets, the first with valid mask %#x, and %d init words; want 2 sets, the first with 2 lines, and 2 words",
 			len(fix.MEE.Cache.Listed), fix.MEE.Cache.Listed[0].Valid, len(fix.MEE.Initialized))
+	}
+	if len(fix.EPC.Owners) == 0 || len(fix.Procs) == 0 {
+		t.Fatalf("fixture has %d EPC owners and %d processes; want one of each", len(fix.EPC.Owners), len(fix.Procs))
 	}
 	for _, tc := range []struct {
 		name   string
@@ -202,8 +207,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			ss.Dirty |= low
 			ss.Tags = ss.Tags[1:]
 		}},
+		{"tag repeats in a set", func(st *platform.SnapshotState) {
+			tags := st.MEE.Cache.Listed[0].Tags
+			tags[1] = tags[0]
+		}},
 		{"listed set untouched", func(st *platform.SnapshotState) {
-			p, err := cache.PolicyByName(st.MEEPolicy, rand.New(rand.NewPCG(0, 0)))
+			p, err := cache.PolicyByName(st.MEE.Cache.PolicyName, rand.New(rand.NewPCG(0, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,6 +238,38 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				}
 			}
 			t.Fatal("fixture has no page with a nonzero line")
+		}},
+		// A cache image is the only record of which line each way holds:
+		// the MEE buffer list carries one buffer per valid way, and an MEE
+		// tag must name a tree line of its set.
+		{"MEE buffer missing for a valid way", func(st *platform.SnapshotState) {
+			st.MEE.Bufs = st.MEE.Bufs[1:]
+		}},
+		{"MEE buffer beyond the valid ways", func(st *platform.SnapshotState) {
+			st.MEE.Bufs = append(st.MEE.Bufs, mee.BufState{})
+		}},
+		{"MEE tag off its set", func(st *platform.SnapshotState) {
+			st.MEE.Cache.Listed[0].Tags[0]++
+		}},
+		{"MEE tag outside the tree", func(st *platform.SnapshotState) {
+			ss := &st.MEE.Cache.Listed[0]
+			ss.Tags[0] = cache.Tag(ss.Set) // a general-memory line in the same set
+		}},
+		// Every address the image holds lies where the machine has it.
+		{"EPC frame outside the EPC", func(st *platform.SnapshotState) {
+			st.EPC.Frames = slices.Clone(st.EPC.Frames) // it aliases the snapshot's
+			st.EPC.Frames[0] = 0x1000
+		}},
+		{"EPC owner outside the EPC", func(st *platform.SnapshotState) {
+			st.EPC.Owners[0].Frame = 0x2000
+		}},
+		{"page-table entry past the DRAM", func(st *platform.SnapshotState) {
+			pt := st.Procs[0].PT
+			va := enclave.VAddr(enclave.PageBytes)
+			if len(pt) > 0 {
+				va += pt[len(pt)-1].VA
+			}
+			st.Procs[0].PT = append(pt, enclave.PTE{VA: va, PA: dram.Addr(st.Cfg.DRAM.Size + enclave.PageBytes)})
 		}},
 		// The machine config's rules. Each image is otherwise one the
 		// decoder would accept, so the rule is what rejects it.
@@ -306,14 +347,12 @@ func TestReaderRejectsOverflowingCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Clone(sealed)
-	// Skip the config, MEE policy, master key, RNG state and DRAM
-	// allocation count to reach the open-row slice's length prefix.
+	// Skip the config, master key and RNG state to reach the DRAM
+	// open-row slice's length prefix.
 	r := snapstore.NewReader(payload)
 	r.Blob()
-	_ = r.String()
 	r.Raw(16)
 	r.Blob()
-	r.I64()
 	at := len(payload) - r.Remaining()
 	if got, want := binary.LittleEndian.Uint64(payload[at:]), len(snap.ExportState().Mem.OpenRow); r.Err() != nil || got != uint64(want) {
 		t.Fatalf("open-row count at offset %d reads %d (err %v), want %d", at, got, r.Err(), want)
