@@ -306,16 +306,23 @@ done
 echo "== results: regenerate the committed 100-trial figures =="
 # The determinism contract at paper scale: every committed results/ file
 # must come back byte for byte from the command that wrote it, except the
-# benchmark baseline and the run manifests, which record the git revision,
-# worker count and wall time of their run.
+# benchmark baseline. A run manifest also records the git revision, worker
+# count, wall time and creation time of its run, so those four lines are
+# deleted from both sides before its comparison.
 mkdir -p "$tmp/results"
 go run ./cmd/figures -fig all -bits 256 -trials 100 -workers 2 \
     -out "$tmp/results" > "$tmp/results/figures.txt"
 for f in $(git ls-files results); do
+    want="$f" got="$tmp/$f"
     case "$f" in
-    results/bench.json | results/*.manifest.json) continue ;;
+    results/bench.json) continue ;;
+    results/*.manifest.json)
+        run='"(git_rev|workers|wall_ms|created_at)":'
+        grep -Ev "$run" "$f" > "$tmp/want.json" || true
+        grep -Ev "$run" "$tmp/$f" > "$tmp/got.json" || true
+        want="$tmp/want.json" got="$tmp/got.json" ;;
     esac
-    cmp "$f" "$tmp/$f" || {
+    cmp "$want" "$got" || {
         echo "$f differs from its regenerated copy" >&2; exit 1; }
 done
 

@@ -237,8 +237,8 @@ func TestWarmCacheDiskTier(t *testing.T) {
 		t.Fatalf("A's damaged blob was not rewritten (err %v)", err)
 	}
 
-	// A blob of the previous format version (3, whose buffers carried
-	// their own address, kind and dirty flag), sealed with a valid trailer,
+	// A blob of the previous format version (4, whose LLC line buffers
+	// carried their own dirty flag), sealed with a valid trailer,
 	// is not misread: Unseal rejects its version, A is recomputed, and its
 	// eviction rewrites the blob in the current version.
 	old := bytes.Clone(blobA)
@@ -322,11 +322,11 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 }
 
 // TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
-// at two seeds keep the digests of format version 4, the sparse images in
-// which each cache image alone records which line its ways hold: MEE node
-// buffers carry no slot, address, kind or dirty flag, LLC line buffers no
-// slot, and neither the MEE policy name nor the DRAM page count is stored
-// twice. A change to the layout is a format change, which bumps
+// at two seeds keep the digests of format version 5, the sparse images in
+// which each cache image alone records which line its ways hold and which
+// of them are dirty: MEE node buffers carry no slot, address, kind or dirty
+// flag, LLC line buffers no slot or dirty flag, and neither the MEE policy
+// name nor the DRAM page count is stored twice. A change to the layout is a format change, which bumps
 // snapstore.Version; blobs of another version are recomputed, not misread
 // (TestWarmCacheDiskTier). A change to the warm config's JSON alone keeps
 // the version when older blobs still decode to states that run
@@ -342,8 +342,8 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{7, 358512, "f8b8a9a550ea864a5a5b2e8a5ed4f917a711ac0c5fb99fa66e1d24d78bde78ba"},
-		{1007, 358518, "7f0652582f11cc29f34283afe259bf2aab70983679b65bb7b4d6c9324dad6545"},
+		{7, 358512, "17f7a2981b0d96f3530c74028072103dde8f99049981d9bbb74326fd82175cf9"},
+		{1007, 358518, "be5a13872936d92d7bc329546b6e3b0696d23033df4d943318c57e7519a717e5"},
 	} {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {

@@ -95,13 +95,12 @@ type Victim struct {
 // maxCores is the presence-mask width: lineBuf.cores has one bit per core.
 const maxCores = 16
 
-// lineBuf is the plaintext and dirtiness of one LLC-resident line. Its way
-// is implied by its position in the set's block, and the LLC alone records
-// which line that way holds, if any: an empty way's slot holds the zero
-// buffer, and a set never filled reads as a block of them.
+// lineBuf is the plaintext of one LLC-resident line. Its way is implied by
+// its position in the set's block, and the LLC alone records which line
+// that way holds, if any, and whether it is dirty: an empty way's slot
+// holds the zero buffer, and a set never filled reads as a block of them.
 type lineBuf struct {
-	data  [dram.LineSize]byte
-	dirty bool
+	data [dram.LineSize]byte
 	// cores is a conservative mask of cores whose private L1/L2 may still
 	// hold the line: a set bit means "maybe present", a clear bit means
 	// "definitely absent". It lets flushes and back-invalidations skip the
@@ -123,10 +122,10 @@ type Hierarchy struct {
 	l1  []*cache.Cache
 	l2  []*cache.Cache
 	llc *cache.Cache
-	// bufs mirrors plaintext content and dirtiness of every LLC-resident
-	// line (inclusive LLC means LLC residency == hierarchy residency): one
-	// block of LLCWays buffers per LLC set, way for way with the LLC's
-	// lines.
+	// bufs mirrors the plaintext content of every LLC-resident line
+	// (inclusive LLC means LLC residency == hierarchy residency): one block
+	// of LLCWays buffers per LLC set, way for way with the LLC's lines,
+	// whose dirty bits record which lines must be written back.
 	bufs cache.Blocks[lineBuf]
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the linebuf alloc/recycled observability counters keep their exact
@@ -304,9 +303,10 @@ func (h *Hierarchy) tag(addr dram.Addr) cache.Tag {
 }
 
 // Access looks addr up for core. On any hit it refreshes the line into the
-// upper levels, applies the write (marking the line dirty), and returns the
-// hit level plus lookup latency. On a miss it returns (Miss, MissLat); the
-// caller must fetch the line from the memory system and call Fill.
+// upper levels, applies the write (marking the line's LLC way dirty), and
+// returns the hit level plus lookup latency. On a miss it returns (Miss,
+// MissLat); the caller must fetch the line from the memory system and call
+// Fill.
 //
 // Writes invalidate the line from every other core's private caches
 // (MESI-style write-invalidate), so a reader on another core re-fetches
@@ -341,14 +341,13 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		lvl, lat = HitLLC, LLCLat
 	}
 	if write {
-		if set, way, ok := h.locate(addr); ok {
-			b := h.ownBuf(set, way)
-			b.dirty = true
-			h.invalidateOthers(core, addr, b.cores)
-			b.cores = 1 << uint(core) // sole private holder after write-invalidate
-		} else {
-			h.invalidateOthers(core, addr, h.allCores())
-		}
+		// The LLC is inclusive (HierarchyFromState rejects an image that is
+		// not), so a line that hit at any level is in it.
+		set, way, _ := h.locate(addr)
+		h.llc.MarkDirtyWay(set, way)
+		b := h.ownBuf(set, way)
+		h.invalidateOthers(core, addr, b.cores)
+		b.cores = 1 << uint(core) // sole private holder after write-invalidate
 	}
 	return lvl, lat
 }
@@ -386,7 +385,8 @@ func (h *Hierarchy) Data(addr dram.Addr) *[dram.LineSize]byte {
 }
 
 // Fill installs a line fetched from the memory system into all three levels
-// for core, returning any LLC victim that must be written back to memory.
+// for core, its LLC way dirty when dirty is set, returning any LLC victim,
+// which the caller writes back to memory when it is dirty.
 // Inclusive-LLC semantics: the victim is back-invalidated from every core's
 // private caches.
 func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dirty bool) *Victim {
@@ -394,7 +394,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	tag := h.tag(addr)
 	var victim *Victim
 	set := h.llcSet(addr)
-	way, ev := h.llc.InsertWay(set, tag, false)
+	way, ev := h.llc.InsertWay(set, tag, dirty)
 	b := h.ownBuf(set, way)
 	mask := uint16(1) << uint(core)
 	if ev.Valid {
@@ -411,7 +411,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 			h.l1[c].Invalidate(h.l1Set(evAddr), evTag)
 			h.l2[c].Invalidate(h.l2Set(evAddr), evTag)
 		}
-		h.setVictim(evAddr, b)
+		h.setVictim(evAddr, b, ev.Dirty)
 		h.countDrop()
 		victim = &h.victim
 	} else {
@@ -423,7 +423,7 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	h.l2[core].Insert(h.l2Set(addr), tag, false)
 	h.l1[core].Insert(h.l1Set(addr), tag, false)
 	h.countInstall()
-	*b = lineBuf{data: data, dirty: dirty, cores: mask}
+	*b = lineBuf{data: data, cores: mask}
 	return victim
 }
 
@@ -442,12 +442,12 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	h.cFlush.Inc()
 	tag := h.tag(addr)
 	set := h.llcSet(addr)
-	way, _ := h.llc.InvalidateWay(set, tag)
+	way, removed := h.llc.InvalidateWay(set, tag)
 	if way < 0 {
 		return nil, FlushLat
 	}
 	b := h.ownBuf(set, way)
-	h.setVictim(addr, b)
+	h.setVictim(addr, b, removed.Dirty)
 	mask := b.cores
 	*b = lineBuf{}
 	for c := 0; c < h.cfg.Cores; c++ {
@@ -462,10 +462,10 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 }
 
 // setVictim fills the scratch Victim from the buffer of the line at addr,
-// copying its bytes only when it is dirty.
-func (h *Hierarchy) setVictim(addr dram.Addr, b *lineBuf) {
-	h.victim.Addr, h.victim.Dirty = addr, b.dirty
-	if b.dirty {
+// whose LLC way was dirty when it left, copying its bytes only then.
+func (h *Hierarchy) setVictim(addr dram.Addr, b *lineBuf, dirty bool) {
+	h.victim.Addr, h.victim.Dirty = addr, dirty
+	if dirty {
 		h.victim.Data = b.data
 	}
 }

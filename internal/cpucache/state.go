@@ -9,11 +9,11 @@ import (
 )
 
 // LineBufState is one LLC-resident plaintext line buffer in a serialized
-// hierarchy image. Which line it holds is the LLC image's record: the
-// buffer belongs to the valid way it is listed for.
+// hierarchy image: the line's content only. Which line it holds, and
+// whether it is dirty, is the LLC image's record: the buffer belongs to the
+// valid way it is listed for.
 type LineBufState struct {
-	Data  [dram.LineSize]byte
-	Dirty bool
+	Data [dram.LineSize]byte
 }
 
 // State is the serializable image of a Hierarchy: every cache level plus the
@@ -41,7 +41,7 @@ func (h *Hierarchy) ExportState() *State {
 		bufs := h.bufs.Read(ss.Set)
 		for m := ss.Valid; m != 0; m &= m - 1 {
 			b := &bufs[bits.TrailingZeros64(m)]
-			st.Bufs = append(st.Bufs, LineBufState{Data: b.data, Dirty: b.dirty})
+			st.Bufs = append(st.Bufs, LineBufState{Data: b.data})
 		}
 	}
 	return st
@@ -50,8 +50,10 @@ func (h *Hierarchy) ExportState() *State {
 // HierarchyFromState rebuilds a frozen hierarchy from a serialized image.
 // The result never runs directly — Fork rebinds randomized policies to a
 // live engine stream. A config New would refuse is an error, and so are
-// geometry mismatches against cfg and a buffer list that is not one buffer
-// per valid LLC line. Only sets that hold a line get a block.
+// geometry mismatches against cfg, a tag in a set its line address does not
+// mask to, a private line the LLC does not hold (the one-scan Flush relies
+// on an inclusive LLC), and a buffer list that is not one buffer per valid
+// LLC line. Only sets that hold a line get a block.
 func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -59,34 +61,20 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 	if len(st.L1) != cfg.Cores || len(st.L2) != cfg.Cores {
 		return nil, fmt.Errorf("cpucache: %d/%d private cache states, want %d", len(st.L1), len(st.L2), cfg.Cores)
 	}
-	if st.LLC == nil {
-		return nil, fmt.Errorf("cpucache: missing LLC state")
-	}
-	if st.LLC.Sets != cfg.LLCSets || st.LLC.Ways != cfg.LLCWays {
-		return nil, fmt.Errorf("cpucache: LLC state %dx%d does not match config %dx%d",
-			st.LLC.Sets, st.LLC.Ways, cfg.LLCSets, cfg.LLCWays)
-	}
-	llc, err := cache.FromState(st.LLC, nil)
+	llc, err := levelFromState(st.LLC, cfg.LLCSets, cfg.LLCWays, nil)
 	if err != nil {
-		return nil, fmt.Errorf("cpucache: %w", err)
+		return nil, err
 	}
 	h := newHierarchy(cfg, newBufs(cfg))
 	h.llc = llc
 	for i := 0; i < cfg.Cores; i++ {
-		if st.L1[i] == nil || st.L2[i] == nil {
-			return nil, fmt.Errorf("cpucache: missing private cache state for core %d", i)
-		}
-		if st.L1[i].Sets != cfg.L1Sets || st.L1[i].Ways != cfg.L1Ways ||
-			st.L2[i].Sets != cfg.L2Sets || st.L2[i].Ways != cfg.L2Ways {
-			return nil, fmt.Errorf("cpucache: core %d private cache geometry mismatch", i)
-		}
-		l1, err := cache.FromState(st.L1[i], nil)
+		l1, err := levelFromState(st.L1[i], cfg.L1Sets, cfg.L1Ways, llc)
 		if err != nil {
-			return nil, fmt.Errorf("cpucache: %w", err)
+			return nil, err
 		}
-		l2, err := cache.FromState(st.L2[i], nil)
+		l2, err := levelFromState(st.L2[i], cfg.L2Sets, cfg.L2Ways, llc)
 		if err != nil {
-			return nil, fmt.Errorf("cpucache: %w", err)
+			return nil, err
 		}
 		h.l1 = append(h.l1, l1)
 		h.l2 = append(h.l2, l2)
@@ -99,8 +87,34 @@ func HierarchyFromState(cfg Config, st *State) (*Hierarchy, error) {
 		// The serialized image does not carry private-cache presence, so
 		// restore with the conservative all-cores mask.
 		b := &st.Bufs[i]
-		*h.ownBuf(set, way) = lineBuf{data: b.Data, dirty: b.Dirty, cores: h.allCores()}
+		*h.ownBuf(set, way) = lineBuf{data: b.Data, cores: h.allCores()}
 		i++
 	})
 	return h, nil
+}
+
+// levelFromState decodes one cache level of the given geometry. Each of its
+// tags must sit in the set its line address masks to and, in a private
+// level, name a line that llc holds.
+func levelFromState(st *cache.State, sets, ways int, llc *cache.Cache) (*cache.Cache, error) {
+	if st == nil {
+		return nil, fmt.Errorf("cpucache: missing cache state")
+	}
+	if st.Sets != sets || st.Ways != ways {
+		return nil, fmt.Errorf("cpucache: %s state %dx%d does not match config %dx%d", st.Name, st.Sets, st.Ways, sets, ways)
+	}
+	c, err := cache.FromState(st, nil)
+	if err != nil {
+		return nil, fmt.Errorf("cpucache: %w", err)
+	}
+	c.Lines(func(set, _ int, l cache.Line) {
+		switch {
+		case err != nil:
+		case int(uint64(l.Tag)%uint64(sets)) != set:
+			err = fmt.Errorf("cpucache: %s set %d holds line %#x of another set", st.Name, set, l.Tag)
+		case llc != nil && !llc.Contains(int(uint64(l.Tag)%uint64(llc.Sets())), l.Tag):
+			err = fmt.Errorf("cpucache: %s holds line %#x, which the LLC does not", st.Name, l.Tag)
+		}
+	})
+	return c, err
 }

@@ -155,10 +155,17 @@ type Engine struct {
 	// bufs holds the current content of every tree line resident in the
 	// MEE cache (DRAM may be stale for dirty lines). It is one contiguous
 	// value slab indexed [set*ways+way], way for way with the cache's
-	// lines, which alone record what each slot holds: the per-walk lookup
-	// is an array index, an empty way's slot holds the zero buffer, and
-	// Fork is a single slab copy.
+	// lines, which alone record what each slot holds and whether it is
+	// dirty: the per-walk lookup is an array index, an empty way's slot
+	// holds the zero buffer, and Fork is a single slab copy.
 	bufs []nodeBuf
+	// wbq holds the dirty lines that have left the MEE cache and are not
+	// written back yet, each with its buffer. ReadData, WriteData and
+	// FlushCache drain it once their own walk is done, and a load that
+	// misses the cache takes its line back from it before reading DRAM, so
+	// a line's newest image is always in exactly one place: its slot, the
+	// queue, or DRAM. It is empty between operations.
+	wbq []queuedLine
 	// freeBufs tracks how deep the pointer-era recycling free list would be,
 	// so the nodebuf alloc/recycled observability counters keep their exact
 	// historical semantics now that slots are slab-resident.
@@ -198,16 +205,21 @@ type Engine struct {
 	nHitLevel   obs.NameID
 }
 
-// nodeBuf is the decoded content of a cached tree line. Which line a slot
-// holds is its way's: the line's address is the way's tag times the line
-// size, its kind the geometry's class of that address, and the slot is
-// resident exactly when the way is valid. dirty is the buffer's own record
-// of the cache's dirty bit: FlushCache clears it once a line is written
-// back, ahead of the cache's FlushAll.
+// nodeBuf is the decoded content of a cached tree line, and nothing else.
+// Which line a slot holds is its way's: the line's address is the way's tag
+// times the line size, its kind the geometry's class of that address, the
+// slot is resident exactly when the way is valid, and the line is dirty
+// exactly when the way's dirty bit is set.
 type nodeBuf struct {
 	counter itree.CounterLine // for version/level lines
 	tags    itree.TagLine     // for tag lines
-	dirty   bool
+}
+
+// queuedLine is a dirty line in the write-back queue: its address and the
+// buffer it left its slot with.
+type queuedLine struct {
+	addr dram.Addr
+	nb   nodeBuf
 }
 
 // dataMemoEntry is the memoized crypto result for one data line: the
@@ -432,25 +444,19 @@ func (e *Engine) cacheTag(addr dram.Addr) cache.Tag {
 // tagAddr is the address of the tree line a cache tag names.
 func tagAddr(t cache.Tag) dram.Addr { return dram.Addr(uint64(t) * itree.LineSize) }
 
-// walker accumulates latency for one protected access. In postedMode (used
-// for writebacks and background flushes) DRAM traffic occupies banks but
-// adds no requester latency, and hit-level accounting is suppressed.
+// walker accumulates latency for one walk: a requester's protected access,
+// or one write-back of a drain, whose latency no requester waits for.
 type walker struct {
-	e          *Engine
-	rng        *rand.Rand
-	now        sim.Cycles // start time of the access
-	lat        sim.Cycles // accumulated serial latency
-	hit        HitLevel   // deepest level that hit (set once, by the first hit)
-	set        bool
-	postedMode bool
+	e   *Engine
+	rng *rand.Rand
+	now sim.Cycles // start time of the walk
+	lat sim.Cycles // accumulated serial latency
+	hit HitLevel   // deepest level that hit (set once, by the first hit)
+	set bool
 }
 
-func (w *walker) dram(addr dram.Addr, write bool) {
-	if w.postedMode {
-		w.posted(addr, write)
-		return
-	}
-	w.lat += w.e.mem.Access(w.now+w.lat, w.rng, addr, write)
+func (w *walker) dram(addr dram.Addr) {
+	w.lat += w.e.mem.Access(w.now+w.lat, w.rng, addr, false)
 }
 
 // posted performs a DRAM access that occupies the bank but does not delay
@@ -460,7 +466,7 @@ func (w *walker) posted(addr dram.Addr, write bool) {
 }
 
 func (w *walker) markHit(h HitLevel) {
-	if w.postedMode || w.set {
+	if w.set {
 		return
 	}
 	w.hit = h
@@ -478,12 +484,46 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	}
 	e.stats.Reads++
 	w := &walker{e: e, rng: rng, now: now}
-	e.maybeRandomEvict(w)
+	e.maybeRandomEvict(rng)
+	plain, err := e.read(w, addr)
+	if err := e.finish(w, PipelineBase, err); err != nil {
+		return [itree.LineSize]byte{}, w.lat, w.hit, err
+	}
+	e.hReadLat.Observe(int64(w.lat))
+	return plain, w.lat, w.hit, nil
+}
 
+// finish ends a requester's access once its walk is done, err being the
+// walk's. It drains the write-back queue from where the walk ended. Unless
+// the walk failed, it then adds to the walk's latency the MEE pipeline cost,
+// pipeline cycles on average, and the port stall (the crypto stage only
+// serializes; DRAM fetches of concurrent walks overlap and contend at the
+// banks), and counts the access at its hit level.
+func (e *Engine) finish(w *walker, pipeline float64, err error) error {
+	if len(e.wbq) > 0 {
+		e.drain(w.now+w.lat, w.rng)
+	}
+	if err != nil {
+		return err
+	}
+	w.lat += sim.Gauss(w.rng, pipeline, JitterSigma)
+	stall := e.port.Acquire(w.now, PortOccupancy)
+	e.stats.StallCyc += stall
+	e.stats.HitsAt[w.hit]++
+	if e.tr != nil {
+		e.tr.Count(e.nHitLevel, int64(w.now), int64(w.hit))
+	}
+	w.lat += stall
+	return nil
+}
+
+// read is ReadData's walk: it fetches, verifies and decrypts the data line
+// at addr.
+func (e *Engine) read(w *walker, addr dram.Addr) ([itree.LineSize]byte, error) {
 	// Data ciphertext fetch from DRAM (the MEE never caches data lines). A
 	// memo taken at the page's current write generation stands in for the
 	// ciphertext, which is then unchanged.
-	w.dram(addr, false)
+	w.dram(addr)
 	gen := e.mem.WriteGen(addr)
 	m := e.dataMemo[addr]
 	var ct [itree.LineSize]byte
@@ -494,7 +534,7 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	// Versions walk: stops at the first MEE-cache hit.
 	vi, err := e.loadVersions(w, addr)
 	if err != nil {
-		return [itree.LineSize]byte{}, w.lat, w.hit, err
+		return [itree.LineSize]byte{}, err
 	}
 	slot := e.geom.VersionSlot(addr)
 	version := e.bufs[vi].counter.Counters[slot]
@@ -514,27 +554,14 @@ func (e *Engine) ReadData(now sim.Cycles, rng *rand.Rand, addr dram.Addr) ([itre
 	}
 	if e.bufs[ti].tags.Tags[slot] != want {
 		e.stats.Violations++
-		return [itree.LineSize]byte{}, w.lat, w.hit, &IntegrityError{Addr: addr, Kind: itree.KindData, What: "PD_Tag mismatch"}
+		return [itree.LineSize]byte{}, &IntegrityError{Addr: addr, Kind: itree.KindData, What: "PD_Tag mismatch"}
 	}
-	var plain [itree.LineSize]byte
 	if m != nil {
-		plain = m.plain
-	} else {
-		plain = e.crypt.DecryptLine(addr, version, ct)
-		e.putDataMemo(addr, version, gen, want, plain)
+		return m.plain, nil
 	}
-
-	// MEE pipeline cost and port serialization (crypto stage only; DRAM
-	// fetches of concurrent walks overlap and contend at the banks).
-	w.lat += sim.Gauss(rng, PipelineBase, JitterSigma)
-	stall := e.port.Acquire(now, PortOccupancy)
-	e.stats.StallCyc += stall
-	e.stats.HitsAt[w.hit]++
-	e.hReadLat.Observe(int64(stall + w.lat))
-	if e.tr != nil {
-		e.tr.Count(e.nHitLevel, int64(now), int64(w.hit))
-	}
-	return plain, stall + w.lat, w.hit, nil
+	plain := e.crypt.DecryptLine(addr, version, ct)
+	e.putDataMemo(addr, version, gen, want, plain)
+	return plain, nil
 }
 
 // WriteData performs a protected-region write of the full line at addr:
@@ -547,16 +574,22 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	}
 	e.stats.Writes++
 	w := &walker{e: e, rng: rng, now: now}
-	e.maybeRandomEvict(w)
+	e.maybeRandomEvict(rng)
+	err := e.finish(w, PipelineBase+WriteExtra, e.write(w, addr, plain))
+	return w.lat, w.hit, err
+}
 
+// write is WriteData's walk: it bumps the line's version, writes its new
+// ciphertext and records its new PD_Tag.
+func (e *Engine) write(w *walker, addr dram.Addr, plain [itree.LineSize]byte) error {
 	vi, err := e.loadVersions(w, addr)
 	if err != nil {
-		return w.lat, w.hit, err
+		return err
 	}
 	slot := e.geom.VersionSlot(addr)
 	vline := &e.bufs[vi]
 	if vline.counter.Counters[slot] >= itree.CounterMax {
-		return w.lat, w.hit, fmt.Errorf("mee: version counter overflow at %#x (re-key required)", addr)
+		return fmt.Errorf("mee: version counter overflow at %#x (re-key required)", addr)
 	}
 	vline.counter.Counters[slot]++
 	e.markDirty(vi)
@@ -572,13 +605,5 @@ func (e *Engine) WriteData(now sim.Cycles, rng *rand.Rand, addr dram.Addr, plain
 	e.bufs[ti].tags.Tags[slot] = mac
 	e.markDirty(ti)
 	e.putDataMemo(addr, version, gen, mac, plain)
-
-	w.lat += sim.Gauss(rng, PipelineBase+WriteExtra, JitterSigma)
-	stall := e.port.Acquire(now, PortOccupancy)
-	e.stats.StallCyc += stall
-	e.stats.HitsAt[w.hit]++
-	if e.tr != nil {
-		e.tr.Count(e.nHitLevel, int64(now), int64(w.hit))
-	}
-	return stall + w.lat, w.hit, nil
+	return nil
 }

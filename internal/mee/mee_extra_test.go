@@ -143,35 +143,39 @@ func TestTagTamperOnOneLineDoesNotAffectSiblings(t *testing.T) {
 }
 
 // TestWriteMarksCacheLinesDirty: a write dirties the versions and PD_Tag
-// lines it updates in the MEE cache as well as in their buffers, so every
-// resident line's cache dirty bit matches its buffer's, and the cache's
-// count of dirty lines it evicted matches the engine's write-backs once
-// conflicting reads have evicted what the writes dirtied.
+// lines it updates in the MEE cache, whose dirty bits are the only record of
+// a dirty line, and every dirty line that leaves the cache is written back
+// once: the cache's count of dirty lines it evicted matches the engine's
+// write-backs once conflicting reads have evicted what the writes dirtied,
+// and again once FlushCache has written back what further writes dirtied.
 func TestWriteMarksCacheLinesDirty(t *testing.T) {
 	f := newFixture(t)
 	check := func(when string) {
 		t.Helper()
-		c := f.eng.Cache()
-		for set := 0; set < c.Sets(); set++ {
-			for way, l := range c.SetContents(set) {
-				if nb := &f.eng.bufs[f.eng.bufIdx(set, way)]; l.Valid && l.Dirty != nb.dirty {
-					t.Fatalf("%s: set %d way %d: cache line dirty %v, buffer dirty %v", when, set, way, l.Dirty, nb.dirty)
-				}
-			}
+		wb, out := f.eng.Stats().Writebacks, f.eng.Cache().Stats().WritebacksOut
+		if wb == 0 || out != wb {
+			t.Fatalf("%s: engine wrote back %d lines, MEE cache counted %d dirty lines leaving", when, wb, out)
 		}
 	}
 	for i := 0; i < 3; i++ {
 		f.write(t, f.dataAddr(uint64(i)*512), byte(i+1))
 	}
-	check("after the writes")
+	if got := len(f.eng.residents(true)); got != 6 {
+		t.Fatalf("three writes left %d dirty lines, want their 3 versions and 3 PD_Tag lines", got)
+	}
 	// At a 32 KB stride the data lines' versions lines share one odd set
 	// and their PD_Tag lines one even set, 64 of each against 8 ways.
 	for i := 1; i <= 4000; i++ {
 		f.read(t, f.dataAddr(uint64(i%64)*32<<10))
 	}
 	check("after conflicting reads")
-	wb, out := f.eng.Stats().Writebacks, f.eng.Cache().Stats().WritebacksOut
-	if wb == 0 || out != wb {
-		t.Fatalf("engine wrote back %d lines, MEE cache counted %d dirty evictions", wb, out)
+	for i := 0; i < 3; i++ {
+		f.write(t, f.dataAddr(uint64(i)*512), byte(i+4))
+	}
+	f.now += 100000
+	f.eng.FlushCache(f.now, f.rng)
+	check("after FlushCache")
+	if n := f.eng.Cache().ValidCount(); n != 0 {
+		t.Fatalf("FlushCache left %d lines resident", n)
 	}
 }

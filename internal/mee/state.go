@@ -56,12 +56,8 @@ func (e *Engine) ExportState() *State {
 // no DRAM binding and never runs — Fork rebinds it to a live memory and RNG.
 // A geometry New would refuse, mismatches between cfg and the image, a
 // cache tag that names no tree line of its set, and a buffer list that is
-// not one buffer per valid way are reported as errors. A buffer is dirty
-// when its way is. The two records agree at quiescence, except after a
-// write-back nested inside a walk has loaded and dirtied the line that
-// walk is loading: the walk's install then overwrites the buffer with a
-// clean copy while the cache keeps the dirty bit, a known fault of the
-// walk that corrupts the tree in any case.
+// not one buffer per valid way are reported as errors. A buffer's line is
+// dirty when its way is: the cache image is the only record of both.
 func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *State) (*Engine, error) {
 	if err := checkGeometry(cfg); err != nil {
 		return nil, err
@@ -108,7 +104,7 @@ func EngineFromState(cfg Config, geom itree.Geometry, crypt *itree.Crypto, st *S
 			bad = fmt.Errorf("mee: set %d way %d holds %#x, no tree line of that set", set, way, addr)
 		}
 		b := &st.Bufs[i]
-		e.bufs[e.bufIdx(set, way)] = nodeBuf{counter: b.Counter, tags: b.Tags, dirty: l.Dirty}
+		e.bufs[e.bufIdx(set, way)] = nodeBuf{counter: b.Counter, tags: b.Tags}
 		i++
 	})
 	if bad != nil {

@@ -43,7 +43,7 @@ func TestStateRejectsUnsplittableSets(t *testing.T) {
 // TestStateRoundTripKeepsBuffers: the cache image is the only record of
 // which line each buffer holds and whether it is dirty, so an engine
 // holding dirty lines must come back from ExportState → EngineFromState
-// with every buffer's content and dirty flag, and a fork of each engine
+// with every buffer's content and every dirty line, and a fork of each engine
 // must run one read/write script, dirty write-backs included, to the same
 // data, latencies, hit levels and final image.
 func TestStateRoundTripKeepsBuffers(t *testing.T) {
@@ -63,17 +63,12 @@ func TestStateRoundTripKeepsBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := 0
-	for _, nb := range f.eng.bufs {
-		if nb.dirty {
-			dirty++
-		}
-	}
-	if dirty == 0 {
+	dirty := f.eng.residents(true)
+	if len(dirty) == 0 {
 		t.Fatal("the engine holds no dirty line")
 	}
-	if !slices.Equal(dec.bufs, f.eng.bufs) {
-		t.Fatal("decoded engine's buffers differ from the original's")
+	if !slices.Equal(dec.bufs, f.eng.bufs) || !slices.Equal(dec.residents(true), dirty) {
+		t.Fatal("decoded engine's buffers or dirty lines differ from the original's")
 	}
 
 	type result struct {

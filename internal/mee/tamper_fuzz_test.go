@@ -89,6 +89,16 @@ func (r *tamperRig) reachesCounter(addr dram.Addr) bool {
 	return false
 }
 
+// residentBuf returns the node buffer currently holding addr, or nil when
+// the line is not resident. It does not touch replacement state or stats.
+func (e *Engine) residentBuf(addr dram.Addr) *nodeBuf {
+	set := e.CacheSetFor(addr)
+	if way, ok := e.cache.WayOf(set, e.cacheTag(addr)); ok {
+		return &e.bufs[e.bufIdx(set, way)]
+	}
+	return nil
+}
+
 func (r *tamperRig) initialized(a dram.Addr) bool {
 	word, mask := r.eng.initBit(a)
 	return r.eng.initialized[word]&mask != 0

@@ -14,7 +14,8 @@ import (
 // loadVersions returns the buffer slot of the (cached or freshly verified)
 // versions line covering dataAddr. On a cache hit the walk terminates here
 // — the line was verified when it was brought in, which is the property the
-// whole covert channel rests on. On a miss the line is fetched from DRAM and
+// whole covert channel rests on. A line taken back from the write-back queue
+// ends the walk the same way. Otherwise the line is fetched from DRAM and
 // verified against its covering L0 counter, recursing up the tree.
 func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (int, error) {
 	vaddr := e.geom.VersionLineAddr(dataAddr)
@@ -23,31 +24,33 @@ func (e *Engine) loadVersions(w *walker, dataAddr dram.Addr) (int, error) {
 		w.markHit(HitVersions)
 		return e.bufIdx(set, way), nil
 	}
+	if i, ok := e.takeBack(vaddr, set); ok {
+		w.markHit(HitVersions)
+		return i, nil
+	}
 	// Miss: fetch the line from DRAM.
-	w.dram(vaddr, false)
+	w.dram(vaddr)
 	m, memo := e.readCounterLine(vaddr)
 
 	// Obtain the covering L0 counter (may recurse further up).
-	vi := e.geom.VersionLineIndex(dataAddr)
-	l0, slot := e.geom.ParentOfVersion(vi)
-	pc, err := e.loadLevelCounter(w, 0, l0, slot)
+	l0, slot := e.geom.ParentOfVersion(e.geom.VersionLineIndex(dataAddr))
+	pi, err := e.loadLevel(w, 0, l0)
 	if err != nil {
 		return 0, err
 	}
-	if !e.verifyCounterLine(vaddr, m, memo, pc) {
+	if !e.verifyCounterLine(vaddr, m, memo, e.bufs[pi].counter.Counters[slot]) {
 		e.stats.Violations++
 		return 0, &IntegrityError{Addr: vaddr, Kind: itree.KindVersion, What: "embedded MAC mismatch"}
 	}
 	w.check()
-	return e.install(w, vaddr, set, nodeBuf{counter: m.line}), nil
+	return e.install(vaddr, set, nodeBuf{counter: m.line}, false), nil
 }
 
 // readCounterLine returns the DRAM image of the counter line at addr,
 // materializing its boot image first, with the write generation its page
-// had when read. The generation is read before the walk recurses to the
-// parent, whose write-backs may write the page. memo reports that the image
-// is the line's memo, taken at that generation: the bytes are unchanged
-// since, so they are not read and decoded again.
+// had when read. memo reports that the image is the line's memo, taken at
+// that generation: the bytes are unchanged since, so they are not read and
+// decoded again.
 func (e *Engine) readCounterLine(addr dram.Addr) (m nodeMemoEntry, memo bool) {
 	e.ensureInit(addr)
 	gen := e.mem.WriteGen(addr)
@@ -72,17 +75,22 @@ func (e *Engine) verifyCounterLine(addr dram.Addr, m nodeMemoEntry, memo bool, p
 	return true
 }
 
-// loadLevelCounter returns the current value of counter `slot` in the
-// level-`level` line with index idx, fetching and verifying the line if it
-// is not in the MEE cache. It records the walk's terminal hit level.
-func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (uint64, error) {
+// loadLevel returns the buffer slot of the level-`level` line with index
+// idx, taking it back from the write-back queue or fetching and verifying
+// it if it is not in the MEE cache. It records the walk's terminal hit
+// level.
+func (e *Engine) loadLevel(w *walker, level int, idx uint64) (int, error) {
 	addr := e.geom.LevelLineAddr(level, idx)
 	set := e.evenSet(addr)
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(addr)); hit {
 		w.markHit(HitL0 + HitLevel(level))
-		return e.bufs[e.bufIdx(set, way)].counter.Counters[slot], nil
+		return e.bufIdx(set, way), nil
 	}
-	w.dram(addr, false)
+	if i, ok := e.takeBack(addr, set); ok {
+		w.markHit(HitL0 + HitLevel(level))
+		return i, nil
+	}
+	w.dram(addr)
 	m, memo := e.readCounterLine(addr)
 
 	pIdx, pSlot, isRoot := e.geom.ParentOfLevel(level, idx)
@@ -91,19 +99,18 @@ func (e *Engine) loadLevelCounter(w *walker, level int, idx uint64, slot int) (u
 		w.markHit(HitRoot)
 		pc = e.root[pIdx]
 	} else {
-		var err error
-		pc, err = e.loadLevelCounter(w, level+1, pIdx, pSlot)
+		pi, err := e.loadLevel(w, level+1, pIdx)
 		if err != nil {
 			return 0, err
 		}
+		pc = e.bufs[pi].counter.Counters[pSlot]
 	}
 	if !e.verifyCounterLine(addr, m, memo, pc) {
 		e.stats.Violations++
 		return 0, &IntegrityError{Addr: addr, Kind: itree.NodeKind(int(itree.KindLevel0) + level), What: "embedded MAC mismatch"}
 	}
 	w.check()
-	e.install(w, addr, set, nodeBuf{counter: m.line})
-	return m.line.Counters[slot], nil
+	return e.install(addr, set, nodeBuf{counter: m.line}, false), nil
 }
 
 // loadTags returns the buffer slot of the PD_Tag line covering dataAddr.
@@ -116,60 +123,86 @@ func (e *Engine) loadTags(w *walker, dataAddr dram.Addr) int {
 	if way, hit := e.cache.LookupWay(set, e.cacheTag(taddr)); hit {
 		return e.bufIdx(set, way)
 	}
+	if i, ok := e.takeBack(taddr, set); ok {
+		return i
+	}
 	w.posted(taddr, false)
 	e.ensureInit(taddr)
-	return e.install(w, taddr, set, nodeBuf{tags: itree.DecodeTagLine(e.mem.ReadLine(taddr))})
+	return e.install(taddr, set, nodeBuf{tags: itree.DecodeTagLine(e.mem.ReadLine(taddr))}, false)
 }
 
-// check charges the per-level verification cost to the requester.
-func (w *walker) check() {
-	if w.postedMode {
-		return
-	}
-	w.lat += LevelCheck
-}
+// check charges the per-level verification cost to the walk.
+func (w *walker) check() { w.lat += LevelCheck }
 
-// install fills a verified line into the MEE cache, handling the eviction
-// (and possible dirty writeback) of the displaced line, and returns the
-// slot's buffer index. The new line is written into its slot before the
-// victim's writeback runs: the writeback may recurse into further loads
-// that read or evict other slots and must see a consistent slab.
-func (e *Engine) install(w *walker, addr dram.Addr, set int, nb nodeBuf) int {
+// install fills a line into the MEE cache, dirty or clean, and returns the
+// slot's buffer index. The displaced line, if dirty, joins the write-back
+// queue with its buffer; nothing is written back here.
+func (e *Engine) install(addr dram.Addr, set int, nb nodeBuf, dirty bool) int {
 	e.countInstall()
-	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), nb.dirty)
+	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), dirty)
 	idx := e.bufIdx(set, way)
-	// The victim's buffer lives in the slot we fill. Only its writeback
-	// reads it, so it is copied out only when dirty.
-	var ev nodeBuf
-	if evicted.Valid && e.bufs[idx].dirty {
-		ev = e.bufs[idx]
-	}
-	e.bufs[idx] = nb
 	if evicted.Valid {
-		if ev.dirty {
-			e.writeback(w, tagAddr(evicted.Tag), &ev)
+		if evicted.Dirty {
+			e.wbq = append(e.wbq, queuedLine{addr: tagAddr(evicted.Tag), nb: e.bufs[idx]})
 		}
 		e.countDrop()
 	}
+	e.bufs[idx] = nb
 	return idx
+}
+
+// takeBack reinstalls the line at addr, dirty, if it waits in the
+// write-back queue, and returns its slot; ok is false when it does not.
+// The queue is searched only after a cache miss.
+func (e *Engine) takeBack(addr dram.Addr, set int) (idx int, ok bool) {
+	for i := range e.wbq {
+		if q := e.wbq[i]; q.addr == addr {
+			e.wbq = slices.Delete(e.wbq, i, i+1)
+			return e.install(addr, set, q.nb, true), true
+		}
+	}
+	return 0, false
+}
+
+// evict removes the resident line at addr from the MEE cache, queueing it
+// for write-back when it is dirty.
+func (e *Engine) evict(addr dram.Addr) {
+	set := e.CacheSetFor(addr)
+	way, l := e.cache.InvalidateWay(set, e.cacheTag(addr))
+	idx := e.bufIdx(set, way)
+	if l.Dirty {
+		e.wbq = append(e.wbq, queuedLine{addr: addr, nb: e.bufs[idx]})
+	}
+	e.bufs[idx] = nodeBuf{}
+	e.countDrop()
+}
+
+// drain writes back every queued line, last queued first, each on a walker
+// of its own that starts at cycle now. A write-back loads and bumps its
+// parent, and the dirty lines that load evicts join the queue, so no
+// write-back starts inside another. Write-backs are posted: no requester
+// waits for their walks.
+func (e *Engine) drain(now sim.Cycles, rng *rand.Rand) {
+	for n := len(e.wbq); n > 0; n = len(e.wbq) {
+		q := e.wbq[n-1]
+		e.wbq = e.wbq[:n-1]
+		e.writeback(&walker{e: e, rng: rng, now: now}, q.addr, &q.nb)
+	}
 }
 
 // writeback flushes a dirty tree line to DRAM. Version and level lines must
 // first increment their covering counter (freshness) and re-MAC; tag lines
-// are self-authenticating and are written out as-is. All DRAM traffic here
-// is posted: it occupies banks but does not delay the requester.
+// are self-authenticating and are written out as-is.
 func (e *Engine) writeback(w *walker, addr dram.Addr, nb *nodeBuf) {
 	e.stats.Writebacks++
 	var pc uint64
 	switch kind := e.geom.Classify(addr); kind {
 	case itree.KindTag:
-		raw := nb.tags.Encode()
-		e.mem.WriteLine(addr, raw)
+		e.mem.WriteLine(addr, nb.tags.Encode())
 		w.posted(addr, true)
 		return
 	case itree.KindVersion:
-		vi := uint64(addr-e.geom.VersBase) / itree.LineSize
-		l0, slot := e.geom.ParentOfVersion(vi)
+		l0, slot := e.geom.ParentOfVersion(uint64(addr-e.geom.VersBase) / itree.LineSize)
 		pc = e.bumpLevelCounter(w, 0, l0, slot)
 	case itree.KindLevel0, itree.KindLevel1, itree.KindLevel2:
 		level := int(kind - itree.KindLevel0)
@@ -196,58 +229,40 @@ func (e *Engine) writeCounterLine(addr dram.Addr, pc uint64, cl itree.CounterLin
 	e.putNodeMemo(addr, nodeMemoEntry{gen: e.mem.WriteGen(addr), pc: pc, line: cl})
 }
 
-// markDirty flags the line in buffer slot idx dirty, in its buffer and in
-// the MEE cache, whose dirty bit its write-back counters read.
+// markDirty sets the MEE cache's dirty bit of the line in buffer slot idx,
+// the one record that the line must be written back.
 func (e *Engine) markDirty(idx int) {
-	e.bufs[idx].dirty = true
 	e.cache.MarkDirtyWay(idx/e.cfg.CacheWays, idx%e.cfg.CacheWays)
 }
 
-// bumpLevelCounter loads (posted) the covering counter line, increments the
-// child's slot, marks it dirty, and returns the new counter value.
+// bumpLevelCounter loads the covering counter line, increments the child's
+// slot, marks the line dirty, and returns the new counter value. Nothing
+// installs a line between the load and the bump, so the slot still holds
+// the line.
 func (e *Engine) bumpLevelCounter(w *walker, level int, idx uint64, slot int) uint64 {
-	prevPosted := w.postedMode
-	w.postedMode = true
-	pc, err := e.loadLevelCounter(w, level, idx, slot)
-	w.postedMode = prevPosted
+	i, err := e.loadLevel(w, level, idx)
 	if err != nil {
 		// A writeback that trips an integrity violation means the tree
 		// itself is corrupt; surface loudly (tamper tests never write).
 		panic(fmt.Sprintf("mee: integrity violation during writeback: %v", err))
 	}
-	if pc >= itree.CounterMax {
+	c := &e.bufs[i].counter.Counters[slot]
+	if *c >= itree.CounterMax {
 		panic(fmt.Sprintf("mee: level %d counter overflow (re-key required)", level))
 	}
-	addr := e.geom.LevelLineAddr(level, idx)
-	set := e.evenSet(addr)
-	way, ok := e.cache.WayOf(set, e.cacheTag(addr))
-	if !ok {
-		panic(fmt.Sprintf("mee: counter line %#x vanished during writeback", addr))
-	}
-	bi := e.bufIdx(set, way)
-	e.bufs[bi].counter.Counters[slot] = pc + 1
-	e.markDirty(bi)
-	return pc + 1
-}
-
-// residentBuf returns the node buffer currently holding addr, or nil when
-// the line is not resident. It does not touch replacement state or stats.
-func (e *Engine) residentBuf(addr dram.Addr) *nodeBuf {
-	set := e.CacheSetFor(addr)
-	if way, ok := e.cache.WayOf(set, e.cacheTag(addr)); ok {
-		return &e.bufs[e.bufIdx(set, way)]
-	}
-	return nil
+	*c++
+	e.markDirty(i)
+	return *c
 }
 
 // residents returns the addresses of the lines resident in the MEE cache in
 // ascending order, so that what a caller does with them is independent of
 // storage layout (the map the buffers once were was sorted too). With
-// dirty set, it returns only the lines whose buffer is dirty.
+// dirty set, it returns only the dirty lines.
 func (e *Engine) residents(dirty bool) []dram.Addr {
 	addrs := make([]dram.Addr, 0, e.cache.ValidCount())
-	e.cache.Lines(func(set, way int, l cache.Line) {
-		if !dirty || e.bufs[e.bufIdx(set, way)].dirty {
+	e.cache.Lines(func(_, _ int, l cache.Line) {
+		if !dirty || l.Dirty {
 			addrs = append(addrs, tagAddr(l.Tag))
 		}
 	})
@@ -257,26 +272,14 @@ func (e *Engine) residents(dirty bool) []dram.Addr {
 
 // maybeRandomEvict implements the noise-injection mitigation: with
 // probability RandomEvictProb, one randomly chosen resident tree line is
-// evicted (written back if dirty) before the access proceeds.
-func (e *Engine) maybeRandomEvict(w *walker) {
+// evicted (queued for write-back if dirty) before the access proceeds.
+func (e *Engine) maybeRandomEvict(rng *rand.Rand) {
 	p := e.cfg.RandomEvictProb
-	if p <= 0 || e.cache.ValidCount() == 0 || w.rng.Float64() >= p {
+	if p <= 0 || e.cache.ValidCount() == 0 || rng.Float64() >= p {
 		return
 	}
 	addrs := e.residents(false)
-	victim := addrs[w.rng.IntN(len(addrs))]
-	set := e.CacheSetFor(victim)
-	way, _ := e.cache.InvalidateWay(set, e.cacheTag(victim))
-	idx := e.bufIdx(set, way)
-	nb := e.bufs[idx] // copy out before clearing; the writeback may recurse
-	e.bufs[idx] = nodeBuf{}
-	if nb.dirty {
-		prev := w.postedMode
-		w.postedMode = true
-		e.writeback(w, victim, &nb)
-		w.postedMode = prev
-	}
-	e.countDrop()
+	e.evict(addrs[rng.IntN(len(addrs))])
 }
 
 // ensureInit materializes the boot-time image of a tree line in DRAM:
@@ -313,21 +316,15 @@ func (e *Engine) ensureInit(addr dram.Addr) {
 // FlushCache writes back every dirty line and empties the MEE cache —
 // a simulation-only helper used to start experiments from a cold MEE state
 // (no architectural equivalent exists; clflush cannot reach the MEE cache,
-// per §3 of the paper).
+// per §3 of the paper). Writing back a dirty line dirties its parent, so it
+// invalidates every dirty line into the write-back queue, drains the queue,
+// and repeats until no line is dirty; then it drops the clean lines.
 func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
-	w := &walker{e: e, rng: rng, now: now, postedMode: true}
-	// Writing back a dirty version/level line dirties its parent, so sweep
-	// in ascending address order (parents live above children in the PRM)
-	// until nothing dirty remains.
-	for addrs := e.residents(true); len(addrs) > 0; addrs = e.residents(true) {
-		for _, addr := range addrs {
-			nb := e.residentBuf(addr)
-			if nb == nil || !nb.dirty {
-				continue // already handled by a cascaded eviction
-			}
-			e.writeback(w, addr, nb)
-			nb.dirty = false
+	for dirty := e.residents(true); len(dirty) > 0; dirty = e.residents(true) {
+		for _, addr := range dirty {
+			e.evict(addr)
 		}
+		e.drain(now, rng)
 	}
 	for range e.cache.ValidCount() {
 		e.countDrop()

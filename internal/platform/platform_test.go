@@ -81,6 +81,38 @@ func TestGeneralMemoryRoundTrip(t *testing.T) {
 	p.Run(-1)
 }
 
+// TestClflushWritesBackDirtyLines: a write marks its line's LLC way dirty,
+// the hierarchy's one record of a dirty line, so clflush of a written
+// enclave line and of a written general line each hands back a dirty
+// victim: the platform writes the first back through the MEE and the second
+// to DRAM, and the LLC counts both as write-backs.
+func TestClflushWritesBackDirtyLines(t *testing.T) {
+	p := bootDefault(t, 3)
+	defer p.Close()
+	var gen dram.Addr
+	runEnclaveThread(t, p, 1, func(th *Thread) {
+		encl := th.Process().Enclave().Base
+		va := th.Process().AllocGeneral(1)
+		gen, _ = th.Process().Translate(va)
+		th.WriteU64(encl, 0xe1)
+		th.WriteU64(va, 0x9e)
+		th.Flush(encl)
+		th.Flush(va)
+		if v, _ := th.ReadU64(encl); v != 0xe1 {
+			t.Errorf("enclave line read %#x after clflush, want 0xe1", v)
+		}
+	})
+	if n := p.MEE().Stats().Writes; n != 1 {
+		t.Errorf("the MEE wrote %d lines, want the enclave line's write-back", n)
+	}
+	if line := p.Mem().ReadLine(gen); binary.LittleEndian.Uint64(line[:8]) != 0x9e {
+		t.Errorf("general line in DRAM reads %#x, want 0x9e", binary.LittleEndian.Uint64(line[:8]))
+	}
+	if n := p.Caches().LLC().Stats().WritebacksOut; n != 2 {
+		t.Errorf("llc.writebacks_out = %d, want 2", n)
+	}
+}
+
 func TestCachedAccessSkipsMEE(t *testing.T) {
 	p := bootDefault(t, 4)
 	defer p.Close()

@@ -366,44 +366,44 @@ func readMEE(r *Reader) *mee.State {
 // ---------------------------------------------------------------------------
 // CPU cache hierarchy
 
-// cpuBufWire is one LLC line buffer on the wire: data, dirty. The buffers
-// follow the LLC, one per valid way in way order.
-const cpuBufWire = dram.LineSize + 1
+// cpuBufWire is one LLC line buffer on the wire: its data. The buffers
+// follow the LLC, one per valid way in way order, whose dirty mask says
+// which of them are dirty.
+const cpuBufWire = dram.LineSize
 
 func writeCPU(w *Writer, st *cpucache.State) {
-	w.U64(uint64(len(st.L1)))
-	for _, c := range st.L1 {
-		writeCache(w, c)
-	}
-	w.U64(uint64(len(st.L2)))
-	for _, c := range st.L2 {
-		writeCache(w, c)
-	}
+	writeCaches(w, st.L1)
+	writeCaches(w, st.L2)
 	writeCache(w, st.LLC)
 	w.U64(uint64(len(st.Bufs)))
 	for _, b := range st.Bufs {
 		w.Raw(b.Data[:])
-		w.Bool(b.Dirty)
 	}
 }
 
+// writeCaches and readCaches carry a counted list of cache images.
+func writeCaches(w *Writer, cs []*cache.State) {
+	w.U64(uint64(len(cs)))
+	for _, c := range cs {
+		writeCache(w, c)
+	}
+}
+
+func readCaches(r *Reader) []*cache.State {
+	var cs []*cache.State
+	for n, i := r.Count(1), 0; i < n && r.Err() == nil; i++ {
+		cs = append(cs, readCache(r))
+	}
+	return cs
+}
+
 func readCPU(r *Reader) *cpucache.State {
-	st := &cpucache.State{}
-	n1 := r.Count(1)
-	for i := 0; i < n1 && r.Err() == nil; i++ {
-		st.L1 = append(st.L1, readCache(r))
-	}
-	n2 := r.Count(1)
-	for i := 0; i < n2 && r.Err() == nil; i++ {
-		st.L2 = append(st.L2, readCache(r))
-	}
-	st.LLC = readCache(r)
+	st := &cpucache.State{L1: readCaches(r), L2: readCaches(r), LLC: readCache(r)}
 	nBufs := r.Count(cpuBufWire)
 	st.Bufs = make([]cpucache.LineBufState, 0, nBufs)
 	for i := 0; i < nBufs && r.Err() == nil; i++ {
 		var b cpucache.LineBufState
 		copy(b.Data[:], r.Raw(dram.LineSize))
-		b.Dirty = r.Bool()
 		st.Bufs = append(st.Bufs, b)
 	}
 	return st

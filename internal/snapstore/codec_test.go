@@ -178,6 +178,9 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if len(fix.EPC.Owners) == 0 || len(fix.Procs) == 0 {
 		t.Fatalf("fixture has %d EPC owners and %d processes; want one of each", len(fix.EPC.Owners), len(fix.Procs))
 	}
+	if len(fix.Caches.L1[0].Listed) == 0 || len(fix.Caches.LLC.Listed) == 0 {
+		t.Fatalf("fixture lists %d L1 sets on core 0 and %d LLC sets; want one of each", len(fix.Caches.L1[0].Listed), len(fix.Caches.LLC.Listed))
+	}
 	for _, tc := range []struct {
 		name   string
 		damage func(st *platform.SnapshotState)
@@ -254,6 +257,18 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"MEE tag outside the tree", func(st *platform.SnapshotState) {
 			ss := &st.MEE.Cache.Listed[0]
 			ss.Tags[0] = cache.Tag(ss.Set) // a general-memory line in the same set
+		}},
+		// A CPU-cache tag sits in the set its line address masks to, and
+		// the LLC holds every private line: the one-scan Flush relies on
+		// an inclusive LLC.
+		{"CPU-cache tag off its set", func(st *platform.SnapshotState) {
+			st.Caches.L1[0].Listed[0].Tags[0]++
+		}},
+		{"LLC tag off its set", func(st *platform.SnapshotState) {
+			st.Caches.LLC.Listed[0].Tags[0]++
+		}},
+		{"private line not in the LLC", func(st *platform.SnapshotState) {
+			st.Caches.L1[0].Listed[0].Tags[0] += 64 << 12 // 16 MB on: the same L1 and LLC sets
 		}},
 		// Every address the image holds lies where the machine has it.
 		{"EPC frame outside the EPC", func(st *platform.SnapshotState) {
