@@ -230,6 +230,27 @@ ls "$tmp"/snapstore/*.snap > /dev/null 2>&1 || {
 cmp "$tmp/served/smoke.json" "$tmp/smoke.json" || {
     echo "served artifact differs from local batch artifact" >&2; exit 1; }
 
+echo "== smoke: serve restart faults the spilled warm states in =="
+# A fresh server on the same -storedir has no memo and no resident warm
+# state, so the resubmitted shared grid runs every trial again, each on a
+# warm state decoded from a blob the first server spilled: /metrics must
+# show disk loads and no warm-up, and the artifact must be the first
+# shared run's, byte for byte.
+"$tmp/meecc" serve -addr 127.0.0.1:8391 -storedir "$tmp/snapstore" &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+"$tmp/meecc" submit -spec "$tmp/shared.json" -addr 127.0.0.1:8391 -out "$tmp/restarted" > /dev/null
+curl -sf http://127.0.0.1:8391/metrics > "$tmp/restarted.metrics"
+kill "$serve_pid"
+wait "$serve_pid" 2>/dev/null || true
+trap 'rm -rf "$tmp"' EXIT
+grep -qx 'meecc_warm_computes 0' "$tmp/restarted.metrics" &&
+    grep -q '^meecc_warm_disk_loads [1-9]' "$tmp/restarted.metrics" || {
+    echo "restarted server warmed up again instead of faulting its spilled states in:" >&2
+    grep '^meecc_warm_' "$tmp/restarted.metrics" >&2; exit 1; }
+cmp "$tmp/restarted/smoke.json" "$tmp/shared/smoke.json" || {
+    echo "restarted server's artifact differs from the first shared run's" >&2; exit 1; }
+
 echo "== smoke: serve crash recovery (kill -9 / restart / resume) =="
 # The durability contract, end to end over real processes: a server killed
 # with SIGKILL mid-run loses nothing its journal committed. The resubmitted

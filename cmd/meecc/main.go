@@ -258,6 +258,9 @@ func figureCmd(id string) subcommand {
 		fs.IntVar(&e.Workers, "workers", 0, "grid worker goroutines (0 = GOMAXPROCS)")
 		observe(fs, e)
 		return func() error {
+			if *window <= 0 {
+				return usageError(fmt.Sprintf("-window %d: want a positive cycle count", *window))
+			}
 			e.Window = meecc.Cycles(*window)
 			return e.Run(id)
 		}
@@ -323,6 +326,9 @@ func sendCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 	return func() error {
 		if *lanes < 1 || *lanes > 2 {
 			return usageError(fmt.Sprintf("-lanes %d: want 1 or 2", *lanes))
+		}
+		if *window <= 0 {
+			return usageError(fmt.Sprintf("-window %d: want a positive cycle count", *window))
 		}
 		modes := 0
 		for _, on := range []bool{*reliable, *inband, *lanes == 2} {

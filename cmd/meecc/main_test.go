@@ -136,6 +136,11 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"send", "-reliable", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
 		{[]string{"send", "-inband", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
 		{[]string{"send", "-lanes", "2", "-v"}, 2, "-v prints the raw channel's per-bit trace"},
+		{[]string{"send", "-msg", "hi", "-window", "0"}, 2, "-window 0: want a positive cycle count"},
+		{[]string{"-window", "-5", "-reliable"}, 2, "-window -5: want a positive cycle count"},
+		{[]string{"noise", "-window", "0"}, 2, "meecc noise: -window 0: want a positive cycle count"},
+		{[]string{"stealth", "-window", "-1"}, 2, "meecc stealth: -window -1: want a positive cycle count"},
+		{[]string{"sweep", "-window", "0"}, 2, "meecc sweep: -window 0: want a positive cycle count"},
 		{[]string{"nosuch"}, 2, `meecc: unknown command "nosuch"`},
 		{[]string{"-h"}, 0, "-msg string"},
 		{[]string{"batch", "-h"}, 0, "-spec string"},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"meecc/internal/enclave"
@@ -54,21 +55,25 @@ func parseEPCMode(s string) (enclave.AllocMode, error) {
 // parameters — the cell format of the experiment harness. Recognized
 // parameters (all optional):
 //
-//	window      per-bit timing window in cycles
-//	bits        payload length in bits
+//	window      per-bit timing window in cycles (> 0)
+//	bits        payload length in bits (>= 1)
 //	pattern     "random" (seeded per trial), "alternating", or a 0/1
 //	            string repeated to length ("100" is Figure 8's sequence)
 //	noise       none | memory | mee512 | mee4k
 //	policy      MEE replacement policy (see Options.MEEPolicy)
 //	epc         sequential | chunked | shuffled
-//	repetition  repetition-coding factor
+//	repetition  repetition-coding factor (>= 0; 0 and 1 mean raw)
 //	twophase    "true"/"false": forward+backward eviction
-//	probephase  spy probe point as a window fraction (0..1)
+//	probephase  spy probe point as a window fraction, inside (0, 1)
 //	faults      fault kinds to inject: "all", "none", or a comma list
 //	            (migration,timer,paging,meeflush,storm)
-//	intensity   fault campaign intensity (default 1 when faults are set)
+//	intensity   fault campaign intensity, finite and >= 0 (default 1 when
+//	            faults are set; 0 injects nothing)
 //	faultseed   pins the fault schedule seed (default: derived from the
 //	            trial seed, so seed replicates see different schedules)
+//
+// A value outside its range is an error, not a default: a cell never runs
+// a value other than the one it is labelled with.
 func BuildChannelConfig(params map[string]string, seed uint64) (ChannelConfig, error) {
 	cfg := DefaultChannelConfig(seed)
 	nbits := len(cfg.Bits)
@@ -115,8 +120,17 @@ func BuildChannelConfig(params map[string]string, seed uint64) (ChannelConfig, e
 			return cfg, fmt.Errorf("core: channel parameter %s=%q: %v", name, val, err)
 		}
 	}
-	if nbits < 1 {
+	switch {
+	case nbits < 1:
 		return cfg, fmt.Errorf("core: channel parameter bits must be >= 1, got %d", nbits)
+	case cfg.Window <= 0:
+		return cfg, fmt.Errorf("core: channel parameter window must be > 0 cycles, got %d", cfg.Window)
+	case !(cfg.ProbePhase > 0 && cfg.ProbePhase < 1):
+		return cfg, fmt.Errorf("core: channel parameter probephase must lie inside (0, 1), got %v", cfg.ProbePhase)
+	case cfg.Repetition < 0:
+		return cfg, fmt.Errorf("core: channel parameter repetition must be >= 0, got %d", cfg.Repetition)
+	case !(faultIntensity >= 0) || math.IsInf(faultIntensity, 1):
+		return cfg, fmt.Errorf("core: channel parameter intensity must be finite and >= 0, got %v", faultIntensity)
 	}
 	if haveFaults && faultIntensity > 0 {
 		if faultKinds == nil && params["faults"] == "" {

@@ -67,10 +67,36 @@ func TestBuildChannelConfigRejectsBadParams(t *testing.T) {
 		{"epc": "nope"},
 		{"policy": "bogus"},
 		{"no-such-param": "1"},
+		// Out of range: no default or raw value may run under the label
+		// of the value a cell was given.
+		{"window": "0"},
+		{"window": "-5"},
+		{"probephase": "0"},
+		{"probephase": "1"},
+		{"probephase": "1.5"},
+		{"probephase": "-0.2"},
+		{"probephase": "NaN"},
+		{"repetition": "-1"},
+		{"intensity": "-1"},
+		{"intensity": "NaN"},
+		{"intensity": "+Inf"},
+		{"faults": "timer", "intensity": "-2"},
 	}
 	for _, params := range bad {
 		if _, err := BuildChannelConfig(params, 1); err == nil {
 			t.Errorf("params %v accepted", params)
+		}
+	}
+	// The edges that have a meaning stay accepted: raw transmission, and a
+	// fault campaign that injects nothing.
+	for _, params := range []map[string]string{
+		{"repetition": "0"},
+		{"repetition": "1"},
+		{"intensity": "0"},
+		{"faults": "all", "intensity": "0"},
+	} {
+		if _, err := BuildChannelConfig(params, 1); err != nil {
+			t.Errorf("params %v rejected: %v", params, err)
 		}
 	}
 }

@@ -322,11 +322,13 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 }
 
 // TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
-// at two seeds keep the digests of format version 5, the sparse images in
+// at two seeds keep the digests of format version 6, the sparse images in
 // which each cache image alone records which line its ways hold and which
 // of them are dirty: MEE node buffers carry no slot, address, kind or dirty
 // flag, LLC line buffers no slot or dirty flag, and neither the MEE policy
-// name nor the DRAM page count is stored twice. A change to the layout is a format change, which bumps
+// name nor the DRAM page count is stored twice. Nor is what the seed fixes
+// stored: decode draws the MEE master key and the EPC frame order again.
+// A change to the layout is a format change, which bumps
 // snapstore.Version; blobs of another version are recomputed, not misread
 // (TestWarmCacheDiskTier). A change to the warm config's JSON alone keeps
 // the version when older blobs still decode to states that run
@@ -342,8 +344,8 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{7, 358512, "17f7a2981b0d96f3530c74028072103dde8f99049981d9bbb74326fd82175cf9"},
-		{1007, 358518, "be5a13872936d92d7bc329546b6e3b0696d23033df4d943318c57e7519a717e5"},
+		{7, 161888, "86c2f6c38e887584fdee477e091e657fc60908ae258cb12aaf887316e9afd199"},
+		{1007, 161894, "eead52c13a9ef63db19e0c87e837739e6a10874f8c2d09a21c81f32751a25658"},
 	} {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {

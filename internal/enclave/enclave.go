@@ -58,9 +58,6 @@ func (pt *PageTable) Translate(va VAddr) (dram.Addr, bool) {
 	return pa + dram.Addr(va-base), true
 }
 
-// Mapped reports the number of mapped pages.
-func (pt *PageTable) Mapped() int { return len(pt.pages) }
-
 // Clone returns an independent deep copy of the page table.
 func (pt *PageTable) Clone() *PageTable {
 	n := &PageTable{pages: make(map[VAddr]dram.Addr, len(pt.pages)), version: pt.version}
@@ -93,7 +90,8 @@ const (
 // remembers which enclave owns each frame (SGX hardware enforces this via
 // the EPCM; we enforce it at access time).
 type EPCAllocator struct {
-	frames []dram.Addr
+	frames []dram.Addr // hand-out order: boot's order of every frame, then the frames Realloc returned
+	booted int         // frames in boot's order
 	next   int
 	owner  map[dram.Addr]int // frame -> enclave ID
 }
@@ -106,6 +104,7 @@ func NewEPCAllocator(base dram.Addr, size uint64, mode AllocMode, rng *rand.Rand
 	n := int(size / PageBytes)
 	a := &EPCAllocator{
 		frames: make([]dram.Addr, n),
+		booted: n,
 		owner:  make(map[dram.Addr]int),
 	}
 	for i := range a.frames {
@@ -148,6 +147,7 @@ func NewEPCAllocator(base dram.Addr, size uint64, mode AllocMode, rng *rand.Rand
 func (a *EPCAllocator) Clone() *EPCAllocator {
 	n := &EPCAllocator{
 		frames: slices.Clip(a.frames),
+		booted: a.booted,
 		next:   a.next,
 		owner:  make(map[dram.Addr]int, len(a.owner)),
 	}
@@ -175,9 +175,6 @@ func (a *EPCAllocator) Owner(pa dram.Addr) int {
 	}
 	return -1
 }
-
-// Free returns how many frames remain.
-func (a *EPCAllocator) Free() int { return len(a.frames) - a.next }
 
 // Realloc models an EPC paging round trip for the page in frame old: the
 // owning enclave keeps the page, but it comes back in a different physical
@@ -207,11 +204,6 @@ type Enclave struct {
 
 // Size returns the enclave's committed byte size.
 func (e *Enclave) Size() uint64 { return uint64(e.Pages) * PageBytes }
-
-// Contains reports whether va lies inside the enclave's linear range.
-func (e *Enclave) Contains(va VAddr) bool {
-	return va >= e.Base && va < e.Base+VAddr(e.Size())
-}
 
 // Timing constants for the measurement mechanisms compared in Figure 2 of
 // the paper (Section 3, challenge 4).

@@ -51,21 +51,20 @@ type OwnerEntry struct {
 	EID   int
 }
 
-// EPCState is the serializable image of an EPCAllocator. Frame order is the
-// allocator's actual (possibly shuffled) hand-out order, so a rebuilt
-// allocator allocates the same frames in the same sequence.
+// EPCState is the serializable image of an EPCAllocator: only what boot
+// cannot rebuild. The order boot hands frames out in is the machine seed's
+// (NewEPCAllocator draws it), so the image keeps only the frames Realloc
+// returned, in the order they rejoined the list, the cursor and the owners.
 type EPCState struct {
-	Frames []dram.Addr
+	Freed  []dram.Addr
 	Next   int
 	Owners []OwnerEntry // sorted by Frame
 }
 
-// ExportState flattens the allocator deterministically. Frames aliases the
-// allocator's frame list, whose entries never change once it is built
-// (Realloc only appends past them); callers must treat it as read-only.
+// ExportState flattens the allocator deterministically.
 func (a *EPCAllocator) ExportState() *EPCState {
 	st := &EPCState{
-		Frames: slices.Clip(a.frames),
+		Freed:  slices.Clone(a.frames[a.booted:]),
 		Next:   a.next,
 		Owners: make([]OwnerEntry, 0, len(a.owner)),
 	}
@@ -76,36 +75,48 @@ func (a *EPCAllocator) ExportState() *EPCState {
 	return st
 }
 
-// EPCFromState rebuilds an allocator of the EPC [base, base+size) from a
-// serialized image, rejecting a listed or owned frame that is not a page of
-// that range. The allocator shares st.Frames, as a clone shares its
-// original's list.
-func EPCFromState(st *EPCState, base dram.Addr, size uint64) (*EPCAllocator, error) {
-	if st.Next < 0 || st.Next > len(st.Frames) {
-		return nil, fmt.Errorf("enclave: EPC cursor %d out of range (%d frames)", st.Next, len(st.Frames))
-	}
-	inEPC := func(f dram.Addr) error {
-		if f < base || uint64(f-base) >= size || f%PageBytes != 0 {
-			return fmt.Errorf("enclave: frame %#x is no page of the EPC [%#x, %#x)", f, base, uint64(base)+size)
-		}
-		return nil
-	}
-	for _, f := range st.Frames {
-		if err := inEPC(f); err != nil {
-			return nil, err
-		}
-	}
+// EPCFromState rebuilds an allocator from a serialized image and boot, the
+// allocator NewEPCAllocator derives for the EPC at base from the machine's
+// seed, whose frame list it takes over. Every freed or owned frame must be
+// one that boot's order handed out before the cursor, so an image whose
+// order this build no longer derives fails. Each such frame is owned once,
+// queued once to be handed out again or neither, so the rebuilt allocator
+// never hands out a frame that an enclave owns.
+func EPCFromState(st *EPCState, boot *EPCAllocator, base dram.Addr) (*EPCAllocator, error) {
 	a := &EPCAllocator{
-		frames: slices.Clip(st.Frames),
+		frames: append(boot.frames[:boot.booted:boot.booted], st.Freed...),
+		booted: boot.booted,
 		next:   st.Next,
 		owner:  make(map[dram.Addr]int, len(st.Owners)),
 	}
-	for _, o := range st.Owners {
-		if err := inEPC(o.Frame); err != nil {
-			return nil, err
+	if st.Next < 0 || st.Next > len(a.frames) {
+		return nil, fmt.Errorf("enclave: EPC cursor %d out of range (%d frames)", st.Next, len(a.frames))
+	}
+	// free[i]: boot's order handed out the frame i pages past base before
+	// the cursor, and no owner or queued frame has taken it.
+	free := make([]bool, a.booted)
+	for _, f := range a.frames[:min(a.next, a.booted)] {
+		free[(f-base)/PageBytes] = true
+	}
+	// take reports whether f is free and, if claim is set, takes it.
+	take := func(f dram.Addr, claim bool) bool {
+		i := uint64(f-base) / PageBytes
+		if i >= uint64(a.booted) || !free[i] || f%PageBytes != 0 {
+			return false
 		}
-		if _, dup := a.owner[o.Frame]; dup {
-			return nil, fmt.Errorf("enclave: duplicate owner entry for %#x", o.Frame)
+		free[i] = !claim
+		return true
+	}
+	for j, f := range st.Freed {
+		// One the cursor has passed was handed out again; one still to be
+		// handed out takes its frame.
+		if !take(f, a.booted+j >= a.next) {
+			return nil, fmt.Errorf("enclave: freed frame %#x was not handed out before the cursor, or is queued twice", f)
+		}
+	}
+	for _, o := range st.Owners {
+		if !take(o.Frame, true) {
+			return nil, fmt.Errorf("enclave: owned frame %#x was not handed out before the cursor, or is owned twice or queued", o.Frame)
 		}
 		a.owner[o.Frame] = o.EID
 	}

@@ -21,9 +21,8 @@ import (
 // here, because a Crypto belongs to one platform and the simulation engine
 // serializes all actors.
 type Crypto struct {
-	master [16]byte     // retained for snapshot serialization
-	enc    cipher.Block // data encryption key
-	mac    cipher.Block // MAC key (independent)
+	enc cipher.Block // data encryption key
+	mac cipher.Block // MAC key (independent)
 
 	ctrBlock [16]byte // AES-CTR input scratch
 	ctrKS    [16]byte // AES-CTR keystream scratch
@@ -32,7 +31,8 @@ type Crypto struct {
 }
 
 // NewCrypto derives the engine's working keys from a 16-byte master key
-// (a fresh random key per simulated boot).
+// (a fresh random key per simulated boot, which the machine's seed fixes:
+// a decoded snapshot draws it again rather than storing it).
 func NewCrypto(master [16]byte) *Crypto {
 	encKey := deriveKey(master, 0x01)
 	macKey := deriveKey(master, 0x02)
@@ -44,20 +44,15 @@ func NewCrypto(master [16]byte) *Crypto {
 	if err != nil {
 		panic(err)
 	}
-	return &Crypto{master: master, enc: eb, mac: mb}
+	return &Crypto{enc: eb, mac: mb}
 }
-
-// Master returns the 16-byte master key the working keys were derived from.
-// Serialized snapshots carry the master rather than the derived keys, so a
-// decoded Crypto goes through the same NewCrypto derivation path.
-func (c *Crypto) Master() [16]byte { return c.master }
 
 // Clone returns a Crypto with the same keys but its own scratch buffers.
 // The cipher.Block values are stateless and safely shared; the scratch is
 // what makes a Crypto single-threaded, so forked platforms running on other
 // goroutines each need their own.
 func (c *Crypto) Clone() *Crypto {
-	return &Crypto{master: c.master, enc: c.enc, mac: c.mac}
+	return &Crypto{enc: c.enc, mac: c.mac}
 }
 
 func deriveKey(master [16]byte, label byte) [16]byte {

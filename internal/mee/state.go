@@ -29,10 +29,6 @@ type State struct {
 	Stats       Stats
 }
 
-// CryptoMaster returns the master key the engine's crypto was derived from,
-// for snapshot serialization.
-func (e *Engine) CryptoMaster() [16]byte { return e.crypt.Master() }
-
 // ExportState captures the engine as a deep-copied State.
 func (e *Engine) ExportState() *State {
 	st := &State{
@@ -52,7 +48,7 @@ func (e *Engine) ExportState() *State {
 
 // EngineFromState rebuilds a frozen engine from a serialized image. cfg,
 // geom, and crypt come from the platform-level decode (they are derived from
-// the machine config and master key, not stored per-engine); the result has
+// the machine config and its seed, not stored per-engine); the result has
 // no DRAM binding and never runs — Fork rebinds it to a live memory and RNG.
 // A geometry New would refuse, mismatches between cfg and the image, a
 // cache tag that names no tree line of its set, and a buffer list that is

@@ -139,6 +139,18 @@ func checkConfig(cfg Config) (itree.Geometry, error) {
 	return geom, nil
 }
 
+// bootDraws makes a boot's seeded draws from rng, in their order: the MEE's
+// master key, 16 draws, then the EPC's frame order. New makes them on the
+// engine's stream and SnapshotFromState on a fresh stream seeded the same
+// way, so the seed fixes both and a snapshot image carries neither.
+func bootDraws(cfg Config, geom itree.Geometry, rng *rand.Rand) (*itree.Crypto, *enclave.EPCAllocator) {
+	var master [16]byte
+	for i := range master {
+		master[i] = byte(rng.Uint64())
+	}
+	return itree.NewCrypto(master), enclave.NewEPCAllocator(geom.PRMBase, EPCSize, cfg.EPCMode, rng)
+}
+
 // New boots a machine from cfg, whose core count it sets to the machine's.
 // It panics on inconsistent configuration — a booted platform is always
 // internally consistent.
@@ -161,17 +173,14 @@ func New(cfg Config) *Platform {
 		cfg.MEE.Policy = cache.NewLRU()
 	}
 	mem := dram.New(cfg.DRAM)
-	var master [16]byte
-	for i := range master {
-		master[i] = byte(rng.Uint64())
-	}
+	crypt, epc := bootDraws(cfg, geom, rng)
 	p := &Platform{
 		cfg:     cfg,
 		eng:     eng,
 		mem:     mem,
-		mee:     mee.New(cfg.MEE, geom, itree.NewCrypto(master), mem),
+		mee:     mee.New(cfg.MEE, geom, crypt, mem),
 		caches:  cpucache.New(cfg.CPU, cache.NewLRU()),
-		epc:     enclave.NewEPCAllocator(geom.PRMBase, EPCSize, cfg.EPCMode, rng),
+		epc:     epc,
 		genUsed: make(map[uint64]uint64),
 		prmBase: geom.PRMBase,
 		rng:     rng,

@@ -9,8 +9,8 @@ import (
 	"meecc/internal/cpucache"
 	"meecc/internal/dram"
 	"meecc/internal/enclave"
-	"meecc/internal/itree"
 	"meecc/internal/mee"
+	"meecc/internal/sim"
 )
 
 // ProcState is the serializable image of one frozen process.
@@ -26,11 +26,11 @@ type ProcState struct {
 // SnapshotState is the stable codec surface for platform snapshots: every
 // field a serializer needs to rebuild a Snapshot, as plain data. The machine
 // Config is carried with Obs and the MEE policy object stripped: the MEE
-// cache image records the policy by name. Master carries the crypto master
-// key, so decode re-derives working keys through the normal NewCrypto path.
+// cache image records the policy by name. What the config's seed fixes at
+// boot, the MEE's keys and the EPC's frame order, is not carried: decode
+// draws it again (bootDraws).
 type SnapshotState struct {
 	Cfg      Config
-	Master   [16]byte
 	RNGState []byte
 	Mem      *dram.SnapshotState
 	MEE      *mee.State
@@ -42,15 +42,13 @@ type SnapshotState struct {
 	NextPID  int
 }
 
-// ExportState flattens the snapshot for serialization. The image deep-copies
-// everything except the EPC frame list, which aliases the allocator's.
+// ExportState flattens the snapshot for serialization into a deep copy.
 func (s *Snapshot) ExportState() *SnapshotState {
 	cfg := s.cfg
 	cfg.Obs = nil
 	cfg.MEE.Policy = nil
 	st := &SnapshotState{
 		Cfg:      cfg,
-		Master:   s.mee.CryptoMaster(),
 		RNGState: append([]byte(nil), s.rngState...),
 		Mem:      s.mem.ExportState(),
 		MEE:      s.mee.ExportState(),
@@ -82,11 +80,12 @@ func (s *Snapshot) ExportState() *SnapshotState {
 }
 
 // SnapshotFromState rebuilds a forkable Snapshot from a serialized image.
-// Derived structures — the integrity-tree geometry and the working crypto
-// keys — are recomputed from the config and master key rather than trusted
-// from the image, and the rules across components that the codec cannot
-// express (checkConfig, cache geometry, one buffer per valid way, MEE tags
-// and EPC and page-table frames in range; DESIGN.md §9 lists them) are
+// Derived structures — the integrity-tree geometry, the working crypto
+// keys and the EPC's frame order — are recomputed from the config and its
+// seed rather than trusted from the image, and the rules across components
+// that the codec cannot express (checkConfig, cache geometry, one buffer
+// per valid way, MEE tags in range, EPC frames handed out before the
+// cursor and page-table frames in range; DESIGN.md §9 lists them) are
 // revalidated, so a corrupted image yields an error, never a machine that
 // breaks one.
 func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
@@ -111,7 +110,8 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	meeEng, err := mee.EngineFromState(cfg.MEE, geom, itree.NewCrypto(st.Master), st.MEE)
+	crypt, boot := bootDraws(cfg, geom, sim.NewEngine(cfg.Seed).Rand())
+	meeEng, err := mee.EngineFromState(cfg.MEE, geom, crypt, st.MEE)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
@@ -119,7 +119,7 @@ func SnapshotFromState(st *SnapshotState) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	epc, err := enclave.EPCFromState(st.EPC, geom.PRMBase, EPCSize)
+	epc, err := enclave.EPCFromState(st.EPC, boot, geom.PRMBase)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}

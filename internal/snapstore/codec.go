@@ -71,7 +71,6 @@ func appendState(w *Writer, st *platform.SnapshotState) error {
 	}
 	w.Grow(len(cfgJSON) + payloadBound(st))
 	w.Blob(cfgJSON)
-	w.Raw(st.Master[:])
 	w.Blob(st.RNGState)
 	writeDRAM(w, st.Mem)
 	writeMEE(w, st.MEE)
@@ -98,7 +97,6 @@ func ReadSnapshot(r *Reader) (*platform.Snapshot, error) {
 	if err := json.Unmarshal(cfgJSON, &st.Cfg); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrCorrupt, err)
 	}
-	copy(st.Master[:], r.Raw(16))
 	st.RNGState = append([]byte(nil), r.Blob()...)
 	st.Mem = readDRAM(r, st.Cfg.DRAM)
 	st.MEE = readMEE(r)
@@ -130,7 +128,8 @@ const fixedBound = 256
 // from the config JSON: every variable-length table at its exact wire
 // size — listed cache sets with their valid tags and windows, sparse
 // words, DRAM pages with their nonzero lines, node and line buffers, the
-// EPC frame list — and each component's fixed fields within fixedBound.
+// EPC's freed frames and owners — and each component's fixed fields within
+// fixedBound.
 func payloadBound(st *platform.SnapshotState) int {
 	n := fixedBound + len(st.RNGState) + wordWire*len(st.GenUsed)
 	m := st.Mem
@@ -146,7 +145,7 @@ func payloadBound(st *platform.SnapshotState) int {
 		n += cacheBound(c)
 	}
 	n += fixedBound + cacheBound(st.Caches.LLC) + len(st.Caches.Bufs)*cpuBufWire
-	n += fixedBound + 8*len(st.EPC.Frames) + 16*len(st.EPC.Owners)
+	n += fixedBound + 8*len(st.EPC.Freed) + 16*len(st.EPC.Owners)
 	for _, p := range st.Procs {
 		n += fixedBound + len(p.Name) + 16*len(p.PT)
 	}
@@ -412,9 +411,11 @@ func readCPU(r *Reader) *cpucache.State {
 // ---------------------------------------------------------------------------
 // EPC allocator and processes
 
+// writeEPC writes what boot cannot rebuild of an EPC allocator: the frames
+// Realloc returned, the cursor and the owners.
 func writeEPC(w *Writer, st *enclave.EPCState) {
-	w.U64(uint64(len(st.Frames)))
-	for _, f := range st.Frames {
+	w.U64(uint64(len(st.Freed)))
+	for _, f := range st.Freed {
 		w.U64(uint64(f))
 	}
 	w.I64(int64(st.Next))
@@ -427,13 +428,10 @@ func writeEPC(w *Writer, st *enclave.EPCState) {
 
 func readEPC(r *Reader) *enclave.EPCState {
 	st := &enclave.EPCState{}
-	// The frame list is over half of a warm state's payload: decode it
-	// from one read rather than word by word.
 	nf := r.Count(8)
-	raw := r.Raw(8 * nf)
-	st.Frames = make([]dram.Addr, nf)
-	for i := range st.Frames {
-		st.Frames[i] = dram.Addr(binary.LittleEndian.Uint64(raw[8*i:]))
+	st.Freed = make([]dram.Addr, 0, nf)
+	for i := 0; i < nf && r.Err() == nil; i++ {
+		st.Freed = append(st.Freed, dram.Addr(r.U64()))
 	}
 	st.Next = int(r.I64())
 	no := r.Count(16)

@@ -20,13 +20,22 @@ import (
 	"meecc/internal/snapstore"
 )
 
-// buildSnapshot boots a platform, warms it through an enclave thread (MEE
-// cache fills, integrity-tree materialization, CPU cache state, COW pages),
-// and snapshots at quiescence, returning the snapshot plus the thread state
-// and clock needed to resume work on a fork.
+// buildSnapshot builds warmSnapshot's snapshot of the default machine at
+// seed, whose EPC hands frames out in address order.
 func buildSnapshot(tb testing.TB, seed uint64) (*platform.Snapshot, platform.ThreadState, sim.Cycles) {
 	tb.Helper()
-	p := platform.New(platform.DefaultConfig(seed))
+	return warmSnapshot(tb, platform.DefaultConfig(seed))
+}
+
+// warmSnapshot boots a platform from cfg, warms it through an enclave thread
+// (MEE cache fills, integrity-tree materialization, CPU cache state, COW
+// pages), pages one enclave frame out and back in, as fault paging does, so
+// the EPC allocator holds a frame Realloc returned, and snapshots at
+// quiescence, returning the snapshot plus the thread state and clock needed
+// to resume work on a fork.
+func warmSnapshot(tb testing.TB, cfg platform.Config) (*platform.Snapshot, platform.ThreadState, sim.Cycles) {
+	tb.Helper()
+	p := platform.New(cfg)
 	pr := p.NewProcess("victim")
 	e, err := pr.CreateEnclave(64)
 	if err != nil {
@@ -48,6 +57,9 @@ func buildSnapshot(tb testing.TB, seed uint64) (*platform.Snapshot, platform.Thr
 		end = th.Now()
 	})
 	p.Run(-1)
+	if err := p.Repage(pr, e.Base+enclave.PageBytes, end); err != nil {
+		tb.Fatal(err)
+	}
 	return p.Snapshot(), st, end
 }
 
@@ -108,22 +120,47 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestDecodedForkMatchesInMemoryFork is the determinism proof for the wire
 // format: a fork of decode(encode(snapshot)) produces exactly the timing
-// stream a fork of the in-memory snapshot does.
+// stream a fork of the in-memory snapshot does, and, under every EPC mode,
+// hands out the same EPC frames until the EPC is exhausted. The image
+// stores none of the frame order, only the frame Realloc returned, so the
+// second half checks the order decode derives from the seed.
 func TestDecodedForkMatchesInMemoryFork(t *testing.T) {
-	for _, seed := range []uint64{3, 17} {
-		snap, st, end := buildSnapshot(t, seed)
-		blob, err := snapstore.EncodeSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := snapstore.DecodeSnapshot(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := traceFork(t, snap, st, end)
-		disk := traceFork(t, dec, st, end)
-		if !reflect.DeepEqual(mem, disk) {
-			t.Fatalf("seed %d: decoded fork diverged from in-memory fork", seed)
+	for _, mode := range []enclave.AllocMode{enclave.AllocSequential, enclave.AllocShuffled, enclave.AllocChunked} {
+		for _, seed := range []uint64{3, 17} {
+			cfg := platform.DefaultConfig(seed)
+			cfg.EPCMode = mode
+			snap, st, end := warmSnapshot(t, cfg)
+			blob, err := snapstore.EncodeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := snapstore.DecodeSnapshot(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := traceFork(t, snap, st, end)
+			disk := traceFork(t, dec, st, end)
+			if !reflect.DeepEqual(mem, disk) {
+				t.Fatalf("EPC mode %d, seed %d: decoded fork diverged from in-memory fork", mode, seed)
+			}
+			// Every frame not handed out, then the one Realloc returned.
+			epc := snap.ExportState().EPC
+			left := platform.EPCSize/enclave.PageBytes + len(epc.Freed) - epc.Next
+			memEPC, diskEPC := snap.Fork().EPC(), dec.Fork().EPC()
+			for n := 0; ; n++ {
+				want, wantErr := memEPC.Alloc(99)
+				got, err := diskEPC.Alloc(99)
+				if got != want || (err == nil) != (wantErr == nil) {
+					t.Fatalf("EPC mode %d, seed %d: allocation %d hands out %#x (err %v) on the decoded fork, %#x (err %v) on the in-memory one",
+						mode, seed, n, got, err, want, wantErr)
+				}
+				if err != nil {
+					if n != left {
+						t.Fatalf("EPC mode %d, seed %d: EPC exhausted after %d allocations, want %d", mode, seed, n, left)
+					}
+					break
+				}
+			}
 		}
 	}
 }
@@ -175,8 +212,14 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		t.Fatalf("fixture lists %d MEE sets, the first with valid mask %#x, and %d init words; want 2 sets, the first with 2 lines, and 2 words",
 			len(fix.MEE.Cache.Listed), fix.MEE.Cache.Listed[0].Valid, len(fix.MEE.Initialized))
 	}
-	if len(fix.EPC.Owners) == 0 || len(fix.Procs) == 0 {
-		t.Fatalf("fixture has %d EPC owners and %d processes; want one of each", len(fix.EPC.Owners), len(fix.Procs))
+	if len(fix.EPC.Owners) == 0 || len(fix.EPC.Freed) == 0 || len(fix.Procs) == 0 {
+		t.Fatalf("fixture has %d EPC owners, %d freed EPC frames and %d processes; want one of each",
+			len(fix.EPC.Owners), len(fix.EPC.Freed), len(fix.Procs))
+	}
+	// The frame the next Alloc hands out: no enclave owns it yet.
+	nextFrame, err := snap.Fork().EPC().Alloc(0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(fix.Caches.L1[0].Listed) == 0 || len(fix.Caches.LLC.Listed) == 0 {
 		t.Fatalf("fixture lists %d L1 sets on core 0 and %d LLC sets; want one of each", len(fix.Caches.L1[0].Listed), len(fix.Caches.LLC.Listed))
@@ -270,13 +313,29 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"private line not in the LLC", func(st *platform.SnapshotState) {
 			st.Caches.L1[0].Listed[0].Tags[0] += 64 << 12 // 16 MB on: the same L1 and LLC sets
 		}},
-		// Every address the image holds lies where the machine has it.
+		// Every address the image holds lies where the machine has it, and
+		// every freed or owned EPC frame is one the order the seed derives
+		// handed out before the cursor.
 		{"EPC frame outside the EPC", func(st *platform.SnapshotState) {
-			st.EPC.Frames = slices.Clone(st.EPC.Frames) // it aliases the snapshot's
-			st.EPC.Frames[0] = 0x1000
+			st.EPC.Freed = append(st.EPC.Freed, 0x1000)
 		}},
 		{"EPC owner outside the EPC", func(st *platform.SnapshotState) {
 			st.EPC.Owners[0].Frame = 0x2000
+		}},
+		{"EPC owner not handed out", func(st *platform.SnapshotState) {
+			st.EPC.Owners = append(st.EPC.Owners, enclave.OwnerEntry{Frame: nextFrame, EID: st.EPC.Owners[0].EID})
+		}},
+		{"freed frame not handed out", func(st *platform.SnapshotState) {
+			st.EPC.Freed = append(st.EPC.Freed, nextFrame)
+		}},
+		{"freed frame queued twice", func(st *platform.SnapshotState) {
+			st.EPC.Freed = append(st.EPC.Freed, st.EPC.Freed[0])
+		}},
+		{"freed frame queued and owned", func(st *platform.SnapshotState) {
+			st.EPC.Freed = append(st.EPC.Freed, st.EPC.Owners[0].Frame)
+		}},
+		{"EPC owner repeats", func(st *platform.SnapshotState) {
+			st.EPC.Owners = append(st.EPC.Owners, st.EPC.Owners[0])
 		}},
 		{"page-table entry past the DRAM", func(st *platform.SnapshotState) {
 			pt := st.Procs[0].PT
@@ -311,6 +370,23 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			}
 		})
 	}
+
+	// The seed fixes the EPC's frame order, which the image does not
+	// store: under another seed, a shuffled EPC's owners are frames the
+	// derived order has not handed out.
+	t.Run("shuffled EPC under another seed", func(t *testing.T) {
+		cfg := platform.DefaultConfig(11)
+		cfg.EPCMode = enclave.AllocShuffled
+		shuffled, _, _ := warmSnapshot(t, cfg)
+		st := shuffled.ExportState()
+		if _, err := snapstore.DecodeSnapshot(reseal(st)); err != nil {
+			t.Fatalf("undamaged image: %v", err)
+		}
+		st.Cfg.Seed++
+		if _, err := snapstore.DecodeSnapshot(reseal(st)); !errors.Is(err, snapstore.ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
 }
 
 // TestPayloadBound checks the bound AppendSnapshot grows its writer by
@@ -362,11 +438,10 @@ func TestReaderRejectsOverflowingCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Clone(sealed)
-	// Skip the config, master key and RNG state to reach the DRAM
-	// open-row slice's length prefix.
+	// Skip the config and RNG state to reach the DRAM open-row slice's
+	// length prefix.
 	r := snapstore.NewReader(payload)
 	r.Blob()
-	r.Raw(16)
 	r.Blob()
 	at := len(payload) - r.Remaining()
 	if got, want := binary.LittleEndian.Uint64(payload[at:]), len(snap.ExportState().Mem.OpenRow); r.Err() != nil || got != uint64(want) {

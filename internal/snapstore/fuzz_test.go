@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"meecc/internal/enclave"
+	"meecc/internal/platform"
 	"meecc/internal/snapstore"
 )
 
@@ -24,11 +26,20 @@ func FuzzSnapshotCodec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A shuffled EPC: decode derives its frame order from the seed.
+	cfg := platform.DefaultConfig(5)
+	cfg.EPCMode = enclave.AllocShuffled
+	shuffled, _, _ := warmSnapshot(f, cfg)
+	shuffledBlob, err := snapstore.EncodeSnapshot(shuffled)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(payload)
 	f.Add([]byte{})
 	f.Add([]byte("MEECSNP\x00garbage"))
+	f.Add(shuffledBlob)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
 		checkDecode(t, snapstore.Seal(snapstore.KindSnapshot, data))
