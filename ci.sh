@@ -273,7 +273,9 @@ wait "$serve_pid" 2>/dev/null || true
 kill "$submit_pid" 2>/dev/null || true
 wait "$submit_pid" 2>/dev/null || true
 test -s "$tmp/serve.wal" || { echo "journal was never written" >&2; exit 1; }
-"$tmp/meecc" serve -addr 127.0.0.1:8392 -journal "$tmp/serve.wal" &
+# The restart logs as JSON: the killed server journaled at least the run's
+# admission, so the replay line must count a nonzero number of records.
+"$tmp/meecc" serve -addr 127.0.0.1:8392 -journal "$tmp/serve.wal" -logformat json 2> "$tmp/restart.log" &
 serve_pid=$!
 trap 'kill -9 "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 "$tmp/meecc" submit -spec examples/specs/smoke.json -addr 127.0.0.1:8392 -out "$tmp/resumed"
@@ -282,6 +284,9 @@ wait "$serve_pid" 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
 cmp "$tmp/resumed/smoke.json" "$tmp/smoke.json" || {
     echo "resumed artifact differs from local batch artifact" >&2; exit 1; }
+grep -q '^{.*"msg":"journal replayed".*"records":[1-9]' "$tmp/restart.log" || {
+    echo "restarted server logged no JSON journal replay with records:" >&2
+    cat "$tmp/restart.log" >&2; exit 1; }
 
 echo "== smoke: in-band, parallel, reliable and fig 6a/E/P runners; meecc flags and figure alias =="
 # internal/figures pins every figure's output by digest in-process, and the

@@ -75,11 +75,12 @@
 // flag after journal append failures or store self-heals), GET /readyz flips
 // to 503 while draining, and GET /v1/runs/{id}/trace exports a run's
 // wall-clock lifecycle as Chrome trace-event JSON. Structured logs go to
-// stderr (-loglevel, -logformat), and -debugaddr opens net/http/pprof on a
-// separate listener. top renders those metrics as a live terminal dashboard
-// polling -addr every -interval; with -once it prints a single snapshot, and
-// -require FAM1,FAM2 makes it exit nonzero when families are missing (the CI
-// scrape check).
+// stderr through log/slog: -loglevel is debug, info, warn or error, and
+// -logformat text writes slog's key=value lines, json one JSON object per
+// line. -debugaddr opens net/http/pprof on a separate listener. top renders
+// those metrics as a live terminal dashboard polling -addr every -interval;
+// with -once it prints a single snapshot, and -require FAM1,FAM2 makes it
+// exit nonzero when families are missing (the CI scrape check).
 //
 // Noise kinds: none, memory, mee512, mee4k. Policies: lru (default),
 // tree-plru, bit-plru, fifo, random, nru, srrip.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -17,7 +18,6 @@ import (
 
 	"meecc/internal/exp"
 	"meecc/internal/figures"
-	"meecc/internal/obs/ops"
 	"meecc/internal/serve"
 )
 
@@ -49,19 +49,25 @@ func serveCmd(fs *flag.FlagSet, e *figures.Env) func() error {
 	writeTimeout := fs.Duration("writetimeout", 10*time.Minute, "HTTP write timeout (bounds event-stream lifetime)")
 	idleTimeout := fs.Duration("idletimeout", 2*time.Minute, "HTTP keep-alive idle timeout")
 	logLevel := fs.String("loglevel", "info", "structured-log threshold (debug, info, warn, error)")
-	logFormat := fs.String("logformat", "text", "structured-log encoding (text = logfmt, json)")
+	logFormat := fs.String("logformat", "text", "structured-log encoding (text = key=value lines, json)")
 	debugAddr := fs.String("debugaddr", "", "open net/http/pprof on this extra address (empty = off)")
 	fs.IntVar(&e.Workers, "workers", 0, "trial worker goroutines (0 = GOMAXPROCS)")
 	return func() error {
-		level, err := ops.ParseLevel(*logLevel)
-		if err != nil {
-			return err
+		var level slog.Level
+		if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+			return fmt.Errorf("-loglevel %q: want debug, info, warn or error", *logLevel)
 		}
-		form, err := ops.ParseFormat(*logFormat)
-		if err != nil {
-			return err
+		opts := &slog.HandlerOptions{Level: level}
+		var h slog.Handler
+		switch strings.ToLower(*logFormat) {
+		case "text":
+			h = slog.NewTextHandler(e.Stderr, opts)
+		case "json":
+			h = slog.NewJSONHandler(e.Stderr, opts)
+		default:
+			return fmt.Errorf("-logformat %q: want text or json", *logFormat)
 		}
-		log := ops.NewLogger(e.Stderr, level, form)
+		log := slog.New(h)
 		srv, err := serve.New(serve.Config{
 			Workers:       e.Workers,
 			StoreDir:      *storeDir,

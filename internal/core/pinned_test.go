@@ -65,7 +65,7 @@ var pinnedRows = []pinnedRow{
 		cfg.Fault = &fault.Config{Seed: 9, Kinds: []fault.Kind{fault.Paging, fault.Timer}, Intensity: 0.5}
 		return RunResilient(cfg, []byte("mc"))
 	}},
-	{"RunResilient/observed", "7445d536789f03c930871215ed798db6757d9142140b2fb9801558590eb2a99d", func() (any, error) {
+	{"RunResilient/observed", "55d079b1f73f3ed5fbb9e49d1dc7e70ec445d0286ed2161df2986e409a15d091", func() (any, error) {
 		cfg := DefaultChannelConfig(1007)
 		cfg.Obs = obs.NewObserver()
 		res, err := RunResilient(cfg, []byte("mc"))
@@ -74,7 +74,7 @@ var pinnedRows = []pinnedRow{
 			Snap *obs.Snapshot
 		}{res, cfg.Obs.Snapshot()}, err
 	}},
-	{"ChaosTrial", "8582eb5030f397c8dfda4e2daa97275c2b58ffa36aafd3fe490c84edda9fef73", func() (any, error) {
+	{"ChaosTrial", "a8a2cd8c85805e32ddfb3f0ea14b272baa72d6562442ac9d19bf6beba0d41f8f", func() (any, error) {
 		params := map[string]string{"faults": "paging,timer", "intensity": "0.5", "faultseed": "9", "payload": "2"}
 		metrics, snap, err := ChaosTrial(params, 7, true)
 		return struct {

@@ -334,7 +334,9 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 // the version when older blobs still decode to states that run
 // identically: the decoder ignores JSON fields the config no longer has.
 // It also bounds what one Encode allocates: the blob's one buffer plus the
-// state export it is written from, under 2.5x the blob.
+// state export it is written from, under 2.5x the blob. The bound is read
+// on a second Encode, because the first in a process also builds
+// encoding/json's type cache for the configs it marshals.
 func TestWarmStateBlobPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -350,6 +352,9 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {
 			t.Fatalf("seed %d: WarmChannel: %v", tc.seed, err)
+		}
+		if _, err := ws.Encode(); err != nil {
+			t.Fatalf("seed %d: Encode: %v", tc.seed, err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

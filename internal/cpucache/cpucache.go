@@ -127,33 +127,13 @@ type Hierarchy struct {
 	// of LLCWays buffers per LLC set, way for way with the LLC's lines,
 	// whose dirty bits record which lines must be written back.
 	bufs cache.Blocks[lineBuf]
-	// freeBufs tracks how deep the pointer-era recycling free list would be,
-	// so the linebuf alloc/recycled observability counters keep their exact
-	// historical semantics now that slots are block-resident.
-	freeBufs int
 	// victim is the scratch Victim that Fill/Flush drops fill.
 	victim Victim
 
-	// Observability (nil when disabled): free-list churn and clflush
-	// counters; per-level cache statistics surface as deferred samples.
-	cBufAlloc   *obs.Counter
-	cBufRecycle *obs.Counter
-	cFlush      *obs.Counter
+	// Observability (nil when disabled): the clflush counter; per-level
+	// cache statistics surface as deferred samples.
+	cFlush *obs.Counter
 }
-
-// countInstall and countDrop keep the linebuf churn counters bit-compatible
-// with the pointer-era free list: an install recycles when a drop preceded
-// it, and allocates otherwise.
-func (h *Hierarchy) countInstall() {
-	if h.freeBufs > 0 {
-		h.freeBufs--
-		h.cBufRecycle.Inc()
-		return
-	}
-	h.cBufAlloc.Inc()
-}
-
-func (h *Hierarchy) countDrop() { h.freeBufs++ }
 
 // allCores is the mask with every core's bit set.
 func (h *Hierarchy) allCores() uint16 { return uint16(1)<<h.cfg.Cores - 1 }
@@ -281,8 +261,6 @@ func (h *Hierarchy) Observe(o *obs.Observer) {
 	agg("cache.l1.misses", func(s cache.Stats) uint64 { return s.Misses }, h.l1)
 	agg("cache.l2.hits", func(s cache.Stats) uint64 { return s.Hits }, h.l2)
 	agg("cache.l2.misses", func(s cache.Stats) uint64 { return s.Misses }, h.l2)
-	h.cBufAlloc = o.Counter("cpucache.linebuf.alloc")
-	h.cBufRecycle = o.Counter("cpucache.linebuf.recycled")
 	h.cFlush = o.Counter("cpucache.flushes")
 }
 
@@ -412,7 +390,6 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 			h.l2[c].Invalidate(h.l2Set(evAddr), evTag)
 		}
 		h.setVictim(evAddr, b, ev.Dirty)
-		h.countDrop()
 		victim = &h.victim
 	} else {
 		// Re-filling a still-resident line: other cores may hold it
@@ -422,7 +399,6 @@ func (h *Hierarchy) Fill(core int, addr dram.Addr, data [dram.LineSize]byte, dir
 	}
 	h.l2[core].Insert(h.l2Set(addr), tag, false)
 	h.l1[core].Insert(h.l1Set(addr), tag, false)
-	h.countInstall()
 	*b = lineBuf{data: data, cores: mask}
 	return victim
 }
@@ -457,7 +433,6 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 		h.l1[c].Invalidate(h.l1Set(addr), tag)
 		h.l2[c].Invalidate(h.l2Set(addr), tag)
 	}
-	h.countDrop()
 	return &h.victim, FlushLat
 }
 

@@ -308,9 +308,12 @@ func (d *DRAM) WriteLine(addr Addr, line [LineSize]byte) {
 // (diagnostics; the store is sparse so 32 GB costs nothing up front). A
 // forked view counts pages inherited from its snapshot plus its own. It
 // counts the directory's pages, so it costs a scan of the directory.
-func (d *DRAM) AllocatedPages() int {
+func (d *DRAM) AllocatedPages() int { return countPages(d.dir) }
+
+// countPages counts the pages a page directory holds.
+func countPages(dir []*chunk) int {
 	n := 0
-	for _, ch := range d.dir {
+	for _, ch := range dir {
 		for i := 0; ch != nil && i < chunkPages; i++ {
 			if ch.pages[i] != nil {
 				n++

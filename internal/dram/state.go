@@ -67,7 +67,9 @@ func (s *Snapshot) ExportState() *SnapshotState {
 	for i := range s.banks {
 		st.BanksBusy[i] = s.banks[i].BusyUntil()
 	}
-	var pages []*page
+	n := countPages(s.dir)
+	st.Pages = make([]PageImage, 0, n)
+	pages := make([]*page, 0, n)
 	nLines := 0
 	for ci, ch := range s.dir {
 		if ch == nil {

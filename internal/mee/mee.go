@@ -166,10 +166,6 @@ type Engine struct {
 	// a line's newest image is always in exactly one place: its slot, the
 	// queue, or DRAM. It is empty between operations.
 	wbq []queuedLine
-	// freeBufs tracks how deep the pointer-era recycling free list would be,
-	// so the nodebuf alloc/recycled observability counters keep their exact
-	// historical semantics now that slots are slab-resident.
-	freeBufs int
 	// dataMemo and nodeMemo remember, per line, what the engine last derived
 	// from the line's DRAM bytes: a data line's PD_Tag and plaintext at a
 	// version, and a counter line's decoded image and the parent counter it
@@ -195,14 +191,12 @@ type Engine struct {
 	port  sim.Resource
 	stats Stats
 
-	// Observability (nil when disabled): free-list churn counters, the
-	// requester-latency histogram, and the hit-level counter track. Stats
-	// fields are surfaced as deferred samples instead (see Observe).
-	cBufAlloc   *obs.Counter
-	cBufRecycle *obs.Counter
-	hReadLat    *obs.Histogram
-	tr          *obs.Tracer
-	nHitLevel   obs.NameID
+	// Observability (nil when disabled): the requester-latency histogram
+	// and the hit-level counter track. Stats fields are surfaced as
+	// deferred samples instead (see Observe).
+	hReadLat  *obs.Histogram
+	tr        *obs.Tracer
+	nHitLevel obs.NameID
 }
 
 // nodeBuf is the decoded content of a cached tree line, and nothing else.
@@ -274,20 +268,6 @@ func (e *Engine) putDataMemo(addr dram.Addr, version, gen, mac uint64, plain [it
 	}
 	*m = dataMemoEntry{version: version, gen: gen, mac: mac, plain: plain}
 }
-
-// countInstall and countDrop keep the nodebuf churn counters bit-compatible
-// with the pointer-era free list: an install recycles when a drop preceded
-// it, and allocates otherwise.
-func (e *Engine) countInstall() {
-	if e.freeBufs > 0 {
-		e.freeBufs--
-		e.cBufRecycle.Inc()
-		return
-	}
-	e.cBufAlloc.Inc()
-}
-
-func (e *Engine) countDrop() { e.freeBufs++ }
 
 // checkGeometry is the one geometry rule New and EngineFromState share: an
 // even set count whose half is a power of two, for the masked odd/even set
@@ -376,8 +356,8 @@ func (e *Engine) Cache() *cache.Cache { return e.cache }
 
 // Observe attaches an observer. The accumulated Stats (reads, writes,
 // per-level hits, writebacks, violations, stall cycles) become deferred
-// samples evaluated at snapshot time, so the walk hot path gains only the
-// nil-checked free-list counters and one histogram observation per access.
+// samples evaluated at snapshot time, so the walk hot path gains only one
+// histogram observation per access.
 // With a tracer attached, every data access also emits a sample on the
 // "mee.hit_level" counter track — the per-access signal Figure 5 histograms.
 // Safe to call with nil.
@@ -394,8 +374,6 @@ func (e *Engine) Observe(o *obs.Observer) {
 		h := h
 		o.Sample("mee.hits."+h.String(), obs.Semantic, func() uint64 { return e.stats.HitsAt[h] })
 	}
-	e.cBufAlloc = o.Counter("mee.nodebuf.alloc")
-	e.cBufRecycle = o.Counter("mee.nodebuf.recycled")
 	e.hReadLat = o.Histogram("mee.read_latency")
 	e.cache.Observe(o, "mee")
 	e.tr = o.Tracer()

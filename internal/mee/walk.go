@@ -138,14 +138,10 @@ func (w *walker) check() { w.lat += LevelCheck }
 // slot's buffer index. The displaced line, if dirty, joins the write-back
 // queue with its buffer; nothing is written back here.
 func (e *Engine) install(addr dram.Addr, set int, nb nodeBuf, dirty bool) int {
-	e.countInstall()
 	way, evicted := e.cache.InsertWay(set, e.cacheTag(addr), dirty)
 	idx := e.bufIdx(set, way)
-	if evicted.Valid {
-		if evicted.Dirty {
-			e.wbq = append(e.wbq, queuedLine{addr: tagAddr(evicted.Tag), nb: e.bufs[idx]})
-		}
-		e.countDrop()
+	if evicted.Dirty {
+		e.wbq = append(e.wbq, queuedLine{addr: tagAddr(evicted.Tag), nb: e.bufs[idx]})
 	}
 	e.bufs[idx] = nb
 	return idx
@@ -174,7 +170,6 @@ func (e *Engine) evict(addr dram.Addr) {
 		e.wbq = append(e.wbq, queuedLine{addr: addr, nb: e.bufs[idx]})
 	}
 	e.bufs[idx] = nodeBuf{}
-	e.countDrop()
 }
 
 // drain writes back every queued line, last queued first, each on a walker
@@ -325,9 +320,6 @@ func (e *Engine) FlushCache(now sim.Cycles, rng *rand.Rand) {
 			e.evict(addr)
 		}
 		e.drain(now, rng)
-	}
-	for range e.cache.ValidCount() {
-		e.countDrop()
 	}
 	e.cache.FlushAll()
 	clear(e.bufs)

@@ -108,12 +108,6 @@ var DurationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// SizeBuckets is the default layout for byte sizes: 64 B up to 1 GiB in
-// powers of four.
-var SizeBuckets = []float64{
-	64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864, 268435456, 1073741824,
-}
-
 // Histogram accumulates a distribution into fixed cumulative-export buckets.
 // Observe is wait-free per bucket (one atomic add for the bucket, the count,
 // and a CAS for the float sum) and allocation-free. A nil *Histogram is a

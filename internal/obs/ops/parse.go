@@ -180,24 +180,6 @@ func (sc *Scrape) Value(name string) float64 {
 	return total
 }
 
-// Families returns every family name seen, sorted.
-func (sc *Scrape) Families() []string {
-	seen := map[string]bool{}
-	for name := range sc.Types {
-		seen[name] = true
-	}
-	for name := range sc.Samples {
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		seen[base] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) of the histogram family
 // from its cumulative buckets, merging every label set, with the standard
 // linear interpolation inside the winning bucket. It returns 0 when the

@@ -10,7 +10,7 @@ import (
 
 // SnapshotSchemaVersion identifies the snapshot JSON layout. Bump on any
 // incompatible change; golden-schema tests pin the current version.
-const SnapshotSchemaVersion = 1
+const SnapshotSchemaVersion = 2
 
 // HistBucket is one populated power-of-two bucket: values in [Lo, Hi].
 type HistBucket struct {

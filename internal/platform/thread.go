@@ -177,9 +177,6 @@ func (t *Thread) Process() *Process { return t.proc }
 // instrumentation and tests.
 func (t *Thread) Now() sim.Cycles { return t.sp.Now() }
 
-// InEnclave reports whether the thread is in enclave mode.
-func (t *Thread) InEnclave() bool { return t.enclaveMode }
-
 // EnterEnclave switches to enclave mode (EENTER).
 func (t *Thread) EnterEnclave() {
 	if t.proc.encl == nil {

@@ -272,9 +272,6 @@ func Open(path string) (*Journal, []Record, error) {
 	return j, recs, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append encodes and writes one record as a single frame. The write is one
 // syscall, so a crash tears at most this record — never an earlier one.
 func (j *Journal) Append(rec Record) error {

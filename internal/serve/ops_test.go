@@ -1,11 +1,14 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -67,6 +70,35 @@ func scrape(t *testing.T, base string) *ops.Scrape {
 		t.Fatalf("parsing exposition: %v", err)
 	}
 	return sc
+}
+
+// requireStatsMatchScrape checks that Stats reads the /metrics series of
+// the same events: the server keeps no second count of them.
+func requireStatsMatchScrape(t *testing.T, srv *serve.Server, sc *ops.Scrape) {
+	t.Helper()
+	st := srv.Stats()
+	var overload float64
+	for _, s := range sc.Samples["meecc_serve_runs_rejected_total"] {
+		if s.Labels["reason"] == "overload" {
+			overload += s.Value
+		}
+	}
+	for _, c := range []struct {
+		series string
+		stat   int64
+		scrape float64
+	}{
+		{"meecc_serve_runs_submitted_total", st.RunsSubmitted, sc.Value("meecc_serve_runs_submitted_total")},
+		{"meecc_serve_trials_executed_total", st.TrialsExecuted, sc.Value("meecc_serve_trials_executed_total")},
+		{"meecc_serve_trials_memoized_total", st.TrialsMemoized, sc.Value("meecc_serve_trials_memoized_total")},
+		{`meecc_serve_runs_rejected_total{reason="overload"}`, st.RejectedOverload, overload},
+		{"meecc_journal_append_errors_total", st.JournalErrors, sc.Value("meecc_journal_append_errors_total")},
+		{"meecc_journal_replayed_records_total", st.JournalReplayed, sc.Value("meecc_journal_replayed_records_total")},
+	} {
+		if float64(c.stat) != c.scrape {
+			t.Errorf("Stats reads %d for %s, the scrape %v", c.stat, c.series, c.scrape)
+		}
+	}
 }
 
 // getHealth fetches and decodes GET /healthz.
@@ -145,6 +177,72 @@ func TestMetricsExpositionCoversEveryLayer(t *testing.T) {
 	}
 	if v := sc.Value("meecc_serve_event_streams_total"); v != 2 {
 		t.Errorf("event_streams_total = %v, want 2", v)
+	}
+	requireStatsMatchScrape(t, srv, sc)
+}
+
+// TestStructuredLogsFollowEachRun sets a JSON slog handler on Config.Log:
+// New logs the journal's replay, and each run logs one admitted, one
+// started and one finished line carrying its id, the finished line with
+// the run's own executed/memoized split.
+func TestStructuredLogsFollowEachRun(t *testing.T) {
+	var buf bytes.Buffer
+	srv, err := serve.New(serve.Config{
+		Workers:       1,
+		JournalPath:   filepath.Join(t.TempDir(), "serve.wal"),
+		RunnerFactory: syntheticFactory,
+		Log:           slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	first, _ := submitAndWait(t, ts.URL, synSpec)
+	second, _ := submitAndWait(t, ts.URL, synSpec) // fully memoized
+	ts.Close()
+	srv.Close() // every line is written once both have returned
+
+	lines := map[string]map[string][]map[string]any{} // msg → run → lines
+	replayed := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line %q is not JSON: %v", line, err)
+		}
+		if rec["time"] == nil || rec["level"] == nil {
+			t.Errorf("log line %q lacks slog's time or level", line)
+		}
+		msg, _ := rec["msg"].(string)
+		if msg == "journal replayed" {
+			replayed++
+		}
+		if run, ok := rec["run"].(string); ok {
+			if lines[msg] == nil {
+				lines[msg] = map[string][]map[string]any{}
+			}
+			lines[msg][run] = append(lines[msg][run], rec)
+		}
+	}
+	if replayed != 1 {
+		t.Errorf("%d journal replayed lines, want 1", replayed)
+	}
+	for _, msg := range []string{"run admitted", "run started", "run finished"} {
+		for _, id := range []string{first["id"].(string), second["id"].(string)} {
+			if n := len(lines[msg][id]); n != 1 {
+				t.Errorf("%d %q lines for run %s, want 1", n, msg, id)
+			}
+		}
+		if len(lines[msg]) != 2 {
+			t.Errorf("%q lines name %d runs, want 2", msg, len(lines[msg]))
+		}
+	}
+	for id, want := range map[string][2]float64{first["id"].(string): {4, 0}, second["id"].(string): {0, 4}} {
+		for _, rec := range lines["run finished"][id] {
+			if rec["executed"] != want[0] || rec["memoized"] != want[1] {
+				t.Errorf("run %s finished with executed=%v memoized=%v, want %v and %v",
+					id, rec["executed"], rec["memoized"], want[0], want[1])
+			}
+		}
 	}
 }
 

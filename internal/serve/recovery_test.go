@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -85,6 +86,105 @@ func cutJournal(t *testing.T, path string, keepTrials int) int {
 	return dropped
 }
 
+// editTrials rewrites the journal at path with edit applied to every trial
+// record.
+func editTrials(t *testing.T, path string, edit func(*journal.Record)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), data[:walMagicLen]...)
+	for rest := data[walMagicLen:]; len(rest) > 0; {
+		payload, next, err := snapstore.NextFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := journal.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == journal.KindTrial {
+			edit(&rec)
+		}
+		out = snapstore.AppendFrame(out, journal.Encode(rec))
+		rest = next
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldSnapshotSchemaReexecutes: a trial whose journaled metrics
+// snapshot carries an older obs schema version is re-executed on resubmit,
+// not replayed, so the artifact embeds the snapshot a local run produces.
+func TestOldSnapshotSchemaReexecutes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	const spec = `{"name": "obs-skew", "study": "channel", "base_seed": 42, "trials": 1, "metrics": true,
+  "params": {"bits": "8", "pattern": "alternating"}, "axes": [{"name": "window", "values": ["15000"]}]}`
+	jpath := filepath.Join(t.TempDir(), "serve.wal")
+	srv1, err := serve.New(serve.Config{Workers: 1, JournalPath: jpath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1)
+	submitAndWait(t, ts1.URL, spec)
+	ts1.Close()
+	srv1.Close()
+
+	trials := 0
+	editTrials(t, jpath, func(rec *journal.Record) {
+		var snap map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Obs, &snap); err != nil {
+			t.Fatalf("journaled snapshot: %v", err)
+		}
+		snap["schema_version"] = json.RawMessage("1")
+		old, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Obs = old
+		trials++
+	})
+	if trials != 1 {
+		t.Fatalf("journal holds %d trial records, want 1", trials)
+	}
+
+	srv2, err := serve.New(serve.Config{Workers: 1, JournalPath: jpath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	info, events := submitAndWait(t, ts2.URL, spec)
+	if last := events[len(events)-1]; last["type"] != "done" {
+		t.Fatalf("resubmitted run ended with %v", last)
+	}
+	served := fetchArtifact(t, ts2.URL, info)
+	if st := srv2.Stats(); st.TrialsExecuted != 1 || st.TrialsMemoized != 0 {
+		t.Fatalf("resubmit: %d executed / %d memoized, want 1 / 0", st.TrialsExecuted, st.TrialsMemoized)
+	}
+
+	parsed, err := exp.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := exp.RunSpec(parsed, exp.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := exp.MarshalArtifact(rep.Artifact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, local) {
+		t.Fatalf("served artifact differs from local run (%d vs %d bytes)", len(served), len(local))
+	}
+}
+
 // TestCrashRecoveryResumesOnlyUncommittedTrials is the tentpole guarantee:
 // a server killed mid-run loses nothing that committed. The journal is cut
 // back to the run record plus two of four trials (with a torn tail on top,
@@ -160,6 +260,7 @@ func TestCrashRecoveryResumesOnlyUncommittedTrials(t *testing.T) {
 	if st.TrialsMemoized != 2 {
 		t.Fatalf("resume memo-replayed %d trials, want 2", st.TrialsMemoized)
 	}
+	requireStatsMatchScrape(t, srv2, scrape(t, ts2.URL))
 }
 
 // TestCleanShutdownReplaysTerminalRuns: a journal closed by an orderly

@@ -89,6 +89,7 @@ func TestAdmissionControlRejectsWhenSaturated(t *testing.T) {
 	if st := srv.Stats(); st.RejectedOverload != 1 {
 		t.Fatalf("RejectedOverload = %d, want 1", st.RejectedOverload)
 	}
+	requireStatsMatchScrape(t, srv, scrape(t, ts.URL))
 }
 
 // TestCancelRunningRunDrainsToPartialArtifact: DELETE on an executing run

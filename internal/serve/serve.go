@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -75,7 +76,7 @@ type Config struct {
 	Ops *ops.Registry
 	// Log, when non-nil, receives the service's structured logs (admissions,
 	// run lifecycle, journal/store degradation). Nil discards them.
-	Log *ops.Logger
+	Log *slog.Logger
 	// RunnerFactory, when non-nil, overrides how study names resolve to
 	// trial runners (tests inject synthetic studies; nil uses
 	// exp.RunnerWithWarmCache). The returned runner must obey the exp.Runner
@@ -83,7 +84,9 @@ type Config struct {
 	RunnerFactory func(study string, warm *core.WarmCache) (exp.Runner, error)
 }
 
-// Stats is a snapshot of the service's counters.
+// Stats is a snapshot of the service's counters. All but RunsResumed and
+// Warm read the /metrics series of the same event, so they count this
+// server's events only when its Config.Ops registry is its own.
 type Stats struct {
 	RunsSubmitted    int64
 	TrialsExecuted   int64
@@ -113,7 +116,7 @@ type Server struct {
 	// structured logger, span ring, process start mark, and the hot-path
 	// instrument handles resolved once at New.
 	ops     *ops.Registry
-	log     *ops.Logger
+	log     *slog.Logger
 	spans   *ops.SpanRecorder
 	started time.Time
 	inst    serveInstruments
@@ -132,7 +135,10 @@ type Server struct {
 	order    []string // insertion order, for listing
 	subs     map[string]int
 	memo     map[string]memoTrial
-	stats    Stats
+
+	// runsResumed counts the non-terminal runs replay found; it is fixed
+	// once New returns.
+	runsResumed int64
 }
 
 // memoTrial is one completed trial's result, keyed by the cell memo key and
@@ -166,6 +172,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Ops == nil {
 		cfg.Ops = ops.NewRegistry()
 	}
+	log := cfg.Log
+	if log == nil {
+		log = slog.New(discardHandler{})
+	}
 	s := &Server{
 		cfg:     cfg,
 		warm:    warm,
@@ -176,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 		subs:    map[string]int{},
 		memo:    map[string]memoTrial{},
 		ops:     cfg.Ops,
-		log:     cfg.Log,
+		log:     log,
 		spans:   ops.NewSpanRecorder(ops.DefaultSpanCap),
 		started: time.Now(),
 	}
@@ -269,10 +279,9 @@ func (s *Server) replay(recs []journal.Record) {
 		ru := s.runs[id]
 		if !ru.snapshotState().terminal() {
 			ru.interrupted()
-			s.stats.RunsResumed++
+			s.runsResumed++
 		}
 	}
-	s.stats.JournalReplayed = int64(len(recs))
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -280,11 +289,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Stats returns the service counters. Counter reads are consistent with the
 // runs that have finished; call after a run completes for exact totals.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Warm = s.warm.Stats()
-	return st
+	return Stats{
+		RunsSubmitted:    int64(s.inst.runsSubmitted.Value()),
+		TrialsExecuted:   int64(s.inst.trialsExecuted.Value()),
+		TrialsMemoized:   int64(s.inst.trialsMemoized.Value()),
+		JournalReplayed:  int64(s.inst.journalReplayed.Value()),
+		RunsResumed:      s.runsResumed,
+		RejectedOverload: int64(s.inst.rejectedOverload.Value()),
+		JournalErrors:    int64(s.inst.journalErrors.Value()),
+		Warm:             s.warm.Stats(),
+	}
 }
 
 // runnerFor resolves a study name through the configured factory.
@@ -296,16 +310,13 @@ func (s *Server) runnerFor(study string) (exp.Runner, error) {
 }
 
 // journalAppend writes a record to the journal when one is configured. An
-// append failure degrades durability, not service: it is counted and the
-// run proceeds in memory.
+// append failure degrades durability, not service: the journal counts it
+// and the run proceeds in memory.
 func (s *Server) journalAppend(rec journal.Record) {
 	if s.journal == nil {
 		return
 	}
 	if err := s.journal.Append(rec); err != nil {
-		s.mu.Lock()
-		s.stats.JournalErrors++
-		s.mu.Unlock()
 		s.log.Warn("journal append failed; durability degraded", "run", rec.RunID, "err", err.Error())
 	}
 }
@@ -349,10 +360,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.pending >= cap(s.queue) {
-		s.stats.RejectedOverload++
 		pending := s.pending
 		s.mu.Unlock()
-		s.ops.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "overload").Inc()
+		s.inst.rejectedOverload.Inc()
 		s.log.Warn("submission rejected: queue full", "study", spec.Study, "name", spec.Name, "pending", pending)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "run queue is full (%d pending)", cap(s.queue))
@@ -364,7 +374,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.runs[id] = ru
 	s.order = append(s.order, id)
 	s.pending++
-	s.stats.RunsSubmitted++
 	queueDepth := s.pending
 	s.mu.Unlock()
 	s.inst.runsSubmitted.Inc()
@@ -538,9 +547,9 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 	return func(j exp.Job) (exp.Metrics, *obs.Snapshot, error) {
 		key := fmt.Sprintf("%s/%d", j.Spec.CellMemoKey(j.Cell), j.Trial)
 		s.mu.Lock()
-		if v, ok := s.memo[key]; ok {
-			s.stats.TrialsMemoized++
-			s.mu.Unlock()
+		v, ok := s.memo[key]
+		s.mu.Unlock()
+		if ok {
 			s.inst.trialsMemoized.Inc()
 			ru.memoized.Add(1)
 			s.spans.Record(ru.id, "memo", spanName("memo", j.Cell.Key(), j.Trial), time.Now(), 0)
@@ -549,7 +558,6 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 			}
 			return v.metrics, v.snap, nil
 		}
-		s.mu.Unlock()
 
 		// Fresh execution: timed, spanned on a leased slot track (so
 		// concurrent trials render as parallel rows in the trace), and
@@ -562,7 +570,7 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 		s.inst.trialSeconds.Observe(trialDur.Seconds())
 		s.spans.Record(ru.id, fmt.Sprintf("slot-%d", slot), spanName("trial", j.Cell.Key(), j.Trial), trialStart, trialDur)
 
-		v := memoTrial{metrics: m, snap: snap}
+		v = memoTrial{metrics: m, snap: snap}
 		if err != nil {
 			v.err = err.Error()
 		}
@@ -575,7 +583,6 @@ func (s *Server) memoize(ru *run, runner exp.Runner) exp.Runner {
 		})
 		s.mu.Lock()
 		s.memo[key] = v
-		s.stats.TrialsExecuted++
 		s.mu.Unlock()
 		s.inst.trialsExecuted.Inc()
 		ru.executed.Add(1)

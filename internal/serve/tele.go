@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -13,20 +15,32 @@ import (
 
 // serveInstruments holds the hot-path instrument handles, resolved once at
 // New so request and trial paths never touch the registry's lookup mutex.
+// Stats reads its counts from these handles too.
 type serveInstruments struct {
-	runsSubmitted  *ops.Counter
-	runsActive     *ops.Gauge
-	runSeconds     *ops.Histogram
-	queueWait      *ops.Histogram
-	trialsExecuted *ops.Counter
-	trialsMemoized *ops.Counter
-	trialSeconds   *ops.Histogram
-	streamsActive  *ops.Gauge
-	streamsTotal   *ops.Counter
-	streamResumes  *ops.Counter
-	journalErrors  *ops.Counter // shared handle with journal.SetOps
-	storeSelfHeals *ops.Counter // shared handle with snapstore.SetOps
+	runsSubmitted    *ops.Counter
+	rejectedOverload *ops.Counter
+	runsActive       *ops.Gauge
+	runSeconds       *ops.Histogram
+	queueWait        *ops.Histogram
+	trialsExecuted   *ops.Counter
+	trialsMemoized   *ops.Counter
+	trialSeconds     *ops.Histogram
+	streamsActive    *ops.Gauge
+	streamsTotal     *ops.Counter
+	streamResumes    *ops.Counter
+	journalErrors    *ops.Counter // shared handle with journal.SetOps
+	journalReplayed  *ops.Counter // shared handle with journal.SetOps
+	storeSelfHeals   *ops.Counter // shared handle with snapstore.SetOps
 }
+
+// discardHandler is the slog.Handler of a server without Config.Log: it is
+// enabled at no level, so no log record is built.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // registerOps creates every metric family the service exposes, whether or
 // not the component behind it is configured — the /metrics contract is that
@@ -39,9 +53,8 @@ func (s *Server) registerOps() {
 
 	// Admission and run lifecycle.
 	s.inst.runsSubmitted = reg.Counter("meecc_serve_runs_submitted_total", "Runs admitted by POST /v1/runs.")
-	for _, reason := range []string{"overload", "draining"} {
-		reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", reason)
-	}
+	s.inst.rejectedOverload = reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "overload")
+	reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "draining")
 	for _, outcome := range []string{"done", "failed", "cancelled", "interrupted"} {
 		reg.Counter("meecc_serve_runs_finished_total", "Runs reaching a terminal state.", "outcome", outcome)
 	}
@@ -76,7 +89,7 @@ func (s *Server) registerOps() {
 	s.inst.journalErrors = reg.Counter("meecc_journal_append_errors_total", "Journal appends that failed.")
 	reg.Histogram("meecc_journal_append_seconds", "Wall time of journal record appends.", nil)
 	reg.Histogram("meecc_journal_fsync_seconds", "Wall time of journal fsyncs.", nil)
-	reg.Counter("meecc_journal_replayed_records_total", "Intact records replayed at journal open.")
+	s.inst.journalReplayed = reg.Counter("meecc_journal_replayed_records_total", "Intact records replayed at journal open.")
 	reg.Counter("meecc_journal_torn_tail_recoveries_total", "Torn tails truncated at journal open.")
 	reg.Gauge("meecc_journal_size_bytes", "Current journal file size.")
 	reg.Counter("meecc_snapstore_puts_total", "Blobs written to the snapshot store.")

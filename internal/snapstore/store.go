@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +50,7 @@ type Store struct {
 
 	// Wall-clock telemetry; all nil-safe, so an uninstrumented store pays
 	// only nil checks.
-	log           *ops.Logger
+	log           *slog.Logger
 	puts          *ops.Counter
 	putBytes      *ops.Counter
 	gets          *ops.Counter
@@ -96,13 +97,10 @@ func currentVersion(path string) bool {
 	return string(hdr[:len(magic)]) == magic && binary.LittleEndian.Uint32(hdr[len(magic):]) == Version
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetOps registers the store's wall-clock metrics on reg and its structured
 // logs on log. Either may be nil. Operational only: nothing recorded here
 // flows into artifacts.
-func (s *Store) SetOps(reg *ops.Registry, log *ops.Logger) {
+func (s *Store) SetOps(reg *ops.Registry, log *slog.Logger) {
 	s.log = log
 	s.puts = reg.Counter("meecc_snapstore_puts_total", "Blobs written to the snapshot store.")
 	s.putBytes = reg.Counter("meecc_snapstore_put_bytes_total", "Bytes written to the snapshot store.")
@@ -188,7 +186,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 		// dropping it so the next Put can repopulate the slot.
 		os.Remove(p)
 		s.selfHeals.Inc()
-		s.log.Warn("snapstore self-heal: deleted corrupt blob", "key", key, "bytes", len(blob))
+		if s.log != nil {
+			s.log.Warn("snapstore self-heal: deleted corrupt blob", "key", key, "bytes", len(blob))
+		}
 		return nil, fmt.Errorf("%w: stored blob %s is %d bytes", ErrCorrupt, key, len(blob))
 	}
 	now := time.Now()
