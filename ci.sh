@@ -230,6 +230,30 @@ ls "$tmp"/snapstore/*.snap > /dev/null 2>&1 || {
 cmp "$tmp/served/smoke.json" "$tmp/smoke.json" || {
     echo "served artifact differs from local batch artifact" >&2; exit 1; }
 
+echo "== smoke: a second server spills the same warm-state blobs =="
+# A warm-state blob is a function of its store key: whichever cell warms a
+# seed, the state holds only what the warm phase computed. A second server
+# on a fresh -storedir runs the shared grid with its window list reversed,
+# so each seed warms from a config with the other window; every blob it
+# spills on SIGTERM must equal the first server's file of the same name.
+sed 's/"values": \["10000", "15000"\]/"values": ["15000", "10000"]/' "$tmp/shared.json" > "$tmp/reversed.json"
+if cmp -s "$tmp/shared.json" "$tmp/reversed.json"; then
+    echo "reversing the shared grid's window list changed nothing" >&2; exit 1
+fi
+"$tmp/meecc" serve -addr 127.0.0.1:8391 -storedir "$tmp/snapstore2" &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
+"$tmp/meecc" submit -spec "$tmp/reversed.json" -addr 127.0.0.1:8391 -out "$tmp/reversed" > /dev/null
+kill "$serve_pid"
+wait "$serve_pid" 2>/dev/null || true
+trap 'rm -rf "$tmp"' EXIT
+ls "$tmp"/snapstore2/*.snap > /dev/null 2>&1 || {
+    echo "the second server's shutdown left no warm state in -storedir" >&2; exit 1; }
+for blob in "$tmp"/snapstore2/*.snap; do
+    cmp "$blob" "$tmp/snapstore/${blob##*/}" || {
+        echo "one store key, two blobs: ${blob##*/}" >&2; exit 1; }
+done
+
 echo "== smoke: serve restart faults the spilled warm states in =="
 # A fresh server on the same -storedir has no memo and no resident warm
 # state, so the resubmitted shared grid runs every trial again, each on a

@@ -185,7 +185,8 @@ type pinnedCommand struct {
 // send-obs and batch-smoke rows write. {out} is the row's own output
 // directory {root}/NAME; {in} holds one-trial copies of the example specs
 // and a malformed artifact; {specs} is examples/specs. Every digest except
-// the send -reliable rows' was recorded by running a build of the command
+// the send -reliable rows' and send-inband-mee4k's was recorded by running
+// a build of the command
 // from before subcommands had their own flag sets, one process per row,
 // with the same masks; send-obs's stdout and metrics.json and
 // inspect-metrics were re-recorded once at obs snapshot schema 2, which
@@ -237,6 +238,10 @@ var pinnedCommands = []pinnedCommand{
 	{"send-reliable", "send -reliable", 0, "c3bbca861e9e8af162eacac7fb7f4e8a68172a571faad0eff10404916c332281", nil},
 	{"send-reliable-mee4k", "send -reliable -noise mee4k", 0, "b19abf25f51a8d321563d2bcfbd6d66ad7f2367dbed15f41e1c4e87bcc2249ca", nil},
 	{"send-reliable-fails", "send -msg abcdefgh -reliable -noise mee4k -window 3000", 1, "0942efcad387767fe1b23c957f469204f193efec62988f04fdfb0634590407e0", nil},
+	// Recorded after in-band synchronization started its -noise: the
+	// default message under MEE noise at 4 KB stride, 17 of 192 bits
+	// wrong (the quiet run has 3).
+	{"send-inband-mee4k", "send -inband -noise mee4k", 0, "a6d3c4fd351026955e88b26ba3361593dae05fb0d404c15be7a12e2fa574263f", nil},
 }
 
 // manifestFields blanks the manifest fields that differ between runs of the

@@ -172,14 +172,22 @@ const (
 	minMonitorScore = spySamples * 6 / 10
 )
 
-// channelSession carries the state shared between the warm phase
-// (calibration, Algorithm 1 eviction-set construction, monitor discovery)
-// and the transmit phase (Algorithm 2) of one covert-channel run.
-// RunChannel drives both phases back to back in one pair of actors on a
-// fresh platform; WarmChannel runs only the warm phase and snapshots the
+// channelSession carries one channel run from start to result: the
+// schedule both sides agree on, the two processes, what the warm phase
+// computed, and the transmission record. It has two roles. Its trojan*
+// fields are the owner role, which calibrates and builds the eviction set
+// with Algorithm 1 (ownerWarm); its spy* fields are the finder role, which
+// finds the address that conflicts with that set (finderWarm). The MEE
+// channel gives the owner role to the trojan; Prime+Probe gives it to the
+// spy.
+//
+// RunChannel drives the warm and transmit phases back to back in one pair
+// of actors; WarmChannel runs only the warm phase and snapshots the
 // platform so many transmissions can fork from the same warm state.
-// RunResilient and RunInBandChannel run the same warm phase and then their
-// own transmit protocols.
+// RunResilient, RunInBandChannel and RunPrimeProbe run the same warm steps
+// and then their own transmit protocols. Each of these starts its session
+// with startChannel, and each that transmits arms its noise and faults
+// with environment once both endpoint threads are spawned.
 type channelSession struct {
 	cfg     ChannelConfig // defaults applied; Bits expanded by repetition
 	logical []byte        // pre-expansion payload
@@ -193,21 +201,22 @@ type channelSession struct {
 	trojanProc, spyProc   *platform.Process
 	trojanCands, spyCands []enclave.VAddr
 
-	// Live working sets, filled in by the actors once discovered; fault
-	// injection reads them (engine-serialized) to aim paging events at the
-	// pages that actually carry the channel.
-	liveEvictionSet, liveMonitor []enclave.VAddr
-
-	// Warm products, consumed by the transmit phase.
-	spyThreshold sim.Cycles
-	evSet        []enclave.VAddr
-	monitor      enclave.VAddr
-	// trojanReady records that the trojan finished its warm phase; a run
-	// limit that cuts Algorithm 1 short leaves it unset.
-	trojanReady bool
+	warmed
 
 	res               *ChannelResult
 	trojanErr, spyErr error
+}
+
+// warmed is what a session's warm phase computes, recorded once. The warm
+// steps write it; the transmit phase, RunResilient's rounds and fault
+// targeting read it; finish reports it; a warm state carries it whole
+// across a fork.
+type warmed struct {
+	evSet        []enclave.VAddr // the owner's eviction set; nil until Algorithm 1 returns
+	setupCycles  sim.Cycles      // the owner's clock when Algorithm 1 returned
+	spyThreshold sim.Cycles      // the finder's hit/miss threshold
+	monitorScore int             // the finder's best conflict score
+	monitor      enclave.VAddr   // the finder's conflicting address; 0 until found
 }
 
 // checkPayload rejects a payload with no bits, whose error rate would be
@@ -228,7 +237,7 @@ func checkPayload(bits []byte) error {
 
 // prepareChannel applies defaults, expands repetition coding, and computes
 // the session schedule.
-func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
+func prepareChannel(cfg ChannelConfig) *channelSession {
 	cfg.applyDefaults()
 	s := &channelSession{cfg: cfg, logical: cfg.Bits, rep: cfg.Repetition}
 	if s.rep < 1 {
@@ -248,14 +257,27 @@ func prepareChannel(cfg ChannelConfig) (*channelSession, error) {
 	s.t0 = s.tSetupEnd + s.cfg.budgets.search
 	s.tEnd = s.t0 + sim.Cycles(len(s.cfg.Bits))*s.cfg.Window
 	s.res = &ChannelResult{Sent: s.cfg.Bits}
-	return s, nil
+	return s
 }
 
-// createProcs builds the trojan and spy processes and their enclaves on
-// plat, in a fixed order: process index 0 is always the trojan, index 1 the
-// spy. Forked sessions re-find their processes by these indices. Each
-// enclave starts with `pools` disjoint calibration pools; the warm phase
-// calibrates on the first.
+// startChannel starts a session on a machine of its own: it prepares cfg's
+// session, boots the machine and creates both processes, each enclave with
+// `pools` calibration pools. On error it closes the machine.
+func startChannel(cfg ChannelConfig, pools int) (*channelSession, *platform.Platform, error) {
+	s := prepareChannel(cfg)
+	plat := s.cfg.boot()
+	if err := s.createProcs(plat, pools); err != nil {
+		plat.Close()
+		return nil, nil, err
+	}
+	return s, plat, nil
+}
+
+// createProcs builds the owner's and the finder's processes and their
+// enclaves on plat, in a fixed order: process index 0 is always the owner
+// (named trojan), index 1 the finder (named spy). Forked sessions re-find
+// their processes by these indices. Each enclave starts with `pools`
+// disjoint calibration pools; the warm phase calibrates on the first.
 func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 	s.trojanProc = plat.NewProcess("trojan")
 	s.spyProc = plat.NewProcess("spy")
@@ -271,10 +293,10 @@ func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 	return nil
 }
 
-// trojanWarm is the sender's pre-transmission work: threshold calibration,
-// Algorithm 1, and the search-phase burst loop the spy locks onto. It
-// reports whether the phase succeeded; on failure s.trojanErr is set.
-func (s *channelSession) trojanWarm(th *platform.Thread) bool {
+// ownerWarm is the owner's warm step: threshold calibration, Algorithm 1,
+// and the wait to the end of the setup phase. It reports whether the step
+// succeeded; on failure s.trojanErr is set.
+func (s *channelSession) ownerWarm(th *platform.Thread) bool {
 	th.EnterEnclave()
 	base := s.trojanProc.Enclave().Base
 	threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
@@ -285,21 +307,57 @@ func (s *channelSession) trojanWarm(th *platform.Thread) bool {
 		s.trojanErr = err
 		return false
 	}
-	s.evSet = a1.EvictionSet
-	s.liveEvictionSet = s.evSet
-	s.res.EvictionSetSize = len(s.evSet)
-	s.res.SetupCycles = th.Now()
+	s.evSet, s.setupCycles = a1.EvictionSet, th.Now()
 	if th.Now() > s.tSetupEnd {
 		s.trojanErr = fmt.Errorf("core: trojan setup overran its budget (%d > %d)", th.Now(), s.tSetupEnd)
 		return false
 	}
 	th.SpinUntil(s.tSetupEnd)
-
-	// Search phase: burst continuously so the spy can find which of its
-	// addresses conflicts with the eviction set.
-	burstUntil(th, s.evSet, s.cfg.TwoPhaseEviction, s.t0-20_000)
-	s.trojanReady = true
 	return true
+}
+
+// finderWarm is the finder's warm step: threshold calibration, staggered
+// into the second half of the calibration phase so the two measurement
+// loops don't contend, then the search for the address the owner's
+// search-phase signal keeps evicting. Each candidate is probed samples
+// times, gap cycles apart, and the best one is accepted at a score of at
+// least minScore. It reports whether the step succeeded; on failure
+// s.spyErr is set.
+func (s *channelSession) finderWarm(th *platform.Thread, samples int, gap sim.Cycles, minScore int) bool {
+	th.EnterEnclave()
+	base := s.spyProc.Enclave().Base
+	th.SpinUntil(s.tCalEnd / 2)
+	s.spyThreshold = calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
+	th.SpinUntil(s.tSetupEnd)
+
+	monitor, bestScore := findConflict(th, s.spyCands, s.spyThreshold, samples, gap)
+	s.monitorScore = bestScore
+	if bestScore < minScore {
+		s.spyErr = fmt.Errorf("core: monitor discovery failed (best score %d/%d)", bestScore, samples)
+		return false
+	}
+	if th.Now() > s.t0 {
+		s.spyErr = fmt.Errorf("core: spy search overran its budget (%d > %d)", th.Now(), s.t0)
+		return false
+	}
+	s.monitor = monitor
+	return true
+}
+
+// trojanWarm is the MEE channel sender's warm phase: the owner step, then
+// the search-phase burst loop the spy locks onto.
+func (s *channelSession) trojanWarm(th *platform.Thread) bool {
+	if !s.ownerWarm(th) {
+		return false
+	}
+	burstUntil(th, s.evSet, s.cfg.TwoPhaseEviction, s.t0-20_000)
+	return true
+}
+
+// spyWarm is the MEE channel receiver's warm phase: the finder step, which
+// locates the monitor address.
+func (s *channelSession) spyWarm(th *platform.Thread) bool {
+	return s.finderWarm(th, spySamples, searchGap, minMonitorScore)
 }
 
 // trojanTransmit is Algorithm 2, the trojan's operation.
@@ -312,36 +370,6 @@ func (s *channelSession) trojanTransmit(th *platform.Thread) {
 		// '0': busy loop until the next window (the WaitTimer at the top
 		// of the loop).
 	}
-}
-
-// spyWarm is the receiver's pre-transmission work: threshold calibration
-// and monitor-address discovery against the trojan's search bursts. It
-// reports whether the phase succeeded; on failure s.spyErr is set.
-func (s *channelSession) spyWarm(th *platform.Thread) bool {
-	th.EnterEnclave()
-	base := s.spyProc.Enclave().Base
-	// Calibrate in the second half of the calibration phase, staggered
-	// against the trojan so the two measurement loops don't contend.
-	th.SpinUntil(s.tCalEnd / 2)
-	s.spyThreshold = calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
-	s.res.SpyThreshold = s.spyThreshold
-	th.SpinUntil(s.tSetupEnd)
-
-	// Monitor discovery: the address the trojan's bursts keep evicting is
-	// the monitor.
-	monitor, bestScore := findConflict(th, s.spyCands, s.spyThreshold, spySamples, searchGap)
-	s.res.MonitorScore = bestScore
-	if bestScore < minMonitorScore {
-		s.spyErr = fmt.Errorf("core: monitor discovery failed (best score %d/%d)", bestScore, spySamples)
-		return false
-	}
-	if th.Now() > s.t0 {
-		s.spyErr = fmt.Errorf("core: spy search overran its budget (%d > %d)", th.Now(), s.t0)
-		return false
-	}
-	s.monitor = monitor
-	s.liveMonitor = []enclave.VAddr{monitor}
-	return true
 }
 
 // spyTransmit is Algorithm 2, the spy's operation: prime just before
@@ -365,55 +393,81 @@ func (s *channelSession) spyTransmit(th *platform.Thread) {
 	}
 }
 
-// attachFaults arms cfg.Fault, if set, against the session's actors and
-// pages; a campaign without its own window lands in [start, end).
-func (s *channelSession) attachFaults(plat *platform.Platform, trojan, spy *platform.Thread, start, end sim.Cycles) *fault.Injector {
+// environment starts the session's background noise at t0 on noiseCore and
+// arms its fault campaign against the owner thread (trojan) and the finder
+// thread (spy); a campaign without its own window lands in [t0, end).
+// Paging events aim at the eviction set and, once found, the monitor.
+// Every runner calls it after spawning both endpoint threads.
+func (s *channelSession) environment(plat *platform.Platform, trojan, spy *platform.Thread, end sim.Cycles) (*fault.Injector, error) {
+	if err := spawnNoise(plat, s.cfg.Noise, noiseCore, s.t0); err != nil {
+		return nil, err
+	}
 	if s.cfg.Fault == nil {
-		return nil
+		return nil, nil
 	}
 	fc := *s.cfg.Fault
 	if fc.Start == 0 && fc.End == 0 {
-		fc.Start, fc.End = start, end
+		fc.Start, fc.End = s.t0, end
 	}
 	return fault.NewPlan(fc).Attach(plat, fault.Targets{
 		Trojan: trojan, Spy: spy,
 		TrojanProc: s.trojanProc, SpyProc: s.spyProc,
 		TrojanPages: s.trojanCands, SpyPages: s.spyCands,
-		TrojanLive: func() []enclave.VAddr { return s.liveEvictionSet },
-		SpyLive:    func() []enclave.VAddr { return s.liveMonitor },
+		TrojanLive: func() []enclave.VAddr { return s.evSet },
+		SpyLive: func() []enclave.VAddr {
+			if s.monitor == 0 {
+				return nil
+			}
+			return []enclave.VAddr{s.monitor}
+		},
 		TrojanHome: trojanCore, SpyHome: spyCore,
 		StormCore: noiseCore,
-	})
+	}), nil
 }
 
 // err reports why the session has nothing to decode: an actor's own error,
-// or a run limit that stopped the trojan before its warm phase finished.
+// or a run limit that stopped the owner before Algorithm 1 returned.
 func (s *channelSession) err() error {
 	switch {
 	case s.trojanErr != nil:
 		return s.trojanErr
 	case s.spyErr != nil:
 		return s.spyErr
-	case !s.trojanReady:
+	case s.evSet == nil:
 		return errors.New("core: trojan never completed setup")
 	}
 	return nil
 }
 
 // spawnStatsReset arms the detector-statistics snapshot at transmission
-// start: detector-visible counters cover the transmission phase only.
-func (s *channelSession) spawnStatsReset(plat *platform.Platform) {
-	plat.Engine().SpawnAt("stats-reset", s.t0-1, func(p *sim.Proc) {
+// start t0: detector-visible counters cover the transmission phase only.
+func spawnStatsReset(plat *platform.Platform, t0 sim.Cycles) {
+	plat.Engine().SpawnAt("stats-reset", t0-1, func(p *sim.Proc) {
 		plat.Caches().LLC().ResetStats()
 		plat.MEE().ResetStats()
 	})
 }
 
+// countErrors returns the positions at which received differs from sent,
+// and the share of sent's bits they make up.
+func countErrors(sent, received []byte) (positions []int, rate float64) {
+	for i := range sent {
+		if received[i] != sent[i] {
+			positions = append(positions, i)
+		}
+	}
+	return positions, float64(len(positions)) / float64(len(sent))
+}
+
 // finish turns the raw transmission record into the ChannelResult:
-// footprint capture, repetition decoding, error statistics, and optional
-// observability export.
+// the warm phase's products, footprint capture, repetition decoding, error
+// statistics, and optional observability export.
 func (s *channelSession) finish(plat *platform.Platform, injector *fault.Injector) (*ChannelResult, error) {
 	res := s.res
+	res.SpyThreshold = s.spyThreshold
+	res.EvictionSetSize = len(s.evSet)
+	res.MonitorScore = s.monitorScore
+	res.SetupCycles = s.setupCycles
 	res.Footprint = captureFootprint(plat)
 	if injector != nil {
 		res.Faults = injector.Log()
@@ -440,13 +494,8 @@ func (s *channelSession) finish(plat *platform.Platform, injector *fault.Injecto
 		res.Sent = s.logical
 		res.Received = decoded
 	}
-	for i := range res.Sent {
-		if res.Received[i] != res.Sent[i] {
-			res.BitErrors++
-			res.ErrorBits = append(res.ErrorBits, i)
-		}
-	}
-	res.ErrorRate = float64(res.BitErrors) / float64(len(res.Sent))
+	res.ErrorBits, res.ErrorRate = countErrors(res.Sent, res.Received)
+	res.BitErrors = len(res.ErrorBits)
 	res.KBps = plat.WindowKBps(s.cfg.Window) / float64(s.rep)
 	if o := s.cfg.Obs; o != nil {
 		o.Counter("channel.windows").Add(uint64(len(res.ProbeTimes)))
@@ -492,16 +541,11 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
-	s, err := prepareChannel(cfg)
+	s, plat, err := startChannel(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.cfg
-	plat := cfg.boot()
 	defer plat.Close()
-	if err := s.createProcs(plat, 1); err != nil {
-		return nil, err
-	}
 
 	trojanTh := plat.SpawnThread("trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if s.trojanWarm(th) {
@@ -513,17 +557,15 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 			s.spyTransmit(th)
 		}
 	})
-
-	if err := spawnNoise(plat, cfg.Noise, noiseCore, s.t0); err != nil {
+	injector, err := s.environment(plat, trojanTh, spyTh, s.tEnd)
+	if err != nil {
 		return nil, err
 	}
-	injector := s.attachFaults(plat, trojanTh, spyTh, s.t0, s.tEnd)
-	// Snapshot detector-visible statistics over the transmission phase.
-	s.spawnStatsReset(plat)
-	if cfg.onPlatform != nil {
-		cfg.onPlatform(plat, s.t0, s.tEnd)
+	spawnStatsReset(plat, s.t0)
+	if s.cfg.onPlatform != nil {
+		s.cfg.onPlatform(plat, s.t0, s.tEnd)
 	}
 
-	plat.Run(s.tEnd + cfg.Window)
+	plat.Run(s.tEnd + s.cfg.Window)
 	return s.finish(plat, injector)
 }

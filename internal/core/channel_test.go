@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"meecc/internal/fault"
 	"meecc/internal/sim"
 )
 
@@ -227,6 +228,52 @@ func TestTwoPhaseEvictionReachesEveryRunner(t *testing.T) {
 		one, errOne := r.run(cfg)
 		if reflect.DeepEqual(one, two) && fmt.Sprint(errOne) == fmt.Sprint(errTwo) {
 			t.Errorf("%s: single-pass run equals the two-phase run", r.name)
+		}
+	}
+}
+
+// TestEnvironmentReachesEverySessionRunner checks that each runner built
+// on channelSession arms cfg's environment: under every noise kind, and
+// under a fault campaign, each runner's output (result and error) differs
+// from its quiet run at the same seed.
+func TestEnvironmentReachesEverySessionRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	runners := []struct {
+		name string
+		run  func(ChannelConfig) (any, error)
+	}{
+		{"RunChannel", func(c ChannelConfig) (any, error) { return RunChannel(c) }},
+		// The session reports no probe trace, only what its rounds did: a
+		// six-byte payload runs enough rounds for every noise kind to
+		// move them.
+		{"RunResilient", func(c ChannelConfig) (any, error) { return RunResilient(c, []byte("covert")) }},
+		{"RunInBandChannel", func(c ChannelConfig) (any, error) { return RunInBandChannel(c) }},
+		{"RunPrimeProbe", func(c ChannelConfig) (any, error) { return RunPrimeProbe(c) }},
+	}
+	envs := []struct {
+		name string
+		set  func(*ChannelConfig)
+	}{
+		{"memory", func(c *ChannelConfig) { c.Noise = NoiseMemory }},
+		{"mee512", func(c *ChannelConfig) { c.Noise = NoiseMEE512 }},
+		{"mee4k", func(c *ChannelConfig) { c.Noise = NoiseMEE4K }},
+		{"faults", func(c *ChannelConfig) {
+			c.Fault = &fault.Config{Seed: 3, Kinds: []fault.Kind{fault.Timer}, Intensity: 1}
+		}},
+	}
+	for _, r := range runners {
+		quiet, quietErr := r.run(pinnedChannel(42))
+		for _, env := range envs {
+			t.Run(r.name+"/"+env.name, func(t *testing.T) {
+				cfg := pinnedChannel(42)
+				env.set(&cfg)
+				res, err := r.run(cfg)
+				if reflect.DeepEqual(res, quiet) && fmt.Sprint(err) == fmt.Sprint(quietErr) {
+					t.Errorf("output under %s equals the quiet run's (err %v)", env.name, err)
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"meecc/internal/dram"
 	"meecc/internal/enclave"
 	"meecc/internal/platform"
 	"meecc/internal/sim"
@@ -39,9 +40,6 @@ type AttackFootprint struct {
 	MEEReads uint64
 }
 
-// llcSetBits is log2 of the LLC set count in the default platform.
-const llcSpanBytes = 512 << 10 // bytes covering every LLC set once (8192 sets × 64 B)
-
 // RunLLCChannel executes the LLC Prime+Probe covert channel: the spy owns
 // a 16-way LLC eviction set built from hugepage arithmetic, the trojan
 // signals '1' by touching one conflicting address. cfg.Window defaults to
@@ -59,6 +57,9 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	defer plat.Close()
 
 	llcWays := plat.Config().CPU.LLCWays
+	// llcSpanBytes covers every LLC set once: addresses that far apart map
+	// to one set (8192 sets × 64 B = 512 KB on the default platform).
+	llcSpanBytes := plat.Config().CPU.LLCSets * dram.LineSize
 	hugepagesNeeded := llcWays * llcSpanBytes / platform.HugepageBytes // 4 for 16 ways
 
 	spyProc := plat.NewProcess("llc-spy")
@@ -84,10 +85,7 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 
 	// Reset cache statistics right at transmission start so the footprint
 	// reflects the channel itself, not setup.
-	plat.Engine().SpawnAt("stats-reset", t0-1, func(p *sim.Proc) {
-		plat.Caches().LLC().ResetStats()
-		plat.MEE().ResetStats()
-	})
+	spawnStatsReset(plat, t0)
 
 	plat.SpawnThread("llc-spy", spyProc, spyCore, func(th *platform.Thread) {
 		probeAll := func() sim.Cycles {
@@ -141,12 +139,8 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	if res.Received == nil {
 		return res, fmt.Errorf("core: LLC spy never completed")
 	}
-	for i := range cfg.Bits {
-		if res.Received[i] != cfg.Bits[i] {
-			res.BitErrors++
-		}
-	}
-	res.ErrorRate = float64(res.BitErrors) / float64(len(cfg.Bits))
+	wrong, rate := countErrors(cfg.Bits, res.Received)
+	res.BitErrors, res.ErrorRate = len(wrong), rate
 	res.KBps = plat.WindowKBps(cfg.Window)
 	res.Footprint = captureFootprint(plat)
 	return res, nil

@@ -168,13 +168,11 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	if res.Received == nil {
 		return res, fmt.Errorf("core: parallel spy never completed")
 	}
-	for i := range res.Sent {
-		if res.Received[i] != res.Sent[i] {
-			res.BitErrors++
-			res.LaneErrors[i%lanes]++
-		}
+	wrong, rate := countErrors(res.Sent, res.Received)
+	for _, pos := range wrong {
+		res.LaneErrors[pos%lanes]++
 	}
-	res.ErrorRate = float64(res.BitErrors) / float64(len(res.Sent))
+	res.BitErrors, res.ErrorRate = len(wrong), rate
 	res.KBps = plat.WindowKBps(cfg.Window) * float64(lanes)
 	return res, nil
 }

@@ -21,68 +21,41 @@ type PrimeProbeResult struct {
 	ErrorRate  float64
 }
 
-// RunPrimeProbe executes the baseline: the spy owns the eviction set and
-// probes all of it every window; the trojan signals '1' by touching a single
-// conflicting address. Setup mirrors RunChannel with the roles reversed.
+// RunPrimeProbe executes the baseline: the channel session with its roles
+// swapped. The spy owns the eviction set and probes all of it every
+// window; the trojan signals '1' by touching the one address it found
+// conflicting with the set. Each bit is one window: cfg.Repetition is
+// ignored.
 func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
-	cfg.applyDefaults()
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
-	plat := cfg.boot()
+	cfg.Repetition = 0
+	s, plat, err := startChannel(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
 	defer plat.Close()
-
-	tCalEnd := calBudget
-	tSetupEnd := tCalEnd + setupBudget
-	tSearchEnd := tSetupEnd + searchBudget
-	t0 := tSearchEnd
-	tEnd := t0 + sim.Cycles(len(cfg.Bits))*cfg.Window
-
-	spyProc := plat.NewProcess("pp-spy")
-	trojanProc := plat.NewProcess("pp-trojan")
-	if _, err := spyProc.CreateEnclave(calPages + evSetCandidates); err != nil {
-		return nil, err
-	}
-	if _, err := trojanProc.CreateEnclave(calPages + monitorCandidates); err != nil {
-		return nil, err
-	}
-
+	cfg = s.cfg
 	res := &PrimeProbeResult{Sent: cfg.Bits}
-	var spyErr, trojanErr error
-	var evSet []enclave.VAddr
 
-	// Spy: builds and owns the eviction set; probes all ways per window.
-	plat.SpawnThread("pp-spy", spyProc, spyCore, func(th *platform.Thread) {
-		th.EnterEnclave()
-		base := spyProc.Enclave().Base
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
-		th.SpinUntil(tCalEnd)
-
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), evSetCandidates, agreedIndex)
-		a1, err := FindEvictionSet(th, cands, threshold)
-		if err != nil {
-			spyErr = err
+	// Spy: the session's owner role. It builds the eviction set, keeps it
+	// primed through the search phase so the trojan can find a conflicting
+	// address, then probes all ways per window.
+	spyTh := plat.SpawnThread("pp-spy", s.trojanProc, trojanCore, func(th *platform.Thread) {
+		if !s.ownerWarm(th) {
 			return
 		}
-		evSet = a1.EvictionSet
-		if th.Now() > tSetupEnd {
-			spyErr = fmt.Errorf("core: prime+probe spy setup overran (%d > %d)", th.Now(), tSetupEnd)
-			return
-		}
-		th.SpinUntil(tSetupEnd)
-
-		// Search phase: keep the set primed so the trojan can find a
-		// conflicting address.
-		for th.Now() < tSearchEnd-20_000 {
-			prime(th, evSet)
+		for th.Now() < s.t0-20_000 {
+			prime(th, s.evSet)
 			th.Spin(500)
 		}
 
 		// Baseline for the probe-total threshold: all-hit probes.
 		var baseSum sim.Cycles
 		const baseSamples = 10
-		for s := 0; s < baseSamples; s++ {
-			baseSum += probeAll(th, evSet)
+		for i := 0; i < baseSamples; i++ {
+			baseSum += probeAll(th, s.evSet)
 		}
 		// One evicted way costs roughly one extra DRAM access (~270);
 		// split the difference.
@@ -92,8 +65,8 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		res.ProbeTimes = make([]sim.Cycles, len(cfg.Bits))
 		probeOffset := sim.Cycles(float64(cfg.Window) * cfg.ProbePhase)
 		for i := range cfg.Bits {
-			th.WaitTimer(t0 + sim.Cycles(i)*cfg.Window + probeOffset)
-			t := probeAll(th, evSet)
+			th.WaitTimer(s.t0 + sim.Cycles(i)*cfg.Window + probeOffset)
+			t := probeAll(th, s.evSet)
 			res.ProbeTimes[i] = t
 			if t > res.Threshold {
 				res.Received[i] = 1
@@ -101,52 +74,37 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		}
 	})
 
-	// Trojan: finds one address conflicting with the spy's set, then sends
-	// bits by touching it.
-	plat.SpawnThread("pp-trojan", trojanProc, trojanCore, func(th *platform.Thread) {
-		th.EnterEnclave()
-		base := trojanProc.Enclave().Base
-		th.SpinUntil(tCalEnd / 2) // staggered against the spy's calibration
-		threshold := calibrateThreshold(th, pageAddrs(base, calPages, agreedIndex))
-		th.SpinUntil(tSetupEnd)
-
-		cands := pageAddrs(base+enclave.VAddr(calPages*enclave.PageBytes), monitorCandidates, agreedIndex)
-		const samples = 6
-		conflict, bestScore := findConflict(th, cands, threshold, samples, 30_000)
-		if bestScore < samples-2 {
-			trojanErr = fmt.Errorf("core: prime+probe trojan found no conflicting address (best %d/%d)", bestScore, samples)
+	// Trojan: the session's finder role. It finds an address of its own
+	// that the spy's primes keep evicting, then sends bits by touching it.
+	trojanTh := plat.SpawnThread("pp-trojan", s.spyProc, spyCore, func(th *platform.Thread) {
+		if !s.finderWarm(th, 6, 30_000, 4) {
 			return
 		}
-		if th.Now() > t0 {
-			trojanErr = fmt.Errorf("core: prime+probe trojan search overran (%d > %d)", th.Now(), t0)
-			return
-		}
-
 		for i, bit := range cfg.Bits {
-			th.WaitTimer(t0 + sim.Cycles(i)*cfg.Window)
+			th.WaitTimer(s.t0 + sim.Cycles(i)*cfg.Window)
 			if bit == 1 {
-				th.Access(conflict)
-				th.Flush(conflict)
+				th.Access(s.monitor)
+				th.Flush(s.monitor)
 			}
 		}
 	})
+	if _, err := s.environment(plat, spyTh, trojanTh, s.tEnd); err != nil {
+		return nil, err
+	}
 
-	plat.Run(tEnd + cfg.Window)
-	if spyErr != nil {
-		return res, spyErr
-	}
-	if trojanErr != nil {
-		return res, trojanErr
-	}
-	if res.Received == nil {
+	plat.Run(s.tEnd + cfg.Window)
+	// The session's steps name the MEE channel's roles: its trojan is the
+	// owner, here the spy, and its spy the finder, here the trojan.
+	switch {
+	case s.trojanErr != nil:
+		return res, fmt.Errorf("core: prime+probe spy, as the session's owner: %w", s.trojanErr)
+	case s.spyErr != nil:
+		return res, fmt.Errorf("core: prime+probe trojan, as the session's finder: %w", s.spyErr)
+	case res.Received == nil:
 		return res, fmt.Errorf("core: prime+probe spy never completed")
 	}
-	for i := range cfg.Bits {
-		if res.Received[i] != cfg.Bits[i] {
-			res.BitErrors++
-		}
-	}
-	res.ErrorRate = float64(res.BitErrors) / float64(len(cfg.Bits))
+	wrong, rate := countErrors(cfg.Bits, res.Received)
+	res.BitErrors, res.ErrorRate = len(wrong), rate
 	return res, nil
 }
 

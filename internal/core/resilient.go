@@ -471,7 +471,6 @@ const calSlices = 6
 // It either delivers the payload CRC-intact or returns an explicit error
 // alongside the degradation report — never silent corruption.
 func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
-	cfg.applyDefaults()
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("core: resilient transfer of empty payload")
 	}
@@ -503,15 +502,12 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	// Initial acquisition is the channel session's warm phase, over
 	// enclaves that carry calSlices calibration pools for the ladder.
 	cfg.Bits, cfg.Repetition = nil, 0 // the payload defines the bits
-	sess, err := prepareChannel(cfg)
+	sess, plat, err := startChannel(cfg, calSlices)
 	if err != nil {
 		return nil, err
 	}
-	plat := cfg.boot()
 	defer plat.Close()
-	if err := sess.createProcs(plat, calSlices); err != nil {
-		return nil, err
-	}
+	cfg = sess.cfg
 	t0 := sess.t0
 	trojanBase := sess.trojanProc.Enclave().Base
 	spyBase := sess.spyProc.Enclave().Base
@@ -527,9 +523,7 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	// Trojan: initial acquisition, then plan-driven rounds.
 	trojanTh := plat.SpawnThread("trojan", sess.trojanProc, trojanCore, func(th *platform.Thread) {
 		defer func() { trojanDone = true }()
-		ok := sess.trojanWarm(th)
-		res.EvictionSetSize, res.SetupCycles = sess.res.EvictionSetSize, sess.res.SetupCycles
-		if !ok {
+		if !sess.trojanWarm(th) {
 			return
 		}
 		calUsed := 1
@@ -555,8 +549,6 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 				calUsed++
 				if a1, err := FindEvictionSet(th, sess.trojanCands, threshold); err == nil {
 					sess.evSet = a1.EvictionSet
-					sess.liveEvictionSet = sess.evSet
-					res.EvictionSetSize = len(sess.evSet)
 				}
 				burstUntil(th, sess.evSet, cfg.TwoPhaseEviction, end-ctrlGap-20_000)
 			} else {
@@ -589,17 +581,14 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	// Spy: initial acquisition, then controller-driven rounds.
 	spyTh := plat.SpawnThread("spy", sess.spyProc, spyCore, func(th *platform.Thread) {
 		defer func() { spyDone = true }()
-		ok := sess.spyWarm(th)
-		res.SpyThreshold = sess.spyThreshold
-		if !ok {
-			if sess.res.MonitorScore < minMonitorScore {
-				s.plan = ctl.abortPlan(th.Now(), "initial monitor discovery failed (score %d/%d)", sess.res.MonitorScore, spySamples)
+		if !sess.spyWarm(th) {
+			if sess.monitorScore < minMonitorScore {
+				s.plan = ctl.abortPlan(th.Now(), "initial monitor discovery failed (score %d/%d)", sess.monitorScore, spySamples)
 			} else {
 				s.plan = ctl.abortPlan(th.Now(), "spy search overran budget")
 			}
 			return
 		}
-		threshold, monitor := sess.spyThreshold, sess.monitor
 		calUsed := 1
 
 		plan := ctl.first(t0)
@@ -611,30 +600,28 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 				// Re-calibrate while the trojan rebuilds, then re-discover
 				// the monitor during its burst phase.
 				th.WaitTimer(plan.start)
-				threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
+				sess.spyThreshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
 				calUsed++
-				res.SpyThreshold = threshold
 				th.SpinUntil(plan.start + resyncBudget - searchBudget)
-				m, sc := findConflict(th, sess.spyCands, threshold, spySamples, searchGap)
+				m, sc := findConflict(th, sess.spyCands, sess.spyThreshold, spySamples, searchGap)
 				if obs.resyncOK = sc >= minMonitorScore; obs.resyncOK {
-					monitor = m
-					sess.liveMonitor = []enclave.VAddr{monitor}
+					sess.monitor = m
 				}
 			} else {
 				// Prime, then decode pilot + chunks with majority voting
 				// over the repetition windows.
 				th.WaitTimer(plan.start - 5000)
-				th.Access(monitor)
-				th.Flush(monitor)
+				th.Access(sess.monitor)
+				th.Flush(sess.monitor)
 				bit := 0
 				readBit := func() byte {
 					ones := 0
 					for r := 0; r < plan.rep; r++ {
 						th.WaitTimer(plan.start + sim.Cycles(bit*plan.rep+r)*plan.window + probeOffset(plan.window))
-						if timedAccess(th, monitor) > threshold {
+						if timedAccess(th, sess.monitor) > sess.spyThreshold {
 							ones++
 						}
-						th.Flush(monitor)
+						th.Flush(sess.monitor)
 					}
 					bit++
 					if ones*2 > plan.rep {
@@ -672,9 +659,8 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 					}
 				}
 				if plan.recal {
-					threshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
+					sess.spyThreshold = calibrateThreshold(th, calSlice(spyBase, calUsed, calSlices, agreedIndex))
 					calUsed++
-					res.SpyThreshold = threshold
 				}
 			}
 			obs.at = th.Now()
@@ -694,13 +680,13 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 
 	// ------------------------------------------------------------------
 	// Environment: background noise and the chaos campaign.
-	if err := spawnNoise(plat, cfg.Noise, noiseCore, t0); err != nil {
-		return nil, err
-	}
 	maxRound := sim.Cycles(pilotLen+chunksPerRound*codec.EncodedBits(chunkBytes))*
 		ctl.maxWindow*maxRepetition + recalBudget + ctrlGap + maxBackoff
 	hardCap := t0 + maxRounds*maxRound + (maxResyncs+1)*(resyncBudget+ctrlGap)
-	injector := sess.attachFaults(plat, trojanTh, spyTh, t0, hardCap)
+	injector, err := sess.environment(plat, trojanTh, spyTh, hardCap)
+	if err != nil {
+		return nil, err
+	}
 
 	// Step the engine until both endpoints finish; immortal noise actors
 	// would otherwise keep an unbounded Run busy forever.
@@ -712,6 +698,8 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 	if injector != nil {
 		res.Faults = injector.Log()
 	}
+	res.EvictionSetSize, res.SetupCycles = len(sess.evSet), sess.setupCycles
+	res.SpyThreshold = sess.spyThreshold
 	res.Report = ctl.report
 	res.Report.Rounds = ctl.rounds
 	res.Report.FinalWindow = ctl.window

@@ -156,21 +156,15 @@ func BuildChannelConfig(params map[string]string, seed uint64) (ChannelConfig, e
 	return cfg, nil
 }
 
-// ChannelTrial runs one covert-channel trial from declarative parameters
-// at the given seed and returns its scalar metrics — the harness's
-// "channel" study. A run whose setup fails returns an error (the harness
-// records it as a cell failure).
-func ChannelTrial(params map[string]string, seed uint64, withMetrics bool) (map[string]float64, *obs.Snapshot, error) {
-	return ChannelTrialWarm(params, seed, withMetrics, nil)
-}
-
-// ChannelTrialWarm is ChannelTrial with an optional warm-state cache: when
-// warm is non-nil and the config qualifies for warm forking (no noise, no
-// faults, no observer — see warmRestriction), the trial forks a cached
-// warmed platform instead of warming its own. The result is exactly the
-// one a fresh run produces, so callers may mix cached and uncached trials
-// freely; configs the warm path cannot carry silently fall back to
-// RunChannel.
+// ChannelTrialWarm runs one covert-channel trial from declarative
+// parameters at the given seed and returns its scalar metrics — the
+// harness's "channel" study. A run whose setup fails returns an error (the
+// harness records it as a cell failure). When warm is non-nil and the
+// config qualifies for warm forking (no noise, no faults, no observer — see
+// warmRestriction), the trial forks a cached warmed platform instead of
+// warming its own. The result is exactly the one a fresh run produces, so
+// callers may mix cached and uncached trials freely; configs the warm path
+// cannot carry silently fall back to RunChannel.
 func ChannelTrialWarm(params map[string]string, seed uint64, withMetrics bool, warm *WarmCache) (map[string]float64, *obs.Snapshot, error) {
 	cfg, err := BuildChannelConfig(params, seed)
 	if err != nil {

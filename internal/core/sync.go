@@ -98,16 +98,12 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		return nil, err
 	}
 	cfg.Repetition = 0 // the repeated frame replaces repetition coding
-	s, err := prepareChannel(cfg)
+	s, plat, err := startChannel(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.cfg
-	plat := cfg.boot()
 	defer plat.Close()
-	if err := s.createProcs(plat, 1); err != nil {
-		return nil, err
-	}
+	cfg = s.cfg
 
 	// The trojan picks its own start; the spy knows only "after the
 	// search phase, eventually".
@@ -124,7 +120,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 
 	res := &InBandResult{Sent: cfg.Bits}
 
-	plat.SpawnThread("ib-trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
+	trojanTh := plat.SpawnThread("ib-trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if !s.trojanWarm(th) {
 			return
 		}
@@ -137,7 +133,7 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		}
 	})
 
-	plat.SpawnThread("ib-spy", s.spyProc, spyCore, func(th *platform.Thread) {
+	spyTh := plat.SpawnThread("ib-spy", s.spyProc, spyCore, func(th *platform.Thread) {
 		if !s.spyWarm(th) {
 			return
 		}
@@ -185,6 +181,10 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 		}
 	})
 
+	if _, err := s.environment(plat, trojanTh, spyTh, tEnd); err != nil {
+		return nil, err
+	}
+
 	plat.Run(tEnd + 4_000_000)
 	if err := s.err(); err != nil {
 		return res, err
@@ -192,12 +192,8 @@ func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 	if res.Received == nil {
 		return res, fmt.Errorf("core: in-band spy never completed")
 	}
-	for i := range res.Sent {
-		if res.Received[i] != res.Sent[i] {
-			res.BitErrors++
-		}
-	}
-	res.ErrorRate = float64(res.BitErrors) / float64(len(res.Sent))
+	wrong, rate := countErrors(res.Sent, res.Received)
+	res.BitErrors, res.ErrorRate = len(wrong), rate
 	// Effective rate includes the framing and repetition cost.
 	res.KBps = plat.WindowKBps(cfg.Window) * float64(len(cfg.Bits)) /
 		float64((res.Attempt+1)*len(frame))

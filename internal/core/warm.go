@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"meecc/internal/enclave"
 	"meecc/internal/platform"
 	"meecc/internal/sim"
 )
@@ -15,22 +14,27 @@ import (
 // forks the snapshot per transmission, so a sweep over windows or payloads
 // pays the ~76M-cycle warm-up once instead of once per cell.
 //
-// A warm state is tied to the exact machine and schedule it was produced
-// under; Run rejects configs that would have changed the warm phase.
+// A warm state holds only what its warm phase computed and the inputs it
+// was computed from, so two configs with one warmKey yield equal states.
+// Run rejects configs whose inputs differ.
 type ChannelWarmState struct {
-	warmCfg ChannelConfig // defaults applied; Bits/Window vary per Run
+	in warmInputs
 
 	snap                  *platform.Snapshot
-	trojanSt, spySt       platform.ThreadState
-	trojanClock, spyClock sim.Cycles
+	trojanClock, spyClock sim.Cycles // where each warm actor finished
+	warmed
+}
 
-	evSet        []enclave.VAddr
-	monitor      enclave.VAddr
-	spyThreshold sim.Cycles
+// warmInputs are what a warm phase depends on: the machine and the
+// eviction mode. The schedule, core placement and agreed index are package
+// constants, and warmRestriction keeps everything else off the warm path.
+type warmInputs struct {
+	Options
+	TwoPhaseEviction bool
+}
 
-	evictionSetSize int
-	monitorScore    int
-	setupCycles     sim.Cycles
+func warmInputsOf(cfg ChannelConfig) warmInputs {
+	return warmInputs{cfg.Options, cfg.TwoPhaseEviction}
 }
 
 // warmRestriction reports why cfg cannot use the warm-fork path. Noise and
@@ -57,35 +61,29 @@ func warmRestriction(cfg ChannelConfig) error {
 // they only shape the transmit phase and are taken from the config passed
 // to each Run.
 func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
-	cfg.applyDefaults()
 	if err := warmRestriction(cfg); err != nil {
 		return nil, err
 	}
-	warm := cfg
-	warm.Bits, warm.Repetition = nil, 0
-	s, err := prepareChannel(warm)
+	cfg.Bits, cfg.Repetition = nil, 0
+	s, plat, err := startChannel(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	plat := warm.boot()
 	defer plat.Close()
-	if err := s.createProcs(plat, 1); err != nil {
-		return nil, err
-	}
 
-	ws := &ChannelWarmState{warmCfg: s.cfg}
+	ws := &ChannelWarmState{in: warmInputsOf(s.cfg)}
 	// Warm actors are spawned in the same order as RunChannel's combined
 	// actors (trojan first, then spy), so they get the same spawn ids and
 	// the engine breaks clock ties identically — the warm operation stream
 	// is bit-for-bit the one a fresh full run would produce.
 	plat.SpawnThread("trojan", s.trojanProc, trojanCore, func(th *platform.Thread) {
 		if s.trojanWarm(th) {
-			ws.trojanSt, ws.trojanClock = th.State(), th.Now()
+			ws.trojanClock = th.Now()
 		}
 	})
 	plat.SpawnThread("spy", s.spyProc, spyCore, func(th *platform.Thread) {
 		if s.spyWarm(th) {
-			ws.spySt, ws.spyClock = th.State(), th.Now()
+			ws.spyClock = th.Now()
 		}
 	})
 	plat.Run(-1)
@@ -93,23 +91,17 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 		return nil, err
 	}
 	ws.snap = plat.Snapshot()
-	ws.evSet = s.evSet
-	ws.monitor = s.monitor
-	ws.spyThreshold = s.spyThreshold
-	ws.evictionSetSize = s.res.EvictionSetSize
-	ws.monitorScore = s.res.MonitorScore
-	ws.setupCycles = s.res.SetupCycles
+	ws.warmed = s.warmed
 	return ws, nil
 }
 
 // compatible rejects configs whose warm phase would have differed from the
 // one this state was produced under.
 func (ws *ChannelWarmState) compatible(cfg ChannelConfig) error {
-	w := ws.warmCfg
 	switch {
-	case cfg.Options != w.Options:
+	case cfg.Options != ws.in.Options:
 		return fmt.Errorf("core: warm state options mismatch")
-	case cfg.TwoPhaseEviction != w.TwoPhaseEviction:
+	case cfg.TwoPhaseEviction != ws.in.TwoPhaseEviction:
 		return fmt.Errorf("core: warm state TwoPhaseEviction mismatch")
 	}
 	return nil
@@ -123,7 +115,6 @@ func (ws *ChannelWarmState) compatible(cfg ChannelConfig) error {
 // the engine's RNG stream and memory state exactly where the warm phase
 // ended (see TestWarmForkMatchesFreshRun).
 func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
-	cfg.applyDefaults()
 	if err := warmRestriction(cfg); err != nil {
 		return nil, err
 	}
@@ -133,33 +124,23 @@ func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
-	s, err := prepareChannel(cfg)
-	if err != nil {
-		return nil, err
-	}
+	s := prepareChannel(cfg)
 	plat := ws.snap.Fork()
 	defer plat.Close()
 	s.trojanProc, s.spyProc = plat.Procs()[0], plat.Procs()[1]
-	s.trojanReady = true
-	s.evSet = ws.evSet
-	s.monitor = ws.monitor
-	s.spyThreshold = ws.spyThreshold
-	s.liveEvictionSet = ws.evSet
-	s.liveMonitor = []enclave.VAddr{ws.monitor}
-	s.res.EvictionSetSize = ws.evictionSetSize
-	s.res.MonitorScore = ws.monitorScore
-	s.res.SetupCycles = ws.setupCycles
-	s.res.SpyThreshold = ws.spyThreshold
+	s.warmed = ws.warmed
 
 	// Same spawn order as RunChannel (trojan id 0, spy id 1, stats-reset
-	// next), so clock ties resolve as they would in a fresh run.
-	plat.ResumeThread("trojan", s.trojanProc, ws.trojanClock, ws.trojanSt, func(th *platform.Thread) {
-		s.trojanTransmit(th)
-	})
-	plat.ResumeThread("spy", s.spyProc, ws.spyClock, ws.spySt, func(th *platform.Thread) {
-		s.spyTransmit(th)
-	})
-	s.spawnStatsReset(plat)
+	// next), so clock ties resolve as they would in a fresh run. Each
+	// thread resumes on its home core in enclave mode with nothing
+	// pending: only a fault campaign moves a thread or leaves it a stall,
+	// timer drift or jitter, and warmRestriction keeps campaigns off warm
+	// states.
+	plat.ResumeThread("trojan", s.trojanProc, ws.trojanClock,
+		platform.ThreadState{Core: trojanCore, EnclaveMode: true}, s.trojanTransmit)
+	plat.ResumeThread("spy", s.spyProc, ws.spyClock,
+		platform.ThreadState{Core: spyCore, EnclaveMode: true}, s.spyTransmit)
+	spawnStatsReset(plat, s.t0)
 
 	plat.Run(s.tEnd + s.cfg.Window)
 	return s.finish(plat, nil)

@@ -123,14 +123,14 @@ func (c *WarmCache) Stats() WarmCacheStats {
 	}
 }
 
-// warmKey identifies a warm phase: everything WarmChannel's product depends
-// on and ChannelWarmState.Run checks compatibility against. Configs that
-// differ only in transmit-side knobs (Bits, Window, ProbePhase, Repetition)
-// share a key.
-func warmKey(cfg ChannelConfig) string {
-	o := cfg.Options
+// warmKey identifies a warm phase by its inputs: everything WarmChannel's
+// product depends on and ChannelWarmState.Run checks compatibility against.
+// Configs that differ only in transmit-side knobs (Bits, Window, ProbePhase,
+// Repetition) share a key, and their warm states encode to one blob.
+func warmKey(in warmInputs) string {
+	o := in.Options
 	return fmt.Sprintf("seed=%d epc=%d pol=%q rev=%g meeways=%d twophase=%t",
-		o.Seed, o.EPCMode, o.MEEPolicy, o.RandomEvictProb, o.MEEWays, cfg.TwoPhaseEviction)
+		o.Seed, o.EPCMode, o.MEEPolicy, o.RandomEvictProb, o.MEEWays, in.TwoPhaseEviction)
 }
 
 // diskKey maps a warm key to its content address in the store. The warm key
@@ -146,11 +146,10 @@ func diskKey(warmKey string) string {
 // warm in parallel. Errors are cached too (a machine whose warm phase fails,
 // fails the same way every time).
 func (c *WarmCache) Warm(cfg ChannelConfig) (*ChannelWarmState, error) {
-	cfg.applyDefaults()
 	if err := warmRestriction(cfg); err != nil {
 		return nil, err
 	}
-	key := warmKey(cfg)
+	key := warmKey(warmInputsOf(cfg))
 	var evicted []*warmEntry
 	c.mu.Lock()
 	e, ok := c.m[key]

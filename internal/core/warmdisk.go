@@ -3,42 +3,38 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"meecc/internal/enclave"
-	"meecc/internal/platform"
 	"meecc/internal/sim"
 	"meecc/internal/snapstore"
 )
 
-// Encode serializes the warm state — the warm-phase config it was produced
-// under, both actors' resume points, the derived channel parameters, and the
-// full platform snapshot — into a sealed snapstore blob, framed and
-// checksummed in the one buffer it is encoded into. Decode of the blob
-// yields a state whose Run produces results DeepEqual to this one's.
+// Encode serializes the warm state — the warm inputs it was produced from,
+// both actors' resume clocks, what the warm phase computed, and the full
+// platform snapshot — into a sealed snapstore blob, framed and checksummed
+// in the one buffer it is encoded into. Decode of the blob yields a state
+// whose Run produces results DeepEqual to this one's. The blob is a
+// function of the state's warmKey: nothing a transmit config sets reaches
+// it.
 func (ws *ChannelWarmState) Encode() ([]byte, error) {
-	// The warm config is nil in every field warmRestriction forbids
-	// (Obs, Fault, onPlatform) and carries no payload (Bits cleared by
-	// WarmChannel), so canonical JSON captures it exactly.
-	cfgJSON, err := json.Marshal(ws.warmCfg)
+	// The warm inputs hold a nil observer (warmRestriction), so canonical
+	// JSON captures them exactly.
+	inJSON, err := json.Marshal(ws.in)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding warm config: %w", err)
+		return nil, fmt.Errorf("core: encoding warm inputs: %w", err)
 	}
 	w := snapstore.NewSealWriter(snapstore.KindWarm)
-	w.Blob(cfgJSON)
-	writeThreadState(w, ws.trojanSt)
-	writeThreadState(w, ws.spySt)
+	w.Blob(inJSON)
 	w.I64(int64(ws.trojanClock))
 	w.I64(int64(ws.spyClock))
 	w.U64(uint64(len(ws.evSet)))
 	for _, va := range ws.evSet {
 		w.U64(uint64(va))
 	}
-	w.U64(uint64(ws.monitor))
-	w.I64(int64(ws.spyThreshold))
-	w.I64(int64(ws.evictionSetSize))
-	w.I64(int64(ws.monitorScore))
 	w.I64(int64(ws.setupCycles))
+	w.I64(int64(ws.spyThreshold))
+	w.I64(int64(ws.monitorScore))
+	w.U64(uint64(ws.monitor))
 	// The snapshot is nearly all of the blob; AppendSnapshot sizes the
 	// buffer for it before writing.
 	if err := snapstore.AppendSnapshot(w, ws.snap); err != nil {
@@ -55,27 +51,23 @@ func DecodeWarmState(blob []byte) (*ChannelWarmState, error) {
 		return nil, err
 	}
 	r := snapstore.NewReader(payload)
-	cfgJSON := r.Blob()
+	inJSON := r.Blob()
 	ws := &ChannelWarmState{}
-	ws.trojanSt = readThreadState(r)
-	ws.spySt = readThreadState(r)
 	ws.trojanClock = sim.Cycles(r.I64())
 	ws.spyClock = sim.Cycles(r.I64())
-	n := r.Count(8)
-	ws.evSet = make([]enclave.VAddr, n)
+	ws.evSet = make([]enclave.VAddr, r.Count(8))
 	for i := range ws.evSet {
 		ws.evSet[i] = enclave.VAddr(r.U64())
 	}
-	ws.monitor = enclave.VAddr(r.U64())
-	ws.spyThreshold = sim.Cycles(r.I64())
-	ws.evictionSetSize = int(r.I64())
-	ws.monitorScore = int(r.I64())
 	ws.setupCycles = sim.Cycles(r.I64())
+	ws.spyThreshold = sim.Cycles(r.I64())
+	ws.monitorScore = int(r.I64())
+	ws.monitor = enclave.VAddr(r.U64())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(cfgJSON, &ws.warmCfg); err != nil {
-		return nil, fmt.Errorf("%w: warm config: %v", snapstore.ErrCorrupt, err)
+	if err := json.Unmarshal(inJSON, &ws.in); err != nil {
+		return nil, fmt.Errorf("%w: warm inputs: %v", snapstore.ErrCorrupt, err)
 	}
 	snap, err := snapstore.ReadSnapshot(r)
 	if err != nil {
@@ -86,22 +78,4 @@ func DecodeWarmState(blob []byte) (*ChannelWarmState, error) {
 	}
 	ws.snap = snap
 	return ws, nil
-}
-
-func writeThreadState(w *snapstore.Writer, st platform.ThreadState) {
-	w.I64(int64(st.Core))
-	w.Bool(st.EnclaveMode)
-	w.I64(int64(st.PendingStall))
-	w.I64(int64(st.TimerDrift))
-	w.U64(math.Float64bits(st.TimerJitter))
-}
-
-func readThreadState(r *snapstore.Reader) platform.ThreadState {
-	return platform.ThreadState{
-		Core:         int(r.I64()),
-		EnclaveMode:  r.Bool(),
-		PendingStall: sim.Cycles(r.I64()),
-		TimerDrift:   sim.Cycles(r.I64()),
-		TimerJitter:  math.Float64frombits(r.U64()),
-	}
 }

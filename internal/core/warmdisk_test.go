@@ -67,6 +67,35 @@ func TestWarmStateDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWarmBlobIsAFunctionOfItsKey: two configs that share a warmKey but
+// differ in every transmit-side knob warm to byte-identical blobs, so the
+// servers that spill one store key write one blob, whichever cell warmed
+// it.
+func TestWarmBlobIsAFunctionOfItsKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	a := DefaultChannelConfig(7)
+	b := a
+	b.Window, b.ProbePhase, b.Repetition, b.Bits = 10_000, 0.8, 3, RandomBits(7, 12)
+	if ka, kb := warmKey(warmInputsOf(a)), warmKey(warmInputsOf(b)); ka != kb {
+		t.Fatalf("keys differ: %q and %q", ka, kb)
+	}
+	var blobs [2][]byte
+	for i, cfg := range []ChannelConfig{a, b} {
+		ws, err := WarmChannel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = ws.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Errorf("one key, two blobs: %d and %d bytes", len(blobs[0]), len(blobs[1]))
+	}
+}
+
 // TestWarmCacheSpillSingleflight pins the spill/re-warm race: while an
 // evicted entry's disk spill is still in flight, a miss on the same key must
 // adopt the in-flight entry — not recompute the warm phase (the entry is
@@ -205,9 +234,7 @@ func TestWarmCacheDiskTier(t *testing.T) {
 	want("after evicting the faulted-in A", 2, 2, 2)
 
 	// A blob the store has dropped since the fault-in is spilled again.
-	keyCfg := cfgA
-	keyCfg.applyDefaults()
-	keyA := diskKey(warmKey(keyCfg))
+	keyA := diskKey(warmKey(warmInputsOf(cfgA)))
 	blobA, err := store.Get(keyA)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +264,11 @@ func TestWarmCacheDiskTier(t *testing.T) {
 		t.Fatalf("A's damaged blob was not rewritten (err %v)", err)
 	}
 
-	// A blob of the previous format version (4, whose LLC line buffers
-	// carried their own dirty flag), sealed with a valid trailer,
-	// is not misread: Unseal rejects its version, A is recomputed, and its
-	// eviction rewrites the blob in the current version.
+	// A blob of the previous format version (6, whose warm fields carried
+	// the warming trial's whole config and both threads' states), sealed
+	// with a valid trailer, is not misread: Unseal rejects its version, A
+	// is recomputed, and its eviction rewrites the blob in the current
+	// version.
 	old := bytes.Clone(blobA)
 	binary.LittleEndian.PutUint32(old[len("MEECSNP\x00"):], snapstore.Version-1)
 	sum := sha256.Sum256(old[:len(old)-sha256.Size])
@@ -322,21 +350,22 @@ func TestWarmCacheConcurrentEvictions(t *testing.T) {
 }
 
 // TestWarmStateBlobPinned pins the warm-state wire format: Encode's blobs
-// at two seeds keep the digests of format version 6, the sparse images in
-// which each cache image alone records which line its ways hold and which
-// of them are dirty: MEE node buffers carry no slot, address, kind or dirty
-// flag, LLC line buffers no slot or dirty flag, and neither the MEE policy
-// name nor the DRAM page count is stored twice. Nor is what the seed fixes
-// stored: decode draws the MEE master key and the EPC frame order again.
-// A change to the layout is a format change, which bumps
-// snapstore.Version; blobs of another version are recomputed, not misread
-// (TestWarmCacheDiskTier). A change to the warm config's JSON alone keeps
-// the version when older blobs still decode to states that run
-// identically: the decoder ignores JSON fields the config no longer has.
+// at two seeds keep the digests of format version 7. Its snapshot is
+// version 6's sparse image, in which each cache image alone records which
+// line its ways hold and which of them are dirty, and which stores nothing
+// the seed fixes: decode draws the MEE master key and the EPC frame order
+// again. Version 7's warm fields hold only what the warm phase computed
+// and the warm inputs it was computed from (the machine options and the
+// eviction mode): no transmit-side config, no thread state, no eviction-set
+// size beside the set. A change to the layout is a format change, which
+// bumps snapstore.Version; blobs of another version are recomputed, not
+// misread (TestWarmCacheDiskTier). A change to the warm inputs' JSON alone
+// keeps the version when older blobs still decode to states that run
+// identically: the decoder ignores JSON fields the inputs no longer have.
 // It also bounds what one Encode allocates: the blob's one buffer plus the
 // state export it is written from, under 2.5x the blob. The bound is read
 // on a second Encode, because the first in a process also builds
-// encoding/json's type cache for the configs it marshals.
+// encoding/json's type cache for the inputs it marshals.
 func TestWarmStateBlobPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -346,8 +375,8 @@ func TestWarmStateBlobPinned(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{7, 161888, "86c2f6c38e887584fdee477e091e657fc60908ae258cb12aaf887316e9afd199"},
-		{1007, 161894, "eead52c13a9ef63db19e0c87e837739e6a10874f8c2d09a21c81f32751a25658"},
+		{7, 161731, "f163bd8cd5ac07b3719cfa4dec3cca27047bfa825290b786fed71df3904e2cbb"},
+		{1007, 161737, "a282bbb79815e74d4ff55e6fc8b1ca5c5703c2b19cf2de7f1a6346a341e2340f"},
 	} {
 		ws, err := WarmChannel(DefaultChannelConfig(tc.seed))
 		if err != nil {

@@ -127,7 +127,7 @@ func TestSharedAxesWarmMatchesFreshAcrossWorkers(t *testing.T) {
 		SharedAxes: []string{"window"},
 	}
 	fresh := func(j Job) (Metrics, *obs.Snapshot, error) {
-		return core.ChannelTrial(j.Params(), j.Seed, j.Spec.Metrics)
+		return core.ChannelTrialWarm(j.Params(), j.Seed, j.Spec.Metrics, nil)
 	}
 
 	var artifacts [][]byte

@@ -151,48 +151,6 @@ func TestSnapshotEncodeCanonicalAndDecodes(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h")
-	c.Add(3)
-	h.Observe(2)
-	prev := r.Snapshot()
-	c.Add(4)
-	h.Observe(2)
-	h.Observe(100)
-	d := r.Snapshot().Diff(prev)
-	if d.Counters["c"] != 4 {
-		t.Errorf("counter delta %d, want 4", d.Counters["c"])
-	}
-	dh := d.Histograms["h"]
-	if dh.Count != 2 || dh.Sum != 102 {
-		t.Errorf("histogram delta %+v", dh)
-	}
-	var lo2, lo64 uint64
-	for _, b := range dh.Buckets {
-		switch b.Lo {
-		case 2:
-			lo2 = b.Count
-		case 64:
-			lo64 = b.Count
-		}
-	}
-	if lo2 != 1 || lo64 != 1 {
-		t.Errorf("delta buckets %+v", dh.Buckets)
-	}
-	// Diff against nil passes everything through.
-	full := r.Snapshot().Diff(nil)
-	if full.Counters["c"] != 7 {
-		t.Errorf("diff vs nil = %v", full.Counters)
-	}
-	// Unchanged counters are dropped.
-	same := r.Snapshot().Diff(r.Snapshot())
-	if len(same.Counters) != 0 || len(same.Histograms) != 0 {
-		t.Errorf("self-diff not empty: %+v", same)
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("bits").Add(10)

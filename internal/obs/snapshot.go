@@ -109,47 +109,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// Diff returns s minus prev as a new snapshot: counter-wise subtraction,
-// histogram count/sum/bucket subtraction (Min/Max are taken from s — a
-// histogram cannot un-observe). Names absent from prev pass through; names
-// whose delta is zero are dropped. prev may be nil.
-func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	d := NewSnapshot()
-	for name, v := range s.Counters {
-		var p uint64
-		if prev != nil {
-			p = prev.Counters[name]
-		}
-		if v > p {
-			d.Counters[name] = v - p
-		}
-	}
-	for name, h := range s.Histograms {
-		var p HistogramSnapshot
-		if prev != nil {
-			p = prev.Histograms[name]
-		}
-		if h.Count <= p.Count {
-			continue
-		}
-		prevAt := make(map[int64]uint64, len(p.Buckets))
-		for _, b := range p.Buckets {
-			prevAt[b.Lo] = b.Count
-		}
-		dh := HistogramSnapshot{Count: h.Count - p.Count, Sum: h.Sum - p.Sum, Min: h.Min, Max: h.Max}
-		for _, b := range h.Buckets {
-			if n := b.Count - prevAt[b.Lo]; n > 0 {
-				dh.Buckets = append(dh.Buckets, HistBucket{Lo: b.Lo, Hi: b.Hi, Count: n})
-			}
-		}
-		d.Histograms[name] = dh
-	}
-	return d
-}
-
 // Merge copies every instrument of other into s under prefix+name,
 // overwriting on collision. Used to combine per-arm snapshots (chaos static
 // vs. adaptive) into one artifact block. No-op when s or other is nil.

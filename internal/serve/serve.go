@@ -209,16 +209,16 @@ func New(cfg Config) (*Server, error) {
 		s.replay(recs)
 	}
 	s.mux = http.NewServeMux()
-	s.handle("POST /v1/runs", "submit", s.handleSubmit)
-	s.handle("GET /v1/runs", "list", s.handleList)
-	s.handle("GET /v1/runs/{id}", "status", s.handleStatus)
-	s.handle("DELETE /v1/runs/{id}", "cancel", s.handleCancel)
-	s.handle("GET /v1/runs/{id}/events", "events", s.handleEvents)
-	s.handle("GET /v1/runs/{id}/artifact", "artifact", s.handleArtifact)
-	s.handle("GET /v1/runs/{id}/trace", "trace", s.handleTrace)
+	s.handle("POST /v1/runs", "submit", http.StatusAccepted, s.handleSubmit)
+	s.handle("GET /v1/runs", "list", http.StatusOK, s.handleList)
+	s.handle("GET /v1/runs/{id}", "status", http.StatusOK, s.handleStatus)
+	s.handle("DELETE /v1/runs/{id}", "cancel", http.StatusOK, s.handleCancel)
+	s.handle("GET /v1/runs/{id}/events", "events", http.StatusOK, s.handleEvents)
+	s.handle("GET /v1/runs/{id}/artifact", "artifact", http.StatusOK, s.handleArtifact)
+	s.handle("GET /v1/runs/{id}/trace", "trace", http.StatusOK, s.handleTrace)
 	s.mux.Handle("GET /metrics", s.ops.Handler())
-	s.handle("GET /healthz", "healthz", s.handleHealthz)
-	s.handle("GET /readyz", "readyz", s.handleReadyz)
+	s.handle("GET /healthz", "healthz", http.StatusOK, s.handleHealthz)
+	s.handle("GET /readyz", "readyz", http.StatusOK, s.handleReadyz)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -353,7 +353,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.ops.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "draining").Inc()
+		s.inst.rejectedDraining.Inc()
 		s.log.Warn("submission rejected: draining", "study", spec.Study, "name", spec.Name)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
@@ -507,7 +507,7 @@ func (s *Server) marshalArtifact(ru *run, rep *exp.Report) ([]byte, error) {
 // the outcome counter and a structured log line with the run's per-run
 // execute/memo split.
 func (s *Server) finishedOps(ru *run, outcome, errMsg string) {
-	s.ops.Counter("meecc_serve_runs_finished_total", "Runs reaching a terminal state.", "outcome", outcome).Inc()
+	s.inst.runsFinished[outcome].Inc()
 	kv := []any{"run", ru.id, "outcome", outcome,
 		"executed", ru.executed.Load(), "memoized", ru.memoized.Load()}
 	if errMsg != "" {

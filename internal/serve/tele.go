@@ -14,11 +14,16 @@ import (
 )
 
 // serveInstruments holds the hot-path instrument handles, resolved once at
-// New so request and trial paths never touch the registry's lookup mutex.
+// New so that admission, run and trial paths never touch the registry's
+// lookup mutex. The per-route handles live in handle's closures. One path
+// still looks a series up per event: an HTTP response whose code is not
+// its route's success code (an error, or cancel's 202 for a running run).
 // Stats reads its counts from these handles too.
 type serveInstruments struct {
 	runsSubmitted    *ops.Counter
 	rejectedOverload *ops.Counter
+	rejectedDraining *ops.Counter
+	runsFinished     map[string]*ops.Counter // by outcome
 	runsActive       *ops.Gauge
 	runSeconds       *ops.Histogram
 	queueWait        *ops.Histogram
@@ -54,9 +59,10 @@ func (s *Server) registerOps() {
 	// Admission and run lifecycle.
 	s.inst.runsSubmitted = reg.Counter("meecc_serve_runs_submitted_total", "Runs admitted by POST /v1/runs.")
 	s.inst.rejectedOverload = reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "overload")
-	reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "draining")
+	s.inst.rejectedDraining = reg.Counter("meecc_serve_runs_rejected_total", "Run submissions rejected.", "reason", "draining")
+	s.inst.runsFinished = map[string]*ops.Counter{}
 	for _, outcome := range []string{"done", "failed", "cancelled", "interrupted"} {
-		reg.Counter("meecc_serve_runs_finished_total", "Runs reaching a terminal state.", "outcome", outcome)
+		s.inst.runsFinished[outcome] = reg.Counter("meecc_serve_runs_finished_total", "Runs reaching a terminal state.", "outcome", outcome)
 	}
 	s.inst.runsActive = reg.Gauge("meecc_serve_runs_active", "Runs executing right now.")
 	reg.GaugeFunc("meecc_serve_queue_depth", "Admitted runs waiting for a run slot.", func() float64 {
@@ -154,12 +160,14 @@ func (sw *statusWriter) Flush() {
 
 // handle registers a route with request counting and latency recording under
 // an explicit handler name (Go 1.22's mux does not expose the matched
-// pattern to the handler, so each registration names itself).
-func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
+// pattern to the handler, so each registration names itself). ok is the
+// route's success code. Its series is resolved here, once, so the family is
+// present on the very first scrape and a successful request counts itself
+// without a registry lookup; a response with any other code looks its
+// series up.
+func (s *Server) handle(pattern, name string, ok int, h http.HandlerFunc) {
 	seconds := s.ops.Histogram("meecc_http_request_seconds", "Wall time of HTTP requests.", nil, "handler", name)
-	// Pre-create the common-case series so the family is present on the very
-	// first scrape, before any request completes.
-	s.ops.Counter("meecc_http_requests_total", "HTTP requests served.", "handler", name, "code", "200")
+	okRequests := s.ops.Counter("meecc_http_requests_total", "HTTP requests served.", "handler", name, "code", strconv.Itoa(ok))
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -167,6 +175,10 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 		seconds.ObserveSince(start)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
+		}
+		if sw.code == ok {
+			okRequests.Inc()
+			return
 		}
 		s.ops.Counter("meecc_http_requests_total", "HTTP requests served.",
 			"handler", name, "code", strconv.Itoa(sw.code)).Inc()
