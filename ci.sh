@@ -141,9 +141,12 @@ echo "== fuzz smoke: internal/platform =="
 # FuzzWaitTimer: the timer-wait collapse commits a whole poll loop in one
 # scheduling step; for any clock, deadline, timer model and Run limit it must
 # end exactly where polling one read at a time would, under both schedulers.
+# FuzzAccessFlush: the access–flush collapse applies a load+clflush pair as
+# what it leaves behind; for any multi-thread script and Run limit it must
+# leave what the literal Access then Flush leaves, under both schedulers.
 # FuzzForkEquivalence: a fork replays the stream of a platform that never
 # forked, even after the snapshot's parent runs on over the shared state.
-for target in FuzzWaitTimer FuzzForkEquivalence; do
+for target in FuzzWaitTimer FuzzAccessFlush FuzzForkEquivalence; do
     go test ./internal/platform -run '^$' -fuzz "^$target\$" -fuzztime 5s
 done
 

@@ -325,6 +325,31 @@ func (c *Cache) InsertWay(set int, tag Tag, dirty bool) (way int, evicted Line) 
 	return way, evicted
 }
 
+// Full reports whether every way of set holds a line, so that an insert of
+// a line set does not hold evicts one.
+func (c *Cache) Full(set int) bool { return c.valid[set] == c.full }
+
+// Transit records a clean line that set does not hold passing through it:
+// what InsertWay(set, tag, false) and then InvalidateWay(set, tag) leave
+// behind. In a set with an empty way that is the policy's Fill and
+// Invalidate of the lowest empty way, one fill and one invalidation; no
+// tag, valid bit or dirty bit is written, because the way ends as empty as
+// it began. In a full set the pair runs as written, so its victim leaves.
+func (c *Cache) Transit(set int, tag Tag) {
+	m := c.valid[set]
+	if m == c.full {
+		c.InsertWay(set, tag, false)
+		c.InvalidateWay(set, tag)
+		return
+	}
+	w := c.window(c.blocks.Write(set))
+	way := bits.TrailingZeros64(^m)
+	c.policy.Fill(w, way)
+	c.policy.Invalidate(w, way)
+	c.stats.Fills++
+	c.stats.Invalidations++
+}
+
 // Invalidate removes tag from set (clflush semantics). It returns the line
 // that was removed; Valid=false means the tag was not resident. Dirty
 // removals count as writebacks.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,49 @@ func TestStatsHitMissCounting(t *testing.T) {
 	c.ResetStats()
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("stats not reset: %+v", st)
+	}
+}
+
+// TestTransitMatchesInsertInvalidate checks Transit against the pair it
+// stands for under every policy: two caches run the same random lookups,
+// dirty inserts and invalidations over a few sets, and wherever one takes a
+// Transit of an absent line the other inserts and invalidates it. Their
+// images (valid and dirty masks, tags, windows, statistics, eviction
+// counters) must stay equal, in sets with an empty way, where Transit
+// writes only the window, and in full sets, where a victim leaves.
+func TestTransitMatchesInsertInvalidate(t *testing.T) {
+	for _, name := range policyNames {
+		transit, err := PolicyByName(name, rand.New(rand.NewPCG(5, 5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, _ := PolicyByName(name, rand.New(rand.NewPCG(5, 5)))
+		a, b := New("c", 4, 4, transit), New("c", 4, 4, pair)
+		ops := rand.New(rand.NewPCG(9, uint64(len(name))))
+		for i := 0; i < 3000; i++ {
+			set, tag := ops.IntN(4), Tag(ops.IntN(24))
+			switch ops.IntN(4) {
+			case 0:
+				a.Lookup(set, tag)
+				b.Lookup(set, tag)
+			case 1:
+				dirty := ops.IntN(2) == 0
+				a.Insert(set, tag, dirty)
+				b.Insert(set, tag, dirty)
+			case 2:
+				a.Invalidate(set, tag)
+				b.Invalidate(set, tag)
+			default:
+				if a.Contains(set, tag) {
+					continue
+				}
+				a.Transit(set, tag)
+				b.Insert(set, tag, false)
+				b.Invalidate(set, tag)
+			}
+			if !reflect.DeepEqual(a.ExportState(), b.ExportState()) {
+				t.Fatalf("%s, op %d: Transit and Insert+Invalidate left different images", name, i)
+			}
+		}
 	}
 }

@@ -73,8 +73,7 @@ func EvictionStudy(opts Options, policy string, twoPhase bool, windows int) (*Ev
 
 		for w := 0; w < windows; w++ {
 			// Spy side: touch (and, if missing, re-prime) the monitor.
-			th.Access(monitor)
-			th.Flush(monitor)
+			th.AccessFlush(monitor)
 			th.Spin(2000)
 			// Trojan side: the eviction pass(es).
 			evictPass(th, evSet, twoPhase)

@@ -71,8 +71,7 @@ func InferActivity(opts Options, epochs int, epochLen sim.Cycles) (*ActivityResu
 				continue
 			}
 			for th.Now() < end { // memory phase: stream protected data
-				th.Access(va)
-				th.Flush(va)
+				th.AccessFlush(va)
 				// 4 KB stride keeps the victim's integrity-tree walks deep
 				// (fresh versions and L0 lines every access), the paper's
 				// heavy-MEE-traffic pattern.
@@ -91,8 +90,7 @@ func InferActivity(opts Options, epochs int, epochLen sim.Cycles) (*ActivityResu
 	plat.SpawnThread("act-spy", spyProc, 2, func(th *platform.Thread) {
 		th.EnterEnclave()
 		probe := spyProc.Enclave().Base
-		th.Access(probe)
-		th.Flush(probe)
+		th.AccessFlush(probe)
 		for i := 0; i < epochs; i++ {
 			end := t0 + sim.Cycles(i+1)*epochLen
 			var sum, n int64

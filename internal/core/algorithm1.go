@@ -14,12 +14,10 @@ import (
 // long re-accessing the victim takes. If the set's versions data displaced
 // the victim's, the measured time shows a versions miss.
 func EvictionTest(th *platform.Thread, set []enclave.VAddr, victim enclave.VAddr) sim.Cycles {
-	th.Access(victim)
-	th.Flush(victim)
+	th.AccessFlush(victim)
 	th.Mfence()
 	for _, a := range set {
-		th.Access(a)
-		th.Flush(a)
+		th.AccessFlush(a)
 	}
 	th.Mfence()
 	t := timedAccess(th, victim)

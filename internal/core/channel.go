@@ -49,6 +49,12 @@ type ChannelConfig struct {
 	onPlatform func(plat *platform.Platform, t0, tEnd sim.Cycles)
 }
 
+// errIgnored is a runner's refusal of a ChannelConfig field it does not act
+// on: a caller that sets one gets this error, not a run that ignored it.
+func errIgnored(runner, field string) error {
+	return fmt.Errorf("core: %s does not act on ChannelConfig.%s", runner, field)
+}
+
 // Core placement: trojan, spy and noise run on three distinct physical
 // cores, as in the paper's threat model.
 const (
@@ -377,8 +383,7 @@ func (s *channelSession) trojanTransmit(th *platform.Thread) {
 // decode each window. The probe itself re-primes after a miss.
 func (s *channelSession) spyTransmit(th *platform.Thread) {
 	th.WaitTimer(s.t0 - 5000)
-	th.Access(s.monitor)
-	th.Flush(s.monitor)
+	th.AccessFlush(s.monitor)
 	s.res.Received = make([]byte, len(s.cfg.Bits))
 	s.res.ProbeTimes = make([]sim.Cycles, len(s.cfg.Bits))
 	probeOffset := sim.Cycles(float64(s.cfg.Window) * s.cfg.ProbePhase)

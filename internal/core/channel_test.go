@@ -278,6 +278,48 @@ func TestEnvironmentReachesEverySessionRunner(t *testing.T) {
 	}
 }
 
+// TestRunnersRefuseWhatTheyIgnore holds the LLC and parallel channels to
+// the rule every channel runner keeps: a ChannelConfig field it is given
+// either changes its output or comes back as an error that names the
+// field. The LLC channel arms neither noise nor faults and the parallel
+// lanes arm no faults, so each row's run must be refused.
+func TestRunnersRefuseWhatTheyIgnore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	llc := func(c ChannelConfig) (any, error) { return RunLLCChannel(c) }
+	lanes := func(c ChannelConfig) (any, error) { return RunParallelChannel(c, 2) }
+	campaign := func(c *ChannelConfig) {
+		c.Fault = &fault.Config{Seed: 3, Kinds: []fault.Kind{fault.Timer, fault.Migration, fault.Paging}, Intensity: 1}
+	}
+	rows := []struct {
+		name, field string
+		run         func(ChannelConfig) (any, error)
+		set         func(*ChannelConfig)
+	}{
+		{"RunLLCChannel/mee4k", "Noise", llc, func(c *ChannelConfig) { c.Noise = NoiseMEE4K }},
+		{"RunLLCChannel/faults", "Fault", llc, campaign},
+		{"RunParallelChannel/faults", "Fault", lanes, campaign},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			quiet, err := row.run(pinnedChannel(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := pinnedChannel(42)
+			row.set(&cfg)
+			res, err := row.run(cfg)
+			switch {
+			case err != nil && !strings.Contains(err.Error(), "ChannelConfig."+row.field):
+				t.Errorf("error %q does not name ChannelConfig.%s", err, row.field)
+			case err == nil && reflect.DeepEqual(res, quiet):
+				t.Errorf("%s was ignored: the output equals the quiet run's", row.field)
+			}
+		})
+	}
+}
+
 func TestRandomReplacementDefeatsSetupGracefully(t *testing.T) {
 	cfg := DefaultChannelConfig(3)
 	cfg.Options.MEEPolicy = "random"

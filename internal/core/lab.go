@@ -94,8 +94,7 @@ func pageAddrs(base enclave.VAddr, pages, index512 int) []enclave.VAddr {
 // MEE cache, data lines kept out of the CPU caches.
 func prime(th *platform.Thread, set []enclave.VAddr) {
 	for _, a := range set {
-		th.Access(a)
-		th.Flush(a)
+		th.AccessFlush(a)
 	}
 }
 
@@ -105,14 +104,12 @@ func prime(th *platform.Thread, set []enclave.VAddr) {
 // ways the forward one left behind.
 func evictPass(th *platform.Thread, set []enclave.VAddr, twoPhase bool) {
 	for _, a := range set {
-		th.Access(a)
-		th.Flush(a)
+		th.AccessFlush(a)
 	}
 	th.Mfence()
 	if twoPhase {
 		for i := len(set) - 1; i >= 0; i-- {
-			th.Access(set[i])
-			th.Flush(set[i])
+			th.AccessFlush(set[i])
 		}
 		th.Mfence()
 	}
@@ -136,8 +133,7 @@ func findConflict(th *platform.Thread, cands []enclave.VAddr, threshold sim.Cycl
 	for _, cand := range cands {
 		score := 0
 		for i := 0; i < samples; i++ {
-			th.Access(cand)
-			th.Flush(cand)
+			th.AccessFlush(cand)
 			th.SpinUntil(th.Now() + gap)
 			if timedAccess(th, cand) > threshold {
 				score++
@@ -160,8 +156,7 @@ func findConflict(th *platform.Thread, cands []enclave.VAddr, threshold sim.Cycl
 func calibrateThreshold(th *platform.Thread, pool []enclave.VAddr) sim.Cycles {
 	const samples = 40
 	probe := pool[0]
-	th.Access(probe)
-	th.Flush(probe)
+	th.AccessFlush(probe)
 	var hitSum sim.Cycles
 	for i := 0; i < samples; i++ {
 		hitSum += timedAccess(th, probe)
@@ -172,8 +167,7 @@ func calibrateThreshold(th *platform.Thread, pool []enclave.VAddr) sim.Cycles {
 	for _, page := range pool[1:] {
 		// Touch the page's first block to warm its L0 line, then measure
 		// the first touch of the remaining blocks: versions miss, L0 hit.
-		th.Access(page)
-		th.Flush(page)
+		th.AccessFlush(page)
 		for b := 1; b < 8 && n < samples; b++ {
 			missSum += timedAccess(th, page+enclave.VAddr(b*512))
 			th.Flush(page + enclave.VAddr(b*512))

@@ -44,7 +44,8 @@ type AttackFootprint struct {
 // a 16-way LLC eviction set built from hugepage arithmetic, the trojan
 // signals '1' by touching one conflicting address. cfg.Window defaults to
 // 5000 cycles here — LLC channels are faster than the MEE channel because
-// probes hit on-chip.
+// probes hit on-chip. It arms no noise or fault campaign, and returns an
+// error for a cfg that sets Noise or Fault.
 func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
@@ -52,6 +53,14 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	cfg.applyDefaults()
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
+	}
+	// The LLC channel arms no environment: it refuses one rather than run
+	// quiet under its name.
+	switch {
+	case cfg.Noise != NoiseNone:
+		return nil, errIgnored("the LLC channel", "Noise")
+	case cfg.Fault != nil:
+		return nil, errIgnored("the LLC channel", "Fault")
 	}
 	plat := cfg.boot()
 	defer plat.Close()

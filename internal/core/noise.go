@@ -77,8 +77,7 @@ func spawnNoise(plat *platform.Platform, kind NoiseKind, core int, from sim.Cycl
 			for {
 				for off := 0; off < pages*enclave.PageBytes; off += stride {
 					va := base + enclave.VAddr(off)
-					th.Access(va)
-					th.Flush(va)
+					th.AccessFlush(va)
 					// A real workload computes between touches; back-to-back
 					// streaming would model a pathological worst case.
 					th.Spin(500)

@@ -61,14 +61,12 @@ func MeasureOverhead(opts Options, workingSets []int, samples int) ([]OverheadRo
 			}
 			n := ws / stride
 			for i := 0; i < n; i++ {
-				th.Access(base + enclave.VAddr(i*stride))
-				th.Flush(base + enclave.VAddr(i*stride))
+				th.AccessFlush(base + enclave.VAddr(i*stride))
 			}
 			var total int64
 			for i := 0; i < n; i++ {
 				va := base + enclave.VAddr(i*stride)
-				r := th.Access(va)
-				th.Flush(va)
+				r := th.AccessFlush(va)
 				total += int64(r.Lat)
 			}
 			return float64(total) / float64(n)

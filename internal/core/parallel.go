@@ -30,7 +30,8 @@ type ParallelResult struct {
 // work beyond the paper): `lanes` trojan threads transmit concurrently.
 // Bits are consumed lane-major per window: window i carries bits
 // [i*lanes, (i+1)*lanes). Practical lane counts are 1–2 on the paper's
-// 4-core part (the spy and noise need cores too).
+// 4-core part (the spy and noise need cores too). It arms no fault
+// campaign, and returns an error for a cfg that sets Fault.
 func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	cfg.applyDefaults()
 	if err := checkPayload(cfg.Bits); err != nil {
@@ -41,6 +42,9 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	}
 	if len(cfg.Bits)%lanes != 0 {
 		return nil, fmt.Errorf("core: bit count %d not a multiple of lanes %d", len(cfg.Bits), lanes)
+	}
+	if cfg.Fault != nil {
+		return nil, errIgnored("the parallel channel", "Fault")
 	}
 	plat := cfg.boot()
 	defer plat.Close()
@@ -130,8 +134,7 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 
 		th.WaitTimer(t0 - 5000)
 		for _, m := range monitors {
-			th.Access(m)
-			th.Flush(m)
+			th.AccessFlush(m)
 		}
 		res.Received = make([]byte, len(cfg.Bits))
 		res.ProbeTimes = make([]sim.Cycles, len(cfg.Bits))

@@ -83,8 +83,7 @@ func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 		for i, bit := range cfg.Bits {
 			th.WaitTimer(s.t0 + sim.Cycles(i)*cfg.Window)
 			if bit == 1 {
-				th.Access(s.monitor)
-				th.Flush(s.monitor)
+				th.AccessFlush(s.monitor)
 			}
 		}
 	})

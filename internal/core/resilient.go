@@ -611,8 +611,7 @@ func RunResilient(cfg ChannelConfig, payload []byte) (*ResilientResult, error) {
 				// Prime, then decode pilot + chunks with majority voting
 				// over the repetition windows.
 				th.WaitTimer(plan.start - 5000)
-				th.Access(sess.monitor)
-				th.Flush(sess.monitor)
+				th.AccessFlush(sess.monitor)
 				bit := 0
 				readBit := func() byte {
 					ones := 0

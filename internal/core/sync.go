@@ -73,8 +73,7 @@ func findFrame(decoded []byte, payloadLen int) (payload []byte, ok bool) {
 // the spy observed no transmission. Slow polling matters: re-priming the
 // monitor mid-pass would suppress the very evictions being watched for.
 func awaitTransmission(th *platform.Thread, monitor enclave.VAddr, threshold, window, deadline sim.Cycles) (sim.Cycles, int) {
-	th.Access(monitor)
-	th.Flush(monitor)
+	th.AccessFlush(monitor)
 	events := 0
 	for th.TimerNow() < deadline {
 		t := timedAccess(th, monitor)

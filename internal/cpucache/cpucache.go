@@ -436,6 +436,29 @@ func (h *Hierarchy) Flush(addr dram.Addr) (*Victim, sim.Cycles) {
 	return &h.victim, FlushLat
 }
 
+// FillFlush applies what Fill(core, addr, data, false) and then Flush(addr)
+// leave behind when nothing touches the hierarchy between them, for a line
+// that missed every level, and reports true. When addr's LLC set is full it
+// applies nothing and reports false: that fill evicts a line, which Fill
+// hands back to be written back. Otherwise the line would take the LLC's
+// lowest empty way and leave it empty again, with its buffer zero as an
+// empty way's is, so each level keeps only its replacement policy's record
+// (cache.Transit) and the flush is counted; a full L1 or L2 set still
+// evicts its victim. It takes no data, because no line buffer is written.
+func (h *Hierarchy) FillFlush(core int, addr dram.Addr) bool {
+	addr = lineAddr(addr)
+	set := h.llcSet(addr)
+	if h.llc.Full(set) {
+		return false
+	}
+	tag := h.tag(addr)
+	h.llc.Transit(set, tag)
+	h.l2[core].Transit(h.l2Set(addr), tag)
+	h.l1[core].Transit(h.l1Set(addr), tag)
+	h.cFlush.Inc()
+	return true
+}
+
 // setVictim fills the scratch Victim from the buffer of the line at addr,
 // whose LLC way was dirty when it left, copying its bytes only then.
 func (h *Hierarchy) setVictim(addr dram.Addr, b *lineBuf, dirty bool) {

@@ -276,8 +276,7 @@ func (in *Injector) spawnStorm(plat *platform.Platform) {
 				th.SpinUntil(w.Start)
 				for th.Now() < w.End {
 					va := tbase + enclave.VAddr(off%(stormPages*enclave.PageBytes))
-					th.Access(va)
-					th.Flush(va)
+					th.AccessFlush(va)
 					off += enclave.PageBytes
 				}
 			}

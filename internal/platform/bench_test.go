@@ -12,21 +12,26 @@ import (
 // into 8 of the MEE cache's odd sets. 96 pages put 12 lines in each set
 // against 8 ways, so every access misses versions and walks the tree, the
 // path ~12 % of warm-phase reads take; 32 pages fit, so every access hits
-// versions, as the other ~88 % do.
+// versions, as the other ~88 % do. The literal rows run Access then Flush;
+// the fused rows run AccessFlush, as Algorithm 1 does, which on this lone
+// thread always collapses the pair.
 var accessFlushRows = []struct {
 	name  string
 	pages int
 	hit   bool // every access after the first pass hits versions
+	fused bool // the pair is one AccessFlush
 }{
-	{"versions-miss", 96, false},
-	{"versions-hit", 32, true},
+	{"versions-miss", 96, false, false},
+	{"versions-hit", 32, true, false},
+	{"versions-miss-fused", 96, false, true},
+	{"versions-hit-fused", 32, true, true},
 }
 
 // accessFlushLoop runs body on an enclave thread of a fresh default machine
-// once the thread has made one Access+Flush pass over the pages, handing it
+// once the thread has made one load+clflush pass over the pages, handing it
 // the pair for the i-th step of the round robin, which returns the access's
-// result.
-func accessFlushLoop(tb testing.TB, pages int, body func(step func(i int) AccessResult)) {
+// result; fused makes each pair one AccessFlush.
+func accessFlushLoop(tb testing.TB, pages int, fused bool, body func(step func(i int) AccessResult)) {
 	tb.Helper()
 	p := New(DefaultConfig(1))
 	defer p.Close()
@@ -39,6 +44,9 @@ func accessFlushLoop(tb testing.TB, pages int, body func(step func(i int) Access
 		th.EnterEnclave()
 		step := func(i int) AccessResult {
 			va := e.Base + enclave.VAddr(i%pages*enclave.PageBytes)
+			if fused {
+				return th.AccessFlush(va)
+			}
 			res := th.Access(va)
 			th.Flush(va)
 			return res
@@ -52,13 +60,13 @@ func accessFlushLoop(tb testing.TB, pages int, body func(step func(i int) Access
 }
 
 // BenchmarkAccessFlush times Algorithm 1's inner step on the whole machine:
-// one protected Access and one clflush of the same line, round robin over
+// one protected load and one clflush of the same line, round robin over
 // each row's pages. Every access misses the CPU caches and goes to the MEE,
 // so ns/op is the host time of one simulated access pair.
 func BenchmarkAccessFlush(b *testing.B) {
 	for _, row := range accessFlushRows {
 		b.Run(row.name, func(b *testing.B) {
-			accessFlushLoop(b, row.pages, func(step func(int) AccessResult) {
+			accessFlushLoop(b, row.pages, row.fused, func(step func(int) AccessResult) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

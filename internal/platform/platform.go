@@ -7,6 +7,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"meecc/internal/cache"
@@ -79,6 +80,20 @@ func DefaultConfig(seed uint64) Config {
 		SpikeMax:        500,
 		TimerResolution: enclave.TimerResolutionCycles,
 		TimerReadCost:   enclave.TimerReadCycles,
+	}
+}
+
+// spikeBound is the most cycles one ambient spike can add to an access,
+// whose spike is Cycles(Float64()*SpikeMax) with Float64 below 1. It is -1
+// when no bound fits the clock, for a SpikeMax too large or not a number.
+func (c *Config) spikeBound() sim.Cycles {
+	switch {
+	case c.SpikeProb <= 0 || c.SpikeMax <= 0:
+		return 0
+	case c.SpikeMax < 1<<40:
+		return sim.Cycles(math.Ceil(c.SpikeMax))
+	default:
+		return -1
 	}
 }
 

@@ -133,11 +133,11 @@ func (t *Thread) SetCore(core int) {
 
 // Preempt charges the thread `stall` cycles of lost time (AEX, scheduler
 // latency, page-fault handling). Stalls from multiple events accumulate and
-// are paid, as one extra operation, by the thread's next Access, ReadU64,
-// WriteU64, Flush, TimerNow or Rdtsc. Spin, SpinUntil, Mfence, enclave
-// transitions and OCallRdtsc neither pay nor absorb a pending stall: a
-// thread preempted while spinning still pays the full stall at its next
-// memory access or timer read, on top of the spin.
+// are paid, as one extra operation, by the thread's next Access,
+// AccessFlush, ReadU64, WriteU64, Flush, TimerNow or Rdtsc. Spin,
+// SpinUntil, Mfence, enclave transitions and OCallRdtsc neither pay nor
+// absorb a pending stall: a thread preempted while spinning still pays the
+// full stall at its next memory access or timer read, on top of the spin.
 func (t *Thread) Preempt(stall sim.Cycles) {
 	if stall > 0 {
 		t.pendingStall += stall
@@ -232,8 +232,11 @@ func (t *Thread) translate(va enclave.VAddr) (dram.Addr, bool) {
 }
 
 // access is the common read/write path: CPU caches first, then the memory
-// system (MEE walk for protected lines, plain DRAM otherwise).
-func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
+// system (MEE walk for protected lines, plain DRAM otherwise). With flush
+// set the caller clflushes the line as its next operation, and access
+// reports whether it has already applied what that flush does to the
+// caches, leaving the caller only its operation to charge (AccessFlush).
+func (t *Thread) access(va enclave.VAddr, write, flush bool) (AccessResult, bool) {
 	t.payStall()
 	pa, protected := t.translate(va)
 	p := t.proc.plat
@@ -242,7 +245,9 @@ func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
 
 	lvl, lat := p.caches.Access(t.core, pa, write)
 	res := AccessResult{CacheLevel: lvl}
+	flushed := false
 	if lvl == cpucache.Miss {
+		var line [dram.LineSize]byte
 		if protected {
 			plain, mlat, hit, err := p.mee.ReadData(now+lat, rng, pa)
 			if err != nil {
@@ -250,10 +255,19 @@ func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
 			}
 			lat += mlat
 			res.WentToMEE, res.MEEHit = true, hit
-			t.writebackVictim(now+lat, p.caches.Fill(t.core, pa, plain, write))
+			line = plain
 		} else {
 			lat += p.mem.Access(now+lat, rng, pa, false)
-			line := p.mem.ReadLine(pa)
+			line = p.mem.ReadLine(pa)
+		}
+		if flush {
+			// The flush starts once this access's latency, spike included,
+			// is paid; if no other actor can run before it, nothing sees
+			// the line between its fill and its flush.
+			spike := p.cfg.spikeBound()
+			flushed = spike >= 0 && t.sp.RunsAhead(now+lat+spike) && p.caches.FillFlush(t.core, pa)
+		}
+		if !flushed {
 			t.writebackVictim(now+lat, p.caches.Fill(t.core, pa, line, write))
 		}
 	}
@@ -272,7 +286,7 @@ func (t *Thread) access(va enclave.VAddr, write bool) AccessResult {
 	}
 	res.Lat = lat
 	t.sp.Advance(lat)
-	return res
+	return res, flushed
 }
 
 // writebackVictim pushes an evicted dirty line back to memory: protected
@@ -297,7 +311,26 @@ func (t *Thread) writebackVictim(now sim.Cycles, v *cpucache.Victim) {
 // Access touches va (a load whose value is ignored) and returns timing and
 // instrumentation. This is the probe primitive of all the attacks.
 func (t *Thread) Access(va enclave.VAddr) AccessResult {
-	return t.access(va, false)
+	res, _ := t.access(va, false, false)
+	return res
+}
+
+// AccessFlush is Access(va) then Flush(va), the load+clflush pair every
+// eviction test and eviction pass is made of: the same result, clocks,
+// operation counts, random draws and machine state. When the load misses
+// every CPU cache, its LLC set has an empty way, and no other actor can run
+// before the flush (sim.Proc.RunsAhead), the line would leave the hierarchy
+// one operation after it arrived, untouched: the pair then applies only
+// what the fill and the flush leave behind (cpucache.Hierarchy.FillFlush)
+// and charges the flush's operation. Otherwise it runs the pair.
+func (t *Thread) AccessFlush(va enclave.VAddr) AccessResult {
+	res, flushed := t.access(va, false, true)
+	if flushed {
+		t.sp.Advance(cpucache.FlushLat)
+	} else {
+		t.Flush(va)
+	}
+	return res
 }
 
 // ReadU64 loads eight bytes at va (must not cross a cache line).
@@ -305,7 +338,7 @@ func (t *Thread) ReadU64(va enclave.VAddr) (uint64, AccessResult) {
 	if va%64 > 56 {
 		panic("platform: ReadU64 crosses a cache line")
 	}
-	res := t.access(va, false)
+	res, _ := t.access(va, false, false)
 	pa, _ := t.proc.pt.Translate(va)
 	buf := t.proc.plat.caches.Data(pa)
 	return binary.LittleEndian.Uint64(buf[pa%64:]), res
@@ -316,7 +349,7 @@ func (t *Thread) WriteU64(va enclave.VAddr, val uint64) AccessResult {
 	if va%64 > 56 {
 		panic("platform: WriteU64 crosses a cache line")
 	}
-	res := t.access(va, true)
+	res, _ := t.access(va, true, false)
 	pa, _ := t.proc.pt.Translate(va)
 	buf := t.proc.plat.caches.Data(pa)
 	binary.LittleEndian.PutUint64(buf[pa%64:], val)

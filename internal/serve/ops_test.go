@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -353,6 +355,70 @@ func TestRunTraceEndpoint(t *testing.T) {
 	resp404.Body.Close()
 	if resp404.StatusCode != http.StatusNotFound {
 		t.Errorf("trace of unknown run = %s, want 404", resp404.Status)
+	}
+}
+
+// traceAtFinish is a slog.Handler that, when the server logs "run
+// finished", reads that run's trace from the server and keeps the names of
+// its slices: what a client that fetches the trace as soon as it sees the
+// terminal event would find.
+type traceAtFinish struct {
+	srv   http.Handler
+	names chan []string
+}
+
+func (h *traceAtFinish) Enabled(context.Context, slog.Level) bool { return true }
+func (h *traceAtFinish) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *traceAtFinish) WithGroup(string) slog.Handler            { return h }
+
+func (h *traceAtFinish) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "run finished" {
+		return nil
+	}
+	var id string
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "run" {
+			id = a.Value.String()
+		}
+		return true
+	})
+	rec := httptest.NewRecorder()
+	h.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/trace", nil))
+	var trace struct {
+		TraceEvents []struct{ Ph, Name string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &trace); err != nil {
+		return fmt.Errorf("trace of run %s at finish: %s: %w", id, rec.Body.Bytes(), err)
+	}
+	var names []string
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			names = append(names, ev.Name)
+		}
+	}
+	h.names <- names
+	return nil
+}
+
+// TestTraceCompleteWhenRunFinishes: a run's "execute" span, and every other
+// span, is recorded before its terminal event is published, so the trace
+// read when the server logs "run finished" (after the done event) already
+// holds all 8 slices of TestRunTraceEndpoint.
+func TestTraceCompleteWhenRunFinishes(t *testing.T) {
+	h := &traceAtFinish{names: make(chan []string, 1)}
+	srv, err := serve.New(serve.Config{Workers: 1, RunnerFactory: syntheticFactory, Log: slog.New(h)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h.srv = srv
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	submitAndWait(t, ts.URL, synSpec)
+	names := <-h.names
+	if !slices.Contains(names, "execute") || len(names) != 8 {
+		t.Errorf("trace at run finished has slices %q, want 8 with execute", names)
 	}
 }
 

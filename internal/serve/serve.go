@@ -439,15 +439,37 @@ func (s *Server) execute(ru *run) {
 		"queue_wait_ms", queueWait.Milliseconds())
 	s.inst.runsActive.Add(1)
 	execStart := time.Now()
-	defer func() {
-		s.inst.runsActive.Add(-1)
-		s.inst.runSeconds.ObserveSince(execStart)
-		s.spans.Record(ru.id, "run", "execute", execStart, time.Since(execStart))
-	}()
+	v := s.runStudy(ctx, ru)
+	// Recorded before the outcome is published, so a client that fetches
+	// the trace as soon as it sees the terminal event finds the span.
+	s.inst.runsActive.Add(-1)
+	s.inst.runSeconds.ObserveSince(execStart)
+	s.spans.Record(ru.id, "run", "execute", execStart, time.Since(execStart))
+	if v.outcome == "interrupted" {
+		// No terminal journal record: the run resumes after restart.
+		ru.interrupted()
+		s.finishedOps(ru, "interrupted", "")
+		return
+	}
+	s.end(ru, v.outcome, v.artifact, v.failures, v.err)
+}
+
+// verdict is how an executed run ends: the outcome, artifact, failure count
+// and error that end publishes, or the outcome "interrupted" when a
+// shutdown cut the run short.
+type verdict struct {
+	outcome  string
+	artifact []byte
+	failures int
+	err      error
+}
+
+// runStudy runs ru's spec through the harness under ctx and returns how the
+// run ends.
+func (s *Server) runStudy(ctx context.Context, ru *run) verdict {
 	runner, err := s.runnerFor(ru.spec.Study)
 	if err != nil {
-		s.end(ru, "failed", nil, 0, err)
-		return
+		return verdict{outcome: "failed", err: err}
 	}
 	rep, err := exp.Run(ru.spec, s.memoize(ru, runner), exp.Config{
 		Workers: s.cfg.Workers,
@@ -464,34 +486,24 @@ func (s *Server) execute(ru *run) {
 		},
 	})
 	if err != nil {
-		s.end(ru, "failed", nil, 0, err)
-		return
+		return verdict{outcome: "failed", err: err}
 	}
+	outcome := "done"
 	if rep.Partial {
 		cause := context.Cause(ctx)
 		switch {
 		case errors.Is(cause, errShutdown):
-			// No terminal journal record: the run resumes after restart.
-			ru.interrupted()
-			s.finishedOps(ru, "interrupted", "")
+			return verdict{outcome: "interrupted"}
 		case errors.Is(cause, context.DeadlineExceeded):
-			s.end(ru, "failed", nil, 0, fmt.Errorf("run exceeded its %s deadline", s.cfg.RunTimeout))
-		default: // client cancel
-			artifact, merr := s.marshalArtifact(ru, rep)
-			if merr != nil {
-				s.end(ru, "failed", nil, 0, merr)
-				return
-			}
-			s.end(ru, "cancelled", artifact, 0, nil)
+			return verdict{outcome: "failed", err: fmt.Errorf("run exceeded its %s deadline", s.cfg.RunTimeout)}
 		}
-		return
+		outcome = "cancelled" // by the client
 	}
 	artifact, err := s.marshalArtifact(ru, rep)
 	if err != nil {
-		s.end(ru, "failed", nil, 0, err)
-		return
+		return verdict{outcome: "failed", err: err}
 	}
-	s.end(ru, "done", artifact, rep.Failures(), nil)
+	return verdict{outcome: outcome, artifact: artifact, failures: rep.Failures()}
 }
 
 // marshalArtifact renders the report's canonical artifact under a recorded

@@ -146,6 +146,16 @@ func (p *Proc) SleepUntil(t Cycles) {
 	p.Advance(d)
 }
 
+// RunsAhead reports whether an operation of this actor starting at clock t
+// would execute before any other actor runs: t is within the current Run
+// limit and scheduled before the run-ahead horizon, so the yield that ends
+// the operation before it keeps the actor running. Under the linear
+// reference scheduler, whose horizon lies in the past, it is always false.
+func (p *Proc) RunsAhead(t Cycles) bool {
+	a := p.actor
+	return (a.runLimit < 0 || t <= a.runLimit) && schedBefore(t, a.id, a.horizonClock, a.horizonID)
+}
+
 // yield ends the current operation. If the actor's next operation is still
 // scheduled before every other live actor (the run-ahead horizon) and within
 // the current Run limit, the actor continues executing locally. Otherwise
@@ -156,9 +166,7 @@ func (p *Proc) yield() {
 	if a.engine.killed {
 		panic(killSentinel{})
 	}
-	c := a.clock
-	if (a.runLimit < 0 || c <= a.runLimit) &&
-		schedBefore(c, a.id, a.horizonClock, a.horizonID) {
+	if c := a.clock; p.RunsAhead(c) {
 		a.lastStart = c
 		return
 	}

@@ -172,7 +172,8 @@ type AttackFootprint = core.AttackFootprint
 type StealthRow = core.StealthRow
 
 // RunLLCChannel executes a classic LLC Prime+Probe covert channel (outside
-// enclaves, with hugepages and rdtsc — everything SGX takes away).
+// enclaves, with hugepages and rdtsc — everything SGX takes away). A cfg
+// that sets Noise or Fault is refused with an error.
 func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	return core.RunLLCChannel(cfg)
 }
@@ -188,7 +189,8 @@ type ParallelResult = core.ParallelResult
 
 // RunParallelChannel drives the multi-lane extension: k trojan threads on
 // distinct cores transmit k bits per window to one spy (future work beyond
-// the paper; doubles the bit rate on the 4-core testbed).
+// the paper; doubles the bit rate on the 4-core testbed). A cfg that sets
+// Fault is refused with an error.
 func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	return core.RunParallelChannel(cfg, lanes)
 }
