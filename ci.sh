@@ -16,6 +16,16 @@ set -eu
 
 cd "$(dirname "$0")"
 
+if [ "${1:-}" = "lines" ]; then
+    # Raw `wc -l` totals of the tracked Go files outside bench/, non-test
+    # and test apart (new files count once staged). A change's net lines in
+    # CHANGES.md are the difference of this before and after it.
+    files=$(git ls-files -- '*.go' ':!:bench/*')
+    echo "non-test $(echo "$files" | grep -v '_test\.go$' | xargs cat | wc -l)"
+    echo "test $(echo "$files" | grep '_test\.go$' | xargs cat | wc -l)"
+    exit 0
+fi
+
 if [ "${1:-}" = "obs" ]; then
     # Observability-focused slice of the gate: the determinism contract
     # (artifact snapshots byte-identical across worker counts and both
@@ -152,13 +162,13 @@ done
 
 echo "== fuzz smoke: internal/cache, internal/cpucache =="
 # FuzzCacheMatchesReference: random scripts over a shrunk cache must match a
-# plain list-per-set LRU/FIFO reference op for op, through an
-# ExportState/FromState round trip and clones taken from a live and from a
-# frozen cache, both sides running on. FuzzHierarchyInvariants: random
-# multi-core reads, writes, fills, clflushes, snapshots and forks keep the
-# LLC inclusive, the presence bits set and every valid LLC line paired with
-# its buffer, which the one-scan clflush relies on, and leave every
-# snapshot's image as it was taken.
+# plain list-per-set LRU/FIFO reference op for op, through a round trip of
+# the cache's image (AppendImage, then ReadImage) and clones taken from a
+# live and from a frozen cache, both sides running on.
+# FuzzHierarchyInvariants: random multi-core reads, writes, fills,
+# clflushes, snapshots and forks keep the LLC inclusive, the presence bits
+# set and every valid LLC line paired with its buffer, which the one-scan
+# clflush relies on, and leave every snapshot's image as it was taken.
 go test ./internal/cache -run '^$' -fuzz '^FuzzCacheMatchesReference$' -fuzztime 5s
 go test ./internal/cpucache -run '^$' -fuzz '^FuzzHierarchyInvariants$' -fuzztime 5s
 

@@ -7,15 +7,14 @@
 // Each set's lines and replacement window are one block, materialized on
 // the set's first write and allocated a chunk of blocks at a time; a Policy
 // reads and writes one set's window at a time, and the same windows are the
-// serialized form (State). A set never written has no block: it reads as
-// empty with the policy's Init window, and State leaves it out. New, Clone
-// and Snapshot therefore
-// copy only flat per-set words (occupancy masks, eviction counters and
-// block indexes), whatever a cache holds: a snapshot and its clones share
-// blocks copy-on-write, and each copies only the sets it writes. Every scan
-// of a set visits only the ways its mask marks valid, so a probe of an
-// empty set never reaches a block and a probe of a near-empty set costs
-// little whatever the associativity.
+// serialized form (AppendImage). A set never written has no block: it reads
+// as empty with the policy's Init window, and the image leaves it out. New,
+// Clone and Snapshot therefore copy only flat per-set words (occupancy
+// masks, eviction counters and block indexes), whatever a cache holds: a
+// snapshot and its clones share blocks copy-on-write, and each copies only
+// the sets it writes. Every scan of a set visits only the ways its mask
+// marks valid, so a probe of an empty set never reaches a block and a probe
+// of a near-empty set costs little whatever the associativity.
 package cache
 
 import (
@@ -56,7 +55,7 @@ type Stats struct {
 // valid[s] has bit w set exactly when way w of set s holds a line, and set
 // s's block holds the ways' tags, their dirty mask, then the policy's
 // window, padded to a whole number of cache lines. The masks are derived
-// state, so State does not carry them.
+// state, so the image does not carry them.
 type Cache struct {
 	name    string
 	sets    int
@@ -73,7 +72,7 @@ type Cache struct {
 // maxWays is the occupancy-mask width: one uint64 per set.
 const maxWays = 64
 
-// checkGeometry is the one geometry rule New and FromState share: at least
+// checkGeometry is the one geometry rule New and ReadImage share: at least
 // one set, and 1..maxWays ways so a set's occupancy fits its mask.
 func checkGeometry(name string, sets, ways int) error {
 	if sets <= 0 || ways <= 0 || ways > maxWays {

@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"reflect"
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -28,15 +28,15 @@ func TestConcurrentClonesOfFrozenCache(t *testing.T) {
 	live := New("llc", sets, 8, NewLRU())
 	churn(live, 0)
 	frozen := live.Snapshot()
-	want := frozen.ExportState()
-	serial := make([]*State, workers)
+	want := image(frozen)
+	serial := make([][]byte, workers)
 	for g := range serial {
 		c := frozen.Clone(nil)
 		churn(c, g+1)
-		serial[g] = c.ExportState()
+		serial[g] = image(c)
 	}
 
-	got := make([]*State, workers)
+	got := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -44,18 +44,18 @@ func TestConcurrentClonesOfFrozenCache(t *testing.T) {
 			defer wg.Done()
 			c := frozen.Clone(nil)
 			churn(c, g+1)
-			got[g] = c.ExportState()
+			got[g] = image(c)
 		}(g)
 	}
 	churn(live, workers+1)
 	wg.Wait()
 
 	for g := range got {
-		if !reflect.DeepEqual(got[g], serial[g]) {
+		if !bytes.Equal(got[g], serial[g]) {
 			t.Errorf("clone %d, written concurrently, differs from its serial twin", g)
 		}
 	}
-	if !reflect.DeepEqual(frozen.ExportState(), want) {
+	if !bytes.Equal(image(frozen), want) {
 		t.Error("a clone's or the live cache's writes reached the frozen cache")
 	}
 }

@@ -10,10 +10,10 @@ import (
 // Policy is a replacement policy: the operations on one set's replacement
 // state. A Cache keeps each set's state in the set's block, Words(ways)
 // words, and hands each operation that window w. The window is the set's
-// serialized form too (SetState.Window), so each policy documents its
-// layout. Implementations must be deterministic given
-// the engine's seeded random source; random sources are never part of the
-// window — Clone rebinds them at fork time.
+// serialized form too (a listed set's window in AppendImage's image), so
+// each policy documents its layout. Implementations must be deterministic
+// given the engine's seeded random source; random sources are never part
+// of the window — Clone rebinds them at fork time.
 type Policy interface {
 	Name() string
 	// Words returns the state words one set of the given associativity

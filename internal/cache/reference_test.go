@@ -254,8 +254,8 @@ func checkSide(t *testing.T, op int, what string, c *Cache, r *refCache) {
 // sides, each checked against its own copy of the reference, and the frozen
 // cache against the reference as it was. So a write by either side that
 // reaches the other or the frozen cache through a shared block diverges. A
-// round trip continues the current side on the FromState image of its
-// ExportState.
+// round trip continues the current side on the cache ReadImage reads from
+// its image.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, opInsert, 0, 1, opLookup, 0, 1, opRoundTrip, 0, 0, opLookupWay, 0, 1})
 	f.Add([]byte{7, 15, 1, opInsertWay, 3, 0x85, opClone, 0, 0, opInvalidateWay, 3, 5, opFlushAll, 0, 0})
@@ -331,7 +331,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 					sides = []refSide{{c, r}, {snap.Clone(nil), r.clone()}}
 				}
 			case opRoundTrip:
-				n, err := FromState(c.ExportState(), nil)
+				n, err := readImage(image(c), c)
 				if err != nil {
 					t.Fatalf("op %d: round trip: %v", opIdx, err)
 				}

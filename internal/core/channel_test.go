@@ -278,17 +278,21 @@ func TestEnvironmentReachesEverySessionRunner(t *testing.T) {
 	}
 }
 
-// TestRunnersRefuseWhatTheyIgnore holds the LLC and parallel channels to
-// the rule every channel runner keeps: a ChannelConfig field it is given
-// either changes its output or comes back as an error that names the
-// field. The LLC channel arms neither noise nor faults and the parallel
-// lanes arm no faults, so each row's run must be refused.
+// TestRunnersRefuseWhatTheyIgnore holds the LLC, parallel, in-band and
+// Prime+Probe runners to the rule every channel runner keeps: a
+// ChannelConfig field it is given either changes its output or comes back
+// as an error that names the field. The LLC channel arms neither noise nor
+// faults, the parallel lanes arm no faults, and none of the four codes a
+// bit over repeated windows, so each row's run must be refused.
 func TestRunnersRefuseWhatTheyIgnore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
 	}
 	llc := func(c ChannelConfig) (any, error) { return RunLLCChannel(c) }
 	lanes := func(c ChannelConfig) (any, error) { return RunParallelChannel(c, 2) }
+	inband := func(c ChannelConfig) (any, error) { return RunInBandChannel(c) }
+	primeProbe := func(c ChannelConfig) (any, error) { return RunPrimeProbe(c) }
+	repeat := func(c *ChannelConfig) { c.Repetition = 3 }
 	campaign := func(c *ChannelConfig) {
 		c.Fault = &fault.Config{Seed: 3, Kinds: []fault.Kind{fault.Timer, fault.Migration, fault.Paging}, Intensity: 1}
 	}
@@ -300,6 +304,10 @@ func TestRunnersRefuseWhatTheyIgnore(t *testing.T) {
 		{"RunLLCChannel/mee4k", "Noise", llc, func(c *ChannelConfig) { c.Noise = NoiseMEE4K }},
 		{"RunLLCChannel/faults", "Fault", llc, campaign},
 		{"RunParallelChannel/faults", "Fault", lanes, campaign},
+		{"RunLLCChannel/repetition", "Repetition", llc, repeat},
+		{"RunParallelChannel/repetition", "Repetition", lanes, repeat},
+		{"RunInBandChannel/repetition", "Repetition", inband, repeat},
+		{"RunPrimeProbe/repetition", "Repetition", primeProbe, repeat},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

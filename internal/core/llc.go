@@ -44,8 +44,9 @@ type AttackFootprint struct {
 // a 16-way LLC eviction set built from hugepage arithmetic, the trojan
 // signals '1' by touching one conflicting address. cfg.Window defaults to
 // 5000 cycles here — LLC channels are faster than the MEE channel because
-// probes hit on-chip. It arms no noise or fault campaign, and returns an
-// error for a cfg that sets Noise or Fault.
+// probes hit on-chip. It arms no noise or fault campaign and sends each
+// bit once, and returns an error for a cfg that sets Noise or Fault, or a
+// Repetition above 1.
 func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 5000
@@ -61,6 +62,8 @@ func RunLLCChannel(cfg ChannelConfig) (*LLCChannelResult, error) {
 		return nil, errIgnored("the LLC channel", "Noise")
 	case cfg.Fault != nil:
 		return nil, errIgnored("the LLC channel", "Fault")
+	case cfg.Repetition > 1:
+		return nil, errIgnored("the LLC channel", "Repetition")
 	}
 	plat := cfg.boot()
 	defer plat.Close()

@@ -31,7 +31,8 @@ type ParallelResult struct {
 // Bits are consumed lane-major per window: window i carries bits
 // [i*lanes, (i+1)*lanes). Practical lane counts are 1–2 on the paper's
 // 4-core part (the spy and noise need cores too). It arms no fault
-// campaign, and returns an error for a cfg that sets Fault.
+// campaign and sends each bit once, and returns an error for a cfg that
+// sets Fault or a Repetition above 1.
 func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	cfg.applyDefaults()
 	if err := checkPayload(cfg.Bits); err != nil {
@@ -43,8 +44,11 @@ func RunParallelChannel(cfg ChannelConfig, lanes int) (*ParallelResult, error) {
 	if len(cfg.Bits)%lanes != 0 {
 		return nil, fmt.Errorf("core: bit count %d not a multiple of lanes %d", len(cfg.Bits), lanes)
 	}
-	if cfg.Fault != nil {
+	switch {
+	case cfg.Fault != nil:
 		return nil, errIgnored("the parallel channel", "Fault")
+	case cfg.Repetition > 1:
+		return nil, errIgnored("the parallel channel", "Repetition")
 	}
 	plat := cfg.boot()
 	defer plat.Close()

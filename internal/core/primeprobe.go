@@ -24,13 +24,15 @@ type PrimeProbeResult struct {
 // RunPrimeProbe executes the baseline: the channel session with its roles
 // swapped. The spy owns the eviction set and probes all of it every
 // window; the trojan signals '1' by touching the one address it found
-// conflicting with the set. Each bit is one window: cfg.Repetition is
-// ignored.
+// conflicting with the set. Each bit is one window, so a cfg with a
+// Repetition above 1 is refused with an error.
 func RunPrimeProbe(cfg ChannelConfig) (*PrimeProbeResult, error) {
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
-	cfg.Repetition = 0
+	if cfg.Repetition > 1 {
+		return nil, errIgnored("the Prime+Probe baseline", "Repetition")
+	}
 	s, plat, err := startChannel(cfg, 1)
 	if err != nil {
 		return nil, err

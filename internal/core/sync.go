@@ -91,12 +91,16 @@ func awaitTransmission(th *platform.Thread, monitor enclave.VAddr, threshold, wi
 
 // RunInBandChannel is RunChannel without an agreed transmission start: the
 // trojan begins at a start time of its own choosing (derived from its
-// seed) and the spy synchronizes from the signal itself.
+// seed) and the spy synchronizes from the signal itself. The repeated
+// frame replaces repetition coding, so a cfg with a Repetition above 1 is
+// refused with an error.
 func RunInBandChannel(cfg ChannelConfig) (*InBandResult, error) {
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
 	}
-	cfg.Repetition = 0 // the repeated frame replaces repetition coding
+	if cfg.Repetition > 1 {
+		return nil, errIgnored("the in-band channel", "Repetition")
+	}
 	s, plat, err := startChannel(cfg, 1)
 	if err != nil {
 		return nil, err

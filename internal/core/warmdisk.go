@@ -5,17 +5,19 @@ import (
 	"fmt"
 
 	"meecc/internal/enclave"
+	"meecc/internal/platform"
 	"meecc/internal/sim"
 	"meecc/internal/snapstore"
+	"meecc/internal/wire"
 )
 
 // Encode serializes the warm state — the warm inputs it was produced from,
 // both actors' resume clocks, what the warm phase computed, and the full
-// platform snapshot — into a sealed snapstore blob, framed and checksummed
-// in the one buffer it is encoded into. Decode of the blob yields a state
-// whose Run produces results DeepEqual to this one's. The blob is a
-// function of the state's warmKey: nothing a transmit config sets reaches
-// it.
+// platform snapshot's image — into a sealed snapstore blob, framed and
+// checksummed in the one buffer it is encoded into. Decode of the blob
+// yields a state whose Run produces results DeepEqual to this one's. The
+// blob is a function of the state's warmKey: nothing a transmit config sets
+// reaches it.
 func (ws *ChannelWarmState) Encode() ([]byte, error) {
 	// The warm inputs hold a nil observer (warmRestriction), so canonical
 	// JSON captures them exactly.
@@ -23,24 +25,20 @@ func (ws *ChannelWarmState) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding warm inputs: %w", err)
 	}
-	w := snapstore.NewSealWriter(snapstore.KindWarm)
-	w.Blob(inJSON)
-	w.I64(int64(ws.trojanClock))
-	w.I64(int64(ws.spyClock))
-	w.U64(uint64(len(ws.evSet)))
-	for _, va := range ws.evSet {
-		w.U64(uint64(va))
-	}
-	w.I64(int64(ws.setupCycles))
-	w.I64(int64(ws.spyThreshold))
-	w.I64(int64(ws.monitorScore))
-	w.U64(uint64(ws.monitor))
-	// The snapshot is nearly all of the blob; AppendSnapshot sizes the
-	// buffer for it before writing.
-	if err := snapstore.AppendSnapshot(w, ws.snap); err != nil {
-		return nil, err
-	}
-	return w.Seal(), nil
+	return snapstore.Encode(snapstore.KindWarm, func(w *wire.Writer) error {
+		w.Blob(inJSON)
+		w.I64(int64(ws.trojanClock))
+		w.I64(int64(ws.spyClock))
+		w.U64(uint64(len(ws.evSet)))
+		for _, va := range ws.evSet {
+			w.U64(uint64(va))
+		}
+		w.I64(int64(ws.setupCycles))
+		w.I64(int64(ws.spyThreshold))
+		w.I64(int64(ws.monitorScore))
+		w.U64(uint64(ws.monitor))
+		return ws.snap.AppendImage(w)
+	})
 }
 
 // DecodeWarmState reverses Encode. Damaged blobs error (never panic); the
@@ -50,7 +48,7 @@ func DecodeWarmState(blob []byte) (*ChannelWarmState, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := snapstore.NewReader(payload)
+	r := wire.NewReader(payload)
 	inJSON := r.Blob()
 	ws := &ChannelWarmState{}
 	ws.trojanClock = sim.Cycles(r.I64())
@@ -67,14 +65,14 @@ func DecodeWarmState(blob []byte) (*ChannelWarmState, error) {
 		return nil, err
 	}
 	if err := json.Unmarshal(inJSON, &ws.in); err != nil {
-		return nil, fmt.Errorf("%w: warm inputs: %v", snapstore.ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: warm inputs: %v", wire.ErrCorrupt, err)
 	}
-	snap, err := snapstore.ReadSnapshot(r)
+	snap, err := platform.ReadSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", snapstore.ErrCorrupt, r.Remaining())
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", wire.ErrCorrupt, r.Remaining())
 	}
 	ws.snap = snap
 	return ws, nil

@@ -138,7 +138,7 @@ type Hierarchy struct {
 // allCores is the mask with every core's bit set.
 func (h *Hierarchy) allCores() uint16 { return uint16(1)<<h.cfg.Cores - 1 }
 
-// checkConfig is the one geometry rule New and HierarchyFromState share: a
+// checkConfig is the one geometry rule New and ReadHierarchy share: a
 // core count the presence masks can represent, and power-of-two set counts
 // at every level, which the masked set indexes rely on. Ways are the cache
 // package's to check.
@@ -319,7 +319,7 @@ func (h *Hierarchy) Access(core int, addr dram.Addr, write bool) (Level, sim.Cyc
 		lvl, lat = HitLLC, LLCLat
 	}
 	if write {
-		// The LLC is inclusive (HierarchyFromState rejects an image that is
+		// The LLC is inclusive (ReadHierarchy rejects an image that is
 		// not), so a line that hit at any level is in it.
 		set, way, _ := h.locate(addr)
 		h.llc.MarkDirtyWay(set, way)

@@ -1,30 +1,39 @@
 package cpucache
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
 	"meecc/internal/cache"
 	"meecc/internal/dram"
+	"meecc/internal/wire"
 )
 
-// TestStateRoundTrip exports a hierarchy holding clean and dirty lines,
-// rebuilds it, and re-exports: the images match, and only sets holding a
-// buffer get a block.
+// image returns the image h appends.
+func image(h *Hierarchy) []byte {
+	var w wire.Writer
+	h.AppendImage(&w)
+	return w.Bytes()
+}
+
+// TestStateRoundTrip appends the image of a hierarchy holding clean and
+// dirty lines, reads it back, and appends again: the images match, and
+// only sets holding a buffer get a block.
 func TestStateRoundTrip(t *testing.T) {
 	h := newH()
 	for i := 0; i < 40; i++ {
 		h.Fill(i%4, dram.Addr(0x40000+i*dram.LineSize), line(byte(i)), i%3 == 0)
 	}
 	h.Flush(0x40000)
-	st := h.ExportState()
-	dec, err := HierarchyFromState(h.Config(), st)
+	img := image(h)
+	dec, err := ReadHierarchy(wire.NewReader(img), h.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dec.ExportState(), st) {
-		t.Fatal("decoded hierarchy re-exports a different image")
+	if !bytes.Equal(image(dec), img) {
+		t.Fatal("decoded hierarchy appends a different image")
 	}
 	// A set never filled reads as the one shared empty block; set 0 is one.
 	empty, blocks := &dec.bufs.Read(0)[0], 0
@@ -33,8 +42,8 @@ func TestStateRoundTrip(t *testing.T) {
 			blocks++
 		}
 	}
-	if blocks != len(st.Bufs) {
-		t.Fatalf("decoded %d blocks for %d one-line sets", blocks, len(st.Bufs))
+	if lines := h.llc.ValidCount(); blocks != lines {
+		t.Fatalf("decoded %d blocks for %d one-line sets", blocks, lines)
 	}
 }
 
@@ -45,21 +54,22 @@ func TestStateRoundTrip(t *testing.T) {
 func TestStateRejectsUnrepresentableCores(t *testing.T) {
 	for _, cores := range []int{0, maxCores + 1} {
 		cfg := DefaultConfig(cores)
-		if _, err := HierarchyFromState(cfg, privateStates(cfg)); err == nil {
+		if _, err := ReadHierarchy(wire.NewReader(freshImage(cfg)), cfg); err == nil {
 			t.Errorf("%d-core image decoded without error", cores)
 		}
 	}
 }
 
-// privateStates returns a state with fresh caches of cfg's geometry, built
-// with the cache package directly so that cfg may break cpucache's rules.
-func privateStates(cfg Config) *State {
-	st := &State{LLC: cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU()).ExportState()}
+// freshImage returns the image of a hierarchy of fresh caches of cfg's
+// geometry, built without New so that cfg may break cpucache's rules.
+func freshImage(cfg Config) []byte {
+	h := newHierarchy(cfg, newBufs(cfg))
+	h.llc = cache.New("llc", cfg.LLCSets, cfg.LLCWays, cache.NewLRU())
 	for c := 0; c < cfg.Cores; c++ {
-		st.L1 = append(st.L1, cache.New("l1d", cfg.L1Sets, cfg.L1Ways, cache.NewLRU()).ExportState())
-		st.L2 = append(st.L2, cache.New("l2", cfg.L2Sets, cfg.L2Ways, cache.NewLRU()).ExportState())
+		h.l1 = append(h.l1, cache.New("l1d", cfg.L1Sets, cfg.L1Ways, cache.NewLRU()))
+		h.l2 = append(h.l2, cache.New("l2", cfg.L2Sets, cfg.L2Ways, cache.NewLRU()))
 	}
-	return st
+	return image(h)
 }
 
 // TestStateRejectsNonPowerOfTwoSets: set indexes mask the line address, so
@@ -74,7 +84,7 @@ func TestStateRejectsNonPowerOfTwoSets(t *testing.T) {
 	} {
 		cfg := DefaultConfig(2)
 		bad(&cfg)
-		if _, err := HierarchyFromState(cfg, privateStates(cfg)); err == nil {
+		if _, err := ReadHierarchy(wire.NewReader(freshImage(cfg)), cfg); err == nil {
 			t.Errorf("image with L1/L2/LLC sets %d/%d/%d decoded without error", cfg.L1Sets, cfg.L2Sets, cfg.LLCSets)
 		}
 		func() {
@@ -95,18 +105,24 @@ func TestStateRejectsBuffersOffValidLines(t *testing.T) {
 	h := newH()
 	h.Fill(0, 0x40000, line(1), true)
 	h.Fill(1, 0x80000, line(2), false)
-	st := h.ExportState()
-	if _, err := HierarchyFromState(h.Config(), st); err != nil {
+	img := image(h)
+	if _, err := ReadHierarchy(wire.NewReader(img), h.Config()); err != nil {
 		t.Fatal(err)
 	}
-	missing := *st
-	missing.Bufs = st.Bufs[1:]
-	if _, err := HierarchyFromState(h.Config(), &missing); err == nil {
+	// The buffers end the image, after their count.
+	count := len(img) - 8 - 2*dram.LineSize
+	if n := binary.LittleEndian.Uint64(img[count:]); n != 2 {
+		t.Fatalf("image counts %d buffers, want 2", n)
+	}
+	withBuffers := func(n uint64, bufs []byte) []byte {
+		return slices.Concat(img[:count], binary.LittleEndian.AppendUint64(nil, n), bufs)
+	}
+	bufs := img[count+8:]
+	if _, err := ReadHierarchy(wire.NewReader(withBuffers(1, bufs[dram.LineSize:])), h.Config()); err == nil {
 		t.Error("valid LLC line without a buffer decoded without error")
 	}
-	stray := *st
-	stray.Bufs = append(slices.Clone(st.Bufs), LineBufState{})
-	if _, err := HierarchyFromState(h.Config(), &stray); err == nil {
+	stray := withBuffers(3, slices.Concat(bufs, make([]byte, dram.LineSize)))
+	if _, err := ReadHierarchy(wire.NewReader(stray), h.Config()); err == nil {
 		t.Error("buffer beyond the valid LLC lines decoded without error")
 	}
 }

@@ -1,8 +1,8 @@
 package cpucache
 
 import (
+	"bytes"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"meecc/internal/cache"
@@ -59,10 +59,10 @@ func checkHierarchy(t *testing.T, h *Hierarchy, op int) {
 }
 
 // frozenImage is a snapshot taken during a fuzz script and the image it
-// exported when taken.
+// appended when taken.
 type frozenImage struct {
-	h  *Hierarchy
-	st *State
+	h   *Hierarchy
+	img []byte
 }
 
 // FuzzHierarchyInvariants drives random reads, writes (each miss followed by
@@ -109,7 +109,7 @@ func FuzzHierarchyInvariants(f *testing.F) {
 				}
 			case script[i+1]&1 == 0 || len(frozen) == 0:
 				s := h.Snapshot()
-				frozen = append(frozen, frozenImage{s, s.ExportState()})
+				frozen = append(frozen, frozenImage{s, image(s)})
 				if len(frozen) > 3 {
 					frozen = frozen[1:]
 				}
@@ -123,8 +123,8 @@ func FuzzHierarchyInvariants(f *testing.F) {
 				checkHierarchy(t, r, op)
 			}
 			for k, fi := range frozen {
-				if !reflect.DeepEqual(fi.h.ExportState(), fi.st) {
-					t.Fatalf("op %d: snapshot %d of %d no longer exports the image it was taken with", op, k, len(frozen))
+				if !bytes.Equal(image(fi.h), fi.img) {
+					t.Fatalf("op %d: snapshot %d of %d no longer appends the image it was taken with", op, k, len(frozen))
 				}
 			}
 		}

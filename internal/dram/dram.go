@@ -100,7 +100,7 @@ type DRAM struct {
 	banks   []sim.Resource
 }
 
-// checkConfig is the one geometry rule New and SnapshotFromState share: a
+// checkConfig is the one geometry rule New and ReadSnapshot share: a
 // nonzero size, and power-of-two bank counts and row sizes, which
 // bankAndRow's shifts rely on.
 func checkConfig(cfg Config) error {
@@ -280,7 +280,7 @@ func (d *DRAM) WriteBytes(addr Addr, data []byte) {
 // page bumps it, and a view that copies a page it shares with a snapshot
 // carries it over. A page never materialized reads 0, and asking allocates
 // nothing. The generation is not serialized: a page decoded from a
-// SnapshotState starts again at 0.
+// snapshot image (ReadSnapshot) starts again at 0.
 func (d *DRAM) WriteGen(addr Addr) uint64 {
 	ch := d.dir[uint64(addr)/chunkBytes]
 	if ch == nil {

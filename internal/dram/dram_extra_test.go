@@ -3,7 +3,7 @@ package dram
 import (
 	"testing"
 
-	"meecc/internal/sim"
+	"meecc/internal/wire"
 )
 
 // TestBankAndRowMatchesDivision: the shifts and mask find the bank and row
@@ -30,8 +30,8 @@ func TestBankAndRowMatchesDivision(t *testing.T) {
 }
 
 // TestNonPowerOfTwoGeometryRejected: a bank count or row size that is not a
-// power of two has no shift, so New panics on it and SnapshotFromState
-// returns an error for an image that carries one.
+// power of two has no shift, so New panics on it and ReadSnapshot returns
+// an error for an image of a memory of that geometry.
 func TestNonPowerOfTwoGeometryRejected(t *testing.T) {
 	for _, cfg := range []Config{
 		func() Config { c := DefaultConfig(); c.Banks = 12; return c }(),
@@ -45,12 +45,12 @@ func TestNonPowerOfTwoGeometryRejected(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-		st := New(DefaultConfig()).Snapshot().ExportState()
-		st.Cfg = cfg
-		st.OpenRow = make([]int64, cfg.Banks)
-		st.BanksBusy = make([]sim.Cycles, cfg.Banks)
-		if _, err := SnapshotFromState(st); err == nil {
-			t.Errorf("SnapshotFromState accepted %d banks × %d B rows", cfg.Banks, cfg.RowBytes)
+		var w wire.Writer
+		w.I64s(make([]int64, cfg.Banks)) // open rows
+		w.I64s(make([]int64, cfg.Banks)) // busy-until clocks
+		w.U64(0)                         // no page
+		if _, err := ReadSnapshot(wire.NewReader(w.Bytes()), cfg); err == nil {
+			t.Errorf("ReadSnapshot accepted %d banks × %d B rows", cfg.Banks, cfg.RowBytes)
 		}
 	}
 }

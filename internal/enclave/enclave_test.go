@@ -1,6 +1,8 @@
 package enclave
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -8,6 +10,7 @@ import (
 	"testing/quick"
 
 	"meecc/internal/dram"
+	"meecc/internal/wire"
 )
 
 func TestPageTableMapTranslate(t *testing.T) {
@@ -210,9 +213,9 @@ func TestEnclaveSize(t *testing.T) {
 // TestEPCStateRoundTrip rebuilds an allocator whose cursor has passed the
 // end of boot's order, so one frame Realloc returned was handed out again
 // and one is still queued, from its image and a freshly derived boot
-// allocator: the rebuilt one keeps the image and hands out what the
-// original does. Damaged images, each breaking one of EPCFromState's
-// rules, are rejected.
+// allocator: the rebuilt one appends the same image and hands out what the
+// original does. Damaged images, each breaking one of ReadEPC's rules, are
+// rejected.
 func TestEPCStateRoundTrip(t *testing.T) {
 	const base = 0x100000
 	boot := func() *EPCAllocator {
@@ -237,16 +240,19 @@ func TestEPCStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := a.ExportState()
-	if want := []dram.Addr{owned[0], owned[1]}; st.Next != 17 || !slices.Equal(st.Freed, want) {
-		t.Fatalf("image has cursor %d and freed frames %#x; want 17 and %#x", st.Next, st.Freed, want)
+	// The image: two freed frames, the cursor, then the owners.
+	img := image(a.AppendImage)
+	word := func(at int) uint64 { return binary.LittleEndian.Uint64(img[at:]) }
+	const next, owners = 8 + 2*8, 8 + 2*8 + 8
+	if word(0) != 2 || word(8) != uint64(owned[0]) || word(16) != uint64(owned[1]) || word(next) != 17 {
+		t.Fatalf("image opens %x; want freed frames %#x and cursor 17", img[:owners], owned[:2])
 	}
-	b, err := EPCFromState(st, boot(), base)
+	b, err := ReadEPC(wire.NewReader(img), boot(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.ExportState(); !reflect.DeepEqual(got, st) {
-		t.Fatalf("rebuilt allocator exports %+v, want %+v", got, st)
+	if got := image(b.AppendImage); !bytes.Equal(got, img) {
+		t.Fatalf("rebuilt allocator appends %x, want %x", got, img)
 	}
 	for i := 0; ; i++ {
 		want, wantErr := a.Alloc(3)
@@ -259,18 +265,68 @@ func TestEPCStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	for name, damage := range map[string]func(st *EPCState){
-		"freed frame outside the EPC":  func(st *EPCState) { st.Freed[0] = base - PageBytes },
-		"freed frame not page aligned": func(st *EPCState) { st.Freed[0] += 8 },
-		"queued frame owned":           func(st *EPCState) { st.Owners = append(st.Owners, OwnerEntry{Frame: owned[1], EID: 1}) },
-		"frame queued twice":           func(st *EPCState) { st.Freed = append(st.Freed, owned[1]) },
-		"cursor past the list":         func(st *EPCState) { st.Next = 19 },
-		"negative cursor":              func(st *EPCState) { st.Next = -1 },
+	put64 := func(b []byte, at int, v uint64) []byte { binary.LittleEndian.PutUint64(b[at:], v); return b }
+	entry := func(vs ...uint64) []byte {
+		var w wire.Writer
+		for _, v := range vs {
+			w.U64(v)
+		}
+		return w.Bytes()
+	}
+	for name, damage := range map[string]func(b []byte) []byte{
+		"freed frame outside the EPC":  func(b []byte) []byte { return put64(b, 8, base-PageBytes) },
+		"freed frame not page aligned": func(b []byte) []byte { return put64(b, 8, uint64(owned[0])+8) },
+		"queued frame owned": func(b []byte) []byte {
+			b = put64(b, owners, word(owners)+1)
+			return append(b, entry(uint64(owned[1]), 1)...)
+		},
+		"frame queued twice": func(b []byte) []byte {
+			return slices.Concat(put64(b, 0, 3)[:next], entry(uint64(owned[1])), b[next:])
+		},
+		"cursor past the list": func(b []byte) []byte { return put64(b, next, 19) },
+		"negative cursor":      func(b []byte) []byte { return put64(b, next, 1<<64-1) },
 	} {
-		dam := &EPCState{Freed: slices.Clone(st.Freed), Next: st.Next, Owners: slices.Clone(st.Owners)}
-		damage(dam)
-		if _, err := EPCFromState(dam, boot(), base); err == nil {
+		if _, err := ReadEPC(wire.NewReader(damage(bytes.Clone(img))), boot(), base); err == nil {
 			t.Errorf("%s: image rebuilt without error", name)
+		}
+	}
+}
+
+// image returns what an append method appends.
+func image(appendImage func(*wire.Writer)) []byte {
+	var w wire.Writer
+	appendImage(&w)
+	return w.Bytes()
+}
+
+// TestPageTableImageRoundTrip: a page table reads back from its image to
+// one that translates alike and appends the same image, and an image with
+// an unaligned mapping, a frame past the memory or a virtual page mapped
+// twice fails to read.
+func TestPageTableImageRoundTrip(t *testing.T) {
+	const memSize = 1 << 20
+	pt := NewPageTable()
+	pt.Map(0x3000, 0x5000)
+	pt.Map(0x1000, 0x7000)
+	pt.Map(0x2000, memSize-PageBytes)
+	img := image(pt.AppendImage)
+	got, err := ReadPageTable(wire.NewReader(img), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(got.AppendImage), img) || !reflect.DeepEqual(got.pages, pt.pages) {
+		t.Fatalf("read page table maps %v, want %v", got.pages, pt.pages)
+	}
+	// Entries sit in virtual-address order: 0x1000, 0x2000, 0x3000.
+	for name, patch := range map[string][2]uint64{
+		"unaligned frame":     {8 + 8, 0x7008},
+		"frame past memory":   {8 + 16 + 8, memSize},
+		"virtual page repeat": {8 + 32, 0x2000},
+	} {
+		bad := bytes.Clone(img)
+		binary.LittleEndian.PutUint64(bad[patch[0]:], patch[1])
+		if _, err := ReadPageTable(wire.NewReader(bad), memSize); err == nil {
+			t.Errorf("%s: image read without error", name)
 		}
 	}
 }

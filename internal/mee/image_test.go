@@ -1,6 +1,7 @@
 package mee
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -9,7 +10,15 @@ import (
 	"meecc/internal/cache"
 	"meecc/internal/dram"
 	"meecc/internal/sim"
+	"meecc/internal/wire"
 )
+
+// image returns the image e appends.
+func image(e *Engine) []byte {
+	var w wire.Writer
+	e.AppendImage(&w)
+	return w.Bytes()
+}
 
 // TestStateRejectsUnsplittableSets: the odd/even split masks a line's
 // address by half the set count, so an image whose set count is odd, or
@@ -18,15 +27,15 @@ import (
 func TestStateRejectsUnsplittableSets(t *testing.T) {
 	f := newFixture(t)
 	geom, crypt := *f.eng.Geometry(), f.eng.crypt
-	if _, err := EngineFromState(f.eng.cfg, geom, crypt, f.eng.ExportState()); err != nil {
+	if _, err := ReadEngine(wire.NewReader(image(f.eng)), f.eng.cfg, geom, crypt); err != nil {
 		t.Fatal(err)
 	}
 	for _, sets := range []int{127, 96} {
 		cfg := DefaultConfig()
 		cfg.CacheSets = sets
-		st := f.eng.ExportState()
-		st.Cache = cache.New("mee", sets, cfg.CacheWays, cfg.Policy).ExportState()
-		if _, err := EngineFromState(cfg, geom, crypt, st); err == nil {
+		bad := *f.eng
+		bad.cache = cache.New("mee", sets, cfg.CacheWays, cfg.Policy)
+		if _, err := ReadEngine(wire.NewReader(image(&bad)), cfg, geom, crypt); err == nil {
 			t.Errorf("%d-set image decoded without error", sets)
 		}
 		func() {
@@ -42,8 +51,8 @@ func TestStateRejectsUnsplittableSets(t *testing.T) {
 
 // TestStateRoundTripKeepsBuffers: the cache image is the only record of
 // which line each buffer holds and whether it is dirty, so an engine
-// holding dirty lines must come back from ExportState → EngineFromState
-// with every buffer's content and every dirty line, and a fork of each engine
+// holding dirty lines must come back from AppendImage → ReadEngine with
+// every buffer's content and every dirty line, and a fork of each engine
 // must run one read/write script, dirty write-backs included, to the same
 // data, latencies, hit levels and final image.
 func TestStateRoundTripKeepsBuffers(t *testing.T) {
@@ -59,7 +68,7 @@ func TestStateRoundTripKeepsBuffers(t *testing.T) {
 			f.read(t, stride(i))
 		}
 	}
-	dec, err := EngineFromState(f.eng.cfg, *f.eng.Geometry(), f.eng.crypt, f.eng.ExportState())
+	dec, err := ReadEngine(wire.NewReader(image(f.eng)), f.eng.cfg, *f.eng.Geometry(), f.eng.crypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestStateRoundTripKeepsBuffers(t *testing.T) {
 		err  error
 	}
 	mem := f.mem.Snapshot()
-	run := func(src *Engine) ([]result, *State) {
+	run := func(src *Engine) ([]result, *Engine) {
 		e := src.Fork(mem.Fork(), rand.New(rand.NewPCG(3, 4)))
 		rng, now := rand.New(rand.NewPCG(5, 6)), f.now
 		var out []result
@@ -93,14 +102,14 @@ func TestStateRoundTripKeepsBuffers(t *testing.T) {
 			}
 			out = append(out, r)
 		}
-		return out, e.ExportState()
+		return out, e
 	}
-	wantOut, wantSt := run(f.eng)
-	gotOut, gotSt := run(dec)
-	if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotSt, wantSt) {
+	wantOut, want := run(f.eng)
+	gotOut, got := run(dec)
+	if !reflect.DeepEqual(gotOut, wantOut) || !bytes.Equal(image(got), image(want)) {
 		t.Fatal("fork of the decoded engine diverged from a fork of the original")
 	}
-	if wantSt.Stats.Writebacks == 0 {
+	if want.Stats().Writebacks == 0 {
 		t.Fatal("the script wrote nothing back")
 	}
 }

@@ -269,7 +269,7 @@ func (e *Engine) putDataMemo(addr dram.Addr, version, gen, mac uint64, plain [it
 	*m = dataMemoEntry{version: version, gen: gen, mac: mac, plain: plain}
 }
 
-// checkGeometry is the one geometry rule New and EngineFromState share: an
+// checkGeometry is the one geometry rule New and ReadEngine share: an
 // even set count whose half is a power of two, for the masked odd/even set
 // split. Ways are the cache package's to check.
 func checkGeometry(cfg Config) error {

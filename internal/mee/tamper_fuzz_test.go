@@ -8,6 +8,7 @@ import (
 	"meecc/internal/dram"
 	"meecc/internal/itree"
 	"meecc/internal/sim"
+	"meecc/internal/wire"
 )
 
 // tamperKey is the master key of FuzzTamperDetected's engines.
@@ -176,11 +177,15 @@ func (r *tamperRig) step(t *testing.T, op int, b [3]byte) {
 			r.eng = es.Fork(r.mem, r.rng)
 		}
 	case kind == 13:
-		ms, err := dram.SnapshotFromState(r.mem.Snapshot().ExportState())
+		var w wire.Writer
+		r.mem.Snapshot().AppendImage(&w)
+		r.eng.AppendImage(&w)
+		rd := wire.NewReader(w.Bytes())
+		ms, err := dram.ReadSnapshot(rd, r.mem.Config())
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, err := EngineFromState(r.cfg, r.geom, itree.NewCrypto(tamperKey), r.eng.ExportState())
+		es, err := ReadEngine(rd, r.cfg, r.geom, itree.NewCrypto(tamperKey))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +242,7 @@ func tamperScript(seed uint64, n int) []byte {
 }
 
 // FuzzTamperDetected runs random scripts of reads, writes, FlushCache, Fork
-// and ExportState → EngineFromState → Fork round trips over a small set of
+// and AppendImage → ReadEngine → Fork round trips over a small set of
 // data lines that share tree lines and MEE cache sets, with byte flips in
 // DRAM behind the engine: in a data line, in a PD_Tag line that is not
 // resident, or in an initialized versions or L0..L2 line that is not

@@ -13,6 +13,7 @@ import (
 	"meecc/internal/platform"
 	"meecc/internal/sim"
 	"meecc/internal/snapstore"
+	"meecc/internal/wire"
 )
 
 // flushCase is one AccessFlush script: the machine seed, its ambient spike
@@ -38,8 +39,15 @@ type flushPoint struct {
 	Results  [][]platform.AccessResult
 	Counters map[string]uint64
 	RNG      []byte
-	Caches   *cpucache.State
+	Caches   []byte
 	MEE      mee.Stats
+}
+
+// cacheImage returns the image h appends.
+func cacheImage(h *cpucache.Hierarchy) []byte {
+	var w wire.Writer
+	h.AppendImage(&w)
+	return w.Bytes()
 }
 
 // Shrunk CPU caches: lines 64 bytes apart in the enclave's pages share an
@@ -129,7 +137,7 @@ func runFlushCase(t *testing.T, fc flushCase, linear bool, pair func(*platform.T
 			Run:      p.Run(l),
 			Counters: o.Snapshot().Counters,
 			RNG:      p.Engine().RNGSnapshot(),
-			Caches:   p.Caches().ExportState(),
+			Caches:   cacheImage(p.Caches()),
 			MEE:      p.MEE().Stats(),
 		}
 		for i, th := range threads {

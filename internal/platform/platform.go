@@ -136,16 +136,28 @@ func (p *Platform) markGenFrame(f dram.Addr) {
 	p.genUsed[i/64] |= 1 << (i % 64)
 }
 
-// checkConfig is the one machine-config rule New and SnapshotFromState
-// share: the machine's core count, and a DRAM that holds the PRM at its
-// top, at a line-aligned base (itree.NewGeometry's rule). It returns the
-// PRM's integrity-tree geometry.
+// checkConfig is the one machine-config rule New and ReadSnapshot share:
+// the machine's core count; a DRAM no larger than the testbed's that holds
+// the PRM at its top, at a line-aligned base (itree.NewGeometry's rule);
+// and L1, L2, LLC and MEE set counts no larger than the testbed's. The
+// bounds cap what a machine sizes by its config — the DRAM's chunk
+// directory and each cache's per-set words — so a decoded config cannot
+// make the reader allocate more than the testbed before the image is
+// checked against it. It returns the PRM's integrity-tree geometry.
 func checkConfig(cfg Config) (itree.Geometry, error) {
-	if cfg.CPU.Cores != Cores {
+	top := DefaultConfig(cfg.Seed)
+	switch {
+	case cfg.CPU.Cores != Cores:
 		return itree.Geometry{}, fmt.Errorf("platform: cpu cores %d, want %d", cfg.CPU.Cores, Cores)
-	}
-	if cfg.DRAM.Size < PRMSize {
+	case cfg.DRAM.Size > top.DRAM.Size:
+		return itree.Geometry{}, fmt.Errorf("platform: dram size %d above the testbed's %d", cfg.DRAM.Size, top.DRAM.Size)
+	case cfg.DRAM.Size < PRMSize:
 		return itree.Geometry{}, fmt.Errorf("platform: dram size %d below the %d-byte PRM", cfg.DRAM.Size, PRMSize)
+	case cfg.CPU.L1Sets > top.CPU.L1Sets || cfg.CPU.L2Sets > top.CPU.L2Sets ||
+		cfg.CPU.LLCSets > top.CPU.LLCSets || cfg.MEE.CacheSets > top.MEE.CacheSets:
+		return itree.Geometry{}, fmt.Errorf("platform: L1/L2/LLC/MEE set counts %d/%d/%d/%d above the testbed's %d/%d/%d/%d",
+			cfg.CPU.L1Sets, cfg.CPU.L2Sets, cfg.CPU.LLCSets, cfg.MEE.CacheSets,
+			top.CPU.L1Sets, top.CPU.L2Sets, top.CPU.LLCSets, top.MEE.CacheSets)
 	}
 	geom, err := itree.NewGeometry(dram.Addr(cfg.DRAM.Size-PRMSize), PRMSize, EPCSize)
 	if err != nil {
@@ -156,7 +168,7 @@ func checkConfig(cfg Config) (itree.Geometry, error) {
 
 // bootDraws makes a boot's seeded draws from rng, in their order: the MEE's
 // master key, 16 draws, then the EPC's frame order. New makes them on the
-// engine's stream and SnapshotFromState on a fresh stream seeded the same
+// engine's stream and ReadSnapshot on a fresh stream seeded the same
 // way, so the seed fixes both and a snapshot image carries neither.
 func bootDraws(cfg Config, geom itree.Geometry, rng *rand.Rand) (*itree.Crypto, *enclave.EPCAllocator) {
 	var master [16]byte

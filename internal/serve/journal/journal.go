@@ -20,6 +20,7 @@ import (
 
 	"meecc/internal/obs/ops"
 	"meecc/internal/snapstore"
+	"meecc/internal/wire"
 )
 
 // magic opens every journal file.
@@ -70,7 +71,7 @@ type Record struct {
 // Encode renders the record as a wire payload (frame it with
 // snapstore.AppendFrame for storage).
 func Encode(rec Record) []byte {
-	var w snapstore.Writer
+	var w wire.Writer
 	w.U8(Version)
 	w.U8(uint8(rec.Kind))
 	w.String(rec.RunID)
@@ -98,7 +99,7 @@ func Encode(rec Record) []byte {
 // Decode parses a payload produced by Encode. Damaged or version-skewed
 // payloads come back as errors, never panics.
 func Decode(payload []byte) (Record, error) {
-	r := snapstore.NewReader(payload)
+	r := wire.NewReader(payload)
 	if v := r.U8(); r.Err() == nil && v != Version {
 		return Record{}, fmt.Errorf("journal: record version %d, want %d", v, Version)
 	}

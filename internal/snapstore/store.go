@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"meecc/internal/obs/ops"
+	"meecc/internal/wire"
 )
 
 // ErrNotFound reports a key with no blob in the store.
@@ -161,7 +162,7 @@ func (s *Store) Put(key string, blob []byte) error {
 // Get loads the blob stored under key and freshens its LRU position. A
 // missing blob returns ErrNotFound. Framing and checksum verification are
 // the caller's (Unseal's) job — the store returns raw bytes — but a blob
-// too short to even carry a seal is deleted and reported as ErrCorrupt
+// too short to even carry a seal is deleted and reported as wire.ErrCorrupt
 // right here.
 func (s *Store) Get(key string) ([]byte, error) {
 	p, err := s.path(key)
@@ -189,7 +190,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		if s.log != nil {
 			s.log.Warn("snapstore self-heal: deleted corrupt blob", "key", key, "bytes", len(blob))
 		}
-		return nil, fmt.Errorf("%w: stored blob %s is %d bytes", ErrCorrupt, key, len(blob))
+		return nil, fmt.Errorf("%w: stored blob %s is %d bytes", wire.ErrCorrupt, key, len(blob))
 	}
 	now := time.Now()
 	_ = os.Chtimes(p, now, now) // LRU freshness; best-effort

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"meecc/internal/snapstore"
+	"meecc/internal/wire"
 )
 
 func TestStorePutGetRoundTrip(t *testing.T) {
@@ -140,7 +141,7 @@ func TestStoreCorruptionDetectedOnLoad(t *testing.T) {
 	if err := s.Put(key, []byte("torn")); err != nil { // far below any valid seal
 		t.Fatal(err)
 	}
-	if _, err := s.Get(key); !errors.Is(err, snapstore.ErrCorrupt) {
+	if _, err := s.Get(key); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("torn blob: got %v, want ErrCorrupt", err)
 	}
 	// The store self-heals: the torn file is gone.
@@ -157,7 +158,7 @@ func TestStoreCorruptionDetectedOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapstore.Unseal(snapstore.KindWarm, got); !errors.Is(err, snapstore.ErrCorrupt) {
+	if _, err := snapstore.Unseal(snapstore.KindWarm, got); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("bit-flipped blob: got %v, want ErrCorrupt", err)
 	}
 }
