@@ -185,8 +185,8 @@ type pinnedCommand struct {
 // send-obs and batch-smoke rows write. {out} is the row's own output
 // directory {root}/NAME; {in} holds one-trial copies of the example specs
 // and a malformed artifact; {specs} is examples/specs. Every digest except
-// the send -reliable rows' and send-inband-mee4k's was recorded by running
-// a build of the command
+// the send -reliable rows', send-inband-mee4k's and batch-fig8-paired's
+// was recorded by running a build of the command
 // from before subcommands had their own flag sets, one process per row,
 // with the same masks; send-obs's stdout and metrics.json and
 // inspect-metrics were re-recorded once at obs snapshot schema 2, which
@@ -211,6 +211,12 @@ var pinnedCommands = []pinnedCommand{
 	{"batch-fig7-paired", "batch -spec {in}/fig7-paired.json -out {out} -workers 2", 0, "a21d40fbb1bfa0e6a09b634e5a69e8c287a4c5c33a58728414e0070583a35dee", map[string]string{
 		"fig7-paired.json":          "a6b69357dad8d3f798ef73fc5e3f424a1d19da436e7252f49b80bbee5c2dce20",
 		"fig7-paired.manifest.json": "d8a68cf24df31aed6c7b6291e9497a4f5f86a57f627e6dc469937d45b83d4643",
+	}},
+	// Recorded before a warm fork armed noise, when all three noisy cells
+	// ran fresh; now the mee512 and mee4k cells fork, and the digests hold.
+	{"batch-fig8-paired", "batch -spec {in}/fig8-paired.json -out {out} -workers 2", 0, "b019dfd4d3f4dfd4c6d005fa660954888ac66866d5ca57f9803929d865f8e4dd", map[string]string{
+		"fig8-paired.json":          "393792ccd7864dc516e9f396f818c537c8f3ac1b646f342ecfd10b850c3543e7",
+		"fig8-paired.manifest.json": "9441e7ff797d9edf6ef5be434c0080ab9f2cbbf56bf536cb042a2b65e7d30851",
 	}},
 	{"batch-noise-policy-grid", "batch -spec {in}/noise-policy-grid.json -out {out} -workers 2", 0, "605a1dd2179761f9b8fca6db35e80930a7d2d5af7c34d8da74d05ebbfcdb4af2", map[string]string{
 		"noise-policy-grid.json":          "f4ecc409288d95fa0897f222e0ed8d647b88dbeac6cf0ed6d7720efbfbadf32e",
@@ -282,7 +288,7 @@ func TestCommandsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	trials := regexp.MustCompile(`"trials": [0-9]+`)
-	for _, name := range []string{"fig7.json", "fig7-paired.json", "noise-policy-grid.json", "chaos.json"} {
+	for _, name := range []string{"fig7.json", "fig7-paired.json", "fig8-paired.json", "noise-policy-grid.json", "chaos.json"} {
 		data, err := os.ReadFile(filepath.Join(specs, name))
 		if err != nil {
 			t.Fatal(err)

@@ -192,8 +192,9 @@ const (
 // platform so many transmissions can fork from the same warm state.
 // RunResilient, RunInBandChannel and RunPrimeProbe run the same warm steps
 // and then their own transmit protocols. Each of these starts its session
-// with startChannel, and each that transmits arms its noise and faults
-// with environment once both endpoint threads are spawned.
+// with startChannel. Every runner that transmits, a warm state's Run
+// among them, arms its noise and faults with environment once both
+// endpoint threads are spawned or resumed.
 type channelSession struct {
 	cfg     ChannelConfig // defaults applied; Bits expanded by repetition
 	logical []byte        // pre-expansion payload
@@ -293,10 +294,18 @@ func (s *channelSession) createProcs(plat *platform.Platform, pools int) error {
 	if _, err := s.spyProc.CreateEnclave(pools*calPages + monitorCandidates); err != nil {
 		return err
 	}
+	s.deriveCandidates(pools)
+	return nil
+}
+
+// deriveCandidates sets both enclaves' candidate pages, which follow each
+// enclave's `pools` calibration pools: the pages Algorithm 1 and monitor
+// discovery search, and the ones a campaign's paging events target. A
+// forked session derives them again from the processes it re-finds.
+func (s *channelSession) deriveCandidates(pools int) {
 	candBase := enclave.VAddr(pools * calPages * enclave.PageBytes)
 	s.trojanCands = pageAddrs(s.trojanProc.Enclave().Base+candBase, evSetCandidates, agreedIndex)
 	s.spyCands = pageAddrs(s.spyProc.Enclave().Base+candBase, monitorCandidates, agreedIndex)
-	return nil
 }
 
 // ownerWarm is the owner's warm step: threshold calibration, Algorithm 1,
@@ -402,7 +411,7 @@ func (s *channelSession) spyTransmit(th *platform.Thread) {
 // arms its fault campaign against the owner thread (trojan) and the finder
 // thread (spy); a campaign without its own window lands in [t0, end).
 // Paging events aim at the eviction set and, once found, the monitor.
-// Every runner calls it after spawning both endpoint threads.
+// Every runner calls it after spawning or resuming both endpoint threads.
 func (s *channelSession) environment(plat *platform.Platform, trojan, spy *platform.Thread, end sim.Cycles) (*fault.Injector, error) {
 	if err := spawnNoise(plat, s.cfg.Noise, noiseCore, s.t0); err != nil {
 		return nil, err
@@ -562,7 +571,15 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 			s.spyTransmit(th)
 		}
 	})
-	injector, err := s.environment(plat, trojanTh, spyTh, s.tEnd)
+	return s.runTransmit(plat, trojanTh, spyTh)
+}
+
+// runTransmit is the tail RunChannel and a warm state's Run share once both
+// endpoint threads are spawned or resumed: it arms the environment, the
+// statistics reset at t0 and the study callback, in that order, runs to the
+// end of the last window and reports.
+func (s *channelSession) runTransmit(plat *platform.Platform, trojan, spy *platform.Thread) (*ChannelResult, error) {
+	injector, err := s.environment(plat, trojan, spy, s.tEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +587,6 @@ func RunChannel(cfg ChannelConfig) (*ChannelResult, error) {
 	if s.cfg.onPlatform != nil {
 		s.cfg.onPlatform(plat, s.t0, s.tEnd)
 	}
-
 	plat.Run(s.tEnd + s.cfg.Window)
 	return s.finish(plat, injector)
 }

@@ -22,11 +22,11 @@ import (
 // The faults/intensity/faultseed parameters select the campaign; with none
 // of them set the trial measures the fault-free baseline.
 //
-// Chaos trials always boot fresh platforms, never warm forks: fault
-// injectors attach to the platform and arm themselves during the warm
-// phase, which is exactly the state a platform snapshot cannot carry (see
-// warmRestriction). The harness therefore shares seeds but not warm state
-// when a chaos spec uses SharedAxes.
+// Chaos trials always boot fresh platforms, never warm forks: ChaosTrial
+// takes no warm cache (bench/tracer.go calls this three-argument form), and
+// its adaptive arm warms with calSlices (6) calibration pools per enclave
+// where a channel warm state has one. The harness therefore shares seeds
+// but not warm state when a chaos spec uses SharedAxes.
 //
 // Metrics: static_ber, static_delivered, static_goodput_kbps,
 // adaptive_delivered, adaptive_goodput_kbps, adaptive_rounds, retransmits,

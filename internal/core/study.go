@@ -160,8 +160,9 @@ func BuildChannelConfig(params map[string]string, seed uint64) (ChannelConfig, e
 // parameters at the given seed and returns its scalar metrics — the
 // harness's "channel" study. A run whose setup fails returns an error (the
 // harness records it as a cell failure). When warm is non-nil and the
-// config qualifies for warm forking (no noise, no faults, no observer — see
-// warmRestriction), the trial forks a cached warmed platform instead of
+// config qualifies for warm forking (no memory noise, no campaign with its
+// own window, no observer — see warmRestriction), the trial forks a cached
+// warmed platform and arms its MEE noise and faults on the fork instead of
 // warming its own. The result is exactly the one a fresh run produces, so
 // callers may mix cached and uncached trials freely; configs the warm path
 // cannot carry silently fall back to RunChannel.

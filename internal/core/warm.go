@@ -27,7 +27,8 @@ type ChannelWarmState struct {
 
 // warmInputs are what a warm phase depends on: the machine and the
 // eviction mode. The schedule, core placement and agreed index are package
-// constants, and warmRestriction keeps everything else off the warm path.
+// constants, and warmRestriction refuses everything else that acts before
+// the warm phase ends.
 type warmInputs struct {
 	Options
 	TwoPhaseEviction bool
@@ -37,19 +38,26 @@ func warmInputsOf(cfg ChannelConfig) warmInputs {
 	return warmInputs{cfg.Options, cfg.TwoPhaseEviction}
 }
 
-// warmRestriction reports why cfg cannot use the warm-fork path. Noise and
-// fault actors, study callbacks, and observers all attach to the concrete
-// platform during or before the warm phase, so configs using them must run
-// fresh via RunChannel.
+// warmRestriction reports why cfg cannot use the warm-fork path. It refuses
+// exactly what acts before the warm phase ends, which a fork taken at its
+// end cannot replay. The rest of a session's environment starts at t0 (MEE
+// noise, a campaign without its own window), and Run arms it as RunChannel
+// does.
 func warmRestriction(cfg ChannelConfig) error {
 	switch {
-	case cfg.Noise != NoiseNone:
+	case cfg.Noise == NoiseMemory:
+		// spawnNoise maps 2 048 general pages before the run, which shifts
+		// the stream the warm phase draws from.
 		return fmt.Errorf("core: warm forking does not support background noise (%s)", cfg.Noise)
-	case cfg.Fault != nil:
-		return fmt.Errorf("core: warm forking does not support fault injection")
+	case cfg.Fault != nil && (cfg.Fault.Start != 0 || cfg.Fault.End != 0):
+		// A campaign with its own Start/End can land inside the warm phase.
+		return fmt.Errorf("core: warm forking does not support a fault campaign with its own window")
 	case cfg.onPlatform != nil:
+		// detect.NewMonitor copies the LLC's per-set eviction counts, which
+		// are zero at boot but hold the warm phase's evictions on a fork.
 		return fmt.Errorf("core: warm forking does not support onPlatform callbacks")
 	case cfg.Obs != nil:
+		// An observer counts the warm phase's events.
 		return fmt.Errorf("core: warm forking does not support observability")
 	}
 	return nil
@@ -57,9 +65,10 @@ func warmRestriction(cfg ChannelConfig) error {
 
 // WarmChannel runs the warm phase of a channel session — calibration on
 // both sides, Algorithm 1, monitor discovery — to completion and snapshots
-// the platform. cfg.Bits, Window, ProbePhase, and Repetition are ignored:
-// they only shape the transmit phase and are taken from the config passed
-// to each Run.
+// the platform. cfg.Bits, Window, ProbePhase, Repetition, and the MEE
+// noise and fault campaign warmRestriction lets through are ignored: they
+// only shape the transmit phase and are taken from the config passed to
+// each Run.
 func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 	if err := warmRestriction(cfg); err != nil {
 		return nil, err
@@ -95,31 +104,21 @@ func WarmChannel(cfg ChannelConfig) (*ChannelWarmState, error) {
 	return ws, nil
 }
 
-// compatible rejects configs whose warm phase would have differed from the
-// one this state was produced under.
-func (ws *ChannelWarmState) compatible(cfg ChannelConfig) error {
-	switch {
-	case cfg.Options != ws.in.Options:
-		return fmt.Errorf("core: warm state options mismatch")
-	case cfg.TwoPhaseEviction != ws.in.TwoPhaseEviction:
-		return fmt.Errorf("core: warm state TwoPhaseEviction mismatch")
-	}
-	return nil
-}
-
 // Run executes one transmission from the warm state: fork the snapshot,
-// resume the trojan and spy threads where their warm phase left off, and
-// run Algorithm 2 with cfg's payload and window. The result is identical —
-// probe latencies, decoded bits, footprint, and all — to what RunChannel
-// would return for the same config, because the forked platform resumes
-// the engine's RNG stream and memory state exactly where the warm phase
-// ended (see TestWarmForkMatchesFreshRun).
+// resume the trojan and spy threads where their warm phase left off, arm
+// cfg's environment, and run Algorithm 2 with cfg's payload and window.
+// The result is identical — probe latencies, decoded bits, footprint,
+// fault log and all — to what RunChannel would return for the same config,
+// because the forked platform resumes the engine's RNG stream and memory
+// state exactly where the warm phase ended, and everything the environment
+// arms acts from t0 on (see TestWarmForkMatchesFreshRun and
+// TestWarmForkMatchesFreshUnderEnvironment).
 func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	if err := warmRestriction(cfg); err != nil {
 		return nil, err
 	}
-	if err := ws.compatible(cfg); err != nil {
-		return nil, err
+	if warmInputsOf(cfg) != ws.in {
+		return nil, fmt.Errorf("core: warm state inputs mismatch (Options or TwoPhaseEviction)")
 	}
 	if err := checkPayload(cfg.Bits); err != nil {
 		return nil, err
@@ -128,20 +127,17 @@ func (ws *ChannelWarmState) Run(cfg ChannelConfig) (*ChannelResult, error) {
 	plat := ws.snap.Fork()
 	defer plat.Close()
 	s.trojanProc, s.spyProc = plat.Procs()[0], plat.Procs()[1]
+	s.deriveCandidates(1)
 	s.warmed = ws.warmed
 
-	// Same spawn order as RunChannel (trojan id 0, spy id 1, stats-reset
-	// next), so clock ties resolve as they would in a fresh run. Each
-	// thread resumes on its home core in enclave mode with nothing
-	// pending: only a fault campaign moves a thread or leaves it a stall,
-	// timer drift or jitter, and warmRestriction keeps campaigns off warm
-	// states.
-	plat.ResumeThread("trojan", s.trojanProc, ws.trojanClock,
+	// Same spawn order as RunChannel (trojan id 0, spy id 1, then what
+	// runTransmit arms), so clock ties resolve as they would in a fresh
+	// run. Each thread resumes on its home core in enclave mode with
+	// nothing pending: only a fault campaign moves a thread or leaves it a
+	// stall, timer drift or jitter, and none acts before t0.
+	trojanTh := plat.ResumeThread("trojan", s.trojanProc, ws.trojanClock,
 		platform.ThreadState{Core: trojanCore, EnclaveMode: true}, s.trojanTransmit)
-	plat.ResumeThread("spy", s.spyProc, ws.spyClock,
+	spyTh := plat.ResumeThread("spy", s.spyProc, ws.spyClock,
 		platform.ThreadState{Core: spyCore, EnclaveMode: true}, s.spyTransmit)
-	spawnStatsReset(plat, s.t0)
-
-	plat.Run(s.tEnd + s.cfg.Window)
-	return s.finish(plat, nil)
+	return s.runTransmit(plat, trojanTh, spyTh)
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"meecc/internal/fault"
+	"meecc/internal/obs"
+	"meecc/internal/platform"
 	"meecc/internal/sim"
 )
 
@@ -45,6 +49,66 @@ func TestWarmForkMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// TestWarmForkMatchesFreshUnderEnvironment extends that guarantee to a
+// session's environment. MEE noise starts at t0 and a campaign without its
+// own window lands in [t0, end), so a warm state's Run arms both after it
+// resumes the threads and must return exactly what RunChannel returns, the
+// fault log and the error text included. Every case must move the probe
+// latencies or log a fault, so the oracle cannot pass on an environment
+// that did nothing: 768 windows give each campaign below at least one event
+// at every seed.
+func TestWarmForkMatchesFreshUnderEnvironment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full channel runs in -short mode")
+	}
+	type env struct {
+		name      string
+		noise     NoiseKind
+		kinds     []fault.Kind
+		intensity float64
+	}
+	envs := []env{{"mee512", NoiseMEE512, nil, 0}, {"mee4k", NoiseMEE4K, nil, 0}}
+	for _, k := range fault.AllKinds() {
+		for _, intensity := range []float64{1, 4} {
+			envs = append(envs, env{fmt.Sprintf("%s@%g", k, intensity), NoiseNone, []fault.Kind{k}, intensity})
+		}
+	}
+	envs = append(envs, env{"all@2+mee4k", NoiseMEE4K, fault.AllKinds(), 2})
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			base := DefaultChannelConfig(seed)
+			base.Bits = RandomBits(seed, 768)
+			ws, err := WarmChannel(base)
+			if err != nil {
+				t.Fatalf("WarmChannel: %v", err)
+			}
+			quiet, err := ws.Run(base)
+			if err != nil {
+				t.Fatalf("quiet run: %v", err)
+			}
+			for _, e := range envs {
+				cfg := base
+				cfg.Noise = e.noise
+				if e.kinds != nil {
+					cfg.Fault = &fault.Config{Seed: seed, Kinds: e.kinds, Intensity: e.intensity}
+				}
+				fresh, freshErr := RunChannel(cfg)
+				warm, warmErr := ws.Run(cfg)
+				if fmt.Sprint(freshErr) != fmt.Sprint(warmErr) {
+					t.Errorf("%s: fresh err %v, warm err %v", e.name, freshErr, warmErr)
+				}
+				if !reflect.DeepEqual(fresh, warm) {
+					t.Errorf("%s: warm-forked result differs from fresh run\nfresh: %+v\nwarm:  %+v", e.name, fresh, warm)
+				}
+				if fresh != nil && len(fresh.Faults) == 0 && reflect.DeepEqual(fresh.ProbeTimes, quiet.ProbeTimes) {
+					t.Errorf("%s: same probe times as the quiet run and no fault logged", e.name)
+				}
+			}
+		})
+	}
+}
+
 // TestWarmForkRepetitionDecoding checks the repetition layer (a pure
 // transmit-phase feature) through the warm path.
 func TestWarmForkRepetitionDecoding(t *testing.T) {
@@ -72,8 +136,8 @@ func TestWarmForkRepetitionDecoding(t *testing.T) {
 }
 
 // TestWarmRunRejectsIncompatibleConfigs pins the guard rails: configs that
-// would have changed the warm phase, or that need platform attachments the
-// fork cannot carry, are rejected with a clear error.
+// would have changed the warm phase, or that act before it ends, are
+// rejected with a clear error.
 func TestWarmRunRejectsIncompatibleConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -84,9 +148,14 @@ func TestWarmRunRejectsIncompatibleConfigs(t *testing.T) {
 		t.Fatalf("WarmChannel: %v", err)
 	}
 	for name, mutate := range map[string]func(*ChannelConfig){
-		"seed":      func(c *ChannelConfig) { c.Options.Seed++ },
-		"two-phase": func(c *ChannelConfig) { c.TwoPhaseEviction = false },
-		"noise":     func(c *ChannelConfig) { c.Noise = NoiseMemory },
+		"seed":         func(c *ChannelConfig) { c.Options.Seed++ },
+		"two-phase":    func(c *ChannelConfig) { c.TwoPhaseEviction = false },
+		"memory-noise": func(c *ChannelConfig) { c.Noise = NoiseMemory },
+		"campaign-window": func(c *ChannelConfig) {
+			c.Fault = &fault.Config{Seed: 3, Kinds: fault.AllKinds(), Intensity: 1, Start: 1, End: 100_000_000}
+		},
+		"on-platform": func(c *ChannelConfig) { c.onPlatform = func(*platform.Platform, sim.Cycles, sim.Cycles) {} },
+		"observer":    func(c *ChannelConfig) { c.Obs = obs.NewObserver() },
 	} {
 		cfg := base
 		cfg.Bits = AlternatingBits(4)

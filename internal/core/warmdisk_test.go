@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"meecc/internal/fault"
 	"meecc/internal/sim"
 	"meecc/internal/snapstore"
 	"meecc/internal/wire"
@@ -68,10 +69,10 @@ func TestWarmStateDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmBlobIsAFunctionOfItsKey: two configs that share a warmKey but
-// differ in every transmit-side knob warm to byte-identical blobs, so the
-// servers that spill one store key write one blob, whichever cell warmed
-// it.
+// TestWarmBlobIsAFunctionOfItsKey: configs that share a warmKey but differ
+// in every transmit-side knob, or in the environment the transmission runs
+// in, warm to byte-identical blobs, so the servers that spill one store key
+// write one blob, whichever cell warmed it.
 func TestWarmBlobIsAFunctionOfItsKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel runs in -short mode")
@@ -79,11 +80,15 @@ func TestWarmBlobIsAFunctionOfItsKey(t *testing.T) {
 	a := DefaultChannelConfig(7)
 	b := a
 	b.Window, b.ProbePhase, b.Repetition, b.Bits = 10_000, 0.8, 3, RandomBits(7, 12)
-	if ka, kb := warmKey(warmInputsOf(a)), warmKey(warmInputsOf(b)); ka != kb {
-		t.Fatalf("keys differ: %q and %q", ka, kb)
-	}
-	var blobs [2][]byte
-	for i, cfg := range []ChannelConfig{a, b} {
+	c := a
+	c.Noise = NoiseMEE4K
+	c.Fault = &fault.Config{Seed: 7, Kinds: fault.AllKinds(), Intensity: 2}
+	cfgs := []ChannelConfig{a, b, c}
+	blobs := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		if ka, k := warmKey(warmInputsOf(a)), warmKey(warmInputsOf(cfg)); ka != k {
+			t.Fatalf("keys differ: %q and %q", ka, k)
+		}
 		ws, err := WarmChannel(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -91,9 +96,9 @@ func TestWarmBlobIsAFunctionOfItsKey(t *testing.T) {
 		if blobs[i], err = ws.Encode(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(blobs[0], blobs[1]) {
-		t.Errorf("one key, two blobs: %d and %d bytes", len(blobs[0]), len(blobs[1]))
+		if !bytes.Equal(blobs[0], blobs[i]) {
+			t.Errorf("one key, two blobs: %d and %d bytes (config %d)", len(blobs[0]), len(blobs[i]), i)
+		}
 	}
 }
 

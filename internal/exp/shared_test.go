@@ -112,12 +112,17 @@ func TestSharedAxesPairSeeds(t *testing.T) {
 // for warm-state sharing: a shared-axis channel spec produces byte-identical
 // artifacts at any worker count, and those artifacts are exactly what a
 // runner that never touches the warm cache produces. The warm fork is an
-// optimization, never an observable.
+// optimization, never an observable. The second grid shares its MEE noise
+// and fault axes, whose cells fork one warm state per seed and arm their
+// environment on the fork.
 func TestSharedAxesWarmMatchesFreshAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full channel simulations in -short mode")
 	}
-	spec := &Spec{
+	fresh := func(j Job) (Metrics, *obs.Snapshot, error) {
+		return core.ChannelTrialWarm(j.Params(), j.Seed, j.Spec.Metrics, nil)
+	}
+	for _, spec := range []*Spec{{
 		Name:       "shared-warm",
 		Study:      "channel",
 		BaseSeed:   42,
@@ -125,34 +130,42 @@ func TestSharedAxesWarmMatchesFreshAcrossWorkers(t *testing.T) {
 		Params:     map[string]string{"bits": "16", "pattern": "alternating"},
 		Axes:       []Axis{{Name: "window", Values: []string{"7500", "15000"}}},
 		SharedAxes: []string{"window"},
-	}
-	fresh := func(j Job) (Metrics, *obs.Snapshot, error) {
-		return core.ChannelTrialWarm(j.Params(), j.Seed, j.Spec.Metrics, nil)
-	}
+	}, {
+		Name:     "shared-environment",
+		Study:    "channel",
+		BaseSeed: 42,
+		Trials:   2,
+		Params:   map[string]string{"bits": "64", "pattern": "alternating", "intensity": "2"},
+		Axes: []Axis{
+			{Name: "noise", Values: []string{"none", "mee512", "mee4k"}},
+			{Name: "faults", Values: []string{"none", "paging", "migration", "storm"}},
+		},
+		SharedAxes: []string{"noise", "faults"},
+	}} {
+		var artifacts [][]byte
+		run := func(label string, via func() (*Report, error)) {
+			rep, err := via()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", spec.Name, label, err)
+			}
+			if n := rep.Failures(); n > 0 {
+				t.Fatalf("%s, %s: %d channel trials failed: %+v", spec.Name, label, n, rep.Trials)
+			}
+			b, err := MarshalArtifact(rep.Artifact())
+			if err != nil {
+				t.Fatalf("%s, %s: %v", spec.Name, label, err)
+			}
+			artifacts = append(artifacts, b)
+		}
+		run("warm workers=1", func() (*Report, error) { return RunSpec(spec, Config{Workers: 1}) })
+		run("warm workers=4", func() (*Report, error) { return RunSpec(spec, Config{Workers: 4}) })
+		run("fresh workers=2", func() (*Report, error) { return Run(spec, fresh, Config{Workers: 2}) })
 
-	var artifacts [][]byte
-	run := func(label string, via func() (*Report, error)) {
-		rep, err := via()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if n := rep.Failures(); n > 0 {
-			t.Fatalf("%s: %d channel trials failed: %+v", label, n, rep.Trials)
-		}
-		b, err := MarshalArtifact(rep.Artifact())
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		artifacts = append(artifacts, b)
-	}
-	run("warm workers=1", func() (*Report, error) { return RunSpec(spec, Config{Workers: 1}) })
-	run("warm workers=4", func() (*Report, error) { return RunSpec(spec, Config{Workers: 4}) })
-	run("fresh workers=2", func() (*Report, error) { return Run(spec, fresh, Config{Workers: 2}) })
-
-	for i := 1; i < len(artifacts); i++ {
-		if !bytes.Equal(artifacts[0], artifacts[i]) {
-			t.Fatalf("artifact %d differs from warm workers=1 baseline:\n%s\n---\n%s",
-				i, artifacts[0], artifacts[i])
+		for i := 1; i < len(artifacts); i++ {
+			if !bytes.Equal(artifacts[0], artifacts[i]) {
+				t.Fatalf("%s: artifact %d differs from warm workers=1 baseline:\n%s\n---\n%s",
+					spec.Name, i, artifacts[0], artifacts[i])
+			}
 		}
 	}
 }

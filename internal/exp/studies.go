@@ -33,9 +33,9 @@ var studies = map[string]func(warm *core.WarmCache) Runner{
 			return core.CapacityTrial(j.Params(), j.Seed, j.Spec.Metrics)
 		}
 	},
-	// The chaos study compares fault campaigns, and fault injectors attach
-	// to the platform before the warm phase ends — outside what a snapshot
-	// can carry — so chaos trials always run fresh (see warmRestriction).
+	// Chaos trials always run fresh: ChaosTrial takes no warm cache, and
+	// its adaptive arm warms with six calibration pools per enclave where a
+	// channel warm state has one (see ChaosTrial).
 	"chaos": func(*core.WarmCache) Runner {
 		return func(j Job) (Metrics, *obs.Snapshot, error) {
 			return core.ChaosTrial(j.Params(), j.Seed, j.Spec.Metrics)

@@ -26,7 +26,10 @@ type pinnedFigure struct {
 // -bits 64 -workers 2 -out DIR`. Manifests are hashed with their
 // run-dependent fields masked.
 var pinnedFigures = []pinnedFigure{
-	{"2", "7628d6058c7ef339a72f02d13576bed10d839267a39c9d7764047c9a3545d1d5", nil},
+	// Re-recorded once when ReadU64 and WriteU64 started moving their data
+	// before the access's latency passes: the hyperthread-timer-actor row's
+	// reader no longer sees a timestamp stored while its load was in flight.
+	{"2", "1953e0ab2d8d4eb1a1a4bf027a14b5ff529a17e1496f838e594a478cf33d0d0f", nil},
 	{"4", "6623e13c9ee7eb4e8b5bf3ecb525a6e9d1794ad900f5fe0ead1fb41c7cacc7f3", map[string]string{
 		"fig4.csv":           "0cd64309a3fcc0ace8181415c746c2fd4cf7d01428a82f14d300767e7c981bcd",
 		"fig4.json":          "e006aac7f582fe2e0231af3f71208967d351c79648d81d4e5be2a799ed9293c5",

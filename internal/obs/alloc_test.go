@@ -4,12 +4,12 @@ import "testing"
 
 // The hot-path contract: emission into live instruments never allocates, in
 // both the enabled and disabled (nil) states. Setup paths (Name, Track,
-// registry lookups) are allowed to allocate.
+// observer lookups) are allowed to allocate.
 
 func TestEmissionAllocFree(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h")
+	o := NewObserver()
+	c := o.Counter("c")
+	h := o.Histogram("h")
 	tr := NewTracer(8)
 	name := tr.Name("e")
 	track := tr.Track("t")
@@ -36,9 +36,9 @@ func TestEmissionAllocFree(t *testing.T) {
 	}
 }
 
-func TestSnapshotOfEmptyRegistryIsStable(t *testing.T) {
-	a := NewRegistry().Snapshot().Encode()
-	b := NewRegistry().Snapshot().Encode()
+func TestSnapshotOfEmptyObserverIsStable(t *testing.T) {
+	a := NewObserver().Snapshot().Encode()
+	b := NewObserver().Snapshot().Encode()
 	if string(a) != string(b) {
 		t.Fatalf("empty snapshots differ:\n%s\n---\n%s", a, b)
 	}

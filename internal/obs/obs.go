@@ -1,8 +1,8 @@
-// Package obs is the simulator's observability layer: a metrics registry of
-// plain-struct counters and histograms, and a sim-clock timeline tracer with
-// Chrome trace-event (Perfetto) export.
+// Package obs is the simulator's observability layer: an Observer that owns
+// plain-struct counters and histograms and an optional sim-clock timeline
+// tracer with Chrome trace-event (Perfetto) export.
 //
-// The registry is built for a single-threaded discrete-event simulation. The
+// The observer is built for a single-threaded discrete-event simulation. The
 // sim engine serializes all actor execution, so instruments are plain uint64
 // fields — no atomics, no mutexes, no interface dispatch on the hot path.
 // Every instrument method is nil-receiver safe: code instruments itself
@@ -37,7 +37,7 @@ const (
 )
 
 // Counter is a monotonically increasing event count. The zero value is not
-// useful; obtain counters from a Registry. A nil *Counter is a no-op, which
+// useful; obtain counters from an Observer. A nil *Counter is a no-op, which
 // is how disabled instrumentation stays near-free.
 type Counter struct {
 	name  string
@@ -126,110 +126,131 @@ type sample struct {
 
 func (s *sample) value() uint64 { return s.base + s.fn() }
 
-// Registry owns the instruments for one observed run. It is not safe for
-// concurrent use — the sim engine serializes all actor execution, and each
-// experiment trial builds its own registry. A nil *Registry hands out nil
-// instruments, so callers never need their own enable checks.
-type Registry struct {
+// Observer owns the instruments of one observed run and its optional
+// timeline tracer; it is the single handle threaded through platform/core
+// configuration. It is not safe for concurrent use — the sim engine
+// serializes all actor execution, and each experiment trial builds its own
+// observer. Every method is safe on a nil receiver: a nil *Observer IS the
+// disabled state and hands out nil instruments, so callers never need their
+// own enable checks.
+type Observer struct {
 	counters   []*Counter
 	counterIdx map[string]int
 	hists      []*Histogram
 	histIdx    map[string]int
 	samples    []*sample
 	sampleIdx  map[string]int
+	tracer     *Tracer
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
+// NewObserver returns an observer with no instruments and no tracer.
+func NewObserver() *Observer {
+	return &Observer{
 		counterIdx: make(map[string]int),
 		histIdx:    make(map[string]int),
 		sampleIdx:  make(map[string]int),
 	}
 }
 
+// WithTracer attaches a preallocated ring-buffer tracer (see NewTracer) and
+// returns the observer for chaining.
+func (o *Observer) WithTracer(capacity int) *Observer {
+	if o != nil {
+		o.tracer = NewTracer(capacity)
+	}
+	return o
+}
+
+// Tracer returns the attached tracer, or nil.
+func (o *Observer) Tracer() *Tracer {
+	if o == nil {
+		return nil
+	}
+	return o.tracer
+}
+
 // Counter returns the semantic counter with the given name, creating it on
 // first use. Repeated calls with one name return the same counter, so
-// sequential platforms sharing a registry accumulate into it. Returns nil on
-// a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	return r.counter(name, Semantic)
+// sequential platforms sharing an observer accumulate into it. Returns nil
+// on a nil observer.
+func (o *Observer) Counter(name string) *Counter {
+	return o.counter(name, Semantic)
 }
 
 // DiagnosticCounter is Counter for scheduler-dependent event counts; the
 // result is excluded from Snapshot() (see Class).
-func (r *Registry) DiagnosticCounter(name string) *Counter {
-	return r.counter(name, Diagnostic)
+func (o *Observer) DiagnosticCounter(name string) *Counter {
+	return o.counter(name, Diagnostic)
 }
 
-func (r *Registry) counter(name string, class Class) *Counter {
-	if r == nil {
+func (o *Observer) counter(name string, class Class) *Counter {
+	if o == nil {
 		return nil
 	}
-	if i, ok := r.counterIdx[name]; ok {
-		return r.counters[i]
+	if i, ok := o.counterIdx[name]; ok {
+		return o.counters[i]
 	}
 	c := &Counter{name: name, class: class}
-	r.counterIdx[name] = len(r.counters)
-	r.counters = append(r.counters, c)
+	o.counterIdx[name] = len(o.counters)
+	o.counters = append(o.counters, c)
 	return c
 }
 
 // Histogram returns the semantic histogram with the given name, creating it
-// on first use. Returns nil on a nil registry.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
+// on first use. Returns nil on a nil observer.
+func (o *Observer) Histogram(name string) *Histogram {
+	if o == nil {
 		return nil
 	}
-	if i, ok := r.histIdx[name]; ok {
-		return r.hists[i]
+	if i, ok := o.histIdx[name]; ok {
+		return o.hists[i]
 	}
 	h := &Histogram{name: name, class: Semantic}
-	r.histIdx[name] = len(r.hists)
-	r.hists = append(r.hists, h)
+	o.histIdx[name] = len(o.hists)
+	o.hists = append(o.hists, h)
 	return h
 }
 
 // Sample registers a deferred gauge evaluated at snapshot time. If name is
 // already registered, the previous fn's current value is folded into a
 // baseline first, so a fresh component replacing an old one (new platform,
-// same registry) reports the sum of both. No-op on a nil registry.
-func (r *Registry) Sample(name string, class Class, fn func() uint64) {
-	if r == nil || fn == nil {
+// same observer) reports the sum of both. No-op on a nil observer.
+func (o *Observer) Sample(name string, class Class, fn func() uint64) {
+	if o == nil || fn == nil {
 		return
 	}
-	if i, ok := r.sampleIdx[name]; ok {
-		s := r.samples[i]
+	if i, ok := o.sampleIdx[name]; ok {
+		s := o.samples[i]
 		s.base = s.value()
 		s.fn = fn
 		return
 	}
-	r.sampleIdx[name] = len(r.samples)
-	r.samples = append(r.samples, &sample{name: name, class: class, fn: fn})
+	o.sampleIdx[name] = len(o.samples)
+	o.samples = append(o.samples, &sample{name: name, class: class, fn: fn})
 }
 
 // Snapshot captures the current value of every Semantic instrument. The
 // result is byte-identical (via Snapshot.Encode) across worker counts and
 // schedulers, and is the form embedded in exp artifacts. Returns nil on a
-// nil registry.
-func (r *Registry) Snapshot() *Snapshot { return r.snapshot(false) }
+// nil observer.
+func (o *Observer) Snapshot() *Snapshot { return o.snapshot(false) }
 
 // SnapshotAll captures every instrument including Diagnostic ones. Use for
 // single-run reports where scheduler internals are interesting.
-func (r *Registry) SnapshotAll() *Snapshot { return r.snapshot(true) }
+func (o *Observer) SnapshotAll() *Snapshot { return o.snapshot(true) }
 
-func (r *Registry) snapshot(diagnostics bool) *Snapshot {
-	if r == nil {
+func (o *Observer) snapshot(diagnostics bool) *Snapshot {
+	if o == nil {
 		return nil
 	}
 	s := NewSnapshot()
-	for _, c := range r.counters {
+	for _, c := range o.counters {
 		if c.v == 0 || (c.class == Diagnostic && !diagnostics) {
 			continue
 		}
 		s.Counters[c.name] = c.v
 	}
-	for _, sm := range r.samples {
+	for _, sm := range o.samples {
 		if sm.class == Diagnostic && !diagnostics {
 			continue
 		}
@@ -237,7 +258,7 @@ func (r *Registry) snapshot(diagnostics bool) *Snapshot {
 			s.Counters[sm.name] = v
 		}
 	}
-	for _, h := range r.hists {
+	for _, h := range o.hists {
 		if h.n == 0 || (h.class == Diagnostic && !diagnostics) {
 			continue
 		}
@@ -256,83 +277,4 @@ func (r *Registry) snapshot(diagnostics bool) *Snapshot {
 		s.Histograms[h.name] = hs
 	}
 	return s
-}
-
-// Observer bundles a metrics registry with an optional timeline tracer; it
-// is the single handle threaded through platform/core configuration. All
-// methods are safe on a nil receiver — a nil *Observer IS the disabled
-// state.
-type Observer struct {
-	Reg   *Registry
-	Trace *Tracer
-}
-
-// NewObserver returns an observer with a fresh registry and no tracer.
-func NewObserver() *Observer { return &Observer{Reg: NewRegistry()} }
-
-// WithTracer attaches a preallocated ring-buffer tracer (see NewTracer) and
-// returns the observer for chaining.
-func (o *Observer) WithTracer(capacity int) *Observer {
-	if o != nil {
-		o.Trace = NewTracer(capacity)
-	}
-	return o
-}
-
-// Counter returns a semantic counter (nil when disabled).
-func (o *Observer) Counter(name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Counter(name)
-}
-
-// DiagnosticCounter returns a diagnostic counter (nil when disabled).
-func (o *Observer) DiagnosticCounter(name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.DiagnosticCounter(name)
-}
-
-// Histogram returns a semantic histogram (nil when disabled).
-func (o *Observer) Histogram(name string) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Histogram(name)
-}
-
-// Sample registers a deferred gauge (no-op when disabled).
-func (o *Observer) Sample(name string, class Class, fn func() uint64) {
-	if o == nil {
-		return
-	}
-	o.Reg.Sample(name, class, fn)
-}
-
-// Tracer returns the attached tracer, or nil.
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
-}
-
-// Snapshot returns the semantic snapshot of the registry (nil when
-// disabled).
-func (o *Observer) Snapshot() *Snapshot {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Snapshot()
-}
-
-// SnapshotAll returns the full snapshot including diagnostics (nil when
-// disabled).
-func (o *Observer) SnapshotAll() *Snapshot {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.SnapshotAll()
 }

@@ -18,14 +18,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if h.Count() != 0 {
 		t.Error("nil histogram has observations")
 	}
-	var r *Registry
-	if r.Counter("x") != nil || r.Histogram("x") != nil {
-		t.Error("nil registry handed out instruments")
-	}
-	r.Sample("x", Semantic, func() uint64 { return 1 })
-	if r.Snapshot() != nil || r.SnapshotAll() != nil {
-		t.Error("nil registry produced a snapshot")
-	}
 	var o *Observer
 	if o.Counter("x") != nil || o.DiagnosticCounter("x") != nil ||
 		o.Histogram("x") != nil || o.Tracer() != nil ||
@@ -39,9 +31,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 }
 
 func TestCounterIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("mee.reads")
-	b := r.Counter("mee.reads")
+	o := NewObserver()
+	a := o.Counter("mee.reads")
+	b := o.Counter("mee.reads")
 	if a != b {
 		t.Fatal("same name produced distinct counters")
 	}
@@ -53,14 +45,14 @@ func TestCounterIdempotentRegistration(t *testing.T) {
 }
 
 func TestSnapshotClassFiltering(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sem").Add(5)
-	r.DiagnosticCounter("diag").Add(9)
-	r.Counter("zero") // untouched: must be omitted
-	r.Sample("sample.sem", Semantic, func() uint64 { return 11 })
-	r.Sample("sample.diag", Diagnostic, func() uint64 { return 13 })
+	o := NewObserver()
+	o.Counter("sem").Add(5)
+	o.DiagnosticCounter("diag").Add(9)
+	o.Counter("zero") // untouched: must be omitted
+	o.Sample("sample.sem", Semantic, func() uint64 { return 11 })
+	o.Sample("sample.diag", Diagnostic, func() uint64 { return 13 })
 
-	s := r.Snapshot()
+	s := o.Snapshot()
 	if s.Counters["sem"] != 5 || s.Counters["sample.sem"] != 11 {
 		t.Errorf("semantic snapshot %v", s.Counters)
 	}
@@ -69,34 +61,34 @@ func TestSnapshotClassFiltering(t *testing.T) {
 			t.Errorf("%s leaked into the semantic snapshot", name)
 		}
 	}
-	all := r.SnapshotAll()
+	all := o.SnapshotAll()
 	if all.Counters["diag"] != 9 || all.Counters["sample.diag"] != 13 {
 		t.Errorf("full snapshot %v", all.Counters)
 	}
 }
 
 func TestSampleRefoldsOnReRegistration(t *testing.T) {
-	r := NewRegistry()
+	o := NewObserver()
 	v := uint64(10)
-	r.Sample("g", Semantic, func() uint64 { return v })
+	o.Sample("g", Semantic, func() uint64 { return v })
 	v = 25
 	// A second component takes over the name: the old fn's final value (25)
 	// folds into the baseline and the new fn accumulates on top.
 	w := uint64(0)
-	r.Sample("g", Semantic, func() uint64 { return w })
+	o.Sample("g", Semantic, func() uint64 { return w })
 	w = 5
-	if got := r.Snapshot().Counters["g"]; got != 30 {
+	if got := o.Snapshot().Counters["g"]; got != 30 {
 		t.Fatalf("refolded sample = %d, want 30", got)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
+	o := NewObserver()
+	h := o.Histogram("lat")
 	for _, v := range []int64{0, 1, 2, 3, 4, 100, -5} {
 		h.Observe(v)
 	}
-	s := r.Snapshot().Histograms["lat"]
+	s := o.Snapshot().Histograms["lat"]
 	if s.Count != 7 || s.Min != -5 || s.Max != 100 || s.Sum != 105 {
 		t.Fatalf("summary %+v", s)
 	}
@@ -120,12 +112,12 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSnapshotEncodeCanonicalAndDecodes(t *testing.T) {
 	build := func(order []string) []byte {
-		r := NewRegistry()
+		o := NewObserver()
 		for _, name := range order {
-			r.Counter(name).Add(uint64(len(name)))
+			o.Counter(name).Add(uint64(len(name)))
 		}
-		r.Histogram("h").Observe(9)
-		return r.Snapshot().Encode()
+		o.Histogram("h").Observe(9)
+		return o.Snapshot().Encode()
 	}
 	a := build([]string{"alpha", "beta", "gamma"})
 	b := build([]string{"gamma", "alpha", "beta"})
@@ -152,9 +144,9 @@ func TestSnapshotEncodeCanonicalAndDecodes(t *testing.T) {
 }
 
 func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
+	a := NewObserver()
 	a.Counter("bits").Add(10)
-	b := NewRegistry()
+	b := NewObserver()
 	b.Counter("bits").Add(20)
 	b.Histogram("lat").Observe(4)
 	s := NewSnapshot()
@@ -170,13 +162,13 @@ func TestSnapshotMerge(t *testing.T) {
 }
 
 func TestSnapshotRender(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sim.busy_cycles").Add(50)
-	r.Counter("sim.clock").Add(200)
-	r.Counter("mee.reads").Add(7)
-	r.Histogram("mee.read_latency").Observe(33)
+	o := NewObserver()
+	o.Counter("sim.busy_cycles").Add(50)
+	o.Counter("sim.clock").Add(200)
+	o.Counter("mee.reads").Add(7)
+	o.Histogram("mee.read_latency").Observe(33)
 	var buf bytes.Buffer
-	r.Snapshot().Render(&buf)
+	o.Snapshot().Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"mee.reads", "sim.utilization", "25.0%", "mee.read_latency", "count=1"} {
 		if !strings.Contains(out, want) {

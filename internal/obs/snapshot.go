@@ -29,7 +29,7 @@ type HistogramSnapshot struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot is a point-in-time capture of a registry. Encoding is canonical:
+// Snapshot is a point-in-time capture of an observer. Encoding is canonical:
 // encoding/json sorts map keys, so two snapshots with equal contents encode
 // to identical bytes regardless of registration order, worker count, or
 // scheduler. Zero-valued instruments are omitted, which keeps artifacts

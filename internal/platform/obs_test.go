@@ -9,7 +9,7 @@ import (
 )
 
 // TestPlatformObservabilityEndToEnd boots a platform with a full observer
-// (registry + tracer), drives enclave traffic through two threads, and
+// (instruments + tracer), drives enclave traffic through two threads, and
 // checks the whole observability surface at once: the semantic snapshot
 // carries sim/mee/cache counters, the diagnostic snapshot adds scheduler
 // internals, and the exported Chrome trace validates with one track per

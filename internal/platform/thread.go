@@ -231,12 +231,16 @@ func (t *Thread) translate(va enclave.VAddr) (dram.Addr, bool) {
 	return pa, protected
 }
 
-// access is the common read/write path: CPU caches first, then the memory
-// system (MEE walk for protected lines, plain DRAM otherwise). With flush
-// set the caller clflushes the line as its next operation, and access
-// reports whether it has already applied what that flush does to the
-// caches, leaving the caller only its operation to charge (AccessFlush).
-func (t *Thread) access(va enclave.VAddr, write, flush bool) (AccessResult, bool) {
+// access is the common read/write path up to the operation's latency: CPU
+// caches first, then the memory system (MEE walk for protected lines, plain
+// DRAM otherwise). It applies what the access does to the machine and
+// returns the result and the line's physical address without advancing the
+// clock; the caller moves any data then, while the line is still resident,
+// and advances by the result's Lat. With flush set the caller clflushes the
+// line as its next operation, and access reports whether it has already
+// applied what that flush does to the caches, leaving the caller only its
+// operation to charge (AccessFlush).
+func (t *Thread) access(va enclave.VAddr, write, flush bool) (AccessResult, dram.Addr, bool) {
 	t.payStall()
 	pa, protected := t.translate(va)
 	p := t.proc.plat
@@ -285,8 +289,7 @@ func (t *Thread) access(va enclave.VAddr, write, flush bool) (AccessResult, bool
 		}
 	}
 	res.Lat = lat
-	t.sp.Advance(lat)
-	return res, flushed
+	return res, pa, flushed
 }
 
 // writebackVictim pushes an evicted dirty line back to memory: protected
@@ -311,7 +314,8 @@ func (t *Thread) writebackVictim(now sim.Cycles, v *cpucache.Victim) {
 // Access touches va (a load whose value is ignored) and returns timing and
 // instrumentation. This is the probe primitive of all the attacks.
 func (t *Thread) Access(va enclave.VAddr) AccessResult {
-	res, _ := t.access(va, false, false)
+	res, _, _ := t.access(va, false, false)
+	t.sp.Advance(res.Lat)
 	return res
 }
 
@@ -324,7 +328,8 @@ func (t *Thread) Access(va enclave.VAddr) AccessResult {
 // what the fill and the flush leave behind (cpucache.Hierarchy.FillFlush)
 // and charges the flush's operation. Otherwise it runs the pair.
 func (t *Thread) AccessFlush(va enclave.VAddr) AccessResult {
-	res, flushed := t.access(va, false, true)
+	res, _, flushed := t.access(va, false, true)
+	t.sp.Advance(res.Lat)
 	if flushed {
 		t.sp.Advance(cpucache.FlushLat)
 	} else {
@@ -333,26 +338,29 @@ func (t *Thread) AccessFlush(va enclave.VAddr) AccessResult {
 	return res
 }
 
-// ReadU64 loads eight bytes at va (must not cross a cache line).
+// ReadU64 loads eight bytes at va (must not cross a cache line): the value
+// the line holds when the load starts, not one stored while its latency
+// passes.
 func (t *Thread) ReadU64(va enclave.VAddr) (uint64, AccessResult) {
 	if va%64 > 56 {
 		panic("platform: ReadU64 crosses a cache line")
 	}
-	res, _ := t.access(va, false, false)
-	pa, _ := t.proc.pt.Translate(va)
-	buf := t.proc.plat.caches.Data(pa)
-	return binary.LittleEndian.Uint64(buf[pa%64:]), res
+	res, pa, _ := t.access(va, false, false)
+	val := binary.LittleEndian.Uint64(t.proc.plat.caches.Data(pa)[pa%64:])
+	t.sp.Advance(res.Lat)
+	return val, res
 }
 
-// WriteU64 stores eight bytes at va (must not cross a cache line).
+// WriteU64 stores eight bytes at va (must not cross a cache line) before
+// its latency passes, so no other actor can flush the line between its fill
+// and the store.
 func (t *Thread) WriteU64(va enclave.VAddr, val uint64) AccessResult {
 	if va%64 > 56 {
 		panic("platform: WriteU64 crosses a cache line")
 	}
-	res, _ := t.access(va, true, false)
-	pa, _ := t.proc.pt.Translate(va)
-	buf := t.proc.plat.caches.Data(pa)
-	binary.LittleEndian.PutUint64(buf[pa%64:], val)
+	res, pa, _ := t.access(va, true, false)
+	binary.LittleEndian.PutUint64(t.proc.plat.caches.Data(pa)[pa%64:], val)
+	t.sp.Advance(res.Lat)
 	return res
 }
 

@@ -201,3 +201,33 @@ func TestGeneralMemoryIsolationBetweenProcesses(t *testing.T) {
 		t.Fatal("two processes share a physical frame")
 	}
 }
+
+// TestWriteU64StoresBeforeYielding races a store loop against a
+// load+clflush loop on the same general line from another core. A store
+// moves its data before its latency yields to the other thread, so a flush
+// can never leave it a line without a buffer to store into, and the line
+// ends up holding the last value stored.
+func TestWriteU64StoresBeforeYielding(t *testing.T) {
+	p := bootDefault(t, 3)
+	defer p.Close()
+	pr := p.NewProcess("x")
+	va := pr.AllocGeneral(1)
+	const n = 2000
+	p.SpawnThread("writer", pr, 0, func(th *Thread) {
+		for i := 1; i <= n; i++ {
+			th.WriteU64(va, uint64(i))
+		}
+	})
+	p.SpawnThread("flusher", pr, 2, func(th *Thread) {
+		for i := 0; i < n; i++ {
+			th.AccessFlush(va)
+		}
+	})
+	p.Run(-1)
+	var got uint64
+	p.SpawnThread("reader", pr, 0, func(th *Thread) { got, _ = th.ReadU64(va) })
+	p.Run(-1)
+	if got != n {
+		t.Fatalf("line holds %d after the last store, want %d", got, n)
+	}
+}
